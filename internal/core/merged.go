@@ -174,6 +174,22 @@ type MergedDir struct {
 	rec   *Recorder
 	obs   dirObserver
 	trace func(string)
+	sink  ChangeSink
+}
+
+// ChangeSink is told where the merged directory's state may have changed,
+// so a host that retries stalled messages can skip the ones whose outcome
+// cannot have changed. Whether a message delivers depends only on the
+// state at its address (the sub-directory and proxy lines, the bridge and
+// the owner cell) plus, under the Conservative design, the busy-source
+// set. The reports cover every change that could let a message that
+// failed deliver now.
+type ChangeSink interface {
+	// AddrChanged reports that the state at a may have changed.
+	AddrChanged(a spec.Addr)
+	// AllChanged reports a change that may affect messages at every
+	// address.
+	AllChanged()
 }
 
 // dirObserver intercepts Deliver during fusion compilation: the compiler
@@ -211,6 +227,14 @@ func (d *MergedDir) SetTrace(fn func(string)) {
 		}
 	}
 }
+
+// SetChangeSink installs the change reports (nil removes them). Reports
+// are made only for state that actually changed: after a successful
+// delivery, for every bridge a drive acted on, when the busy-source set
+// shrinks, and when a proxy ran a whole-cache effect (sync or
+// fill-triggered invalidation) while holding lines at other addresses.
+// A failed delivery reports nothing. Clones do not inherit the sink.
+func (d *MergedDir) SetChangeSink(s ChangeSink) { d.sink = s }
 
 // SetRecorder installs a shared FSM/stats recorder (Table II extraction).
 func (d *MergedDir) SetRecorder(r *Recorder) { d.rec = r }
@@ -346,6 +370,9 @@ func (d *MergedDir) Deliver(env spec.Env, m spec.Msg) bool {
 	if ok && d.rec != nil {
 		d.rec.Record(d.fusion, m, before, d.LocalState(m.Addr))
 	}
+	if ok && d.sink != nil {
+		d.sink.AddrChanged(m.Addr)
+	}
 	return ok
 }
 
@@ -367,9 +394,14 @@ func (d *MergedDir) deliver(env spec.Env, m spec.Msg) bool {
 		return true
 	}
 	if ci, pi := d.proxyAt(m.Dst); ci >= 0 {
-		ok := d.proxies[ci][pi].Deliver(env, m)
+		p := d.proxies[ci][pi]
+		others := d.holdsOthers(p, m.Addr)
+		ok := p.Deliver(env, m)
 		if ok {
 			d.wake(wProxy, int(m.Dst))
+			if others {
+				d.sink.AllChanged()
+			}
 		}
 		return ok
 	}
@@ -586,7 +618,7 @@ func (d *MergedDir) advance(env spec.Env) {
 		// entry that is still in place.
 		for i := 0; i < len(d.bridges); {
 			br := d.bridges[i]
-			if d.advanceBridge(env, br) {
+			if d.drive(env, br) {
 				progressed = true
 			}
 			if i < len(d.bridges) && d.bridges[i] == br {
@@ -613,13 +645,23 @@ func (d *MergedDir) advanceLazy(env spec.Env) {
 				continue
 			}
 			br.woken = false
-			d.advanceBridge(env, br)
+			d.drive(env, br)
 			if i < len(d.bridges) && d.bridges[i] == br {
 				d.recordWaits(br)
 				i++
 			}
 		}
 	}
+}
+
+// drive advances one bridge and reports its address to the change sink
+// if the drive acted.
+func (d *MergedDir) drive(env spec.Env, br *bridge) bool {
+	acted := d.advanceBridge(env, br)
+	if acted && d.sink != nil {
+		d.sink.AddrChanged(br.addr)
+	}
+	return acted
 }
 
 // advanceBridge drives one bridge; it reports whether any state changed.
@@ -677,6 +719,9 @@ func (d *MergedDir) advanceBridge(env spec.Env, br *bridge) bool {
 		d.removeBridge(br.addr)
 		if d.fusion.Conservative {
 			d.busySrc.Remove(br.orig.Src)
+			if d.sink != nil {
+				d.sink.AllChanged()
+			}
 		}
 		if d.trace != nil {
 			d.trace(fmt.Sprintf("merged-dir a%d: bridge complete, owner=cluster%d", br.addr, d.Owner(br.addr)))
@@ -736,7 +781,11 @@ func (d *MergedDir) driveTask(env spec.Env, br *bridge, t *proxyTask) (done, act
 		t.captured = req.Value
 		t.hasCaptured = true
 	}
+	others := d.holdsOthers(proxy, br.addr)
 	if proxy.Issue(env, req) {
+		if others {
+			d.sink.AllChanged()
+		}
 		t.issued = true
 		if proxy.Idle() {
 			// The op completed synchronously (hits, sync no-ops).
@@ -772,6 +821,19 @@ func (d *MergedDir) driveEvict(env spec.Env, t *proxyTask, proxy *spec.CacheInst
 		return false, true
 	}
 	return false, false
+}
+
+// holdsOthers reports, when a change sink is installed, whether the proxy
+// holds a line at an address other than a. A sync operation or a
+// fill-triggered self-invalidation at a acts on the whole proxy cache, so
+// a successful operation that began this way is reported as AllChanged.
+// Proxies relinquish each line after bridging, so this is rare.
+func (d *MergedDir) holdsOthers(p *spec.CacheInst, a spec.Addr) bool {
+	if d.sink == nil {
+		return false
+	}
+	n := p.NumLines()
+	return n > 1 || n == 1 && p.AddrAt(0) != a
 }
 
 // seqAddr returns the address the task operates on.

@@ -68,7 +68,7 @@ func (c *Core) step(s *Sim) {
 	}
 	c.waiting = true
 	// Issuing may have unblocked a stalled message at this cache.
-	s.drain(c.cache.ID())
+	s.drainCache(c.cache.ID())
 }
 
 // onCacheActivity checks whether the pending op completed.

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 
 	"heterogen/internal/core"
 	"heterogen/internal/spec"
@@ -148,9 +150,18 @@ type Sim struct {
 
 	chans     []channel // dense channel registry, appended on first use
 	chanKeys  []chanKey // parallel to chans
-	chanIdx   []int32   // (src*nNodes+dst)*NumVNets+vnet → chans index or -1
-	nodeChans [][]int32 // dst node id → its channels, sorted by (src, vnet)
+	chanIdx   []int32   // chanKey.index() → chans index or -1
+	nodeChans [][]int32 // cache node id → its channels, sorted by (src, vnet)
 	mergedIDs []spec.NodeID
+
+	// The merged directory's channels are drained through md. A merged
+	// channel's rank is its chanIdx slot minus rankBase, the slot of the
+	// first endpoint's first channel.
+	md       mergedDrain
+	rankBase int
+	// afterMergedDrain, when set (tests only), runs after every drain of
+	// the merged directory.
+	afterMergedDrain func()
 
 	bankFree  []uint64 // per-L2-bank occupancy (contention)
 	coldMem   []bool   // first-touch DRAM accounting, indexed by address
@@ -217,13 +228,15 @@ func New(cfg Config, fusion *core.Fusion, wl *workload.Workload) (*Sim, error) {
 	s.merged.SetLazyAdvance(true)
 	s.mergedIDs = s.merged.OwnedIDs()
 
-	max := spec.NodeID(n - 1)
-	for _, id := range s.mergedIDs {
-		if id > max {
-			max = id
+	// The merged drain ranks channels by destination node id, which must
+	// follow the endpoint order OwnedIDs reports (DefaultLayout allocates
+	// ids in that order, after the caches).
+	for i, id := range s.mergedIDs {
+		if int(id) != n+i {
+			return nil, fmt.Errorf("sim: merged-directory endpoint %d has id %d, want %d", i, id, n+i)
 		}
 	}
-	s.nNodes = int(max) + 1
+	s.nNodes = n + len(s.mergedIDs)
 	s.nodeKind = make([]nodeKind, s.nNodes)
 	s.corendx = make([]int, s.nNodes)
 	s.pos = make([]tile, s.nNodes)
@@ -239,6 +252,9 @@ func New(cfg Config, fusion *core.Fusion, wl *workload.Workload) (*Sim, error) {
 	}
 	s.nodeChans = make([][]int32, s.nNodes)
 	s.bankFree = make([]uint64, cfg.L2Banks)
+	s.rankBase = chanKey{src: 0, dst: spec.NodeID(n)}.index(s.nNodes)
+	s.md.ready.init(len(s.chanIdx) - s.rankBase)
+	s.merged.SetChangeSink(&s.md)
 
 	for i := 0; i < n; i++ {
 		cluster := 1 // tiny
@@ -303,17 +319,21 @@ func (s *Sim) latency(m spec.Msg) uint64 {
 	return lat
 }
 
-// chanFor interns the ordered channel for (src, dst, vnet), registering it
-// with the destination node in (src, vnet) order on first use.
+// chanFor interns the ordered channel for (src, dst, vnet). A cache
+// destination also registers it in its (src, vnet)-ordered channel list.
 func (s *Sim) chanFor(src, dst spec.NodeID, vnet spec.VNet) *channel {
-	key := (int(src)*s.nNodes+int(dst))*int(spec.NumVNets) + int(vnet)
+	k := chanKey{src, dst, vnet}
+	key := k.index(s.nNodes)
 	if ci := s.chanIdx[key]; ci >= 0 {
 		return &s.chans[ci]
 	}
 	ci := int32(len(s.chans))
 	s.chans = append(s.chans, channel{})
-	s.chanKeys = append(s.chanKeys, chanKey{src, dst, vnet})
+	s.chanKeys = append(s.chanKeys, k)
 	s.chanIdx[key] = ci
+	if s.nodeKind[dst] != nkCache {
+		return &s.chans[ci]
+	}
 	// Insert into the destination's list keeping (src, vnet) order: drains
 	// must visit a node's channels in the same deterministic order the old
 	// sort-based scheme produced.
@@ -338,6 +358,13 @@ func (s *Sim) chanFor(src, dst spec.NodeID, vnet spec.VNet) *channel {
 type chanKey struct {
 	src, dst spec.NodeID
 	vnet     spec.VNet
+}
+
+// index is the channel's slot in Sim.chanIdx. Slots are ordered by (dst,
+// src, vnet), so the merged directory's channels occupy one contiguous
+// range in exactly the order its drain must offer them.
+func (k chanKey) index(nNodes int) int {
+	return (int(k.dst)*nNodes+int(k.src))*int(spec.NumVNets) + int(k.vnet)
 }
 
 // Send implements spec.Env: schedule the message's arrival respecting the
@@ -402,7 +429,16 @@ func (s *Sim) Run() (*Stats, error) {
 		case evArrive:
 			ch := s.chanFor(e.msg.Src, e.msg.Dst, e.msg.VNet)
 			ch.q = append(ch.q, e.msg)
-			s.drain(e.msg.Dst)
+			if s.nodeKind[e.msg.Dst] == nkCache {
+				s.drainCache(e.msg.Dst)
+				break
+			}
+			if len(ch.q)-ch.head == 1 {
+				// A fresh head; a later message waits behind the head
+				// already ready or parked.
+				s.md.ready.set(chanKey{e.msg.Src, e.msg.Dst, e.msg.VNet}.index(s.nNodes) - s.rankBase)
+			}
+			s.drainMerged()
 		case evCore:
 			s.cores[e.core].step(s)
 		}
@@ -415,49 +451,178 @@ func (s *Sim) Run() (*Stats, error) {
 			s.Stats.Cycles = c.finishAt
 		}
 	}
-	return &s.Stats, nil
+	// A copy: a caller keeping the result must not keep the whole machine.
+	st := s.Stats
+	st.ByType = maps.Clone(s.Stats.ByType)
+	return &st, nil
 }
 
-// drain delivers queued messages to the component owning dst, retrying
-// sibling channels until no further progress (stalled heads stay queued and
-// are retried on the component's next activity). Each pass hands every
-// pending channel at most its head message, in (dst, src, vnet) order —
-// the same discipline the checker's scheduler and the previous map-based
-// implementation used, so simulated cycle counts are unchanged.
-func (s *Sim) drain(dst spec.NodeID) {
-	if s.nodeKind[dst] == nkCache {
-		ci := s.corendx[dst]
-		cache := s.caches[ci]
-		for {
-			progress := false
-			for _, chi := range s.nodeChans[dst] {
-				// Index (not pointer) access: a Deliver can Send on a channel
-				// seen for the first time, growing s.chans under us.
-				if s.chans[chi].pending() && cache.Deliver(s, s.chans[chi].q[s.chans[chi].head]) {
-					s.chans[chi].popHead()
-					progress = true
-				}
-			}
-			if !progress {
-				break
-			}
-		}
-		// Completing a delivery at a cache may finish its core's pending op.
-		s.cores[ci].onCacheActivity(s)
-		return
-	}
+// drainCache delivers queued messages to a cache, retrying its channels
+// until no further progress (stalled heads stay queued and are retried on
+// the cache's next activity). Each pass hands every pending channel at
+// most its head message, in (src, vnet) order.
+func (s *Sim) drainCache(dst spec.NodeID) {
+	ci := s.corendx[dst]
+	cache := s.caches[ci]
 	for {
 		progress := false
-		for _, id := range s.mergedIDs {
-			for _, chi := range s.nodeChans[id] {
-				if s.chans[chi].pending() && s.merged.Deliver(s, s.chans[chi].q[s.chans[chi].head]) {
-					s.chans[chi].popHead()
-					progress = true
-				}
+		for _, chi := range s.nodeChans[dst] {
+			// Index (not pointer) access: a Deliver can Send on a channel
+			// seen for the first time, growing s.chans under us.
+			if s.chans[chi].pending() && cache.Deliver(s, s.chans[chi].q[s.chans[chi].head]) {
+				s.chans[chi].popHead()
+				progress = true
 			}
 		}
 		if !progress {
 			break
 		}
 	}
+	// Completing a delivery at a cache may finish its core's pending op.
+	s.cores[ci].onCacheActivity(s)
+}
+
+// drainMerged delivers queued messages to the merged directory. The
+// discipline is the same as drainCache's over all of its endpoints: each
+// pass offers every pending channel at most its head, in (endpoint, src,
+// vnet) order, and passes repeat while any delivery succeeds. Only ready
+// channels are visited, though. A head that fails is parked under its
+// address and stays unvisited until the directory reports a change there
+// (core.ChangeSink). A failed delivery has no side effects and its outcome
+// depends only on the state at its address, so a parked head would fail
+// again: skipping it is exact. A channel woken during a pass is visited in
+// this pass if its rank is ahead of the cursor and in the next one
+// otherwise — where the full scan would have delivered it too.
+func (s *Sim) drainMerged() {
+	for {
+		progress := false
+		for r := s.md.ready.next(0); r >= 0; r = s.md.ready.next(r + 1) {
+			s.md.ready.clear(r)
+			// Index (not pointer) access: a Deliver can Send on a channel
+			// seen for the first time, growing s.chans under us.
+			ci := s.chanIdx[s.rankBase+r]
+			m := s.chans[ci].q[s.chans[ci].head]
+			if !s.merged.Deliver(s, m) {
+				s.md.park(r, m.Addr)
+				continue
+			}
+			s.chans[ci].popHead()
+			progress = true
+			if s.chans[ci].pending() {
+				s.md.ready.set(r) // the next head, offered next pass
+			}
+		}
+		if !progress {
+			break
+		}
+	}
+	if s.afterMergedDrain != nil {
+		s.afterMergedDrain()
+	}
+}
+
+// mergedDrain is the merged directory's channel scheduler: the channels
+// whose head may deliver, and the heads parked on an address. A pending
+// channel is in exactly one of the two. It is the directory's
+// core.ChangeSink.
+type mergedDrain struct {
+	// ready holds channel ranks (chanKey.index − Sim.rankBase).
+	ready readySet
+	// parked maps an address to the ranks parked on it; parkedAddrs lists
+	// the addresses with parked ranks, for AllChanged.
+	parked      []parkList
+	parkedAddrs []spec.Addr
+}
+
+// parkList is the ranks parked on one address.
+type parkList struct {
+	ranks  []int32
+	listed bool // in mergedDrain.parkedAddrs
+}
+
+// park parks a channel's failed head under its address.
+func (md *mergedDrain) park(r int, a spec.Addr) {
+	if int(a) >= len(md.parked) {
+		grown := make([]parkList, int(a)+int(a)/2+64)
+		copy(grown, md.parked)
+		md.parked = grown
+	}
+	pl := &md.parked[a]
+	if !pl.listed {
+		pl.listed = true
+		md.parkedAddrs = append(md.parkedAddrs, a)
+	}
+	pl.ranks = append(pl.ranks, int32(r))
+}
+
+// AddrChanged implements core.ChangeSink: wake the heads parked on a.
+func (md *mergedDrain) AddrChanged(a spec.Addr) {
+	if int(a) >= len(md.parked) {
+		return
+	}
+	pl := &md.parked[a]
+	for _, r := range pl.ranks {
+		md.ready.set(int(r))
+	}
+	pl.ranks = pl.ranks[:0]
+}
+
+// AllChanged implements core.ChangeSink: wake every parked head.
+func (md *mergedDrain) AllChanged() {
+	for _, a := range md.parkedAddrs {
+		md.AddrChanged(a)
+		md.parked[a].listed = false
+	}
+	md.parkedAddrs = md.parkedAddrs[:0]
+}
+
+// readySet is an ordered two-level bitset: lo holds one bit per rank, hi
+// one bit per non-zero lo word, so next skips empty stretches 4096 ranks
+// at a time.
+type readySet struct{ lo, hi []uint64 }
+
+func (b *readySet) init(n int) {
+	words := (n + 63) / 64
+	b.lo = make([]uint64, words)
+	b.hi = make([]uint64, (words+63)/64)
+}
+
+func (b *readySet) set(r int) {
+	w := r >> 6
+	b.lo[w] |= 1 << (r & 63)
+	b.hi[w>>6] |= 1 << (w & 63)
+}
+
+func (b *readySet) clear(r int) {
+	w := r >> 6
+	b.lo[w] &^= 1 << (r & 63)
+	if b.lo[w] == 0 {
+		b.hi[w>>6] &^= 1 << (w & 63)
+	}
+}
+
+// next returns the smallest set rank ≥ r, or -1.
+func (b *readySet) next(r int) int {
+	w := r >> 6
+	if w >= len(b.lo) {
+		return -1
+	}
+	if x := b.lo[w] >> (r & 63); x != 0 {
+		return r + bits.TrailingZeros64(x)
+	}
+	w++
+	h := w >> 6
+	if h >= len(b.hi) {
+		return -1
+	}
+	x := b.hi[h] &^ (1<<(w&63) - 1)
+	for x == 0 {
+		h++
+		if h >= len(b.hi) {
+			return -1
+		}
+		x = b.hi[h]
+	}
+	w = h<<6 + bits.TrailingZeros64(x)
+	return w<<6 + bits.TrailingZeros64(b.lo[w])
 }
