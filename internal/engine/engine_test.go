@@ -99,6 +99,39 @@ func TestLitmusRequest(t *testing.T) {
 	}
 }
 
+// TestLitmusWorkerBudget pins that a litmus request never searches wider
+// than its Search.Workers budget: with Workers 1 every test — suite or
+// homogeneous — explores on one worker, and with Workers 2 concurrent
+// tests times per-test search workers stay within 2.
+func TestLitmusWorkerBudget(t *testing.T) {
+	for _, req := range []LitmusRequest{
+		{Pair: []string{"MSI", "MSI"}, Shapes: []string{"MP", "SB"}, Search: SearchOptions{Workers: 1}},
+		{Pair: []string{"MSI", "MSI"}, Shapes: []string{"MP"}, Search: SearchOptions{Workers: 2}},
+		{Protocol: "MSI", Shapes: []string{"MP", "SB"}, Search: SearchOptions{Workers: 1}},
+	} {
+		res, err := Litmus(context.Background(), req, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Results) == 0 {
+			t.Fatalf("%+v: no tests ran", req)
+		}
+		concurrent := min(req.Search.Workers, len(res.Results))
+		if req.Protocol != "" {
+			concurrent = 1
+		}
+		for _, r := range res.Results {
+			if r.Workers*concurrent > req.Search.Workers {
+				t.Errorf("workers=%d: %s %v searched on %d workers beside %d concurrent tests",
+					req.Search.Workers, r.Shape, r.Assign, r.Workers, concurrent)
+			}
+			if req.Search.Workers == 1 && r.Workers != 1 {
+				t.Errorf("workers=1: %s %v searched on %d workers", r.Shape, r.Assign, r.Workers)
+			}
+		}
+	}
+}
+
 // TestCompileRequest compiles once cold and once through the cache,
 // checking the Source provenance both times and the OnCompiled hook.
 func TestCompileRequest(t *testing.T) {

@@ -130,6 +130,8 @@ func Litmus(ctx context.Context, req LitmusRequest, hooks Hooks) (*LitmusResult,
 		if err != nil {
 			return nil, err
 		}
+		// Homogeneous tests run one at a time, each with the whole budget.
+		opts.ExploreWorkers = req.Search.Workers
 		sel := shapes
 		if sel == nil {
 			sel = litmus.Shapes()
@@ -173,6 +175,8 @@ func Litmus(ctx context.Context, req LitmusRequest, hooks Hooks) (*LitmusResult,
 	}
 	opts.MaxThreads = maxThreads
 	opts.Shapes = shapes
+	// RunSuiteCtx splits the budget between concurrent tests and each
+	// test's search.
 	opts.Workers = req.Search.Workers
 	report, err := litmus.RunSuiteCtx(ctx, protoPairs, opts)
 	if err != nil {

@@ -34,14 +34,15 @@ type Options struct {
 	MaxThreads int
 	// Shapes restricts RunSuite to the listed shapes (nil = all).
 	Shapes []Shape
-	// Workers bounds the test-level worker pool of RunSuite: independent
-	// tests (each exploration owns its own System) run concurrently.
-	// 0 = runtime.NumCPU(), 1 = sequential.
+	// Workers is RunSuite's worker budget: independent tests (each
+	// exploration owns its own System) run concurrently on up to Workers
+	// goroutines. 0 = runtime.NumCPU(), 1 = sequential.
 	Workers int
 	// ExploreWorkers sets each test's state-space search parallelism
-	// (mcheck.Options.Workers). 0 picks a default: all cores for a single
-	// test, one when RunSuite already parallelizes across tests (so the
-	// two levels don't oversubscribe the machine).
+	// (mcheck.Options.Workers). In RunSuite, 0 splits the budget: each
+	// search gets Workers divided by the concurrent tests (at least one),
+	// so the two levels together never exceed Workers. Elsewhere 0 means
+	// all cores.
 	ExploreWorkers int
 	// Encoding selects the model checker's visited-set encoding.
 	Encoding mcheck.Encoding
@@ -102,6 +103,7 @@ type Result struct {
 	Outcomes  int           // distinct observable outcomes
 	Elapsed   time.Duration // wall-clock time of the exploration
 	Engine    string        // directory engine label ("" = unlabeled)
+	Workers   int           // search parallelism the exploration ran at
 }
 
 // Pass reports whether the protocol passed this test.
@@ -282,13 +284,14 @@ func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int,
 		}
 		sys = cf.System()
 	}
-	res := mcheck.ExploreCtx(ctx, sys, mcheck.Options{
+	mo := mcheck.Options{
 		Evictions: opts.Evictions, MaxStates: opts.MaxStates,
 		HashCompaction: opts.HashCompaction,
 		Workers:        opts.ExploreWorkers, Encoding: opts.Encoding,
 		Symmetry: opts.Symmetry, POR: opts.POR, SpillDir: opts.SpillDir,
 		LoadKeys: keys, ObserveMem: observe, MemPool: opts.MemPool,
-	})
+	}
+	res := mcheck.ExploreCtx(ctx, sys, mo)
 	elapsed := time.Since(start)
 
 	cm, err := f.CompoundModel(assign)
@@ -301,7 +304,7 @@ func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int,
 		States: res.States, Deadlocks: res.Deadlocks, DeadlockState: res.DeadlockAt,
 		Truncated: res.Truncated, Cancelled: res.Cancelled,
 		Outcomes: len(res.Outcomes), Elapsed: elapsed,
-		Engine: res.Engine}
+		Engine: res.Engine, Workers: mo.EffectiveWorkers()}
 	for k := range res.Outcomes {
 		if _, ok := allowed[k]; !ok {
 			out.BadOutcomes = append(out.BadOutcomes, k)
@@ -416,12 +419,13 @@ func RunHomogeneousCtx(ctx context.Context, p *spec.Protocol, shape Shape, opts 
 	}
 	sort.Slice(observe, func(i, j int) bool { return observe[i] < observe[j] })
 	start := time.Now()
-	res := mcheck.ExploreCtx(ctx, sys, mcheck.Options{
+	mo := mcheck.Options{
 		Evictions: opts.Evictions, MaxStates: opts.MaxStates,
 		HashCompaction: opts.HashCompaction,
 		Workers:        opts.ExploreWorkers, Encoding: opts.Encoding,
 		Symmetry: opts.Symmetry, POR: opts.POR, SpillDir: opts.SpillDir,
-		LoadKeys: keys, ObserveMem: observe, MemPool: opts.MemPool})
+		LoadKeys: keys, ObserveMem: observe, MemPool: opts.MemPool}
+	res := mcheck.ExploreCtx(ctx, sys, mo)
 	elapsed := time.Since(start)
 
 	allowed := memmodel.AllowedOutcomesMem(ap, memmodel.Homogeneous(model, len(ap.Threads)), memKeys)
@@ -429,7 +433,7 @@ func RunHomogeneousCtx(ctx context.Context, p *spec.Protocol, shape Shape, opts 
 		States: res.States, Deadlocks: res.Deadlocks, DeadlockState: res.DeadlockAt,
 		Truncated: res.Truncated, Cancelled: res.Cancelled,
 		Outcomes: len(res.Outcomes), Elapsed: elapsed,
-		Engine: res.Engine}
+		Engine: res.Engine, Workers: mo.EffectiveWorkers()}
 	for k := range res.Outcomes {
 		if _, ok := allowed[k]; !ok {
 			out.BadOutcomes = append(out.BadOutcomes, k)
@@ -489,17 +493,15 @@ func RunSuiteCtx(ctx context.Context, pairs [][]*spec.Protocol, opts Options) (*
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	budget := opts.Workers
+	if budget <= 0 {
+		budget = runtime.NumCPU()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if opts.ExploreWorkers == 0 && workers > 1 {
-		// The suite already saturates the cores test-by-test; keep each
-		// exploration sequential rather than oversubscribing.
-		opts.ExploreWorkers = 1
+	workers := min(budget, len(jobs))
+	if opts.ExploreWorkers == 0 {
+		// Split the budget between the levels: concurrent tests times
+		// per-test search workers never exceed it.
+		opts.ExploreWorkers = max(1, budget/max(workers, 1))
 	}
 
 	results := make([]*Result, len(jobs))

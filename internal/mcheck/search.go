@@ -126,8 +126,9 @@ type Progress struct {
 	HeapBytes     uint64  // runtime.ReadMemStats HeapAlloc (RSS proxy)
 }
 
-// workers resolves the effective worker count.
-func (o Options) workers() int {
+// EffectiveWorkers resolves Workers to the search parallelism a search
+// with these options runs at.
+func (o Options) EffectiveWorkers() int {
 	w := o.Workers
 	if w == 0 {
 		w = runtime.NumCPU()
@@ -421,7 +422,7 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	workers := opts.workers()
+	workers := opts.EffectiveWorkers()
 	if initial.OnDeliver != nil {
 		// Delivery observers (sequence charts, FSM recorders) are shared
 		// by clones and not synchronized; keep those walks sequential.
