@@ -151,7 +151,7 @@ func run(o opts) error {
 		engine = core.EngineCompiled
 	}
 	rep := &report{Schema: "heterogen-bench-sim/v2", Engine: engine,
-		Runner:  benchmeta.Collect("single-core container: the parallel scenario runner degenerates to sequential sweeps here"),
+		Runner:  benchmeta.Collect("sweep jobs run on the worker pool (workers 0 = all cores), so wall_seconds scale with the cores recorded here"),
 		Workers: o.perf.Workers, Mesh: o.mesh, Scale: o.scale, Seeds: o.seeds}
 
 	sweep := func(name string, pair [2]string, points []workload.Params) error {
