@@ -739,7 +739,7 @@ func BenchmarkCompile(b *testing.B) {
 				b.Fatal(err)
 			}
 			record("extract/nomemo", time.Since(start), nm.Stats().ExtractStates,
-				"non-memoized baseline: every delivery re-runs the interpreted MergedDir (proxy clones, bridge phases) — the pre-memoization extraction cost, kept as the injectivity cross-check")
+				"non-memoized extraction: every delivery re-runs the interpreted MergedDir (proxy clones, bridge phases) on the scratch directory and re-records its outcome — kept as the injectivity cross-check")
 			if cf == nil {
 				cf = nm
 			} else if nm.Digest() != cf.Digest() {
@@ -856,7 +856,7 @@ func BenchmarkCompile(b *testing.B) {
 		Benchmark: "BenchmarkCompile",
 		Description: "Compiled flat-table directory engine vs the interpreted composite on the §VII-C headline search: fused MESI & RCC-O, 1 cache per cluster, 2 addresses, evictions at any time, hash-compaction storage, POR on; " +
 			"BENCH_COMPILE_OUT=BENCH_COMPILE.json go test -bench 'BenchmarkCompile' -benchtime 1x (make bench-compile)",
-		Runner: benchmeta.Collect("single-core container, Workers:1 throughout, so rows measure the engines themselves; wall-clock varies a few percent run to run"),
+		Runner: benchmeta.Collect("Workers:1 throughout, so rows measure the engines themselves on one core of the recorded runner; wall-clock varies a few percent run to run"),
 		Cases:  rec.rows,
 		Amortization: "compile once, check many: a single extraction replaces the MergedDir interpreter with a binary search over dense per-state entry spans, and the .hgcf artifact makes the extraction itself a one-time cost — " +
 			"a cold load from disk is under a second, so every search after the first pays only the dispatch-only row; " +

@@ -17,8 +17,8 @@ import (
 )
 
 // Artifact codec (artifact.go) — the versioned on-disk form of a
-// CompiledFusion, so the ~39s extraction search runs once and every later
-// check starts from a sub-second load.
+// CompiledFusion, so the extraction search runs once and every later check
+// starts from a sub-second load.
 //
 // Layout ("HGCF" format, everything little-endian):
 //
@@ -154,17 +154,17 @@ func warmDigest(pccTexts []string, opts Options, caches []int) string {
 // WarmSeed is an existing compiled table reduced to what extraction can
 // replay from it: the interned states' exact byte images keyed for
 // matching against a fresh compile's interned states, and the dense
-// entries keyed by (seed state, message). Built by LoadWarmSeed, consumed
-// via CompileConfig.WarmSeed.
+// per-state entry spans, binary-searched by message. Built by
+// LoadWarmSeed, consumed via CompileConfig.WarmSeed.
 type WarmSeed struct {
-	name    string
-	digest  string // warm digest the seed was validated against
-	keys    map[string]int32
-	seen    map[string]int32
-	spills  [][]byte
-	mems    [][]byte
-	entries []compEntry
-	sends   []spec.Msg
+	name     string
+	digest   string // warm digest the seed was validated against
+	keys     map[string]int32
+	spills   [][]byte
+	mems     [][]byte
+	stateOff []int32
+	entries  []compEntry
+	sends    []spec.Msg
 }
 
 // Name returns the seed table's fusion name (diagnostics).
@@ -211,22 +211,15 @@ func LoadWarmSeed(data []byte, f *Fusion, cfg CompileConfig) (*WarmSeed, error) 
 	}
 	s := &WarmSeed{
 		name: p.name, digest: want,
-		keys:    make(map[string]int32, len(p.encs)),
-		seen:    make(map[string]int32, len(p.entries)),
-		spills:  p.spills,
-		mems:    p.mems,
-		entries: p.entries,
-		sends:   p.sends,
+		keys:     make(map[string]int32, len(p.encs)),
+		spills:   p.spills,
+		mems:     p.mems,
+		stateOff: p.stateOff,
+		entries:  p.entries,
+		sends:    p.sends,
 	}
-	var keyBuf []byte
 	for i := range p.encs {
 		s.keys[string(p.encs[i])+string(p.mems[i])] = int32(i)
-	}
-	for st := 0; st < len(p.encs); st++ {
-		for ei := p.stateOff[st]; ei < p.stateOff[st+1]; ei++ {
-			keyBuf = transKey(keyBuf[:0], int32(st), p.entries[ei].msg)
-			s.seen[string(keyBuf)] = ei
-		}
 	}
 	return s, nil
 }

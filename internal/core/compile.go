@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"heterogen/internal/mcheck"
@@ -22,14 +24,18 @@ import (
 //
 // Extraction is reachability-driven: the fusion is instantiated for one
 // concrete machine configuration (CompileConfig) and the model checker
-// exhaustively explores it with an observer hooked into MergedDir.Deliver.
-// The observer interns every (directory state, shared memory) pair it is
-// about to transition from, replays the interpreted deliver, and records
-// the outcome — successor state, messages sent, whether memory changed, or
-// a stall — keyed by (interned state, message). Exploration runs with
-// partial order reduction off and symmetry off so every reachable
-// (state, message) pair is covered; the resulting table is total over the
-// compiled configuration by construction.
+// exhaustively explores the very system CompiledFusion.System() builds —
+// the merged directory replaced by a CompiledDir — except that this
+// CompiledDir is bound to the compiler and its table grows on a miss. A
+// (state, message) pair the table already holds replays exactly as a
+// finished table's entry does: recorded sends, memory image, register
+// move. A miss decodes the pre-state's interned images into one private
+// scratch MergedDir, runs the interpreted deliver there, interns the
+// successor and records the outcome — successor state, messages sent,
+// whether memory changed, or a stall. Exploration runs with partial order
+// reduction off and symmetry off so every reachable (state, message) pair
+// is covered; the resulting table is total over the compiled
+// configuration by construction.
 //
 // After extraction the recorded transitions are finalized into a dense
 // layout: every interned state owns a contiguous, message-sorted span of
@@ -145,7 +151,7 @@ var ErrCompileCancelled = errors.New("core: compile extraction cancelled")
 // CompileStats reports where a CompiledFusion came from and what each
 // phase cost — the extraction search and dense-table finalization for a
 // fresh compile, or the artifact decode for a load. CLIs print it so runs
-// are unambiguous about whether the ~39s extraction actually ran.
+// are unambiguous about whether the extraction search actually ran.
 // The CompileStats.Source values: a fresh extraction, an explicit
 // artifact load, or a content-addressed cache hit in CompileOrLoad.
 const (
@@ -296,7 +302,7 @@ func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.S
 		porLocal:  layout.Merged.PORLocal(),
 		stable:    map[string]bool{},
 	}
-	cf.template = sys.Clone() // no observer: System() clones stay interpreted-free
+	cf.template = sys.Clone() // before CompileCtx swaps the searched directory
 	cf.initLocal = layout.Merged.LocalState(0)
 	cf.stable[cf.initLocal] = layout.Merged.localStable(0)
 	cf.buildPerms()
@@ -304,9 +310,10 @@ func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.S
 }
 
 // Compile lowers f into a flat transition table for the given
-// configuration by exhaustively exploring the interpreted composite with
-// an extraction observer installed on the merged directory, then
-// finalizing the recorded transitions into the dense dispatch layout.
+// configuration by exhaustively exploring the system with a growing
+// CompiledDir in place of the merged directory (misses run the
+// interpreted composite), then finalizing the recorded transitions into
+// the dense dispatch layout.
 func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	return CompileCtx(context.Background(), f, cfg)
 }
@@ -318,8 +325,7 @@ func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	start := time.Now()
 	cf, sys := newCompiledFusion(f, cfg)
-	c := &compiler{cf: cf, keys: map[string]int32{}, seen: map[string]int32{},
-		memo: !cfg.NoMemo}
+	c := newCompiler(cf, !cfg.NoMemo)
 	if cfg.WarmSeed != nil {
 		if got := WarmDigest(f, cfg); got != cfg.WarmSeed.digest {
 			return nil, fmt.Errorf("%w: warm seed %q (digest %s…) is not compatible with %s (digest %s…)",
@@ -330,7 +336,9 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 	// Intern the initial directory state first: CompiledDir starts at
 	// index 0.
 	c.intern(cf.layout.Merged)
-	cf.layout.Merged.obs = c
+	if err := sys.SwapComponent(cf.mergedIdx, &CompiledDir{cf: cf, mem: sys.Mem, grow: c}); err != nil {
+		panic(err.Error())
+	}
 
 	res := mcheck.ExploreCtx(ctx, sys, mcheck.Options{
 		Evictions: cfg.Evictions, MaxStates: cfg.MaxStates,
@@ -341,7 +349,6 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 		// may later need. Deadlocks are fine — the table must reproduce them.
 		POR: mcheck.POROff,
 	})
-	cf.layout.Merged.obs = nil
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -352,6 +359,10 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 		return nil, fmt.Errorf("%w: %s at %d states", ErrCompileTruncated, f.Name(), res.States)
 	}
 	cf.explored = res.States
+	cf.states = make([]compState, len(c.states))
+	for i, st := range c.states {
+		cf.states[i] = *st
+	}
 	cf.stats.Extract = time.Since(start)
 	cf.stats.ExtractStates = res.States
 	cf.stats.Interpreted = c.interpreted
@@ -447,10 +458,10 @@ func (cf *CompiledFusion) renumber(c *compiler) {
 // projectFSM derives the per-address local-state projection (the Table II
 // machine) from the finalized records, decoding each referenced state's
 // exact spill image once — instead of building LocalState strings inline
-// on every extraction delivery as the pre-memoization observer did. The
-// projection over records equals the projection over deliveries because a
-// (state, message) pair determines its successor: every successful
-// delivery contributes the edge its record contributes.
+// on every extraction delivery. The projection over records equals the
+// projection over deliveries because a (state, message) pair determines
+// its successor: every successful delivery contributes the edge its
+// record contributes.
 func (cf *CompiledFusion) projectFSM(recs []compRecord) {
 	needs := make(map[int32]map[spec.Addr]bool)
 	add := func(s int32, a spec.Addr) {
@@ -722,13 +733,12 @@ func (cf *CompiledFusion) FlatFSM() *FlatFSM { return cf.fsm }
 // so the reconstructed bytes equal what the interpreted component would
 // print). Lazy reconstruction keeps the fmt-heavy snapshot path off the
 // extraction hot loop entirely.
-func (cf *CompiledFusion) snapOf(idx int32) string {
+func (cf *CompiledFusion) snapOf(st *compState) string {
 	cf.snapMu.Lock()
 	defer cf.snapMu.Unlock()
-	st := &cf.states[idx]
 	if st.snap == "" {
 		if err := cf.scratch.DecodeState(spec.NewDec(st.spill)); err != nil {
-			panic(fmt.Sprintf("core: compiled state %d spill image undecodable: %v", idx, err))
+			panic(fmt.Sprintf("core: compiled state spill image undecodable: %v", err))
 		}
 		var w spec.SnapshotWriter
 		cf.scratch.Snapshot(&w)
@@ -812,207 +822,195 @@ func (cf *CompiledFusion) System() *mcheck.System {
 	return sys
 }
 
-// compRecord is one extraction observation awaiting finalization.
+// compRecord is one recorded extraction outcome awaiting finalization.
 type compRecord struct {
 	pre int32
 	msg spec.Msg
 	tr  compTransition
 }
 
-// compiler is the extraction observer installed on the searched system's
-// merged directory (shared by every clone; the mutex serializes
-// observation so extraction may run on the parallel search path).
+// compiler owns the table that grows during extraction. Every searched
+// system carries a CompiledDir bound to it (grow), whose deliveries land
+// in deliver; the mutex serializes table lookups and growth so extraction
+// may run on the parallel search path.
 type compiler struct {
-	mu     sync.Mutex
-	cf     *CompiledFusion
+	mu sync.Mutex
+	cf *CompiledFusion
+	// states is the interned state table, appended under mu and published
+	// through table to the lock-free readers — the searched directories'
+	// encode, spill and POR-reference paths. Each publish stores a fresh
+	// slice header after writing the element it newly covers, and interned
+	// states are immutable (bar the snapMu-guarded snapshot cache), so a
+	// reader never sees a partially built state.
+	states []*compState
+	table  atomic.Pointer[[]*compState]
 	keys   map[string]int32 // interned enc++mem -> state index
 	keyBuf []byte
-	// Two-entry recent-key cache in front of the keys map. The search
-	// restores the directory to the expansion's base state before every
-	// delivery, so consecutive observes mostly re-intern the same one or
-	// two (pre, post) images; a byte compare is far cheaper than hashing a
-	// ~250-byte key into the map each time.
-	mruKey [2][]byte
-	mruIdx [2]int32
-	mruN   int
-	seen   map[string]int32 // transKey -> index into recs (memo + dup detection)
-	tkBuf  []byte           // transKey scratch (observe fast path)
+	spans  [][]int32 // per state: indices into recs, message-sorted
 	recs   []compRecord
 	memo   bool // replay recorded pairs instead of re-interpreting
 
+	// Miss path: the private interpreted directory a pre-state is decoded
+	// into, a reusable decode cursor with a message-type intern table, and
+	// the send capture. All confined to mu.
+	scratch *MergedDir
+	dec     spec.Dec
+	capture sendCapture
+
 	// Warm start: seedIdx[i] is the seed's index for interned state i (-1
 	// when the seed never saw that state), filled as intern discovers
-	// states; skBuf is the seed-side transKey scratch.
+	// states.
 	seed    *WarmSeed
 	seedIdx []int32
-	skBuf   []byte
 
 	interpreted int64 // deliveries that ran the interpreted MergedDir
 	memoHits    int64 // deliveries replayed from the recorded table
 	warmHits    int64 // deliveries replayed from the warm seed
 	err         error
-
-	// Replay-path decode scratch: one reusable cursor with a message-type
-	// intern table instead of a Dec allocation (and a fresh MsgType string)
-	// per replayed image. observe holds c.mu, so single-goroutine
-	// confinement holds.
-	dec       spec.Dec
-	decIntern *spec.Intern
 }
 
-// remember records keyBuf -> idx in the recent-key cache, evicting the
-// older of the two entries. The slot buffers rotate so no allocation
-// happens after the first two calls.
-func (c *compiler) remember(idx int32) {
-	c.mruKey[0], c.mruKey[1] = c.mruKey[1], c.mruKey[0]
-	c.mruIdx[1] = c.mruIdx[0]
-	c.mruKey[0] = append(c.mruKey[0][:0], c.keyBuf...)
-	c.mruIdx[0] = idx
-	if c.mruN < 2 {
-		c.mruN++
-	}
+// newCompiler returns an empty growing table over cf's configuration.
+func newCompiler(cf *CompiledFusion, memo bool) *compiler {
+	c := &compiler{cf: cf, keys: map[string]int32{}, memo: memo,
+		scratch: cf.layout.Merged.Clone().(*MergedDir)}
+	c.dec.InternStrings(new(spec.Intern))
+	return c
 }
 
-// replayDec returns the compiler's reusable cursor repointed at buf.
-func (c *compiler) replayDec(buf []byte) *spec.Dec {
-	if c.decIntern == nil {
-		c.decIntern = new(spec.Intern)
-		c.dec.InternStrings(c.decIntern)
-	}
-	c.dec.Reset(buf)
-	return &c.dec
-}
+// sendCapture is the spec.Env the scratch directory delivers into.
+type sendCapture struct{ sends []spec.Msg }
 
-// observe implements dirObserver. The fast path is memoized replay: once
-// a (state, message) pair is in the recorded table, later deliveries of
-// that pair replay the stored outcome directly — sends re-sent, the
-// successor's exact spill image decoded into d, the memory image
-// installed when it changed — instead of re-running the interpreted
-// deliver with its proxy clones and bridge phases. Each distinct pair is
-// interpreted exactly once, and the extraction search delivers far more
-// messages than it has distinct pairs, so the hit rate climbs toward
-// 100% as the table fills. On a memo miss the warm-start seed (when
-// present) is consulted the same way; only a miss on both runs the
-// interpreter. Replay is exact because the spill codec is bijective and
-// the interned key covers the full (directory, memory) pair.
-//
-// The projected FSM is NOT computed here anymore: the pre-memoization
-// observer built two LocalState strings per delivery, which would dwarf
-// the replay fast path. finalize derives it from the records instead.
-func (c *compiler) observe(d *MergedDir, env spec.Env, m spec.Msg) bool {
+func (e *sendCapture) Send(m spec.Msg) { e.sends = append(e.sends, m) }
+
+// deliver is CompiledDir.Deliver on the growing table: look up (or grow)
+// the outcome under the lock, then apply it to d outside it. With
+// memoization each distinct pair misses once, so the search mostly runs
+// at compiled-table speed.
+func (c *compiler) deliver(d *CompiledDir, env spec.Env, m spec.Msg) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	pre := c.intern(d)
-	c.tkBuf = transKey(c.tkBuf[:0], pre, m)
-	if c.memo {
-		if ri, ok := c.seen[string(c.tkBuf)]; ok {
-			c.memoHits++
-			return c.replay(d, env, c.recs[ri].tr)
-		}
+	tr := c.step(d.cur, m)
+	var mem []byte
+	if tr.remem {
+		mem = c.states[tr.next].mem
 	}
-	if c.seed != nil {
-		if si := c.seedIdx[pre]; si >= 0 {
-			c.skBuf = transKey(c.skBuf[:0], si, m)
-			if ei, ok := c.seed.seen[string(c.skBuf)]; ok {
-				c.warmHits++
-				return c.replaySeed(d, env, pre, m, ei)
-			}
-		}
-	}
-	c.interpreted++
-	var sends []spec.Msg
-	wrap := spec.EnvFunc(func(msg spec.Msg) {
-		sends = append(sends, msg)
-		env.Send(msg)
-	})
-	ok := d.deliver(wrap, m)
-	tr := compTransition{next: stallState}
-	if ok {
-		post := c.intern(d)
-		tr = compTransition{next: post, sends: sends,
-			remem: !bytes.Equal(c.cf.states[pre].mem, c.cf.states[post].mem)}
-	} else if len(sends) > 0 && c.err == nil {
-		// A stalled delivery must be effect-free: the checker discards the
-		// stalled clone, so a send here would be unreplayable.
-		c.err = fmt.Errorf("core: stalled delivery of %s sent %d messages during compile", m, len(sends))
-	}
-	c.record(c.tkBuf, pre, m, tr)
-	return ok
-}
-
-// replay applies a recorded outcome to d directly — the extraction-time
-// counterpart of CompiledDir.Deliver. A recorded stall replays as a plain
-// refusal: the stall contract (Deliver returns false, no side effects) is
-// checker-wide, so leaving d untouched is exact.
-func (c *compiler) replay(d *MergedDir, env spec.Env, tr compTransition) bool {
+	c.mu.Unlock()
 	if tr.next == stallState {
 		return false
 	}
-	for _, s := range tr.sends {
-		env.Send(s)
-	}
-	st := &c.cf.states[tr.next]
-	if err := d.DecodeState(c.replayDec(st.spill)); err != nil {
-		panic(fmt.Sprintf("core: memoized successor spill image undecodable: %v", err))
-	}
-	if tr.remem {
-		if err := d.Memory().DecodeState(c.replayDec(st.mem)); err != nil {
-			panic(fmt.Sprintf("core: memoized successor memory image undecodable: %v", err))
-		}
-	}
+	d.apply(env, tr.sends, tr.next, mem)
 	return true
 }
 
-// replaySeed applies a warm-seed entry: replay the seed's recorded sends
-// and successor images into d, then intern the result and record it as
-// this compile's own transition (so later deliveries of the pair hit the
-// memo table, and finalize sees a self-contained record set). Matching is
-// by exact (encoding, memory) bytes plus the message, so a hit replays
-// the very transition this configuration would interpret — the merged
-// directory's transition function does not depend on the driver programs
-// a compatible seed may differ in (programs only shape reachability).
-func (c *compiler) replaySeed(d *MergedDir, env spec.Env, pre int32, m spec.Msg, ei int32) bool {
+// step returns the outcome of delivering m in state pre. A pair already
+// recorded replays (memoization); otherwise the warm seed is consulted,
+// and only a miss on both runs the interpreter. New outcomes are
+// recorded. Under NoMemo every delivery re-derives its outcome and a
+// revisited pair is re-verified against its record: a conflicting
+// outcome would mean the binary state encoding is not injective over
+// reachable states, the property replay (like the visited set) relies
+// on.
+func (c *compiler) step(pre int32, m spec.Msg) compTransition {
+	pos, found := slices.BinarySearchFunc(c.spans[pre], m, func(ri int32, m spec.Msg) int {
+		return msgCmp(c.recs[ri].msg, m)
+	})
+	if found && c.memo {
+		c.memoHits++
+		return c.recs[c.spans[pre][pos]].tr
+	}
+	var tr compTransition
+	if ei, ok := c.seedEntry(pre, m); ok {
+		c.warmHits++
+		tr = c.warm(ei)
+	} else {
+		c.interpreted++
+		tr = c.interpret(pre, m)
+	}
+	if found {
+		if !sameTransition(c.recs[c.spans[pre][pos]].tr, tr) && c.err == nil {
+			c.err = fmt.Errorf("core: state %d on %s recorded two different outcomes — binary state encoding is not injective over reachable states", pre, m)
+		}
+		return tr
+	}
+	c.spans[pre] = slices.Insert(c.spans[pre], pos, int32(len(c.recs)))
+	c.recs = append(c.recs, compRecord{pre: pre, msg: m, tr: tr})
+	return tr
+}
+
+// seedEntry looks (pre, m) up in the warm seed's dense table.
+func (c *compiler) seedEntry(pre int32, m spec.Msg) (int32, bool) {
+	if c.seed == nil {
+		return 0, false
+	}
+	si := c.seedIdx[pre]
+	if si < 0 {
+		return 0, false
+	}
+	return findEntry(c.seed.entries, c.seed.stateOff[si], c.seed.stateOff[si+1], m)
+}
+
+// interpret runs the interpreted deliver of m on the scratch directory
+// loaded with pre's exact images and interns the successor. A stalled
+// delivery must be effect-free: the checker discards the stalled
+// successor, so a send here would be unreplayable.
+func (c *compiler) interpret(pre int32, m spec.Msg) compTransition {
+	st := c.states[pre]
+	c.load(st.spill, st.mem)
+	c.capture.sends = c.capture.sends[:0]
+	if !c.scratch.deliver(&c.capture, m) {
+		if n := len(c.capture.sends); n > 0 && c.err == nil {
+			c.err = fmt.Errorf("core: stalled delivery of %s sent %d messages during compile", m, n)
+		}
+		return compTransition{next: stallState}
+	}
+	post := c.intern(c.scratch)
+	return compTransition{next: post, sends: append([]spec.Msg(nil), c.capture.sends...),
+		remem: !bytes.Equal(st.mem, c.states[post].mem)}
+}
+
+// warm adopts a warm-seed entry as this compile's own outcome: the seed's
+// successor images are decoded into the scratch directory and interned.
+// Matching is by exact (encoding, memory) bytes plus the message, so a
+// hit is the very transition this configuration would interpret — the
+// merged directory's transition function does not depend on the driver
+// programs a compatible seed may differ in (programs only shape
+// reachability).
+func (c *compiler) warm(ei int32) compTransition {
 	e := &c.seed.entries[ei]
 	if e.next == stallState {
-		c.record(c.tkBuf, pre, m, compTransition{next: stallState})
-		return false
+		return compTransition{next: stallState}
 	}
-	sends := c.seed.sends[e.sendOff : e.sendOff+e.sendLen : e.sendOff+e.sendLen]
-	for _, s := range sends {
-		env.Send(s)
+	c.load(c.seed.spills[e.next], c.seed.mems[e.next])
+	return compTransition{next: c.intern(c.scratch),
+		sends: c.seed.sends[e.sendOff : e.sendOff+e.sendLen : e.sendOff+e.sendLen], remem: e.remem}
+}
+
+// load decodes an exact spill image and memory image into the scratch
+// directory.
+func (c *compiler) load(spill, mem []byte) {
+	c.dec.Reset(spill)
+	if err := c.scratch.DecodeState(&c.dec); err != nil {
+		panic(fmt.Sprintf("core: interned spill image undecodable: %v", err))
 	}
-	if err := d.DecodeState(c.replayDec(c.seed.spills[e.next])); err != nil {
-		panic(fmt.Sprintf("core: warm-seed successor spill image undecodable: %v", err))
+	c.dec.Reset(mem)
+	if err := c.scratch.Memory().DecodeState(&c.dec); err != nil {
+		panic(fmt.Sprintf("core: interned memory image undecodable: %v", err))
 	}
-	if e.remem {
-		if err := d.Memory().DecodeState(c.replayDec(c.seed.mems[e.next])); err != nil {
-			panic(fmt.Sprintf("core: warm-seed successor memory image undecodable: %v", err))
-		}
-	}
-	post := c.intern(d)
-	c.record(c.tkBuf, pre, m, compTransition{next: post, sends: sends, remem: e.remem})
-	return true
 }
 
 // intern returns the dense index of the directory's current
-// (state, memory) pair, creating the compState on first sight. The
-// fmt-based Snapshot is deliberately NOT captured here — the exact
-// spill-codec image is, and snapshots are reconstructed from it on demand
-// (snapOf), keeping extraction on the binary-encoding path throughout.
+// (state, memory) pair, creating and publishing the compState on first
+// sight. The fmt-based Snapshot is deliberately NOT captured here — the
+// exact spill-codec image is, and snapshots are reconstructed from it on
+// demand (snapOf), keeping extraction on the binary-encoding path
+// throughout.
 func (c *compiler) intern(d *MergedDir) int32 {
 	c.keyBuf = d.AppendBinary(c.keyBuf[:0])
 	split := len(c.keyBuf)
 	c.keyBuf = d.Memory().AppendBinary(c.keyBuf)
-	for i := 0; i < c.mruN; i++ {
-		if bytes.Equal(c.keyBuf, c.mruKey[i]) {
-			return c.mruIdx[i]
-		}
-	}
 	if idx, ok := c.keys[string(c.keyBuf)]; ok {
-		c.remember(idx)
 		return idx
 	}
-	st := compState{
+	st := &compState{
 		enc:   append([]byte(nil), c.keyBuf[:split]...),
 		mem:   append([]byte(nil), c.keyBuf[split:]...),
 		spill: d.AppendState(nil),
@@ -1025,42 +1023,20 @@ func (c *compiler) intern(d *MergedDir) int32 {
 			st.relab[i] = d.AppendBinaryRelabeled(nil, c.cf.perms[i])
 		}
 	}
-	idx := int32(len(c.cf.states))
-	c.cf.states = append(c.cf.states, st)
-	c.keys[string(st.enc)+string(st.mem)] = idx
-	c.remember(idx)
+	idx := int32(len(c.states))
+	c.states = append(c.states, st)
+	published := c.states
+	c.table.Store(&published)
+	c.spans = append(c.spans, nil)
+	c.keys[string(c.keyBuf)] = idx
 	if c.seed != nil {
 		si := int32(-1)
-		if v, ok := c.seed.keys[string(st.enc)+string(st.mem)]; ok {
+		if v, ok := c.seed.keys[string(c.keyBuf)]; ok {
 			si = v
 		}
 		c.seedIdx = append(c.seedIdx, si)
 	}
 	return idx
-}
-
-// record stores (or re-verifies) one table entry; key is transKey(pre, m)
-// already built by the caller. The conflicting-outcome check only ever
-// fires under NoMemo — with memoization on a revisited pair replays before
-// reaching record — which is exactly why NoMemo exists as the injectivity
-// escape hatch.
-func (c *compiler) record(key []byte, pre int32, m spec.Msg, tr compTransition) {
-	if ri, ok := c.seen[string(key)]; ok {
-		if !sameTransition(c.recs[ri].tr, tr) && c.err == nil {
-			c.err = fmt.Errorf("core: state %d on %s recorded two different outcomes — binary state encoding is not injective over reachable states", pre, m)
-		}
-		return
-	}
-	c.seen[string(key)] = int32(len(c.recs))
-	c.recs = append(c.recs, compRecord{pre: pre, msg: m, tr: tr})
-}
-
-// transKey appends the dedup lookup key: varint state index plus the
-// message's binary encoding. Only the compiler uses it — the finalized
-// dispatch path never encodes keys.
-func transKey(buf []byte, state int32, m spec.Msg) []byte {
-	buf = spec.AppendUvarint(buf, uint64(state))
-	return m.AppendBinary(buf)
 }
 
 // sameTransition compares two table entries field by field.
@@ -1083,10 +1059,22 @@ func sameTransition(a, b compTransition) bool {
 // interpreted component's visited-set encoding, snapshot, relabelings, POR
 // references and spill codec byte for byte, so searches over compiled and
 // interpreted systems agree exactly.
+//
+// During extraction the CompiledDir is bound to the compiler (grow) and
+// reads the growing table instead of the finalized one.
 type CompiledDir struct {
-	cf  *CompiledFusion
-	cur int32
-	mem *spec.Memory
+	cf   *CompiledFusion
+	cur  int32
+	mem  *spec.Memory
+	grow *compiler
+}
+
+// state returns the interned images of the current state.
+func (d *CompiledDir) state() *compState {
+	if d.grow != nil {
+		return (*d.grow.table.Load())[d.cur]
+	}
+	return &d.cf.states[d.cur]
 }
 
 // OwnedIDs implements spec.Component (same endpoints as the interpreted
@@ -1097,27 +1085,48 @@ func (d *CompiledDir) OwnedIDs() []spec.NodeID { return d.cf.owned }
 // the current state's message-sorted span, then stall or replay the
 // recorded sends, memory image and successor state.
 func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
+	if d.grow != nil {
+		return d.grow.deliver(d, env, m)
+	}
 	cf := d.cf
-	lo, hi := cf.stateOff[d.cur], cf.stateOff[d.cur+1]
+	i, ok := findEntry(cf.entries, cf.stateOff[d.cur], cf.stateOff[d.cur+1], m)
+	if !ok {
+		panic(fmt.Sprintf("core: compiled table for %s has no entry for state %d on %s — the checked configuration does not match the CompileConfig",
+			cf.fusion.Name(), d.cur, m))
+	}
+	e := &cf.entries[i]
+	if e.next == stallState {
+		return false
+	}
+	var mem []byte
+	if e.remem {
+		mem = cf.states[e.next].mem
+	}
+	d.apply(env, cf.sends[e.sendOff:e.sendOff+e.sendLen], e.next, mem)
+	return true
+}
+
+// apply moves the register to next, replaying the recorded sends and, when
+// the delivery changed memory, installing next's memory image.
+func (d *CompiledDir) apply(env spec.Env, sends []spec.Msg, next int32, mem []byte) {
+	for _, s := range sends {
+		env.Send(s)
+	}
+	if mem != nil {
+		if err := d.mem.DecodeState(spec.NewDec(mem)); err != nil {
+			panic(err.Error())
+		}
+	}
+	d.cur = next
+}
+
+// findEntry binary-searches the message-sorted entry span [lo, hi) for m.
+func findEntry(entries []compEntry, lo, hi int32, m spec.Msg) (int32, bool) {
 	for lo < hi {
 		mid := int32(uint32(lo+hi) >> 1)
-		e := &cf.entries[mid]
-		c := msgCmp(m, e.msg)
+		c := msgCmp(m, entries[mid].msg)
 		if c == 0 {
-			if e.next == stallState {
-				return false
-			}
-			for _, s := range cf.sends[e.sendOff : e.sendOff+e.sendLen] {
-				env.Send(s)
-			}
-			if e.remem {
-				dec := spec.NewDec(cf.states[e.next].mem)
-				if err := d.mem.DecodeState(dec); err != nil {
-					panic(err.Error())
-				}
-			}
-			d.cur = e.next
-			return true
+			return mid, true
 		}
 		if c < 0 {
 			hi = mid
@@ -1125,8 +1134,7 @@ func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
 			lo = mid + 1
 		}
 	}
-	panic(fmt.Sprintf("core: compiled table for %s has no entry for state %d on %s — the checked configuration does not match the CompileConfig",
-		cf.fusion.Name(), d.cur, m))
+	return 0, false
 }
 
 // Clone implements spec.Component.
@@ -1135,26 +1143,26 @@ func (d *CompiledDir) Clone() spec.Component { return d.CloneWithMemory(d.mem.Cl
 // CloneWithMemory implements mcheck.MemoryCloner: O(1) — the table is
 // shared, only the state register copies.
 func (d *CompiledDir) CloneWithMemory(mem *spec.Memory) spec.Component {
-	return &CompiledDir{cf: d.cf, cur: d.cur, mem: mem}
+	return &CompiledDir{cf: d.cf, cur: d.cur, mem: mem, grow: d.grow}
 }
 
 // Snapshot implements spec.Component with the interpreted snapshot
 // reconstructed from the state's spill image (lazily, cached) —
 // byte-identical diagnostics and snapshot-mode visited keys.
 func (d *CompiledDir) Snapshot(b *spec.SnapshotWriter) {
-	b.WriteString(d.cf.snapOf(d.cur))
+	b.WriteString(d.cf.snapOf(d.state()))
 }
 
 // AppendBinary implements spec.BinaryAppender with the interpreted
 // component's stored encoding.
 func (d *CompiledDir) AppendBinary(buf []byte) []byte {
-	return append(buf, d.cf.states[d.cur].enc...)
+	return append(buf, d.state().enc...)
 }
 
 // AppendBinaryRelabeled implements spec.RelabelAppender via the
 // precomputed per-permutation encodings.
 func (d *CompiledDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
-	st := &d.cf.states[d.cur]
+	st := d.state()
 	if r == nil {
 		return append(buf, st.enc...)
 	}
@@ -1180,7 +1188,11 @@ func (d *CompiledDir) DecodeState(dec *spec.Dec) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if v >= uint64(len(d.cf.states)) {
+	n := len(d.cf.states)
+	if d.grow != nil {
+		n = len(*d.grow.table.Load())
+	}
+	if v >= uint64(n) {
 		return fmt.Errorf("core: compiled-state index %d out of range", v)
 	}
 	d.cur = int32(v)
@@ -1189,7 +1201,7 @@ func (d *CompiledDir) DecodeState(dec *spec.Dec) error {
 
 // RefNodes implements spec.NodeReferrer with the interpreted component's
 // references captured at intern time (identical ample-set choices).
-func (d *CompiledDir) RefNodes() spec.NodeSet { return d.cf.states[d.cur].refs }
+func (d *CompiledDir) RefNodes() spec.NodeSet { return d.state().refs }
 
 // PORLocal mirrors the interpreted MergedDir's locality verdict.
 func (d *CompiledDir) PORLocal() bool { return d.cf.porLocal }
@@ -1206,5 +1218,4 @@ var (
 	_ spec.NodeReferrer    = (*CompiledDir)(nil)
 	_ spec.Freezer         = (*CompiledDir)(nil)
 	_ mcheck.MemoryCloner  = (*CompiledDir)(nil)
-	_ dirObserver          = (*compiler)(nil)
 )

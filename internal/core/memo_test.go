@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"heterogen/internal/mcheck"
 	"heterogen/internal/protocols"
 	"heterogen/internal/spec"
 )
@@ -47,6 +48,12 @@ func TestExtractionDeterminism(t *testing.T) {
 		t.Fatalf("same-config warm seed: %v", err)
 	}
 
+	// The exact visited set expands each state once, so the delivery
+	// total — and, since each distinct pair is looked up and recorded
+	// atomically, its split into interpreted, memoized and warm — is
+	// schedule-free: every worker count must report the Workers=1 counts
+	// of its mode.
+	counts := map[string]CompileStats{}
 	for _, workers := range []int{1, 2, 4} {
 		for _, mode := range []string{"memo", "nomemo", "warm"} {
 			t.Run(fmt.Sprintf("w%d/%s", workers, mode), func(t *testing.T) {
@@ -67,10 +74,62 @@ func TestExtractionDeterminism(t *testing.T) {
 				if cf.FlatFSM().Format() != wantFSM {
 					t.Error("FlatFSM rendering differs from the baseline")
 				}
-				if mode == "warm" && cf.Stats().WarmHits == 0 {
+				st := cf.Stats()
+				if mode == "warm" && st.WarmHits == 0 {
 					t.Error("warm-started compile recorded no warm hits")
 				}
+				if mode == "memo" && st.Interpreted != int64(cf.Transitions()) {
+					t.Errorf("interpreted %d deliveries for %d distinct pairs — memoization must interpret each pair exactly once",
+						st.Interpreted, cf.Transitions())
+				}
+				if mode == "nomemo" && st.MemoHits != 0 {
+					t.Errorf("non-memoized compile recorded %d memo hits", st.MemoHits)
+				}
+				if want, ok := counts[mode]; !ok {
+					counts[mode] = st
+				} else if st.Interpreted != want.Interpreted || st.MemoHits != want.MemoHits || st.WarmHits != want.WarmHits {
+					t.Errorf("delivery counts depend on the schedule: %d interpreted, %d memoized, %d warm vs %d, %d, %d at Workers=1",
+						st.Interpreted, st.MemoHits, st.WarmHits, want.Interpreted, want.MemoHits, want.WarmHits)
+				}
 			})
+		}
+	}
+}
+
+// TestExtractionSearchMatchesTable pins that a finished table reproduces
+// exactly the graph that extracted it: a search of cf.System() under the
+// extraction's own options (evictions as compiled, POR off, one worker)
+// visits the same number of states the extraction did, runs to
+// exhaustion, and — every Table II fusion being deadlock-free under its
+// driver — finds no deadlock.
+func TestExtractionSearchMatchesTable(t *testing.T) {
+	type tcase struct {
+		pair [2]string
+		cfg  CompileConfig
+	}
+	var cases []tcase
+	for _, pair := range TableIIPairs() {
+		cases = append(cases, tcase{pair, TableIICompileConfig(true, 1)})
+	}
+	if !testing.Short() {
+		cases = append(cases, tcase{[2]string{protocols.NameMESI, protocols.NameRCCO}, TableIICompileConfig(false, 1)})
+	}
+	for _, tc := range cases {
+		f := fusePair(t, tc.pair[0], tc.pair[1])
+		cf, err := Compile(f, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		res := mcheck.Explore(cf.System(), mcheck.Options{Evictions: tc.cfg.Evictions, Workers: 1, POR: mcheck.POROff})
+		if res.States != cf.Explored() {
+			t.Errorf("%s (evictions=%v): table search visits %d states, extraction %d",
+				f.Name(), tc.cfg.Evictions, res.States, cf.Explored())
+		}
+		if res.Truncated || res.Cancelled {
+			t.Errorf("%s: table search did not run to exhaustion", f.Name())
+		}
+		if res.Deadlocks != 0 {
+			t.Errorf("%s: table search found %d deadlocks (%s)", f.Name(), res.Deadlocks, res.DeadlockAt)
 		}
 	}
 }

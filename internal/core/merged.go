@@ -172,7 +172,6 @@ type MergedDir struct {
 	lazyWake bool
 
 	rec   *Recorder
-	obs   dirObserver
 	trace func(string)
 	sink  ChangeSink
 }
@@ -190,13 +189,6 @@ type ChangeSink interface {
 	// AllChanged reports a change that may affect messages at every
 	// address.
 	AllChanged()
-}
-
-// dirObserver intercepts Deliver during fusion compilation: the compiler
-// (compile.go) interns the pre-state, forwards to deliver, and records the
-// resulting transition. Same-package only — not a public extension point.
-type dirObserver interface {
-	observe(d *MergedDir, env spec.Env, m spec.Msg) bool
 }
 
 // NewMergedDir instantiates the merged directory over a fresh shared
@@ -359,9 +351,6 @@ func (d *MergedDir) isProxySrc(cluster int, src spec.NodeID) bool {
 // Deliver implements spec.Component: route to a proxy, handle handshakes,
 // or run a directory intake with bridging interception.
 func (d *MergedDir) Deliver(env spec.Env, m spec.Msg) bool {
-	if d.obs != nil {
-		return d.obs.observe(d, env, m)
-	}
 	var before string
 	if d.rec != nil {
 		before = d.LocalState(m.Addr)
@@ -916,7 +905,7 @@ func (d *MergedDir) Clone() spec.Component { return d.CloneWithMemory(d.mem.Clon
 // CloneWithMemory implements mcheck.MemoryCloner.
 func (d *MergedDir) CloneWithMemory(mem *spec.Memory) spec.Component {
 	cp := &MergedDir{fusion: d.fusion, layout: d.layout, mem: mem,
-		busySrc: d.busySrc, proxyBusy: d.proxyBusy, rec: d.rec, obs: d.obs}
+		busySrc: d.busySrc, proxyBusy: d.proxyBusy, rec: d.rec}
 	cp.dirs = make([]*spec.DirInst, len(d.dirs))
 	for i, dir := range d.dirs {
 		cp.dirs[i] = dir.CloneDir(mem)
