@@ -26,7 +26,7 @@ race:
 
 # Allocation regression guards: the search hot path (Clone+Apply+encode),
 # the bytes-per-state guard on the compacted visited table, the
-# work-stealing deque push/take cycle, the compiler's memo-hit replay
+# frontier publish/take cycle, the compiler's memo-hit replay
 # path, and the simulator's discrete-event loop (allocs per memory
 # operation). Runs without the race detector: its instrumentation changes
 # alloc counts, so the alloc guard files are build-tagged out of

@@ -348,7 +348,7 @@ func BenchmarkExploreParallel(b *testing.B) {
 		Benchmark: "BenchmarkExploreParallel",
 		Description: "§VII-C deadlock-freedom search on fused MESI & RCC-O, 1 cache per cluster, 2 addresses, evictions at any time, hash compaction, across worker counts and visited-set encodings; " +
 			"BENCH_PARALLEL_OUT=BENCH_PARALLEL.json go test -bench BenchmarkExploreParallel -benchtime 1x (make bench)",
-		Runner: benchmeta.Collect(singleCoreNote),
+		Runner: benchmeta.Collect(searchNote()),
 		Cases:  rec.rows,
 	})
 }
@@ -428,7 +428,7 @@ func BenchmarkExploreSymmetry(b *testing.B) {
 		Benchmark: "BenchmarkExploreSymmetry",
 		Description: "cache-permutation symmetry reduction vs the unreduced search on fully symmetric configurations (fused MESI & RCC-O 2x2, homogeneous MESI triple with evictions); " +
 			"BENCH_SYMMETRY_OUT=BENCH_SYMMETRY.json go test -bench BenchmarkExploreSymmetry -benchtime 1x (make bench-symmetry)",
-		Runner: benchmeta.Collect(singleCoreNote),
+		Runner: benchmeta.Collect(searchNote()),
 		Cases:  rec.rows,
 	})
 }
@@ -502,7 +502,7 @@ func BenchmarkExplorePOR(b *testing.B) {
 		Benchmark: "BenchmarkExplorePOR",
 		Description: "ample-set partial order reduction on the §VII-C reachability search, POR off vs on, stacked on spilling and symmetry; every case asserts deadlock freedom; " +
 			"BENCH_POR_OUT=BENCH_POR.json go test -bench BenchmarkExplorePOR -benchtime 1x (make bench-por)",
-		Runner: benchmeta.Collect(singleCoreNote),
+		Runner: benchmeta.Collect(searchNote()),
 		Cases:  rec.rows,
 	})
 }
@@ -622,8 +622,15 @@ type benchReport struct {
 	Cases       []benchRow       `json:"cases"`
 }
 
-// singleCoreNote is the caveat every search report carries on this runner.
-const singleCoreNote = "single-core container: worker counts above 1 measure scheduling overhead, not parallel speedup; wall-clock varies a few percent run to run"
+// searchNote is the caveat every search report carries, derived from the
+// core count of the runner that produced it.
+func searchNote() string {
+	n := runtime.NumCPU()
+	if n == 1 {
+		return "single-core runner: worker counts above 1 measure scheduling overhead, not parallel speedup; wall-clock varies a few percent run to run"
+	}
+	return fmt.Sprintf("%d-core runner: a workers=%d row runs one search worker per core, so its speedup over workers=1 is measured on this runner; wall-clock varies a few percent run to run", n, n)
+}
 
 // emitBench writes a benchmark report when the BENCH_*_OUT environment
 // variable names a file — the shared output convention of every bench-*
@@ -962,7 +969,7 @@ func BenchmarkStorage(b *testing.B) {
 		Benchmark: "BenchmarkStorage",
 		Description: "memory-bounded state storage on the §VII-C headline search under each visited-set mode, plus the 2-caches-per-cluster free run to the 10M-state bound in fixed memory; " +
 			"BENCH_STORAGE_OUT=BENCH_STORAGE.json go test -bench BenchmarkStorage -benchtime 1x (make bench-storage)",
-		Runner: benchmeta.Collect(singleCoreNote),
+		Runner: benchmeta.Collect(searchNote()),
 		Cases:  rec.rows,
 	})
 }

@@ -160,7 +160,7 @@ func run(ctx context.Context, cfg checkConfig) error {
 		fmt.Println("note: -symmetry requested but no symmetric cache group detected (asymmetric programs?)")
 	}
 	if res.Deadlocks > 0 {
-		fmt.Println("first deadlock state:", res.DeadlockAt)
+		fmt.Println("deadlock state (lex-least):", res.DeadlockAt)
 		return fmt.Errorf("deadlock found")
 	}
 	if res.Cancelled {

@@ -207,9 +207,6 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 		return nil, fmt.Errorf("check request selects nothing: set protocol, pair or table")
 	}
 
-	if req.Search.SpillDir != "" && !mcheck.CanSpill(sys) {
-		return nil, fmt.Errorf("spill-dir: this system's components lack the faithful state codec spilling requires")
-	}
 	opts, err := req.Search.mcheckOptions(hooks, evictions)
 	if err != nil {
 		return nil, err

@@ -93,7 +93,7 @@ type Result struct {
 	Observed    bool     // ... and the protocol exhibited it (a failure)
 	BadOutcomes []string // observable outcomes outside the allowed set
 	Deadlocks   int
-	// DeadlockState holds the first deadlocked state's snapshot (debug).
+	// DeadlockState holds the lex-least deadlocked state snapshot (debug).
 	DeadlockState string
 	Truncated     bool
 	// Cancelled marks a test whose exploration was stopped by context

@@ -12,6 +12,7 @@ package mcheck
 // `make check` runs it in a separate uninstrumented pass.
 
 import (
+	"bytes"
 	"testing"
 
 	"heterogen/internal/protocols"
@@ -65,26 +66,38 @@ func TestAllocRegressionCloneApplyEncode(t *testing.T) {
 	}
 }
 
-// TestAllocRegressionWSDeque guards the work-stealing frontier's push/take
-// cycle: pushTail appends into a reused buffer (amortized zero) and each
-// take allocates exactly one batch slice. A regression here multiplies
-// across every state the parallel search moves through its deques.
-func TestAllocRegressionWSDeque(t *testing.T) {
-	var d wsDeque
-	states := make([]*System, 8)
-	for i := range states {
-		states[i] = &System{}
+// TestAllocRegressionFrontier guards the frontier's publish/take cycle:
+// the only allocation per admitted state is the copy of its encoding out
+// of the worker's scratch buffer, and the queue windows and the batch
+// slice are reused, so a take costs at most one allocation on top. A
+// regression here multiplies across every state the search moves.
+func TestAllocRegressionFrontier(t *testing.T) {
+	q, err := newSpillQueue("", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.pushTail(make([]*System, 1024)) // pre-grow the backing buffer
-	for d.popTail(maxBatch) != nil {
+	scratch := make([]byte, 200) // a typical encoding's size
+	f := newFrontier(q, append([]byte(nil), scratch...))
+	const admitted = 8
+	pend := make([][]byte, 0, admitted)
+	batch := make([][]byte, 0, maxBatch)
+	done := 0
+	cycle := func() {
+		for i := 0; i < admitted; i++ {
+			pend = append(pend, bytes.Clone(scratch))
+		}
+		batch = f.exchange(pend, done, batch)
+		clear(pend)
+		pend = pend[:0]
+		done = len(batch)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		d.pushTail(states)
-		d.popTail(maxBatch)
-		d.popTail(maxBatch)
-	})
-	t.Logf("deque push+pop cycle: %.1f allocs", allocs)
-	if allocs > 3 {
-		t.Errorf("deque push+pop cycle allocates %.1f, budget 3 — a take should cost one batch slice", allocs)
+	for i := 0; i < 1024; i++ { // pre-grow the queue windows
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	t.Logf("frontier publish+take cycle: %.1f allocs for %d admitted states", allocs, admitted)
+	if allocs > admitted+1 {
+		t.Errorf("frontier publish+take cycle allocates %.1f, budget %d — one encoding copy per admitted state plus one batch slice",
+			allocs, admitted+1)
 	}
 }

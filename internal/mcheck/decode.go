@@ -6,36 +6,23 @@ import (
 	"heterogen/internal/spec"
 )
 
-// Spill codec for whole System states. The disk-spilling frontier keeps
-// frontier entries as these compact byte strings instead of cloned Systems
-// and rehydrates them on pop by decoding into a fresh clone of the search's
-// template state (same components, cores and topology — only the mutable
+// Spill codec for whole System states. The search frontier keeps its
+// entries as these compact byte strings instead of cloned Systems and
+// rehydrates each taken entry by decoding it into the worker's clone of the
+// initial state (same components, cores and topology — only the mutable
 // state differs).
 //
 // This is deliberately NOT the visited-set encoding: EncodeBinary only has
 // to be injective, and component hosts may omit reconstructible fields from
 // it (see core.MergedDir). appendSpill routes every component through
-// spec.StateCodec, whose contract is bijectivity.
-
-// CanSpill reports whether every component of s implements the faithful
-// state codec the disk-spilling frontier requires. All systems built by
-// this repo (homogeneous CacheInst/DirInst configurations and fused
-// MergedDir systems) qualify; a hand-assembled system with a Snapshot-only
-// component does not.
-func CanSpill(s *System) bool {
-	for _, c := range s.Components {
-		if _, ok := c.(spec.StateCodec); !ok {
-			return false
-		}
-	}
-	return true
-}
+// spec.StateCodec, whose contract is bijectivity; every spec.Component
+// implements it.
 
 // appendSpill appends the faithful binary encoding of the full system
 // state: components, shared memory, channels, cores.
 func appendSpill(s *System, buf []byte) []byte {
 	for _, c := range s.Components {
-		buf = c.(spec.StateCodec).AppendState(buf)
+		buf = c.AppendState(buf)
 	}
 	return appendSpillAfterComponents(s, buf)
 }
@@ -46,7 +33,7 @@ func appendSpill(s *System, buf []byte) []byte {
 func appendSpillSegs(s *System, buf []byte, segs []int) ([]byte, []int) {
 	segs = segs[:0]
 	for _, c := range s.Components {
-		buf = c.(spec.StateCodec).AppendState(buf)
+		buf = c.AppendState(buf)
 		segs = append(segs, len(buf))
 	}
 	return appendSpillAfterComponents(s, buf), segs
@@ -96,7 +83,7 @@ func (s *System) spillDec(enc []byte) *spec.Dec {
 func decodeSpill(s *System, enc []byte) error {
 	d := s.spillDec(enc)
 	for _, c := range s.Components {
-		if err := c.(spec.StateCodec).DecodeState(d); err != nil {
+		if err := c.DecodeState(d); err != nil {
 			return err
 		}
 	}
@@ -128,7 +115,7 @@ func (s *System) restoreSegs(preImg []byte, segs []int, mask uint64) error {
 		end := segs[i]
 		if restoreAll || (i < 64 && mask&(uint64(1)<<uint(i)) != 0) {
 			d := s.spillDec(preImg[start:end])
-			if err := c.(spec.StateCodec).DecodeState(d); err != nil {
+			if err := c.DecodeState(d); err != nil {
 				return err
 			}
 			if err := d.Err(); err != nil {

@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -48,25 +49,26 @@ type Options struct {
 	// defaults to 8 GiB for the table cap and 64 MiB for the filter.
 	// Ignored in exact mode.
 	MemBudget int64
-	// SpillDir, when nonempty, bounds frontier memory too: frontier entries
-	// become compact binary encodings (rehydrated on pop via the bijective
-	// spill codec), and beyond a bounded in-memory ring they spill in waves
-	// to temp files under this directory, streamed back FIFO. Use CanSpill
-	// to check a system qualifies (all do in this repo); Explore falls back
-	// to the in-memory frontier when it doesn't. I/O failures panic: a
-	// half-lost frontier cannot produce a trustworthy verdict.
+	// SpillDir, when nonempty, bounds frontier memory too. The frontier
+	// always holds compact spill encodings (rehydrated on take via the
+	// bijective spill codec, decode.go); with SpillDir, beyond a bounded
+	// in-memory ring they spill in waves to temp files under this
+	// directory, streamed back FIFO. Without it the ring is unbounded and
+	// no file is created. I/O failures panic: a half-lost frontier cannot
+	// produce a trustworthy verdict.
 	SpillDir string
 	// SpillRing caps in-memory frontier entries per window when spilling
 	// (0 = 32Ki entries).
 	SpillRing int
-	// Workers sets the search parallelism: 0 uses runtime.NumCPU() workers
-	// over a shared frontier, 1 forces the sequential breadth-first search
-	// (deterministic visit order; exact first-deadlock and truncation
-	// reporting), N>1 uses exactly N workers. Parallel searches visit the
-	// same state set and report the same counts and outcomes as the
-	// sequential search (the ample choice under POR is a pure function of
-	// the state, so this holds with the reduction on too); only the exact
-	// state count at truncation depends on scheduling.
+	// Workers sets the search parallelism: 0 uses runtime.NumCPU() workers,
+	// N ≥ 1 exactly N, all running the same loop over one shared FIFO
+	// frontier. Worker 0 runs on the calling goroutine, so Workers: 1 starts
+	// no goroutine and expands states in plain breadth-first order
+	// (deterministic visit order and truncation counts). Every worker count
+	// visits the same state set and reports the same counts, outcomes and
+	// DeadlockAt (the ample choice under POR is a pure function of the
+	// state, so this holds with the reduction on too); only the exact state
+	// count at truncation depends on scheduling.
 	Workers int
 	// Encoding keys the visited set: EncodingBinary (default, compact and
 	// allocation-lean) or EncodingSnapshot (the human-readable string
@@ -144,7 +146,7 @@ type Result struct {
 	States        int                 // distinct states visited (canonical under symmetry)
 	Transitions   int                 // moves applied
 	Deadlocks     int                 // states with pending work but no moves (orbit-corrected)
-	DeadlockAt    string              // snapshot of a deadlock (first in sequential mode, lex-least in parallel)
+	DeadlockAt    string              // snapshot of the lexicographically least deadlock state (stable across worker counts)
 	Outcomes      memmodel.OutcomeSet // outcomes at quiescent states
 	Violations    []string            // invariant failures
 	Truncated     bool                // MaxStates (or the visited-table budget) hit
@@ -230,16 +232,12 @@ type searchCtx struct {
 	opts      Options
 	maxStates int
 	canon     *canonicalizer
-	parallel  bool
 	por       bool       // ample-set reduction active for this search
-	restore   bool       // in-place successor generation via the spill codec (see expand)
-	initial   *System    // caller-owned root state, exempt from pool recycling
 	porCands  []porCand  // reduction candidates (top-level caches)
 	loadKeys  [][]string // per core, per completed-load index
 	memKeys   []string   // per ObserveMem entry
-	stats     searchStats
 	// cancelled is raised by the context watcher goroutine; the search
-	// loops poll it at the same cadence as the state-budget check, so
+	// loop polls it at the same cadence as the state-budget check, so
 	// cancellation is cooperative and costs one atomic load per expansion.
 	cancelled atomic.Bool
 }
@@ -254,62 +252,10 @@ type expandScratch struct {
 	preImg   []byte // expanded state's spill image (in-place restore)
 	preSegs  []int  // per-component end offsets into preImg (partial restore)
 	canon    canonScratch
-	pool     []*System // recycled expanded states (claim/recycle)
-	copyBuf  []byte    // claim's spill-image scratch
 }
 
-// poolCap bounds one worker's claim pool; beyond it recycle drops states
-// for the collector, so a draining frontier cannot pin its peak footprint
-// in recycled Systems.
-const poolCap = 256
-
-// claim converts a successor handed to an enqueue callback into a System
-// the frontier may own. In restore mode the callback's argument is
-// borrowed — successorsInPlace restores it right after the callback
-// returns — so claim deep-copies it, preferably onto a recycled System
-// through the spill codec: the in-place decode reuses the recycled
-// state's allocations (lines, channels, bridges, tasks), collapsing the
-// checker's per-admitted-state allocation cost to a byte copy. Without
-// the codec, successorsCloned already hands over a fresh clone, which
-// claim passes through untouched.
-func (ctx *searchCtx) claim(next *System, sc *expandScratch) *System {
-	if !ctx.restore {
-		return next
-	}
-	n := len(sc.pool)
-	if n == 0 {
-		return next.Clone()
-	}
-	s := sc.pool[n-1]
-	sc.pool[n-1] = nil
-	sc.pool = sc.pool[:n-1]
-	sc.copyBuf = appendSpill(next, sc.copyBuf[:0])
-	if err := decodeSpill(s, sc.copyBuf); err != nil {
-		panic(err.Error())
-	}
-	s.mc = next.mc // carry the incremental move cache, exactly as Clone does
-	return s
-}
-
-// recycle returns an expanded state to the worker's claim pool once the
-// search is finished with it. Callers must never recycle the caller-owned
-// initial state or a System an enqueue callback took ownership of.
-func (sc *expandScratch) recycle(s *System) {
-	if len(sc.pool) < poolCap {
-		sc.pool = append(sc.pool, s)
-	}
-}
-
-// searchStats is the live-counter block the progress ticker reads while
-// workers run.
-type searchStats struct {
-	frontier atomic.Int64
-}
-
-func newSearchCtx(initial *System, opts Options, maxStates int, parallel bool) *searchCtx {
-	ctx := &searchCtx{opts: opts, maxStates: maxStates, parallel: parallel,
-		initial: initial}
-	ctx.restore = CanSpill(initial)
+func newSearchCtx(initial *System, opts Options, maxStates int) *searchCtx {
+	ctx := &searchCtx{opts: opts, maxStates: maxStates}
 	if opts.Symmetry {
 		ctx.canon = detectSymmetry(initial, opts)
 	}
@@ -399,11 +345,11 @@ func (ctx *searchCtx) orbitOutcomes(s *System, set memmodel.OutcomeSet) {
 	}
 }
 
-// Explore runs an exhaustive search from the initial system state: a
-// deterministic breadth-first walk with Workers: 1, a worker-pool frontier
-// search over a sharded visited set otherwise. Both visit every reachable
-// state (modulo the MaxStates budget) and agree on state/transition/
-// deadlock counts and the outcome set.
+// Explore runs an exhaustive breadth-first search from the initial system
+// state over Workers workers sharing one FIFO frontier and one visited set.
+// It visits every reachable state (modulo the MaxStates budget) and reports
+// the same state/transition/deadlock counts and outcome set at every worker
+// count.
 func Explore(initial *System, opts Options) *Result {
 	return ExploreCtx(context.Background(), initial, opts)
 }
@@ -416,7 +362,9 @@ func Explore(initial *System, opts Options) *Result {
 // goroutines, the progress ticker and the context watcher have exited by
 // the time ExploreCtx returns, and spill temp files are removed; a
 // cancelled search leaks nothing and a rerun from the same inputs
-// produces the identical full Result.
+// produces the identical full Result. A panic on any worker (a component
+// bug, a spill I/O error) is re-raised on the calling goroutine after the
+// same cleanup. The initial system is never mutated.
 func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
@@ -425,10 +373,10 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	workers := opts.EffectiveWorkers()
 	if initial.OnDeliver != nil {
 		// Delivery observers (sequence charts, FSM recorders) are shared
-		// by clones and not synchronized; keep those walks sequential.
+		// by clones and not synchronized; keep those walks on one worker.
 		workers = 1
 	}
-	ctx := newSearchCtx(initial, opts, maxStates, workers > 1)
+	ctx := newSearchCtx(initial, opts, maxStates)
 	stopWatch := watchCancel(cctx, ctx)
 	defer stopWatch()
 	visited := newVisited(opts, workers)
@@ -436,34 +384,16 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	var seed expandScratch
 	visited.handle(0).Insert(ctx.encode(initial, &seed, nil))
 
-	var sq *spillQueue
-	if opts.SpillDir != "" && CanSpill(initial) {
-		var err error
-		if sq, err = newSpillQueue(opts.SpillDir, opts.SpillRing); err != nil {
-			panic(err.Error())
-		}
-		defer sq.close()
+	sq, err := newSpillQueue(opts.SpillDir, opts.SpillRing)
+	if err != nil {
+		panic(err.Error())
 	}
+	defer sq.close()
+	f := newFrontier(sq, appendSpill(initial, nil))
 
-	stopProgress := startProgress(ctx, visited, sq)
-	var res *Result
-	if workers == 1 {
-		if sq != nil {
-			res = exploreSeqSpill(initial, ctx, visited, sq)
-		} else {
-			res = exploreSeq(initial, ctx, visited)
-		}
-	} else {
-		freezeComponents(initial)
-		var f workSource
-		if sq != nil {
-			f = newWSSpillFrontier(initial, ctx, sq, workers)
-		} else {
-			f = newWSFrontier(initial, ctx, workers)
-		}
-		res = exploreParallel(ctx, workers, visited, f)
-	}
-	stopProgress()
+	stopProgress := startProgress(ctx, visited, f)
+	defer stopProgress()
+	res := explore(initial, ctx, workers, visited, f)
 	res.SymmetryPerms = ctx.canon.Perms()
 	res.Engine = initial.Engine()
 
@@ -479,7 +409,7 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 		res.Truncated = true
 		res.BudgetFull = true
 	}
-	if sq != nil {
+	if opts.SpillDir != "" {
 		res.Storage += "+spill"
 		res.SpilledStates = sq.spilledStates.Load()
 		res.SpilledBytes = sq.spilledBytes.Load()
@@ -519,7 +449,7 @@ func watchCancel(cctx context.Context, ctx *searchCtx) func() {
 
 // startProgress spawns the Options.OnProgress ticker goroutine and returns
 // its stop function (a no-op closure when progress is off).
-func startProgress(ctx *searchCtx, visited visitedSet, sq *spillQueue) func() {
+func startProgress(ctx *searchCtx, visited visitedSet, f *frontier) func() {
 	if ctx.opts.ProgressEvery <= 0 || ctx.opts.OnProgress == nil {
 		return func() {}
 	}
@@ -540,17 +470,15 @@ func startProgress(ctx *searchCtx, visited visitedSet, sq *spillQueue) func() {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				p := Progress{
-					Elapsed:    now.Sub(start),
-					Visited:    n,
-					Frontier:   int(ctx.stats.frontier.Load()),
-					LoadFactor: visited.load(),
-					HeapBytes:  ms.HeapAlloc,
+					Elapsed:       now.Sub(start),
+					Visited:       n,
+					Frontier:      int(f.queued.Load()),
+					LoadFactor:    visited.load(),
+					SpilledStates: f.q.spilledStates.Load(),
+					HeapBytes:     ms.HeapAlloc,
 				}
 				if dt := now.Sub(lastT).Seconds(); dt > 0 {
 					p.StatesPerSec = float64(n-lastN) / dt
-				}
-				if sq != nil {
-					p.SpilledStates = sq.spilledStates.Load()
 				}
 				lastN, lastT = n, now
 				ctx.opts.OnProgress(p)
@@ -563,100 +491,123 @@ func startProgress(ctx *searchCtx, visited visitedSet, sq *spillQueue) func() {
 	}
 }
 
-// exploreSeq is the deterministic sequential breadth-first search.
-func exploreSeq(initial *System, ctx *searchCtx, visited visitedSet) *Result {
-	res := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
-	queue := []*System{initial}
-	ins := visited.handle(0)
-	var sc expandScratch
-
-	for head := 0; head < len(queue); head++ {
-		if visited.Size() > ctx.maxStates || visited.Full() {
-			res.Truncated = true
-			break
-		}
-		if ctx.cancelled.Load() {
-			res.Cancelled = true
-			break
-		}
-		cur := queue[head]
-		queue[head] = nil // release the expanded state (recycled or collected)
-		ins.Begin()
-		ctx.expand(cur, res, &sc, ins.Insert, func(next *System) {
-			queue = append(queue, ctx.claim(next, &sc))
-		})
-		ins.End()
-		if ctx.restore && cur != initial {
-			// Expanded states feed the claim pool; the caller-owned initial
-			// state is exempt so it is never handed back out as a copy.
-			sc.recycle(cur)
-		}
-		ctx.stats.frontier.Store(int64(len(queue) - head - 1))
+// explore runs the search loop on workers workers and merges their
+// results. Worker 0 runs on the calling goroutine, so a one-worker search
+// starts no goroutine and its panics unwind straight to the caller. A
+// spawned worker that panics stops the frontier instead of killing the
+// process; once every worker has exited, its panic value is re-raised
+// here, on the caller's goroutine.
+func explore(initial *System, ctx *searchCtx, workers int, visited visitedSet, f *frontier) *Result {
+	freezeComponents(initial)
+	results := make([]*Result, workers)
+	panics := make(chan any, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					f.stop()
+					panics <- p
+				}
+			}()
+			results[w] = ctx.work(initial.Clone(), visited, visited.handle(w), f)
+		}(w)
 	}
-	return res
+	func() {
+		// Runs on worker 0's panic too: siblings stop and exit before the
+		// panic unwinds past ExploreCtx's cleanup.
+		defer func() { f.stop(); wg.Wait() }()
+		results[0] = ctx.work(initial.Clone(), visited, visited.handle(0), f)
+	}()
+	select {
+	case p := <-panics:
+		panic(p)
+	default:
+	}
+
+	merged := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
+	for _, res := range results {
+		merged.States += res.States
+		merged.Transitions += res.Transitions
+		merged.Deadlocks += res.Deadlocks
+		merged.PORReduced += res.PORReduced
+		merged.Truncated = merged.Truncated || res.Truncated
+		merged.Cancelled = merged.Cancelled || res.Cancelled
+		if res.DeadlockAt != "" && (merged.DeadlockAt == "" || res.DeadlockAt < merged.DeadlockAt) {
+			merged.DeadlockAt = res.DeadlockAt
+		}
+		merged.Violations = append(merged.Violations, res.Violations...)
+		for k, o := range res.Outcomes {
+			merged.Outcomes[k] = o
+		}
+	}
+	sort.Strings(merged.Violations) // stable report order across runs
+	return merged
 }
 
-// exploreSeqSpill is exploreSeq over the disk-spilling frontier: the queue
-// holds spill encodings instead of cloned Systems, rehydrated on pop into
-// one long-lived working copy of the initial state (the enqueue callback
-// encodes borrowed successors straight to bytes, so the search never
-// retains a System past its own expansion — the whole search runs on a
-// single rehydration target). Pop order is the same FIFO order, so
-// counts, outcomes and the first deadlock match exploreSeq exactly.
-func exploreSeqSpill(initial *System, ctx *searchCtx, visited visitedSet, sq *spillQueue) *Result {
-	res := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
-	cur := initial.Clone()
-	ins := visited.handle(0)
+// work is one worker's search loop: trade the successors admitted while
+// expanding the last batch for the next batch, rehydrate each taken state
+// into the worker's own System cur, and expand it in place. Admitted
+// successors are encoded straight to frontier bytes, so no System outlives
+// its expansion. The loop ends when the frontier drains or stops, or when
+// the state budget, the visited set's memory budget or cancellation fires.
+func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *frontier) *Result {
+	res := &Result{Outcomes: memmodel.OutcomeSet{}}
+	// A panic mid-expansion must not leave the handle's window open: a
+	// sibling growing the fingerprint table would wait on it forever.
+	defer ins.End()
 	var sc expandScratch
-	sq.push(appendSpill(initial, nil))
-
-	for {
-		if visited.Size() > ctx.maxStates || visited.Full() {
-			res.Truncated = true
-			break
-		}
-		if ctx.cancelled.Load() {
-			res.Cancelled = true
-			break
-		}
-		enc, ok := sq.pop()
-		if !ok {
-			break
-		}
-		if err := decodeSpill(cur, enc); err != nil {
-			panic(err.Error())
-		}
-		ins.Begin()
-		ctx.expand(cur, res, &sc, ins.Insert, func(next *System) {
-			sc.spillBuf = appendSpill(next, sc.spillBuf[:0])
-			sq.push(append([]byte(nil), sc.spillBuf...))
-		})
-		ins.End()
-		ctx.stats.frontier.Store(int64(sq.len()))
+	var batch, pend [][]byte
+	admit := func(next *System) {
+		sc.spillBuf = appendSpill(next, sc.spillBuf[:0])
+		pend = append(pend, bytes.Clone(sc.spillBuf))
 	}
-	return res
+	for done := 0; ; {
+		batch = f.exchange(pend, done, batch)
+		clear(pend) // the frontier owns the published encodings now
+		pend = pend[:0]
+		if len(batch) == 0 {
+			return res
+		}
+		done = len(batch)
+		for i, enc := range batch {
+			batch[i] = nil
+			if visited.Size() > ctx.maxStates || visited.Full() {
+				res.Truncated = true
+				f.stop()
+				return res
+			}
+			if ctx.cancelled.Load() {
+				res.Cancelled = true
+				f.stop()
+				return res
+			}
+			if err := decodeSpill(cur, enc); err != nil {
+				panic(err.Error())
+			}
+			ins.Begin()
+			ctx.expand(cur, res, &sc, ins.Insert, admit)
+			ins.End()
+		}
+	}
 }
 
-// expand processes one dequeued state: invariants, successor generation
+// expand processes one taken state: invariants, successor generation
 // (insert filters duplicates, enqueue receives the new ones) and
-// deadlock/outcome classification. Shared by both search modes.
+// deadlock/outcome classification.
 //
-// Successor generation has two strategies. When every component supports
-// the faithful spill codec (ctx.restore — every system this repo builds),
-// moves are applied to cur *in place*: the successor is encoded, handed
-// to enqueue *borrowed* only if the visited set actually admits it (the
-// callback must copy through searchCtx.claim before returning), and cur
-// is restored from its one-time spill image before the next move. Most
-// applied moves reach already-visited states, so this trades the full
-// clone per transition — the checker's dominant allocation and the GC
-// pressure behind it — for a cheap allocation-light in-place decode;
-// copies happen per *new* state instead of per transition, and claim
-// recycles expanded states so even those copies reuse prior allocations.
-// The restore is lazy (a stalled Apply leaves the system unchanged, so
-// only a progressed move dirties cur), which also means a state whose
-// moves all stall reaches classification untouched. The fallback strategy
-// clones ahead of every Apply and transfers ownership through the same
-// enqueue callback (claim passes the clone through).
+// Successors are generated in place (successorsInPlace): each move is
+// applied to cur directly, the successor is encoded, handed to enqueue
+// *borrowed* only if the visited set actually admits it, and cur is
+// restored from its one-time spill image before the next move. Most
+// applied moves reach already-visited states, so this trades a full clone
+// per transition — the checker's dominant allocation and the GC pressure
+// behind it — for a cheap allocation-light in-place decode. The restore is
+// lazy (a stalled Apply leaves the system unchanged, so only a progressed
+// move dirties cur), which also means a state whose moves all stall
+// reaches classification untouched.
 //
 // With POR active, an ample subset is tried first: if any ample move
 // progressed, the remaining moves are pruned. No cycle proviso is needed:
@@ -669,8 +620,8 @@ func exploreSeqSpill(initial *System, ctx *searchCtx, visited visitedSet, sq *sp
 // the progressing transition system and reduction would misclassify the
 // state as terminal; full expansion resumes there. Because the ample
 // choice is a pure function of the state — never of visit order or
-// visited-set contents — the reduced graph is a fixed subgraph and the
-// parallel reduced search reports the same counts as the sequential one.
+// visited-set contents — the reduced graph is a fixed subgraph and every
+// worker count reports the same counts.
 func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) {
 	res.States++
 	for _, inv := range ctx.opts.Invariants {
@@ -680,50 +631,39 @@ func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert
 	}
 
 	sc.moves = cur.AppendMoves(sc.moves[:0], ctx.opts.Evictions)
-	var progressed bool
-	if ctx.restore && len(sc.moves) > 0 {
-		progressed = ctx.successorsInPlace(cur, res, sc, insert, enqueue)
-	} else {
-		progressed = ctx.successorsCloned(cur, res, sc, insert, enqueue)
+	if len(sc.moves) > 0 && ctx.successorsInPlace(cur, res, sc, insert, enqueue) {
+		return
 	}
-
-	if !progressed {
-		if cur.Quiescent() {
-			o := ctx.outcome(cur)
-			res.Outcomes.Add(o)
-			if ctx.canon != nil {
-				ctx.orbitOutcomes(cur, res.Outcomes)
-			}
-		} else {
-			if ctx.canon != nil {
-				// Report the orbit size so the count matches the unreduced
-				// search, which visits every permuted sibling separately.
-				res.Deadlocks += ctx.canon.orbitSize(cur, &sc.canon)
-			} else {
-				res.Deadlocks++
-			}
-			if res.DeadlockAt == "" {
-				res.DeadlockAt = cur.Snapshot()
-			} else if ctx.parallel {
-				// Parallel visit order is nondeterministic; keeping the
-				// lexicographically least snapshot per worker (and across
-				// workers at merge) makes the diagnostic stable run-to-run.
-				if snap := cur.Snapshot(); snap < res.DeadlockAt {
-					res.DeadlockAt = snap
-				}
-			}
+	if cur.Quiescent() {
+		o := ctx.outcome(cur)
+		res.Outcomes.Add(o)
+		if ctx.canon != nil {
+			ctx.orbitOutcomes(cur, res.Outcomes)
 		}
+		return
+	}
+	if ctx.canon != nil {
+		// Report the orbit size so the count matches the unreduced
+		// search, which visits every permuted sibling separately.
+		res.Deadlocks += ctx.canon.orbitSize(cur, &sc.canon)
+	} else {
+		res.Deadlocks++
+	}
+	// Which worker meets which deadlock first depends on the schedule;
+	// keeping the lexicographically least snapshot (here and at merge)
+	// makes the diagnostic the same at every worker count.
+	if snap := cur.Snapshot(); res.DeadlockAt == "" || snap < res.DeadlockAt {
+		res.DeadlockAt = snap
 	}
 }
 
 // successorsInPlace generates cur's successors by mutating cur directly,
 // restoring it from its spill image between moves. Admitted successors
 // are handed to enqueue as cur itself — borrowed, valid only until the
-// callback returns — so the callback decides how to retain them (claim a
-// recycled copy, or encode to frontier bytes with no copy at all).
-// Requires CanSpill components (the codec contract is bijectivity, so the
-// restore is exact — including the incremental move cache, which is saved
-// by value and reinstated with the state bytes it described). Returns
+// callback returns — so the callback must copy what it keeps. The codec
+// contract is bijectivity, so the restore is exact — including the
+// incremental move cache, which is saved by value and reinstated with the
+// state bytes it described. Returns
 // whether any move progressed; when none did, cur was never dirtied and
 // is still the expanded state.
 func (ctx *searchCtx) successorsInPlace(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) bool {
@@ -787,523 +727,6 @@ func (ctx *searchCtx) successorsInPlace(cur *System, res *Result, sc *expandScra
 		}
 	}
 	return progressed
-}
-
-// successorsCloned is the fallback successor strategy for systems without
-// the faithful codec: clone ahead of every Apply. The final enabled move
-// reuses cur's storage — once its successors are generated, an expanded
-// state is only read again when no move progressed, and a stalled Apply
-// leaves the system unchanged.
-func (ctx *searchCtx) successorsCloned(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) bool {
-	progressed := false
-	start := 0
-	if ctx.por && len(sc.moves) > 1 {
-		if amp := ctx.selectAmple(cur, sc); amp > 0 {
-			ampProgressed := false
-			for i := 0; i < amp; i++ {
-				next := cur.Clone() // cur must survive a possible fallback
-				if !next.Apply(sc.moves[i]) {
-					continue
-				}
-				ampProgressed = true
-				progressed = true
-				res.Transitions++
-				sc.encBuf = ctx.encode(next, sc, sc.encBuf[:0])
-				if insert(sc.encBuf) {
-					enqueue(next)
-				}
-			}
-			if ampProgressed {
-				res.PORReduced++
-				return true
-			}
-			start = amp // every ample move stalled: full expansion
-		}
-	}
-	for i, n := start, len(sc.moves); i < n; i++ {
-		next := cur
-		if i < n-1 {
-			next = cur.Clone()
-		}
-		if !next.Apply(sc.moves[i]) {
-			continue
-		}
-		progressed = true
-		res.Transitions++
-		sc.encBuf = ctx.encode(next, sc, sc.encBuf[:0])
-		if insert(sc.encBuf) {
-			enqueue(next)
-		}
-	}
-	return progressed
-}
-
-// workSource is the parallel search's work distributor: the in-memory
-// work-stealing frontier (wsFrontier) or its disk-spilling counterpart
-// (wsSpillFrontier). Both shard the frontier into per-worker deques with
-// steal-half balancing — no shared queue mutex, no condition variable.
-type workSource interface {
-	// take hands worker w its next batch: popped from the worker's own
-	// deque when possible, stolen from a sibling otherwise. It spins down
-	// with a short backoff while siblings may still produce work and
-	// returns nil when the search is complete or stopped. sc is the
-	// worker's scratch: the spill frontier rehydrates into its recycled
-	// Systems instead of cloning fresh ones.
-	take(w int, sc *expandScratch) []*System
-	// admit buffers one admitted successor for worker w. next is borrowed —
-	// valid only for the duration of the call — so each frontier converts
-	// it to its own representation immediately: the in-memory frontier
-	// claims a (pool-recycled) copy, the spill frontier encodes it to
-	// bytes with no System copy at all.
-	admit(w int, sc *expandScratch, next *System)
-	// flush publishes worker w's buffered admissions onto w's own deque.
-	flush(w int)
-	// settle retires n expanded states from the outstanding-work count.
-	settle(n int)
-	// stop aborts the search (truncation).
-	stop()
-}
-
-// maxBatch caps how many states one take hands a worker.
-const maxBatch = 64
-
-// takeSpins is how many empty take sweeps merely yield before backing off
-// with a short sleep (idle workers poll: there is no condition variable).
-const takeSpins = 8
-
-// wsDeque is one worker's frontier deque: the owner pushes and pops at the
-// tail (depth-first-ish, cache-warm), thieves steal from the head — the
-// oldest, shallowest states, which tend to root the largest unexplored
-// subtrees. A plain mutex guards it: per-worker deques are uncontended
-// except during steals, and a mutex keeps the memory ordering honest on the
-// single-core runner this repo benchmarks on (a lock-free Chase–Lev deque
-// would buy nothing there).
-type wsDeque struct {
-	mu   sync.Mutex
-	buf  []*System
-	head int      // buf[head:] are live; the dead prefix is compacted lazily
-	_    [32]byte // pad deques apart: owner-written fields stay on one line
-}
-
-// popTail removes up to max (at most half the live entries, rounded up)
-// states from the tail, leaving the rest in place for thieves.
-func (d *wsDeque) popTail(max int) []*System {
-	d.mu.Lock()
-	n := len(d.buf) - d.head
-	if n == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	k := (n + 1) / 2
-	if k > max {
-		k = max
-	}
-	lo := len(d.buf) - k
-	batch := make([]*System, k)
-	copy(batch, d.buf[lo:])
-	for i := lo; i < len(d.buf); i++ {
-		d.buf[i] = nil // release to the collector
-	}
-	d.buf = d.buf[:lo]
-	d.mu.Unlock()
-	return batch
-}
-
-// stealHalf removes up to max (half the live entries, rounded up) states
-// from the head.
-func (d *wsDeque) stealHalf(max int) []*System {
-	d.mu.Lock()
-	n := len(d.buf) - d.head
-	if n == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	k := (n + 1) / 2
-	if k > max {
-		k = max
-	}
-	batch := make([]*System, k)
-	copy(batch, d.buf[d.head:d.head+k])
-	for i := d.head; i < d.head+k; i++ {
-		d.buf[i] = nil
-	}
-	d.head += k
-	d.compactLocked()
-	d.mu.Unlock()
-	return batch
-}
-
-// pushTail appends states at the owner's end.
-func (d *wsDeque) pushTail(states []*System) {
-	d.mu.Lock()
-	d.buf = append(d.buf, states...)
-	d.mu.Unlock()
-}
-
-// compactLocked reclaims the dead prefix once it dominates the buffer
-// (amortized O(1) per steal).
-func (d *wsDeque) compactLocked() {
-	if d.head < 64 || d.head*2 < len(d.buf) {
-		return
-	}
-	n := copy(d.buf, d.buf[d.head:])
-	for i := n; i < len(d.buf); i++ {
-		d.buf[i] = nil
-	}
-	d.buf = d.buf[:n]
-	d.head = 0
-}
-
-// wsFrontier distributes cloned Systems through per-worker deques with
-// steal-half balancing. Termination detection is one atomic outstanding-
-// work counter: push raises it before the states become visible and settle
-// lowers it only after their expansion completed, so the counter reaches
-// zero exactly when every deque is empty and no expansion is in flight —
-// a worker that sweeps every deque empty and then reads zero can exit.
-// Which worker expands which state is schedule-dependent, but the visited
-// set admits each state exactly once, so counts, outcomes and verdicts are
-// identical at any worker count (the determinism tests pin 1/2/4/8).
-type wsFrontier struct {
-	ctx     *searchCtx
-	stats   *searchStats
-	deques  []wsDeque
-	pend    [][]*System  // per-worker admit buffers, published by flush
-	work    atomic.Int64 // states pushed but not yet settled
-	queued  atomic.Int64 // states sitting in deques (frontier gauge)
-	stopped atomic.Bool
-}
-
-func newWSFrontier(initial *System, ctx *searchCtx, workers int) *wsFrontier {
-	f := &wsFrontier{ctx: ctx, deques: make([]wsDeque, workers),
-		pend: make([][]*System, workers), stats: &ctx.stats}
-	f.deques[0].buf = []*System{initial}
-	f.work.Store(1)
-	f.queued.Store(1)
-	return f
-}
-
-func (f *wsFrontier) take(w int, sc *expandScratch) []*System {
-	for spins := 0; ; spins++ {
-		if f.stopped.Load() {
-			return nil
-		}
-		if batch := f.deques[w].popTail(maxBatch); batch != nil {
-			f.taken(len(batch))
-			return batch
-		}
-		for i := 1; i < len(f.deques); i++ {
-			if batch := f.deques[(w+i)%len(f.deques)].stealHalf(maxBatch); batch != nil {
-				f.taken(len(batch))
-				return batch
-			}
-		}
-		if f.work.Load() == 0 {
-			return nil
-		}
-		idleWait(spins)
-	}
-}
-
-func (f *wsFrontier) taken(n int) {
-	f.stats.frontier.Store(f.queued.Add(int64(-n)))
-}
-
-func (f *wsFrontier) admit(w int, sc *expandScratch, next *System) {
-	f.pend[w] = append(f.pend[w], f.ctx.claim(next, sc))
-}
-
-func (f *wsFrontier) flush(w int) {
-	states := f.pend[w]
-	if len(states) == 0 {
-		return
-	}
-	f.work.Add(int64(len(states)))
-	f.deques[w].pushTail(states)
-	f.stats.frontier.Store(f.queued.Add(int64(len(states))))
-	for i := range states {
-		states[i] = nil
-	}
-	f.pend[w] = states[:0]
-}
-
-func (f *wsFrontier) settle(n int) { f.work.Add(int64(-n)) }
-func (f *wsFrontier) stop()        { f.stopped.Store(true) }
-
-// idleWait backs an empty-handed worker off: yield for the first sweeps
-// (another worker is likely mid-expansion), then sleep briefly so idle
-// workers stop burning a core while one long expansion drains.
-func idleWait(spins int) {
-	if spins < takeSpins {
-		runtime.Gosched()
-	} else {
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
-// wsByteDeque is wsDeque over spill encodings, consumed FIFO: the owner
-// and thieves both take from the head. Breadth-first consumption keeps the
-// frontier wide the way the sequential spill search does, so a search that
-// outgrows the ring genuinely overflows into the spill queue's wave files
-// instead of hiding its frontier in a handful of deep deques — the memory
-// bound SpillDir promises is a property of the ring, not of a lucky visit
-// order.
-type wsByteDeque struct {
-	mu   sync.Mutex
-	buf  [][]byte
-	head int
-	_    [32]byte
-}
-
-func (d *wsByteDeque) stealHalf(max int) [][]byte {
-	d.mu.Lock()
-	n := len(d.buf) - d.head
-	if n == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	k := (n + 1) / 2
-	if k > max {
-		k = max
-	}
-	batch := make([][]byte, k)
-	copy(batch, d.buf[d.head:d.head+k])
-	for i := d.head; i < d.head+k; i++ {
-		d.buf[i] = nil
-	}
-	d.head += k
-	d.compactLocked()
-	d.mu.Unlock()
-	return batch
-}
-
-// pushTail appends encodings at the tail and returns the oldest half of
-// the deque for the caller to spill when the live count exceeded limit
-// (ownership of the returned slices transfers to the caller).
-func (d *wsByteDeque) pushTail(encs [][]byte, limit int) [][]byte {
-	d.mu.Lock()
-	d.buf = append(d.buf, encs...)
-	var overflow [][]byte
-	if live := len(d.buf) - d.head; live > limit {
-		k := live / 2
-		overflow = make([][]byte, k)
-		copy(overflow, d.buf[d.head:d.head+k])
-		for i := d.head; i < d.head+k; i++ {
-			d.buf[i] = nil
-		}
-		d.head += k
-		d.compactLocked()
-	}
-	d.mu.Unlock()
-	return overflow
-}
-
-func (d *wsByteDeque) compactLocked() {
-	if d.head < 64 || d.head*2 < len(d.buf) {
-		return
-	}
-	n := copy(d.buf, d.buf[d.head:])
-	for i := n; i < len(d.buf); i++ {
-		d.buf[i] = nil
-	}
-	d.buf = d.buf[:n]
-	d.head = 0
-}
-
-// wsSpillFrontier is the disk-spilling work-stealing frontier: per-worker
-// deques hold spill encodings (encoded and rehydrated outside any lock),
-// each capped at SpillRing/workers live entries and consumed FIFO. On
-// overflow the oldest half migrates to the shared spillQueue (bounded
-// memory + wave files on disk, guarded by its own mutex since the queue
-// itself is not goroutine-safe); a worker that finds every deque empty
-// refills from the spill queue before concluding the search drained.
-// Frontier memory is therefore O(SpillRing) across the deques plus the
-// spill queue's own in-memory window, however wide the search gets.
-type wsSpillFrontier struct {
-	stats    *searchStats
-	template *System
-	deques   []wsByteDeque
-	pend     [][][]byte // per-worker admit buffers (spill encodings)
-	dequeCap int        // per-deque live-entry cap
-	spillMu  sync.Mutex
-	sq       *spillQueue
-	work     atomic.Int64
-	queued   atomic.Int64
-	stopped  atomic.Bool
-}
-
-func newWSSpillFrontier(initial *System, ctx *searchCtx, sq *spillQueue, workers int) *wsSpillFrontier {
-	ring := ctx.opts.SpillRing
-	if ring <= 0 {
-		ring = defaultSpillRing
-	}
-	dequeCap := ring / workers
-	if dequeCap < 64 {
-		dequeCap = 64
-	}
-	f := &wsSpillFrontier{sq: sq, template: initial.Clone(), stats: &ctx.stats,
-		deques: make([]wsByteDeque, workers), pend: make([][][]byte, workers),
-		dequeCap: dequeCap}
-	f.deques[0].buf = [][]byte{appendSpill(initial, nil)}
-	f.work.Store(1)
-	f.queued.Store(1)
-	return f
-}
-
-func (f *wsSpillFrontier) take(w int, sc *expandScratch) []*System {
-	for spins := 0; ; spins++ {
-		if f.stopped.Load() {
-			return nil
-		}
-		if encs := f.deques[w].stealHalf(maxBatch); encs != nil {
-			return f.rehydrate(encs, sc)
-		}
-		for i := 1; i < len(f.deques); i++ {
-			if encs := f.deques[(w+i)%len(f.deques)].stealHalf(maxBatch); encs != nil {
-				return f.rehydrate(encs, sc)
-			}
-		}
-		f.spillMu.Lock()
-		var encs [][]byte
-		for len(encs) < maxBatch {
-			enc, ok := f.sq.pop()
-			if !ok {
-				break
-			}
-			encs = append(encs, enc)
-		}
-		f.spillMu.Unlock()
-		if len(encs) > 0 {
-			return f.rehydrate(encs, sc)
-		}
-		if f.work.Load() == 0 {
-			return nil
-		}
-		idleWait(spins)
-	}
-}
-
-// rehydrate decodes a taken batch into the worker's recycled Systems,
-// cloning the pristine template only when the pool runs dry.
-func (f *wsSpillFrontier) rehydrate(encs [][]byte, sc *expandScratch) []*System {
-	f.stats.frontier.Store(f.queued.Add(int64(-len(encs))))
-	batch := make([]*System, len(encs))
-	for i, enc := range encs {
-		if n := len(sc.pool); n > 0 {
-			batch[i] = sc.pool[n-1]
-			sc.pool[n-1] = nil
-			sc.pool = sc.pool[:n-1]
-		} else {
-			batch[i] = f.template.Clone()
-		}
-		if err := decodeSpill(batch[i], enc); err != nil {
-			panic(err.Error())
-		}
-	}
-	return batch
-}
-
-func (f *wsSpillFrontier) admit(w int, sc *expandScratch, next *System) {
-	sc.spillBuf = appendSpill(next, sc.spillBuf[:0])
-	f.pend[w] = append(f.pend[w], append([]byte(nil), sc.spillBuf...))
-}
-
-func (f *wsSpillFrontier) flush(w int) {
-	encs := f.pend[w]
-	if len(encs) == 0 {
-		return
-	}
-	f.work.Add(int64(len(encs)))
-	overflow := f.deques[w].pushTail(encs, f.dequeCap)
-	if overflow != nil {
-		f.spillMu.Lock()
-		for _, enc := range overflow {
-			f.sq.push(enc)
-		}
-		f.spillMu.Unlock()
-	}
-	f.stats.frontier.Store(f.queued.Add(int64(len(encs))))
-	for i := range encs {
-		encs[i] = nil
-	}
-	f.pend[w] = encs[:0]
-}
-
-func (f *wsSpillFrontier) settle(n int) { f.work.Add(int64(-n)) }
-func (f *wsSpillFrontier) stop()        { f.stopped.Store(true) }
-
-// exploreParallel runs the worker-pool frontier search: workers pull
-// batches from a shared frontier, filter successors through the shared
-// visited set, and merge per-worker results at the end.
-func exploreParallel(ctx *searchCtx, workers int, visited visitedSet, f workSource) *Result {
-	var truncated, cancelled atomic.Bool
-
-	results := make([]*Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		res := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
-		results[w] = res
-		ins := visited.handle(w)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var sc expandScratch
-			for {
-				batch := f.take(w, &sc)
-				if batch == nil {
-					return
-				}
-				for bi, cur := range batch {
-					if visited.Size() > ctx.maxStates || visited.Full() {
-						truncated.Store(true)
-						f.stop()
-						f.settle(len(batch))
-						return
-					}
-					if ctx.cancelled.Load() {
-						// Same shutdown as truncation: stop the frontier so
-						// sibling workers' take returns nil, settle this
-						// batch, and let the merged result carry the flag.
-						cancelled.Store(true)
-						f.stop()
-						f.settle(len(batch))
-						return
-					}
-					ins.Begin()
-					ctx.expand(cur, res, &sc, ins.Insert, func(next *System) {
-						f.admit(w, &sc, next)
-					})
-					ins.End()
-					f.flush(w)
-					if ctx.restore && cur != ctx.initial {
-						batch[bi] = nil
-						sc.recycle(cur)
-					}
-				}
-				f.settle(len(batch))
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	merged := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates,
-		Truncated: truncated.Load(), Cancelled: cancelled.Load()}
-	for _, res := range results {
-		merged.States += res.States
-		merged.Transitions += res.Transitions
-		merged.Deadlocks += res.Deadlocks
-		merged.PORReduced += res.PORReduced
-		// Lexicographically least snapshot across workers: deterministic
-		// diagnostics regardless of which worker saw a deadlock first.
-		if res.DeadlockAt != "" && (merged.DeadlockAt == "" || res.DeadlockAt < merged.DeadlockAt) {
-			merged.DeadlockAt = res.DeadlockAt
-		}
-		merged.Violations = append(merged.Violations, res.Violations...)
-		for k, o := range res.Outcomes {
-			merged.Outcomes[k] = o
-		}
-	}
-	sort.Strings(merged.Violations) // stable report order across runs
-	return merged
 }
 
 // outcomeOf extracts the litmus outcome of a quiescent state (slow path,

@@ -90,9 +90,6 @@ func TestStorageModesAgreeTableIIPairs(t *testing.T) {
 		t.Run(pair[0]+"+"+pair[1], func(t *testing.T) {
 			t.Parallel()
 			sys := storagePairSystem(t, pair[0], pair[1])
-			if !mcheck.CanSpill(sys) {
-				t.Fatalf("fused %s+%s system does not support spilling", pair[0], pair[1])
-			}
 			// POR pinned off throughout: this matrix gates the spill codec
 			// and lossy visited sets, so the baselines should keep
 			// covering the full unreduced space.

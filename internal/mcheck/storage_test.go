@@ -314,9 +314,6 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}, {Op: spec.OpRelease}},
 		{{Op: spec.OpStore, Addr: 1, Value: 2}, {Op: spec.OpLoad, Addr: 0}, {Op: spec.OpAcquire}},
 	})
-	if !CanSpill(sys) {
-		t.Fatal("homogeneous MESI system does not support spilling")
-	}
 	template := sys.Clone()
 	roundTrip := func(cur *System) {
 		t.Helper()
