@@ -32,8 +32,6 @@ type Search struct {
 	Workers int
 	// Hash is -hash: 64-bit fingerprint state storage.
 	Hash bool
-	// Encoding is -encoding: "binary" or "snapshot"; resolve via Enc.
-	Encoding string
 	// Symmetry is -symmetry: cache-permutation canonicalization.
 	Symmetry bool
 	// POR is -por: ample-set partial order reduction (-por=0 disables).
@@ -57,7 +55,6 @@ type Search struct {
 func (s *Search) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.Workers, "workers", s.Workers, "worker parallelism (0 = all cores, 1 = sequential deterministic order)")
 	fs.BoolVar(&s.Hash, "hash", s.Hash, "use state-hash compaction (lock-free 64-bit fingerprint table)")
-	fs.StringVar(&s.Encoding, "encoding", s.Encoding, "visited-set state encoding: binary or snapshot")
 	fs.BoolVar(&s.Symmetry, "symmetry", s.Symmetry, "canonicalize states under cache-permutation symmetry")
 	fs.BoolVar(&s.POR, "por", s.POR, "ample-set partial order reduction (-por=0 forces the full interleaving space)")
 	fs.StringVar(&s.SpillDir, "spill-dir", s.SpillDir, "spill frontier overflow to temp files under this directory (bounds BFS memory)")
@@ -67,15 +64,10 @@ func (s *Search) Register(fs *flag.FlagSet) {
 	fs.StringVar(&s.MemProfile, "memprofile", s.MemProfile, "write a pprof heap profile to this file on exit")
 }
 
-// DefaultSearch returns the baseline defaults: binary encoding, POR on,
-// everything else off.
+// DefaultSearch returns the baseline defaults: POR on, everything else
+// off.
 func DefaultSearch() Search {
-	return Search{Encoding: "binary", POR: true}
-}
-
-// Enc resolves the -encoding string.
-func (s *Search) Enc() (mcheck.Encoding, error) {
-	return mcheck.ParseEncoding(s.Encoding)
+	return Search{POR: true}
 }
 
 // PORMode maps the boolean -por flag onto the checker's mode (PORAuto when
@@ -119,7 +111,6 @@ func (s *Search) Engine() engine.SearchOptions {
 	return engine.SearchOptions{
 		Workers:      s.Workers,
 		Hash:         s.Hash,
-		Encoding:     s.Encoding,
 		Symmetry:     s.Symmetry,
 		NoPOR:        !s.POR,
 		SpillDir:     s.SpillDir,

@@ -202,25 +202,53 @@ func TestArtifactFileAndCache(t *testing.T) {
 	}
 }
 
-// TestArtifactSnapshotEncoding pins the lazy snapshot reconstruction: a
-// search over a loaded artifact with the snapshot visited-set encoding
-// must agree with the interpreted snapshot-mode search — the reconstructed
-// snapshots have to be byte-identical to the interpreted component's or
-// the visited sets diverge.
+// TestArtifactSnapshotEncoding pins the lazy snapshot reconstruction: the
+// interpreted system and a system over the loaded artifact, walked in the
+// same move order, must offer the same moves and render byte-identical
+// Snapshot strings at every reachable state.
 func TestArtifactSnapshotEncoding(t *testing.T) {
 	f, cfg, cf := quickArtifactFusion(t)
 	lcf, err := LoadArtifactFor(cf.MarshalArtifact(), f, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := mcheck.Options{Workers: 1, Encoding: mcheck.EncodingSnapshot}
 	isys, _ := BuildSystem(f, cfg.CachesPerCluster)
 	isys.SetPrograms(cfg.Programs)
-	ires := mcheck.Explore(isys, opts)
-	lres := mcheck.Explore(lcf.System(), opts)
-	if lres.States != ires.States || lres.Transitions != ires.Transitions || lres.Deadlocks != ires.Deadlocks {
-		t.Errorf("snapshot-encoding search over loaded artifact diverges: %d/%d states, %d/%d transitions",
-			lres.States, ires.States, lres.Transitions, ires.Transitions)
+	lsys := lcf.System()
+	if is, ls := isys.Snapshot(), lsys.Snapshot(); is != ls {
+		t.Fatalf("initial snapshots differ:\ninterpreted %q\nloaded      %q", is, ls)
+	}
+	type pair struct{ i, l *mcheck.System }
+	seen := map[string]bool{isys.Snapshot(): true}
+	queue := []pair{{isys, lsys}}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		moves := cur.i.Moves(cfg.Evictions)
+		if lm := cur.l.Moves(cfg.Evictions); len(lm) != len(moves) {
+			t.Fatalf("at %q: %d interpreted moves vs %d loaded", cur.i.Snapshot(), len(moves), len(lm))
+		}
+		for _, mv := range moves {
+			ni, nl := cur.i.Clone(), cur.l.Clone()
+			iok, lok := ni.Apply(mv), nl.Apply(mv)
+			if iok != lok {
+				t.Fatalf("move %v from %q: interpreted applied=%t, loaded applied=%t", mv, cur.i.Snapshot(), iok, lok)
+			}
+			if !iok {
+				continue
+			}
+			is, ls := ni.Snapshot(), nl.Snapshot()
+			if is != ls {
+				t.Fatalf("move %v: snapshots differ:\ninterpreted %q\nloaded      %q", mv, is, ls)
+			}
+			if !seen[is] {
+				seen[is] = true
+				queue = append(queue, pair{ni, nl})
+			}
+		}
+	}
+	if len(seen) < 10 {
+		t.Fatalf("walk visited only %d states", len(seen))
 	}
 }
 

@@ -207,10 +207,6 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 		return nil, fmt.Errorf("check request selects nothing: set protocol, pair or table")
 	}
 
-	opts, err := req.Search.mcheckOptions(hooks, evictions)
-	if err != nil {
-		return nil, err
-	}
-	res := mcheck.ExploreCtx(ctx, sys, opts)
+	res := mcheck.ExploreCtx(ctx, sys, req.Search.mcheckOptions(hooks, evictions))
 	return &CheckResult{Name: name, Result: *res, Compile: compileStats}, nil
 }

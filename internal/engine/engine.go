@@ -22,7 +22,7 @@ import (
 // SearchOptions carries the shared search knobs of every request — the
 // engine-level mirror of the cliopts.Search flag set, shaped so the JSON
 // zero value means the same thing as each command's baseline: POR on,
-// binary encoding, exact storage, all cores.
+// exact storage, all cores.
 type SearchOptions struct {
 	// Workers is the search parallelism (0 = all cores, 1 = sequential
 	// deterministic order).
@@ -31,9 +31,6 @@ type SearchOptions struct {
 	Hash bool `json:"hash,omitempty"`
 	// Bitstate selects Bloom-filter supertrace storage; overrides Hash.
 	Bitstate bool `json:"bitstate,omitempty"`
-	// Encoding is the visited-set state encoding: "" or "binary"
-	// (default), or "snapshot".
-	Encoding string `json:"encoding,omitempty"`
 	// Symmetry canonicalizes states under cache-permutation symmetry.
 	Symmetry bool `json:"symmetry,omitempty"`
 	// NoPOR disables the ample-set partial order reduction. The field is
@@ -52,18 +49,6 @@ type SearchOptions struct {
 	// CompileCache is the content-addressed compiled-table artifact cache
 	// directory ("" = compile in-process every time).
 	CompileCache string `json:"compile_cache,omitempty"`
-}
-
-// Enc resolves the encoding string.
-func (s SearchOptions) Enc() (mcheck.Encoding, error) {
-	return mcheck.ParseEncoding(s.encoding())
-}
-
-func (s SearchOptions) encoding() string {
-	if s.Encoding == "" {
-		return "binary"
-	}
-	return s.Encoding
 }
 
 // PORMode maps NoPOR onto the checker's mode.
@@ -120,11 +105,7 @@ func (h Hooks) compiled(name string, stats core.CompileStats) {
 
 // mcheckOptions assembles the checker options shared by every search the
 // engine starts: the request's search knobs plus the run's hooks.
-func (s SearchOptions) mcheckOptions(h Hooks, evictions bool) (mcheck.Options, error) {
-	enc, err := s.Enc()
-	if err != nil {
-		return mcheck.Options{}, err
-	}
+func (s SearchOptions) mcheckOptions(h Hooks, evictions bool) mcheck.Options {
 	return mcheck.Options{
 		Evictions:      evictions,
 		MaxStates:      s.MaxStates,
@@ -133,13 +114,12 @@ func (s SearchOptions) mcheckOptions(h Hooks, evictions bool) (mcheck.Options, e
 		MemBudget:      s.MemBudget,
 		SpillDir:       s.SpillDir,
 		Workers:        s.Workers,
-		Encoding:       enc,
 		Symmetry:       s.Symmetry,
 		POR:            s.PORMode(),
 		ProgressEvery:  h.ProgressEvery,
 		OnProgress:     h.searchProgress("search"),
 		MemPool:        h.MemPool,
-	}, nil
+	}
 }
 
 // resolveProtocol resolves one protocol name: a built-in by name, or "-"

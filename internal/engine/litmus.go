@@ -68,24 +68,19 @@ func (r *LitmusResult) Verdict() error {
 }
 
 // options assembles the litmus options shared by both request shapes.
-func (req *LitmusRequest) options(hooks Hooks) (litmus.Options, error) {
-	enc, err := req.Search.Enc()
-	if err != nil {
-		return litmus.Options{}, err
-	}
+func (req *LitmusRequest) options(hooks Hooks) litmus.Options {
 	return litmus.Options{
 		Evictions:      req.Evictions,
 		MaxStates:      req.Search.MaxStates,
 		AllAllocations: req.AllAllocations,
 		HashCompaction: req.Search.Hash,
-		Encoding:       enc,
 		Symmetry:       req.Search.Symmetry,
 		POR:            req.Search.PORMode(),
 		SpillDir:       req.Search.SpillDir,
 		Compiled:       req.Compiled,
 		TableCache:     req.Search.CompileCache,
 		MemPool:        hooks.MemPool,
-	}, nil
+	}
 }
 
 // shapes resolves the request's shape selection.
@@ -120,10 +115,7 @@ func Litmus(ctx context.Context, req LitmusRequest, hooks Hooks) (*LitmusResult,
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.options(hooks)
-	if err != nil {
-		return nil, err
-	}
+	opts := req.options(hooks)
 
 	if req.Protocol != "" {
 		p, err := resolveProtocol(req.Protocol, req.Spec)

@@ -44,8 +44,6 @@ type Options struct {
 	// so the two levels together never exceed Workers. Elsewhere 0 means
 	// all cores.
 	ExploreWorkers int
-	// Encoding selects the model checker's visited-set encoding.
-	Encoding mcheck.Encoding
 	// HashCompaction stores 64-bit state fingerprints instead of full
 	// encodings in each test's visited set (mcheck.Options.HashCompaction):
 	// a vanishing omission probability for a large memory saving on the
@@ -287,8 +285,8 @@ func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int,
 	mo := mcheck.Options{
 		Evictions: opts.Evictions, MaxStates: opts.MaxStates,
 		HashCompaction: opts.HashCompaction,
-		Workers:        opts.ExploreWorkers, Encoding: opts.Encoding,
-		Symmetry: opts.Symmetry, POR: opts.POR, SpillDir: opts.SpillDir,
+		Workers:        opts.ExploreWorkers,
+		Symmetry:       opts.Symmetry, POR: opts.POR, SpillDir: opts.SpillDir,
 		LoadKeys: keys, ObserveMem: observe, MemPool: opts.MemPool,
 	}
 	res := mcheck.ExploreCtx(ctx, sys, mo)
@@ -422,8 +420,8 @@ func RunHomogeneousCtx(ctx context.Context, p *spec.Protocol, shape Shape, opts 
 	mo := mcheck.Options{
 		Evictions: opts.Evictions, MaxStates: opts.MaxStates,
 		HashCompaction: opts.HashCompaction,
-		Workers:        opts.ExploreWorkers, Encoding: opts.Encoding,
-		Symmetry: opts.Symmetry, POR: opts.POR, SpillDir: opts.SpillDir,
+		Workers:        opts.ExploreWorkers,
+		Symmetry:       opts.Symmetry, POR: opts.POR, SpillDir: opts.SpillDir,
 		LoadKeys: keys, ObserveMem: observe, MemPool: opts.MemPool}
 	res := mcheck.ExploreCtx(ctx, sys, mo)
 	elapsed := time.Since(start)

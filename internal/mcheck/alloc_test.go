@@ -57,7 +57,7 @@ func TestAllocRegressionCloneApplyEncode(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		next := sys.Clone()
 		next.Apply(mv)
-		buf = encodeState(next, EncodingBinary, buf[:0])
+		buf = next.EncodeBinary(buf[:0])
 	})
 	t.Logf("Clone+Apply+encode: %.1f allocs per successor", allocs)
 	if allocs > allocBudget {

@@ -76,14 +76,10 @@ type symGroup struct {
 
 // detectSymmetry computes the configuration's symmetry group, or nil when
 // no sound nontrivial group exists. Reduction is declined when:
-// the encoding is not binary (the string snapshot embeds ids in free text),
 // a component lacks relabeled encoding, a cache is driven by more than one
 // core, group members differ in program or initial core state, or the
 // permutation count exceeds maxSymPerms.
-func detectSymmetry(s *System, opts Options) *canonicalizer {
-	if opts.Encoding != EncodingBinary {
-		return nil
-	}
+func detectSymmetry(s *System) *canonicalizer {
 	for _, c := range s.Components {
 		if _, ok := c.(spec.RelabelAppender); !ok {
 			return nil

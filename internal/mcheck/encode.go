@@ -1,58 +1,15 @@
 package mcheck
 
-import (
-	"fmt"
-
-	"heterogen/internal/spec"
-)
-
-// Encoding selects how a System state is keyed in the visited set.
-type Encoding int
-
-const (
-	// EncodingBinary (the default) keys states by the compact,
-	// allocation-lean binary encoding produced by System.EncodeBinary.
-	EncodingBinary Encoding = iota
-	// EncodingSnapshot keys states by the human-readable string Snapshot —
-	// the pre-parallel encoding, kept for debugging and as a
-	// differential-testing oracle for the binary encoder.
-	EncodingSnapshot
-)
-
-func (e Encoding) String() string {
-	if e == EncodingSnapshot {
-		return "snapshot"
-	}
-	return "binary"
-}
-
-// ParseEncoding resolves the CLI spelling of an Encoding.
-func ParseEncoding(s string) (Encoding, error) {
-	switch s {
-	case "", "binary":
-		return EncodingBinary, nil
-	case "snapshot":
-		return EncodingSnapshot, nil
-	}
-	return EncodingBinary, fmt.Errorf("mcheck: unknown encoding %q (want binary or snapshot)", s)
-}
+import "heterogen/internal/spec"
 
 // EncodeBinary appends a compact binary encoding of the full system state
 // to buf and returns the extended slice. It distinguishes exactly the
 // states Snapshot distinguishes (two systems of the same configuration
 // produce equal encodings iff they produce equal Snapshots) while skipping
-// the fmt machinery — the visited-set hot path of Explore. Components that
-// don't implement spec.BinaryAppender fall back to their string Snapshot,
-// length-prefixed to preserve injectivity.
+// the fmt machinery — the visited-set key of Explore.
 func (s *System) EncodeBinary(buf []byte) []byte {
 	for _, c := range s.Components {
-		if ba, ok := c.(spec.BinaryAppender); ok {
-			buf = ba.AppendBinary(buf)
-			continue
-		}
-		var w spec.SnapshotWriter
-		c.Snapshot(&w)
-		buf = spec.AppendString(buf, w.String())
+		buf = c.AppendBinary(buf)
 	}
 	buf = s.Mem.AppendBinary(buf)
 	buf = spec.AppendUvarint(buf, uint64(len(s.chans)))
@@ -75,14 +32,6 @@ func (s *System) EncodeBinary(buf []byte) []byte {
 		}
 	}
 	return buf
-}
-
-// encodeState appends the state key for the configured encoding.
-func encodeState(s *System, enc Encoding, buf []byte) []byte {
-	if enc == EncodingSnapshot {
-		return append(buf, s.Snapshot()...)
-	}
-	return s.EncodeBinary(buf)
 }
 
 // freezeComponents pre-builds every lazily-initialized structure shared

@@ -91,39 +91,3 @@ func TestEncodeBinaryMatchesSnapshotFused(t *testing.T) {
 	// prefix exercises every encoder (dirs, proxies, bridges, channels).
 	checkEncodingBijective(t, sys, 20000)
 }
-
-func TestEncodingModesAgreeOnStateCount(t *testing.T) {
-	progs := [][]spec.CoreReq{
-		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}},
-		{{Op: spec.OpStore, Addr: 1, Value: 1}, {Op: spec.OpLoad, Addr: 0}},
-	}
-	results := map[mcheck.Encoding]*mcheck.Result{}
-	for _, enc := range []mcheck.Encoding{mcheck.EncodingBinary, mcheck.EncodingSnapshot} {
-		sys := mcheck.NewHomogeneous(protocols.MustByName(protocols.NameMSI), 2)
-		sys.SetPrograms(progs)
-		results[enc] = mcheck.Explore(sys, mcheck.Options{Evictions: true, Workers: 1, Encoding: enc})
-	}
-	b, s := results[mcheck.EncodingBinary], results[mcheck.EncodingSnapshot]
-	if b.States != s.States || b.Transitions != s.Transitions {
-		t.Fatalf("encodings disagree: binary %d/%d vs snapshot %d/%d states/transitions",
-			b.States, b.Transitions, s.States, s.Transitions)
-	}
-}
-
-func TestParseEncoding(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want mcheck.Encoding
-		err  bool
-	}{
-		{"", mcheck.EncodingBinary, false},
-		{"binary", mcheck.EncodingBinary, false},
-		{"snapshot", mcheck.EncodingSnapshot, false},
-		{"bogus", mcheck.EncodingBinary, true},
-	} {
-		got, err := mcheck.ParseEncoding(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseEncoding(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-}

@@ -70,10 +70,6 @@ type Options struct {
 	// state, so this holds with the reduction on too); only the exact state
 	// count at truncation depends on scheduling.
 	Workers int
-	// Encoding keys the visited set: EncodingBinary (default, compact and
-	// allocation-lean) or EncodingSnapshot (the human-readable string
-	// form).
-	Encoding Encoding
 	// Symmetry enables scalarset-style symmetry reduction: states are
 	// keyed in the visited set by their canonical representative under
 	// permutations of interchangeable caches (same protocol, same
@@ -82,7 +78,7 @@ type Options struct {
 	// the reduction silently falls back to the exact search. Deadlock
 	// counts and outcome sets are orbit-corrected so they match the
 	// unreduced search; user Invariants must not distinguish
-	// interchangeable caches. Requires EncodingBinary.
+	// interchangeable caches.
 	Symmetry bool
 	// POR selects ample-set partial order reduction (por.go): PORAuto (the
 	// zero value) prunes commuting interleavings whenever that provably
@@ -257,7 +253,7 @@ type expandScratch struct {
 func newSearchCtx(initial *System, opts Options, maxStates int) *searchCtx {
 	ctx := &searchCtx{opts: opts, maxStates: maxStates}
 	if opts.Symmetry {
-		ctx.canon = detectSymmetry(initial, opts)
+		ctx.canon = detectSymmetry(initial)
 	}
 	if opts.POR != POROff && len(opts.Invariants) == 0 && initial.OnDeliver == nil {
 		// Invariants and delivery observers inspect intermediate states,
@@ -305,7 +301,7 @@ func (ctx *searchCtx) encode(s *System, sc *expandScratch, buf []byte) []byte {
 	if ctx.canon != nil {
 		return ctx.canon.canonical(s, &sc.canon, buf)
 	}
-	return encodeState(s, ctx.opts.Encoding, buf)
+	return s.EncodeBinary(buf)
 }
 
 // outcome extracts the litmus outcome of a quiescent state using the

@@ -346,7 +346,7 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 			if !next.Apply(mv) {
 				continue
 			}
-			key := string(encodeState(next, EncodingBinary, nil))
+			key := string(next.EncodeBinary(nil))
 			if _, ok := seen[key]; ok {
 				continue
 			}

@@ -198,14 +198,3 @@ func TestSymmetryDeclinesAsymmetricPrograms(t *testing.T) {
 	}
 	assertSameVerdicts(t, "declined", plain, sym)
 }
-
-// TestSymmetryDeclinesSnapshotEncoding: the reduction requires the binary
-// encoding; under the string snapshot it must turn itself off.
-func TestSymmetryDeclinesSnapshotEncoding(t *testing.T) {
-	sys := homogeneousSystem(t, protocols.NameMESI, 2)
-	res := mcheck.Explore(sys, mcheck.Options{
-		Workers: 1, Symmetry: true, Encoding: mcheck.EncodingSnapshot})
-	if res.SymmetryPerms != 1 {
-		t.Fatalf("snapshot encoding produced group order %d, want 1", res.SymmetryPerms)
-	}
-}

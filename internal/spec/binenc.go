@@ -23,10 +23,9 @@ import "encoding/binary"
 // lexicographically least result; a nil Relabel is the identity, and
 // AppendBinaryRelabeled(buf, nil) equals AppendBinary(buf) byte for byte.
 
-// BinaryAppender is the optional fast-path counterpart of
-// Component.Snapshot: components that implement it append a compact,
-// self-delimiting binary encoding of their state to buf. Components that
-// don't are snapshotted through the string path by the host.
+// BinaryAppender is the binary counterpart of Component.Snapshot: it
+// appends a compact, self-delimiting encoding of the component's state to
+// buf.
 type BinaryAppender interface {
 	AppendBinary(buf []byte) []byte
 }

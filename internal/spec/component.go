@@ -25,6 +25,9 @@ type Component interface {
 	Clone() Component
 	// Snapshot appends a canonical encoding of the component's state.
 	Snapshot(b *SnapshotWriter)
+	// BinaryAppender is Snapshot's compact form: the model checker keys
+	// its visited set by it.
+	BinaryAppender
 	// StateCodec round-trips the component's mutable state through bytes:
 	// the model checker's frontier holds states in this form and expands
 	// successors in place, restoring from it between moves.
