@@ -10,7 +10,6 @@
 //	hgsim                      # full Figure 10 (13 benchmarks × 3 variants)
 //	hgsim -scale 0.25          # quick run with shortened traces
 //	hgsim -bench cilk5-nq      # one benchmark, all three variants
-//	hgsim -compiled            # compiled-table dispatch (identical results)
 //	hgsim -table t.hgcf        # sweep the pair a .hgcf artifact was built for
 //	hgsim -family all          # add the stress trace families
 //	hgsim -pairs               # sweep every Table II protocol pair
@@ -49,8 +48,7 @@ func main() {
 	params := flag.Bool("params", false, "print the simulated system parameters (Table III)")
 	bench := flag.String("bench", "", "run a single benchmark or family point")
 	scale := flag.Float64("scale", 1.0, "trace length scale factor")
-	compiled := flag.Bool("compiled", false, "compiled-table dispatch (dense controller tables; identical results)")
-	table := flag.String("table", "", "sweep the protocol pair a compiled .hgcf artifact was built for (implies -compiled)")
+	table := flag.String("table", "", "sweep the protocol pair a compiled .hgcf artifact was built for")
 	family := flag.String("family", "bench", "parameter points to sweep: bench (Figure 10's 13), stress (trace families), all")
 	pairs := flag.Bool("pairs", false, "also sweep every Table II protocol pair")
 	seeds := flag.Int("seeds", 1, "workload seeds per parameter point")
@@ -60,7 +58,7 @@ func main() {
 	perf.Register(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(opts{params: *params, bench: *bench, scale: *scale, compiled: *compiled,
+	if err := run(opts{params: *params, bench: *bench, scale: *scale,
 		table: *table, family: *family, pairs: *pairs, seeds: *seeds, mesh: *mesh,
 		jsonPath: *jsonPath, perf: perf}); err != nil {
 		fmt.Fprintln(os.Stderr, "hgsim:", err)
@@ -72,7 +70,6 @@ type opts struct {
 	params   bool
 	bench    string
 	scale    float64
-	compiled bool
 	table    string
 	family   string
 	pairs    bool
@@ -109,11 +106,10 @@ type report struct {
 
 func run(o opts) error {
 	cfg := sim.TableIIIMesh(o.mesh)
-	cfg.Compiled = o.compiled
 	defaultPair := sim.DefaultPair()
 	if o.table != "" {
 		// The artifact names the pair: reuse its constituent protocols for
-		// the sweep (compiled dispatch, like the table itself).
+		// the sweep.
 		cf, err := core.LoadArtifactFile(o.table)
 		if err != nil {
 			return err
@@ -129,8 +125,6 @@ func run(o opts) error {
 			}
 		}
 		defaultPair = [2]string{ps[0].Name, ps[1].Name}
-		cfg.Compiled = true
-		o.compiled = true
 	}
 	if o.params {
 		fmt.Println(cfg.Format())
@@ -146,11 +140,7 @@ func run(o opts) error {
 		return runSingle(cfg, o)
 	}
 
-	engine := core.EngineInterpreted
-	if o.compiled {
-		engine = core.EngineCompiled
-	}
-	rep := &report{Schema: "heterogen-bench-sim/v2", Engine: engine,
+	rep := &report{Schema: "heterogen-bench-sim/v2", Engine: core.EngineInterpreted,
 		Runner:  benchmeta.Collect("sweep jobs run on the worker pool (workers 0 = all cores), so wall_seconds scale with the cores recorded here"),
 		Workers: o.perf.Workers, Mesh: o.mesh, Scale: o.scale, Seeds: o.seeds}
 
@@ -163,7 +153,7 @@ func run(o opts) error {
 		wall := time.Since(start).Seconds()
 		rep.Sections = append(rep.Sections, section{Name: name, Pair: pair, Rows: rows,
 			Gmean: gmeans(rows), WallSeconds: wall})
-		fmt.Printf("== %s (%s + %s, %s, %.2fs) ==\n", name, pair[0], pair[1], engine, wall)
+		fmt.Printf("== %s (%s + %s, %s, %.2fs) ==\n", name, pair[0], pair[1], rep.Engine, wall)
 		fmt.Print(sim.FormatFigure10(rows))
 		fmt.Println()
 		return nil

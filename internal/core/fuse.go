@@ -82,34 +82,6 @@ type Fusion struct {
 	Opts     Options
 }
 
-// CompileDispatch lowers every constituent controller table of the fusion
-// — each cluster's cache and directory machine — into dense dispatch
-// arrays (spec.Machine.CompileDense). Simulations over the fusion then
-// resolve deliveries by array indexing instead of interpreted map+scan
-// lookups. This is the per-controller counterpart of Compile: Compile
-// flattens whole merged-directory states into one table for the model
-// checker's bounded state space, while CompileDispatch compiles the
-// controller FSMs themselves so open-ended workloads (whose directory
-// states never recur) still get table dispatch. Call it after Fuse and
-// before the fusion is exercised concurrently; idempotent.
-func (f *Fusion) CompileDispatch() {
-	for _, p := range f.Protocols {
-		p.Cache.CompileDense()
-		p.Dir.CompileDense()
-	}
-}
-
-// DispatchCompiled reports whether CompileDispatch has lowered this
-// fusion's controller tables.
-func (f *Fusion) DispatchCompiled() bool {
-	for _, p := range f.Protocols {
-		if !p.Cache.DenseCompiled() || !p.Dir.DenseCompiled() {
-			return false
-		}
-	}
-	return len(f.Protocols) > 0
-}
-
 // Fuse analyzes and composes the input protocols. Each input keeps its
 // cache controllers unchanged; the result describes the merged directory.
 func Fuse(opts Options, protos ...*spec.Protocol) (*Fusion, error) {

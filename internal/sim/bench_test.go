@@ -8,8 +8,7 @@ import (
 
 // BenchmarkFigure10Matrix is the simulator's layer row: the full-scale
 // 13 × 3 Figure 10 matrix (Table III machine, full-length traces) on one
-// worker, in the interpreted and the compiled dispatch. ns/msg divides the
-// matrix time by the coherence messages it simulated; the time includes
+// worker. ns/msg divides the matrix time by the coherence messages it simulated; the time includes
 // each job's trace generation and fusion, as in a sweep.
 func BenchmarkFigure10Matrix(b *testing.B) {
 	var jobs []Job
@@ -18,24 +17,15 @@ func BenchmarkFigure10Matrix(b *testing.B) {
 			jobs = append(jobs, Job{Pair: DefaultPair(), Params: params, Variant: v})
 		}
 	}
-	for _, engine := range []struct {
-		name     string
-		compiled bool
-	}{{"interpreted", false}, {"compiled", true}} {
-		b.Run(engine.name, func(b *testing.B) {
-			cfg := TableIII()
-			cfg.Compiled = engine.compiled
-			b.ReportAllocs()
-			var msgs uint64
-			for i := 0; i < b.N; i++ {
-				for _, r := range Sweep(cfg, jobs, 1) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-					msgs += r.Stats.Messages
-				}
+	b.ReportAllocs()
+	var msgs uint64
+	for i := 0; i < b.N; i++ {
+		for _, r := range Sweep(TableIII(), jobs, 1) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
-		})
+			msgs += r.Stats.Messages
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 }

@@ -52,11 +52,6 @@ type Config struct {
 	ProxyPool int
 	// MaxCycles aborts runaway simulations.
 	MaxCycles uint64
-	// Compiled selects compiled-table dispatch: the fusion's controller
-	// tables are lowered to dense arrays (core.Fusion.CompileDispatch)
-	// before the run. Results are identical to the interpreted default —
-	// the differential suite pins that — only dispatch cost changes.
-	Compiled bool
 }
 
 // TableIII returns the paper's simulated system parameters, adapted to the

@@ -63,8 +63,7 @@ func RunBenchmark(cfg Config, v Variant, wl *workload.Workload) (*Stats, error) 
 }
 
 // RunBenchmarkPair simulates one benchmark under one variant with the
-// given protocol pair (big cluster, tiny cluster). With cfg.Compiled the
-// fused controller tables are lowered to dense dispatch first.
+// given protocol pair (big cluster, tiny cluster).
 func RunBenchmarkPair(cfg Config, pair [2]string, v Variant, wl *workload.Workload) (*Stats, error) {
 	big, err := protocols.ByName(pair[0])
 	if err != nil {
@@ -77,9 +76,6 @@ func RunBenchmarkPair(cfg Config, pair [2]string, v Variant, wl *workload.Worklo
 	f, err := core.Fuse(core.Options{Handshake: v.Handshake, ProxyPool: cfg.ProxyPool}, big, tiny)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Compiled {
-		f.CompileDispatch()
 	}
 	s, err := New(cfg, f, wl)
 	if err != nil {

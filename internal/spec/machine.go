@@ -95,10 +95,6 @@ type Machine struct {
 	stableSet  map[State]bool
 	sendLocal  bool // see SendLocality
 	invSharers bool // see InvalidatesSharers
-
-	// dense is the compiled dispatch table (see dense.go); nil until
-	// CompileDense. When set, OnMessage and OnCoreOp route through it.
-	dense *DenseMachine
 }
 
 // coreRow is the dense CoreOp-indexed transition row of one state.
@@ -191,9 +187,6 @@ func (m *Machine) StateAt(i int) State {
 // OnCoreOp returns the transition for a core op in the given state, or nil
 // (the core blocks).
 func (m *Machine) OnCoreOp(s State, op CoreOp) *Transition {
-	if m.dense != nil {
-		return m.dense.onCoreOp(s, op)
-	}
 	m.buildIndex()
 	if row := m.coreRows[s]; row != nil && int(op) < len(row) {
 		return row[op]
@@ -214,9 +207,6 @@ type MsgCtx struct {
 // unconditional ones; ctx carries the directory-line facts conditions need
 // (caches pass the zero MsgCtx).
 func (m *Machine) OnMessage(s State, msg *Msg, ctx MsgCtx) *Transition {
-	if m.dense != nil {
-		return m.dense.onMessage(s, msg, ctx)
-	}
 	m.buildIndex()
 	rows := m.index[s][msg.Type]
 	var fallback *Transition
