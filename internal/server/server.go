@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,6 +139,15 @@ func (s *Server) run(j *Job) {
 	s.jobsRun.Add(1)
 	log := s.log.With("job", j.ID, "kind", string(j.Kind))
 	log.Info("job started")
+	// A panic in an engine call (a component bug, or one re-raised from a
+	// search worker) fails this job; the worker goes on to the next.
+	defer func() {
+		if r := recover(); r != nil {
+			log.Error("job panicked", "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+			s.jobs.finish(j, nil, nil, fmt.Errorf("internal error: %v", r))
+			log.Info("job finished", "state", string(s.jobs.state(j)))
+		}
+	}()
 	ctx := j.runCtx
 	hooks := engine.Hooks{
 		ProgressEvery: s.cfg.ProgressEvery,

@@ -320,3 +320,22 @@ func TestWorkerBudgetClamp(t *testing.T) {
 		t.Errorf("spill imposed on a request that declined it: %q", got)
 	}
 }
+
+// TestPanickingJobFailsOnlyThatJob: a panic inside a job's run fails that
+// job with an internal error, and the worker goes on to run the next job.
+// A check job carrying a litmus request panics in run's type assertion.
+func TestPanickingJobFailsOnlyThatJob(t *testing.T) {
+	srv, ts := testServer(t, Config{JobWorkers: 1})
+	bad, err := srv.Submit(KindCheck, &engine.LitmusRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := waitState(t, ts, bad.ID, StateFailed)
+	var msg string
+	json.Unmarshal(m["error"], &msg)
+	if !strings.HasPrefix(msg, "internal error: ") || !strings.Contains(msg, "*engine.LitmusRequest") {
+		t.Fatalf("panicking job error %q, want the internal error from the type assertion", msg)
+	}
+	id := postJob(t, ts, `{"check":{"protocol":"MSI","caches":2,"addrs":1,"search":{"workers":1}}}`)
+	waitState(t, ts, id, StateDone)
+}
