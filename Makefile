@@ -69,19 +69,19 @@ bench-por:
 	BENCH_POR_OUT=BENCH_POR.json $(GO) test -run XXX -bench 'BenchmarkExplorePOR' -benchtime 1x -timeout 30m .
 
 # Regenerate BENCH_COMPILE.json (schema v3): the §VII-C search through the
-# interpreted composite, table extraction (memoized, non-memoized and
-# warm-started), compile+check, the dispatch-only precompiled check, and
-# the .hgcf artifact lifecycle (serialize, cold load, cold load + check).
+# interpreted composite, table extraction (memoized and non-memoized),
+# compile+check, the dispatch-only precompiled check, and the .hgcf
+# artifact lifecycle (serialize, cold load, cold load + check).
 bench-compile:
 	BENCH_COMPILE_OUT=BENCH_COMPILE.json $(GO) test -run XXX -bench 'BenchmarkCompile' -benchtime 1x -timeout 30m .
 
-# Regenerate BENCH_SIM.json: the full-scale Figure 10 sweep (compiled
-# dispatch), the stress trace families and the Table II pair sweep, all
-# through the parallel scenario runner. The figure10 section records the
-# wall-clock against the pre-optimization sequential engine's measured
-# baseline (see EXPERIMENTS.md §VIII).
+# Regenerate BENCH_SIM.json: the full-scale Figure 10 sweep, the stress
+# trace families and the Table II pair sweep, all through the parallel
+# scenario runner. The figure10 section records the wall-clock against the
+# pre-optimization sequential engine's measured baseline (see
+# EXPERIMENTS.md §VIII).
 bench-sim:
-	$(GO) run ./cmd/hgsim -compiled -family all -pairs -json BENCH_SIM.json
+	$(GO) run ./cmd/hgsim -family all -pairs -json BENCH_SIM.json
 
 # Regenerate every BENCH_*.json in one (long) sitting: all the bench-*
 # targets above, each writing through its BENCH_*_OUT variable. Hours of
