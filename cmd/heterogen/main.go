@@ -67,6 +67,7 @@ type cliConfig struct {
 	out        string
 	compileOut string
 	compileIn  string
+	cache      string
 	progress   time.Duration
 	search     cliopts.Search
 }
@@ -89,6 +90,7 @@ func main() {
 	flag.StringVar(&cfg.out, "o", "", "write -emit/-export output to this file instead of stdout")
 	flag.StringVar(&cfg.compileOut, "compile-out", "", "serialize the compiled table to this .hgcf artifact file")
 	flag.StringVar(&cfg.compileIn, "compile-in", "", "load a compiled table from this .hgcf artifact instead of compiling")
+	flag.StringVar(&cfg.cache, "compile-cache", "", "cache compiled-table artifacts in this directory, keyed by (pair, config) digest (skips re-extraction)")
 	flag.DurationVar(&cfg.progress, "progress", 0, "log extraction-search progress every interval during a compile (e.g. 10s; 0 = silent)")
 	cfg.search.Register(flag.CommandLine)
 	flag.Parse()
@@ -200,6 +202,7 @@ func run(ctx context.Context, cfg cliConfig) error {
 				Full:      cfg.full,
 				Search:    cfg.search.Engine(),
 			}
+			req.Search.CompileCache = cfg.cache
 			hooks := engine.Hooks{
 				OnCompiled: func(name string, stats core.CompileStats) {
 					fmt.Fprintf(os.Stderr, "heterogen: %s: %s\n", name, stats)

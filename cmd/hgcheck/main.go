@@ -10,9 +10,6 @@
 //	hgcheck -pair MESI,RCC-O -caches 2         # fused, 2 caches per cluster
 //	hgcheck -pair MESI,RCC-O -caches 2 -mem 512MiB -spill-dir /tmp -progress 10s
 //	hgcheck -pair MESI,RCC-O -caches 2 -por=0   # full unreduced interleaving space
-//	hgcheck -pair MESI,RCC-O -compiled          # check the compiled flat table
-//	hgcheck -pair MESI,RCC-O -compiled -compile-cache ~/.cache/hg
-//	                                   # reuse the digest-keyed artifact cache
 //	hgcheck -table t.hgcf              # check a serialized artifact's own config
 //	hgcheck -pair MESI,RCC-O -table t.hgcf  # ... digest-checked against the flags
 //	hgcheck -pair MESI,RCC-O -timeout 30s   # cancel after 30s, print the partial result
@@ -46,7 +43,6 @@ type checkConfig struct {
 	bitstate    bool
 	memBudget   int64
 	maxStates   int
-	compiled    bool
 	table       string
 	jsonOut     bool
 	progress    time.Duration
@@ -63,7 +59,6 @@ func main() {
 	flag.BoolVar(&cfg.bitstate, "bitstate", false, "use bitstate (Bloom-filter supertrace) state storage; overrides -hash")
 	mem := flag.String("mem", "", "visited-set memory budget, e.g. 512MiB or 2GiB (default: 8GiB table cap / 64MiB bitstate filter)")
 	flag.IntVar(&cfg.maxStates, "max-states", engine.DefaultCheckMaxStates, "state budget")
-	flag.BoolVar(&cfg.compiled, "compiled", false, "compile the fused directory to a flat table first and check that (-pair only)")
 	flag.StringVar(&cfg.table, "table", "", "check a compiled-table .hgcf artifact (alone: its baked config; with -pair: digest-checked against the flags)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "print the result as JSON on stdout (diagnostics stay on stderr)")
 	flag.DurationVar(&cfg.progress, "progress", 0, "log states/sec, frontier depth, load factor and heap every interval (e.g. 10s; 0 = silent)")
@@ -100,7 +95,6 @@ func (cfg checkConfig) request() (engine.CheckRequest, error) {
 		Protocol: cfg.proto,
 		Caches:   cfg.caches,
 		Addrs:    cfg.addrs,
-		Compiled: cfg.compiled,
 		Table:    cfg.table,
 		Search:   cfg.search.Engine(),
 	}

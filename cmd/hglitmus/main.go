@@ -13,9 +13,6 @@
 //	hglitmus -shape MP,SB            # selected shapes
 //	hglitmus -all-allocs -evict      # every allocation, with replacements
 //	hglitmus -workers 1              # sequential (deterministic timing)
-//	hglitmus -pair MESI,RCC-O -compiled  # check the compiled flat tables
-//	hglitmus -pair MESI,RCC-O -table ~/.cache/hg  # compiled, with per-test
-//	                                  # artifacts cached by content digest
 //	hglitmus -timeout 2m             # stop after 2m, report completed tests
 //
 // ^C (or -timeout) cancels the run cooperatively: completed verdicts
@@ -44,8 +41,6 @@ func main() {
 	allAllocs := flag.Bool("all-allocs", false, "every thread→cluster allocation (default: heterogeneous only)")
 	evict := flag.Bool("evict", false, "explore replacements at any time")
 	maxThreads := flag.Int("max-threads", 3, "skip shapes with more threads (IRIW=4 is expensive)")
-	compiled := flag.Bool("compiled", false, "check each test against the fusion's compiled flat table instead of the interpreted composite")
-	table := flag.String("table", "", "content-addressed compiled-table cache directory for the per-test artifacts (implies -compiled)")
 	verdicts := flag.Bool("verdicts", false, "print the axiomatic forbidden/allowed matrix and exit")
 	search := cliopts.DefaultSearch()
 	search.Register(flag.CommandLine)
@@ -65,7 +60,6 @@ func main() {
 		MaxThreads:     *maxThreads,
 		AllAllocations: *allAllocs,
 		Evictions:      *evict,
-		Compiled:       *compiled || *table != "",
 		Search:         search.Engine(),
 	}
 	if *pairFlag != "" {
@@ -78,11 +72,6 @@ func main() {
 	}
 	if *shapeFlag != "" {
 		req.Shapes = strings.Split(*shapeFlag, ",")
-	}
-	if *table != "" {
-		// -table names the per-test artifact cache; it shares the
-		// engine's compile-cache field.
-		req.Search.CompileCache = *table
 	}
 	if *fileFlag != "" {
 		src, err := os.ReadFile(*fileFlag)

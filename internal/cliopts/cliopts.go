@@ -1,7 +1,7 @@
 // Package cliopts centralizes the model-checker search flags shared by the
 // hgcheck, hglitmus and heterogen commands: worker counts, visited-set
-// storage and encoding, the symmetry and partial-order reductions, frontier
-// spilling and pprof profiling. Each command seeds a Search with its own
+// storage, the symmetry and partial-order reductions, frontier spilling,
+// timeouts and pprof profiling. Each command seeds a Search with its own
 // defaults, registers the flags once, and resolves the parsed values
 // through the same helpers — so a flag spelled -symmetry means the same
 // thing everywhere.
@@ -38,9 +38,6 @@ type Search struct {
 	POR bool
 	// SpillDir is -spill-dir: frontier overflow directory ("" = in-memory).
 	SpillDir string
-	// CompileCache is -compile-cache: a content-addressed compiled-table
-	// artifact cache directory ("" = compile in-process every time).
-	CompileCache string
 	// Timeout is -timeout: a wall-clock bound on the run (0 = none). The
 	// search is cancelled cooperatively when it fires, and the command
 	// prints the partial result it has.
@@ -58,7 +55,6 @@ func (s *Search) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Symmetry, "symmetry", s.Symmetry, "canonicalize states under cache-permutation symmetry")
 	fs.BoolVar(&s.POR, "por", s.POR, "ample-set partial order reduction (-por=0 forces the full interleaving space)")
 	fs.StringVar(&s.SpillDir, "spill-dir", s.SpillDir, "spill frontier overflow to temp files under this directory (bounds BFS memory)")
-	fs.StringVar(&s.CompileCache, "compile-cache", s.CompileCache, "cache compiled-table artifacts in this directory, keyed by (pair, config) digest (skips re-extraction)")
 	fs.DurationVar(&s.Timeout, "timeout", s.Timeout, "cancel the run after this long and print the partial result (e.g. 30s; 0 = no limit)")
 	fs.StringVar(&s.CPUProfile, "cpuprofile", s.CPUProfile, "write a pprof CPU profile to this file")
 	fs.StringVar(&s.MemProfile, "memprofile", s.MemProfile, "write a pprof heap profile to this file on exit")
@@ -109,12 +105,11 @@ func SignalContext(timeout time.Duration) (context.Context, context.CancelFunc) 
 // one spot where flag spellings meet the structured API.
 func (s *Search) Engine() engine.SearchOptions {
 	return engine.SearchOptions{
-		Workers:      s.Workers,
-		Hash:         s.Hash,
-		Symmetry:     s.Symmetry,
-		NoPOR:        !s.POR,
-		SpillDir:     s.SpillDir,
-		CompileCache: s.CompileCache,
+		Workers:  s.Workers,
+		Hash:     s.Hash,
+		Symmetry: s.Symmetry,
+		NoPOR:    !s.POR,
+		SpillDir: s.SpillDir,
 	}
 }
 
@@ -133,8 +128,8 @@ func ProgressPrinter(w io.Writer) func(mcheck.Progress) {
 }
 
 // EngineProgressPrinter adapts ProgressPrinter to the engine's hook: the
-// same line for both phases, so a compiled check's extraction reports
-// read exactly as they did when the commands drove mcheck directly.
+// same line for both phases, so a compile's extraction reports read
+// exactly like a check's search reports.
 func EngineProgressPrinter(w io.Writer) func(engine.Progress) {
 	pp := ProgressPrinter(w)
 	return func(p engine.Progress) { pp(p.Progress) }

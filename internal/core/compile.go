@@ -46,6 +46,10 @@ import (
 // same dense arrays are what the on-disk artifact (artifact.go) serializes
 // verbatim.
 //
+// Every fused deadlock and litmus search runs on the same growing table
+// the extraction uses (FusedSystem): one per search, seeded empty, grown
+// on each miss and never finalized.
+//
 // The compiled artifact drives every downstream layer:
 //
 //   - CompiledFusion.System() builds a model-checkable system in which the
@@ -63,12 +67,13 @@ import (
 //     on-disk form; LoadArtifact* rebuilds a working CompiledFusion from
 //     those bytes without re-running the extraction search (artifact.go).
 //
-// Soundness: the interpreted composite stays the oracle. Whenever the
-// compiled table is asked for a (state, message) pair the extraction never
-// saw — a configuration mismatch — CompiledDir panics rather than guessing,
-// and re-recording a pair with a conflicting outcome fails compilation
-// (it would mean the binary state encoding is not injective over reachable
-// states, the property the visited set already relies on).
+// Soundness: the interpreted composite stays the oracle. Whenever a
+// finished compiled table is asked for a (state, message) pair the
+// extraction never saw — a configuration mismatch — CompiledDir panics
+// rather than guessing, and re-recording a pair with a conflicting
+// outcome fails compilation (it would mean the binary state encoding is
+// not injective over reachable states, the property the visited set
+// already relies on).
 
 // Engine labels name the directory-evaluation strategy of a system, carried
 // through mcheck.Result and the CLIs so logs and benchmark JSON are
@@ -294,6 +299,37 @@ func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.S
 	return cf, sys
 }
 
+// growingSystem builds the system for cfg with its merged directory
+// swapped for a CompiledDir over a fresh growing table, and returns the
+// table's owner and compiler alongside it.
+func growingSystem(f *Fusion, cfg CompileConfig, memo bool) (*CompiledFusion, *compiler, *mcheck.System) {
+	cf, sys := newCompiledFusion(f, cfg)
+	c := newCompiler(cf, memo)
+	// Intern the initial directory state first: CompiledDir starts at
+	// index 0.
+	c.intern(cf.layout.Merged)
+	if err := sys.SwapComponent(cf.mergedIdx, &CompiledDir{cf: cf, mem: sys.Mem, grow: c}); err != nil {
+		panic(err.Error())
+	}
+	sys.SetEngine(EngineCompiled)
+	return cf, c, sys
+}
+
+// FusedSystem builds the system every fused search runs on:
+// cachesPerCluster caches of each cluster's protocol driven by programs
+// (cluster-major, as BuildSystem), served by a CompiledDir over a fresh
+// growing table. A (state, message) pair the table holds replays; a miss
+// runs the interpreted MergedDir once and records the outcome, so the
+// search reports exactly what the interpreted composite would, at
+// table speed. The table keeps every distinct directory state it meets
+// and is not bounded by the visited set's memory budget. A stalled
+// delivery that sends, which fails a compile, stalls here just as it does
+// in the interpreted search.
+func FusedSystem(f *Fusion, cachesPerCluster []int, programs [][]spec.CoreReq) *mcheck.System {
+	_, _, sys := growingSystem(f, CompileConfig{CachesPerCluster: cachesPerCluster, Programs: programs}, true)
+	return sys
+}
+
 // Compile lowers f into a flat transition table for the given
 // configuration by exhaustively exploring the system with a growing
 // CompiledDir in place of the merged directory (misses run the
@@ -309,15 +345,7 @@ func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 // a table.
 func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	start := time.Now()
-	cf, sys := newCompiledFusion(f, cfg)
-	c := newCompiler(cf, !cfg.NoMemo)
-	// Intern the initial directory state first: CompiledDir starts at
-	// index 0.
-	c.intern(cf.layout.Merged)
-	if err := sys.SwapComponent(cf.mergedIdx, &CompiledDir{cf: cf, mem: sys.Mem, grow: c}); err != nil {
-		panic(err.Error())
-	}
-
+	cf, c, sys := growingSystem(f, cfg, !cfg.NoMemo)
 	res := mcheck.ExploreCtx(ctx, sys, mcheck.Options{
 		Evictions: cfg.Evictions, MaxStates: cfg.MaxStates,
 		Workers:       cfg.Workers,

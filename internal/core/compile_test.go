@@ -30,10 +30,11 @@ func sameStrings(a, b []string) bool {
 	return true
 }
 
-// requireAgreement explores the interpreted composite, the freshly
-// compiled table, AND the table after a serialize → load round trip
-// through the binary artifact, all under identical options, and fails
-// unless every observable the differential contract covers agrees:
+// requireAgreement explores the interpreted composite, the growing table
+// every fused search runs on, the freshly compiled table, AND the table
+// after a serialize → load round trip through the binary artifact, all
+// under identical options, and fails unless every observable the
+// differential contract covers agrees:
 // reachable-state and transition counts, deadlock count, outcome sets, and
 // the symmetry group order the checker settled on. DeadlockAt is
 // deliberately excluded (parallel search order is nondeterministic).
@@ -66,6 +67,21 @@ func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Op
 	}
 	if lk, ck := outcomeKeys(lres), outcomeKeys(cres); !sameStrings(lk, ck) {
 		t.Errorf("%s: loaded-artifact outcome set differs:\n  compiled: %v\n  loaded:   %v", f.Name(), ck, lk)
+	}
+
+	gres := mcheck.Explore(FusedSystem(f, cfg.CachesPerCluster, cfg.Programs), opts)
+	if gres.Engine != EngineCompiled {
+		t.Errorf("%s: growing-table run labeled %q", f.Name(), gres.Engine)
+	}
+	if gres.States != ires.States || gres.Transitions != ires.Transitions ||
+		gres.Deadlocks != ires.Deadlocks || gres.Truncated != ires.Truncated ||
+		gres.SymmetryPerms != ires.SymmetryPerms {
+		t.Errorf("%s: growing table diverges from interpreted: %d/%d states, %d/%d transitions, %d/%d deadlocks, truncated %v/%v, symmetry ×%d/×%d",
+			f.Name(), gres.States, ires.States, gres.Transitions, ires.Transitions, gres.Deadlocks, ires.Deadlocks,
+			gres.Truncated, ires.Truncated, gres.SymmetryPerms, ires.SymmetryPerms)
+	}
+	if ik, gk := outcomeKeys(ires), outcomeKeys(gres); !sameStrings(ik, gk) {
+		t.Errorf("%s: growing-table outcome set differs:\n  interpreted: %v\n  growing:     %v", f.Name(), ik, gk)
 	}
 
 	if ires.Engine != EngineInterpreted {

@@ -5,7 +5,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"heterogen/internal/core"
@@ -21,9 +20,10 @@ const DefaultCheckMaxStates = 8 << 20
 // Protocol, Pair or Table (alone) selects the system:
 //
 //   - Protocol: a homogeneous system of Caches caches.
-//   - Pair: a fused heterogeneous system, Caches caches per cluster;
-//     Compiled first compiles the fused directory to a flat table, and
-//     Table digest-checks a serialized artifact against the request.
+//   - Pair: a fused heterogeneous system, Caches caches per cluster,
+//     searched over a growing compiled table (core.FusedSystem); with
+//     Table, a serialized artifact digest-checked against the request is
+//     searched instead.
 //   - Table alone: a standalone artifact check under the table's own
 //     baked configuration.
 type CheckRequest struct {
@@ -37,9 +37,6 @@ type CheckRequest struct {
 	Caches int `json:"caches,omitempty"`
 	// Addrs is the address count of the driver workload; 0 = 2.
 	Addrs int `json:"addrs,omitempty"`
-	// Compiled compiles the fused directory to a flat table first and
-	// checks that (Pair only).
-	Compiled bool `json:"compiled,omitempty"`
 	// Table is a compiled-table .hgcf artifact path: alone it supplies
 	// the whole configuration, with Pair it is digest-checked against
 	// the request.
@@ -49,14 +46,13 @@ type CheckRequest struct {
 }
 
 // CheckResult is the outcome of a check: the search result under the
-// resolved system's name, plus the compile stats when a compiled table
-// was involved.
+// resolved system's name, plus the compile stats when a serialized
+// artifact was loaded.
 type CheckResult struct {
 	// Name identifies the checked system (protocol or fusion name).
 	Name string `json:"name"`
 	mcheck.Result
-	// Compile reports the table's provenance for compiled checks
-	// (Source distinguishes a fresh extraction from a cache hit).
+	// Compile reports the loaded artifact's provenance for Table checks.
 	Compile *core.CompileStats `json:"compile,omitempty"`
 }
 
@@ -120,26 +116,22 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 	}
 
 	var sys *mcheck.System
+	var cf *core.CompiledFusion // the loaded artifact of a Table check
 	var name string
-	var compileStats *core.CompileStats
+	var err error
 	evictions := true
 	switch {
 	case req.Table != "" && len(req.Pair) == 0 && req.Protocol == "":
 		// Standalone artifact check: the table's own baked configuration
 		// (programs, caches, evictions) defines the search.
-		cf, err := core.LoadArtifactFile(req.Table)
-		if err != nil {
+		if cf, err = core.LoadArtifactFile(req.Table); err != nil {
 			return nil, err
 		}
-		stats := cf.Stats()
-		compileStats = &stats
-		hooks.compiled(cf.Fusion().Name(), stats)
-		sys = cf.System()
 		name = cf.Fusion().Name()
 		evictions = cf.Config().Evictions
 	case req.Protocol != "":
-		if req.Compiled || req.Table != "" {
-			return nil, fmt.Errorf("compiled/table checks apply to fused pairs, not homogeneous protocols")
+		if req.Table != "" {
+			return nil, fmt.Errorf("table checks apply to fused pairs, not homogeneous protocols")
 		}
 		p, err := resolveProtocol(req.Protocol, req.Spec)
 		if err != nil {
@@ -157,56 +149,29 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 		if err != nil {
 			return nil, err
 		}
-		progs := CheckDriver(2*caches, addrs, req.Search.Symmetry)
-		ccfg := core.CompileConfig{
-			CachesPerCluster: []int{caches, caches},
-			Programs:         progs,
-			Evictions:        true,
-			MaxStates:        req.Search.MaxStates,
-			Workers:          req.Search.Workers,
-			ProgressEvery:    hooks.ProgressEvery,
-			OnProgress:       hooks.searchProgress("extract"),
-			MemPool:          hooks.MemPool,
-		}
-		switch {
-		case req.Table != "":
-			// Artifact against explicit request: the stored digest must
-			// match the requested (pair, config) or the load fails up
-			// front.
-			cf, err := core.LoadArtifactFileFor(req.Table, f, ccfg)
-			if err != nil {
-				return nil, err
-			}
-			stats := cf.Stats()
-			compileStats = &stats
-			hooks.compiled(f.Name(), stats)
-			sys = cf.System()
-		case req.Compiled:
-			cf, _, err := core.CompileOrLoadCtx(ctx, f, ccfg, req.Search.CompileCache)
-			if errors.Is(err, core.ErrCompileCancelled) {
-				// Cancelled before the search even started: a partial
-				// result with nothing searched, not a request error.
-				return &CheckResult{
-					Name:   f.Name(),
-					Result: mcheck.Result{Cancelled: true, MaxStates: req.Search.MaxStates},
-				}, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			stats := cf.Stats()
-			compileStats = &stats
-			hooks.compiled(f.Name(), stats)
-			sys = cf.System()
-		default:
-			sys, _ = core.BuildSystem(f, []int{caches, caches})
-			sys.SetPrograms(progs)
-		}
 		name = f.Name()
+		progs := CheckDriver(2*caches, addrs, req.Search.Symmetry)
+		if req.Table == "" {
+			sys = core.FusedSystem(f, []int{caches, caches}, progs)
+			break
+		}
+		// Artifact against explicit request: the stored digest must
+		// match the requested (pair, config) or the load fails up front.
+		if cf, err = core.LoadArtifactFileFor(req.Table, f, core.CompileConfig{
+			CachesPerCluster: []int{caches, caches}, Programs: progs, Evictions: true,
+		}); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("check request selects nothing: set protocol, pair or table")
 	}
 
+	var compileStats *core.CompileStats
+	if cf != nil {
+		stats := cf.Stats()
+		hooks.compiled(name, stats)
+		sys, compileStats = cf.System(), &stats
+	}
 	res := mcheck.ExploreCtx(ctx, sys, req.Search.mcheckOptions(hooks, evictions))
 	return &CheckResult{Name: name, Result: *res, Compile: compileStats}, nil
 }

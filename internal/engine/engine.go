@@ -47,7 +47,7 @@ type SearchOptions struct {
 	// directory ("" = in-memory frontier).
 	SpillDir string `json:"spill_dir,omitempty"`
 	// CompileCache is the content-addressed compiled-table artifact cache
-	// directory ("" = compile in-process every time).
+	// directory of compile requests ("" = compile in-process every time).
 	CompileCache string `json:"compile_cache,omitempty"`
 }
 
@@ -60,9 +60,8 @@ func (s SearchOptions) PORMode() mcheck.PORMode {
 }
 
 // Progress is a hook report tagged with the phase that produced it:
-// "search" for the verification search itself, "extract" for the
-// extraction search behind a compile. A compiled check emits "extract"
-// reports first, then "search" reports, on one callback.
+// "search" for a check or litmus search, "extract" for the extraction
+// search behind a compile request.
 type Progress struct {
 	Phase string
 	mcheck.Progress

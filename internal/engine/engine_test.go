@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"heterogen/internal/core"
@@ -40,6 +41,41 @@ func TestCheckMatchesDirect(t *testing.T) {
 	})
 	if res.States != direct.States || res.Transitions != direct.Transitions || res.Deadlocks != direct.Deadlocks {
 		t.Fatalf("engine diverged from direct search:\n engine %s\n direct %s", &res.Result, direct)
+	}
+
+	// A pair searches the growing table; the direct interpreted
+	// composite is its oracle.
+	pres, err := Check(context.Background(), CheckRequest{
+		Pair:   []string{"MSI", "RCC"},
+		Caches: 1,
+		Addrs:  1,
+		Search: SearchOptions{Workers: 1, Hash: true},
+	}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pres.Engine != core.EngineCompiled {
+		t.Errorf("pair check labeled %q, want %q", pres.Engine, core.EngineCompiled)
+	}
+	f, err := core.Fuse(core.Options{}, protocols.MustByName(protocols.NameMSI), protocols.MustByName(protocols.NameRCC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	isys, _ := core.BuildSystem(f, []int{1, 1})
+	isys.SetPrograms(CheckDriver(2, 1, false))
+	idirect := mcheck.Explore(isys, mcheck.Options{
+		Evictions: true, HashCompaction: true, Workers: 1,
+		MaxStates: DefaultCheckMaxStates, POR: mcheck.PORAuto,
+	})
+	if pres.States != idirect.States || pres.Transitions != idirect.Transitions ||
+		pres.Deadlocks != idirect.Deadlocks || pres.Truncated != idirect.Truncated {
+		t.Fatalf("pair check diverged from the interpreted search:\n engine %s\n direct %s", &pres.Result, idirect)
+	}
+	got, want := pres.Outcomes.Keys(), idirect.Outcomes.Keys()
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("pair check outcomes differ:\n engine %v\n direct %v", got, want)
 	}
 }
 

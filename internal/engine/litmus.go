@@ -34,11 +34,7 @@ type LitmusRequest struct {
 	AllAllocations bool `json:"all_allocations,omitempty"`
 	// Evictions explores replacements at any time.
 	Evictions bool `json:"evictions,omitempty"`
-	// Compiled checks each test against the fusion's compiled flat
-	// table instead of the interpreted composite.
-	Compiled bool `json:"compiled,omitempty"`
-	// Search carries the shared search knobs (CompileCache doubles as
-	// the per-test artifact cache under Compiled).
+	// Search carries the shared search knobs.
 	Search SearchOptions `json:"search,omitempty"`
 }
 
@@ -77,8 +73,6 @@ func (req *LitmusRequest) options(hooks Hooks) litmus.Options {
 		Symmetry:       req.Search.Symmetry,
 		POR:            req.Search.PORMode(),
 		SpillDir:       req.Search.SpillDir,
-		Compiled:       req.Compiled,
-		TableCache:     req.Search.CompileCache,
 		MemPool:        hooks.MemPool,
 	}
 }

@@ -1,16 +1,31 @@
 package litmus
 
 import (
-	"os"
+	"context"
 	"sort"
 	"testing"
 
 	"heterogen/internal/core"
+	"heterogen/internal/mcheck"
 	"heterogen/internal/protocols"
+	"heterogen/internal/spec"
 )
 
-// TestCompiledLitmusAgreement pins the compiled engine against the
-// interpreted one on the headline pair: for MP and SB under every
+// interpretedSystem builds the interpreted composite a fused test would
+// search — the oracle the growing table is held to.
+func interpretedSystem(f *core.Fusion, cachesPerCluster []int, programs [][]spec.CoreReq) *mcheck.System {
+	sys, _ := core.BuildSystem(f, cachesPerCluster)
+	sys.SetPrograms(programs)
+	return sys
+}
+
+// runInterpreted is RunFused over the interpreted composite.
+func runInterpreted(f *core.Fusion, shape Shape, assign []int, opts Options) *Result {
+	return runFused(context.Background(), f, shape, assign, opts, interpretedSystem)
+}
+
+// TestCompiledLitmusAgreement pins RunFused's growing table against the
+// interpreted composite on the headline pair: for MP and SB under every
 // heterogeneous allocation, the two engines must produce the same states,
 // outcome counts, bad-outcome sets, deadlocks and verdict flags.
 func TestCompiledLitmusAgreement(t *testing.T) {
@@ -21,8 +36,8 @@ func TestCompiledLitmusAgreement(t *testing.T) {
 			t.Fatalf("unknown shape %s", name)
 		}
 		for _, assign := range Allocations(len(shape.Prog().Threads), 2, false) {
-			ir := RunFused(f, shape, assign, Options{})
-			cr := RunFused(f, shape, assign, Options{Compiled: true})
+			ir := runInterpreted(f, shape, assign, Options{})
+			cr := RunFused(f, shape, assign, Options{})
 			if ir.Engine != core.EngineInterpreted {
 				t.Errorf("%s %v: interpreted run labeled %q", name, assign, ir.Engine)
 			}
@@ -64,7 +79,7 @@ func TestCompiledLitmusAgreement(t *testing.T) {
 }
 
 // TestCompiledLitmusEvictions runs one shape with eviction exploration on
-// to cover the compiled eviction moves end to end.
+// to cover the growing table's eviction moves end to end.
 func TestCompiledLitmusEvictions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -72,41 +87,10 @@ func TestCompiledLitmusEvictions(t *testing.T) {
 	f := fuse(t, protocols.NameRCC, protocols.NameRCC)
 	shape, _ := ShapeByName("MP")
 	for _, assign := range Allocations(2, 2, false) {
-		ir := RunFused(f, shape, assign, Options{Evictions: true})
-		cr := RunFused(f, shape, assign, Options{Evictions: true, Compiled: true})
+		ir := runInterpreted(f, shape, assign, Options{Evictions: true})
+		cr := RunFused(f, shape, assign, Options{Evictions: true})
 		if cr.States != ir.States || cr.Outcomes != ir.Outcomes || cr.Pass() != ir.Pass() {
 			t.Errorf("MP %v evictions: compiled %s vs interpreted %s", assign, cr, ir)
 		}
-	}
-}
-
-// TestCompiledLitmusTableCache pins the content-addressed table cache: a
-// cached compiled run must populate the directory with one artifact per
-// test configuration, and a second run over the warm cache must reproduce
-// the cold run's verdicts exactly while loading every table.
-func TestCompiledLitmusTableCache(t *testing.T) {
-	f := fuse(t, protocols.NameMESI, protocols.NameRCCO)
-	shape, _ := ShapeByName("MP")
-	cache := t.TempDir()
-	assign := Allocations(len(shape.Prog().Threads), 2, false)[0]
-
-	cold := RunFused(f, shape, assign, Options{TableCache: cache})
-	if cold.Engine != core.EngineCompiled {
-		t.Fatalf("TableCache run labeled %q — should imply the compiled engine", cold.Engine)
-	}
-	entries, err := os.ReadDir(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("cold run left %d cache entries, want 1", len(entries))
-	}
-	warm := RunFused(f, shape, assign, Options{TableCache: cache})
-	if warm.States != cold.States || warm.Outcomes != cold.Outcomes ||
-		warm.Deadlocks != cold.Deadlocks || warm.Pass() != cold.Pass() {
-		t.Errorf("warm cache run diverges: %s vs %s", warm, cold)
-	}
-	if warm.Elapsed <= 0 {
-		t.Error("warm run did not report elapsed time")
 	}
 }

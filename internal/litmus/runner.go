@@ -2,7 +2,6 @@ package litmus
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -63,18 +62,6 @@ type Options struct {
 	// (mcheck.Options.SpillDir): non-empty bounds each test's frontier
 	// memory by spilling BFS waves to files under the directory.
 	SpillDir string
-	// Compiled checks each test against the fusion's compiled flat table
-	// (core.Compile) instead of the interpreted composite directory: the
-	// fusion is compiled per test configuration (caches and programs), then
-	// the search runs over the table transducer. Verdicts are identical by
-	// the compiler's differential contract; the table pays one extraction
-	// up front for cheap table-lookup deliveries during the search.
-	Compiled bool
-	// TableCache names a content-addressed compiled-table cache directory
-	// (core.CompileOrLoad): each test configuration's artifact is keyed by
-	// its (pair, CompileConfig) digest, so re-running a compiled suite
-	// loads every table instead of re-extracting it. Implies Compiled.
-	TableCache string
 	// MemPool forwards a shared visited-set memory accountant to every
 	// test's search (mcheck.Options.MemPool), so a suite — or a server
 	// running several suites — draws all its searches from one budget.
@@ -219,9 +206,15 @@ func RunFused(f *core.Fusion, shape Shape, assign []int, opts Options) *Result {
 }
 
 // RunFusedCtx is RunFused under a context: cancellation stops the test's
-// exploration (and any in-flight table compile) cooperatively and returns
-// a Result marked Cancelled.
+// exploration cooperatively and returns a Result marked Cancelled.
 func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int, opts Options) *Result {
+	return runFused(ctx, f, shape, assign, opts, core.FusedSystem)
+}
+
+// runFused runs one fused test on the system build makes for the
+// per-cluster cache counts and the cluster-major core programs.
+func runFused(ctx context.Context, f *core.Fusion, shape Shape, assign []int, opts Options,
+	build func(f *core.Fusion, cachesPerCluster []int, programs [][]spec.CoreReq) *mcheck.System) *Result {
 	p := shape.Prog()
 	ap, progsByThread, keysByThread, addrs := Translate(p, f.Compound, assign)
 
@@ -229,9 +222,7 @@ func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int,
 	for _, c := range assign {
 		perCluster[c]++
 	}
-	sys, layout := core.BuildSystem(f, perCluster)
-
-	// BuildSystem is cluster-major; scatter thread programs onto cores.
+	// Systems are cluster-major; scatter thread programs onto cores.
 	progs := make([][]spec.CoreReq, len(assign))
 	keys := make([][]string, len(assign))
 	base := make([]int, len(perCluster))
@@ -246,8 +237,7 @@ func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int,
 		progs[idx] = progsByThread[ti]
 		keys[idx] = keysByThread[ti]
 	}
-	sys.SetPrograms(progs)
-	_ = layout
+	sys := build(f, perCluster, progs)
 
 	var observe []spec.Addr
 	memKeys := map[string]string{}
@@ -258,30 +248,6 @@ func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int,
 	sort.Slice(observe, func(i, j int) bool { return observe[i] < observe[j] })
 
 	start := time.Now()
-	if opts.Compiled || opts.TableCache != "" {
-		// Lower the fusion to its flat table for exactly this test
-		// configuration; the extraction (or cache load) cost counts toward
-		// Elapsed so the engines compare end to end. With a TableCache the
-		// artifact is loaded by content digest when present and written
-		// back after a fresh compile.
-		cf, _, err := core.CompileOrLoadCtx(ctx, f, core.CompileConfig{
-			CachesPerCluster: perCluster, Programs: progs,
-			Evictions: opts.Evictions, MaxStates: opts.MaxStates,
-			Workers: opts.ExploreWorkers, MemPool: opts.MemPool,
-		}, opts.TableCache)
-		if err != nil {
-			if errors.Is(err, core.ErrCompileCancelled) {
-				return &Result{Shape: shape.Name, Pair: f.Name(), Assign: assign,
-					Cancelled: true, Engine: core.EngineCompiled, Elapsed: time.Since(start)}
-			}
-			if errors.Is(err, core.ErrCompileTruncated) {
-				return &Result{Shape: shape.Name, Pair: f.Name(), Assign: assign,
-					Truncated: true, Engine: core.EngineCompiled, Elapsed: time.Since(start)}
-			}
-			panic(err)
-		}
-		sys = cf.System()
-	}
 	mo := mcheck.Options{
 		Evictions: opts.Evictions, MaxStates: opts.MaxStates,
 		HashCompaction: opts.HashCompaction,

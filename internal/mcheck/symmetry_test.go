@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"heterogen/internal/core"
+	"heterogen/internal/engine"
 	"heterogen/internal/mcheck"
 	"heterogen/internal/protocols"
 	"heterogen/internal/spec"
@@ -197,4 +198,33 @@ func TestSymmetryDeclinesAsymmetricPrograms(t *testing.T) {
 			sym.States, sym.Transitions, plain.States, plain.Transitions)
 	}
 	assertSameVerdicts(t, "declined", plain, sym)
+}
+
+// TestSymmetryPORVerdictsWorkerInvariant pins what a parallel search under
+// POR plus symmetry does guarantee. On hgcheck's symmetric driver over
+// three MSI caches, Workers 1 and Workers 2 may visit different state and
+// transition counts (which orbit member reaches the frontier first can
+// change the ample set), but deadlocks, the outcome set and the symmetry
+// group order must agree.
+func TestSymmetryPORVerdictsWorkerInvariant(t *testing.T) {
+	build := func() *mcheck.System {
+		sys := mcheck.NewHomogeneous(protocols.MustByName(protocols.NameMSI), 3)
+		sys.SetPrograms(engine.CheckDriver(3, 1, true))
+		return sys
+	}
+	opts := mcheck.Options{Evictions: true, Symmetry: true, POR: mcheck.PORAuto, Workers: 1}
+	seq := mcheck.Explore(build(), opts)
+	opts.Workers = 2
+	par := mcheck.Explore(build(), opts)
+	if seq.Truncated || par.Truncated {
+		t.Fatalf("truncated search: workers 1 %v, workers 2 %v", seq.Truncated, par.Truncated)
+	}
+	assertSameVerdicts(t, "workers 2 vs 1", seq, par)
+	if par.SymmetryPerms != seq.SymmetryPerms || seq.SymmetryPerms != 6 {
+		t.Errorf("symmetry group order: workers 1 ×%d, workers 2 ×%d, want ×6", seq.SymmetryPerms, par.SymmetryPerms)
+	}
+	if par.States != seq.States || par.Transitions != seq.Transitions {
+		t.Logf("counts drifted: workers 1 %d states / %d transitions, workers 2 %d / %d",
+			seq.States, seq.Transitions, par.States, par.Transitions)
+	}
 }

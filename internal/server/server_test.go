@@ -119,6 +119,26 @@ func TestConcurrentChecksMatchDirect(t *testing.T) {
 	}
 }
 
+// TestRetiredCompiledFieldIgnored: a check job that still carries the
+// retired "compiled" field runs like any request with an unknown key —
+// the same growing-table search as without it.
+func TestRetiredCompiledFieldIgnored(t *testing.T) {
+	_, ts := testServer(t, Config{JobWorkers: 1})
+	id := postJob(t, ts, `{"check":{"pair":["MSI","RCC"],"caches":1,"addrs":1,"compiled":true,"search":{"workers":1,"hash":true}}}`)
+	direct, err := engine.Check(context.Background(), engine.CheckRequest{
+		Pair: []string{"MSI", "RCC"}, Caches: 1, Addrs: 1,
+		Search: engine.SearchOptions{Workers: 1, Hash: true},
+	}, engine.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(direct)
+	got := waitState(t, ts, id, StateDone)["result"]
+	if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
+		t.Fatalf("job result differs from the direct engine run:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestCompileCacheAcrossJobs: the second identical compile job is served
 // from the server's shared artifact cache, and its table downloads in
 // both binary and textual form.
