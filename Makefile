@@ -70,7 +70,7 @@ bench-por:
 
 # Regenerate BENCH_COMPILE.json (schema v3): the §VII-C search through the
 # interpreted composite, table extraction (memoized and non-memoized),
-# compile+check, the dispatch-only precompiled check, and the .hgcf
+# the growing-table check, the dispatch-only precompiled check, and the .hgcf
 # artifact lifecycle (serialize, cold load, cold load + check).
 bench-compile:
 	BENCH_COMPILE_OUT=BENCH_COMPILE.json $(GO) test -run XXX -bench 'BenchmarkCompile' -benchtime 1x -timeout 30m .
