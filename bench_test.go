@@ -47,7 +47,8 @@ func BenchmarkTableI(b *testing.B) {
 }
 
 // BenchmarkTableII enumerates the merged-directory FSM for all eight case
-// studies (quick mode; `heterogen -tableii -full` for the full search).
+// studies from their compiled tables on one worker (quick mode;
+// `heterogen -tableii -full` for the full search).
 func BenchmarkTableII(b *testing.B) {
 	var states, trans int
 	for i := 0; i < b.N; i++ {
@@ -58,7 +59,7 @@ func BenchmarkTableII(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, _, err := core.EnumerateFSM(f, true)
+			e, _, err := core.EnumerateCompiled(f, true, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

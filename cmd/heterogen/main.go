@@ -1,21 +1,21 @@
 // Command heterogen is the synthesis front end: it lists the built-in
 // protocols (Table I), fuses protocol pairs into heterogeneous merged
 // directories, prints the §VI-D analyses and ArMOR translations, and
-// enumerates the merged directory FSMs (Table II). With -emit it compiles
-// the fused directory into its first-class flat table and prints the
-// chosen artifact.
+// enumerates the merged directory FSMs (Table II) by compiling each fused
+// directory into its flat table. With -emit it prints the chosen artifact
+// of that table.
 //
 // Usage:
 //
 //	heterogen -list
 //	heterogen -pair MESI,RCC-O            # fuse and describe
-//	heterogen -pair MESI,RCC-O -fsm       # dump the enumerated FSM
+//	heterogen -pair MESI,RCC-O -fsm       # dump the compiled flat FSM
 //	heterogen -pair MESI,RCC-O -emit table  # compile; print the flat FSM
 //	heterogen -pair MESI,RCC-O -emit pcc    # compiled projection as PCC text
 //	heterogen -pair MESI,RCC-O -emit murphi # compiled projection as Murphi
 //	heterogen -pair MESI,RCC-O -emit dot    # compiled flat FSM as Graphviz
 //	heterogen -tableii                    # all eight case studies
-//	heterogen -tableii -compiled          # rows re-derived from compiled tables
+//	heterogen -tableii -full -workers 1   # full enumeration on one worker
 //	heterogen -export MSI                 # print a protocol in PCC form
 //	heterogen -spec my.pcc -pair -,MESI   # fuse a user protocol ("-")
 //	heterogen -most                       # print the ArMOR MOST tables
@@ -56,7 +56,6 @@ type cliConfig struct {
 	fsm        bool
 	full       bool
 	tableii    bool
-	compiled   bool
 	export     string
 	specFile   string
 	most       bool
@@ -79,7 +78,6 @@ func main() {
 	flag.BoolVar(&cfg.fsm, "fsm", false, "dump the enumerated merged-directory FSM")
 	flag.BoolVar(&cfg.full, "full", false, "full FSM enumeration (explores evictions; slower)")
 	flag.BoolVar(&cfg.tableii, "tableii", false, "enumerate all eight Table II case studies")
-	flag.BoolVar(&cfg.compiled, "compiled", false, "derive -tableii rows from the compiled flat tables instead of the interpreted enumeration")
 	flag.StringVar(&cfg.export, "export", "", "print a built-in protocol in the PCC-like format")
 	flag.StringVar(&cfg.specFile, "spec", "", "PCC-like protocol description file")
 	flag.BoolVar(&cfg.most, "most", false, "print the ArMOR ordering tables")
@@ -168,12 +166,7 @@ func run(ctx context.Context, cfg cliConfig) error {
 			if err != nil {
 				return err
 			}
-			var e *core.TableIIEntry
-			if cfg.compiled {
-				e, _, err = core.EnumerateCompiled(f, !cfg.full)
-			} else {
-				e, _, err = core.EnumerateFSM(f, !cfg.full)
-			}
+			e, _, err := core.EnumerateCompiled(f, !cfg.full, cfg.search.Workers)
 			if err != nil {
 				return err
 			}
@@ -229,14 +222,14 @@ func run(ctx context.Context, cfg cliConfig) error {
 			return withOut(cfg.out, func(w io.Writer) error { return summarize(w, cf) })
 		}
 		fmt.Print(f.Describe())
-		e, rec, err := core.EnumerateFSM(f, !cfg.full)
+		e, cf, err := core.EnumerateCompiled(f, !cfg.full, cfg.search.Workers)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("merged directory: %d states, %d transitions (%d system states explored) [%s]\n",
-			e.States, e.Transitions, e.Explored, core.EngineInterpreted)
+			e.States, e.Transitions, e.Explored, core.EngineCompiled)
 		if cfg.fsm {
-			fmt.Print(rec.ExportFSM(f.Name()))
+			fmt.Print(cf.FlatFSM().Format())
 		}
 		return nil
 	}

@@ -71,20 +71,15 @@ func main() {
 	}
 	fmt.Print(fusion.Describe())
 
-	entry, _, err := core.EnumerateFSM(fusion, true)
+	// The customization path runs both ways: the fused directory compiles
+	// into a flat table whose projection gives the Table II counts and
+	// exports in the same PCC-like language the custom protocol came in as
+	// (`heterogen -emit pcc` is the CLI spelling of this step).
+	entry, cf, err := core.EnumerateCompiled(fusion, true, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("merged directory: %d states, %d transitions\n", entry.States, entry.Transitions)
-
-	// The customization path runs both ways: the fused directory compiles
-	// back into a flat table whose projection exports in the same PCC-like
-	// language the custom protocol came in as (`heterogen -emit pcc` is the
-	// CLI spelling of this step).
-	_, cf, err := core.EnumerateCompiled(fusion, true)
-	if err != nil {
-		log.Fatal(err)
-	}
 	flat, err := cf.Protocol()
 	if err != nil {
 		log.Fatal(err)

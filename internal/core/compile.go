@@ -60,7 +60,7 @@ import (
 //     bytes exactly, so compiled and interpreted searches agree state for
 //     state (the differential suite in compile_test.go pins this).
 //   - FlatFSM() projects the per-address local-state machine (Table II's
-//     states/transitions), sharing the rendering path with the Recorder.
+//     states/transitions; EnumerateCompiled is the only Table II engine).
 //   - Protocol() lifts the projection into a spec.Protocol value that
 //     round-trips through the PCC text form and exports to Murphi/DOT.
 //   - MarshalArtifact() serializes the dense tables into the versioned
@@ -726,7 +726,7 @@ func (cf *CompiledFusion) Transitions() int { return len(cf.entries) }
 func (cf *CompiledFusion) Explored() int { return cf.explored }
 
 // FlatFSM returns the projected per-address local-state machine — the
-// Table II artifact. Shared with the Recorder's rendering path.
+// Table II artifact.
 func (cf *CompiledFusion) FlatFSM() *FlatFSM { return cf.fsm }
 
 // snapOf returns the interpreted snapshot of an interned state,

@@ -189,35 +189,6 @@ func TestCompiledAgreementEvictions(t *testing.T) {
 	}
 }
 
-// TestTableIICompiledCounts re-derives every Table II row from the
-// compiled flat table and cross-checks it against the Recorder-derived
-// enumeration — the same FSM must fall out of both paths.
-func TestTableIICompiledCounts(t *testing.T) {
-	for _, pair := range TableIIPairs() {
-		f, err := Fuse(Options{}, protocols.MustByName(pair[0]), protocols.MustByName(pair[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rE, rec, err := EnumerateFSM(f, true)
-		if err != nil {
-			t.Fatalf("%s: interpreted enumeration: %v", f.Name(), err)
-		}
-		cE, cf, err := EnumerateCompiled(f, true)
-		if err != nil {
-			t.Fatalf("%s: compiled enumeration: %v", f.Name(), err)
-		}
-		if cE.States != rE.States || cE.Transitions != rE.Transitions {
-			t.Errorf("%s: compiled FSM %d/%d vs recorded %d/%d",
-				f.Name(), cE.States, cE.Transitions, rE.States, rE.Transitions)
-		}
-		// The rendered artifacts must be byte-identical too: one flat-FSM
-		// rendering path, two producers.
-		if got, want := cf.FlatFSM().Format(), rec.ExportFSM(f.Name()); got != want {
-			t.Errorf("%s: flat-FSM renderings differ", f.Name())
-		}
-	}
-}
-
 // TestCompiledProtocolProjection pins the flat-protocol lift: the
 // projected machine validates, its states match the FlatFSM, and its init
 // state is stable.
@@ -226,7 +197,7 @@ func TestCompiledProtocolProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cf, err := EnumerateCompiled(f, true)
+	_, cf, err := EnumerateCompiled(f, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +230,7 @@ func TestCompiledProtocolPCCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cf, err := EnumerateCompiled(f, true)
+	_, cf, err := EnumerateCompiled(f, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

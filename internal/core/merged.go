@@ -87,8 +87,7 @@ func (t *proxyTask) snapshot(b *spec.SnapshotWriter) {
 	fmt.Fprintf(b, "t{c%d,p%d,i%d,%t,%t,%t}", t.cluster, t.proxyIdx, t.idx, t.issued, t.evicting, t.done)
 }
 
-// waitKind classifies what a blocked bridge is waiting for (lazy-advance
-// bookkeeping; see SetLazyAdvance).
+// waitKind classifies what a blocked bridge is waiting for (see advance).
 type waitKind uint8
 
 const (
@@ -98,7 +97,7 @@ const (
 	wDir                   // a successful delivery to cluster arg's directory
 )
 
-// waitCond is one blocking condition of a lazily-advanced bridge.
+// waitCond is one blocking condition of a bridge.
 type waitCond struct {
 	kind waitKind
 	arg  int
@@ -120,9 +119,8 @@ type bridge struct {
 	fetch    *proxyTask
 	props    []*proxyTask
 
-	// Lazy-advance bookkeeping (unused in the default eager mode): the
-	// conditions this bridge blocked on after its last drive, and whether
-	// one of them has fired since.
+	// Advance bookkeeping: the conditions this bridge blocked on after its
+	// last drive, and whether one of them has fired since.
 	waits []waitCond
 	woken bool
 }
@@ -165,13 +163,9 @@ type MergedDir struct {
 	busySrc   spec.NodeSet
 	proxyBusy spec.NodeSet
 
-	// lazy switches advance from the eager full fixpoint to the
-	// event-driven scheme (SetLazyAdvance); lazyWake is the global "some
-	// bridge may be runnable" latch.
-	lazy     bool
+	// lazyWake is advance's global "some bridge may be runnable" latch.
 	lazyWake bool
 
-	rec   *Recorder
 	trace func(string)
 	sink  ChangeSink
 }
@@ -227,9 +221,6 @@ func (d *MergedDir) SetTrace(fn func(string)) {
 // fill-triggered invalidation) while holding lines at other addresses.
 // A failed delivery reports nothing. Clones do not inherit the sink.
 func (d *MergedDir) SetChangeSink(s ChangeSink) { d.sink = s }
-
-// SetRecorder installs a shared FSM/stats recorder (Table II extraction).
-func (d *MergedDir) SetRecorder(r *Recorder) { d.rec = r }
 
 // Memory exposes the shared LLC/memory.
 func (d *MergedDir) Memory() *spec.Memory { return d.mem }
@@ -351,14 +342,7 @@ func (d *MergedDir) isProxySrc(cluster int, src spec.NodeID) bool {
 // Deliver implements spec.Component: route to a proxy, handle handshakes,
 // or run a directory intake with bridging interception.
 func (d *MergedDir) Deliver(env spec.Env, m spec.Msg) bool {
-	var before string
-	if d.rec != nil {
-		before = d.LocalState(m.Addr)
-	}
 	ok := d.deliver(env, m)
-	if ok && d.rec != nil {
-		d.rec.Record(d.fusion, m, before, d.LocalState(m.Addr))
-	}
 	if ok && d.sink != nil {
 		d.sink.AddrChanged(m.Addr)
 	}
@@ -375,10 +359,8 @@ func (d *MergedDir) deliver(env spec.Env, m spec.Msg) bool {
 	case msgHSAck:
 		if br := d.bridgeAt(m.Addr); br != nil {
 			br.hsDone = true
-			if d.lazy {
-				br.woken = true
-				d.lazyWake = true
-			}
+			br.woken = true
+			d.lazyWake = true
 		}
 		return true
 	}
@@ -406,7 +388,7 @@ func (d *MergedDir) deliver(env spec.Env, m spec.Msg) bool {
 	return d.intake(env, cluster, m)
 }
 
-// deliverDir hands a message to a sub-directory, firing the lazy-advance
+// deliverDir hands a message to a sub-directory, firing the advance
 // wakeup on success (a line-state change there can unblock a bridge's
 // final delivery).
 func (d *MergedDir) deliverDir(env spec.Env, cluster int, m spec.Msg) bool {
@@ -518,34 +500,8 @@ func reqsOfInto(dst []spec.CoreReq, seq []spec.CoreOp, a spec.Addr, value int) [
 	return dst
 }
 
-// SetLazyAdvance switches the bridge-driving strategy. The default (off)
-// is the eager fixpoint: every delivery re-drives every in-flight bridge
-// until nothing changes — simple, and what the model checker and fusion
-// compiler run. On, advance becomes event-driven: after each drive a
-// bridge records the conditions it blocked on (handshake ack, proxy-pool
-// slot, a delivery to a specific proxy, a delivery to a sub-directory)
-// and is re-driven only when one fires. advanceBridge always runs a
-// bridge to a genuine blocking point and returns acted=false with no side
-// effects when nothing can happen, so skipping unwoken bridges produces
-// byte-identical trajectories; the performance simulator enables this to
-// take bridge driving off its per-delivery hot path.
-func (d *MergedDir) SetLazyAdvance(on bool) {
-	d.lazy = on
-	if on {
-		// Conservatively mark everything runnable at the switch point.
-		for _, br := range d.bridges {
-			br.woken = true
-		}
-		d.lazyWake = len(d.bridges) > 0
-	}
-}
-
-// wake marks every bridge blocked on the condition as runnable (lazy mode
-// only; a no-op otherwise).
+// wake marks every bridge blocked on the condition as runnable.
 func (d *MergedDir) wake(k waitKind, arg int) {
-	if !d.lazy {
-		return
-	}
 	for _, br := range d.bridges {
 		if br.woken {
 			continue
@@ -591,40 +547,18 @@ func (d *MergedDir) taskWait(br *bridge, t *proxyTask) {
 	br.waits = append(br.waits, waitCond{wProxy, int(d.layout.ProxyIDs[t.cluster][t.proxyIdx])})
 }
 
-// advance drives every in-flight bridge to a fixpoint: completing one
-// bridge can free the proxy pool another bridge is waiting for, so passes
-// repeat until nothing changes (otherwise a bridge visited earlier in the
-// pass could miss the wakeup and stall forever).
+// advance drives the in-flight bridges to a fixpoint, event-driven: after
+// each drive a bridge records the conditions it blocked on (handshake ack,
+// proxy-pool slot, a delivery to a specific proxy, a delivery to a
+// sub-directory) and is re-driven only when it is fresh or one of them
+// fires. advanceBridge always runs a bridge to a genuine blocking point
+// and returns acted=false with no side effects when nothing can happen,
+// so skipping unwoken bridges reaches the same fixpoint as re-driving
+// every bridge until nothing changes. Wakes fired during a pass
+// (freeProxy, sub-directory deliveries) re-arm the outer loop. A clone or
+// a decoded state records no waits and sets lazyWake when it holds a
+// bridge, so its first advance drives every bridge.
 func (d *MergedDir) advance(env spec.Env) {
-	if d.lazy {
-		d.advanceLazy(env)
-		return
-	}
-	for {
-		progressed := false
-		// The slice is already address-ordered; advanceBridge may remove the
-		// bridge it drives (shifting the tail left), so only step past an
-		// entry that is still in place.
-		for i := 0; i < len(d.bridges); {
-			br := d.bridges[i]
-			if d.drive(env, br) {
-				progressed = true
-			}
-			if i < len(d.bridges) && d.bridges[i] == br {
-				i++
-			}
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
-// advanceLazy is the event-driven advance: only bridges that are fresh or
-// woken by a recorded condition get driven. Wakes fired during a pass
-// (freeProxy, sub-directory deliveries) re-arm the outer loop, so the
-// result is the same fixpoint the eager scheme reaches.
-func (d *MergedDir) advanceLazy(env spec.Env) {
 	for d.lazyWake {
 		d.lazyWake = false
 		for i := 0; i < len(d.bridges); {
@@ -645,12 +579,10 @@ func (d *MergedDir) advanceLazy(env spec.Env) {
 
 // drive advances one bridge and reports its address to the change sink
 // if the drive acted.
-func (d *MergedDir) drive(env spec.Env, br *bridge) bool {
-	acted := d.advanceBridge(env, br)
-	if acted && d.sink != nil {
+func (d *MergedDir) drive(env spec.Env, br *bridge) {
+	if d.advanceBridge(env, br) && d.sink != nil {
 		d.sink.AddrChanged(br.addr)
 	}
-	return acted
 }
 
 // advanceBridge drives one bridge; it reports whether any state changed.
@@ -905,7 +837,7 @@ func (d *MergedDir) Clone() spec.Component { return d.CloneWithMemory(d.mem.Clon
 // CloneWithMemory implements mcheck.MemoryCloner.
 func (d *MergedDir) CloneWithMemory(mem *spec.Memory) spec.Component {
 	cp := &MergedDir{fusion: d.fusion, layout: d.layout, mem: mem,
-		busySrc: d.busySrc, proxyBusy: d.proxyBusy, rec: d.rec}
+		busySrc: d.busySrc, proxyBusy: d.proxyBusy, lazyWake: len(d.bridges) > 0}
 	cp.dirs = make([]*spec.DirInst, len(d.dirs))
 	for i, dir := range d.dirs {
 		cp.dirs[i] = dir.CloneDir(mem)
@@ -932,8 +864,8 @@ func (d *MergedDir) CloneWithMemory(mem *spec.Memory) spec.Component {
 
 func (br *bridge) clone() *bridge {
 	cp := *br
-	// Lazy-advance bookkeeping is transient and host-specific: a clone
-	// starts eager (the checker's mode), so reset rather than alias.
+	// Advance bookkeeping is transient: a clone records no waits, so its
+	// first advance drives it; reset rather than alias.
 	cp.waits, cp.woken = nil, false
 	if br.fetch != nil {
 		f := *br.fetch

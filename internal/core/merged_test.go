@@ -357,22 +357,14 @@ func TestTableIIEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder()
-	sys, layout := BuildSystem(f, []int{1, 1})
-	layout.Merged.SetRecorder(rec)
-	sys.SetPrograms([][]spec.CoreReq{
-		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 0}},
-		{{Op: spec.OpStore, Addr: 0, Value: 2}, {Op: spec.OpLoad, Addr: 0}},
-	})
-	res := mcheck.Explore(sys, mcheck.Options{Evictions: true})
-	if !res.Ok() {
-		t.Fatalf("exploration failed: deadlocks=%d violations=%v", res.Deadlocks, res.Violations)
+	e, cf, err := EnumerateCompiled(f, true, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	states, trans := rec.Counts()
-	if states < 4 || trans < states {
-		t.Errorf("enumerated FSM too small: %d states, %d transitions", states, trans)
+	if e.States < 4 || e.Transitions < e.States {
+		t.Errorf("enumerated FSM too small: %d states, %d transitions", e.States, e.Transitions)
 	}
-	export := rec.ExportFSM(f.Name())
+	export := cf.FlatFSM().Format()
 	if !strings.Contains(export, "states") || !strings.Contains(export, "-->") {
 		t.Error("FSM export malformed")
 	}

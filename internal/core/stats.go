@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-
-	"heterogen/internal/spec"
 )
 
 // FlatFSM is a flattened merged-directory machine: the composite local
 // states (MergedDir.LocalState vocabulary) and the (state, event, state')
-// transitions between them, independent of how they were obtained — a
-// passive Recorder riding along a search, or the fusion compiler's
-// exhaustive extraction. It is the single rendering path behind the
-// Table II text export and the Graphviz emission (export.DOTFlat).
+// transitions between them, projected from the fusion compiler's
+// exhaustive extraction (CompiledFusion.FlatFSM). It is the single
+// rendering path behind the Table II text export and the Graphviz
+// emission (export.DOTFlat).
 type FlatFSM struct {
 	Name   string
 	States []string
@@ -52,65 +49,4 @@ func (f *FlatFSM) Format() string {
 		fmt.Fprintf(&b, "%s\n", t)
 	}
 	return b.String()
-}
-
-// Recorder accumulates the merged directory's flattened FSM as it is
-// exercised: distinct composite local states and (state, event, state')
-// transitions. Running the model checker over a driver workload with a
-// Recorder attached enumerates the reachable FSM — the state/transition
-// counts reported in Table II.
-//
-// A single Recorder is shared by every clone of a merged directory during
-// state-space search; a mutex serializes recording, so the walk may run on
-// the checker's parallel search path too.
-type Recorder struct {
-	mu          sync.Mutex
-	states      map[string]bool
-	transitions map[string]bool
-	edges       []Edge
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{states: map[string]bool{}, transitions: map[string]bool{}}
-}
-
-// Record notes one applied delivery.
-func (r *Recorder) Record(f *Fusion, m spec.Msg, before, after string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.states[before] = true
-	r.states[after] = true
-	key := before + " --" + string(m.Type) + "--> " + after
-	if !r.transitions[key] {
-		r.transitions[key] = true
-		r.edges = append(r.edges, Edge{From: before, Event: string(m.Type), To: after})
-	}
-}
-
-// Counts returns (#states, #transitions) of the enumerated FSM.
-func (r *Recorder) Counts() (int, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.states), len(r.transitions)
-}
-
-// FlatFSM snapshots the recorded machine as a FlatFSM value (states and
-// edges copied; safe to use while recording continues).
-func (r *Recorder) FlatFSM(name string) *FlatFSM {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := &FlatFSM{Name: name}
-	for s := range r.states {
-		f.States = append(f.States, s)
-	}
-	sort.Strings(f.States)
-	f.Edges = append(f.Edges, r.edges...)
-	return f
-}
-
-// ExportFSM renders the enumerated merged-directory FSM as text via the
-// shared FlatFSM renderer.
-func (r *Recorder) ExportFSM(name string) string {
-	return r.FlatFSM(name).Format()
 }

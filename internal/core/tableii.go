@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"heterogen/internal/mcheck"
 	"heterogen/internal/spec"
 )
 
@@ -54,27 +53,6 @@ type TableIIEntry struct {
 	Ok          bool
 }
 
-// EnumerateFSM model-checks the fusion under the Table II driver with a
-// Recorder attached, returning the enumerated merged-directory FSM counts.
-// The full enumeration explores replacements at any time (§VII-B); quick
-// mode skips them, trading tail states for a much smaller search.
-func EnumerateFSM(f *Fusion, quick bool) (*TableIIEntry, *Recorder, error) {
-	rec := NewRecorder()
-	sys, layout := BuildSystem(f, []int{1, 1})
-	layout.Merged.SetRecorder(rec)
-	sys.SetPrograms(tableIIDriver())
-	// Full transition coverage: partial order reduction prunes deliveries
-	// the Recorder would otherwise see, shrinking the enumerated FSM.
-	res := mcheck.Explore(sys, mcheck.Options{Evictions: !quick, Workers: 1, POR: mcheck.POROff})
-	if res.Deadlocks > 0 {
-		return nil, rec, fmt.Errorf("core: %s deadlocks during enumeration: %d (first: %s)",
-			f.Name(), res.Deadlocks, res.DeadlockAt)
-	}
-	states, trans := rec.Counts()
-	return &TableIIEntry{Pair: f.Name(), States: states, Transitions: trans,
-		Explored: res.States, Ok: res.Ok()}, rec, nil
-}
-
 // TableIICompileConfig is the Table II extraction configuration: one cache
 // per cluster driven by the standard enumeration workload, full coverage
 // unless quick. Exported so CLIs can set the extraction parallelism
@@ -88,13 +66,15 @@ func TableIICompileConfig(quick bool, workers int) CompileConfig {
 	}
 }
 
-// EnumerateCompiled compiles the fusion for the Table II configuration and
+// EnumerateCompiled compiles the fusion for the Table II configuration on
+// the given number of workers (as in mcheck.Options: 0 = all cores) and
 // returns the row derived from the compiled flat table (its FlatFSM
-// projection), alongside the compiled fusion for further use. The counts
-// must agree with EnumerateFSM's Recorder-derived counts — the Table II
-// cross-check in tableii_test.go pins this.
-func EnumerateCompiled(f *Fusion, quick bool) (*TableIIEntry, *CompiledFusion, error) {
-	cf, err := Compile(f, TableIICompileConfig(quick, 0))
+// projection), alongside the compiled fusion for further use. The full
+// enumeration explores replacements at any time (§VII-B); quick mode
+// skips them, trading tail states for a much smaller search.
+// testdata/tableii.golden pins every row and projection.
+func EnumerateCompiled(f *Fusion, quick bool, workers int) (*TableIIEntry, *CompiledFusion, error) {
+	cf, err := Compile(f, TableIICompileConfig(quick, workers))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -24,13 +29,12 @@ func TestTableIIPairs(t *testing.T) {
 
 func TestEnumerateFSMQuickAllPairs(t *testing.T) {
 	var entries []*TableIIEntry
-	var prev int
-	for i, pair := range TableIIPairs() {
+	for _, pair := range TableIIPairs() {
 		f, err := Fuse(Options{}, protocols.MustByName(pair[0]), protocols.MustByName(pair[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, rec, err := EnumerateFSM(f, true)
+		e, _, err := EnumerateCompiled(f, true, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name(), err)
 		}
@@ -40,17 +44,10 @@ func TestEnumerateFSMQuickAllPairs(t *testing.T) {
 		if e.States < 3 || e.Transitions < e.States/2 {
 			t.Errorf("%s: implausibly small FSM %d/%d", e.Pair, e.States, e.Transitions)
 		}
-		if s, tr := rec.Counts(); s != e.States || tr != e.Transitions {
-			t.Errorf("%s: recorder/entry mismatch", e.Pair)
-		}
 		entries = append(entries, e)
-		// Trend property from the paper's Table II: the SC&SC fusion is the
-		// largest, RCC&RCC the smallest.
-		if i == 0 {
-			prev = e.States
-		}
-		_ = prev
 	}
+	// Trend property from the paper's Table II: the SC&SC fusion is the
+	// largest, RCC&RCC the smallest.
 	if entries[0].States <= entries[len(entries)-1].States {
 		t.Errorf("MSI&MSI (%d states) should exceed RCC&RCC (%d states)",
 			entries[0].States, entries[len(entries)-1].States)
@@ -75,15 +72,81 @@ func TestEnumerateFSMFullSmallestPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quick, _, err := EnumerateFSM(f, true)
+	quick, _, err := EnumerateCompiled(f, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := EnumerateFSM(f, false)
+	full, _, err := EnumerateCompiled(f, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.States < quick.States {
 		t.Errorf("full enumeration (%d states) smaller than quick (%d)", full.States, quick.States)
+	}
+}
+
+var updateTableII = flag.Bool("update", false, "rewrite testdata/tableii.golden from the compiled tables")
+
+// tableIIGoldenFull names the pairs whose full (eviction-exploring) rows
+// testdata/tableii.golden pins besides every quick row: the four whose
+// full enumeration explores fewer than 40k system states.
+var tableIIGoldenFull = map[string]bool{
+	"MESI&RCC": true, "MESI&GPU": true, "RCC-O&RCC": true, "RCC&RCC": true,
+}
+
+// tableIIGolden renders every golden row, one per line, each with the
+// sha256 of its flat-FSM text, extracted on the given number of workers.
+func tableIIGolden(t *testing.T, workers int) string {
+	t.Helper()
+	var b strings.Builder
+	for _, quick := range []bool{true, false} {
+		for _, pair := range TableIIPairs() {
+			f, err := Fuse(Options{}, protocols.MustByName(pair[0]), protocols.MustByName(pair[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !quick && !tableIIGoldenFull[f.Name()] {
+				continue
+			}
+			e, cf, err := EnumerateCompiled(f, quick, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name(), err)
+			}
+			mode := "full"
+			if quick {
+				mode = "quick"
+			}
+			fmt.Fprintf(&b, "%s %s states=%d transitions=%d explored=%d fsm=%x\n", mode, e.Pair,
+				e.States, e.Transitions, e.Explored, sha256.Sum256([]byte(cf.FlatFSM().Format())))
+		}
+	}
+	return b.String()
+}
+
+// TestTableIIGolden pins Table II: every pair's quick row and the full
+// rows of tableIIGoldenFull, each with the digest of its rendered flat
+// FSM, extracted on one worker and on two. Regenerate with -update only
+// for an intended behaviour change:
+//
+//	go test ./internal/core -run TestTableIIGolden -update
+func TestTableIIGolden(t *testing.T) {
+	path := filepath.Join("testdata", "tableii.golden")
+	if *updateTableII {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(tableIIGolden(t, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go test ./internal/core -run TestTableIIGolden -update)", err)
+	}
+	for _, workers := range []int{1, 2} {
+		if got := tableIIGolden(t, workers); got != string(want) {
+			t.Errorf("Table II on %d workers drifted from %s:\n--- got ---\n%s--- want ---\n%s", workers, path, got, want)
+		}
 	}
 }

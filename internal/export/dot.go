@@ -57,14 +57,8 @@ func DOTProtocol(p *spec.Protocol) string {
 	return DOTMachine(p.Cache) + "\n" + DOTMachine(p.Dir)
 }
 
-// DOTMerged renders the enumerated merged-directory FSM (Table II's
-// machine) as a digraph via the shared flat-FSM path.
-func DOTMerged(name string, rec *core.Recorder) string {
-	return DOTFlat(rec.FlatFSM(name))
-}
-
-// DOTFlat renders a flattened merged-directory machine (recorded by a
-// core.Recorder or extracted by the fusion compiler) as a digraph.
+// DOTFlat renders a flattened merged-directory machine (Table II's
+// machine, extracted by the fusion compiler) as a digraph.
 // Composite states (e.g. "IxV·o1") become nodes; edges carry the
 // triggering message types.
 func DOTFlat(fsm *core.FlatFSM) string {

@@ -28,22 +28,22 @@ func TestDOTMachine(t *testing.T) {
 	}
 }
 
-func TestDOTMerged(t *testing.T) {
+func TestDOTFlat(t *testing.T) {
 	f, err := core.Fuse(core.Options{},
 		protocols.MustByName(protocols.NameMSI), protocols.MustByName(protocols.NameRCC))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := core.EnumerateFSM(f, true)
+	_, cf, err := core.EnumerateCompiled(f, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dot := DOTMerged(f.Name(), rec)
+	dot := DOTFlat(cf.FlatFSM())
 	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "->") {
 		t.Fatalf("merged DOT malformed:\n%s", dot)
 	}
-	if fsm := rec.FlatFSM(f.Name()); len(fsm.Edges) == 0 {
-		t.Fatal("recorder collected no structured edges")
+	if len(cf.FlatFSM().Edges) == 0 {
+		t.Fatal("compiled table projected no edges")
 	}
 	// Edge labels are deduplicated message-type lists.
 	if strings.Contains(dot, ",,") {

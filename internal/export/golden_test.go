@@ -26,7 +26,7 @@ func compiledMSIRCC(t *testing.T) *core.CompiledFusion {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cf, err := core.EnumerateCompiled(f, true)
+	_, cf, err := core.EnumerateCompiled(f, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

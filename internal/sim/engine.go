@@ -222,10 +222,6 @@ func New(cfg Config, fusion *core.Fusion, wl *workload.Workload) (*Sim, error) {
 
 	layout := fusion.DefaultLayout(spec.NodeID(n))
 	s.merged = core.NewMergedDir(fusion, layout)
-	// The simulator holds the only live copy of the merged directory (no
-	// checker-style cloning), so the event-driven advance is safe and takes
-	// bridge re-driving off the per-delivery hot path.
-	s.merged.SetLazyAdvance(true)
 	s.mergedIDs = s.merged.OwnedIDs()
 
 	// The merged drain ranks channels by destination node id, which must

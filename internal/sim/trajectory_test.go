@@ -102,10 +102,9 @@ func formatStats(st *Stats) string {
 }
 
 // TestGoldenTrajectory pins simulated behaviour message for message
-// against a recorded file. The lazy≡eager and compiled≡interpreted
-// differentials share the engine's drain, so they cannot see a change to
-// the order in which queued heads are offered; this test can. Regenerate
-// with -update only for an intended behaviour change.
+// against a recorded file, so it also sees a change to the order in which
+// queued heads are offered or bridges are driven. Regenerate with -update
+// only for an intended behaviour change.
 func TestGoldenTrajectory(t *testing.T) {
 	var lines []string
 	for _, c := range trajectoryCases() {
