@@ -3,7 +3,13 @@
 // directories, prints the §VI-D analyses and ArMOR translations, and
 // enumerates the merged directory FSMs (Table II) by compiling each fused
 // directory into its flat table. With -emit it prints the chosen artifact
-// of that table.
+// of that table. Every compile — -tableii, -pair, -emit, -compile-out —
+// runs through the engine under -timeout and ^C, reports with -progress
+// and reuses -compile-cache.
+//
+// Table II rows count states and transitions; they do not judge deadlock
+// freedom (the extraction reproduces a deadlocking fusion's table).
+// `hgcheck -pair` gives that verdict.
 //
 // Usage:
 //
@@ -16,6 +22,7 @@
 //	heterogen -pair MESI,RCC-O -emit dot    # compiled flat FSM as Graphviz
 //	heterogen -tableii                    # all eight case studies
 //	heterogen -tableii -full -workers 1   # full enumeration on one worker
+//	heterogen -tableii -full -timeout 1m  # exit 1 if the compiles outrun a minute
 //	heterogen -export MSI                 # print a protocol in PCC form
 //	heterogen -spec my.pcc -pair -,MESI   # fuse a user protocol ("-")
 //	heterogen -most                       # print the ArMOR MOST tables
@@ -72,12 +79,12 @@ type cliConfig struct {
 }
 
 func main() {
-	cfg := cliConfig{search: cliopts.DefaultSearch()}
+	var cfg cliConfig
 	flag.BoolVar(&cfg.list, "list", false, "list the built-in protocols (Table I)")
 	flag.StringVar(&cfg.pair, "pair", "", "comma-separated protocols to fuse ('-' uses -spec)")
 	flag.BoolVar(&cfg.fsm, "fsm", false, "dump the enumerated merged-directory FSM")
 	flag.BoolVar(&cfg.full, "full", false, "full FSM enumeration (explores evictions; slower)")
-	flag.BoolVar(&cfg.tableii, "tableii", false, "enumerate all eight Table II case studies")
+	flag.BoolVar(&cfg.tableii, "tableii", false, "enumerate all eight Table II case studies (state/transition counts; hgcheck -pair judges deadlock freedom)")
 	flag.StringVar(&cfg.export, "export", "", "print a built-in protocol in the PCC-like format")
 	flag.StringVar(&cfg.specFile, "spec", "", "PCC-like protocol description file")
 	flag.BoolVar(&cfg.most, "most", false, "print the ArMOR ordering tables")
@@ -90,7 +97,7 @@ func main() {
 	flag.StringVar(&cfg.compileIn, "compile-in", "", "load a compiled table from this .hgcf artifact instead of compiling")
 	flag.StringVar(&cfg.cache, "compile-cache", "", "cache compiled-table artifacts in this directory, keyed by (pair, config) digest (skips re-extraction)")
 	flag.DurationVar(&cfg.progress, "progress", 0, "log extraction-search progress every interval during a compile (e.g. 10s; 0 = silent)")
-	cfg.search.Register(flag.CommandLine)
+	cfg.search.RegisterRun(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := cfg.search.StartProfiling()
@@ -162,15 +169,12 @@ func run(ctx context.Context, cfg cliConfig) error {
 	case cfg.tableii:
 		var entries []*core.TableIIEntry
 		for _, pr := range core.TableIIPairs() {
-			f, err := fuse(cfg.hs, pr[0], pr[1], cfg.specFile)
+			res, err := compile(ctx, cfg, pr[:])
 			if err != nil {
 				return err
 			}
-			e, _, err := core.EnumerateCompiled(f, !cfg.full, cfg.search.Workers)
-			if err != nil {
-				return err
-			}
-			entries = append(entries, e)
+			entries = append(entries, &core.TableIIEntry{Pair: res.Name,
+				States: res.FlatStates, Transitions: res.FlatEdges, Explored: res.Explored})
 		}
 		fmt.Print(core.FormatTableII(entries))
 		return nil
@@ -179,55 +183,26 @@ func run(ctx context.Context, cfg cliConfig) error {
 		if len(names) < 2 {
 			return fmt.Errorf("-pair needs at least two protocols")
 		}
-		f, err := fuse(cfg.hs, names[0], names[1], cfg.specFile, names[2:]...)
+		res, err := compile(ctx, cfg, names)
 		if err != nil {
 			return err
 		}
-		if cfg.emit != "" || cfg.compileOut != "" {
-			pcc, err := engine.ReadSpecFile(cfg.specFile)
-			if err != nil {
+		cf := res.Compiled()
+		if cfg.compileOut != "" {
+			if err := cf.WriteArtifact(cfg.compileOut); err != nil {
 				return err
 			}
-			req := engine.CompileRequest{
-				Pair:      names,
-				Spec:      pcc,
-				Handshake: cfg.hs,
-				Full:      cfg.full,
-				Search:    cfg.search.Engine(),
-			}
-			req.Search.CompileCache = cfg.cache
-			hooks := engine.Hooks{
-				OnCompiled: func(name string, stats core.CompileStats) {
-					fmt.Fprintf(os.Stderr, "heterogen: %s: %s\n", name, stats)
-				},
-			}
-			if cfg.progress > 0 {
-				hooks.ProgressEvery = cfg.progress
-				hooks.OnProgress = cliopts.EngineProgressPrinter(os.Stderr)
-			}
-			res, err := engine.Compile(ctx, req, hooks)
-			if err != nil {
-				return err
-			}
-			cf := res.Compiled()
-			if cfg.compileOut != "" {
-				if err := cf.WriteArtifact(cfg.compileOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "heterogen: artifact written to %s (digest %s)\n", cfg.compileOut, res.Digest)
-			}
-			if cfg.emit != "" {
-				return withOut(cfg.out, func(w io.Writer) error { return engine.Emit(cf, cfg.emit, w) })
-			}
+			fmt.Fprintf(os.Stderr, "heterogen: artifact written to %s (digest %s)\n", cfg.compileOut, res.Digest)
+		}
+		switch {
+		case cfg.emit != "":
+			return withOut(cfg.out, func(w io.Writer) error { return engine.Emit(cf, cfg.emit, w) })
+		case cfg.compileOut != "":
 			return withOut(cfg.out, func(w io.Writer) error { return summarize(w, cf) })
 		}
-		fmt.Print(f.Describe())
-		e, cf, err := core.EnumerateCompiled(f, !cfg.full, cfg.search.Workers)
-		if err != nil {
-			return err
-		}
+		fmt.Print(cf.Fusion().Describe())
 		fmt.Printf("merged directory: %d states, %d transitions (%d system states explored) [%s]\n",
-			e.States, e.Transitions, e.Explored, core.EngineCompiled)
+			res.FlatStates, res.FlatEdges, res.Explored, core.EngineCompiled)
 		if cfg.fsm {
 			fmt.Print(cf.FlatFSM().Format())
 		}
@@ -235,6 +210,33 @@ func run(ctx context.Context, cfg cliConfig) error {
 	}
 	flag.Usage()
 	return nil
+}
+
+// compile runs the Table II compile of one protocol list through the
+// engine under the run context: the one compile path behind -tableii,
+// -pair, -emit and -compile-out.
+func compile(ctx context.Context, cfg cliConfig, names []string) (*engine.CompileResult, error) {
+	pcc, err := engine.ReadSpecFile(cfg.specFile)
+	if err != nil {
+		return nil, err
+	}
+	hooks := engine.Hooks{
+		OnCompiled: func(name string, stats core.CompileStats) {
+			fmt.Fprintf(os.Stderr, "heterogen: %s: %s\n", name, stats)
+		},
+		CompileCache: cfg.cache,
+	}
+	if cfg.progress > 0 {
+		hooks.ProgressEvery = cfg.progress
+		hooks.OnProgress = cliopts.EngineProgressPrinter(os.Stderr)
+	}
+	return engine.Compile(ctx, engine.CompileRequest{
+		Pair:      names,
+		Spec:      pcc,
+		Handshake: cfg.hs,
+		Full:      cfg.full,
+		Search:    cfg.search.SearchOptions,
+	}, hooks)
 }
 
 // summarize prints the one-paragraph description of a compiled table —
@@ -265,40 +267,4 @@ func withOut(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fuse(hs, a, b, specFile string, more ...string) (*core.Fusion, error) {
-	var mode core.HandshakeMode
-	switch hs {
-	case "none":
-		mode = core.HSNone
-	case "writes":
-		mode = core.HSWrites
-	case "all":
-		mode = core.HSAll
-	default:
-		return nil, fmt.Errorf("unknown handshake mode %q", hs)
-	}
-	resolve := func(name string) (*spec.Protocol, error) {
-		if name == "-" {
-			if specFile == "" {
-				return nil, fmt.Errorf("'-' protocol requires -spec")
-			}
-			src, err := os.ReadFile(specFile)
-			if err != nil {
-				return nil, err
-			}
-			return spec.ParsePCC(string(src))
-		}
-		return protocols.ByName(name)
-	}
-	var ps []*spec.Protocol
-	for _, n := range append([]string{a, b}, more...) {
-		p, err := resolve(n)
-		if err != nil {
-			return nil, err
-		}
-		ps = append(ps, p)
-	}
-	return core.Fuse(core.Options{Handshake: mode}, ps...)
 }

@@ -40,9 +40,6 @@ type checkConfig struct {
 	proto, pair string
 	caches      int
 	addrs       int
-	bitstate    bool
-	memBudget   int64
-	maxStates   int
 	table       string
 	jsonOut     bool
 	progress    time.Duration
@@ -50,15 +47,15 @@ type checkConfig struct {
 }
 
 func main() {
-	cfg := checkConfig{search: cliopts.DefaultSearch()}
+	var cfg checkConfig
 	cfg.search.Hash = true // the deadlock sweeps are the big configurations
 	flag.StringVar(&cfg.proto, "protocol", "", "homogeneous protocol to check")
 	flag.StringVar(&cfg.pair, "pair", "", "protocol pair A,B to fuse and check")
 	flag.IntVar(&cfg.caches, "caches", 2, "caches (per cluster for -pair)")
 	flag.IntVar(&cfg.addrs, "addrs", 2, "addresses in the driver workload")
-	flag.BoolVar(&cfg.bitstate, "bitstate", false, "use bitstate (Bloom-filter supertrace) state storage; overrides -hash")
+	flag.BoolVar(&cfg.search.Bitstate, "bitstate", false, "use bitstate (Bloom-filter supertrace) state storage; overrides -hash")
 	mem := flag.String("mem", "", "visited-set memory budget, e.g. 512MiB or 2GiB (default: 8GiB table cap / 64MiB bitstate filter)")
-	flag.IntVar(&cfg.maxStates, "max-states", engine.DefaultCheckMaxStates, "state budget")
+	flag.IntVar(&cfg.search.MaxStates, "max-states", engine.DefaultCheckMaxStates, "state budget")
 	flag.StringVar(&cfg.table, "table", "", "check a compiled-table .hgcf artifact (alone: its baked config; with -pair: digest-checked against the flags)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "print the result as JSON on stdout (diagnostics stay on stderr)")
 	flag.DurationVar(&cfg.progress, "progress", 0, "log states/sec, frontier depth, load factor and heap every interval (e.g. 10s; 0 = silent)")
@@ -70,7 +67,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hgcheck:", err)
 		os.Exit(1)
 	}
-	if cfg.memBudget, err = cliopts.ParseBytes(*mem); err != nil {
+	if cfg.search.MemBudget, err = cliopts.ParseBytes(*mem); err != nil {
 		fmt.Fprintf(os.Stderr, "hgcheck: -mem: %v\n", err)
 		os.Exit(1)
 	}
@@ -96,7 +93,7 @@ func (cfg checkConfig) request() (engine.CheckRequest, error) {
 		Caches:   cfg.caches,
 		Addrs:    cfg.addrs,
 		Table:    cfg.table,
-		Search:   cfg.search.Engine(),
+		Search:   cfg.search.SearchOptions,
 	}
 	if cfg.pair != "" {
 		parts := strings.Split(cfg.pair, ",")
@@ -105,9 +102,6 @@ func (cfg checkConfig) request() (engine.CheckRequest, error) {
 		}
 		req.Pair = parts
 	}
-	req.Search.Bitstate = cfg.bitstate
-	req.Search.MemBudget = cfg.memBudget
-	req.Search.MaxStates = cfg.maxStates
 	return req, nil
 }
 

@@ -42,7 +42,7 @@ func main() {
 	evict := flag.Bool("evict", false, "explore replacements at any time")
 	maxThreads := flag.Int("max-threads", 3, "skip shapes with more threads (IRIW=4 is expensive)")
 	verdicts := flag.Bool("verdicts", false, "print the axiomatic forbidden/allowed matrix and exit")
-	search := cliopts.DefaultSearch()
+	var search cliopts.Search
 	search.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -60,7 +60,7 @@ func main() {
 		MaxThreads:     *maxThreads,
 		AllAllocations: *allAllocs,
 		Evictions:      *evict,
-		Search:         search.Engine(),
+		Search:         search.SearchOptions,
 	}
 	if *pairFlag != "" {
 		parts := strings.Split(*pairFlag, ",")

@@ -54,13 +54,14 @@ func main() {
 	seeds := flag.Int("seeds", 1, "workload seeds per parameter point")
 	mesh := flag.Int("mesh", 8, "mesh dimension (8 = Table III's 8×8)")
 	jsonPath := flag.String("json", "", "write a machine-readable report (BENCH_SIM schema) to this file")
-	perf := cliopts.Perf{}
-	perf.Register(flag.CommandLine)
+	var perf cliopts.Perf
+	var workers int
+	perf.Register(flag.CommandLine, &workers)
 	flag.Parse()
 
 	if err := run(opts{params: *params, bench: *bench, scale: *scale,
 		table: *table, family: *family, pairs: *pairs, seeds: *seeds, mesh: *mesh,
-		jsonPath: *jsonPath, perf: perf}); err != nil {
+		jsonPath: *jsonPath, workers: workers, perf: perf}); err != nil {
 		fmt.Fprintln(os.Stderr, "hgsim:", err)
 		os.Exit(1)
 	}
@@ -76,6 +77,7 @@ type opts struct {
 	seeds    int
 	mesh     int
 	jsonPath string
+	workers  int
 	perf     cliopts.Perf
 }
 
@@ -142,11 +144,11 @@ func run(o opts) error {
 
 	rep := &report{Schema: "heterogen-bench-sim/v2", Engine: core.EngineInterpreted,
 		Runner:  benchmeta.Collect("sweep jobs run on the worker pool (workers 0 = all cores), so wall_seconds scale with the cores recorded here"),
-		Workers: o.perf.Workers, Mesh: o.mesh, Scale: o.scale, Seeds: o.seeds}
+		Workers: o.workers, Mesh: o.mesh, Scale: o.scale, Seeds: o.seeds}
 
 	sweep := func(name string, pair [2]string, points []workload.Params) error {
 		start := time.Now()
-		rows, err := sim.RunMatrix(cfg, pair, seeded(points, o.seeds), o.scale, o.perf.Workers)
+		rows, err := sim.RunMatrix(cfg, pair, seeded(points, o.seeds), o.scale, o.workers)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

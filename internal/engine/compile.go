@@ -1,6 +1,7 @@
-// Compilation as a structured request: the engine behind `heterogen
-// -emit/-compile-out` and the server's "compile" jobs (whose artifact
-// downloads serialize the compiled fusion held here).
+// Compilation as a structured request: the engine behind every heterogen
+// compile (-tableii, -pair, -emit, -compile-out) and the server's
+// "compile" jobs (whose artifact downloads serialize the compiled fusion
+// held here).
 
 package engine
 
@@ -29,8 +30,8 @@ type CompileRequest struct {
 	// Full extracts with evictions explored (slower); the default is
 	// the quick eviction-free Table II configuration.
 	Full bool `json:"full,omitempty"`
-	// Search supplies Workers and CompileCache; the other knobs don't
-	// apply to extraction (which fixes POR off and exact storage).
+	// Search supplies Workers; the other knobs don't apply to
+	// extraction (which fixes POR off and exact storage).
 	Search SearchOptions `json:"search,omitempty"`
 }
 
@@ -87,7 +88,7 @@ func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResu
 	ccfg.ProgressEvery = hooks.ProgressEvery
 	ccfg.OnProgress = hooks.searchProgress("extract")
 	ccfg.MemPool = hooks.MemPool
-	cf, _, err := core.CompileOrLoadCtx(ctx, f, ccfg, req.Search.CompileCache)
+	cf, _, err := core.CompileOrLoadCtx(ctx, f, ccfg, hooks.CompileCache)
 	if err != nil {
 		return nil, err
 	}

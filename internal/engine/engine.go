@@ -19,10 +19,11 @@ import (
 	"heterogen/internal/spec"
 )
 
-// SearchOptions carries the shared search knobs of every request — the
-// engine-level mirror of the cliopts.Search flag set, shaped so the JSON
-// zero value means the same thing as each command's baseline: POR on,
-// exact storage, all cores.
+// SearchOptions is the one declaration of the search knobs: the JSON
+// "search" object of every request and the target the cliopts flags
+// parse into. mcheckOptions maps it onto the checker for checks and
+// litmus runs alike. The zero value means the same thing as each
+// command's baseline: POR on, exact storage, all cores.
 type SearchOptions struct {
 	// Workers is the search parallelism (0 = all cores, 1 = sequential
 	// deterministic order).
@@ -46,9 +47,6 @@ type SearchOptions struct {
 	// SpillDir spills frontier overflow to temp files under this
 	// directory ("" = in-memory frontier).
 	SpillDir string `json:"spill_dir,omitempty"`
-	// CompileCache is the content-addressed compiled-table artifact cache
-	// directory of compile requests ("" = compile in-process every time).
-	CompileCache string `json:"compile_cache,omitempty"`
 }
 
 // PORMode maps NoPOR onto the checker's mode.
@@ -68,9 +66,9 @@ type Progress struct {
 }
 
 // Hooks carries the per-run environment a front end supplies alongside a
-// request: progress reporting and the shared memory accountant. Hooks are
-// never part of a request's identity — two runs with different hooks
-// produce the same result.
+// request: progress reporting, the shared memory accountant and the
+// compile cache. Hooks are never part of a request's identity — two runs
+// with different hooks produce the same result.
 type Hooks struct {
 	// ProgressEvery/OnProgress mirror mcheck.Options: periodic reports
 	// from the search (and from the extraction search behind a compile).
@@ -84,6 +82,10 @@ type Hooks struct {
 	// from this shared accountant (mcheck.Options.MemPool) — how a server
 	// hosting concurrent searches shares one memory budget.
 	MemPool *mcheck.MemPool
+	// CompileCache is the content-addressed compiled-table artifact cache
+	// directory compile requests read and write ("" = compile in-process
+	// every time). It is the front end's choice, never the request's.
+	CompileCache string
 }
 
 // searchProgress adapts OnProgress to an mcheck callback for the given
@@ -126,7 +128,7 @@ func (s SearchOptions) mcheckOptions(h Hooks, evictions bool) mcheck.Options {
 func resolveProtocol(name, pccSrc string) (*spec.Protocol, error) {
 	if name == "-" {
 		if pccSrc == "" {
-			return nil, fmt.Errorf("protocol '-' requires an inline PCC spec")
+			return nil, fmt.Errorf("protocol '-' requires a PCC spec (the request's spec field; -spec FILE on the command line)")
 		}
 		return spec.ParsePCC(pccSrc)
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"heterogen/internal/core"
 	"heterogen/internal/mcheck"
@@ -133,6 +135,58 @@ func TestLitmusRequest(t *testing.T) {
 	}
 }
 
+// TestLitmusForwardsSearch: a litmus request's search knobs reach every
+// test's exploration as they reach a check's. WRC at alloc [0 1 0] with
+// evictions explores 66,477 states unbounded; a 1 KiB visited-set budget
+// under hash compaction must truncate it.
+func TestLitmusForwardsSearch(t *testing.T) {
+	res, err := Litmus(context.Background(), LitmusRequest{
+		Pair:      []string{"MSI", "RCC"},
+		Shapes:    []string{"WRC"},
+		Evictions: true,
+		Search:    SearchOptions{Workers: 1, Hash: true, MemBudget: 1 << 10},
+	}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := 0
+	for _, r := range res.Results {
+		if r.Truncated {
+			truncated++
+		}
+	}
+	if truncated == 0 {
+		t.Fatalf("mem_budget 1KiB truncated none of %d WRC tests", len(res.Results))
+	}
+}
+
+// TestLitmusProgress: the progress hook hears from litmus searches,
+// tagged with the search phase.
+func TestLitmusProgress(t *testing.T) {
+	var mu sync.Mutex
+	phases := map[string]int{}
+	_, err := Litmus(context.Background(), LitmusRequest{
+		Pair:   []string{"MSI", "RCC"},
+		Shapes: []string{"WRC"},
+		Search: SearchOptions{Workers: 1},
+	}, Hooks{
+		ProgressEvery: time.Millisecond,
+		OnProgress: func(p Progress) {
+			mu.Lock()
+			phases[p.Phase]++
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if phases["search"] == 0 || len(phases) != 1 {
+		t.Fatalf("progress reports by phase: %v, want only search reports", phases)
+	}
+}
+
 // TestLitmusWorkerBudget pins that a litmus request never searches wider
 // than its Search.Workers budget: with Workers 1 every test — suite or
 // homogeneous — explores on one worker, and with Workers 2 concurrent
@@ -172,10 +226,13 @@ func TestCompileRequest(t *testing.T) {
 	cache := t.TempDir()
 	req := CompileRequest{
 		Pair:   []string{"MSI", "MSI"},
-		Search: SearchOptions{Workers: 1, CompileCache: cache},
+		Search: SearchOptions{Workers: 1},
 	}
 	var hooked string
-	hooks := Hooks{OnCompiled: func(name string, stats core.CompileStats) { hooked = stats.Source }}
+	hooks := Hooks{
+		OnCompiled:   func(name string, stats core.CompileStats) { hooked = stats.Source },
+		CompileCache: cache,
+	}
 
 	cold, err := Compile(context.Background(), req, hooks)
 	if err != nil {

@@ -63,17 +63,13 @@ func (r *LitmusResult) Verdict() error {
 	return nil
 }
 
-// options assembles the litmus options shared by both request shapes.
+// options assembles the litmus options shared by both request shapes:
+// every test's search runs under the request's search knobs and the
+// run's hooks, exactly as a check would.
 func (req *LitmusRequest) options(hooks Hooks) litmus.Options {
 	return litmus.Options{
-		Evictions:      req.Evictions,
-		MaxStates:      req.Search.MaxStates,
+		Explore:        req.Search.mcheckOptions(hooks, req.Evictions),
 		AllAllocations: req.AllAllocations,
-		HashCompaction: req.Search.Hash,
-		Symmetry:       req.Search.Symmetry,
-		POR:            req.Search.PORMode(),
-		SpillDir:       req.Search.SpillDir,
-		MemPool:        hooks.MemPool,
 	}
 }
 

@@ -87,8 +87,8 @@ func TestCompiledLitmusEvictions(t *testing.T) {
 	f := fuse(t, protocols.NameRCC, protocols.NameRCC)
 	shape, _ := ShapeByName("MP")
 	for _, assign := range Allocations(2, 2, false) {
-		ir := runInterpreted(f, shape, assign, Options{Evictions: true})
-		cr := RunFused(f, shape, assign, Options{Evictions: true})
+		ir := runInterpreted(f, shape, assign, Options{Explore: mcheck.Options{Evictions: true}})
+		cr := RunFused(f, shape, assign, Options{Explore: mcheck.Options{Evictions: true}})
 		if cr.States != ir.States || cr.Outcomes != ir.Outcomes || cr.Pass() != ir.Pass() {
 			t.Errorf("MP %v evictions: compiled %s vs interpreted %s", assign, cr, ir)
 		}

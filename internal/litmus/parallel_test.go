@@ -18,11 +18,11 @@ func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 	}
 	// POR pinned off: this test's purpose is the suite worker pool's
 	// count agreement over the full unreduced space.
-	seq, err := RunSuite(pairs, Options{MaxThreads: 2, Workers: 1, Fusion: core.Options{}, POR: mcheck.POROff})
+	seq, err := RunSuite(pairs, Options{MaxThreads: 2, Workers: 1, Fusion: core.Options{}, Explore: mcheck.Options{POR: mcheck.POROff}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSuite(pairs, Options{MaxThreads: 2, Workers: 4, Fusion: core.Options{}, POR: mcheck.POROff})
+	par, err := RunSuite(pairs, Options{MaxThreads: 2, Workers: 4, Fusion: core.Options{}, Explore: mcheck.Options{POR: mcheck.POROff}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestRunFusedParallelExplore(t *testing.T) {
 	if !ok {
 		t.Fatal("MP shape missing")
 	}
-	seq := RunFused(f, shape, []int{0, 1}, Options{ExploreWorkers: 1, POR: mcheck.POROff})
-	par := RunFused(f, shape, []int{0, 1}, Options{ExploreWorkers: 8, POR: mcheck.POROff})
+	seq := RunFused(f, shape, []int{0, 1}, Options{ExploreWorkers: 1, Explore: mcheck.Options{POR: mcheck.POROff}})
+	par := RunFused(f, shape, []int{0, 1}, Options{ExploreWorkers: 8, Explore: mcheck.Options{POR: mcheck.POROff}})
 	if seq.States != par.States || seq.Pass() != par.Pass() || seq.Outcomes != par.Outcomes {
 		t.Fatalf("parallel explore diverged: seq states=%d outcomes=%d pass=%t, par states=%d outcomes=%d pass=%t",
 			seq.States, seq.Outcomes, seq.Pass(), par.States, par.Outcomes, par.Pass())

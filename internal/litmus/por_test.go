@@ -53,7 +53,7 @@ func TestPORAgreesFusedLitmus(t *testing.T) {
 					t.Fatalf("%s shape missing", shapeName)
 				}
 				for _, assign := range Allocations(2, 2, false) {
-					off := RunFused(f, shape, assign, Options{POR: mcheck.POROff})
+					off := RunFused(f, shape, assign, Options{Explore: mcheck.Options{POR: mcheck.POROff}})
 					on := RunFused(f, shape, assign, Options{})
 					porAgree(t, off.Shape+" "+off.Pair, off, on)
 					par := RunFused(f, shape, assign, Options{ExploreWorkers: 8})
@@ -78,7 +78,7 @@ func TestPORAgreesIRIW(t *testing.T) {
 		t.Fatal("IRIW shape missing")
 	}
 	assign := []int{0, 1, 0, 1}
-	off := RunFused(f, shape, assign, Options{POR: mcheck.POROff})
+	off := RunFused(f, shape, assign, Options{Explore: mcheck.Options{POR: mcheck.POROff}})
 	on := RunFused(f, shape, assign, Options{})
 	porAgree(t, "IRIW", off, on)
 	if on.States >= off.States {

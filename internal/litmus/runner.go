@@ -18,10 +18,15 @@ import (
 
 // Options configure test execution.
 type Options struct {
-	// Evictions explores spontaneous replacements too.
-	Evictions bool
-	// MaxStates bounds each test's state space (0 = checker default).
-	MaxStates int
+	// Explore is the checker configuration every test's exploration runs
+	// under: evictions, state budget, visited-set storage, reductions,
+	// spilling, progress reports and a shared memory pool. Each test
+	// fills in its own Workers (from ExploreWorkers), LoadKeys and
+	// ObserveMem. POR is sound here: litmus verdicts are functions of
+	// terminal states only — observer loads record into core-local Loads
+	// and outcomes are read at quiescence — so the reduction never hides
+	// an observable outcome (see mcheck/por.go).
+	Explore mcheck.Options
 	// Fusion forwards fusion options (handshake variant etc.).
 	Fusion core.Options
 	// AllAllocations enumerates every thread→cluster assignment; the
@@ -43,29 +48,6 @@ type Options struct {
 	// so the two levels together never exceed Workers. Elsewhere 0 means
 	// all cores.
 	ExploreWorkers int
-	// HashCompaction stores 64-bit state fingerprints instead of full
-	// encodings in each test's visited set (mcheck.Options.HashCompaction):
-	// a vanishing omission probability for a large memory saving on the
-	// bigger shapes.
-	HashCompaction bool
-	// Symmetry enables the checker's cache-permutation symmetry reduction
-	// (sound auto-detection; litmus threads usually run distinct programs,
-	// so it typically only helps tests with replicated threads).
-	Symmetry bool
-	// POR forwards the checker's ample-set partial order reduction mode
-	// (mcheck.Options.POR; zero value reduces when sound). Litmus verdicts
-	// are functions of terminal states only — observer loads record into
-	// core-local Loads and outcomes are read at quiescence — so the
-	// reduction never hides an observable outcome (see mcheck/por.go).
-	POR mcheck.PORMode
-	// SpillDir forwards the checker's disk-spilling frontier directory
-	// (mcheck.Options.SpillDir): non-empty bounds each test's frontier
-	// memory by spilling BFS waves to files under the directory.
-	SpillDir string
-	// MemPool forwards a shared visited-set memory accountant to every
-	// test's search (mcheck.Options.MemPool), so a suite — or a server
-	// running several suites — draws all its searches from one budget.
-	MemPool *mcheck.MemPool
 }
 
 // Result is the verdict of one litmus test run.
@@ -237,8 +219,20 @@ func runFused(ctx context.Context, f *core.Fusion, shape Shape, assign []int, op
 		progs[idx] = progsByThread[ti]
 		keys[idx] = keysByThread[ti]
 	}
-	sys := build(f, perCluster, progs)
+	cm, err := f.CompoundModel(assign)
+	if err != nil {
+		panic(err)
+	}
+	out := &Result{Shape: shape.Name, Pair: f.Name(), Assign: assign}
+	return judge(ctx, build(f, perCluster, progs), opts, shape, p, ap, keys, addrs, cm, out)
+}
 
+// judge explores sys under opts.Explore, recording the test's loads and
+// final memory, and fills out's counts and verdict against the outcomes
+// model m allows for the adapted program ap (prog is the shape's original
+// program, which the exposed outcome is phrased in).
+func judge(ctx context.Context, sys *mcheck.System, opts Options, shape Shape, prog, ap *memmodel.Program,
+	keys [][]string, addrs map[string]spec.Addr, m memmodel.Model, out *Result) *Result {
 	var observe []spec.Addr
 	memKeys := map[string]string{}
 	for name, a := range addrs {
@@ -247,28 +241,16 @@ func runFused(ctx context.Context, f *core.Fusion, shape Shape, assign []int, op
 	}
 	sort.Slice(observe, func(i, j int) bool { return observe[i] < observe[j] })
 
+	mo := opts.Explore
+	mo.Workers, mo.LoadKeys, mo.ObserveMem = opts.ExploreWorkers, keys, observe
 	start := time.Now()
-	mo := mcheck.Options{
-		Evictions: opts.Evictions, MaxStates: opts.MaxStates,
-		HashCompaction: opts.HashCompaction,
-		Workers:        opts.ExploreWorkers,
-		Symmetry:       opts.Symmetry, POR: opts.POR, SpillDir: opts.SpillDir,
-		LoadKeys: keys, ObserveMem: observe, MemPool: opts.MemPool,
-	}
 	res := mcheck.ExploreCtx(ctx, sys, mo)
-	elapsed := time.Since(start)
+	out.Elapsed = time.Since(start)
 
-	cm, err := f.CompoundModel(assign)
-	if err != nil {
-		panic(err)
-	}
-	allowed := memmodel.AllowedOutcomesMem(ap, cm, memKeys)
-
-	out := &Result{Shape: shape.Name, Pair: f.Name(), Assign: assign,
-		States: res.States, Deadlocks: res.Deadlocks, DeadlockState: res.DeadlockAt,
-		Truncated: res.Truncated, Cancelled: res.Cancelled,
-		Outcomes: len(res.Outcomes), Elapsed: elapsed,
-		Engine: res.Engine, Workers: mo.EffectiveWorkers()}
+	allowed := memmodel.AllowedOutcomesMem(ap, m, memKeys)
+	out.States, out.Deadlocks, out.DeadlockState = res.States, res.Deadlocks, res.DeadlockAt
+	out.Truncated, out.Cancelled = res.Truncated, res.Cancelled
+	out.Outcomes, out.Engine, out.Workers = len(res.Outcomes), res.Engine, mo.EffectiveWorkers()
 	for k := range res.Outcomes {
 		if _, ok := allowed[k]; !ok {
 			out.BadOutcomes = append(out.BadOutcomes, k)
@@ -278,8 +260,7 @@ func runFused(ctx context.Context, f *core.Fusion, shape Shape, assign []int, op
 	if shape.Exposed != nil {
 		// Rebuild the exposed outcome against the adapted program (load
 		// keys may have shifted) by renaming memory keys.
-		exposed := exposedFor(shape, p, ap, memKeys)
-		if exposed != nil {
+		if exposed := exposedFor(shape, prog, ap, memKeys); exposed != nil {
 			out.Forbidden = !allowed.HasMatch(exposed)
 			out.Observed = out.Forbidden && res.Outcomes.HasMatch(exposed)
 		}
@@ -375,42 +356,8 @@ func RunHomogeneousCtx(ctx context.Context, p *spec.Protocol, shape Shape, opts 
 
 	sys := mcheck.NewHomogeneous(p, len(ap.Threads))
 	sys.SetPrograms(progs)
-	var observe []spec.Addr
-	memKeys := map[string]string{}
-	for name, a := range addrs {
-		observe = append(observe, a)
-		memKeys[name] = fmt.Sprintf("%d", a)
-	}
-	sort.Slice(observe, func(i, j int) bool { return observe[i] < observe[j] })
-	start := time.Now()
-	mo := mcheck.Options{
-		Evictions: opts.Evictions, MaxStates: opts.MaxStates,
-		HashCompaction: opts.HashCompaction,
-		Workers:        opts.ExploreWorkers,
-		Symmetry:       opts.Symmetry, POR: opts.POR, SpillDir: opts.SpillDir,
-		LoadKeys: keys, ObserveMem: observe, MemPool: opts.MemPool}
-	res := mcheck.ExploreCtx(ctx, sys, mo)
-	elapsed := time.Since(start)
-
-	allowed := memmodel.AllowedOutcomesMem(ap, memmodel.Homogeneous(model, len(ap.Threads)), memKeys)
-	out := &Result{Shape: shape.Name, Pair: p.Name, Assign: assign,
-		States: res.States, Deadlocks: res.Deadlocks, DeadlockState: res.DeadlockAt,
-		Truncated: res.Truncated, Cancelled: res.Cancelled,
-		Outcomes: len(res.Outcomes), Elapsed: elapsed,
-		Engine: res.Engine, Workers: mo.EffectiveWorkers()}
-	for k := range res.Outcomes {
-		if _, ok := allowed[k]; !ok {
-			out.BadOutcomes = append(out.BadOutcomes, k)
-		}
-	}
-	sort.Strings(out.BadOutcomes)
-	if shape.Exposed != nil {
-		if exposed := exposedFor(shape, prog, ap, memKeys); exposed != nil {
-			out.Forbidden = !allowed.HasMatch(exposed)
-			out.Observed = out.Forbidden && res.Outcomes.HasMatch(exposed)
-		}
-	}
-	return out
+	out := &Result{Shape: shape.Name, Pair: p.Name, Assign: assign}
+	return judge(ctx, sys, opts, shape, prog, ap, keys, addrs, memmodel.Homogeneous(model, len(ap.Threads)), out)
 }
 
 // suiteJob is one independent litmus test of a suite run.

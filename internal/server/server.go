@@ -36,8 +36,8 @@ type Config struct {
 	// independently).
 	MemPoolBytes int64
 	// CompileCache is the content-addressed compiled-table cache
-	// directory applied to requests that leave theirs empty — the
-	// cross-request table cache ("" = no default cache).
+	// directory every compile job reads and writes — the cross-request
+	// table cache ("" = none). Requests cannot name another.
 	CompileCache string
 	// SpillRoot, when set, is the only directory jobs may spill
 	// frontiers under: a request with a non-empty spill_dir has it
@@ -163,7 +163,8 @@ func (s *Server) run(j *Job) {
 			log.Info("table ready", "fusion", name, "source", stats.Source,
 				"extract_states", stats.ExtractStates)
 		},
-		MemPool: s.pool,
+		MemPool:      s.pool,
+		CompileCache: s.cfg.CompileCache,
 	}
 
 	var result any
@@ -207,13 +208,9 @@ func (s *Server) run(j *Job) {
 	log.Info("job finished", "state", string(j.State), "elapsed", j.Ended.Sub(j.Started).String())
 }
 
-// applyPolicy imposes the server's defaults and budgets on a request's
-// search options: the default compile cache, the per-job worker clamp
-// and the spill-root rewrite.
+// applyPolicy imposes the server's budgets on a request's search
+// options: the per-job worker clamp and the spill-root rewrite.
 func (s *Server) applyPolicy(o engine.SearchOptions) engine.SearchOptions {
-	if o.CompileCache == "" {
-		o.CompileCache = s.cfg.CompileCache
-	}
 	if max := s.cfg.MaxWorkersPerJob; max > 0 && (o.Workers == 0 || o.Workers > max) {
 		o.Workers = max
 	}

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -141,10 +143,12 @@ func TestRetiredCompiledFieldIgnored(t *testing.T) {
 
 // TestCompileCacheAcrossJobs: the second identical compile job is served
 // from the server's shared artifact cache, and its table downloads in
-// both binary and textual form.
+// both binary and textual form. A request naming its own compile_cache
+// directory cannot redirect the server's reads or writes there.
 func TestCompileCacheAcrossJobs(t *testing.T) {
-	_, ts := testServer(t, Config{JobWorkers: 1, CompileCache: t.TempDir()})
-	body := `{"compile":{"pair":["MSI","MSI"],"search":{"workers":1}}}`
+	cache, clientDir := t.TempDir(), t.TempDir()
+	_, ts := testServer(t, Config{JobWorkers: 1, CompileCache: cache})
+	body := fmt.Sprintf(`{"compile":{"pair":["MSI","MSI"],"search":{"workers":1,"compile_cache":%q}}}`, clientDir)
 
 	var sources []string
 	var last string
@@ -164,6 +168,15 @@ func TestCompileCacheAcrossJobs(t *testing.T) {
 	}
 	if sources[0] != "compiler" || sources[1] != "cache" {
 		t.Fatalf("compile sources %v, want [compiler cache]", sources)
+	}
+	for dir, want := range map[string]int{cache: 1, clientDir: 0} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != want {
+			t.Errorf("%s holds %d entries, want %d", dir, len(entries), want)
+		}
 	}
 
 	for _, kind := range []string{"hgcf", "table"} {
