@@ -773,7 +773,7 @@ func BenchmarkCompile(b *testing.B) {
 			start := time.Now()
 			res := mcheck.Explore(cf.System(), opts)
 			record("precompiled/check", time.Since(start), res.States,
-				"dispatch-only: the steady-state cost of checking an already-compiled in-memory table (binary-searched dense entry spans)")
+				"dispatch-only: the steady-state cost of checking an already-compiled in-memory table (a growing table seeded with its dense entry spans, so every pair replays)")
 			check(b, res, interpStates)
 		}
 	})
@@ -802,7 +802,7 @@ func BenchmarkCompile(b *testing.B) {
 				b.Fatal(err)
 			}
 			record("artifact/coldload", time.Since(start), 0,
-				"one-read cold load of the serialized table: PCC reparse, re-fusion, digest verification, derived-state rebuild — replaces the extraction entirely")
+				"one-read cold load of the serialized table: PCC reparse, re-fusion, digest verification, encoding cross-check — replaces the extraction entirely")
 			b.ReportMetric(float64(lcf.DirStates()), "dirstates")
 		}
 	})

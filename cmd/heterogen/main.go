@@ -7,9 +7,11 @@
 // runs through the engine under -timeout and ^C, reports with -progress
 // and reuses -compile-cache.
 //
-// Table II rows count states and transitions; they do not judge deadlock
-// freedom (the extraction reproduces a deadlocking fusion's table).
-// `hgcheck -pair` gives that verdict.
+// Every compile's extraction search runs without reductions, so a
+// deadlock it reaches is a verdict: -tableii and -pair print their rows
+// and then exit 1 naming the lex-least deadlock state. A table loaded from
+// -compile-cache carries no verdict; `hgcheck -pair` gives one at any
+// configuration.
 //
 // Usage:
 //
@@ -39,6 +41,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -84,7 +87,7 @@ func main() {
 	flag.StringVar(&cfg.pair, "pair", "", "comma-separated protocols to fuse ('-' uses -spec)")
 	flag.BoolVar(&cfg.fsm, "fsm", false, "dump the enumerated merged-directory FSM")
 	flag.BoolVar(&cfg.full, "full", false, "full FSM enumeration (explores evictions; slower)")
-	flag.BoolVar(&cfg.tableii, "tableii", false, "enumerate all eight Table II case studies (state/transition counts; hgcheck -pair judges deadlock freedom)")
+	flag.BoolVar(&cfg.tableii, "tableii", false, "enumerate all eight Table II case studies (exits 1 if an extraction reaches a deadlock)")
 	flag.StringVar(&cfg.export, "export", "", "print a built-in protocol in the PCC-like format")
 	flag.StringVar(&cfg.specFile, "spec", "", "PCC-like protocol description file")
 	flag.BoolVar(&cfg.most, "most", false, "print the ArMOR ordering tables")
@@ -168,6 +171,7 @@ func run(ctx context.Context, cfg cliConfig) error {
 		return nil
 	case cfg.tableii:
 		var entries []*core.TableIIEntry
+		var verdicts []error
 		for _, pr := range core.TableIIPairs() {
 			res, err := compile(ctx, cfg, pr[:])
 			if err != nil {
@@ -175,9 +179,10 @@ func run(ctx context.Context, cfg cliConfig) error {
 			}
 			entries = append(entries, &core.TableIIEntry{Pair: res.Name,
 				States: res.FlatStates, Transitions: res.FlatEdges, Explored: res.Explored})
+			verdicts = append(verdicts, res.Compiled().Verdict())
 		}
 		fmt.Print(core.FormatTableII(entries))
-		return nil
+		return errors.Join(verdicts...)
 	case cfg.pair != "":
 		names := strings.Split(cfg.pair, ",")
 		if len(names) < 2 {
@@ -196,17 +201,21 @@ func run(ctx context.Context, cfg cliConfig) error {
 		}
 		switch {
 		case cfg.emit != "":
-			return withOut(cfg.out, func(w io.Writer) error { return engine.Emit(cf, cfg.emit, w) })
+			err = withOut(cfg.out, func(w io.Writer) error { return engine.Emit(cf, cfg.emit, w) })
 		case cfg.compileOut != "":
-			return withOut(cfg.out, func(w io.Writer) error { return summarize(w, cf) })
+			err = withOut(cfg.out, func(w io.Writer) error { return summarize(w, cf) })
+		default:
+			fmt.Print(cf.Fusion().Describe())
+			fmt.Printf("merged directory: %d states, %d transitions (%d system states explored) [%s]\n",
+				res.FlatStates, res.FlatEdges, res.Explored, core.EngineCompiled)
+			if cfg.fsm {
+				fmt.Print(cf.FlatFSM().Format())
+			}
 		}
-		fmt.Print(cf.Fusion().Describe())
-		fmt.Printf("merged directory: %d states, %d transitions (%d system states explored) [%s]\n",
-			res.FlatStates, res.FlatEdges, res.Explored, core.EngineCompiled)
-		if cfg.fsm {
-			fmt.Print(cf.FlatFSM().Format())
+		if err != nil {
+			return err
 		}
-		return nil
+		return cf.Verdict()
 	}
 	flag.Usage()
 	return nil

@@ -62,13 +62,14 @@ func main() {
 	cfg.search.Register(flag.CommandLine)
 	flag.Parse()
 
+	var err error
+	if cfg.search.MemBudget, err = cliopts.ParseBytes(*mem); err != nil {
+		fmt.Fprintf(os.Stderr, "hgcheck: -mem: %v\n", err)
+		os.Exit(1)
+	}
 	stopProf, err := cfg.search.StartProfiling()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hgcheck:", err)
-		os.Exit(1)
-	}
-	if cfg.search.MemBudget, err = cliopts.ParseBytes(*mem); err != nil {
-		fmt.Fprintf(os.Stderr, "hgcheck: -mem: %v\n", err)
 		os.Exit(1)
 	}
 	ctx, stop := cfg.search.Context()
@@ -149,18 +150,13 @@ func run(ctx context.Context, cfg checkConfig) error {
 	}
 	if res.Deadlocks > 0 {
 		fmt.Println("deadlock state (lex-least):", res.DeadlockAt)
-		return fmt.Errorf("deadlock found")
 	}
-	if res.Cancelled {
-		return fmt.Errorf("cancelled after expanding %d states (partial result): %w", res.States, ctx.Err())
+	err = res.Verdict()
+	switch {
+	case err == nil:
+		fmt.Println("deadlock-free (exhaustive)")
+	case res.Cancelled:
+		err = fmt.Errorf("%w: %w", err, ctx.Err())
 	}
-	if res.Truncated {
-		if res.BudgetFull {
-			return fmt.Errorf("storage memory budget exhausted after expanding %d states (raise -mem)", res.States)
-		}
-		return fmt.Errorf("state budget MaxStates=%d exhausted after expanding %d states (raise -max-states)",
-			res.MaxStates, res.States)
-	}
-	fmt.Println("deadlock-free (exhaustive)")
-	return nil
+	return err
 }

@@ -4,9 +4,8 @@ package core
 
 // Allocation regression guard for the extraction fast path. Once a
 // (state, message) pair is in the growing table, a delivery must replay it
-// like a finished table's entry — a locked span lookup, the recorded sends
-// and the memory image — without the interpreter, key encoding or map
-// probes. A regression here multiplies across the millions of deliveries
+// — a locked span lookup, the recorded sends and the memory image —
+// without the interpreter, key encoding or map probes. A regression here multiplies across the millions of deliveries
 // the §VII-C extraction replays. Excluded under the race detector
 // (instrumentation changes alloc counts); `make check` runs it in a
 // separate uninstrumented pass.

@@ -48,17 +48,18 @@ import (
 // fields (caches, programs, evictions). Search-schedule knobs (MaxStates,
 // Workers) are excluded: the completed table is independent of them.
 // Loading against a fusion/config whose digest differs is a structured
-// ErrArtifactMismatch at load time — never an unknown-key panic deep in a
-// later Deliver.
+// ErrArtifactMismatch at load time — never a search that replays another
+// machine's transitions.
 //
 // The loader trusts nothing: every read is bounds-checked and every index
 // (state, message id, span offset, string id) is validated before use, so
 // a corrupt or truncated file fails with ErrArtifactCorrupt instead of
 // panicking (FuzzArtifactCodec pins this). After decoding, the dense
 // arrays are re-anchored to a freshly rebuilt fusion and the spill-codec
-// images are decoded back through the interpreted MergedDir to re-derive
-// the symmetry relabelings and cross-check the stored state encodings —
-// drift between the artifact and the rebuilt fusion is caught at load.
+// images are decoded back through the interpreted MergedDir to
+// cross-check the stored state encodings — drift between the artifact and
+// the rebuilt fusion is caught at load. The loaded table is a seed:
+// System() searches it as a growing table, like a freshly compiled one.
 
 // ArtifactMagic identifies a compiled-fusion artifact file.
 const ArtifactMagic = "HGCF"
@@ -710,10 +711,10 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 // buildFromParts anchors the decoded dense arrays to a (re)built fusion:
 // fresh template system, scratch directory and permutation group from
 // (f, cfg), table contents from the artifact. The spill images are then
-// decoded through the interpreted scratch directory to re-derive the
-// symmetry relabelings and cross-check the stored component encodings
-// against the rebuilt fusion, so any semantic drift the digest missed
-// still fails the load rather than corrupting a search.
+// decoded through the interpreted scratch directory to cross-check the
+// stored component encodings against the rebuilt fusion, so any semantic
+// drift the digest missed still fails the load rather than corrupting a
+// search.
 func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFusion, error) {
 	cf, _ := newCompiledFusion(f, cfg)
 	if cf.initLocal != p.initLocal {
@@ -721,9 +722,11 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 			ErrArtifactMismatch, p.initLocal, cf.initLocal)
 	}
 	cf.explored = p.explored
-	cf.states = make([]compState, len(p.encs))
-	for i := range cf.states {
-		cf.states[i] = compState{enc: p.encs[i], spill: p.spills[i], mem: p.mems[i], refs: p.refs[i]}
+	states := make([]compState, len(p.encs))
+	cf.states = make([]*compState, len(states))
+	for i := range states {
+		states[i] = compState{enc: p.encs[i], spill: p.spills[i], mem: p.mems[i], refs: p.refs[i]}
+		cf.states[i] = &states[i]
 	}
 	cf.stateOff = p.stateOff
 	cf.entries = p.entries
@@ -733,38 +736,31 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 	for s, v := range p.stable {
 		cf.stable[s] = v
 	}
-	if err := cf.rebuildDerived(); err != nil {
+	if err := cf.crossCheck(); err != nil {
 		return nil, err
 	}
 	return cf, nil
 }
 
-// rebuildDerived re-derives what the artifact deliberately does not store:
-// the per-permutation relabeled encodings (when the symmetry group is
-// nontrivial), verifying along the way that the interpreted directory
-// rebuilt from the spill images reproduces the stored component encodings
-// byte for byte. With a trivial group only the initial state is
-// cross-checked (the full sweep would be pure verification cost).
-func (cf *CompiledFusion) rebuildDerived() error {
+// crossCheck verifies that the interpreted directory rebuilt from the
+// spill images reproduces the stored component encodings byte for byte.
+// With a nontrivial symmetry group every state is checked, since the
+// relabelings a symmetric search computes from the spill images must
+// agree with the stored encodings; with a trivial group only the initial
+// state is (the full sweep would be pure verification cost).
+func (cf *CompiledFusion) crossCheck() error {
 	check := 1
 	if len(cf.perms) > 1 {
 		check = len(cf.states)
 	}
 	for i := 0; i < check; i++ {
-		st := &cf.states[i]
+		st := cf.states[i]
 		if err := cf.scratch.DecodeState(spec.NewDec(st.spill)); err != nil {
 			return fmt.Errorf("%w: state %d spill image undecodable against the rebuilt fusion: %v",
 				ErrArtifactMismatch, i, err)
 		}
 		if got := cf.scratch.AppendBinary(nil); !bytes.Equal(got, st.enc) {
 			return fmt.Errorf("%w: state %d encoding differs from the rebuilt fusion's", ErrArtifactMismatch, i)
-		}
-		if len(cf.perms) > 1 {
-			st.relab = make([][]byte, len(cf.perms))
-			st.relab[0] = st.enc
-			for pi := 1; pi < len(cf.perms); pi++ {
-				st.relab[pi] = cf.scratch.AppendBinaryRelabeled(nil, cf.perms[pi])
-			}
 		}
 	}
 	// Leave the scratch directory back at the initial image so lazy

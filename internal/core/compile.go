@@ -22,38 +22,37 @@ import (
 // table, the explicit merged-directory controller the paper's Table II and
 // Figure 9 describe.
 //
+// Every searched system serves its merged directory through a CompiledDir
+// bound to a compiler: a growing table of interned directory states and
+// recorded (state, message) outcomes. A pair the table holds replays its
+// recorded sends, memory image and register move. A miss decodes the
+// pre-state's interned images into the compiler's private scratch
+// MergedDir, runs the interpreted deliver there, interns the successor and
+// records the outcome — successor state, messages sent, whether memory
+// changed, or a stall. A table starts either empty (the extraction search
+// and FusedSystem, behind every fused deadlock and litmus search) or
+// seeded with a finished table (CompiledFusion.System(), for a table
+// compiled here or loaded from an artifact); a seeded search grows its own
+// copy and never the CompiledFusion.
+//
 // Extraction is reachability-driven: the fusion is instantiated for one
 // concrete machine configuration (CompileConfig) and the model checker
-// exhaustively explores the very system CompiledFusion.System() builds —
-// the merged directory replaced by a CompiledDir — except that this
-// CompiledDir is bound to the compiler and its table grows on a miss. A
-// (state, message) pair the table already holds replays exactly as a
-// finished table's entry does: recorded sends, memory image, register
-// move. A miss decodes the pre-state's interned images into one private
-// scratch MergedDir, runs the interpreted deliver there, interns the
-// successor and records the outcome — successor state, messages sent,
-// whether memory changed, or a stall. Exploration runs with partial order
-// reduction off and symmetry off so every reachable (state, message) pair
-// is covered; the resulting table is total over the compiled
-// configuration by construction.
+// exhaustively explores it over an empty table, with partial order
+// reduction and symmetry off so every reachable (state, message) pair is
+// recorded; the resulting table is total over the compiled configuration
+// by construction. The extraction's deadlock count is its verdict
+// (Verdict).
 //
 // After extraction the recorded transitions are finalized into a dense
 // layout: every interned state owns a contiguous, message-sorted span of
 // table entries (stateOff/entries), with the recorded sends interned once
-// into a shared replay pool. CompiledDir.Deliver is then a binary search
-// over the current state's span by direct message-field comparison — a few
-// array reads, no per-delivery key encoding, hashing or allocation. The
-// same dense arrays are what the on-disk artifact (artifact.go) serializes
-// verbatim.
-//
-// Every fused deadlock and litmus search runs on the same growing table
-// the extraction uses (FusedSystem): one per search, seeded empty, grown
-// on each miss and never finalized.
+// into a shared pool. The on-disk artifact (artifact.go) serializes these
+// arrays verbatim, and System() seeds its tables from them.
 //
 // The compiled artifact drives every downstream layer:
 //
 //   - CompiledFusion.System() builds a model-checkable system in which the
-//     interpreted MergedDir is swapped for a CompiledDir — a pure table
+//     interpreted MergedDir is swapped for a CompiledDir — a table
 //     transducer with an int32 current-state register. The checker's
 //     visited-set encodings, snapshots, symmetry relabelings, POR node
 //     references and spill codec all reproduce the interpreted component's
@@ -67,13 +66,12 @@ import (
 //     on-disk form; LoadArtifact* rebuilds a working CompiledFusion from
 //     those bytes without re-running the extraction search (artifact.go).
 //
-// Soundness: the interpreted composite stays the oracle. Whenever a
-// finished compiled table is asked for a (state, message) pair the
-// extraction never saw — a configuration mismatch — CompiledDir panics
-// rather than guessing, and re-recording a pair with a conflicting
-// outcome fails compilation (it would mean the binary state encoding is
-// not injective over reachable states, the property the visited set
-// already relies on).
+// Soundness: the interpreted composite stays the oracle. A pair no table
+// holds is interpreted, never guessed, so a table searched outside its
+// CompileConfig reports exactly what the interpreted composite would.
+// Re-recording a pair with a conflicting outcome fails compilation (it
+// would mean the binary state encoding is not injective over reachable
+// states, the property the visited set already relies on).
 
 // Engine labels name the directory-evaluation strategy of a system, carried
 // through mcheck.Result and the CLIs so logs and benchmark JSON are
@@ -138,12 +136,17 @@ const stallState = int32(-1)
 var ErrCompileTruncated = errors.New("core: compile extraction truncated")
 
 // ErrCompileCancelled marks a CompileCtx failure caused by context
-// cancellation mid-extraction. A partial table is never returned — unlike
-// a partial search Result, a partial transition table would silently
-// panic on the first unseen (state, message) pair. Detectable with
-// errors.Is; the wrapped chain also matches the context's own error
-// (context.Canceled or DeadlineExceeded).
+// cancellation mid-extraction. A partial table is never returned: it
+// would hold only the pairs the cancelled search reached, so it could not
+// stand for its configuration in an artifact or a Table II row.
+// Detectable with errors.Is; the wrapped chain also matches the context's
+// own error (context.Canceled or DeadlineExceeded).
 var ErrCompileCancelled = errors.New("core: compile extraction cancelled")
+
+// ErrExtractionDeadlock marks a compiled fusion whose extraction search
+// reached a deadlock (Verdict): the table is complete, but the fusion is
+// not deadlock-free under its CompileConfig. Detectable with errors.Is.
+var ErrExtractionDeadlock = errors.New("core: extraction reached a deadlock")
 
 // CompileStats reports where a CompiledFusion came from and what each
 // phase cost — the extraction search and dense-table finalization for a
@@ -177,6 +180,12 @@ type CompileStats struct {
 	Finalize time.Duration
 	// Load is the artifact read+decode+rebuild time (zero when compiled).
 	Load time.Duration
+	// Deadlocks counts the deadlock states the extraction search reached
+	// and DeadlockAt is the lex-least one's snapshot (see Verdict). A
+	// loaded table reports none: the artifact stores no verdict. Neither
+	// field is part of the JSON form.
+	Deadlocks  int    `json:"-"`
+	DeadlockAt string `json:"-"`
 }
 
 // String renders the phase breakdown for CLI logs.
@@ -202,18 +211,18 @@ func (s CompileStats) String() string {
 // compState is one interned merged-directory state: the raw component
 // encoding (byte-identical to the interpreted MergedDir's), the bijective
 // spill-codec image (from which the interpreted snapshot and relabelings
-// can be reconstructed exactly), the shared memory image it implies, the
-// POR node references, and the encoding under every cache permutation the
-// symmetry reducer may request.
+// are reconstructed on demand), the shared memory image it implies and the
+// POR node references.
 type compState struct {
 	enc   []byte       // MergedDir.AppendBinary bytes
 	spill []byte       // MergedDir.AppendState bytes (exact state image)
 	mem   []byte       // Memory.AppendBinary bytes (replayed on remem transitions)
 	snap  string       // interpreted Snapshot output; reconstructed lazily from spill
 	refs  spec.NodeSet // interpreted RefNodes (ample-set POR)
-	// relab holds the relabeled encoding per permutation (relab[0] aliases
-	// enc); nil when the group is trivial.
-	relab [][]byte
+	// relab holds the encoding under every permutation of the group
+	// (relab[0] aliases enc), computed on the first relabeled request and
+	// published atomically so later readers stay lock-free (relabelings).
+	relab atomic.Pointer[[][]byte]
 }
 
 // compTransition is one recorded outcome: the successor state, the
@@ -244,11 +253,11 @@ type CompiledFusion struct {
 	cfg       CompileConfig
 	template  *mcheck.System // pristine interpreted system; cloned per System()
 	layout    *SystemLayout
-	scratch   *MergedDir // pristine interpreted clone; spill-decode target for snapshots
-	snapMu    sync.Mutex // guards scratch and lazy compState.snap fills
+	scratch   *MergedDir // pristine interpreted clone; spill-decode target for snapshots and relabelings
+	snapMu    sync.Mutex // guards scratch and lazy compState.snap/relab fills
 	mergedIdx int
 	owned     []spec.NodeID
-	states    []compState
+	states    []*compState
 	entries   []compEntry // per-state contiguous spans, message-sorted
 	stateOff  []int32     // len(states)+1 span offsets into entries
 	sends     []spec.Msg  // shared send-replay pool
@@ -262,7 +271,7 @@ type CompiledFusion struct {
 	// Cache-permutation group for symmetry interop: the full product of
 	// per-cluster cache-id permutations (every group the checker's
 	// auto-detection can enable is a subgroup). sigOf maps a permutation's
-	// action on cacheIDs to its precomputed relabeling index.
+	// action on cacheIDs to its index in compState.relab.
 	cacheIDs []spec.NodeID
 	perms    []spec.Relabel // perms[0] is the identity (nil)
 	sigOf    map[string]int
@@ -270,7 +279,8 @@ type CompiledFusion struct {
 
 // maxCompiledPerms mirrors the checker's symmetry-group cap (mcheck's
 // maxSymPerms): beyond it auto-detection declines the reduction, so no
-// relabelings will ever be requested and precomputing them would be waste.
+// relabelings will ever be requested and enumerating the group would be
+// waste.
 const maxCompiledPerms = 5040
 
 // newCompiledFusion builds the configuration-dependent skeleton shared by
@@ -299,20 +309,25 @@ func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.S
 	return cf, sys
 }
 
+// bind swaps sys's merged directory for a CompiledDir over c's table.
+func (cf *CompiledFusion) bind(sys *mcheck.System, c *compiler) *mcheck.System {
+	if err := sys.SwapComponent(cf.mergedIdx, &CompiledDir{cf: cf, mem: sys.Mem, grow: c}); err != nil {
+		panic(err.Error())
+	}
+	sys.SetEngine(EngineCompiled)
+	return sys
+}
+
 // growingSystem builds the system for cfg with its merged directory
-// swapped for a CompiledDir over a fresh growing table, and returns the
-// table's owner and compiler alongside it.
+// swapped for a CompiledDir over a fresh, empty growing table, and returns
+// the table's owner and compiler alongside it.
 func growingSystem(f *Fusion, cfg CompileConfig, memo bool) (*CompiledFusion, *compiler, *mcheck.System) {
 	cf, sys := newCompiledFusion(f, cfg)
 	c := newCompiler(cf, memo)
 	// Intern the initial directory state first: CompiledDir starts at
 	// index 0.
 	c.intern(cf.layout.Merged)
-	if err := sys.SwapComponent(cf.mergedIdx, &CompiledDir{cf: cf, mem: sys.Mem, grow: c}); err != nil {
-		panic(err.Error())
-	}
-	sys.SetEngine(EngineCompiled)
-	return cf, c, sys
+	return cf, c, cf.bind(sys, c)
 }
 
 // FusedSystem builds the system every fused search runs on:
@@ -334,7 +349,8 @@ func FusedSystem(f *Fusion, cachesPerCluster []int, programs [][]spec.CoreReq) *
 // configuration by exhaustively exploring the system with a growing
 // CompiledDir in place of the merged directory (misses run the
 // interpreted composite), then finalizing the recorded transitions into
-// the dense dispatch layout.
+// the dense layout. A deadlock the extraction reaches does not fail the
+// compile; it is the table's Verdict.
 func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	return CompileCtx(context.Background(), f, cfg)
 }
@@ -365,19 +381,14 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 		return nil, fmt.Errorf("%w: %s at %d states", ErrCompileTruncated, f.Name(), res.States)
 	}
 	cf.explored = res.States
-	cf.states = make([]compState, len(c.states))
-	for i, st := range c.states {
-		cf.states[i] = *st
-	}
-	cf.stats.Extract = time.Since(start)
-	cf.stats.ExtractStates = res.States
-	cf.stats.Interpreted = c.interpreted
-	cf.stats.MemoHits = c.memoHits
+	cf.states = c.states
+	cf.stats = CompileStats{Source: SourceCompiler, Extract: time.Since(start),
+		ExtractStates: res.States, Interpreted: c.interpreted, MemoHits: c.memoHits,
+		Deadlocks: res.Deadlocks, DeadlockAt: res.DeadlockAt}
 
 	finalizeStart := time.Now()
 	cf.finalize(c)
 	cf.stats.Finalize = time.Since(finalizeStart)
-	cf.stats.Source = SourceCompiler
 	return cf, nil
 }
 
@@ -434,14 +445,14 @@ func (cf *CompiledFusion) renumber(c *compiler) {
 		ord[i] = int32(i + 1)
 	}
 	sort.Slice(ord, func(i, j int) bool {
-		a, b := &cf.states[ord[i]], &cf.states[ord[j]]
+		a, b := cf.states[ord[i]], cf.states[ord[j]]
 		if cmp := bytes.Compare(a.enc, b.enc); cmp != 0 {
 			return cmp < 0
 		}
 		return bytes.Compare(a.mem, b.mem) < 0
 	})
 	remap := make([]int32, n)
-	states := make([]compState, n)
+	states := make([]*compState, n)
 	states[0] = cf.states[0]
 	for i, old := range ord {
 		remap[old] = int32(i + 1)
@@ -670,8 +681,7 @@ func (cf *CompiledFusion) sig(r spec.Relabel) []byte {
 	return buf
 }
 
-// permIndex resolves a checker relabeling to a precomputed permutation
-// index.
+// permIndex resolves a checker relabeling to its index in the group.
 func (cf *CompiledFusion) permIndex(r spec.Relabel) (int, bool) {
 	buf := make([]byte, 0, 64)
 	for _, id := range cf.cacheIDs {
@@ -715,6 +725,19 @@ func (cf *CompiledFusion) Config() CompileConfig { return cf.cfg }
 // (extraction vs artifact load).
 func (cf *CompiledFusion) Stats() CompileStats { return cf.stats }
 
+// Verdict is the extraction's deadlock verdict: an error wrapping
+// ErrExtractionDeadlock with the count and the lex-least deadlock state
+// when the extraction search reached one, nil otherwise. Extraction runs
+// without reductions, so nil means deadlock-free under the CompileConfig
+// — except for a loaded table, which carries no verdict and reports nil.
+func (cf *CompiledFusion) Verdict() error {
+	if cf.stats.Deadlocks == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %s has %d deadlock states under its compile config; lex-least: %s",
+		ErrExtractionDeadlock, cf.fusion.Name(), cf.stats.Deadlocks, cf.stats.DeadlockAt)
+}
+
 // DirStates counts the interned (directory state, memory) pairs — the
 // transducer's state count (finer than the per-address FlatFSM states).
 func (cf *CompiledFusion) DirStates() int { return len(cf.states) }
@@ -739,14 +762,51 @@ func (cf *CompiledFusion) snapOf(st *compState) string {
 	cf.snapMu.Lock()
 	defer cf.snapMu.Unlock()
 	if st.snap == "" {
-		if err := cf.scratch.DecodeState(spec.NewDec(st.spill)); err != nil {
-			panic(fmt.Sprintf("core: compiled state spill image undecodable: %v", err))
-		}
+		cf.decodeScratch(st)
 		var w spec.SnapshotWriter
 		cf.scratch.Snapshot(&w)
 		st.snap = w.String()
 	}
 	return st.snap
+}
+
+// relabelings returns st's encoding under every permutation of the group,
+// computing all of them from its spill image on the first call. A search
+// without symmetry never calls it, so it never pays for them.
+func (cf *CompiledFusion) relabelings(st *compState) [][]byte {
+	if r := st.relab.Load(); r != nil {
+		return *r
+	}
+	cf.snapMu.Lock()
+	defer cf.snapMu.Unlock()
+	if r := st.relab.Load(); r != nil {
+		return *r
+	}
+	cf.decodeScratch(st)
+	relab := make([][]byte, len(cf.perms))
+	relab[0] = st.enc
+	for i := 1; i < len(cf.perms); i++ {
+		relab[i] = cf.scratch.AppendBinaryRelabeled(nil, cf.perms[i])
+	}
+	st.relab.Store(&relab)
+	return relab
+}
+
+// relabel appends st's encoding under r, a permutation outside the group,
+// without caching it.
+func (cf *CompiledFusion) relabel(buf []byte, st *compState, r spec.Relabel) []byte {
+	cf.snapMu.Lock()
+	defer cf.snapMu.Unlock()
+	cf.decodeScratch(st)
+	return cf.scratch.AppendBinaryRelabeled(buf, r)
+}
+
+// decodeScratch loads st's spill image into the scratch directory; the
+// caller holds snapMu.
+func (cf *CompiledFusion) decodeScratch(st *compState) {
+	if err := cf.scratch.DecodeState(spec.NewDec(st.spill)); err != nil {
+		panic(fmt.Sprintf("core: compiled state spill image undecodable: %v", err))
+	}
 }
 
 // Protocol lifts the compiled table's per-address projection (FlatFSM)
@@ -813,40 +873,67 @@ func (cf *CompiledFusion) Protocol() (*spec.Protocol, error) {
 
 // System builds a model-checkable system for the compiled configuration:
 // the template's caches and cores with the interpreted merged directory
-// swapped for the compiled table transducer.
+// swapped for a CompiledDir over a growing table seeded with this one. A
+// pair the table holds replays; a miss (a program or eviction setting the
+// table was not compiled for) interprets and grows the search's own copy,
+// so the search reports exactly what the interpreted composite would. The
+// CompiledFusion never changes.
 func (cf *CompiledFusion) System() *mcheck.System {
-	sys := cf.template.Clone()
-	cd := &CompiledDir{cf: cf, cur: 0, mem: sys.Mem}
-	if err := sys.SwapComponent(cf.mergedIdx, cd); err != nil {
-		panic(err.Error())
-	}
-	sys.SetEngine(EngineCompiled)
-	return sys
+	return cf.bind(cf.template.Clone(), cf.seed())
 }
 
-// compRecord is one recorded extraction outcome awaiting finalization.
+// seed returns a compiler whose table starts as this finished one: the
+// interned states (shared; their lazy snapshot and relabeling caches are
+// the only fields ever written) and one record per dense entry, each
+// state's span listing its message-sorted entries. Every seeded slice is
+// capped at its length, so the first growth copies instead of writing
+// into cf's arrays; intern indexes the keys on the first miss.
+func (cf *CompiledFusion) seed() *compiler {
+	c := newCompiler(cf, true)
+	n := len(cf.states)
+	states := cf.states[:n:n]
+	c.states = states
+	c.table.Store(&states)
+	c.recs = make([]compRecord, len(cf.entries))
+	idx := make([]int32, len(cf.entries))
+	c.spans = make([][]int32, n)
+	for s := range c.spans {
+		lo, hi := cf.stateOff[s], cf.stateOff[s+1]
+		for i := lo; i < hi; i++ {
+			e := &cf.entries[i]
+			end := e.sendOff + e.sendLen
+			c.recs[i] = compRecord{pre: int32(s), msg: e.msg,
+				tr: compTransition{next: e.next, sends: cf.sends[e.sendOff:end:end], remem: e.remem}}
+			idx[i] = i
+		}
+		c.spans[s] = idx[lo:hi:hi]
+	}
+	return c
+}
+
+// compRecord is one recorded outcome: after an extraction, finalize lays
+// the records out densely; seed rebuilds them from that layout.
 type compRecord struct {
 	pre int32
 	msg spec.Msg
 	tr  compTransition
 }
 
-// compiler owns the table that grows during extraction. Every searched
-// system carries a CompiledDir bound to it (grow), whose deliveries land
-// in deliver; the mutex serializes table lookups and growth so extraction
-// may run on the parallel search path.
+// compiler owns a growing table. Every searched system carries a
+// CompiledDir bound to one (grow), whose deliveries land in step; the
+// mutex serializes table lookups and growth so a search may run on the
+// parallel path.
 type compiler struct {
 	mu sync.Mutex
-	cf *CompiledFusion
 	// states is the interned state table, appended under mu and published
 	// through table to the lock-free readers — the searched directories'
 	// encode, spill and POR-reference paths. Each publish stores a fresh
 	// slice header after writing the element it newly covers, and interned
-	// states are immutable (bar the snapMu-guarded snapshot cache), so a
+	// states are immutable (bar their snapshot and relabeling caches), so a
 	// reader never sees a partially built state.
 	states []*compState
 	table  atomic.Pointer[[]*compState]
-	keys   map[string]int32 // interned enc++mem -> state index
+	keys   map[string]int32 // interned enc++mem -> state index; built on the first intern
 	keyBuf []byte
 	spans  [][]int32 // per state: indices into recs, message-sorted
 	recs   []compRecord
@@ -866,7 +953,7 @@ type compiler struct {
 
 // newCompiler returns an empty growing table over cf's configuration.
 func newCompiler(cf *CompiledFusion, memo bool) *compiler {
-	c := &compiler{cf: cf, keys: map[string]int32{}, memo: memo,
+	c := &compiler{memo: memo,
 		scratch: cf.layout.Merged.Clone().(*MergedDir)}
 	c.dec.InternStrings(new(spec.Intern))
 	return c
@@ -876,25 +963,6 @@ func newCompiler(cf *CompiledFusion, memo bool) *compiler {
 type sendCapture struct{ sends []spec.Msg }
 
 func (e *sendCapture) Send(m spec.Msg) { e.sends = append(e.sends, m) }
-
-// deliver is CompiledDir.Deliver on the growing table: look up (or grow)
-// the outcome under the lock, then apply it to d outside it. With
-// memoization each distinct pair misses once, so the search mostly runs
-// at compiled-table speed.
-func (c *compiler) deliver(d *CompiledDir, env spec.Env, m spec.Msg) bool {
-	c.mu.Lock()
-	tr := c.step(d.cur, m)
-	var mem []byte
-	if tr.remem {
-		mem = c.states[tr.next].mem
-	}
-	c.mu.Unlock()
-	if tr.next == stallState {
-		return false
-	}
-	d.apply(env, tr.sends, tr.next, mem)
-	return true
-}
 
 // step returns the outcome of delivering m in state pre. A pair already
 // recorded replays (memoization); a miss runs the interpreter and records
@@ -958,11 +1026,17 @@ func (c *compiler) load(spill, mem []byte) {
 
 // intern returns the dense index of the directory's current
 // (state, memory) pair, creating and publishing the compState on first
-// sight. The fmt-based Snapshot is deliberately NOT captured here — the
-// exact spill-codec image is, and snapshots are reconstructed from it on
-// demand (snapOf), keeping extraction on the binary-encoding path
-// throughout.
+// sight. Neither the fmt-based Snapshot nor the relabelings are captured
+// here — the exact spill-codec image is, and both are reconstructed from
+// it on demand (snapOf, relabelings), keeping extraction on the
+// binary-encoding path throughout.
 func (c *compiler) intern(d *MergedDir) int32 {
+	if c.keys == nil {
+		c.keys = make(map[string]int32, len(c.states))
+		for i, st := range c.states {
+			c.keys[string(st.enc)+string(st.mem)] = int32(i)
+		}
+	}
 	c.keyBuf = d.AppendBinary(c.keyBuf[:0])
 	split := len(c.keyBuf)
 	c.keyBuf = d.Memory().AppendBinary(c.keyBuf)
@@ -974,13 +1048,6 @@ func (c *compiler) intern(d *MergedDir) int32 {
 		mem:   append([]byte(nil), c.keyBuf[split:]...),
 		spill: d.AppendState(nil),
 		refs:  d.RefNodes(),
-	}
-	if len(c.cf.perms) > 1 {
-		st.relab = make([][]byte, len(c.cf.perms))
-		st.relab[0] = st.enc
-		for i := 1; i < len(c.cf.perms); i++ {
-			st.relab[i] = d.AppendBinaryRelabeled(nil, c.cf.perms[i])
-		}
 	}
 	idx := int32(len(c.states))
 	c.states = append(c.states, st)
@@ -1005,15 +1072,11 @@ func sameTransition(a, b compTransition) bool {
 }
 
 // CompiledDir is the flat-table stand-in for the interpreted MergedDir: an
-// int32 state register, the shared memory handle, and a binary search over
-// the current state's contiguous entry span per delivery — no hashing, key
-// encoding or allocation on the dispatch path. It reproduces the
-// interpreted component's visited-set encoding, snapshot, relabelings, POR
-// references and spill codec byte for byte, so searches over compiled and
-// interpreted systems agree exactly.
-//
-// During extraction the CompiledDir is bound to the compiler (grow) and
-// reads the growing table instead of the finalized one.
+// int32 state register, the shared memory handle, and the growing table it
+// dispatches through. It reproduces the interpreted component's
+// visited-set encoding, snapshot, relabelings, POR references and spill
+// codec byte for byte, so searches over compiled and interpreted systems
+// agree exactly.
 type CompiledDir struct {
 	cf   *CompiledFusion
 	cur  int32
@@ -1023,45 +1086,31 @@ type CompiledDir struct {
 
 // state returns the interned images of the current state.
 func (d *CompiledDir) state() *compState {
-	if d.grow != nil {
-		return (*d.grow.table.Load())[d.cur]
-	}
-	return &d.cf.states[d.cur]
+	return (*d.grow.table.Load())[d.cur]
 }
 
 // OwnedIDs implements spec.Component (same endpoints as the interpreted
 // directory, so the route table is unchanged).
 func (d *CompiledDir) OwnedIDs() []spec.NodeID { return d.cf.owned }
 
-// Deliver implements spec.Component by dense table lookup: binary-search
-// the current state's message-sorted span, then stall or replay the
-// recorded sends, memory image and successor state.
+// Deliver implements spec.Component: look up (or grow) the outcome of m
+// in the current state under the table's lock, then stall, or replay the
+// recorded sends, memory image and successor state outside it. With
+// memoization each distinct pair misses once, so a search mostly runs at
+// table speed.
 func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
-	if d.grow != nil {
-		return d.grow.deliver(d, env, m)
+	c := d.grow
+	c.mu.Lock()
+	tr := c.step(d.cur, m)
+	var mem []byte
+	if tr.remem {
+		mem = c.states[tr.next].mem
 	}
-	cf := d.cf
-	i, ok := findEntry(cf.entries, cf.stateOff[d.cur], cf.stateOff[d.cur+1], m)
-	if !ok {
-		panic(fmt.Sprintf("core: compiled table for %s has no entry for state %d on %s — the checked configuration does not match the CompileConfig",
-			cf.fusion.Name(), d.cur, m))
-	}
-	e := &cf.entries[i]
-	if e.next == stallState {
+	c.mu.Unlock()
+	if tr.next == stallState {
 		return false
 	}
-	var mem []byte
-	if e.remem {
-		mem = cf.states[e.next].mem
-	}
-	d.apply(env, cf.sends[e.sendOff:e.sendOff+e.sendLen], e.next, mem)
-	return true
-}
-
-// apply moves the register to next, replaying the recorded sends and, when
-// the delivery changed memory, installing next's memory image.
-func (d *CompiledDir) apply(env spec.Env, sends []spec.Msg, next int32, mem []byte) {
-	for _, s := range sends {
+	for _, s := range tr.sends {
 		env.Send(s)
 	}
 	if mem != nil {
@@ -1069,24 +1118,8 @@ func (d *CompiledDir) apply(env spec.Env, sends []spec.Msg, next int32, mem []by
 			panic(err.Error())
 		}
 	}
-	d.cur = next
-}
-
-// findEntry binary-searches the message-sorted entry span [lo, hi) for m.
-func findEntry(entries []compEntry, lo, hi int32, m spec.Msg) (int32, bool) {
-	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		c := msgCmp(m, entries[mid].msg)
-		if c == 0 {
-			return mid, true
-		}
-		if c < 0 {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return 0, false
+	d.cur = tr.next
+	return true
 }
 
 // Clone implements spec.Component.
@@ -1111,21 +1144,22 @@ func (d *CompiledDir) AppendBinary(buf []byte) []byte {
 	return append(buf, d.state().enc...)
 }
 
-// AppendBinaryRelabeled implements spec.RelabelAppender via the
-// precomputed per-permutation encodings.
+// AppendBinaryRelabeled implements spec.RelabelAppender with the state's
+// relabelings under the group, computed on the first request; a
+// permutation outside the group is computed uncached.
 func (d *CompiledDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
 	st := d.state()
 	if r == nil {
 		return append(buf, st.enc...)
 	}
 	idx, ok := d.cf.permIndex(r)
-	if !ok {
-		panic("core: compiled table lacks a relabeling for the requested permutation")
-	}
-	if idx == 0 {
+	switch {
+	case !ok:
+		return d.cf.relabel(buf, st, r)
+	case idx == 0:
 		return append(buf, st.enc...)
 	}
-	return append(buf, st.relab[idx]...)
+	return append(buf, d.cf.relabelings(st)[idx]...)
 }
 
 // AppendState implements spec.StateCodec (spill frontier): the state
@@ -1140,11 +1174,7 @@ func (d *CompiledDir) DecodeState(dec *spec.Dec) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	n := len(d.cf.states)
-	if d.grow != nil {
-		n = len(*d.grow.table.Load())
-	}
-	if v >= uint64(n) {
+	if v >= uint64(len(*d.grow.table.Load())) {
 		return fmt.Errorf("core: compiled-state index %d out of range", v)
 	}
 	d.cur = int32(v)
@@ -1158,8 +1188,8 @@ func (d *CompiledDir) RefNodes() spec.NodeSet { return d.state().refs }
 // PORLocal mirrors the interpreted MergedDir's locality verdict.
 func (d *CompiledDir) PORLocal() bool { return d.cf.porLocal }
 
-// Freeze implements spec.Freezer (the table is immutable; the constituent
-// protocols were frozen at compile time).
+// Freeze implements spec.Freezer (the constituent protocols were frozen at
+// compile time).
 func (d *CompiledDir) Freeze() {}
 
 var (

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"heterogen/internal/mcheck"
@@ -251,32 +253,142 @@ func TestCompiledProtocolPCCRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompiledDirPanicsOnForeignConfig pins the config-mismatch guard:
-// driving a compiled table with a program it was not compiled for must
-// panic, not silently mis-transition.
-func TestCompiledDirPanicsOnForeignConfig(t *testing.T) {
-	f, err := Fuse(Options{}, protocols.MustByName(protocols.NameMSI), protocols.MustByName(protocols.NameRCC))
+// sameSearch fails unless two results agree on every observable a seeded
+// table must reproduce: states, transitions, deadlocks and outcomes.
+func sameSearch(t *testing.T, what string, got, want *mcheck.Result) {
+	t.Helper()
+	if got.States != want.States || got.Transitions != want.Transitions || got.Deadlocks != want.Deadlocks {
+		t.Errorf("%s: %d states, %d transitions, %d deadlocks; want %d, %d, %d",
+			what, got.States, got.Transitions, got.Deadlocks, want.States, want.Transitions, want.Deadlocks)
+	}
+	if gk, wk := outcomeKeys(got), outcomeKeys(want); !sameStrings(gk, wk) {
+		t.Errorf("%s: outcome set differs:\n  got:  %v\n  want: %v", what, gk, wk)
+	}
+}
+
+// foreignTable compiles MSI&RCC with caches per cluster for every core
+// loading address 0, and returns it with programs it was not compiled
+// for: every core storing address 1 (value 1 under symmetric, else a
+// per-core value) reaches (state, message) pairs the table does not hold.
+func foreignTable(t *testing.T, caches []int, symmetric bool) (*Fusion, *CompiledFusion, [][]spec.CoreReq) {
+	t.Helper()
+	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
+	var progs, foreign [][]spec.CoreReq
+	for core := 0; core < caches[0]+caches[1]; core++ {
+		v := core + 1
+		if symmetric {
+			v = 1
+		}
+		progs = append(progs, []spec.CoreReq{{Op: spec.OpLoad, Addr: 0}})
+		foreign = append(foreign, []spec.CoreReq{{Op: spec.OpStore, Addr: 1, Value: v}})
+	}
+	cf, err := Compile(f, CompileConfig{CachesPerCluster: caches, Programs: progs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs := [][]spec.CoreReq{
-		{{Op: spec.OpLoad, Addr: 0}},
-		{{Op: spec.OpLoad, Addr: 0}},
-	}
-	cf, err := Compile(f, CompileConfig{CachesPerCluster: []int{1, 1}, Programs: progs})
+	return f, cf, foreign
+}
+
+// compilerOf returns the growing table a system's directory dispatches
+// through.
+func compilerOf(cf *CompiledFusion, sys *mcheck.System) *compiler {
+	return sys.Components[cf.mergedIdx].(*CompiledDir).grow
+}
+
+// TestCompiledSystemInterpretsForeignPrograms pins the seeded table's
+// miss path: driving a finished table — compiled here or loaded from its
+// artifact — with programs it was not compiled for interprets the unseen
+// pairs and reports exactly what a fresh growing table does, while the
+// CompiledFusion itself stays untouched.
+func TestCompiledSystemInterpretsForeignPrograms(t *testing.T) {
+	f, cf, foreign := foreignTable(t, []int{1, 1}, false)
+	data := cf.MarshalArtifact()
+	transitions := cf.Transitions()
+	lcf, err := LoadArtifactFor(data, f, cf.Config())
 	if err != nil {
 		t.Fatal(err)
+	}
+	opts := mcheck.Options{Workers: 1}
+	want := mcheck.Explore(FusedSystem(f, []int{1, 1}, foreign), opts)
+	for _, tc := range []struct {
+		name string
+		cf   *CompiledFusion
+	}{{"compiled", cf}, {"loaded", lcf}} {
+		sys := tc.cf.System()
+		sys.SetPrograms(foreign)
+		res := mcheck.Explore(sys, opts)
+		sameSearch(t, tc.name, res, want)
+		if n := compilerOf(tc.cf, sys).interpreted; n == 0 {
+			t.Errorf("%s: foreign programs never missed the seeded table", tc.name)
+		}
+		if got := tc.cf.Transitions(); got != transitions {
+			t.Errorf("%s: Transitions() %d after the search, %d before", tc.name, got, transitions)
+		}
+		if !bytes.Equal(tc.cf.MarshalArtifact(), data) {
+			t.Errorf("%s: MarshalArtifact() bytes changed by the search", tc.name)
+		}
+	}
+}
+
+// TestCompiledSystemConcurrentMisses runs two searches of one
+// cf.System() at once, both growing its table on misses (symmetry on, so
+// the shared states' relabelings are also filled concurrently). Under
+// -race this pins the table's locking and lock-free publication.
+func TestCompiledSystemConcurrentMisses(t *testing.T) {
+	f, cf, foreign := foreignTable(t, []int{2, 1}, true)
+	opts := mcheck.Options{Workers: 2, Symmetry: true}
+	want := mcheck.Explore(FusedSystem(f, []int{2, 1}, foreign), opts)
+	if want.SymmetryPerms < 2 {
+		t.Fatalf("symmetric search ran with group order %d", want.SymmetryPerms)
 	}
 	sys := cf.System()
-	foreign := [][]spec.CoreReq{
-		{{Op: spec.OpStore, Addr: 1, Value: 9}},
-		{{Op: spec.OpStore, Addr: 1, Value: 8}},
-	}
 	sys.SetPrograms(foreign)
-	defer func() {
-		if recover() == nil {
-			t.Error("checking a foreign program against the compiled table did not panic")
+	var results [2]*mcheck.Result
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int, sys *mcheck.System) {
+			defer wg.Done()
+			results[i] = mcheck.Explore(sys, opts)
+		}(i, sys.Clone())
+	}
+	wg.Wait()
+	for i, res := range results {
+		sameSearch(t, fmt.Sprintf("search %d", i), res, want)
+		if res.SymmetryPerms != want.SymmetryPerms {
+			t.Errorf("search %d: group order %d, want %d", i, res.SymmetryPerms, want.SymmetryPerms)
 		}
-	}()
+	}
+	if compilerOf(cf, sys).interpreted == 0 {
+		t.Error("foreign programs never missed the seeded table")
+	}
+}
+
+// TestNoSymmetryComputesNoRelabelings pins that relabelings are computed
+// on demand: a search without symmetry, on a configuration whose group is
+// nontrivial, leaves every interned state without them.
+func TestNoSymmetryComputesNoRelabelings(t *testing.T) {
+	f := fusePair(t, protocols.NameRCC, protocols.NameRCC)
+	progs := [][]spec.CoreReq{
+		{{Op: spec.OpStore, Addr: 0, Value: 1}},
+		{{Op: spec.OpStore, Addr: 0, Value: 1}},
+		{{Op: spec.OpLoad, Addr: 0}},
+	}
+	cf, c, sys := growingSystem(f, CompileConfig{CachesPerCluster: []int{2, 1}, Programs: progs}, true)
+	if len(cf.perms) < 2 {
+		t.Fatal("configuration has a trivial permutation group")
+	}
 	mcheck.Explore(sys, mcheck.Options{Workers: 1})
+	for i, st := range c.states {
+		if st.relab.Load() != nil {
+			t.Fatalf("state %d of %d holds relabelings after a search without symmetry", i, len(c.states))
+		}
+	}
+	res := mcheck.Explore(sys, mcheck.Options{Workers: 1, Symmetry: true})
+	if res.SymmetryPerms < 2 {
+		t.Fatalf("symmetric search ran with group order %d", res.SymmetryPerms)
+	}
+	if c.states[0].relab.Load() == nil {
+		t.Error("a symmetric search left the initial state without relabelings")
+	}
 }

@@ -44,9 +44,9 @@ func tableIIDriver() [][]spec.CoreReq {
 }
 
 // TableIIEntry is one enumerated row: the merged directory's reachable
-// composite states and transitions under the driver workload. A row
-// judges nothing: the extraction reproduces a deadlocking fusion's table
-// as faithfully as a clean one, so deadlock freedom is a check's verdict.
+// composite states and transitions under the driver workload. The row
+// holds counts only; EnumerateCompiled returns the extraction's deadlock
+// verdict alongside it.
 type TableIIEntry struct {
 	Pair        string
 	States      int
@@ -73,7 +73,9 @@ func TableIICompileConfig(quick bool, workers int) CompileConfig {
 // projection), alongside the compiled fusion for further use. The full
 // enumeration explores replacements at any time (§VII-B); quick mode
 // skips them, trading tail states for a much smaller search.
-// testdata/tableii.golden pins every row and projection.
+// testdata/tableii.golden pins every row and projection. When the
+// extraction reached a deadlock the row and fusion come back with the
+// table's Verdict as the error.
 func EnumerateCompiled(f *Fusion, quick bool, workers int) (*TableIIEntry, *CompiledFusion, error) {
 	cf, err := Compile(f, TableIICompileConfig(quick, workers))
 	if err != nil {
@@ -81,7 +83,7 @@ func EnumerateCompiled(f *Fusion, quick bool, workers int) (*TableIIEntry, *Comp
 	}
 	states, trans := cf.FlatFSM().Counts()
 	return &TableIIEntry{Pair: f.Name(), States: states, Transitions: trans,
-		Explored: cf.Explored()}, cf, nil
+		Explored: cf.Explored()}, cf, cf.Verdict()
 }
 
 // FormatTableII renders entries like the paper's Table II.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -9,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"heterogen/internal/mcheck"
 	"heterogen/internal/protocols"
+	"heterogen/internal/spec"
 )
 
 func TestTableIIPairs(t *testing.T) {
@@ -145,5 +148,49 @@ func TestTableIIGolden(t *testing.T) {
 		if got := tableIIGolden(t, workers); got != string(want) {
 			t.Errorf("Table II on %d workers drifted from %s:\n--- got ---\n%s--- want ---\n%s", workers, path, got, want)
 		}
+	}
+}
+
+// TestExtractionVerdict pins that extraction keeps its verdict. The
+// fixture is MSI with the directory's PutAck to the last sharer's PutS
+// cut: fused with RCC it deadlocks once evictions are explored (the full
+// Table II config), yet still compiles — EnumerateCompiled returns the
+// row with an ErrExtractionDeadlock that agrees with the interpreted
+// oracle — while the quick config, which never evicts, stays clean. A
+// table reloaded from its artifact carries no verdict.
+func TestExtractionVerdict(t *testing.T) {
+	text, err := os.ReadFile(filepath.Join("testdata", "msi_no_putack.pcc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.ParsePCC(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Fuse(Options{}, p, protocols.MustByName(protocols.NameRCC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := EnumerateCompiled(f, true, 1); err != nil {
+		t.Errorf("quick config: %v", err)
+	}
+	e, cf, err := EnumerateCompiled(f, false, 1)
+	if !errors.Is(err, ErrExtractionDeadlock) || e == nil || cf == nil {
+		t.Fatalf("full config: got row %v, error %v; want the row and ErrExtractionDeadlock", e, err)
+	}
+	st := cf.Stats()
+	isys, _ := BuildSystem(f, []int{1, 1})
+	isys.SetPrograms(tableIIDriver())
+	ires := mcheck.Explore(isys, mcheck.Options{Evictions: true, Workers: 1, POR: mcheck.POROff})
+	if st.Deadlocks != 39 || st.Deadlocks != ires.Deadlocks || st.DeadlockAt != ires.DeadlockAt {
+		t.Errorf("extraction verdict %d deadlocks at %q; interpreted oracle %d at %q; want 39",
+			st.Deadlocks, st.DeadlockAt, ires.Deadlocks, ires.DeadlockAt)
+	}
+	lcf, err := LoadArtifact(cf.MarshalArtifact())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lcf.Verdict(); err != nil {
+		t.Errorf("loaded table reports a verdict: %v", err)
 	}
 }

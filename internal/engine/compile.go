@@ -30,8 +30,11 @@ type CompileRequest struct {
 	// Full extracts with evictions explored (slower); the default is
 	// the quick eviction-free Table II configuration.
 	Full bool `json:"full,omitempty"`
-	// Search supplies Workers; the other knobs don't apply to
-	// extraction (which fixes POR off and exact storage).
+	// Search supplies Workers and MaxStates (the extraction's state
+	// budget). Extraction always runs with POR off, so NoPOR is accepted
+	// and changes nothing; it fixes exact storage and no symmetry, so a
+	// request setting hash, bitstate, symmetry, mem_budget or spill_dir
+	// fails.
 	Search SearchOptions `json:"search,omitempty"`
 }
 
@@ -62,11 +65,23 @@ func (r *CompileResult) Compiled() *core.CompiledFusion { return r.cf }
 
 // Compile runs one compile request. Cancellation surfaces as
 // core.ErrCompileCancelled — a compile has no meaningful partial result
-// (a partial table would panic on unseen pairs), so unlike Check and
-// Litmus the cancelled case is an error here.
+// (a partial table covers only the pairs the cancelled search reached),
+// so unlike Check and Litmus the cancelled case is an error here.
 func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResult, error) {
 	if len(req.Pair) < 2 {
 		return nil, fmt.Errorf("compile request needs at least two protocols, got %d", len(req.Pair))
+	}
+	s := req.Search
+	for _, knob := range []struct {
+		name string
+		set  bool
+	}{
+		{"hash", s.Hash}, {"bitstate", s.Bitstate}, {"symmetry", s.Symmetry},
+		{"mem_budget", s.MemBudget != 0}, {"spill_dir", s.SpillDir != ""},
+	} {
+		if knob.set {
+			return nil, fmt.Errorf("compile request sets search.%s, which extraction does not honour (it takes workers, max_states and no_por)", knob.name)
+		}
 	}
 	mode, err := ParseHandshake(req.Handshake)
 	if err != nil {
@@ -84,7 +99,8 @@ func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResu
 	if err != nil {
 		return nil, err
 	}
-	ccfg := core.TableIICompileConfig(!req.Full, req.Search.Workers)
+	ccfg := core.TableIICompileConfig(!req.Full, s.Workers)
+	ccfg.MaxStates = s.MaxStates
 	ccfg.ProgressEvery = hooks.ProgressEvery
 	ccfg.OnProgress = hooks.searchProgress("extract")
 	ccfg.MemPool = hooks.MemPool

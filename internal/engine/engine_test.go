@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -254,5 +256,34 @@ func TestCompileRequest(t *testing.T) {
 	}
 	if warm.Digest != cold.Digest {
 		t.Fatalf("digest changed across the cache: %s vs %s", warm.Digest, cold.Digest)
+	}
+}
+
+// TestCompileSearchKnobs: a compile request honours max_states (a budget
+// below the extraction's size truncates it) and accepts no_por, while
+// each storage or reduction knob extraction cannot honour fails the
+// request with an error naming the field.
+func TestCompileSearchKnobs(t *testing.T) {
+	ctx := context.Background()
+	req := func(s SearchOptions) CompileRequest {
+		return CompileRequest{Pair: []string{"MSI", "MSI"}, Search: s}
+	}
+	if _, err := Compile(ctx, req(SearchOptions{Workers: 1, MaxStates: 10}), Hooks{}); !errors.Is(err, core.ErrCompileTruncated) {
+		t.Errorf("max_states 10: got %v, want core.ErrCompileTruncated", err)
+	}
+	if _, err := Compile(ctx, req(SearchOptions{Workers: 1, NoPOR: true}), Hooks{}); err != nil {
+		t.Errorf("no_por: %v", err)
+	}
+	for field, s := range map[string]SearchOptions{
+		"hash":       {Hash: true},
+		"bitstate":   {Bitstate: true},
+		"symmetry":   {Symmetry: true},
+		"mem_budget": {MemBudget: 1 << 20},
+		"spill_dir":  {SpillDir: t.TempDir()},
+	} {
+		s.Workers = 1
+		if _, err := Compile(ctx, req(s), Hooks{}); err == nil || !strings.Contains(err.Error(), "search."+field) {
+			t.Errorf("%s: got %v, want an error naming search.%s", field, err, field)
+		}
 	}
 }

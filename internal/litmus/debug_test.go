@@ -1,7 +1,6 @@
 package litmus
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
@@ -12,14 +11,15 @@ import (
 	"heterogen/internal/spec"
 )
 
-// debugShape finds and prints a path to an outcome satisfying pred.
-func debugShape(t *testing.T, pair []string, shapeName string, assign []int, pred func(memmodel.Outcome) bool) {
+// requireNoOutcome explores the interpreted composite running the shape
+// under assign, with every interleaving (POR off), and fails if any
+// quiescent outcome satisfies pred.
+func requireNoOutcome(t *testing.T, pair []string, shapeName string, assign []int, pred func(memmodel.Outcome) bool) {
 	t.Helper()
 	f := fuse(t, pair...)
 	shape, _ := ShapeByName(shapeName)
 	p := shape.Prog()
-	ap, progsByThread, keysByThread, addrs := Translate(p, f.Compound, assign)
-	_ = ap
+	_, progsByThread, keysByThread, addrs := Translate(p, f.Compound, assign)
 	perCluster := make([]int, len(f.Protocols))
 	for _, c := range assign {
 		perCluster[c]++
@@ -45,26 +45,29 @@ func debugShape(t *testing.T, pair []string, shapeName string, assign []int, pre
 		observe = append(observe, a)
 	}
 	sort.Slice(observe, func(i, j int) bool { return observe[i] < observe[j] })
-	opts := mcheck.Options{LoadKeys: keys, ObserveMem: observe}
-	path := mcheck.FindPath(sys.Clone(), opts, pred)
-	if path != nil {
-		fresh := sys.Clone()
-		for _, line := range mcheck.Replay(fresh, path) {
-			fmt.Println(line)
+	res := mcheck.Explore(sys, mcheck.Options{POR: mcheck.POROff, LoadKeys: keys, ObserveMem: observe})
+	if res.Truncated || res.Cancelled {
+		t.Fatalf("search did not run to exhaustion (%d states)", res.States)
+	}
+	for _, o := range res.Outcomes {
+		if pred(o) {
+			t.Errorf("forbidden outcome reached: %v", o)
 		}
-		t.Fatalf("counterexample path of %d moves found (trace above)", len(path))
 	}
 }
 
 // TestDebugLostWrite is a regression canary for the PLO proxy-fence capture
 // bug: no MP execution may lose a store.
 func TestDebugLostWrite(t *testing.T) {
-	debugShape(t, []string{protocols.NameMESI, protocols.NamePLOCC}, "MP", []int{1, 0},
+	requireNoOutcome(t, []string{protocols.NameMESI, protocols.NamePLOCC}, "MP", []int{1, 0},
 		func(o memmodel.Outcome) bool { return o["m:0"] == 0 || o["m:1"] == 0 })
 }
 
-// TestDebug22W traces the 2+2W coherence-order violation on MESI&RCC-O.
+// TestDebug22W is a regression canary for the 2+2W coherence-order
+// violation on MESI&RCC-O: no execution may end with both addresses
+// holding their first store's value (x = y = 1), since each thread's
+// release-store follows it.
 func TestDebug22W(t *testing.T) {
-	debugShape(t, []string{protocols.NameMESI, protocols.NameRCCO}, "2+2W", []int{0, 1},
+	requireNoOutcome(t, []string{protocols.NameMESI, protocols.NameRCCO}, "2+2W", []int{0, 1},
 		func(o memmodel.Outcome) bool { return o["m:0"] == 1 && o["m:1"] == 1 })
 }

@@ -345,3 +345,29 @@ func TestQuiescentInitialState(t *testing.T) {
 		t.Errorf("empty system: states=%d deadlocks=%d", res.States, res.Deadlocks)
 	}
 }
+
+func TestSingleOwnerInvariantViaSearch(t *testing.T) {
+	pr := protocols.MustByName(protocols.NameRCCO)
+	progs := [][]spec.CoreReq{
+		{{Op: spec.OpStore, Addr: 0, Value: 1}},
+		{{Op: spec.OpStore, Addr: 0, Value: 2}},
+	}
+	sys := NewHomogeneous(pr, 2)
+	sys.SetPrograms(progs)
+	res := Explore(sys, Options{Invariants: []Invariant{SingleOwnerInvariant("O")}})
+	if !res.Ok() {
+		t.Fatalf("RCC-O violates single-owner: %v", res.Violations)
+	}
+}
+
+func TestMoveString(t *testing.T) {
+	for _, m := range []Move{
+		{Kind: MoveDeliver, Chan: chanKey{1, 2, 0}},
+		{Kind: MoveIssue, Core: 3},
+		{Kind: MoveEvict, Cache: 1, Addr: 4},
+	} {
+		if m.String() == "" || m.String() == "move?" {
+			t.Errorf("bad move string for %+v", m)
+		}
+	}
+}

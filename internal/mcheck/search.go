@@ -725,22 +725,6 @@ func (ctx *searchCtx) successorsInPlace(cur *System, res *Result, sc *expandScra
 	return progressed
 }
 
-// outcomeOf extracts the litmus outcome of a quiescent state (slow path,
-// used by FindPath; Explore uses searchCtx.outcome with precomputed keys).
-func outcomeOf(s *System, loadKeys [][]string) memmodel.Outcome {
-	out := memmodel.Outcome{}
-	for t, core := range s.Cores {
-		for i, v := range core.Loads {
-			k := fmt.Sprintf("T%d:%d", t, i)
-			if t < len(loadKeys) && i < len(loadKeys[t]) {
-				k = loadKeys[t][i]
-			}
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // SWMRInvariant returns an invariant asserting the Single-Writer-Multiple-
 // Reader property: for every address, at most one cache holds the line in
 // one of the listed write states, and none may while another holds a read

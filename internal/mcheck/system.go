@@ -347,14 +347,6 @@ func (s *System) chanKeys() []chanKey {
 	return keys
 }
 
-// queued returns the messages in flight on channel k (nil if none).
-func (s *System) queued(k chanKey) []spec.Msg {
-	if i, ok := s.chanIdx(k); ok {
-		return s.chans[i].msgs
-	}
-	return nil
-}
-
 // syncCores advances cores whose issued op has completed.
 func (s *System) syncCores() {
 	for _, core := range s.Cores {

@@ -4,11 +4,12 @@ import "encoding/binary"
 
 // This file implements the compact binary state encoding used by the model
 // checker's visited set. The string Snapshot form stays the canonical
-// human-readable encoding (debug output, FindPath); AppendBinary produces a
-// byte string that distinguishes exactly the same states while avoiding the
-// fmt formatting machinery on the exploration hot path. Every encoder is
-// self-delimiting (varint lengths/counts before variable-size sections), so
-// concatenating encodings over a fixed component list stays injective.
+// human-readable encoding (debug output, deadlock reports); AppendBinary
+// produces a byte string that distinguishes exactly the same states while
+// avoiding the fmt formatting machinery on the exploration hot path. Every
+// encoder is self-delimiting (varint lengths/counts before variable-size
+// sections), so concatenating encodings over a fixed component list stays
+// injective.
 //
 // Controller states are written as their dense Machine.StateIndex rather
 // than length-prefixed names: a one-byte varint instead of a string per
