@@ -25,6 +25,7 @@ import (
 	"heterogen/internal/armor"
 	"heterogen/internal/benchmeta"
 	"heterogen/internal/core"
+	"heterogen/internal/engine"
 	"heterogen/internal/litmus"
 	"heterogen/internal/mcheck"
 	"heterogen/internal/memmodel"
@@ -133,20 +134,6 @@ func BenchmarkLitmusSuite(b *testing.B) {
 	b.ReportMetric(float64(passed), "passed")
 }
 
-// deadlockDriver matches cmd/hgcheck's stress workload.
-func deadlockDriver(cores, addrs int) [][]spec.CoreReq {
-	progs := make([][]spec.CoreReq, cores)
-	for c := 0; c < cores; c++ {
-		for a := 0; a < addrs; a++ {
-			progs[c] = append(progs[c],
-				spec.CoreReq{Op: spec.OpStore, Addr: spec.Addr(a), Value: c + 1},
-				spec.CoreReq{Op: spec.OpLoad, Addr: spec.Addr((a + 1) % addrs)})
-		}
-		progs[c] = append(progs[c], spec.CoreReq{Op: spec.OpRelease}, spec.CoreReq{Op: spec.OpAcquire})
-	}
-	return progs
-}
-
 // BenchmarkDeadlockFreedom is the §VII-C exhaustive reachability search on
 // the headline fusion (2 addresses, 1 cache per cluster, evictions free).
 func BenchmarkDeadlockFreedom(b *testing.B) {
@@ -158,7 +145,7 @@ func BenchmarkDeadlockFreedom(b *testing.B) {
 			b.Fatal(err)
 		}
 		sys, _ := core.BuildSystem(f, []int{1, 1})
-		sys.SetPrograms(deadlockDriver(2, 2))
+		sys.SetPrograms(engine.CheckDriver(2, 2, false))
 		res := mcheck.Explore(sys, mcheck.Options{Evictions: true, HashCompaction: true})
 		if res.Deadlocks > 0 || res.Truncated {
 			b.Fatalf("deadlocks=%d truncated=%t", res.Deadlocks, res.Truncated)
@@ -303,212 +290,10 @@ func BenchmarkStateExploration(b *testing.B) {
 	b.ReportMetric(float64(states), "states")
 }
 
-// BenchmarkExploreParallel measures the worker-pool frontier search on the
-// §VII-C fused reachability configuration across worker counts.
-func BenchmarkExploreParallel(b *testing.B) {
-	f, err := core.Fuse(core.Options{},
-		protocols.MustByName(protocols.NameMESI), protocols.MustByName(protocols.NameRCCO))
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.Freeze()
-	cases := []struct {
-		name    string
-		workers int
-	}{
-		{"workers=1/binary", 1},
-		{fmt.Sprintf("workers=%d/binary", runtime.NumCPU()), runtime.NumCPU()},
-	}
-	var rec benchRecorder
-	for _, tc := range cases {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			var states int
-			for i := 0; i < b.N; i++ {
-				sys, _ := core.BuildSystem(f, []int{1, 1})
-				sys.SetPrograms(deadlockDriver(2, 2))
-				start := time.Now()
-				res := mcheck.Explore(sys, mcheck.Options{
-					Evictions: true, HashCompaction: true,
-					Workers: tc.workers})
-				if res.Deadlocks > 0 || res.Truncated {
-					b.Fatalf("deadlocks=%d truncated=%t", res.Deadlocks, res.Truncated)
-				}
-				rec.record(tc.name, time.Since(start), res.States, "")
-				states = res.States
-			}
-			b.ReportMetric(float64(states), "states")
-		})
-	}
-	emitBench(b, "BENCH_PARALLEL_OUT", benchReport{
-		Schema:    "heterogen-bench-parallel/v2",
-		Benchmark: "BenchmarkExploreParallel",
-		Description: "§VII-C deadlock-freedom search on fused MESI & RCC-O, 1 cache per cluster, 2 addresses, evictions at any time, hash compaction, across worker counts; " +
-			"BENCH_PARALLEL_OUT=BENCH_PARALLEL.json go test -bench BenchmarkExploreParallel -benchtime 1x (make bench)",
-		Runner: benchmeta.Collect(searchNote()),
-		Cases:  rec.rows,
-	})
-}
-
-// symmetricDriver is deadlockDriver with the core-distinguishing store
-// values removed: every core runs the identical program, so all caches of
-// a cluster are interchangeable and the symmetry reduction applies.
-func symmetricDriver(cores, addrs int) [][]spec.CoreReq {
-	var prog []spec.CoreReq
-	for a := 0; a < addrs; a++ {
-		prog = append(prog,
-			spec.CoreReq{Op: spec.OpStore, Addr: spec.Addr(a), Value: 1},
-			spec.CoreReq{Op: spec.OpLoad, Addr: spec.Addr((a + 1) % addrs)})
-	}
-	prog = append(prog, spec.CoreReq{Op: spec.OpRelease}, spec.CoreReq{Op: spec.OpAcquire})
-	progs := make([][]spec.CoreReq, cores)
-	for c := range progs {
-		progs[c] = prog
-	}
-	return progs
-}
-
-// BenchmarkExploreSymmetry measures the cache-permutation symmetry
-// reduction against the unreduced search on fully symmetric
-// configurations (BENCH_SYMMETRY.json): the fused §VII-C machine with two
-// caches per cluster, and a homogeneous MESI triple with evictions, one
-// address each (two addresses push the unreduced fused space past 6M
-// states). The states metric shows the visited-set reduction (≈ group
-// order).
-func BenchmarkExploreSymmetry(b *testing.B) {
-	f, err := core.Fuse(core.Options{},
-		protocols.MustByName(protocols.NameMESI), protocols.MustByName(protocols.NameRCCO))
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.Freeze()
-	fused := func() *mcheck.System {
-		sys, _ := core.BuildSystem(f, []int{2, 2})
-		sys.SetPrograms(symmetricDriver(4, 1))
-		return sys
-	}
-	homog := func() *mcheck.System {
-		sys := mcheck.NewHomogeneous(protocols.MustByName(protocols.NameMESI), 3)
-		sys.SetPrograms(symmetricDriver(3, 1))
-		return sys
-	}
-	cases := []struct {
-		name  string
-		build func() *mcheck.System
-		opts  mcheck.Options
-	}{
-		{"fused-2x2/plain", fused, mcheck.Options{HashCompaction: true}},
-		{"fused-2x2/symmetry", fused, mcheck.Options{HashCompaction: true, Symmetry: true}},
-		{"mesi-3-evict/plain", homog, mcheck.Options{HashCompaction: true, Evictions: true}},
-		{"mesi-3-evict/symmetry", homog, mcheck.Options{HashCompaction: true, Evictions: true, Symmetry: true}},
-	}
-	var rec benchRecorder
-	for _, tc := range cases {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			var res *mcheck.Result
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				res = mcheck.Explore(tc.build(), tc.opts)
-				if res.Deadlocks > 0 || res.Truncated {
-					b.Fatalf("deadlocks=%d truncated=%t", res.Deadlocks, res.Truncated)
-				}
-				rec.record(tc.name, time.Since(start), res.States,
-					fmt.Sprintf("%d symmetry perms", res.SymmetryPerms))
-			}
-			b.ReportMetric(float64(res.States), "states")
-			b.ReportMetric(float64(res.SymmetryPerms), "perms")
-		})
-	}
-	emitBench(b, "BENCH_SYMMETRY_OUT", benchReport{
-		Schema:    "heterogen-bench-symmetry/v2",
-		Benchmark: "BenchmarkExploreSymmetry",
-		Description: "cache-permutation symmetry reduction vs the unreduced search on fully symmetric configurations (fused MESI & RCC-O 2x2, homogeneous MESI triple with evictions); " +
-			"BENCH_SYMMETRY_OUT=BENCH_SYMMETRY.json go test -bench BenchmarkExploreSymmetry -benchtime 1x (make bench-symmetry)",
-		Runner: benchmeta.Collect(searchNote()),
-		Cases:  rec.rows,
-	})
-}
-
-// BenchmarkExplorePOR measures the ample-set partial order reduction
-// (BENCH_POR.json, `make bench-por`) on the §VII-C reachability search:
-// the headline fused configuration with POR off vs on under the
-// production hash-compacted storage (sequential, so rows are directly
-// comparable to BENCH_STORAGE.json), POR stacked on the disk-spilling
-// frontier, and POR combined with the symmetry reduction on the
-// symmetric 2×2 fusion. Every case asserts deadlock freedom, so a
-// reduction that changed the verdict would fail the benchmark rather
-// than report a fast wrong answer.
-func BenchmarkExplorePOR(b *testing.B) {
-	f, err := core.Fuse(core.Options{},
-		protocols.MustByName(protocols.NameMESI), protocols.MustByName(protocols.NameRCCO))
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.Freeze()
-	headline := func() *mcheck.System {
-		sys, _ := core.BuildSystem(f, []int{1, 1})
-		sys.SetPrograms(deadlockDriver(2, 2))
-		return sys
-	}
-	sym2x2 := func() *mcheck.System {
-		sys, _ := core.BuildSystem(f, []int{2, 2})
-		sys.SetPrograms(symmetricDriver(4, 1))
-		return sys
-	}
-	cases := []struct {
-		name  string
-		build func() *mcheck.System
-		opts  mcheck.Options
-	}{
-		{"vii-c/por=off", headline,
-			mcheck.Options{Evictions: true, HashCompaction: true, Workers: 1, POR: mcheck.POROff}},
-		{"vii-c/por=on", headline,
-			mcheck.Options{Evictions: true, HashCompaction: true, Workers: 1}},
-		{"vii-c/por=on+spill", headline,
-			mcheck.Options{Evictions: true, HashCompaction: true, Workers: 1, SpillDir: "auto"}},
-		{"fused-2x2-sym/por=off", sym2x2,
-			mcheck.Options{HashCompaction: true, Symmetry: true, Workers: 1, POR: mcheck.POROff}},
-		{"fused-2x2-sym/por=on", sym2x2,
-			mcheck.Options{HashCompaction: true, Symmetry: true, Workers: 1}},
-	}
-	var rec benchRecorder
-	for _, tc := range cases {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			var res *mcheck.Result
-			for i := 0; i < b.N; i++ {
-				opts := tc.opts
-				if opts.SpillDir == "auto" {
-					opts.SpillDir = b.TempDir()
-				}
-				start := time.Now()
-				res = mcheck.Explore(tc.build(), opts)
-				if res.Deadlocks > 0 || res.Truncated {
-					b.Fatalf("deadlocks=%d truncated=%t", res.Deadlocks, res.Truncated)
-				}
-				rec.record(tc.name, time.Since(start), res.States,
-					fmt.Sprintf("%d ample-reduced states", res.PORReduced))
-			}
-			b.ReportMetric(float64(res.States), "states")
-			b.ReportMetric(float64(res.PORReduced), "ample-states")
-		})
-	}
-	emitBench(b, "BENCH_POR_OUT", benchReport{
-		Schema:    "heterogen-bench-por/v2",
-		Benchmark: "BenchmarkExplorePOR",
-		Description: "ample-set partial order reduction on the §VII-C reachability search, POR off vs on, stacked on spilling and symmetry; every case asserts deadlock freedom; " +
-			"BENCH_POR_OUT=BENCH_POR.json go test -bench BenchmarkExplorePOR -benchtime 1x (make bench-por)",
-		Runner: benchmeta.Collect(searchNote()),
-		Cases:  rec.rows,
-	})
-}
-
 // BenchmarkSmoke is the `make bench-smoke` target: a MaxStates-capped
 // §VII-C search plus the 2-thread litmus shapes on the headline pair — a
 // minutes-scale end-to-end health check of the checker and suite
-// plumbing, not a measurement (numbers in BENCH_*.json come from the full
-// bench targets).
+// plumbing, not a measurement (hgbench and BenchmarkCompile measure).
 func BenchmarkSmoke(b *testing.B) {
 	b.Run("deadlock-capped", func(b *testing.B) {
 		f, err := core.Fuse(core.Options{},
@@ -518,7 +303,7 @@ func BenchmarkSmoke(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			sys, _ := core.BuildSystem(f, []int{1, 1})
-			sys.SetPrograms(deadlockDriver(2, 2))
+			sys.SetPrograms(engine.CheckDriver(2, 2, false))
 			res := mcheck.Explore(sys, mcheck.Options{
 				Evictions: true, HashCompaction: true, MaxStates: 150000})
 			if res.Deadlocks > 0 {
@@ -539,34 +324,6 @@ func BenchmarkSmoke(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkLitmusSuiteParallel measures the suite worker pool on the
-// 2-thread shapes over every Table II pair (the BenchmarkLitmusSuite
-// workload routed through RunSuite).
-func BenchmarkLitmusSuiteParallel(b *testing.B) {
-	var pairs [][]*spec.Protocol
-	for _, pair := range core.TableIIPairs() {
-		pairs = append(pairs, []*spec.Protocol{
-			protocols.MustByName(pair[0]), protocols.MustByName(pair[1])})
-	}
-	for _, w := range []int{1, runtime.NumCPU()} {
-		w := w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var tests int
-			for i := 0; i < b.N; i++ {
-				rep, err := litmus.RunSuite(pairs, litmus.Options{MaxThreads: 2, Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Failed() > 0 {
-					b.Fatalf("litmus failures:\n%s", rep)
-				}
-				tests = len(rep.Results)
-			}
-			b.ReportMetric(float64(tests), "tests")
-		})
-	}
 }
 
 // BenchmarkFusion measures the synthesis step itself (analysis + fusion).
@@ -608,30 +365,8 @@ func (r *benchRecorder) record(name string, d time.Duration, states int, note st
 	r.rows = append(r.rows, row)
 }
 
-// benchReport is the shared envelope of the mcheck-search benchmark
-// reports (BENCH_PARALLEL/SYMMETRY/POR/STORAGE.json): schema, the runner
-// metadata every report embeds the same way (benchmeta), and the rows.
-type benchReport struct {
-	Schema      string           `json:"schema"`
-	Benchmark   string           `json:"benchmark"`
-	Description string           `json:"description"`
-	Runner      benchmeta.Runner `json:"runner"`
-	Cases       []benchRow       `json:"cases"`
-}
-
-// searchNote is the caveat every search report carries, derived from the
-// core count of the runner that produced it.
-func searchNote() string {
-	n := runtime.NumCPU()
-	if n == 1 {
-		return "single-core runner: worker counts above 1 measure scheduling overhead, not parallel speedup; wall-clock varies a few percent run to run"
-	}
-	return fmt.Sprintf("%d-core runner: a workers=%d row runs one search worker per core, so its speedup over workers=1 is measured on this runner; wall-clock varies a few percent run to run", n, n)
-}
-
-// emitBench writes a benchmark report when the BENCH_*_OUT environment
-// variable names a file — the shared output convention of every bench-*
-// make target (and of `make bench-all`).
+// emitBench writes a benchmark report when the environment variable
+// envVar names a file (`make bench-compile` sets BENCH_COMPILE_OUT).
 func emitBench(b *testing.B, envVar string, rep any) {
 	path := os.Getenv(envVar)
 	if path == "" || b.Failed() {
@@ -682,7 +417,7 @@ func BenchmarkCompile(b *testing.B) {
 		b.Fatal(err)
 	}
 	f.Freeze()
-	progs := deadlockDriver(2, 2)
+	progs := engine.CheckDriver(2, 2, false)
 	opts := mcheck.Options{Evictions: true, HashCompaction: true, Workers: 1}
 	ccfg := core.CompileConfig{CachesPerCluster: []int{1, 1}, Programs: progs,
 		Evictions: true, MaxStates: 8 << 20, Workers: 1}
@@ -832,107 +567,5 @@ func BenchmarkCompile(b *testing.B) {
 			"memoized extraction (extract vs extract/nomemo) cuts even the one-time cost; " +
 			"a check without an artifact searches a fresh growing table (growing/check), which pays each distinct (state, message) pair's interpretation once inside the search itself",
 		Agreement: fmt.Sprintf("every searching row visits the identical %d states and every extracting row produces the identical artifact digest (the benchmark aborts on any disagreement); internal/core/compile_test.go and memo_test.go pin compiled-vs-interpreted-vs-loaded equality and workers x memoization byte-identity", interpStates),
-	})
-}
-
-// BenchmarkStorage measures the memory-bounded state-storage engine
-// (BENCH_STORAGE.json, `make bench-storage`). The mode cases run the
-// §VII-C headline search (fused MESI & RCC-O, one cache per cluster, two
-// addresses, evictions free, ~1.1M states) under each visited-set mode —
-// exact, hash-compacted fingerprint table, bitstate filter, and hash
-// compaction with the disk-spilling frontier — reporting bytes/state and
-// table size alongside wall time. The vii-c-2x2 case is the previously
-// infeasible configuration: two caches per cluster free-running to a 10M-
-// state bound with the visited table pinned at a fixed budget and the
-// frontier spilling to disk.
-func BenchmarkStorage(b *testing.B) {
-	f, err := core.Fuse(core.Options{},
-		protocols.MustByName(protocols.NameMESI), protocols.MustByName(protocols.NameRCCO))
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.Freeze()
-	build := func(per int) *mcheck.System {
-		sys, _ := core.BuildSystem(f, []int{per, per})
-		sys.SetPrograms(deadlockDriver(2*per, 2))
-		return sys
-	}
-	report := func(b *testing.B, res *mcheck.Result) {
-		b.ReportMetric(float64(res.States), "states")
-		b.ReportMetric(res.BytesPerState, "bytes/state")
-		b.ReportMetric(float64(res.TableBytes)/(1<<20), "table_MB")
-		if res.SpilledBytes > 0 {
-			b.ReportMetric(float64(res.SpilledBytes)/(1<<20), "spilled_MB")
-		}
-	}
-	modes := []struct {
-		name string
-		opts mcheck.Options
-	}{
-		{"exact", mcheck.Options{}},
-		{"hash", mcheck.Options{HashCompaction: true}},
-		{"bitstate", mcheck.Options{Bitstate: true}},
-		{"hash+spill", mcheck.Options{HashCompaction: true, SpillDir: "auto"}},
-	}
-	var rec benchRecorder
-	for _, tc := range modes {
-		tc := tc
-		b.Run("mode="+tc.name, func(b *testing.B) {
-			var res *mcheck.Result
-			for i := 0; i < b.N; i++ {
-				opts := tc.opts
-				opts.Evictions = true
-				opts.Workers = 1
-				if opts.SpillDir == "auto" {
-					opts.SpillDir = b.TempDir()
-				}
-				start := time.Now()
-				res = mcheck.Explore(build(1), opts)
-				if res.Deadlocks > 0 || res.Truncated {
-					b.Fatalf("deadlocks=%d truncated=%t", res.Deadlocks, res.Truncated)
-				}
-				rec.record("mode="+tc.name, time.Since(start), res.States,
-					fmt.Sprintf("%.1f bytes/state, %d table bytes", res.BytesPerState, res.TableBytes))
-			}
-			report(b, res)
-		})
-	}
-
-	// The feasibility run: 2 caches per cluster, visited table capped at
-	// 256 MiB (the 10M fingerprints occupy half of a 128 MiB generation),
-	// frontier on disk. Infeasible under exact storage on a 15 GB machine:
-	// ≥10M states × ~300 bytes of encoding+map+frontier clones.
-	b.Run("vii-c-2x2", func(b *testing.B) {
-		var res *mcheck.Result
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			res = mcheck.Explore(build(2), mcheck.Options{
-				Evictions: true, Workers: 1,
-				HashCompaction: true, MemBudget: 256 << 20,
-				SpillDir: b.TempDir(), MaxStates: 10 << 20,
-			})
-			if res.Deadlocks > 0 {
-				b.Fatalf("deadlocks=%d", res.Deadlocks)
-			}
-			// Closure or the 10M-visited-state bound are both success;
-			// running out of the fixed memory budget is the failure this
-			// engine exists to prevent. (Result.States counts expanded
-			// states, which lag the visited set by the frontier width.)
-			if res.BudgetFull {
-				b.Fatalf("memory budget exhausted at %d states", res.States)
-			}
-			rec.record("vii-c-2x2", time.Since(start), res.States,
-				fmt.Sprintf("fixed 256 MiB visited budget, frontier on disk (%d states / %d MB spilled)",
-					res.SpilledStates, res.SpilledBytes>>20))
-		}
-		report(b, res)
-	})
-	emitBench(b, "BENCH_STORAGE_OUT", benchReport{
-		Schema:    "heterogen-bench-storage/v2",
-		Benchmark: "BenchmarkStorage",
-		Description: "memory-bounded state storage on the §VII-C headline search under each visited-set mode, plus the 2-caches-per-cluster free run to the 10M-state bound in fixed memory; " +
-			"BENCH_STORAGE_OUT=BENCH_STORAGE.json go test -bench BenchmarkStorage -benchtime 1x (make bench-storage)",
-		Runner: benchmeta.Collect(searchNote()),
-		Cases:  rec.rows,
 	})
 }

@@ -9,8 +9,9 @@
 //
 // Every compile's extraction search runs without reductions, so a
 // deadlock it reaches is a verdict: -tableii and -pair print their rows
-// and then exit 1 naming the lex-least deadlock state. A table loaded from
-// -compile-cache carries no verdict; `hgcheck -pair` gives one at any
+// and then exit 1 naming the lex-least deadlock state. The .hgcf artifact
+// stores that verdict, so a table from -compile-cache or -compile-in
+// exits the same way; `hgcheck -pair` gives a verdict at any
 // configuration.
 //
 // Usage:
@@ -161,9 +162,14 @@ func run(ctx context.Context, cfg cliConfig) error {
 		}
 		fmt.Fprintf(os.Stderr, "heterogen: %s: %s\n", cf.Fusion().Name(), cf.Stats())
 		if cfg.emit != "" {
-			return withOut(cfg.out, func(w io.Writer) error { return engine.Emit(cf, cfg.emit, w) })
+			err = withOut(cfg.out, func(w io.Writer) error { return engine.Emit(cf, cfg.emit, w) })
+		} else {
+			err = withOut(cfg.out, func(w io.Writer) error { return summarize(w, cf) })
 		}
-		return withOut(cfg.out, func(w io.Writer) error { return summarize(w, cf) })
+		if err != nil {
+			return err
+		}
+		return cf.Verdict()
 	case cfg.most:
 		for _, id := range memmodel.AllIDs() {
 			fmt.Println(armor.BuildMOST(memmodel.MustByID(id)).Format())

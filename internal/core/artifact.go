@@ -29,7 +29,10 @@ import (
 //	body    sections in fixed order:
 //	          fusion   — name, fuse options, constituent protocols as
 //	                     embedded PCC text (the artifact is self-contained)
-//	          config   — caches per cluster, driver programs, evictions
+//	          config   — caches per cluster, driver programs, evictions,
+//	                     explored-state count
+//	          verdict  — the extraction's deadlock count and lex-least
+//	                     deadlock snapshot (CompiledFusion.Verdict)
 //	          states   — enc/spill/mem blobs with u32 offset tables
 //	                     (loaded as subslices of one backing array, no
 //	                     per-state decoding) + POR reference bitsets
@@ -64,8 +67,9 @@ import (
 // ArtifactMagic identifies a compiled-fusion artifact file.
 const ArtifactMagic = "HGCF"
 
-// ArtifactVersion is the current on-disk format version.
-const ArtifactVersion = 1
+// ArtifactVersion is the current on-disk format version. Version 2 added
+// the verdict section.
+const ArtifactVersion = 2
 
 // ArtifactExt is the conventional file extension (and the one the
 // content-addressed cache uses).
@@ -321,6 +325,10 @@ func (cf *CompiledFusion) MarshalArtifact() []byte {
 	e.bool(cf.cfg.Evictions)
 	e.u64(uint64(cf.explored))
 
+	// Verdict: a loaded table reports what its extraction found.
+	e.u64(uint64(cf.stats.Deadlocks))
+	e.str(cf.stats.DeadlockAt)
+
 	// States: three offset-table blobs plus the POR reference bitsets.
 	n := len(cf.states)
 	e.offsetBlob(func(i int) []byte { return cf.states[i].enc }, n)
@@ -454,6 +462,9 @@ type artifactParts struct {
 	cfg      CompileConfig
 	explored int
 
+	deadlocks  int
+	deadlockAt string
+
 	encs, spills, mems [][]byte
 	refs               []spec.NodeSet
 	msgs               []spec.Msg
@@ -506,6 +517,8 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	}
 	p.cfg.Evictions = d.bool()
 	p.explored = int(d.u64())
+	p.deadlocks = int(d.u64())
+	p.deadlockAt = d.str()
 
 	p.encs = d.offsetBlob()
 	p.spills = d.offsetBlob()
@@ -596,6 +609,13 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrArtifactCorrupt, d.rem())
 	}
 
+	// A verdict names a deadlock state exactly when it counts some, and
+	// never counts more deadlock states than the extraction explored.
+	if p.deadlocks < 0 || p.deadlocks > p.explored || (p.deadlocks == 0) != (p.deadlockAt == "") {
+		return nil, fmt.Errorf("%w: verdict of %d deadlock states (snapshot %d bytes) over %d explored",
+			ErrArtifactCorrupt, p.deadlocks, len(p.deadlockAt), p.explored)
+	}
+
 	// Cross-reference validation: the dense table must be internally sound
 	// before anything dispatches through it.
 	if p.stateOff[0] != 0 || int(p.stateOff[nStates]) != len(p.entries) {
@@ -656,7 +676,7 @@ func LoadArtifact(data []byte) (*CompiledFusion, error) {
 	if err != nil {
 		return nil, err
 	}
-	cf.stats = CompileStats{Source: SourceArtifact, Load: time.Since(start)}
+	cf.stats.Load = time.Since(start)
 	return cf, nil
 }
 
@@ -678,7 +698,7 @@ func LoadArtifactFor(data []byte, f *Fusion, cfg CompileConfig) (*CompiledFusion
 	if err != nil {
 		return nil, err
 	}
-	cf.stats = CompileStats{Source: SourceArtifact, Load: time.Since(start)}
+	cf.stats.Load = time.Since(start)
 	return cf, nil
 }
 
@@ -710,11 +730,11 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 
 // buildFromParts anchors the decoded dense arrays to a (re)built fusion:
 // fresh template system, scratch directory and permutation group from
-// (f, cfg), table contents from the artifact. The spill images are then
-// decoded through the interpreted scratch directory to cross-check the
-// stored component encodings against the rebuilt fusion, so any semantic
-// drift the digest missed still fails the load rather than corrupting a
-// search.
+// (f, cfg), table contents and extraction verdict from the artifact. The
+// spill images are then decoded through the interpreted scratch directory
+// to cross-check the stored component encodings against the rebuilt
+// fusion, so any semantic drift the digest missed still fails the load
+// rather than corrupting a search.
 func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFusion, error) {
 	cf, _ := newCompiledFusion(f, cfg)
 	if cf.initLocal != p.initLocal {
@@ -722,6 +742,7 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 			ErrArtifactMismatch, p.initLocal, cf.initLocal)
 	}
 	cf.explored = p.explored
+	cf.stats = CompileStats{Source: SourceArtifact, Deadlocks: p.deadlocks, DeadlockAt: p.deadlockAt}
 	states := make([]compState, len(p.encs))
 	cf.states = make([]*compState, len(states))
 	for i := range states {

@@ -182,10 +182,9 @@ type CompileStats struct {
 	Load time.Duration
 	// Deadlocks counts the deadlock states the extraction search reached
 	// and DeadlockAt is the lex-least one's snapshot (see Verdict). A
-	// loaded table reports none: the artifact stores no verdict. Neither
-	// field is part of the JSON form.
-	Deadlocks  int    `json:"-"`
-	DeadlockAt string `json:"-"`
+	// loaded table reports the ones its artifact stores.
+	Deadlocks  int
+	DeadlockAt string
 }
 
 // String renders the phase breakdown for CLI logs.
@@ -728,8 +727,9 @@ func (cf *CompiledFusion) Stats() CompileStats { return cf.stats }
 // Verdict is the extraction's deadlock verdict: an error wrapping
 // ErrExtractionDeadlock with the count and the lex-least deadlock state
 // when the extraction search reached one, nil otherwise. Extraction runs
-// without reductions, so nil means deadlock-free under the CompileConfig
-// — except for a loaded table, which carries no verdict and reports nil.
+// without reductions, so nil means deadlock-free under the CompileConfig.
+// A table loaded from its artifact (or the compile cache) reports the
+// verdict of the extraction that produced it.
 func (cf *CompiledFusion) Verdict() error {
 	if cf.stats.Deadlocks == 0 {
 		return nil

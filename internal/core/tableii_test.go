@@ -157,7 +157,8 @@ func TestTableIIGolden(t *testing.T) {
 // Table II config), yet still compiles — EnumerateCompiled returns the
 // row with an ErrExtractionDeadlock that agrees with the interpreted
 // oracle — while the quick config, which never evicts, stays clean. A
-// table reloaded from its artifact carries no verdict.
+// table reloaded from its artifact, or from a warm compile cache, reports
+// the same verdict as the fresh compile.
 func TestExtractionVerdict(t *testing.T) {
 	text, err := os.ReadFile(filepath.Join("testdata", "msi_no_putack.pcc"))
 	if err != nil {
@@ -186,11 +187,25 @@ func TestExtractionVerdict(t *testing.T) {
 		t.Errorf("extraction verdict %d deadlocks at %q; interpreted oracle %d at %q; want 39",
 			st.Deadlocks, st.DeadlockAt, ires.Deadlocks, ires.DeadlockAt)
 	}
+	want := cf.Verdict().Error()
 	lcf, err := LoadArtifact(cf.MarshalArtifact())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lcf.Verdict(); err != nil {
-		t.Errorf("loaded table reports a verdict: %v", err)
+	if err := lcf.Verdict(); err == nil || err.Error() != want {
+		t.Errorf("loaded table reports verdict %v, fresh compile %q", err, want)
+	}
+	dir := t.TempDir()
+	for _, wantCached := range []bool{false, true} {
+		ccf, cached, err := CompileOrLoad(f, TableIICompileConfig(false, 1), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached != wantCached {
+			t.Errorf("compile cache hit %t, want %t", cached, wantCached)
+		}
+		if err := ccf.Verdict(); !errors.Is(err, ErrExtractionDeadlock) || err.Error() != want {
+			t.Errorf("compile cache (hit %t) reports verdict %v, fresh compile %q", cached, err, want)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -256,6 +258,43 @@ func TestCompileRequest(t *testing.T) {
 	}
 	if warm.Digest != cold.Digest {
 		t.Fatalf("digest changed across the cache: %s vs %s", warm.Digest, cold.Digest)
+	}
+}
+
+// TestCompileResultCarriesVerdict: a compile of a fusion whose extraction
+// deadlocks reports the deadlocks in its JSON result, from a fresh
+// extraction and from a compile-cache hit alike.
+func TestCompileResultCarriesVerdict(t *testing.T) {
+	pcc, err := os.ReadFile(filepath.Join("..", "core", "testdata", "msi_no_putack.pcc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := CompileRequest{Pair: []string{"-", "RCC"}, Spec: string(pcc), Full: true,
+		Search: SearchOptions{Workers: 1}}
+	hooks := Hooks{CompileCache: t.TempDir()}
+	for _, source := range []string{core.SourceCompiler, core.SourceCache} {
+		res, err := Compile(context.Background(), req, hooks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Stats struct {
+				Source     string
+				Deadlocks  int
+				DeadlockAt string
+			} `json:"stats"`
+		}
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.Source != source || got.Stats.Deadlocks != 39 || got.Stats.DeadlockAt == "" {
+			t.Errorf("compile result stats: source %q, %d deadlocks at %q; want source %q, 39 deadlocks and a snapshot",
+				got.Stats.Source, got.Stats.Deadlocks, got.Stats.DeadlockAt, source)
+		}
 	}
 }
 

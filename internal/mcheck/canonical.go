@@ -327,14 +327,23 @@ func (c *canonicalizer) encodePerm(s *System, p *symPerm, sc *canonScratch, buf 
 // canonical appends the canonical representative encoding: the
 // lexicographically least encodePerm over the group.
 func (c *canonicalizer) canonical(s *System, sc *canonScratch, buf []byte) []byte {
+	c.canonicalPerm(s, sc)
+	return append(buf, sc.best...)
+}
+
+// canonicalPerm returns the first permutation whose encoding of s is the
+// least, leaving that encoding in sc.best.
+func (c *canonicalizer) canonicalPerm(s *System, sc *canonScratch) *symPerm {
 	sc.best = c.encodePerm(s, &c.perms[0], sc, sc.best[:0])
+	best := &c.perms[0]
 	for i := 1; i < len(c.perms); i++ {
 		sc.try = c.encodePerm(s, &c.perms[i], sc, sc.try[:0])
 		if bytes.Compare(sc.try, sc.best) < 0 {
 			sc.best, sc.try = sc.try, sc.best
+			best = &c.perms[i]
 		}
 	}
-	return append(buf, sc.best...)
+	return best
 }
 
 // orbitSize counts the distinct states in s's orbit under the group — the

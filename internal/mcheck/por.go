@@ -41,9 +41,10 @@ import "heterogen/internal/spec"
 // state. Induction over path length then gives: every terminal state
 // reachable in the full graph is reachable in the reduced graph. The
 // ample choice is a pure function of the state (candidate order is fixed,
-// isolation reads only state content), so the reduced graph is a fixed
-// subgraph of the full one and even the parallel reduced search is
-// schedule-independent. See docs/MCHECK.md for the full argument.
+// isolation reads only state content) — under symmetry, of the state's
+// orbit (selectAmple) — so the reduced graph is a fixed subgraph of the
+// full one and even the parallel reduced search is schedule-independent.
+// See docs/MCHECK.md for the full argument.
 
 // PORMode selects the partial order reduction behavior.
 type PORMode int
@@ -97,15 +98,37 @@ func porCandidates(s *System) []porCand {
 // On success sc.moves is stably partitioned with the ample block first and
 // its length returned; 0 means no reduction applies and sc.moves is left in
 // its deterministic full order.
+//
+// Under symmetry the frontier holds whichever orbit member reached it
+// first, so "first" must not mean component order: two members of one
+// orbit would pick caches that are not images of each other, and the
+// reduced graph (hence the counts) would depend on the worker schedule.
+// The candidates are therefore ranked by their position under the
+// permutation that canonicalizes cur, which every orbit member shares.
 func (ctx *searchCtx) selectAmple(cur *System, sc *expandScratch) int {
 	var refs spec.NodeSet
 	for _, c := range cur.Components {
 		refs = refs.Or(c.(spec.NodeReferrer).RefNodes())
 	}
+	sc.iso = sc.iso[:0]
 	for _, cand := range ctx.porCands {
-		if refs.Has(cand.id) || !chanIsolated(cur, cand.id) {
-			continue
+		if !refs.Has(cand.id) && chanIsolated(cur, cand.id) {
+			sc.iso = append(sc.iso, cand)
 		}
+	}
+	if len(sc.iso) > 1 && ctx.canon != nil {
+		p := ctx.canon.canonicalPerm(cur, &sc.canon)
+		sc.ranked = sc.ranked[:0]
+		for _, ci := range p.comp {
+			for _, cand := range sc.iso {
+				if cand.ci == ci {
+					sc.ranked = append(sc.ranked, cand)
+				}
+			}
+		}
+		sc.iso, sc.ranked = sc.ranked, sc.iso
+	}
+	for _, cand := range sc.iso {
 		if k := partitionAmple(cur, sc, cand.id); k > 0 && k < len(sc.moves) {
 			return k
 		}

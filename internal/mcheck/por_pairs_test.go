@@ -10,50 +10,11 @@ package mcheck_test
 // internal/litmus/por_test.go.
 
 import (
-	"runtime"
 	"testing"
 
 	"heterogen/internal/core"
 	"heterogen/internal/mcheck"
-	"heterogen/internal/protocols"
-	"heterogen/internal/spec"
 )
-
-// porPairSystem builds the pair fused at 2 caches per cluster with a
-// fully symmetric store/load/sync workload — the same shape the symmetry
-// suite uses, so the POR × symmetry composition is exercised with a
-// nontrivial group (order 4).
-func porPairSystem(t *testing.T, a, b string) *mcheck.System {
-	t.Helper()
-	pa, err := protocols.ByName(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := protocols.ByName(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := core.Fuse(core.Options{}, pa, pb)
-	if err != nil {
-		t.Fatalf("Fuse(%s,%s): %v", a, b, err)
-	}
-	prog := []spec.CoreReq{
-		{Op: spec.OpStore, Addr: 0, Value: 7},
-		{Op: spec.OpLoad, Addr: 0},
-		{Op: spec.OpRelease},
-		{Op: spec.OpAcquire},
-	}
-	sys, _ := core.BuildSystem(f, []int{2, 2})
-	sys.SetPrograms([][]spec.CoreReq{prog, prog, prog, prog})
-	return sys
-}
-
-func porWorkers() int {
-	if w := runtime.NumCPU(); w >= 2 {
-		return w
-	}
-	return 4
-}
 
 // TestPORSoundTableIIPairs: on every fused Table II pair the reduced
 // search must match the unreduced search's terminal-state verdicts
@@ -61,17 +22,16 @@ func porWorkers() int {
 // configuration axis (workers, hash compaction, symmetry), while
 // actually shrinking the visited set. Because the ample choice is a pure
 // function of the state, the reduced parallel search must also report
-// exactly the reduced sequential counts.
+// exactly the reduced sequential counts. The one-worker searches are
+// shared with TestSymmetrySoundTableIIPairs (searchPair).
 func TestPORSoundTableIIPairs(t *testing.T) {
-	workers := porWorkers()
+	workers := testWorkers()
 	for _, pair := range core.TableIIPairs() {
 		pair := pair
 		t.Run(pair[0]+"+"+pair[1], func(t *testing.T) {
 			t.Parallel()
-			plain := mcheck.Explore(porPairSystem(t, pair[0], pair[1]),
-				mcheck.Options{Workers: 1, POR: mcheck.POROff})
-			seq := mcheck.Explore(porPairSystem(t, pair[0], pair[1]),
-				mcheck.Options{Workers: 1})
+			plain := searchPair(t, pair[0], pair[1], mcheck.POROff, false)
+			seq := searchPair(t, pair[0], pair[1], mcheck.PORAuto, false)
 			assertSameVerdicts(t, "por/seq", plain, seq)
 			if seq.PORReduced == 0 {
 				t.Errorf("reduction never engaged (%d states)", seq.States)
@@ -88,7 +48,7 @@ func TestPORSoundTableIIPairs(t *testing.T) {
 				{"hash/par", mcheck.Options{Workers: workers, HashCompaction: true}},
 			}
 			for _, cfg := range configs {
-				res := mcheck.Explore(porPairSystem(t, pair[0], pair[1]), cfg.opts)
+				res := mcheck.Explore(pairSystem(t, pair[0], pair[1], syncProg), cfg.opts)
 				assertSameVerdicts(t, "por/"+cfg.name, plain, res)
 				if res.States != seq.States || res.Transitions != seq.Transitions {
 					t.Errorf("por/%s visited %d states / %d transitions, por/seq %d / %d",
@@ -98,10 +58,8 @@ func TestPORSoundTableIIPairs(t *testing.T) {
 			// Composition with the symmetry reduction: verdicts still
 			// exact, and the composed search is no larger than either
 			// reduction alone.
-			symPlain := mcheck.Explore(porPairSystem(t, pair[0], pair[1]),
-				mcheck.Options{Workers: 1, Symmetry: true, POR: mcheck.POROff})
-			symPOR := mcheck.Explore(porPairSystem(t, pair[0], pair[1]),
-				mcheck.Options{Workers: 1, Symmetry: true})
+			symPlain := searchPair(t, pair[0], pair[1], mcheck.POROff, true)
+			symPOR := searchPair(t, pair[0], pair[1], mcheck.PORAuto, true)
 			assertSameVerdicts(t, "por+symmetry", plain, symPOR)
 			if symPOR.SymmetryPerms != symPlain.SymmetryPerms {
 				t.Errorf("por changed the detected group order: %d vs %d",
@@ -115,18 +73,31 @@ func TestPORSoundTableIIPairs(t *testing.T) {
 	}
 }
 
-// TestPORHeadlineReduction pins the headline §VII-C fused 2×2 reduction
-// factor the README reports: at least 2× fewer states on MESI & RCC-O.
+// TestPORHeadlineReduction pins the reduction counts of the headline
+// fusion exactly: MESI & RCC-O at two caches per cluster under syncProg,
+// one worker, with POR and symmetry each off and on. The README quotes
+// these rows; a change to either reduction that moves a count fails here.
 func TestPORHeadlineReduction(t *testing.T) {
-	off := mcheck.Explore(porPairSystem(t, "MESI", "RCC-O"),
-		mcheck.Options{Workers: 1, POR: mcheck.POROff})
-	on := mcheck.Explore(porPairSystem(t, "MESI", "RCC-O"),
-		mcheck.Options{Workers: 1})
-	if on.States*2 > off.States {
-		t.Errorf("POR reduced %d states only to %d (< 2x)", off.States, on.States)
+	rows := []struct {
+		name                       string
+		por                        mcheck.PORMode
+		symmetry                   bool
+		states, transitions, ample int
+		perms                      int
+	}{
+		{"unreduced", mcheck.POROff, false, 165653, 548158, 0, 1},
+		{"por", mcheck.PORAuto, false, 22060, 42888, 5088, 1},
+		{"symmetry", mcheck.POROff, true, 43512, 143940, 0, 4},
+		{"por+symmetry", mcheck.PORAuto, true, 6090, 11956, 1355, 4},
 	}
-	if on.PORReduced == 0 {
-		t.Error("no ample states on the headline pair")
+	for _, row := range rows {
+		r := searchPair(t, "MESI", "RCC-O", row.por, row.symmetry)
+		if r.States != row.states || r.Transitions != row.transitions || r.PORReduced != row.ample ||
+			r.SymmetryPerms != row.perms || r.Deadlocks != 0 || len(r.Outcomes) != 1 || r.Truncated {
+			t.Errorf("%s: %d states, %d transitions, %d ample, ×%d, %d deadlocks, %d outcomes, truncated %t; want %d, %d, %d, ×%d, 0, 1, false",
+				row.name, r.States, r.Transitions, r.PORReduced, r.SymmetryPerms, r.Deadlocks, len(r.Outcomes), r.Truncated,
+				row.states, row.transitions, row.ample, row.perms)
+		}
 	}
 }
 
@@ -134,9 +105,9 @@ func TestPORHeadlineReduction(t *testing.T) {
 // back to the full space — the reduction only preserves terminal states.
 func TestPORDisabledByInvariants(t *testing.T) {
 	inv := []mcheck.Invariant{mcheck.SWMRInvariant("M")}
-	full := mcheck.Explore(porPairSystem(t, "MESI", "RCC-O"),
+	full := mcheck.Explore(pairSystem(t, "MESI", "RCC-O", syncProg),
 		mcheck.Options{Workers: 1, POR: mcheck.POROff, Invariants: inv})
-	auto := mcheck.Explore(porPairSystem(t, "MESI", "RCC-O"),
+	auto := mcheck.Explore(pairSystem(t, "MESI", "RCC-O", syncProg),
 		mcheck.Options{Workers: 1, Invariants: inv})
 	if auto.PORReduced != 0 {
 		t.Errorf("POR engaged on %d states despite armed invariants", auto.PORReduced)

@@ -67,8 +67,9 @@ type Options struct {
 	// (deterministic visit order and truncation counts). Every worker count
 	// visits the same state set and reports the same counts, outcomes and
 	// DeadlockAt (the ample choice under POR is a pure function of the
-	// state, so this holds with the reduction on too); only the exact state
-	// count at truncation depends on scheduling.
+	// state, or of its orbit under Symmetry, so this holds with the
+	// reductions on too); only the exact state count at truncation depends
+	// on scheduling.
 	Workers int
 	// Symmetry enables scalarset-style symmetry reduction: states are
 	// keyed in the visited set by their canonical representative under
@@ -243,6 +244,8 @@ type expandScratch struct {
 	moves    []Move
 	amp      []Move // ample-partition scratch (por.go)
 	rest     []Move
+	iso      []porCand // isolated ample candidates (por.go)
+	ranked   []porCand
 	encBuf   []byte
 	spillBuf []byte
 	preImg   []byte // expanded state's spill image (in-place restore)
