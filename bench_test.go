@@ -384,8 +384,8 @@ func emitBench(b *testing.B, envVar string, rep any) {
 
 // benchCompileReport is the BENCH_COMPILE.json v3 schema, written when the
 // BENCH_COMPILE_OUT environment variable names a file (`make
-// bench-compile`). v3 adds the runner metadata block and the memoized /
-// non-memoized extraction rows.
+// bench-compile`). v3 adds the runner metadata block and the memoized
+// extraction row.
 type benchCompileReport struct {
 	Schema       string           `json:"schema"`
 	Benchmark    string           `json:"benchmark"`
@@ -461,30 +461,10 @@ func BenchmarkCompile(b *testing.B) {
 			cf = compile(b)
 			st := cf.Stats()
 			record("extract", time.Since(start), st.ExtractStates,
-				fmt.Sprintf("memoized table extraction (the default): exhaustive POR-off search of the compiled configuration with each distinct (state, message) pair interpreted exactly once — %d interpreted, %d replayed from the growing table — plus dense-table finalization",
+				fmt.Sprintf("memoized table extraction (the default): exhaustive POR-off search of the compiled configuration with each distinct (state, message) pair interpreted exactly once — %d interpreted, %d replayed from the growing table — plus finalization (canonical renumbering and the FSM projection)",
 					st.Interpreted, st.MemoHits))
 			b.ReportMetric(float64(st.ExtractStates), "states")
 			b.ReportMetric(float64(st.MemoHits), "memo-hits")
-		}
-	})
-	b.Run("extract/nomemo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			nmCfg := ccfg
-			nmCfg.NoMemo = true
-			runtime.GC() // settle preceding sub-benchmarks' garbage out of the timed window
-			start := time.Now()
-			nm, err := core.Compile(f, nmCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			record("extract/nomemo", time.Since(start), nm.Stats().ExtractStates,
-				"non-memoized extraction: every delivery re-runs the interpreted MergedDir (proxy clones, bridge phases) on the scratch directory and re-records its outcome — kept as the injectivity cross-check")
-			if cf == nil {
-				cf = nm
-			} else if nm.Digest() != cf.Digest() {
-				b.Fatalf("non-memoized digest %s != memoized digest %s — memoization changed the extracted table",
-					nm.Digest(), cf.Digest())
-			}
 		}
 	})
 	b.Run("growing/check", func(b *testing.B) {
@@ -508,7 +488,7 @@ func BenchmarkCompile(b *testing.B) {
 			start := time.Now()
 			res := mcheck.Explore(cf.System(), opts)
 			record("precompiled/check", time.Since(start), res.States,
-				"dispatch-only: the steady-state cost of checking an already-compiled in-memory table (a growing table seeded with its dense entry spans, so every pair replays)")
+				"dispatch-only: the steady-state cost of checking an already-compiled in-memory table (a growing table seeded with the finished table's records and spans, so every pair replays)")
 			check(b, res, interpStates)
 		}
 	})
@@ -525,7 +505,7 @@ func BenchmarkCompile(b *testing.B) {
 				b.Fatal(err)
 			}
 			record("artifact/write", time.Since(start), 0,
-				fmt.Sprintf("serialize the dense table to its versioned .hgcf binary form (digest %.12s…)", cf.Digest()))
+				fmt.Sprintf("serialize the table to its versioned .hgcf binary form (digest %.12s…)", cf.Digest()))
 		}
 	})
 	b.Run("artifact/coldload", func(b *testing.B) {
@@ -537,7 +517,7 @@ func BenchmarkCompile(b *testing.B) {
 				b.Fatal(err)
 			}
 			record("artifact/coldload", time.Since(start), 0,
-				"one-read cold load of the serialized table: PCC reparse, re-fusion, digest verification, encoding cross-check — replaces the extraction entirely")
+				"one-read cold load of the serialized table: body checksum, PCC reparse, re-fusion, digest verification, image cross-check — replaces the extraction entirely")
 			b.ReportMetric(float64(lcf.DirStates()), "dirstates")
 		}
 	})
@@ -562,10 +542,9 @@ func BenchmarkCompile(b *testing.B) {
 			"BENCH_COMPILE_OUT=BENCH_COMPILE.json go test -bench 'BenchmarkCompile' -benchtime 1x (make bench-compile)",
 		Runner: benchmeta.Collect("Workers:1 throughout, so rows measure the engines themselves on one core of the recorded runner; wall-clock varies a few percent run to run"),
 		Cases:  rec.rows,
-		Amortization: "compile once, check many: a single extraction replaces the MergedDir interpreter with a binary search over dense per-state entry spans, and the .hgcf artifact makes the extraction itself a one-time cost — " +
+		Amortization: "compile once, check many: a single extraction replaces the MergedDir interpreter with a binary search over each state's message-sorted record span, and the .hgcf artifact makes the extraction itself a one-time cost — " +
 			"a cold load from disk is under a second, so every search after the first pays only the dispatch-only row; " +
-			"memoized extraction (extract vs extract/nomemo) cuts even the one-time cost; " +
 			"a check without an artifact searches a fresh growing table (growing/check), which pays each distinct (state, message) pair's interpretation once inside the search itself",
-		Agreement: fmt.Sprintf("every searching row visits the identical %d states and every extracting row produces the identical artifact digest (the benchmark aborts on any disagreement); internal/core/compile_test.go and memo_test.go pin compiled-vs-interpreted-vs-loaded equality and workers x memoization byte-identity", interpStates),
+		Agreement: fmt.Sprintf("every searching row visits the identical %d states (the benchmark aborts on any disagreement); internal/core/compile_test.go and memo_test.go pin compiled-vs-interpreted-vs-loaded equality and byte-identity across extraction worker counts", interpStates),
 	})
 }

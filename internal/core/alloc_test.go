@@ -35,9 +35,9 @@ func TestAllocRegressionMemoReplay(t *testing.T) {
 	// finished table (renumbering keeps state 0 initial).
 	var m spec.Msg
 	found := false
-	for _, e := range base.entries[base.stateOff[0]:base.stateOff[1]] {
-		if e.next != stallState {
-			m, found = e.msg, true
+	for _, ri := range base.spans[0] {
+		if r := &base.recs[ri]; r.tr.next != stallState {
+			m, found = r.msg, true
 			break
 		}
 	}
@@ -49,7 +49,7 @@ func TestAllocRegressionMemoReplay(t *testing.T) {
 	// the pair is interpreted once below, then every measured delivery is
 	// a memo hit.
 	cf, sys := newCompiledFusion(f, cfg)
-	c := newCompiler(cf, true)
+	c := newCompiler(cf)
 	c.intern(cf.layout.Merged)
 	d := &CompiledDir{cf: cf, mem: sys.Mem, grow: c}
 	env := spec.EnvFunc(func(spec.Msg) {})

@@ -26,6 +26,7 @@ import (
 //	[0:4]   magic "HGCF"
 //	[4:8]   u32 format version (ArtifactVersion)
 //	[8:40]  sha256 content digest of (fusion spec, CompileConfig)
+//	[40:72] sha256 checksum of the body
 //	body    sections in fixed order:
 //	          fusion   — name, fuse options, constituent protocols as
 //	                     embedded PCC text (the artifact is self-contained)
@@ -33,34 +34,36 @@ import (
 //	                     explored-state count
 //	          verdict  — the extraction's deadlock count and lex-least
 //	                     deadlock snapshot (CompiledFusion.Verdict)
-//	          states   — enc/spill/mem blobs with u32 offset tables
+//	          states   — image and memory blobs with u32 offset tables
 //	                     (loaded as subslices of one backing array, no
 //	                     per-state decoding) + POR reference bitsets
 //	          msgs     — the interned message pool
-//	          table    — per-state span offsets + fixed-width dense
-//	                     entries + the flattened send pool (msg ids)
+//	          table    — per state, its message-sorted records: message
+//	                     id, successor, memory bit, send ids
 //	          fsm      — the projected Table II machine: string pool,
 //	                     states, edges, stability verdicts, initial state
 //
 // Versioning rule: any change to the section layout or field widths bumps
 // ArtifactVersion; loaders reject other versions outright (there is no
 // in-place migration — recompiling is cheap relative to getting a silent
-// misread wrong). The digest is a *content address*, not a checksum: it
-// hashes the semantic identity of the table — the constituent protocols'
-// canonical PCC export, the fusion options and the semantic CompileConfig
-// fields (caches, programs, evictions). Search-schedule knobs (MaxStates,
+// misread wrong). The body checksum catches damage to the bytes: a load
+// whose body does not hash to it fails before any section is read. The
+// digest is a *content address*, not a checksum: it hashes the semantic
+// identity of the table — the constituent protocols' canonical PCC
+// export, the fusion options and the semantic CompileConfig fields
+// (caches, programs, evictions). Search-schedule knobs (MaxStates,
 // Workers) are excluded: the completed table is independent of them.
 // Loading against a fusion/config whose digest differs is a structured
 // ErrArtifactMismatch at load time — never a search that replays another
 // machine's transitions.
 //
 // The loader trusts nothing: every read is bounds-checked and every index
-// (state, message id, span offset, string id) is validated before use, so
+// (state, message id, string id) is validated before use, so
 // a corrupt or truncated file fails with ErrArtifactCorrupt instead of
-// panicking (FuzzArtifactCodec pins this). After decoding, the dense
-// arrays are re-anchored to a freshly rebuilt fusion and the spill-codec
-// images are decoded back through the interpreted MergedDir to
-// cross-check the stored state encodings — drift between the artifact and
+// panicking (FuzzArtifactCodec pins this, re-sealing the checksum so its
+// mutations reach the parser). After decoding, the table is re-anchored
+// to a freshly rebuilt fusion and state images are decoded through the
+// interpreted MergedDir and re-encoded — drift between the artifact and
 // the rebuilt fusion is caught at load. The loaded table is a seed:
 // System() searches it as a growing table, like a freshly compiled one.
 
@@ -68,15 +71,16 @@ import (
 const ArtifactMagic = "HGCF"
 
 // ArtifactVersion is the current on-disk format version. Version 2 added
-// the verdict section.
-const ArtifactVersion = 2
+// the verdict section; version 3 added the body checksum, stores one image
+// per state and writes the table as per-state record lists.
+const ArtifactVersion = 3
 
 // ArtifactExt is the conventional file extension (and the one the
 // content-addressed cache uses).
 const ArtifactExt = ".hgcf"
 
-// artifactHeaderLen is magic + version + digest.
-const artifactHeaderLen = 4 + 4 + sha256.Size
+// artifactHeaderLen is magic + version + digest + body checksum.
+const artifactHeaderLen = 4 + 4 + 2*sha256.Size
 
 // Structured artifact-load failures, detectable with errors.Is.
 var (
@@ -296,6 +300,7 @@ func (cf *CompiledFusion) MarshalArtifact() []byte {
 	e.u32(ArtifactVersion)
 	digest := compileDigestRaw(cf.fusion, cf.cfg)
 	e.buf = append(e.buf, digest[:]...)
+	e.buf = append(e.buf, make([]byte, sha256.Size)...) // body checksum, sealed below
 
 	// Fusion: self-contained — constituents travel as canonical PCC text.
 	e.str(cf.fusion.Name())
@@ -329,10 +334,9 @@ func (cf *CompiledFusion) MarshalArtifact() []byte {
 	e.u64(uint64(cf.stats.Deadlocks))
 	e.str(cf.stats.DeadlockAt)
 
-	// States: three offset-table blobs plus the POR reference bitsets.
+	// States: two offset-table blobs plus the POR reference bitsets.
 	n := len(cf.states)
-	e.offsetBlob(func(i int) []byte { return cf.states[i].enc }, n)
-	e.offsetBlob(func(i int) []byte { return cf.states[i].spill }, n)
+	e.offsetBlob(func(i int) []byte { return cf.states[i].img }, n)
 	e.offsetBlob(func(i int) []byte { return cf.states[i].mem }, n)
 	for i := range cf.states {
 		for _, w := range cf.states[i].refs {
@@ -352,33 +356,30 @@ func (cf *CompiledFusion) MarshalArtifact() []byte {
 		msgs = append(msgs, m)
 		return id
 	}
-	for i := range cf.entries {
-		intern(cf.entries[i].msg)
-	}
-	for _, m := range cf.sends {
-		intern(m)
-	}
+	cf.eachRecord(func(_ int32, r *compRecord) {
+		intern(r.msg)
+		for _, m := range r.tr.sends {
+			intern(m)
+		}
+	})
 	e.u32(uint32(len(msgs)))
 	for _, m := range msgs {
 		e.msg(m)
 	}
 
-	// Dense table: span offsets, fixed-width entries, send pool.
-	for _, off := range cf.stateOff {
-		e.u32(uint32(off))
-	}
-	e.u32(uint32(len(cf.entries)))
-	for i := range cf.entries {
-		en := &cf.entries[i]
-		e.u32(msgID[en.msg])
-		e.u32(uint32(en.next))
-		e.u32(uint32(en.sendOff))
-		e.u32(uint32(en.sendLen))
-		e.bool(en.remem)
-	}
-	e.u32(uint32(len(cf.sends)))
-	for _, m := range cf.sends {
-		e.u32(msgID[m])
+	// Table: each state's records in message order.
+	for _, span := range cf.spans {
+		e.u32(uint32(len(span)))
+		for _, ri := range span {
+			r := &cf.recs[ri]
+			e.u32(msgID[r.msg])
+			e.u32(uint32(r.tr.next))
+			e.bool(r.tr.remem)
+			e.u32(uint32(len(r.tr.sends)))
+			for _, m := range r.tr.sends {
+				e.u32(msgID[m])
+			}
+		}
 	}
 
 	// Projected FSM: string pool + index-encoded states/edges/stability.
@@ -429,7 +430,14 @@ func (cf *CompiledFusion) MarshalArtifact() []byte {
 		e.u32(strID[s])
 		e.bool(cf.stable[s])
 	}
+	sealArtifact(e.buf)
 	return e.buf
+}
+
+// sealArtifact writes the checksum of data's body into its header.
+func sealArtifact(data []byte) {
+	sum := sha256.Sum256(data[artifactHeaderLen:])
+	copy(data[artifactHeaderLen-sha256.Size:artifactHeaderLen], sum[:])
 }
 
 // WriteArtifact writes the artifact atomically (temp file + rename) so a
@@ -465,22 +473,22 @@ type artifactParts struct {
 	deadlocks  int
 	deadlockAt string
 
-	encs, spills, mems [][]byte
-	refs               []spec.NodeSet
-	msgs               []spec.Msg
-	stateOff           []int32
-	entries            []compEntry
-	sends              []spec.Msg
-	initLocal          string
-	fsmStates          []string
-	fsmEdges           []Edge
-	stable             map[string]bool
+	imgs, mems [][]byte
+	refs       []spec.NodeSet
+	msgs       []spec.Msg
+	recs       []compRecord
+	spans      [][]int32
+	initLocal  string
+	fsmStates  []string
+	fsmEdges   []Edge
+	stable     map[string]bool
 }
 
 // parseArtifact decodes and structurally validates the byte form: header,
-// section framing, and every cross-reference (span offsets monotone and
-// total, message/string/state indices in range, spans message-sorted so
-// the binary search is sound). It does not touch protocol semantics.
+// body checksum, section framing, and every cross-reference (at least the
+// initial state, message/string/state indices in range, spans
+// message-sorted so the binary search is sound, stalls without effects).
+// It does not touch protocol semantics.
 func parseArtifact(data []byte) (*artifactParts, error) {
 	if len(data) < artifactHeaderLen || string(data[:4]) != ArtifactMagic {
 		return nil, fmt.Errorf("%w (%d bytes, no %q header)", ErrArtifactFormat, len(data), ArtifactMagic)
@@ -488,8 +496,11 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != ArtifactVersion {
 		return nil, fmt.Errorf("%w: file has version %d, this build reads version %d", ErrArtifactVersion, v, ArtifactVersion)
 	}
+	if sum := sha256.Sum256(data[artifactHeaderLen:]); !bytes.Equal(sum[:], data[artifactHeaderLen-sha256.Size:artifactHeaderLen]) {
+		return nil, fmt.Errorf("%w: body checksum mismatch", ErrArtifactCorrupt)
+	}
 	p := &artifactParts{}
-	copy(p.digest[:], data[8:artifactHeaderLen])
+	copy(p.digest[:], data[8:8+sha256.Size])
 	d := &artDec{data: data, off: artifactHeaderLen, ok: true}
 
 	p.name = d.str()
@@ -520,11 +531,10 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	p.deadlocks = int(d.u64())
 	p.deadlockAt = d.str()
 
-	p.encs = d.offsetBlob()
-	p.spills = d.offsetBlob()
+	p.imgs = d.offsetBlob()
 	p.mems = d.offsetBlob()
-	nStates := len(p.encs)
-	if d.ok && (len(p.spills) != nStates || len(p.mems) != nStates) {
+	nStates := len(p.imgs)
+	if d.ok && len(p.mems) != nStates {
 		d.fail()
 	}
 	if d.ok && d.rem() < nStates*32 {
@@ -544,33 +554,50 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 		p.msgs = append(p.msgs, d.msg())
 	}
 
-	p.stateOff = make([]int32, 0, nStates+1)
-	for i := 0; i <= nStates && d.ok; i++ {
-		p.stateOff = append(p.stateOff, int32(d.u32()))
-	}
-	nEntries := d.count(17)
-	for i := 0; i < nEntries && d.ok; i++ {
-		id := d.u32()
-		en := compEntry{next: int32(d.u32()), sendOff: int32(d.u32()),
-			sendLen: int32(d.u32()), remem: d.bool()}
-		if !d.ok {
-			break
-		}
+	msgAt := func(id uint32) spec.Msg {
 		if int(id) >= len(p.msgs) {
 			d.fail()
-			break
+			return spec.Msg{}
 		}
-		en.msg = p.msgs[id]
-		p.entries = append(p.entries, en)
+		return p.msgs[id]
 	}
-	nSends := d.count(4)
-	for i := 0; i < nSends && d.ok; i++ {
-		id := d.u32()
-		if !d.ok || int(id) >= len(p.msgs) {
-			d.fail()
-			break
+	// Records land in one slice, state after state, and their sends in
+	// one pool; spans and send lists are cut from them once every record
+	// is read.
+	spanEnd := make([]int, 0, nStates)
+	var sendPool []spec.Msg
+	var sendEnd []int
+	for s := 0; s < nStates && d.ok; s++ {
+		nRecs := d.count(13)
+		for i := 0; i < nRecs && d.ok; i++ {
+			r := compRecord{msg: msgAt(d.u32())}
+			r.tr.next = int32(d.u32())
+			r.tr.remem = d.bool()
+			nSends := d.count(4)
+			for j := 0; j < nSends && d.ok; j++ {
+				sendPool = append(sendPool, msgAt(d.u32()))
+			}
+			p.recs = append(p.recs, r)
+			sendEnd = append(sendEnd, len(sendPool))
 		}
-		p.sends = append(p.sends, p.msgs[id])
+		spanEnd = append(spanEnd, len(p.recs))
+	}
+	if d.ok {
+		idx := make([]int32, len(p.recs))
+		start := 0
+		for i, end := range sendEnd {
+			idx[i] = int32(i)
+			if end > start {
+				p.recs[i].tr.sends = sendPool[start:end:end]
+			}
+			start = end
+		}
+		p.spans = make([][]int32, nStates)
+		start = 0
+		for s, end := range spanEnd {
+			p.spans[s] = idx[start:end:end]
+			start = end
+		}
 	}
 
 	p.initLocal = d.str()
@@ -616,28 +643,25 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 			ErrArtifactCorrupt, p.deadlocks, len(p.deadlockAt), p.explored)
 	}
 
-	// Cross-reference validation: the dense table must be internally sound
+	// Cross-reference validation: the table must be internally sound
 	// before anything dispatches through it.
-	if p.stateOff[0] != 0 || int(p.stateOff[nStates]) != len(p.entries) {
-		return nil, fmt.Errorf("%w: state span table does not cover the entries", ErrArtifactCorrupt)
+	if nStates == 0 {
+		return nil, fmt.Errorf("%w: no states (the initial state is missing)", ErrArtifactCorrupt)
 	}
-	for i := 0; i < nStates; i++ {
-		if p.stateOff[i] > p.stateOff[i+1] {
-			return nil, fmt.Errorf("%w: state span table not monotone at state %d", ErrArtifactCorrupt, i)
-		}
-		for j := p.stateOff[i] + 1; j < p.stateOff[i+1]; j++ {
-			if msgCmp(p.entries[j-1].msg, p.entries[j].msg) >= 0 {
-				return nil, fmt.Errorf("%w: state %d span not strictly message-sorted", ErrArtifactCorrupt, i)
+	for s, span := range p.spans {
+		for i := 1; i < len(span); i++ {
+			if msgCmp(p.recs[span[i-1]].msg, p.recs[span[i]].msg) >= 0 {
+				return nil, fmt.Errorf("%w: state %d span not strictly message-sorted", ErrArtifactCorrupt, s)
 			}
 		}
 	}
-	for i := range p.entries {
-		en := &p.entries[i]
-		if en.next != stallState && (en.next < 0 || int(en.next) >= nStates) {
-			return nil, fmt.Errorf("%w: entry %d successor %d out of range", ErrArtifactCorrupt, i, en.next)
-		}
-		if en.sendOff < 0 || en.sendLen < 0 || int(en.sendOff)+int(en.sendLen) > len(p.sends) {
-			return nil, fmt.Errorf("%w: entry %d send span out of range", ErrArtifactCorrupt, i)
+	for i := range p.recs {
+		tr := &p.recs[i].tr
+		switch {
+		case tr.next == stallState && (tr.remem || len(tr.sends) > 0):
+			return nil, fmt.Errorf("%w: record %d is a stall with effects", ErrArtifactCorrupt, i)
+		case tr.next != stallState && (tr.next < 0 || int(tr.next) >= nStates):
+			return nil, fmt.Errorf("%w: record %d successor %d out of range", ErrArtifactCorrupt, i, tr.next)
 		}
 	}
 	return p, nil
@@ -728,13 +752,13 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 	return cf, nil
 }
 
-// buildFromParts anchors the decoded dense arrays to a (re)built fusion:
-// fresh template system, scratch directory and permutation group from
-// (f, cfg), table contents and extraction verdict from the artifact. The
-// spill images are then decoded through the interpreted scratch directory
-// to cross-check the stored component encodings against the rebuilt
-// fusion, so any semantic drift the digest missed still fails the load
-// rather than corrupting a search.
+// buildFromParts anchors the decoded table to a (re)built fusion: fresh
+// template system, scratch directory and permutation group from (f, cfg),
+// table contents and extraction verdict from the artifact. State images
+// are then decoded through the interpreted scratch directory and
+// re-encoded to cross-check them against the rebuilt fusion, so any
+// semantic drift the digest missed still fails the load rather than
+// corrupting a search.
 func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFusion, error) {
 	cf, _ := newCompiledFusion(f, cfg)
 	if cf.initLocal != p.initLocal {
@@ -743,15 +767,14 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 	}
 	cf.explored = p.explored
 	cf.stats = CompileStats{Source: SourceArtifact, Deadlocks: p.deadlocks, DeadlockAt: p.deadlockAt}
-	states := make([]compState, len(p.encs))
+	states := make([]compState, len(p.imgs))
 	cf.states = make([]*compState, len(states))
 	for i := range states {
-		states[i] = compState{enc: p.encs[i], spill: p.spills[i], mem: p.mems[i], refs: p.refs[i]}
+		states[i] = compState{img: p.imgs[i], mem: p.mems[i], refs: p.refs[i]}
 		cf.states[i] = &states[i]
 	}
-	cf.stateOff = p.stateOff
-	cf.entries = p.entries
-	cf.sends = p.sends
+	cf.recs = p.recs[:len(p.recs):len(p.recs)]
+	cf.spans = p.spans
 	cf.fsm.States = p.fsmStates
 	cf.fsm.Edges = p.fsmEdges
 	for s, v := range p.stable {
@@ -763,34 +786,31 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 	return cf, nil
 }
 
-// crossCheck verifies that the interpreted directory rebuilt from the
-// spill images reproduces the stored component encodings byte for byte.
-// With a nontrivial symmetry group every state is checked, since the
-// relabelings a symmetric search computes from the spill images must
-// agree with the stored encodings; with a trivial group only the initial
-// state is (the full sweep would be pure verification cost).
+// crossCheck verifies that decoding a stored image into the interpreted
+// directory rebuilt from the fusion and re-encoding it reproduces the
+// image byte for byte. With a nontrivial symmetry group every state is
+// checked, since the relabelings a symmetric search computes from the
+// images must stand for the states the images name; with a trivial group
+// only the initial state is (the full sweep would be pure verification
+// cost). parseArtifact guarantees the initial state exists.
 func (cf *CompiledFusion) crossCheck() error {
 	check := 1
 	if len(cf.perms) > 1 {
 		check = len(cf.states)
 	}
-	for i := 0; i < check; i++ {
+	for i := check - 1; i >= 0; i-- {
 		st := cf.states[i]
-		if err := cf.scratch.DecodeState(spec.NewDec(st.spill)); err != nil {
-			return fmt.Errorf("%w: state %d spill image undecodable against the rebuilt fusion: %v",
+		if err := cf.scratch.DecodeState(spec.NewDec(st.img)); err != nil {
+			return fmt.Errorf("%w: state %d image undecodable against the rebuilt fusion: %v",
 				ErrArtifactMismatch, i, err)
 		}
-		if got := cf.scratch.AppendBinary(nil); !bytes.Equal(got, st.enc) {
-			return fmt.Errorf("%w: state %d encoding differs from the rebuilt fusion's", ErrArtifactMismatch, i)
+		if got := cf.scratch.AppendBinary(nil); !bytes.Equal(got, st.img) {
+			return fmt.Errorf("%w: state %d image does not re-encode to itself under the rebuilt fusion", ErrArtifactMismatch, i)
 		}
 	}
-	// Leave the scratch directory back at the initial image so lazy
-	// snapshot reconstruction starts from a decodable state.
-	if len(cf.states) > 0 {
-		if err := cf.scratch.DecodeState(spec.NewDec(cf.states[0].spill)); err != nil {
-			return fmt.Errorf("%w: initial spill image undecodable: %v", ErrArtifactMismatch, err)
-		}
-	}
+	// The loop ends on state 0, leaving the scratch directory at the
+	// initial image so lazy snapshot reconstruction starts from a
+	// decodable state.
 	return nil
 }
 

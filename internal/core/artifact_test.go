@@ -74,9 +74,9 @@ func TestArtifactRoundTripAllPairs(t *testing.T) {
 
 // TestArtifactMismatchErrors pins the structured load-time failures: a
 // digest mismatch against the requested search, a foreign format, an
-// unsupported version, and corrupted or truncated bytes all fail with the
-// matching sentinel error — never an unknown-key panic inside a later
-// Deliver.
+// unsupported version, corrupted or truncated bytes, and well-formed
+// tables that break the table's invariants all fail with the matching
+// sentinel error — never an unknown-key panic inside a later Deliver.
 func TestArtifactMismatchErrors(t *testing.T) {
 	f, cfg, cf := quickArtifactFusion(t)
 	data := cf.MarshalArtifact()
@@ -113,10 +113,12 @@ func TestArtifactMismatchErrors(t *testing.T) {
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
-		bad := append([]byte(nil), data...)
-		bad[4] = ArtifactVersion + 1
-		if _, err := LoadArtifact(bad); !errors.Is(err, ErrArtifactVersion) {
-			t.Errorf("bad version: got %v, want ErrArtifactVersion", err)
+		for _, v := range []byte{ArtifactVersion - 1, ArtifactVersion + 1} {
+			bad := append([]byte(nil), data...)
+			bad[4] = v
+			if _, err := LoadArtifact(bad); !errors.Is(err, ErrArtifactVersion) {
+				t.Errorf("version %d: got %v, want ErrArtifactVersion", v, err)
+			}
 		}
 	})
 	t.Run("tampered digest", func(t *testing.T) {
@@ -136,6 +138,50 @@ func TestArtifactMismatchErrors(t *testing.T) {
 	t.Run("trailing garbage", func(t *testing.T) {
 		if _, err := LoadArtifact(append(append([]byte(nil), data...), 0xaa)); !errors.Is(err, ErrArtifactCorrupt) {
 			t.Error("trailing byte accepted")
+		}
+	})
+	t.Run("body bit flip", func(t *testing.T) {
+		for _, i := range []int{artifactHeaderLen, (artifactHeaderLen + len(data)) / 2, len(data) - 1} {
+			bad := append([]byte(nil), data...)
+			bad[i] ^= 0x10
+			if _, err := LoadArtifact(bad); !errors.Is(err, ErrArtifactCorrupt) {
+				t.Errorf("bit flip at byte %d: got %v, want ErrArtifactCorrupt", i, err)
+			}
+		}
+	})
+	// The remaining cases are sealed artifacts whose table itself is
+	// unsound, marshaled from a doctored copy of cf.
+	doctored := func(states []*compState, recs []compRecord, spans [][]int32) []byte {
+		return (&CompiledFusion{fusion: cf.fusion, cfg: cf.cfg, explored: cf.explored, stats: cf.stats,
+			states: states, recs: recs, spans: spans, fsm: cf.fsm, initLocal: cf.initLocal, stable: cf.stable}).MarshalArtifact()
+	}
+	t.Run("zero states", func(t *testing.T) {
+		if _, err := LoadArtifact(doctored(nil, nil, nil)); !errors.Is(err, ErrArtifactCorrupt) {
+			t.Errorf("zero-state artifact: got %v, want ErrArtifactCorrupt", err)
+		}
+	})
+	t.Run("stall with effects", func(t *testing.T) {
+		sends := -1
+		for i := range cf.recs {
+			if len(cf.recs[i].tr.sends) > 0 {
+				sends = i
+				break
+			}
+		}
+		if sends < 0 {
+			t.Fatal("table has no record that sends")
+		}
+		for _, tc := range []struct {
+			name  string
+			rec   int
+			remem bool
+		}{{"sends", sends, false}, {"memory bit", 0, true}} {
+			recs := append([]compRecord(nil), cf.recs...)
+			recs[tc.rec].tr.next = stallState
+			recs[tc.rec].tr.remem = tc.remem
+			if _, err := LoadArtifact(doctored(cf.states, recs, cf.spans)); !errors.Is(err, ErrArtifactCorrupt) {
+				t.Errorf("stall with %s: got %v, want ErrArtifactCorrupt", tc.name, err)
+			}
 		}
 	})
 }
@@ -254,7 +300,9 @@ func TestArtifactSnapshotEncoding(t *testing.T) {
 
 // FuzzArtifactCodec hammers the loader with mutated artifact bytes: it
 // must return structured errors, never panic, and any accepted input must
-// re-marshal deterministically.
+// re-marshal deterministically. Each input's body checksum is re-sealed
+// first, so mutations reach the parser instead of stopping at the
+// checksum.
 func FuzzArtifactCodec(f *testing.F) {
 	fz, err := Fuse(Options{}, protocols.MustByName(protocols.NameMSI), protocols.MustByName(protocols.NameRCC))
 	if err != nil {
@@ -281,6 +329,10 @@ func FuzzArtifactCodec(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= artifactHeaderLen {
+			data = append([]byte(nil), data...)
+			sealArtifact(data)
+		}
 		lcf, err := LoadArtifact(data)
 		if err != nil {
 			return

@@ -4,19 +4,33 @@ import (
 	"heterogen/internal/spec"
 )
 
-// Spill-frontier state codec for the merged directory (spec.StateCodec).
+// Binary state codec for the merged directory: one image that is at once
+// the model checker's visited-set key (spec.BinaryAppender), the symmetry
+// reducer's relabeled key (spec.RelabelAppender) and the spill frontier's
+// exact state image (spec.StateCodec). Field for field it carries exactly
+// what Snapshot prints, so the text form, the key and the image
+// distinguish the same states, and DecodeState rebuilds the state the
+// image was taken from.
 //
-// The visited-set encoding (binenc.go) only has to be injective over
-// reachable states, so it drops fields that are either derived (a task's
-// core-op sequence is a pure function of the fusion's armor sequences and
-// the bridge address) or covered indirectly (captured values, the handshake
-// partner). The spill codec must rebuild the state exactly, so it extends
-// the bridge/task records with those fields and re-derives each task's seq
-// from the fusion at decode time — spilled bytes stay a few dozen per
-// bridge instead of re-encoding whole request sequences.
+// The one derived field left out is a task's core-op sequence: a pure
+// function of the fusion's armor sequences and the bridge address, it is
+// re-derived from the fusion at decode time, so an image stays a few
+// dozen bytes per bridge instead of re-encoding whole request sequences.
+//
+// The relabeled form threads the symmetry reducer's NodeID permutation
+// through every id reference: the sub-directories' owner/sharer metadata,
+// the bridges' original request endpoints, and the busy-source set (the
+// initiating caches the conservative mode blocks). Proxy ids never appear
+// in a symmetry group, so they map to themselves; cluster indices (owner,
+// origin, handshake partner) are not node ids.
 
-func (t *proxyTask) appendState(buf []byte) []byte {
-	buf = t.appendBinary(buf)
+func (t *proxyTask) appendBinary(buf []byte) []byte {
+	buf = spec.AppendInt(buf, t.cluster)
+	buf = spec.AppendInt(buf, t.proxyIdx)
+	buf = spec.AppendInt(buf, t.idx)
+	buf = spec.AppendBool(buf, t.issued)
+	buf = spec.AppendBool(buf, t.evicting)
+	buf = spec.AppendBool(buf, t.done)
 	buf = spec.AppendInt(buf, t.captured)
 	buf = spec.AppendBool(buf, t.hasCaptured)
 	return buf
@@ -39,7 +53,7 @@ func decodeTaskInto(t *proxyTask, d *spec.Dec) {
 	t.hasCaptured = d.Bool()
 }
 
-func (br *bridge) appendState(buf []byte) []byte {
+func (br *bridge) appendBinary(buf []byte, r spec.Relabel) []byte {
 	buf = spec.AppendInt(buf, int(br.addr))
 	buf = spec.AppendInt(buf, br.origin)
 	buf = spec.AppendInt(buf, int(br.phase))
@@ -49,16 +63,16 @@ func (br *bridge) appendState(buf []byte) []byte {
 	buf = spec.AppendBool(buf, br.hsSent)
 	buf = spec.AppendBool(buf, br.hsDone)
 	buf = spec.AppendInt(buf, br.hsWith)
-	buf = br.orig.AppendBinary(buf)
+	buf = br.orig.AppendBinaryRelabeled(buf, r)
 	if br.fetch == nil {
 		buf = spec.AppendBool(buf, false)
 	} else {
 		buf = spec.AppendBool(buf, true)
-		buf = br.fetch.appendState(buf)
+		buf = br.fetch.appendBinary(buf)
 	}
 	buf = spec.AppendUvarint(buf, uint64(len(br.props)))
 	for _, t := range br.props {
-		buf = t.appendState(buf)
+		buf = t.appendBinary(buf)
 	}
 	return buf
 }
@@ -104,15 +118,20 @@ func (d *MergedDir) decodeBridgeInto(br *bridge, dec *spec.Dec) {
 	br.props = props
 }
 
-// AppendState implements spec.StateCodec. The shared LLC/memory is encoded
-// by the host once, as with AppendBinary.
-func (d *MergedDir) AppendState(buf []byte) []byte {
+// AppendBinary implements spec.BinaryAppender (the shared memory is
+// encoded separately by the host, as with Snapshot).
+func (d *MergedDir) AppendBinary(buf []byte) []byte {
+	return d.AppendBinaryRelabeled(buf, nil)
+}
+
+// AppendBinaryRelabeled implements spec.RelabelAppender.
+func (d *MergedDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
 	for _, dir := range d.dirs {
-		buf = dir.AppendState(buf)
+		buf = dir.AppendBinaryRelabeled(buf, r)
 	}
 	for _, pool := range d.proxies {
 		for _, p := range pool {
-			buf = p.AppendState(buf)
+			buf = p.AppendBinaryRelabeled(buf, r)
 		}
 	}
 	buf = spec.AppendUvarint(buf, uint64(len(d.owners)))
@@ -122,17 +141,22 @@ func (d *MergedDir) AppendState(buf []byte) []byte {
 	}
 	buf = spec.AppendUvarint(buf, uint64(len(d.bridges)))
 	for _, br := range d.bridges {
-		buf = br.appendState(buf)
+		buf = br.appendBinary(buf, r)
 	}
-	buf = spec.AppendUvarint(buf, uint64(d.busySrc.Len()))
-	d.busySrc.Each(func(s spec.NodeID) { buf = spec.AppendInt(buf, int(s)) })
+	busy := d.busySrc.Relabeled(r)
+	buf = spec.AppendUvarint(buf, uint64(busy.Len()))
+	busy.Each(func(s spec.NodeID) { buf = spec.AppendInt(buf, int(s)) })
 	buf = spec.AppendUvarint(buf, uint64(d.proxyBusy.Len()))
 	d.proxyBusy.Each(func(p spec.NodeID) { buf = spec.AppendInt(buf, int(p)) })
 	return buf
 }
 
-// DecodeState implements spec.StateCodec: the inverse of AppendState over a
-// structurally-identical receiver (same fusion, layout and pool shape —
+// AppendState implements spec.StateCodec: the image is the binary
+// encoding itself.
+func (d *MergedDir) AppendState(buf []byte) []byte { return d.AppendBinary(buf) }
+
+// DecodeState implements spec.StateCodec: the inverse of AppendBinary over
+// a structurally-identical receiver (same fusion, layout and pool shape —
 // e.g. a Clone of the system this state was encoded from).
 func (d *MergedDir) DecodeState(dec *spec.Dec) error {
 	for _, dir := range d.dirs {
@@ -173,4 +197,23 @@ func (d *MergedDir) DecodeState(dec *spec.Dec) error {
 	return dec.Err()
 }
 
-var _ spec.StateCodec = (*MergedDir)(nil)
+// Freeze implements spec.Freezer: pre-builds the table indexes of every
+// constituent protocol so parallel exploration over clones never races on
+// their lazy initialization.
+func (d *MergedDir) Freeze() { d.fusion.Freeze() }
+
+// Freeze pre-builds the table indexes of every constituent protocol. Call
+// it before model-checking systems built from this fusion on several
+// goroutines at once.
+func (f *Fusion) Freeze() {
+	for _, p := range f.Protocols {
+		p.Freeze()
+	}
+}
+
+var (
+	_ spec.BinaryAppender  = (*MergedDir)(nil)
+	_ spec.RelabelAppender = (*MergedDir)(nil)
+	_ spec.StateCodec      = (*MergedDir)(nil)
+	_ spec.Freezer         = (*MergedDir)(nil)
+)

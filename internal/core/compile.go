@@ -26,7 +26,7 @@ import (
 // bound to a compiler: a growing table of interned directory states and
 // recorded (state, message) outcomes. A pair the table holds replays its
 // recorded sends, memory image and register move. A miss decodes the
-// pre-state's interned images into the compiler's private scratch
+// pre-state's interned image into the compiler's private scratch
 // MergedDir, runs the interpreted deliver there, interns the successor and
 // records the outcome — successor state, messages sent, whether memory
 // changed, or a stall. A table starts either empty (the extraction search
@@ -43,11 +43,11 @@ import (
 // by construction. The extraction's deadlock count is its verdict
 // (Verdict).
 //
-// After extraction the recorded transitions are finalized into a dense
-// layout: every interned state owns a contiguous, message-sorted span of
-// table entries (stateOff/entries), with the recorded sends interned once
-// into a shared pool. The on-disk artifact (artifact.go) serializes these
-// arrays verbatim, and System() seeds its tables from them.
+// After extraction finalize renumbers the interned states into a canonical
+// order; the table keeps its one form — the records and every state's
+// message-sorted span of record indices — which the on-disk artifact
+// (artifact.go) serializes span by span and System() seeds its tables
+// with.
 //
 // The compiled artifact drives every downstream layer:
 //
@@ -62,16 +62,17 @@ import (
 //     states/transitions; EnumerateCompiled is the only Table II engine).
 //   - Protocol() lifts the projection into a spec.Protocol value that
 //     round-trips through the PCC text form and exports to Murphi/DOT.
-//   - MarshalArtifact() serializes the dense tables into the versioned
+//   - MarshalArtifact() serializes the table into the versioned
 //     on-disk form; LoadArtifact* rebuilds a working CompiledFusion from
 //     those bytes without re-running the extraction search (artifact.go).
 //
 // Soundness: the interpreted composite stays the oracle. A pair no table
 // holds is interpreted, never guessed, so a table searched outside its
 // CompileConfig reports exactly what the interpreted composite would.
-// Re-recording a pair with a conflicting outcome fails compilation (it
-// would mean the binary state encoding is not injective over reachable
-// states, the property the visited set already relies on).
+// An interned state's key is its exact image (the merged directory's
+// binary encoding plus the memory's), and a miss interprets on the state
+// decoded from that image, so replaying a recorded pair is exact by
+// construction.
 
 // Engine labels name the directory-evaluation strategy of a system, carried
 // through mcheck.Result and the CLIs so logs and benchmark JSON are
@@ -104,16 +105,6 @@ type CompileConfig struct {
 	// Excluded from the artifact digest — the extracted table is a pure
 	// function of the configuration, not of the search schedule.
 	Workers int
-	// NoMemo disables memoized extraction: every delivery re-runs the
-	// interpreted MergedDir instead of replaying the recorded outcome once
-	// its (state, message) pair is in the table. The interpreted path
-	// re-records every revisited pair, which double-checks that the binary
-	// state encoding is injective over reachable states — the property
-	// memoized replay (like the visited set) relies on. The determinism
-	// tests compile both ways and pin byte-identical artifacts. Excluded
-	// from the artifact digest: memoization changes how the table is
-	// extracted, never what is extracted.
-	NoMemo bool
 	// ProgressEvery/OnProgress mirror mcheck.Options: periodic reports
 	// from the otherwise-silent extraction search, surfaced by
 	// `heterogen -compile-out -progress`. Excluded from the digest.
@@ -149,7 +140,7 @@ var ErrCompileCancelled = errors.New("core: compile extraction cancelled")
 var ErrExtractionDeadlock = errors.New("core: extraction reached a deadlock")
 
 // CompileStats reports where a CompiledFusion came from and what each
-// phase cost — the extraction search and dense-table finalization for a
+// phase cost — the extraction search and table finalization for a
 // fresh compile, or the artifact decode for a load. CLIs print it so runs
 // are unambiguous about whether the extraction search actually ran.
 // The CompileStats.Source values: a fresh extraction, an explicit
@@ -170,13 +161,14 @@ type CompileStats struct {
 	// ExtractStates counts the system states the extraction visited.
 	ExtractStates int
 	// Interpreted counts the deliveries that ran the interpreted
-	// MergedDir during extraction — with memoization on, exactly one per
-	// distinct (state, message) pair.
+	// MergedDir during extraction — exactly one per distinct (state,
+	// message) pair.
 	Interpreted int64
 	// MemoHits counts deliveries replayed from the already-recorded table
-	// instead of interpreting (zero under CompileConfig.NoMemo).
+	// instead of interpreting.
 	MemoHits int64
-	// Finalize is the dense-table build time after extraction.
+	// Finalize is the table's renumbering and FSM projection time after
+	// extraction.
 	Finalize time.Duration
 	// Load is the artifact read+decode+rebuild time (zero when compiled).
 	Load time.Duration
@@ -207,19 +199,17 @@ func (s CompileStats) String() string {
 	}
 }
 
-// compState is one interned merged-directory state: the raw component
-// encoding (byte-identical to the interpreted MergedDir's), the bijective
-// spill-codec image (from which the interpreted snapshot and relabelings
-// are reconstructed on demand), the shared memory image it implies and the
-// POR node references.
+// compState is one interned merged-directory state: its exact image (the
+// interpreted MergedDir's binary encoding, from which the interpreted
+// snapshot and relabelings are reconstructed on demand), the shared memory
+// image it implies and the POR node references.
 type compState struct {
-	enc   []byte       // MergedDir.AppendBinary bytes
-	spill []byte       // MergedDir.AppendState bytes (exact state image)
-	mem   []byte       // Memory.AppendBinary bytes (replayed on remem transitions)
-	snap  string       // interpreted Snapshot output; reconstructed lazily from spill
-	refs  spec.NodeSet // interpreted RefNodes (ample-set POR)
+	img  []byte       // MergedDir.AppendBinary bytes: visited-set key and exact image
+	mem  []byte       // Memory.AppendBinary bytes (replayed on remem transitions)
+	snap string       // interpreted Snapshot output; reconstructed lazily from img
+	refs spec.NodeSet // interpreted RefNodes (ample-set POR)
 	// relab holds the encoding under every permutation of the group
-	// (relab[0] aliases enc), computed on the first relabeled request and
+	// (relab[0] aliases img), computed on the first relabeled request and
 	// published atomically so later readers stay lock-free (relabelings).
 	relab atomic.Pointer[[][]byte]
 }
@@ -234,17 +224,6 @@ type compTransition struct {
 	remem bool
 }
 
-// compEntry is one finalized dense-table entry: the triggering message
-// (the binary-search key, compared field by field) and the outcome, with
-// sends flattened into the shared pool.
-type compEntry struct {
-	msg     spec.Msg
-	next    int32 // successor state index, or stallState
-	sendOff int32 // span into CompiledFusion.sends
-	sendLen int32
-	remem   bool
-}
-
 // CompiledFusion is the compiled flat merged-directory machine plus the
 // pristine system template it was extracted from.
 type CompiledFusion struct {
@@ -252,14 +231,17 @@ type CompiledFusion struct {
 	cfg       CompileConfig
 	template  *mcheck.System // pristine interpreted system; cloned per System()
 	layout    *SystemLayout
-	scratch   *MergedDir // pristine interpreted clone; spill-decode target for snapshots and relabelings
+	scratch   *MergedDir // pristine interpreted clone; decode target for snapshots and relabelings
 	snapMu    sync.Mutex // guards scratch and lazy compState.snap/relab fills
 	mergedIdx int
 	owned     []spec.NodeID
+	// The finished table, in the compiler's form: the interned states, the
+	// records, and per state the message-sorted indices of its records.
+	// Every slice is capped at its length, so a seeded compiler's growth
+	// copies instead of writing into them.
 	states    []*compState
-	entries   []compEntry // per-state contiguous spans, message-sorted
-	stateOff  []int32     // len(states)+1 span offsets into entries
-	sends     []spec.Msg  // shared send-replay pool
+	recs      []compRecord
+	spans     [][]int32
 	fsm       *FlatFSM
 	explored  int // system states visited during extraction
 	porLocal  bool
@@ -320,9 +302,9 @@ func (cf *CompiledFusion) bind(sys *mcheck.System, c *compiler) *mcheck.System {
 // growingSystem builds the system for cfg with its merged directory
 // swapped for a CompiledDir over a fresh, empty growing table, and returns
 // the table's owner and compiler alongside it.
-func growingSystem(f *Fusion, cfg CompileConfig, memo bool) (*CompiledFusion, *compiler, *mcheck.System) {
+func growingSystem(f *Fusion, cfg CompileConfig) (*CompiledFusion, *compiler, *mcheck.System) {
 	cf, sys := newCompiledFusion(f, cfg)
-	c := newCompiler(cf, memo)
+	c := newCompiler(cf)
 	// Intern the initial directory state first: CompiledDir starts at
 	// index 0.
 	c.intern(cf.layout.Merged)
@@ -340,16 +322,16 @@ func growingSystem(f *Fusion, cfg CompileConfig, memo bool) (*CompiledFusion, *c
 // delivery that sends, which fails a compile, stalls here just as it does
 // in the interpreted search.
 func FusedSystem(f *Fusion, cachesPerCluster []int, programs [][]spec.CoreReq) *mcheck.System {
-	_, _, sys := growingSystem(f, CompileConfig{CachesPerCluster: cachesPerCluster, Programs: programs}, true)
+	_, _, sys := growingSystem(f, CompileConfig{CachesPerCluster: cachesPerCluster, Programs: programs})
 	return sys
 }
 
 // Compile lowers f into a flat transition table for the given
 // configuration by exhaustively exploring the system with a growing
 // CompiledDir in place of the merged directory (misses run the
-// interpreted composite), then finalizing the recorded transitions into
-// the dense layout. A deadlock the extraction reaches does not fail the
-// compile; it is the table's Verdict.
+// interpreted composite), then renumbering the recorded transitions
+// canonically. A deadlock the extraction reaches does not fail the compile;
+// it is the table's Verdict.
 func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	return CompileCtx(context.Background(), f, cfg)
 }
@@ -360,7 +342,7 @@ func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 // a table.
 func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	start := time.Now()
-	cf, c, sys := growingSystem(f, cfg, !cfg.NoMemo)
+	cf, c, sys := growingSystem(f, cfg)
 	res := mcheck.ExploreCtx(ctx, sys, mcheck.Options{
 		Evictions: cfg.Evictions, MaxStates: cfg.MaxStates,
 		Workers:       cfg.Workers,
@@ -380,7 +362,6 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 		return nil, fmt.Errorf("%w: %s at %d states", ErrCompileTruncated, f.Name(), res.States)
 	}
 	cf.explored = res.States
-	cf.states = c.states
 	cf.stats = CompileStats{Source: SourceCompiler, Extract: time.Since(start),
 		ExtractStates: res.States, Interpreted: c.interpreted, MemoHits: c.memoHits,
 		Deadlocks: res.Deadlocks, DeadlockAt: res.DeadlockAt}
@@ -391,90 +372,62 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 	return cf, nil
 }
 
-// finalize turns the compiler's recorded transitions into the dense
-// per-state spans: states renumbered into their canonical order, records
-// sorted by (pre-state, message order), entries laid out contiguously per
-// state, sends flattened into the shared pool, and the projected FSM
-// derived from the records and sorted into its canonical rendering order.
+// finalize takes over the compiler's table in its canonical form: states
+// renumbered (spans permuted, successors remapped), every span and the
+// record slice capped, and the projected FSM derived from the records and
+// sorted into its canonical rendering order.
 func (cf *CompiledFusion) finalize(c *compiler) {
-	cf.renumber(c)
-	sort.Slice(c.recs, func(i, j int) bool {
-		a, b := &c.recs[i], &c.recs[j]
-		if a.pre != b.pre {
-			return a.pre < b.pre
-		}
-		return msgCmp(a.msg, b.msg) < 0
-	})
-	cf.entries = make([]compEntry, 0, len(c.recs))
-	cf.stateOff = make([]int32, len(cf.states)+1)
-	next := int32(0)
-	for i := range c.recs {
-		r := &c.recs[i]
-		for next <= r.pre {
-			cf.stateOff[next] = int32(len(cf.entries))
-			next++
-		}
-		e := compEntry{msg: r.msg, next: r.tr.next, remem: r.tr.remem,
-			sendOff: int32(len(cf.sends)), sendLen: int32(len(r.tr.sends))}
-		cf.sends = append(cf.sends, r.tr.sends...)
-		cf.entries = append(cf.entries, e)
+	ord := canonicalOrder(c.states)
+	n := len(ord)
+	remap := make([]int32, n)
+	cf.states = make([]*compState, n)
+	cf.spans = make([][]int32, n)
+	for i, old := range ord {
+		remap[old] = int32(i)
+		cf.states[i] = c.states[old]
+		span := c.spans[old]
+		cf.spans[i] = span[:len(span):len(span)]
 	}
-	for int(next) <= len(cf.states) {
-		cf.stateOff[next] = int32(len(cf.entries))
-		next++
+	cf.recs = c.recs[:len(c.recs):len(c.recs)]
+	for i := range cf.recs {
+		if tr := &cf.recs[i].tr; tr.next != stallState {
+			tr.next = remap[tr.next]
+		}
 	}
-	cf.projectFSM(c.recs)
+	cf.projectFSM()
 }
 
-// renumber rewrites the interned state indices into a canonical order:
-// state 0 stays the initial state (CompiledDir starts there and the
-// artifact codec assumes it), the rest sort by their (encoding, memory)
-// key. Intern order is a schedule artifact — of the extraction search's
-// worker interleaving and of how many pairs memoization short-circuited —
-// so canonical numbering is what makes the finalized table, and therefore
-// the artifact bytes, identical across worker counts and memo on/off (the
+// canonicalOrder lists the interned states in their canonical order: state
+// 0 stays the initial state (CompiledDir starts there and the artifact
+// codec assumes it), the rest sort by their (image, memory) key. Intern
+// order is a schedule artifact of the extraction search's worker
+// interleaving, so canonical numbering is what makes the finished table,
+// and therefore the artifact bytes, identical across worker counts (the
 // determinism tests pin this).
-func (cf *CompiledFusion) renumber(c *compiler) {
-	n := len(cf.states)
-	if n <= 2 {
-		return
-	}
-	ord := make([]int32, n-1)
+func canonicalOrder(states []*compState) []int32 {
+	ord := make([]int32, len(states))
 	for i := range ord {
-		ord[i] = int32(i + 1)
+		ord[i] = int32(i)
 	}
-	sort.Slice(ord, func(i, j int) bool {
-		a, b := cf.states[ord[i]], cf.states[ord[j]]
-		if cmp := bytes.Compare(a.enc, b.enc); cmp != 0 {
+	rest := ord[1:]
+	sort.Slice(rest, func(i, j int) bool {
+		a, b := states[rest[i]], states[rest[j]]
+		if cmp := bytes.Compare(a.img, b.img); cmp != 0 {
 			return cmp < 0
 		}
 		return bytes.Compare(a.mem, b.mem) < 0
 	})
-	remap := make([]int32, n)
-	states := make([]*compState, n)
-	states[0] = cf.states[0]
-	for i, old := range ord {
-		remap[old] = int32(i + 1)
-		states[i+1] = cf.states[old]
-	}
-	cf.states = states
-	for i := range c.recs {
-		r := &c.recs[i]
-		r.pre = remap[r.pre]
-		if r.tr.next != stallState {
-			r.tr.next = remap[r.tr.next]
-		}
-	}
+	return ord
 }
 
 // projectFSM derives the per-address local-state projection (the Table II
 // machine) from the finalized records, decoding each referenced state's
-// exact spill image once — instead of building LocalState strings inline
-// on every extraction delivery. The projection over records equals the
+// exact image once — instead of building LocalState strings inline on
+// every extraction delivery. The projection over records equals the
 // projection over deliveries because a (state, message) pair determines
 // its successor: every successful delivery contributes the edge its
 // record contributes.
-func (cf *CompiledFusion) projectFSM(recs []compRecord) {
+func (cf *CompiledFusion) projectFSM() {
 	needs := make(map[int32]map[spec.Addr]bool)
 	add := func(s int32, a spec.Addr) {
 		m := needs[s]
@@ -484,20 +437,18 @@ func (cf *CompiledFusion) projectFSM(recs []compRecord) {
 		}
 		m[a] = true
 	}
-	for i := range recs {
-		r := &recs[i]
-		if r.tr.next == stallState {
-			continue
+	cf.eachRecord(func(pre int32, r *compRecord) {
+		if r.tr.next != stallState {
+			add(pre, r.msg.Addr)
+			add(r.tr.next, r.msg.Addr)
 		}
-		add(r.pre, r.msg.Addr)
-		add(r.tr.next, r.msg.Addr)
-	}
+	})
 	local := make(map[int32]map[spec.Addr]string, len(needs))
 	cf.snapMu.Lock()
 	for s, addrs := range needs {
-		if err := cf.scratch.DecodeState(spec.NewDec(cf.states[s].spill)); err != nil {
+		if err := cf.scratch.DecodeState(spec.NewDec(cf.states[s].img)); err != nil {
 			cf.snapMu.Unlock()
-			panic(fmt.Sprintf("core: state %d spill image undecodable during FSM projection: %v", s, err))
+			panic(fmt.Sprintf("core: state %d image undecodable during FSM projection: %v", s, err))
 		}
 		byAddr := make(map[spec.Addr]string, len(addrs))
 		for a := range addrs {
@@ -511,12 +462,11 @@ func (cf *CompiledFusion) projectFSM(recs []compRecord) {
 
 	states := map[string]bool{}
 	seen := map[Edge]bool{}
-	for i := range recs {
-		r := &recs[i]
+	cf.eachRecord(func(pre int32, r *compRecord) {
 		if r.tr.next == stallState {
-			continue
+			return
 		}
-		e := Edge{From: local[r.pre][r.msg.Addr], Event: string(r.msg.Type),
+		e := Edge{From: local[pre][r.msg.Addr], Event: string(r.msg.Type),
 			To: local[r.tr.next][r.msg.Addr]}
 		states[e.From] = true
 		states[e.To] = true
@@ -524,7 +474,7 @@ func (cf *CompiledFusion) projectFSM(recs []compRecord) {
 			seen[e] = true
 			cf.fsm.Edges = append(cf.fsm.Edges, e)
 		}
-	}
+	})
 	for s := range states {
 		cf.fsm.States = append(cf.fsm.States, s)
 	}
@@ -541,10 +491,20 @@ func (cf *CompiledFusion) projectFSM(recs []compRecord) {
 	})
 }
 
+// eachRecord visits the finished table's records state by state, each
+// state's in message order.
+func (cf *CompiledFusion) eachRecord(visit func(pre int32, r *compRecord)) {
+	for s, span := range cf.spans {
+		for _, ri := range span {
+			visit(int32(s), &cf.recs[ri])
+		}
+	}
+}
+
 // msgCmp is a strict total order over messages consistent with equality,
 // cheap integer fields first so the string compare only runs when every
-// endpoint and payload field ties. It is both the finalized span order and
-// the binary-search comparison in CompiledDir.Deliver.
+// endpoint and payload field ties. It is both the span order and the
+// binary-search comparison in compiler.step.
 func msgCmp(a, b spec.Msg) int {
 	switch {
 	case a.Addr != b.Addr:
@@ -742,8 +702,9 @@ func (cf *CompiledFusion) Verdict() error {
 // transducer's state count (finer than the per-address FlatFSM states).
 func (cf *CompiledFusion) DirStates() int { return len(cf.states) }
 
-// Transitions counts the recorded table entries (including stalls).
-func (cf *CompiledFusion) Transitions() int { return len(cf.entries) }
+// Transitions counts the recorded (state, message) outcomes (including
+// stalls).
+func (cf *CompiledFusion) Transitions() int { return len(cf.recs) }
 
 // Explored reports the system states visited during extraction.
 func (cf *CompiledFusion) Explored() int { return cf.explored }
@@ -753,10 +714,10 @@ func (cf *CompiledFusion) Explored() int { return cf.explored }
 func (cf *CompiledFusion) FlatFSM() *FlatFSM { return cf.fsm }
 
 // snapOf returns the interpreted snapshot of an interned state,
-// reconstructing it on first use by decoding the state's exact spill-codec
-// image into the pristine scratch directory (the spill codec is bijective,
-// so the reconstructed bytes equal what the interpreted component would
-// print). Lazy reconstruction keeps the fmt-heavy snapshot path off the
+// reconstructing it on first use by decoding the state's exact image into
+// the pristine scratch directory (the image carries every field Snapshot
+// prints, so the reconstructed bytes equal what the interpreted component
+// would print). Lazy reconstruction keeps the fmt-heavy snapshot path off the
 // extraction hot loop entirely.
 func (cf *CompiledFusion) snapOf(st *compState) string {
 	cf.snapMu.Lock()
@@ -771,7 +732,7 @@ func (cf *CompiledFusion) snapOf(st *compState) string {
 }
 
 // relabelings returns st's encoding under every permutation of the group,
-// computing all of them from its spill image on the first call. A search
+// computing all of them from its image on the first call. A search
 // without symmetry never calls it, so it never pays for them.
 func (cf *CompiledFusion) relabelings(st *compState) [][]byte {
 	if r := st.relab.Load(); r != nil {
@@ -784,7 +745,7 @@ func (cf *CompiledFusion) relabelings(st *compState) [][]byte {
 	}
 	cf.decodeScratch(st)
 	relab := make([][]byte, len(cf.perms))
-	relab[0] = st.enc
+	relab[0] = st.img
 	for i := 1; i < len(cf.perms); i++ {
 		relab[i] = cf.scratch.AppendBinaryRelabeled(nil, cf.perms[i])
 	}
@@ -801,11 +762,11 @@ func (cf *CompiledFusion) relabel(buf []byte, st *compState, r spec.Relabel) []b
 	return cf.scratch.AppendBinaryRelabeled(buf, r)
 }
 
-// decodeScratch loads st's spill image into the scratch directory; the
-// caller holds snapMu.
+// decodeScratch loads st's image into the scratch directory; the caller
+// holds snapMu.
 func (cf *CompiledFusion) decodeScratch(st *compState) {
-	if err := cf.scratch.DecodeState(spec.NewDec(st.spill)); err != nil {
-		panic(fmt.Sprintf("core: compiled state spill image undecodable: %v", err))
+	if err := cf.scratch.DecodeState(spec.NewDec(st.img)); err != nil {
+		panic(fmt.Sprintf("core: compiled state image undecodable: %v", err))
 	}
 }
 
@@ -882,39 +843,25 @@ func (cf *CompiledFusion) System() *mcheck.System {
 	return cf.bind(cf.template.Clone(), cf.seed())
 }
 
-// seed returns a compiler whose table starts as this finished one: the
-// interned states (shared; their lazy snapshot and relabeling caches are
-// the only fields ever written) and one record per dense entry, each
-// state's span listing its message-sorted entries. Every seeded slice is
-// capped at its length, so the first growth copies instead of writing
-// into cf's arrays; intern indexes the keys on the first miss.
+// seed returns a compiler whose table starts as this finished one. The
+// states and records are shared (a state's lazy snapshot and relabeling
+// caches are the only fields ever written) and the spans are a shallow
+// copy; every shared slice is capped at its length, so the first growth
+// copies instead of writing into cf's arrays. intern indexes the keys on
+// the first miss.
 func (cf *CompiledFusion) seed() *compiler {
-	c := newCompiler(cf, true)
-	n := len(cf.states)
-	states := cf.states[:n:n]
+	c := newCompiler(cf)
+	states := cf.states
 	c.states = states
 	c.table.Store(&states)
-	c.recs = make([]compRecord, len(cf.entries))
-	idx := make([]int32, len(cf.entries))
-	c.spans = make([][]int32, n)
-	for s := range c.spans {
-		lo, hi := cf.stateOff[s], cf.stateOff[s+1]
-		for i := lo; i < hi; i++ {
-			e := &cf.entries[i]
-			end := e.sendOff + e.sendLen
-			c.recs[i] = compRecord{pre: int32(s), msg: e.msg,
-				tr: compTransition{next: e.next, sends: cf.sends[e.sendOff:end:end], remem: e.remem}}
-			idx[i] = i
-		}
-		c.spans[s] = idx[lo:hi:hi]
-	}
+	c.recs = cf.recs
+	c.spans = slices.Clone(cf.spans)
 	return c
 }
 
-// compRecord is one recorded outcome: after an extraction, finalize lays
-// the records out densely; seed rebuilds them from that layout.
+// compRecord is one recorded (state, message) outcome; the state's span
+// lists its index.
 type compRecord struct {
-	pre int32
 	msg spec.Msg
 	tr  compTransition
 }
@@ -933,11 +880,10 @@ type compiler struct {
 	// reader never sees a partially built state.
 	states []*compState
 	table  atomic.Pointer[[]*compState]
-	keys   map[string]int32 // interned enc++mem -> state index; built on the first intern
+	keys   map[string]int32 // interned img++mem -> state index; built on the first intern
 	keyBuf []byte
 	spans  [][]int32 // per state: indices into recs, message-sorted
 	recs   []compRecord
-	memo   bool // replay recorded pairs instead of re-interpreting
 
 	// Miss path: the private interpreted directory a pre-state is decoded
 	// into, a reusable decode cursor with a message-type intern table, and
@@ -952,9 +898,8 @@ type compiler struct {
 }
 
 // newCompiler returns an empty growing table over cf's configuration.
-func newCompiler(cf *CompiledFusion, memo bool) *compiler {
-	c := &compiler{memo: memo,
-		scratch: cf.layout.Merged.Clone().(*MergedDir)}
+func newCompiler(cf *CompiledFusion) *compiler {
+	c := &compiler{scratch: cf.layout.Merged.Clone().(*MergedDir)}
 	c.dec.InternStrings(new(spec.Intern))
 	return c
 }
@@ -966,39 +911,29 @@ func (e *sendCapture) Send(m spec.Msg) { e.sends = append(e.sends, m) }
 
 // step returns the outcome of delivering m in state pre. A pair already
 // recorded replays (memoization); a miss runs the interpreter and records
-// the outcome. Under NoMemo every delivery re-derives its outcome and a
-// revisited pair is re-verified against its record: a conflicting
-// outcome would mean the binary state encoding is not injective over
-// reachable states, the property replay (like the visited set) relies
-// on.
+// the outcome.
 func (c *compiler) step(pre int32, m spec.Msg) compTransition {
 	pos, found := slices.BinarySearchFunc(c.spans[pre], m, func(ri int32, m spec.Msg) int {
 		return msgCmp(c.recs[ri].msg, m)
 	})
-	if found && c.memo {
+	if found {
 		c.memoHits++
 		return c.recs[c.spans[pre][pos]].tr
 	}
 	c.interpreted++
 	tr := c.interpret(pre, m)
-	if found {
-		if !sameTransition(c.recs[c.spans[pre][pos]].tr, tr) && c.err == nil {
-			c.err = fmt.Errorf("core: state %d on %s recorded two different outcomes — binary state encoding is not injective over reachable states", pre, m)
-		}
-		return tr
-	}
 	c.spans[pre] = slices.Insert(c.spans[pre], pos, int32(len(c.recs)))
-	c.recs = append(c.recs, compRecord{pre: pre, msg: m, tr: tr})
+	c.recs = append(c.recs, compRecord{msg: m, tr: tr})
 	return tr
 }
 
 // interpret runs the interpreted deliver of m on the scratch directory
-// loaded with pre's exact images and interns the successor. A stalled
+// loaded with pre's exact image and interns the successor. A stalled
 // delivery must be effect-free: the checker discards the stalled
 // successor, so a send here would be unreplayable.
 func (c *compiler) interpret(pre int32, m spec.Msg) compTransition {
 	st := c.states[pre]
-	c.load(st.spill, st.mem)
+	c.load(st.img, st.mem)
 	c.capture.sends = c.capture.sends[:0]
 	if !c.scratch.deliver(&c.capture, m) {
 		if n := len(c.capture.sends); n > 0 && c.err == nil {
@@ -1011,12 +946,12 @@ func (c *compiler) interpret(pre int32, m spec.Msg) compTransition {
 		remem: !bytes.Equal(st.mem, c.states[post].mem)}
 }
 
-// load decodes an exact spill image and memory image into the scratch
-// directory.
-func (c *compiler) load(spill, mem []byte) {
-	c.dec.Reset(spill)
+// load decodes an exact directory image and memory image into the
+// scratch directory.
+func (c *compiler) load(img, mem []byte) {
+	c.dec.Reset(img)
 	if err := c.scratch.DecodeState(&c.dec); err != nil {
-		panic(fmt.Sprintf("core: interned spill image undecodable: %v", err))
+		panic(fmt.Sprintf("core: interned state image undecodable: %v", err))
 	}
 	c.dec.Reset(mem)
 	if err := c.scratch.Memory().DecodeState(&c.dec); err != nil {
@@ -1027,14 +962,14 @@ func (c *compiler) load(spill, mem []byte) {
 // intern returns the dense index of the directory's current
 // (state, memory) pair, creating and publishing the compState on first
 // sight. Neither the fmt-based Snapshot nor the relabelings are captured
-// here — the exact spill-codec image is, and both are reconstructed from
-// it on demand (snapOf, relabelings), keeping extraction on the
-// binary-encoding path throughout.
+// here — the exact image is, and both are reconstructed from it on demand
+// (snapOf, relabelings), keeping extraction on the binary-encoding path
+// throughout.
 func (c *compiler) intern(d *MergedDir) int32 {
 	if c.keys == nil {
 		c.keys = make(map[string]int32, len(c.states))
 		for i, st := range c.states {
-			c.keys[string(st.enc)+string(st.mem)] = int32(i)
+			c.keys[string(st.img)+string(st.mem)] = int32(i)
 		}
 	}
 	c.keyBuf = d.AppendBinary(c.keyBuf[:0])
@@ -1044,10 +979,9 @@ func (c *compiler) intern(d *MergedDir) int32 {
 		return idx
 	}
 	st := &compState{
-		enc:   append([]byte(nil), c.keyBuf[:split]...),
-		mem:   append([]byte(nil), c.keyBuf[split:]...),
-		spill: d.AppendState(nil),
-		refs:  d.RefNodes(),
+		img:  append([]byte(nil), c.keyBuf[:split]...),
+		mem:  append([]byte(nil), c.keyBuf[split:]...),
+		refs: d.RefNodes(),
 	}
 	idx := int32(len(c.states))
 	c.states = append(c.states, st)
@@ -1056,19 +990,6 @@ func (c *compiler) intern(d *MergedDir) int32 {
 	c.spans = append(c.spans, nil)
 	c.keys[string(c.keyBuf)] = idx
 	return idx
-}
-
-// sameTransition compares two table entries field by field.
-func sameTransition(a, b compTransition) bool {
-	if a.next != b.next || a.remem != b.remem || len(a.sends) != len(b.sends) {
-		return false
-	}
-	for i := range a.sends {
-		if a.sends[i] != b.sends[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // CompiledDir is the flat-table stand-in for the interpreted MergedDir: an
@@ -1095,9 +1016,8 @@ func (d *CompiledDir) OwnedIDs() []spec.NodeID { return d.cf.owned }
 
 // Deliver implements spec.Component: look up (or grow) the outcome of m
 // in the current state under the table's lock, then stall, or replay the
-// recorded sends, memory image and successor state outside it. With
-// memoization each distinct pair misses once, so a search mostly runs at
-// table speed.
+// recorded sends, memory image and successor state outside it. Each
+// distinct pair misses once, so a search mostly runs at table speed.
 func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
 	c := d.grow
 	c.mu.Lock()
@@ -1132,7 +1052,7 @@ func (d *CompiledDir) CloneWithMemory(mem *spec.Memory) spec.Component {
 }
 
 // Snapshot implements spec.Component with the interpreted snapshot
-// reconstructed from the state's spill image (lazily, cached) —
+// reconstructed from the state's image (lazily, cached) —
 // byte-identical diagnostics and snapshot-mode visited keys.
 func (d *CompiledDir) Snapshot(b *spec.SnapshotWriter) {
 	b.WriteString(d.cf.snapOf(d.state()))
@@ -1141,7 +1061,7 @@ func (d *CompiledDir) Snapshot(b *spec.SnapshotWriter) {
 // AppendBinary implements spec.BinaryAppender with the interpreted
 // component's stored encoding.
 func (d *CompiledDir) AppendBinary(buf []byte) []byte {
-	return append(buf, d.state().enc...)
+	return append(buf, d.state().img...)
 }
 
 // AppendBinaryRelabeled implements spec.RelabelAppender with the state's
@@ -1150,14 +1070,14 @@ func (d *CompiledDir) AppendBinary(buf []byte) []byte {
 func (d *CompiledDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
 	st := d.state()
 	if r == nil {
-		return append(buf, st.enc...)
+		return append(buf, st.img...)
 	}
 	idx, ok := d.cf.permIndex(r)
 	switch {
 	case !ok:
 		return d.cf.relabel(buf, st, r)
 	case idx == 0:
-		return append(buf, st.enc...)
+		return append(buf, st.img...)
 	}
 	return append(buf, d.cf.relabelings(st)[idx]...)
 }

@@ -374,7 +374,7 @@ func TestNoSymmetryComputesNoRelabelings(t *testing.T) {
 		{{Op: spec.OpStore, Addr: 0, Value: 1}},
 		{{Op: spec.OpLoad, Addr: 0}},
 	}
-	cf, c, sys := growingSystem(f, CompileConfig{CachesPerCluster: []int{2, 1}, Programs: progs}, true)
+	cf, c, sys := growingSystem(f, CompileConfig{CachesPerCluster: []int{2, 1}, Programs: progs})
 	if len(cf.perms) < 2 {
 		t.Fatal("configuration has a trivial permutation group")
 	}

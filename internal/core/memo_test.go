@@ -19,11 +19,11 @@ func fusePair(t *testing.T, a, b string) *Fusion {
 }
 
 // TestExtractionDeterminism pins the memoized extraction's core contract:
-// Workers ∈ {1,2,4} × memoization on/off all produce byte-identical
-// artifacts (which subsumes the dense table, the interned state images and
-// the digest) and byte-identical FlatFSM renderings. Memoization changes
-// how the table is extracted — never what is extracted — and canonical state renumbering
-// is what erases the schedule from the bytes.
+// Workers ∈ {1,2,4} all produce byte-identical artifacts (which subsumes
+// the table, the interned state images and the digest) and byte-identical
+// FlatFSM renderings — canonical state renumbering is what erases the
+// schedule from the bytes — and each distinct (state, message) pair is
+// interpreted exactly once.
 func TestExtractionDeterminism(t *testing.T) {
 	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
 	base, err := Compile(f, TableIICompileConfig(true, 1))
@@ -43,40 +43,25 @@ func TestExtractionDeterminism(t *testing.T) {
 	// The exact visited set expands each state once, so the delivery
 	// total — and, since each distinct pair is looked up and recorded
 	// atomically, its split into interpreted and memoized — is
-	// schedule-free: every worker count must report the Workers=1 counts
-	// of its mode.
-	counts := map[string]CompileStats{}
+	// schedule-free: every worker count must report the baseline's counts.
+	want := base.Stats()
 	for _, workers := range []int{1, 2, 4} {
-		for _, mode := range []string{"memo", "nomemo"} {
-			t.Run(fmt.Sprintf("w%d/%s", workers, mode), func(t *testing.T) {
-				cfg := TableIICompileConfig(true, workers)
-				cfg.NoMemo = mode == "nomemo"
-				cf, err := Compile(f, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(cf.MarshalArtifact(), wantArt) {
-					t.Error("artifact bytes differ from the Workers=1 memoized baseline")
-				}
-				if cf.FlatFSM().Format() != wantFSM {
-					t.Error("FlatFSM rendering differs from the baseline")
-				}
-				st := cf.Stats()
-				if mode == "memo" && st.Interpreted != int64(cf.Transitions()) {
-					t.Errorf("interpreted %d deliveries for %d distinct pairs — memoization must interpret each pair exactly once",
-						st.Interpreted, cf.Transitions())
-				}
-				if mode == "nomemo" && st.MemoHits != 0 {
-					t.Errorf("non-memoized compile recorded %d memo hits", st.MemoHits)
-				}
-				if want, ok := counts[mode]; !ok {
-					counts[mode] = st
-				} else if st.Interpreted != want.Interpreted || st.MemoHits != want.MemoHits {
-					t.Errorf("delivery counts depend on the schedule: %d interpreted, %d memoized vs %d, %d at Workers=1",
-						st.Interpreted, st.MemoHits, want.Interpreted, want.MemoHits)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("w%d/memo", workers), func(t *testing.T) {
+			cf, err := Compile(f, TableIICompileConfig(true, workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cf.MarshalArtifact(), wantArt) {
+				t.Error("artifact bytes differ from the Workers=1 baseline")
+			}
+			if cf.FlatFSM().Format() != wantFSM {
+				t.Error("FlatFSM rendering differs from the baseline")
+			}
+			if st := cf.Stats(); st.Interpreted != want.Interpreted || st.MemoHits != want.MemoHits {
+				t.Errorf("delivery counts depend on the schedule: %d interpreted, %d memoized vs %d, %d at Workers=1",
+					st.Interpreted, st.MemoHits, want.Interpreted, want.MemoHits)
+			}
+		})
 	}
 }
 

@@ -84,7 +84,7 @@ type proxyTask struct {
 }
 
 func (t *proxyTask) snapshot(b *spec.SnapshotWriter) {
-	fmt.Fprintf(b, "t{c%d,p%d,i%d,%t,%t,%t}", t.cluster, t.proxyIdx, t.idx, t.issued, t.evicting, t.done)
+	fmt.Fprintf(b, "t{c%d,p%d,i%d,%t,%t,%t,cap=%d/%t}", t.cluster, t.proxyIdx, t.idx, t.issued, t.evicting, t.done, t.captured, t.hasCaptured)
 }
 
 // waitKind classifies what a blocked bridge is waiting for (see advance).
@@ -126,7 +126,7 @@ type bridge struct {
 }
 
 func (br *bridge) snapshot(b *spec.SnapshotWriter) {
-	fmt.Fprintf(b, "br{a%d,o%d,%s,w=%t,v=%d/%t,hs=%t/%t,orig=%s", br.addr, br.origin, br.phase, br.isWrite, br.value, br.hasValue, br.hsSent, br.hsDone, br.orig)
+	fmt.Fprintf(b, "br{a%d,o%d,%s,w=%t,v=%d/%t,hs=%t/%t/%d,orig=%s", br.addr, br.origin, br.phase, br.isWrite, br.value, br.hasValue, br.hsSent, br.hsDone, br.hsWith, br.orig)
 	if br.fetch != nil {
 		b.WriteString(",f=")
 		br.fetch.snapshot(b)

@@ -12,11 +12,12 @@ import (
 // initial state (same components, cores and topology — only the mutable
 // state differs).
 //
-// This is deliberately NOT the visited-set encoding: EncodeBinary only has
-// to be injective, and component hosts may omit reconstructible fields from
-// it (see core.MergedDir). appendSpill routes every component through
-// spec.StateCodec, whose contract is bijectivity; every spec.Component
-// implements it.
+// appendSpill routes every component through spec.StateCodec, whose
+// contract is bijectivity; every spec.Component implements it. For the
+// protocol components and core.MergedDir the image is the component's
+// visited-set encoding itself; core.CompiledDir writes only its state
+// register, where its visited-set encoding is the interned directory image
+// the register indexes.
 
 // appendSpill appends the faithful binary encoding of the full system
 // state: components, shared memory, channels, cores.

@@ -6,7 +6,9 @@ import "heterogen/internal/spec"
 // to buf and returns the extended slice. It distinguishes exactly the
 // states Snapshot distinguishes (two systems of the same configuration
 // produce equal encodings iff they produce equal Snapshots) while skipping
-// the fmt machinery — the visited-set key of Explore.
+// the fmt machinery — the visited-set key of Explore. Each component's part
+// is its exact image, the one its spill codec decodes (decode.go), except
+// that core.CompiledDir spills the register indexing its image.
 func (s *System) EncodeBinary(buf []byte) []byte {
 	for _, c := range s.Components {
 		buf = c.AppendBinary(buf)

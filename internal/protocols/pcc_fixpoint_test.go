@@ -28,3 +28,27 @@ func TestPCCExportFixpointAllBuiltins(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParsePCC feeds the PCC parser arbitrary text, seeded with the
+// exports of the seven Table I protocols. Every input must either fail to
+// parse or give a protocol whose export parses back to itself: export →
+// parse → export is a byte-identical fixpoint.
+func FuzzParsePCC(f *testing.F) {
+	for _, name := range TableINames() {
+		f.Add(spec.ExportPCC(MustByName(name)))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := spec.ParsePCC(src)
+		if err != nil {
+			return
+		}
+		text := spec.ExportPCC(p)
+		reparsed, err := spec.ParsePCC(text)
+		if err != nil {
+			t.Fatalf("export of an accepted input does not parse: %v\n%s", err, text)
+		}
+		if again := spec.ExportPCC(reparsed); again != text {
+			t.Fatalf("PCC export not a fixpoint:\nfirst:\n%s\nsecond:\n%s", text, again)
+		}
+	})
+}

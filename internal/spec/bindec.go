@@ -172,7 +172,9 @@ func (d *Dec) String() string {
 // structurally-identical receiver (same ids, same protocol, same topology —
 // e.g. a Clone of the initial system's component) must reproduce the source
 // state field for field. The disk-spilling frontier round-trips every
-// spilled state through this codec.
+// spilled state through this codec. Where the binary encoding already
+// carries the whole state, AppendState is AppendBinary (CacheInst, DirInst,
+// Memory, core.MergedDir); core.CompiledDir's image is its state register.
 type StateCodec interface {
 	AppendState(buf []byte) []byte
 	DecodeState(d *Dec) error

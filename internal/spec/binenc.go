@@ -23,6 +23,11 @@ import "encoding/binary"
 // under each permutation of interchangeable caches and keeps the
 // lexicographically least result; a nil Relabel is the identity, and
 // AppendBinaryRelabeled(buf, nil) equals AppendBinary(buf) byte for byte.
+//
+// The encoding is also each component's exact state image: CacheInst,
+// DirInst and Memory (bindec.go), like core.MergedDir, implement
+// StateCodec.AppendState as AppendBinary, so the visited-set key and the
+// spill image are one byte string per state.
 
 // BinaryAppender is the binary counterpart of Component.Snapshot: it
 // appends a compact, self-delimiting encoding of the component's state to
