@@ -754,7 +754,8 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 
 // buildFromParts anchors the decoded table to a (re)built fusion: fresh
 // template system, scratch directory and permutation group from (f, cfg),
-// table contents and extraction verdict from the artifact. State images
+// table contents and extraction verdict from the artifact. Every stored
+// message must name only nodes the rebuilt system routes, and state images
 // are then decoded through the interpreted scratch directory and
 // re-encoded to cross-check them against the rebuilt fusion, so any
 // semantic drift the digest missed still fails the load rather than
@@ -764,6 +765,20 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 	if cf.initLocal != p.initLocal {
 		return nil, fmt.Errorf("%w: initial local state %q, rebuilt fusion starts at %q",
 			ErrArtifactMismatch, p.initLocal, cf.initLocal)
+	}
+	// A send to a node the rebuilt system does not route would panic the
+	// first search that replays it; refuse it here instead.
+	var routed spec.NodeSet
+	for _, c := range cf.template.Components {
+		for _, id := range c.OwnedIDs() {
+			routed.Add(id)
+		}
+	}
+	for i, m := range p.msgs {
+		if !routed.Has(m.Src) || !routed.Has(m.Dst) || (m.Req != spec.NoNode && !routed.Has(m.Req)) {
+			return nil, fmt.Errorf("%w: stored message %d (%s) names a node the rebuilt system does not route",
+				ErrArtifactMismatch, i, m)
+		}
 	}
 	cf.explored = p.explored
 	cf.stats = CompileStats{Source: SourceArtifact, Deadlocks: p.deadlocks, DeadlockAt: p.deadlockAt}

@@ -184,6 +184,20 @@ func TestArtifactMismatchErrors(t *testing.T) {
 			}
 		}
 	})
+	t.Run("unrouted_send", func(t *testing.T) {
+		recs := append([]compRecord(nil), cf.recs...)
+		for i := range recs {
+			if len(recs[i].tr.sends) > 0 {
+				sends := append([]spec.Msg(nil), recs[i].tr.sends...)
+				sends[0].Dst = 999
+				recs[i].tr.sends = sends
+				break
+			}
+		}
+		if _, err := LoadArtifact(doctored(cf.states, recs, cf.spans)); !errors.Is(err, ErrArtifactMismatch) {
+			t.Errorf("send to node 999: got %v, want ErrArtifactMismatch", err)
+		}
+	})
 }
 
 // TestArtifactFileAndCache pins the file layer and the content-addressed

@@ -5,9 +5,9 @@ import (
 )
 
 // Binary state codec for the merged directory: one image that is at once
-// the model checker's visited-set key (spec.BinaryAppender), the symmetry
-// reducer's relabeled key (spec.RelabelAppender) and the spill frontier's
-// exact state image (spec.StateCodec). Field for field it carries exactly
+// the model checker's visited-set key and exact state image
+// (spec.StateCodec) and, relabeled, the symmetry reducer's key
+// (spec.RelabelAppender). Field for field it carries exactly
 // what Snapshot prints, so the text form, the key and the image
 // distinguish the same states, and DecodeState rebuilds the state the
 // image was taken from.
@@ -118,8 +118,8 @@ func (d *MergedDir) decodeBridgeInto(br *bridge, dec *spec.Dec) {
 	br.props = props
 }
 
-// AppendBinary implements spec.BinaryAppender (the shared memory is
-// encoded separately by the host, as with Snapshot).
+// AppendBinary implements spec.StateCodec (the shared memory is encoded
+// separately by the host, as with Snapshot).
 func (d *MergedDir) AppendBinary(buf []byte) []byte {
 	return d.AppendBinaryRelabeled(buf, nil)
 }
@@ -150,10 +150,6 @@ func (d *MergedDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
 	d.proxyBusy.Each(func(p spec.NodeID) { buf = spec.AppendInt(buf, int(p)) })
 	return buf
 }
-
-// AppendState implements spec.StateCodec: the image is the binary
-// encoding itself.
-func (d *MergedDir) AppendState(buf []byte) []byte { return d.AppendBinary(buf) }
 
 // DecodeState implements spec.StateCodec: the inverse of AppendBinary over
 // a structurally-identical receiver (same fusion, layout and pool shape —
@@ -212,7 +208,6 @@ func (f *Fusion) Freeze() {
 }
 
 var (
-	_ spec.BinaryAppender  = (*MergedDir)(nil)
 	_ spec.RelabelAppender = (*MergedDir)(nil)
 	_ spec.StateCodec      = (*MergedDir)(nil)
 	_ spec.Freezer         = (*MergedDir)(nil)

@@ -53,11 +53,13 @@ import (
 //
 //   - CompiledFusion.System() builds a model-checkable system in which the
 //     interpreted MergedDir is swapped for a CompiledDir — a table
-//     transducer with an int32 current-state register. The checker's
-//     visited-set encodings, snapshots, symmetry relabelings, POR node
-//     references and spill codec all reproduce the interpreted component's
-//     bytes exactly, so compiled and interpreted searches agree state for
-//     state (the differential suite in compile_test.go pins this).
+//     transducer with an int32 current-state register, which is also its
+//     state image and plain visited-set key (a bijection with the
+//     interned image within one table). Its snapshots, symmetry
+//     relabelings and POR node references reproduce the interpreted
+//     component's bytes exactly, so compiled and interpreted searches
+//     agree state for state (the differential suite in compile_test.go
+//     pins this).
 //   - FlatFSM() projects the per-address local-state machine (Table II's
 //     states/transitions; EnumerateCompiled is the only Table II engine).
 //   - Protocol() lifts the projection into a spec.Protocol value that
@@ -204,7 +206,7 @@ func (s CompileStats) String() string {
 // snapshot and relabelings are reconstructed on demand), the shared memory
 // image it implies and the POR node references.
 type compState struct {
-	img  []byte       // MergedDir.AppendBinary bytes: visited-set key and exact image
+	img  []byte       // MergedDir.AppendBinary bytes: the exact image (with mem, the intern key)
 	mem  []byte       // Memory.AppendBinary bytes (replayed on remem transitions)
 	snap string       // interpreted Snapshot output; reconstructed lazily from img
 	refs spec.NodeSet // interpreted RefNodes (ample-set POR)
@@ -1058,15 +1060,22 @@ func (d *CompiledDir) Snapshot(b *spec.SnapshotWriter) {
 	b.WriteString(d.cf.snapOf(d.state()))
 }
 
-// AppendBinary implements spec.BinaryAppender with the interpreted
-// component's stored encoding.
+// AppendBinary implements spec.StateCodec with the state register: the
+// visited-set key when symmetry is off, the frontier entry and the restore
+// image. Within one table the register is a bijection with the interned
+// (image, memory) pair, so the key distinguishes exactly the states the
+// interpreted image does; the shared memory is encoded by the host as
+// usual.
 func (d *CompiledDir) AppendBinary(buf []byte) []byte {
-	return append(buf, d.state().img...)
+	return spec.AppendUvarint(buf, uint64(d.cur))
 }
 
-// AppendBinaryRelabeled implements spec.RelabelAppender with the state's
-// relabelings under the group, computed on the first request; a
-// permutation outside the group is computed uncached.
+// AppendBinaryRelabeled implements spec.RelabelAppender with the
+// interpreted directory's encodings, byte for byte: the image itself under
+// the identity, and its relabelings under the group, computed on the first
+// request; a permutation outside the group is computed uncached. A
+// symmetric key is compared across states and permutations, so it must be
+// the interpreted image rather than the register.
 func (d *CompiledDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
 	st := d.state()
 	if r == nil {
@@ -1082,13 +1091,7 @@ func (d *CompiledDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
 	return append(buf, d.cf.relabelings(st)[idx]...)
 }
 
-// AppendState implements spec.StateCodec (spill frontier): the state
-// register; the shared memory is encoded by the host as usual.
-func (d *CompiledDir) AppendState(buf []byte) []byte {
-	return spec.AppendUvarint(buf, uint64(d.cur))
-}
-
-// DecodeState implements spec.StateCodec.
+// DecodeState implements spec.StateCodec: the inverse of AppendBinary.
 func (d *CompiledDir) DecodeState(dec *spec.Dec) error {
 	v := dec.Uvarint()
 	if err := dec.Err(); err != nil {
@@ -1114,7 +1117,6 @@ func (d *CompiledDir) Freeze() {}
 
 var (
 	_ spec.Component       = (*CompiledDir)(nil)
-	_ spec.BinaryAppender  = (*CompiledDir)(nil)
 	_ spec.RelabelAppender = (*CompiledDir)(nil)
 	_ spec.StateCodec      = (*CompiledDir)(nil)
 	_ spec.NodeReferrer    = (*CompiledDir)(nil)

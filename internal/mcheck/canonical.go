@@ -282,7 +282,10 @@ func (c *canonicalizer) Perms() int {
 }
 
 // encodePerm appends the state's binary encoding under permutation p. For
-// the identity it produces exactly System.EncodeBinary's bytes.
+// the identity it produces System.EncodeBinary's bytes, except that a
+// core.CompiledDir writes its interpreted image where EncodeBinary writes
+// its state register: a symmetric key is compared across permutations,
+// so every permutation must encode the same way.
 func (c *canonicalizer) encodePerm(s *System, p *symPerm, sc *canonScratch, buf []byte) []byte {
 	for _, ci := range p.comp {
 		buf = s.Components[ci].(spec.RelabelAppender).AppendBinaryRelabeled(buf, p.ids)

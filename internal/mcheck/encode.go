@@ -2,16 +2,27 @@ package mcheck
 
 import "heterogen/internal/spec"
 
-// EncodeBinary appends a compact binary encoding of the full system state
-// to buf and returns the extended slice. It distinguishes exactly the
-// states Snapshot distinguishes (two systems of the same configuration
-// produce equal encodings iff they produce equal Snapshots) while skipping
-// the fmt machinery — the visited-set key of Explore. Each component's part
-// is its exact image, the one its spill codec decodes (decode.go), except
-// that core.CompiledDir spills the register indexing its image.
+// EncodeBinary appends the system's state image to buf and returns the
+// extended slice: every component's exact image, then the shared memory,
+// channels and cores. It distinguishes exactly the states Snapshot
+// distinguishes (two systems of the same configuration produce equal
+// encodings iff they produce equal Snapshots), and decodeImage (decode.go)
+// reads it back into a clone of the system. One byte string thus serves
+// as the visited-set key when symmetry is off, as the frontier entry and
+// as the in-place restore image.
 func (s *System) EncodeBinary(buf []byte) []byte {
+	return s.encode(buf, nil)
+}
+
+// encode is EncodeBinary, recording the end offset of every component's
+// segment into *segs when segs is non-nil, so restoreSegs can later
+// re-decode just the components a move dirtied.
+func (s *System) encode(buf []byte, segs *[]int) []byte {
 	for _, c := range s.Components {
 		buf = c.AppendBinary(buf)
+		if segs != nil {
+			*segs = append(*segs, len(buf))
+		}
 	}
 	buf = s.Mem.AppendBinary(buf)
 	buf = spec.AppendUvarint(buf, uint64(len(s.chans)))

@@ -1,11 +1,13 @@
 package mcheck_test
 
-// External-package tests for the binary state encoding: they walk real
-// systems (homogeneous and fused, which exercises the merged directory's
-// AppendBinary) and check EncodeBinary distinguishes exactly the states
-// Snapshot distinguishes.
+// External-package tests for the binary state image: they walk real
+// systems (homogeneous, interpreted fused, which exercises the merged
+// directory's AppendBinary, and compiled fused, whose directory image is
+// its state register) and check EncodeBinary distinguishes exactly the
+// states Snapshot distinguishes and decodes back to the state it encodes.
 
 import (
+	"bytes"
 	"testing"
 
 	"heterogen/internal/core"
@@ -76,18 +78,81 @@ func TestEncodeBinaryMatchesSnapshotHomogeneous(t *testing.T) {
 	checkEncodingBijective(t, sys, 1<<20)
 }
 
-func TestEncodeBinaryMatchesSnapshotFused(t *testing.T) {
+// fusedMESIRCCO fuses the headline MESI & RCC-O pair.
+func fusedMESIRCCO(t *testing.T) *core.Fusion {
+	t.Helper()
 	f, err := core.Fuse(core.Options{},
 		protocols.MustByName(protocols.NameMESI), protocols.MustByName(protocols.NameRCCO))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, _ := core.BuildSystem(f, []int{1, 1})
-	sys.SetPrograms([][]spec.CoreReq{
+	return f
+}
+
+// TestEncodeBinaryMatchesSnapshotFused checks the interpreted merged
+// directory and the compiled one, whose register key must stand in
+// bijection with the snapshot within its one growing table.
+func TestEncodeBinaryMatchesSnapshotFused(t *testing.T) {
+	f := fusedMESIRCCO(t)
+	progs := [][]spec.CoreReq{
 		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}},
 		{{Op: spec.OpStore, Addr: 1, Value: 2}, {Op: spec.OpRelease}},
-	})
-	// Cap the walk: the fused eviction-enabled space is large and a broad
+	}
+	interp, _ := core.BuildSystem(f, []int{1, 1})
+	interp.SetPrograms(progs)
+	// Cap the walks: the fused eviction-enabled space is large and a broad
 	// prefix exercises every encoder (dirs, proxies, bridges, channels).
-	checkEncodingBijective(t, sys, 20000)
+	t.Run("interpreted", func(t *testing.T) { checkEncodingBijective(t, interp, 20000) })
+	t.Run("compiled", func(t *testing.T) {
+		checkEncodingBijective(t, core.FusedSystem(f, []int{1, 1}, progs), 20000)
+	})
+}
+
+// TestSpillCodecRoundTrip round-trips every walked state of a homogeneous,
+// an interpreted fused and a compiled fused system through its image:
+// decoding EncodeBinary into a clone of the initial system must re-encode
+// to identical bytes and render an identical snapshot.
+func TestSpillCodecRoundTrip(t *testing.T) {
+	progs := [][]spec.CoreReq{
+		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}, {Op: spec.OpRelease}},
+		{{Op: spec.OpStore, Addr: 1, Value: 2}, {Op: spec.OpLoad, Addr: 0}, {Op: spec.OpAcquire}},
+	}
+	f := fusedMESIRCCO(t)
+	homog := mcheck.NewHomogeneous(protocols.MustByName(protocols.NameMESI), 2)
+	homog.SetPrograms(progs)
+	interp, _ := core.BuildSystem(f, []int{1, 1})
+	interp.SetPrograms(progs)
+	for _, tc := range []struct {
+		name string
+		sys  *mcheck.System
+	}{
+		{"homogeneous", homog},
+		{"interpreted", interp},
+		{"compiled", core.FusedSystem(f, []int{1, 1}, progs)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			template := tc.sys.Clone()
+			states := 0
+			// Bounded walk with evictions: checks the image on live
+			// protocol states (in-flight messages, pending requests, sync
+			// waits), not just the initial one.
+			walkStates(t, tc.sys, 3000, func(cur *mcheck.System) {
+				states++
+				enc := cur.EncodeBinary(nil)
+				clone := template.Clone()
+				if err := mcheck.DecodeImage(clone, enc); err != nil {
+					t.Fatalf("decode: %v\nstate: %s", err, cur.Snapshot())
+				}
+				if re := clone.EncodeBinary(nil); !bytes.Equal(enc, re) {
+					t.Fatalf("re-encode differs from encode\nstate: %s", cur.Snapshot())
+				}
+				if got, want := clone.Snapshot(), cur.Snapshot(); got != want {
+					t.Fatalf("snapshot drift after round trip\ngot:  %s\nwant: %s", got, want)
+				}
+			})
+			if states < 1000 {
+				t.Fatalf("walk covered only %d states — workload too small to trust", states)
+			}
+		})
+	}
 }

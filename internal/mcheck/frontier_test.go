@@ -31,7 +31,7 @@ func TestWorkStealingDeterminism(t *testing.T) {
 			if spill {
 				name += "+spill"
 				opts.SpillDir = t.TempDir()
-				opts.SpillRing = 128 // tiny ring: force overflow + wave files
+				opts.spillRing = 128 // tiny ring: force overflow + wave files
 			}
 			t.Run(name, func(t *testing.T) {
 				res := exploreWith(t, sb(), workers, opts)
@@ -116,7 +116,7 @@ func TestFrontierMechanics(t *testing.T) {
 // two identical runs write identical spill waves.
 func TestSpillDeterministic(t *testing.T) {
 	run := func() *Result {
-		opts := Options{Evictions: true, POR: POROff, SpillDir: t.TempDir(), SpillRing: 128}
+		opts := Options{Evictions: true, POR: POROff, SpillDir: t.TempDir(), spillRing: 128}
 		return exploreWith(t, sb(), 1, opts)
 	}
 	a, b := run(), run()
@@ -172,7 +172,7 @@ func TestWorkerPanicFailsSearch(t *testing.T) {
 			}
 		}()
 		Explore(sys, Options{Workers: 4, POR: POROff, LoadKeys: keys,
-			SpillDir: spillDir, SpillRing: 64})
+			SpillDir: spillDir, spillRing: 64})
 	}()
 	waitGoroutines(t, base)
 	left, err := filepath.Glob(filepath.Join(spillDir, "hgspill-*"))

@@ -50,16 +50,13 @@ type Options struct {
 	// Ignored in exact mode.
 	MemBudget int64
 	// SpillDir, when nonempty, bounds frontier memory too. The frontier
-	// always holds compact spill encodings (rehydrated on take via the
-	// bijective spill codec, decode.go); with SpillDir, beyond a bounded
-	// in-memory ring they spill in waves to temp files under this
-	// directory, streamed back FIFO. Without it the ring is unbounded and
-	// no file is created. I/O failures panic: a half-lost frontier cannot
-	// produce a trustworthy verdict.
+	// always holds compact state images (System.EncodeBinary, rehydrated
+	// on take by decodeImage); with SpillDir, beyond a bounded in-memory
+	// ring of 32Ki entries per window they spill in waves to temp files
+	// under this directory, streamed back FIFO. Without it the ring is
+	// unbounded and no file is created. I/O failures panic: a half-lost
+	// frontier cannot produce a trustworthy verdict.
 	SpillDir string
-	// SpillRing caps in-memory frontier entries per window when spilling
-	// (0 = 32Ki entries).
-	SpillRing int
 	// Workers sets the search parallelism: 0 uses runtime.NumCPU() workers,
 	// N ≥ 1 exactly N, all running the same loop over one shared FIFO
 	// frontier. Worker 0 runs on the calling goroutine, so Workers: 1 starts
@@ -112,6 +109,10 @@ type Options struct {
 	// pool, so concurrent searches on one host share one budget. Denied
 	// growth truncates with BudgetFull, exactly like a private cap.
 	MemPool *MemPool
+
+	// spillRing caps in-memory frontier entries per window when spilling
+	// (0 = defaultSpillRing). Tests shrink it to force wave files.
+	spillRing int
 }
 
 // Progress is one periodic report of a running search (Options.OnProgress).
@@ -241,16 +242,16 @@ type searchCtx struct {
 
 // expandScratch is the per-worker reusable buffer set.
 type expandScratch struct {
-	moves    []Move
-	amp      []Move // ample-partition scratch (por.go)
-	rest     []Move
-	iso      []porCand // isolated ample candidates (por.go)
-	ranked   []porCand
-	encBuf   []byte
-	spillBuf []byte
-	preImg   []byte // expanded state's spill image (in-place restore)
-	preSegs  []int  // per-component end offsets into preImg (partial restore)
-	canon    canonScratch
+	moves   []Move
+	amp     []Move // ample-partition scratch (por.go)
+	rest    []Move
+	iso     []porCand // isolated ample candidates (por.go)
+	ranked  []porCand
+	encBuf  []byte // visited-set key of the latest successor
+	img     []byte // its state image, when the key is a symmetric one
+	preImg  []byte // expanded state's image (in-place restore)
+	preSegs []int  // per-component end offsets into preImg (partial restore)
+	canon   canonScratch
 }
 
 func newSearchCtx(initial *System, opts Options, maxStates int) *searchCtx {
@@ -299,7 +300,7 @@ func (ctx *searchCtx) loadKey(t, i int) string {
 }
 
 // encode appends the visited-set key of s: the canonical representative
-// under symmetry, the plain encoding otherwise.
+// under symmetry, the state image otherwise.
 func (ctx *searchCtx) encode(s *System, sc *expandScratch, buf []byte) []byte {
 	if ctx.canon != nil {
 		return ctx.canon.canonical(s, &sc.canon, buf)
@@ -383,12 +384,12 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	var seed expandScratch
 	visited.handle(0).Insert(ctx.encode(initial, &seed, nil))
 
-	sq, err := newSpillQueue(opts.SpillDir, opts.SpillRing)
+	sq, err := newSpillQueue(opts.SpillDir, opts.spillRing)
 	if err != nil {
 		panic(err.Error())
 	}
 	defer sq.close()
-	f := newFrontier(sq, appendSpill(initial, nil))
+	f := newFrontier(sq, initial.EncodeBinary(nil))
 
 	stopProgress := startProgress(ctx, visited, f)
 	defer stopProgress()
@@ -549,9 +550,10 @@ func explore(initial *System, ctx *searchCtx, workers int, visited visitedSet, f
 // work is one worker's search loop: trade the successors admitted while
 // expanding the last batch for the next batch, rehydrate each taken state
 // into the worker's own System cur, and expand it in place. Admitted
-// successors are encoded straight to frontier bytes, so no System outlives
-// its expansion. The loop ends when the frontier drains or stops, or when
-// the state budget, the visited set's memory budget or cancellation fires.
+// successors enter the frontier as their state images, so no System
+// outlives its expansion. The loop ends when the frontier drains or
+// stops, or when the state budget, the visited set's memory budget or
+// cancellation fires.
 func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *frontier) *Result {
 	res := &Result{Outcomes: memmodel.OutcomeSet{}}
 	// A panic mid-expansion must not leave the handle's window open: a
@@ -559,10 +561,7 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 	defer ins.End()
 	var sc expandScratch
 	var batch, pend [][]byte
-	admit := func(next *System) {
-		sc.spillBuf = appendSpill(next, sc.spillBuf[:0])
-		pend = append(pend, bytes.Clone(sc.spillBuf))
-	}
+	admit := func(img []byte) { pend = append(pend, bytes.Clone(img)) }
 	for done := 0; ; {
 		batch = f.exchange(pend, done, batch)
 		clear(pend) // the frontier owns the published encodings now
@@ -583,7 +582,7 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 				f.stop()
 				return res
 			}
-			if err := decodeSpill(cur, enc); err != nil {
+			if err := decodeImage(cur, enc); err != nil {
 				panic(err.Error())
 			}
 			ins.Begin()
@@ -598,9 +597,9 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 // deadlock/outcome classification.
 //
 // Successors are generated in place (successorsInPlace): each move is
-// applied to cur directly, the successor is encoded, handed to enqueue
-// *borrowed* only if the visited set actually admits it, and cur is
-// restored from its one-time spill image before the next move. Most
+// applied to cur directly, the successor is keyed, its image handed to
+// enqueue *borrowed* only if the visited set actually admits it, and cur
+// is restored from its own one-time image before the next move. Most
 // applied moves reach already-visited states, so this trades a full clone
 // per transition — the checker's dominant allocation and the GC pressure
 // behind it — for a cheap allocation-light in-place decode. The restore is
@@ -621,7 +620,7 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 // choice is a pure function of the state — never of visit order or
 // visited-set contents — the reduced graph is a fixed subgraph and every
 // worker count reports the same counts.
-func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) {
+func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func([]byte)) {
 	res.States++
 	for _, inv := range ctx.opts.Invariants {
 		if err := inv(cur); err != nil {
@@ -657,72 +656,65 @@ func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert
 }
 
 // successorsInPlace generates cur's successors by mutating cur directly,
-// restoring it from its spill image between moves. Admitted successors
-// are handed to enqueue as cur itself — borrowed, valid only until the
-// callback returns — so the callback must copy what it keeps. The codec
-// contract is bijectivity, so the restore is exact — including the
-// incremental move cache, which is saved by value and reinstated with the
-// state bytes it described. Returns
-// whether any move progressed; when none did, cur was never dirtied and
-// is still the expanded state.
-func (ctx *searchCtx) successorsInPlace(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func(*System)) bool {
-	sc.preImg, sc.preSegs = appendSpillSegs(cur, sc.preImg[:0], sc.preSegs)
-	mcSave := cur.mc
+// restoring it from its image between moves. Admitted successors' images
+// are handed to enqueue borrowed — valid only until the callback returns —
+// so the callback must copy what it keeps. The image is exact
+// (spec.StateCodec), so the restore is too. Returns whether any move
+// progressed; when none did, cur was never dirtied and is still the
+// expanded state.
+func (ctx *searchCtx) successorsInPlace(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func([]byte)) bool {
+	sc.preSegs = sc.preSegs[:0]
+	sc.preImg = cur.encode(sc.preImg[:0], &sc.preSegs)
 	var dirtyMask uint64
-	markDirty := func() {
+	// try applies move i to a clean cur and, when it progresses, admits
+	// the successor; cur stays dirty until the next try restores it.
+	try := func(i int) bool {
+		if dirtyMask != 0 {
+			if err := cur.restoreSegs(sc.preImg, sc.preSegs, dirtyMask); err != nil {
+				panic(err.Error())
+			}
+			dirtyMask = 0
+		}
+		if !cur.Apply(sc.moves[i]) {
+			return false
+		}
 		if t := cur.touched; t >= 0 && t < 64 {
-			dirtyMask |= uint64(1) << uint(t)
+			dirtyMask = uint64(1) << uint(t)
 		} else {
 			dirtyMask = ^uint64(0)
 		}
-	}
-	ensureClean := func() {
-		if dirtyMask == 0 {
-			return
+		res.Transitions++
+		sc.encBuf = ctx.encode(cur, sc, sc.encBuf[:0])
+		if !insert(sc.encBuf) {
+			return true
 		}
-		if err := cur.restoreSegs(sc.preImg, sc.preSegs, dirtyMask); err != nil {
-			panic(err.Error())
+		if ctx.canon == nil {
+			enqueue(sc.encBuf) // the key is the image
+		} else {
+			sc.img = cur.EncodeBinary(sc.img[:0])
+			enqueue(sc.img)
 		}
-		cur.mc = mcSave
-		dirtyMask = 0
+		return true
 	}
 	progressed := false
 	start := 0
 	if ctx.por && len(sc.moves) > 1 {
 		if amp := ctx.selectAmple(cur, sc); amp > 0 {
-			ampProgressed := false
 			for i := 0; i < amp; i++ {
-				ensureClean()
-				if !cur.Apply(sc.moves[i]) {
-					continue
-				}
-				markDirty()
-				ampProgressed = true
-				progressed = true
-				res.Transitions++
-				sc.encBuf = ctx.encode(cur, sc, sc.encBuf[:0])
-				if insert(sc.encBuf) {
-					enqueue(cur)
+				if try(i) {
+					progressed = true
 				}
 			}
-			if ampProgressed {
+			if progressed {
 				res.PORReduced++
 				return true
 			}
 			start = amp // every ample move stalled: full expansion
 		}
 	}
-	for i, n := start, len(sc.moves); i < n; i++ {
-		ensureClean()
-		if !cur.Apply(sc.moves[i]) {
-			continue
-		}
-		markDirty()
-		progressed = true
-		res.Transitions++
-		sc.encBuf = ctx.encode(cur, sc, sc.encBuf[:0])
-		if insert(sc.encBuf) {
-			enqueue(cur)
+	for i := start; i < len(sc.moves); i++ {
+		if try(i) {
+			progressed = true
 		}
 	}
 	return progressed

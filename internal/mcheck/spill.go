@@ -14,7 +14,7 @@ import (
 )
 
 // spillQueue is the FIFO behind the search frontier: states are queued as
-// their compact spill encodings (decode.go) instead of cloned Systems, and
+// their state images (System.EncodeBinary) instead of cloned Systems, and
 // only a bounded window lives in memory — a head slice being consumed, a
 // tail slice being filled, and an ordered list of "wave" files holding
 // everything in between. When the tail reaches the ring capacity it is
@@ -42,8 +42,8 @@ type spillQueue struct {
 	spilledBytes  atomic.Int64
 }
 
-// defaultSpillRing bounds the in-memory frontier window when
-// Options.SpillRing is zero: 32Ki entries per window (head + tail ≈ 64Ki
+// defaultSpillRing bounds the in-memory frontier window unless a test
+// shrinks it (Options.spillRing): 32Ki entries per window (head + tail ≈ 64Ki
 // encodings in memory, a few MB at typical encoding sizes).
 const defaultSpillRing = 1 << 15
 
@@ -174,8 +174,8 @@ const maxBatch = 64
 // with a short sleep (idle workers poll: there is no condition variable).
 const takeSpins = 8
 
-// frontier is the search's one work queue: a spillQueue of FIFO spill
-// encodings behind one mutex, shared by every worker. Workers trade whole
+// frontier is the search's one work queue: a spillQueue of FIFO state
+// images behind one mutex, shared by every worker. Workers trade whole
 // batches with it — publish the successors admitted while expanding the
 // last batch, take up to maxBatch of the oldest queued states for the
 // next — so the lock is taken once per batch, not once per state.

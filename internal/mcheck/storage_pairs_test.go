@@ -4,7 +4,7 @@ package mcheck_test
 // bitstate and the disk-spilling frontier must reproduce the exact
 // search's verdicts on every heterogeneous system, sequentially and in
 // parallel, with and without symmetry reduction. This is the soundness
-// gate for the spill codec on MergedDir states (bridges, proxy captures,
+// gate for the state image's decode on MergedDir states (bridges, proxy captures,
 // handshake cohorts): an unfaithful decode would change some state's
 // successor set and the counts would diverge. External package: building
 // fused systems needs core.Fuse, and core imports mcheck.
@@ -66,7 +66,7 @@ func TestStorageModesAgreeTableIIPairs(t *testing.T) {
 		t.Run(pair[0]+"+"+pair[1], func(t *testing.T) {
 			t.Parallel()
 			sys := pairSystem(t, pair[0], pair[1], storeLoadProg)
-			// POR pinned off throughout: this matrix gates the spill codec
+			// POR pinned off throughout: this matrix gates the image decode
 			// and lossy visited sets, so the baselines should keep
 			// covering the full unreduced space.
 			exact := mcheck.Explore(sys, mcheck.Options{Workers: 1, POR: mcheck.POROff})
@@ -77,8 +77,9 @@ func TestStorageModesAgreeTableIIPairs(t *testing.T) {
 				{"hash/seq", mcheck.Options{Workers: 1, HashCompaction: true, POR: mcheck.POROff}},
 				{"bitstate/par", mcheck.Options{Workers: workers, Bitstate: true, POR: mcheck.POROff}},
 				{"hash+spill/par", mcheck.Options{Workers: workers, HashCompaction: true,
-					SpillDir: t.TempDir(), SpillRing: 256, POR: mcheck.POROff}},
+					SpillDir: t.TempDir(), POR: mcheck.POROff}},
 			}
+			mcheck.SetSpillRing(&configs[2].opts, 256)
 			for _, cfg := range configs {
 				res := mcheck.Explore(pairSystem(t, pair[0], pair[1], storeLoadProg), cfg.opts)
 				assertStorageAgrees(t, cfg.name, res, exact)
@@ -111,11 +112,11 @@ func TestStorageModesCrossHeadlinePair(t *testing.T) {
 				{"exact", func(o *mcheck.Options) {}},
 				{"hash", func(o *mcheck.Options) { o.HashCompaction = true }},
 				{"bitstate", func(o *mcheck.Options) { o.Bitstate = true }},
-				{"exact+spill", func(o *mcheck.Options) { o.SpillDir = t.TempDir(); o.SpillRing = 256 }},
+				{"exact+spill", func(o *mcheck.Options) { o.SpillDir = t.TempDir(); mcheck.SetSpillRing(o, 256) }},
 				{"hash+spill", func(o *mcheck.Options) {
 					o.HashCompaction = true
 					o.SpillDir = t.TempDir()
-					o.SpillRing = 256
+					mcheck.SetSpillRing(o, 256)
 				}},
 			}
 			exact := mcheck.Explore(pairSystem(t, "MESI", "RCC-O", storeLoadProg),

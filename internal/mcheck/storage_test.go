@@ -2,10 +2,11 @@ package mcheck
 
 // Tests for the memory-bounded state-storage engine (storage.go, spill.go,
 // decode.go): fingerprint-table semantics under concurrency and growth,
-// bitstate behavior, spill-queue FIFO discipline, spill-codec fidelity, and
-// agreement of every storage mode with the exact search on the litmus
-// configurations. The fused-pair agreement matrix lives in
-// storage_pairs_test.go (external package; it needs core.Fuse).
+// bitstate behavior, spill-queue FIFO discipline, and agreement of every
+// storage mode with the exact search on the litmus configurations. The
+// fused-pair agreement matrix lives in storage_pairs_test.go and the
+// state-image round trip in encode_test.go (external package; they need
+// core.Fuse).
 
 import (
 	"bytes"
@@ -21,8 +22,6 @@ import (
 	"time"
 
 	"heterogen/internal/memmodel"
-	"heterogen/internal/protocols"
-	"heterogen/internal/spec"
 )
 
 // encOf builds a distinct 8-byte state encoding for synthetic inserts.
@@ -304,61 +303,6 @@ func TestSpillQueueFIFO(t *testing.T) {
 	}
 }
 
-// TestSpillCodecRoundTrip walks the reachable states of a homogeneous
-// system with per-core distinct store values and round-trips every one
-// through the spill codec: decode(encode(s)) must re-encode to identical
-// bytes and render an identical snapshot.
-func TestSpillCodecRoundTrip(t *testing.T) {
-	sys := NewHomogeneous(protocols.MustByName(protocols.NameMESI), 2)
-	sys.SetPrograms([][]spec.CoreReq{
-		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}, {Op: spec.OpRelease}},
-		{{Op: spec.OpStore, Addr: 1, Value: 2}, {Op: spec.OpLoad, Addr: 0}, {Op: spec.OpAcquire}},
-	})
-	template := sys.Clone()
-	roundTrip := func(cur *System) {
-		t.Helper()
-		enc := appendSpill(cur, nil)
-		clone := template.Clone()
-		if err := decodeSpill(clone, enc); err != nil {
-			t.Fatalf("decode: %v\nstate: %s", err, cur.Snapshot())
-		}
-		re := appendSpill(clone, nil)
-		if !bytes.Equal(enc, re) {
-			t.Fatalf("re-encode differs from encode\nstate: %s", cur.Snapshot())
-		}
-		if got, want := clone.Snapshot(), cur.Snapshot(); got != want {
-			t.Fatalf("snapshot drift after round trip\ngot:  %s\nwant: %s", got, want)
-		}
-	}
-
-	// Bounded BFS walk with evictions: checks the codec on live protocol
-	// states (in-flight messages, pending requests, sync waits), not just
-	// the initial one.
-	seen := map[string]struct{}{}
-	queue := []*System{sys}
-	var moves []Move
-	for head := 0; head < len(queue) && len(seen) < 3000; head++ {
-		cur := queue[head]
-		roundTrip(cur)
-		moves = cur.AppendMoves(moves[:0], true)
-		for _, mv := range moves {
-			next := cur.Clone()
-			if !next.Apply(mv) {
-				continue
-			}
-			key := string(next.EncodeBinary(nil))
-			if _, ok := seen[key]; ok {
-				continue
-			}
-			seen[key] = struct{}{}
-			queue = append(queue, next)
-		}
-	}
-	if len(seen) < 1000 {
-		t.Fatalf("walk covered only %d states — workload too small to trust", len(seen))
-	}
-}
-
 // storageModes enumerates the non-exact storage configurations the
 // agreement matrix checks against the exact baseline.
 func storageModes(spillDir string) []struct {
@@ -371,11 +315,11 @@ func storageModes(spillDir string) []struct {
 	}{
 		{"hash", func(o *Options) { o.HashCompaction = true }},
 		{"bitstate", func(o *Options) { o.Bitstate = true }},
-		{"exact+spill", func(o *Options) { o.SpillDir = spillDir; o.SpillRing = 64 }},
+		{"exact+spill", func(o *Options) { o.SpillDir = spillDir; o.spillRing = 64 }},
 		{"hash+spill", func(o *Options) {
 			o.HashCompaction = true
 			o.SpillDir = spillDir
-			o.SpillRing = 64
+			o.spillRing = 64
 		}},
 	}
 }

@@ -8,7 +8,6 @@ package mcheck
 
 import (
 	"fmt"
-	"math/bits"
 
 	"heterogen/internal/spec"
 )
@@ -74,19 +73,14 @@ type System struct {
 	// route maps NodeID to component index (-1 unrouted). It is immutable
 	// after NewSystem and shared by every clone.
 	route []int
-	// coreMask maps component index to the bitmask of cores whose cache
-	// that component owns (immutable, shared like route). It scopes the
-	// move cache's delta invalidation after an Apply.
-	coreMask []uint64
-	chans    []chanState // nonempty channels, sorted by key
-	mc       moveCache   // incrementally maintained enabled-move sets
+	chans []chanState // nonempty channels, sorted by key
 	// engine names the directory-evaluation strategy backing the system
 	// ("interpreted composite", "compiled table"); Result and the CLIs
 	// surface it so runs are unambiguous. Empty for plain systems.
 	engine string
 
-	// Spill-decode scratch: a reusable cursor plus a message-type intern
-	// table, lazily initialized by decodeSpill. Owned by this System alone
+	// Image-decode scratch: a reusable cursor plus a message-type intern
+	// table, lazily initialized by imageDec. Owned by this System alone
 	// (Clone starts its copy with fresh zero values), so the single-
 	// goroutine confinement the decoder requires holds as long as the
 	// System itself is goroutine-confined — which the searches guarantee.
@@ -108,8 +102,7 @@ func (s *System) SetEngine(name string) { s.engine = name }
 func (s *System) Engine() string { return s.engine }
 
 // SwapComponent replaces component i with c, which must own exactly the
-// same node ids (so the shared route table stays valid). The move cache is
-// invalidated wholesale; the caller re-derives any cached state.
+// same node ids (so the shared route table stays valid).
 func (s *System) SwapComponent(i int, c spec.Component) error {
 	if i < 0 || i >= len(s.Components) {
 		return fmt.Errorf("mcheck: SwapComponent index %d out of range", i)
@@ -125,50 +118,7 @@ func (s *System) SwapComponent(i int, c spec.Component) error {
 		}
 	}
 	s.Components[i] = c
-	s.invalidateMoveCache()
 	return nil
-}
-
-// moveCacheComps bounds how many components the incremental move cache
-// tracks per-address eviction masks for; configurations beyond it (or with
-// more than 64 cores or addresses ≥ 64) disable the cache and fall back to
-// the full per-state rescan.
-const moveCacheComps = 16
-
-// moveCache memoizes the non-delivery enabled-move sets of a state —
-// which cores can issue their next program op, and which lines of each
-// cache are evictable. Delivery moves need no memoization: the sorted
-// nonempty-channel slice already is the enabled delivery set. The cache is
-// a value embedded in System (cloned by memcpy, zero extra allocations);
-// Apply invalidates exactly the bits of the one component a move mutated,
-// so successor generation recomputes only the delta instead of re-probing
-// every machine table at every state.
-type moveCache struct {
-	disabled   bool
-	issueKnown uint64 // bit per core: issueOK bit is current
-	issueOK    uint64 // bit per core: the core's next op can issue now
-	evictKnown uint64 // bit per component: evictOK entry is current
-	// evictOK holds, per component, the address bitmask of evictable lines
-	// (stable, non-initial state, cache idle).
-	evictOK [moveCacheComps]uint64
-}
-
-// noteMutation invalidates the move-cache entries that depend on component
-// ci after a successful move mutated it: its eviction mask and the issue
-// bits of every core attached to its caches.
-func (s *System) noteMutation(ci int) {
-	if s.mc.disabled || ci < 0 {
-		return
-	}
-	s.mc.issueKnown &^= s.coreMask[ci]
-	s.mc.evictKnown &^= uint64(1) << uint(ci)
-}
-
-// invalidateMoveCache drops every memoized enabled-move bit. Entry points
-// that mutate state outside Apply (program attachment, cache warming, spill
-// rehydration) must call it.
-func (s *System) invalidateMoveCache() {
-	s.mc = moveCache{disabled: s.mc.disabled}
 }
 
 // NewSystem assembles a system from components, cores and the shared
@@ -190,15 +140,6 @@ func NewSystem(components []spec.Component, cores []*Core, mem *spec.Memory) *Sy
 	for i, c := range components {
 		for _, id := range c.OwnedIDs() {
 			s.route[id] = i
-		}
-	}
-	s.coreMask = make([]uint64, len(components))
-	s.mc.disabled = len(cores) > 64 || len(components) > moveCacheComps
-	if !s.mc.disabled {
-		for i, core := range cores {
-			if ci := s.componentOf(core.Cache); ci >= 0 {
-				s.coreMask[ci] |= uint64(1) << uint(i)
-			}
 		}
 	}
 	return s
@@ -229,7 +170,6 @@ func (s *System) SetPrograms(progs [][]spec.CoreReq) {
 			s.Cores[i].Prog = p
 		}
 	}
-	s.invalidateMoveCache()
 }
 
 // componentOf returns the component index serving id, or -1.
@@ -307,7 +247,7 @@ func (s *System) Clone() *System {
 	for i, c := range s.Cores {
 		coreArr[i] = *c
 		// Never alias the source's Loads backing array: an empty slice can
-		// still carry capacity (decodeSpill restores reuse allocations), and
+		// still carry capacity (decodeImage restores reuse allocations), and
 		// a shared backing array races once parent and clone both append.
 		coreArr[i].Loads = nil
 		if len(c.Loads) > 0 {
@@ -318,8 +258,7 @@ func (s *System) Clone() *System {
 		cores[i] = &coreArr[i]
 	}
 	cp := &System{Components: comps, Cores: cores, Mem: mem,
-		OnDeliver: s.OnDeliver, route: s.route, coreMask: s.coreMask, mc: s.mc,
-		engine: s.engine}
+		OnDeliver: s.OnDeliver, route: s.route, engine: s.engine}
 	if len(s.chans) > 0 {
 		total := 0
 		for i := range s.chans {
@@ -371,9 +310,6 @@ func (s *System) syncCores() {
 // of §VII-B ("we preload the caches with the initial values"). Load results
 // are discarded.
 func (s *System) Warm(addrs []spec.Addr) error {
-	// Warming drives caches directly through Issue, bypassing Apply's
-	// delta invalidation.
-	defer s.invalidateMoveCache()
 	for _, core := range s.Cores {
 		cache := s.Cache(core.Cache)
 		if cache == nil {
@@ -428,8 +364,9 @@ func (s *System) Quiescent() bool {
 	return true
 }
 
-// Snapshot produces the canonical state encoding used for visited-set
-// hashing.
+// Snapshot renders the state as canonical text: the deadlock report's
+// DeadlockAt and the diagnostics' form. It distinguishes exactly the
+// states EncodeBinary distinguishes.
 func (s *System) Snapshot() string {
 	var b spec.SnapshotWriter
 	for _, c := range s.Components {
@@ -490,78 +427,13 @@ func (s *System) Moves(evictions bool) []Move {
 
 // AppendMoves appends the enabled moves to out and returns the extended
 // slice — the search loop reuses one scratch slice across expansions
-// instead of allocating a fresh move list per state. Enabled sets are
-// maintained incrementally: deliveries are keyed directly off the sorted
-// nonempty-channel slice, while issue and eviction enabledness is memoized
-// in the move cache and recomputed only for the component the previous
-// Apply mutated (clones inherit the parent state's bits).
+// instead of allocating a fresh move list per state. Deliveries are keyed
+// directly off the sorted nonempty-channel slice; issues and evictions are
+// probed afresh at every call.
 func (s *System) AppendMoves(out []Move, evictions bool) []Move {
 	for i := range s.chans {
 		out = append(out, Move{Kind: MoveDeliver, Chan: s.chans[i].k})
 	}
-	if s.mc.disabled {
-		return s.appendMovesSlow(out, evictions)
-	}
-	for i, core := range s.Cores {
-		bit := uint64(1) << uint(i)
-		if s.mc.issueKnown&bit == 0 {
-			ok := !core.Issued && core.PC < len(core.Prog)
-			if ok {
-				cache := s.Cache(core.Cache)
-				ok = cache != nil && cache.CanIssue(core.Prog[core.PC])
-			}
-			s.mc.issueKnown |= bit
-			if ok {
-				s.mc.issueOK |= bit
-			} else {
-				s.mc.issueOK &^= bit
-			}
-		}
-		if s.mc.issueOK&bit != 0 {
-			out = append(out, Move{Kind: MoveIssue, Core: i})
-		}
-	}
-	if evictions {
-		for ci, c := range s.Components {
-			cache, ok := c.(*spec.CacheInst)
-			if !ok {
-				continue
-			}
-			bit := uint64(1) << uint(ci)
-			if s.mc.evictKnown&bit == 0 {
-				mask := uint64(0)
-				if cache.Idle() {
-					proto := cache.Protocol().Cache
-					for i := 0; i < cache.NumLines(); i++ {
-						a := cache.AddrAt(i)
-						if a < 0 || a >= 64 {
-							// An address beyond the mask's range: give up on
-							// memoization for good and rescan everything.
-							s.mc.disabled = true
-							return s.appendMovesSlow(out, evictions)
-						}
-						st := cache.LineState(a)
-						if proto.IsStable(st) && st != proto.Init {
-							mask |= uint64(1) << uint(a)
-						}
-					}
-				}
-				s.mc.evictOK[ci] = mask
-				s.mc.evictKnown |= bit
-			}
-			for m := s.mc.evictOK[ci]; m != 0; m &= m - 1 {
-				a := spec.Addr(bits.TrailingZeros64(m))
-				out = append(out, Move{Kind: MoveEvict, Cache: cache.ID(), Addr: a})
-			}
-		}
-	}
-	return out
-}
-
-// appendMovesSlow is the unmemoized issue/eviction rescan, used when the
-// configuration outgrows the move cache's fixed bounds (deliveries were
-// already appended by the caller).
-func (s *System) appendMovesSlow(out []Move, evictions bool) []Move {
 	for i, core := range s.Cores {
 		if core.Issued || core.PC >= len(core.Prog) {
 			continue
@@ -573,13 +445,13 @@ func (s *System) appendMovesSlow(out []Move, evictions bool) []Move {
 	if evictions {
 		for _, c := range s.Components {
 			cache, ok := c.(*spec.CacheInst)
-			if !ok {
+			if !ok || !cache.Idle() {
 				continue
 			}
+			proto := cache.Protocol().Cache
 			for i := 0; i < cache.NumLines(); i++ {
 				a := cache.AddrAt(i)
-				st := cache.LineState(a)
-				if cache.Protocol().Cache.IsStable(st) && st != cache.Protocol().Cache.Init && cache.Idle() {
+				if st := cache.LineState(a); proto.IsStable(st) && st != proto.Init {
 					out = append(out, Move{Kind: MoveEvict, Cache: cache.ID(), Addr: a})
 				}
 			}
@@ -607,7 +479,6 @@ func (s *System) Apply(m Move) bool {
 			return false
 		}
 		s.touched = idx
-		s.noteMutation(idx)
 		if s.OnDeliver != nil {
 			s.OnDeliver(msg)
 		}
@@ -627,14 +498,12 @@ func (s *System) Apply(m Move) bool {
 		}
 		core.Issued = true
 		s.touched = s.componentOf(core.Cache)
-		s.noteMutation(s.touched)
 	case MoveEvict:
 		cache := s.Cache(m.Cache)
 		if cache == nil || !cache.Evict(s.env(), m.Addr) {
 			return false
 		}
 		s.touched = s.componentOf(m.Cache)
-		s.noteMutation(s.touched)
 	}
 	s.syncCores()
 	return true

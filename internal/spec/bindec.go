@@ -6,16 +6,14 @@ import (
 )
 
 // This file implements the inverse of binenc.go: a cursor-based reader for
-// the compact binary encoding, and a faithful per-component state codec the
-// model checker's disk-spilling frontier uses to rehydrate states.
+// the compact binary encoding, and each component's DecodeState, which the
+// model checker uses to rehydrate frontier states and to restore a state
+// between in-place successor moves.
 //
-// The visited-set encoding (AppendBinary) only needs to be injective; the
-// spill codec additionally needs to be *bijective* — decoding must rebuild
-// the exact component state, including derived fields a host may omit from
-// its visited key. For CacheInst, DirInst and Memory the two coincide, so
-// AppendState simply reuses AppendBinary. Hosts whose AppendBinary drops
-// reconstructible detail (the merged directory) implement StateCodec with an
-// extended layout.
+// AppendBinary is one image serving both roles: as a visited-set key it
+// need only be injective, but since it is also decoded it must be
+// *bijective* — DecodeState must rebuild the exact component state from
+// it, so no component may leave a field out of its image.
 
 // Dec is a cursor over a binary encoding produced with the Append* helpers.
 // Read methods record the first error and return zero values afterwards, so
@@ -166,17 +164,14 @@ func (d *Dec) String() string {
 	return string(b)
 }
 
-// StateCodec is implemented by components whose state can be serialized to a
-// compact byte string and rebuilt exactly. AppendState must be bijective
-// over reachable states: DecodeState applied to AppendState's output on a
-// structurally-identical receiver (same ids, same protocol, same topology —
-// e.g. a Clone of the initial system's component) must reproduce the source
-// state field for field. The disk-spilling frontier round-trips every
-// spilled state through this codec. Where the binary encoding already
-// carries the whole state, AppendState is AppendBinary (CacheInst, DirInst,
-// Memory, core.MergedDir); core.CompiledDir's image is its state register.
+// StateCodec is implemented by components whose state has an exact byte
+// image. AppendBinary must be bijective over reachable states:
+// DecodeState applied to its output on a structurally-identical receiver
+// (same ids, same protocol, same topology — e.g. a Clone of the initial
+// system's component) must reproduce the source state field for field.
+// core.CompiledDir's image is its state register.
 type StateCodec interface {
-	AppendState(buf []byte) []byte
+	BinaryAppender
 	DecodeState(d *Dec) error
 }
 
@@ -226,10 +221,6 @@ func DecodeNodeSet(d *Dec) NodeSet {
 	return s
 }
 
-// AppendState implements StateCodec. A cache's visited-set encoding already
-// covers every mutable field, so the spill codec reuses it.
-func (c *CacheInst) AppendState(buf []byte) []byte { return c.AppendBinary(buf) }
-
 // DecodeState implements StateCodec: the inverse of AppendBinaryRelabeled
 // with the identity relabeling.
 func (c *CacheInst) DecodeState(d *Dec) error {
@@ -265,12 +256,8 @@ func (c *CacheInst) DecodeState(d *Dec) error {
 	return d.Err()
 }
 
-// AppendState implements StateCodec (the directory's visited-set encoding
-// is faithful; the shared memory is encoded separately by the host, as with
-// AppendBinary).
-func (dir *DirInst) AppendState(buf []byte) []byte { return dir.AppendBinary(buf) }
-
-// DecodeState implements StateCodec.
+// DecodeState implements StateCodec: the inverse of AppendBinary (the
+// shared memory is decoded separately by the host).
 func (dir *DirInst) DecodeState(d *Dec) error {
 	if id := NodeID(d.Int()); d.err == nil && id != dir.id {
 		d.fail("directory id %d decoded into directory %d", id, dir.id)
@@ -289,10 +276,7 @@ func (dir *DirInst) DecodeState(d *Dec) error {
 	return d.Err()
 }
 
-// AppendState implements StateCodec.
-func (m *Memory) AppendState(buf []byte) []byte { return m.AppendBinary(buf) }
-
-// DecodeState implements StateCodec.
+// DecodeState implements StateCodec: the inverse of AppendBinary.
 func (m *Memory) DecodeState(d *Dec) error {
 	n := d.Uvarint()
 	m.cells = m.cells[:0]

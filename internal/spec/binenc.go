@@ -2,14 +2,15 @@ package spec
 
 import "encoding/binary"
 
-// This file implements the compact binary state encoding used by the model
-// checker's visited set. The string Snapshot form stays the canonical
-// human-readable encoding (debug output, deadlock reports); AppendBinary
-// produces a byte string that distinguishes exactly the same states while
-// avoiding the fmt formatting machinery on the exploration hot path. Every
-// encoder is self-delimiting (varint lengths/counts before variable-size
-// sections), so concatenating encodings over a fixed component list stays
-// injective.
+// This file implements the compact binary state image: the model checker's
+// visited-set key, frontier entry and in-place restore image. The string
+// Snapshot form stays the canonical human-readable encoding (debug output,
+// deadlock reports); AppendBinary produces a byte string that
+// distinguishes exactly the same states while avoiding the fmt formatting
+// machinery on the exploration hot path, and that DecodeState (bindec.go)
+// reads back into the exact state. Every encoder is self-delimiting
+// (varint lengths/counts before variable-size sections), so concatenating
+// encodings over a fixed component list stays injective.
 //
 // Controller states are written as their dense Machine.StateIndex rather
 // than length-prefixed names: a one-byte varint instead of a string per
@@ -21,16 +22,12 @@ import "encoding/binary"
 // maps every NodeID reference (component ids, message endpoints, sharer
 // sets, owners) through a permutation. Symmetry reduction encodes a state
 // under each permutation of interchangeable caches and keeps the
-// lexicographically least result; a nil Relabel is the identity, and
-// AppendBinaryRelabeled(buf, nil) equals AppendBinary(buf) byte for byte.
-//
-// The encoding is also each component's exact state image: CacheInst,
-// DirInst and Memory (bindec.go), like core.MergedDir, implement
-// StateCodec.AppendState as AppendBinary, so the visited-set key and the
-// spill image are one byte string per state.
+// lexicographically least result; a nil Relabel is the identity, and for
+// the encoders here AppendBinaryRelabeled(buf, nil) equals AppendBinary(buf)
+// byte for byte. A relabeled encoding is a key only, never decoded.
 
 // BinaryAppender is the binary counterpart of Component.Snapshot: it
-// appends a compact, self-delimiting encoding of the component's state to
+// appends a compact, self-delimiting image of the component's state to
 // buf.
 type BinaryAppender interface {
 	AppendBinary(buf []byte) []byte

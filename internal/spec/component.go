@@ -25,12 +25,10 @@ type Component interface {
 	Clone() Component
 	// Snapshot appends a canonical encoding of the component's state.
 	Snapshot(b *SnapshotWriter)
-	// BinaryAppender is Snapshot's compact form: the model checker keys
-	// its visited set by it.
-	BinaryAppender
-	// StateCodec round-trips the component's mutable state through bytes:
-	// the model checker's frontier holds states in this form and expands
-	// successors in place, restoring from it between moves.
+	// StateCodec is Snapshot's compact, exact form: AppendBinary writes
+	// the state image DecodeState reads back. The model checker keys its
+	// visited set by the image, holds frontier states in it and restores
+	// from it between the in-place successor moves.
 	StateCodec
 }
 

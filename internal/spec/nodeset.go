@@ -117,7 +117,11 @@ func (r Relabel) Of(id NodeID) NodeID {
 // binary state encoding with every NodeID reference mapped through r —
 // the hook symmetry reduction needs to encode a state as it would look
 // with interchangeable caches permuted. AppendBinaryRelabeled(buf, nil)
-// must equal AppendBinary(buf).
+// must distinguish exactly the states AppendBinary does, in the layout
+// every other permutation uses, since canonical keys compare encodings
+// across permutations. It need not be AppendBinary's bytes:
+// core.CompiledDir writes its interpreted image here and its state
+// register there.
 type RelabelAppender interface {
 	AppendBinaryRelabeled(buf []byte, r Relabel) []byte
 }
