@@ -44,8 +44,8 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkSmoke' -benchtime 1x -timeout 10m .
 
 # Regenerate BENCH_COMPILE.json (schema v3): the §VII-C search through the
-# interpreted composite, table extraction (memoized and non-memoized),
-# the growing-table check, the dispatch-only precompiled check, and the .hgcf
+# interpreted composite, memoized table extraction, the growing-table
+# check, the dispatch-only precompiled check, and the .hgcf
 # artifact lifecycle (serialize, cold load, cold load + check). The
 # output path travels in BENCH_COMPILE_OUT (bench_test.go's emitBench);
 # without it the benchmark runs but writes nothing.

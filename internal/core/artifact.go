@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"heterogen/internal/spec"
@@ -35,13 +34,16 @@ import (
 //	          verdict  — the extraction's deadlock count and lex-least
 //	                     deadlock snapshot (CompiledFusion.Verdict)
 //	          states   — image and memory blobs with u32 offset tables
-//	                     (loaded as subslices of one backing array, no
-//	                     per-state decoding) + POR reference bitsets
-//	          msgs     — the interned message pool
+//	                     (loaded as subslices of one backing array)
+//	          msgs     — the interned message pool, an offset blob of
+//	                     Msg.AppendBinary images
 //	          table    — per state, its message-sorted records: message
 //	                     id, successor, memory bit, send ids
-//	          fsm      — the projected Table II machine: string pool,
-//	                     states, edges, stability verdicts, initial state
+//
+// The body holds only what the extraction found. Everything derivable —
+// each state's POR references, the projected Table II machine and its
+// stability verdicts, snapshots and relabelings — is rebuilt from the
+// state images by the same code a fresh compile runs.
 //
 // Versioning rule: any change to the section layout or field widths bumps
 // ArtifactVersion; loaders reject other versions outright (there is no
@@ -58,22 +60,26 @@ import (
 // machine's transitions.
 //
 // The loader trusts nothing: every read is bounds-checked and every index
-// (state, message id, string id) is validated before use, so
-// a corrupt or truncated file fails with ErrArtifactCorrupt instead of
-// panicking (FuzzArtifactCodec pins this, re-sealing the checksum so its
-// mutations reach the parser). After decoding, the table is re-anchored
-// to a freshly rebuilt fusion and state images are decoded through the
-// interpreted MergedDir and re-encoded — drift between the artifact and
-// the rebuilt fusion is caught at load. The loaded table is a seed:
-// System() searches it as a growing table, like a freshly compiled one.
+// (state, message id) is validated before use, so a corrupt or truncated
+// file fails with ErrArtifactCorrupt instead of panicking
+// (FuzzArtifactCodec pins this, re-sealing the checksum so its mutations
+// reach the parser). After decoding, the table is re-anchored to a freshly
+// rebuilt fusion: state 0 must be its initial directory state, the other
+// states must be distinct and in canonical order, and every state's image
+// and memory are decoded through the interpreted MergedDir and must
+// re-encode to themselves — drift between the artifact and the rebuilt
+// fusion is caught at load. The loaded table is a seed: System() searches
+// it as a growing table, like a freshly compiled one.
 
 // ArtifactMagic identifies a compiled-fusion artifact file.
 const ArtifactMagic = "HGCF"
 
 // ArtifactVersion is the current on-disk format version. Version 2 added
 // the verdict section; version 3 added the body checksum, stores one image
-// per state and writes the table as per-state record lists.
-const ArtifactVersion = 3
+// per state and writes the table as per-state record lists; version 4
+// drops the derived sections (POR reference sets and the projected FSM)
+// and stores messages as their binary images.
+const ArtifactVersion = 4
 
 // ArtifactExt is the conventional file extension (and the one the
 // content-addressed cache uses).
@@ -145,20 +151,7 @@ func (e *artEnc) bool(v bool) {
 		e.u8(0)
 	}
 }
-func (e *artEnc) str(s string)  { e.u32(uint32(len(s))); e.buf = append(e.buf, s...) }
-func (e *artEnc) blob(b []byte) { e.u32(uint32(len(b))); e.buf = append(e.buf, b...) }
-
-func (e *artEnc) msg(m spec.Msg) {
-	e.str(string(m.Type))
-	e.i64(int64(m.Addr))
-	e.i64(int64(m.Src))
-	e.i64(int64(m.Dst))
-	e.i64(int64(m.Req))
-	e.i64(int64(m.Data))
-	e.bool(m.HasData)
-	e.i64(int64(m.Ack))
-	e.u32(uint32(m.VNet))
-}
+func (e *artEnc) str(s string) { e.u32(uint32(len(s))); e.buf = append(e.buf, s...) }
 
 // artDec is the bounds-checked reader: after the first failed read every
 // further read returns the zero value and ok stays false — decode loops
@@ -234,20 +227,6 @@ func (d *artDec) count(elemSize int) int {
 		return 0
 	}
 	return n
-}
-
-func (d *artDec) msg() spec.Msg {
-	var m spec.Msg
-	m.Type = spec.MsgType(d.str())
-	m.Addr = spec.Addr(d.i64())
-	m.Src = spec.NodeID(d.i64())
-	m.Dst = spec.NodeID(d.i64())
-	m.Req = spec.NodeID(d.i64())
-	m.Data = int(d.i64())
-	m.HasData = d.bool()
-	m.Ack = int(d.i64())
-	m.VNet = spec.VNet(d.u32())
-	return m
 }
 
 // offsetBlob writes n variable-length byte strings as one offset table
@@ -334,15 +313,10 @@ func (cf *CompiledFusion) MarshalArtifact() []byte {
 	e.u64(uint64(cf.stats.Deadlocks))
 	e.str(cf.stats.DeadlockAt)
 
-	// States: two offset-table blobs plus the POR reference bitsets.
+	// States: two offset-table blobs.
 	n := len(cf.states)
 	e.offsetBlob(func(i int) []byte { return cf.states[i].img }, n)
 	e.offsetBlob(func(i int) []byte { return cf.states[i].mem }, n)
-	for i := range cf.states {
-		for _, w := range cf.states[i].refs {
-			e.u64(w)
-		}
-	}
 
 	// Message pool: every distinct table/send message, first-use order.
 	msgID := map[spec.Msg]uint32{}
@@ -362,10 +336,7 @@ func (cf *CompiledFusion) MarshalArtifact() []byte {
 			intern(m)
 		}
 	})
-	e.u32(uint32(len(msgs)))
-	for _, m := range msgs {
-		e.msg(m)
-	}
+	e.offsetBlob(func(i int) []byte { return msgs[i].AppendBinary(nil) }, len(msgs))
 
 	// Table: each state's records in message order.
 	for _, span := range cf.spans {
@@ -382,54 +353,6 @@ func (cf *CompiledFusion) MarshalArtifact() []byte {
 		}
 	}
 
-	// Projected FSM: string pool + index-encoded states/edges/stability.
-	e.str(cf.initLocal)
-	strID := map[string]uint32{}
-	var strs []string
-	sintern := func(s string) uint32 {
-		if id, ok := strID[s]; ok {
-			return id
-		}
-		id := uint32(len(strs))
-		strID[s] = id
-		strs = append(strs, s)
-		return id
-	}
-	for _, s := range cf.fsm.States {
-		sintern(s)
-	}
-	for _, ed := range cf.fsm.Edges {
-		sintern(ed.From)
-		sintern(ed.Event)
-		sintern(ed.To)
-	}
-	stableKeys := make([]string, 0, len(cf.stable))
-	for s := range cf.stable {
-		stableKeys = append(stableKeys, s)
-	}
-	sort.Strings(stableKeys)
-	for _, s := range stableKeys {
-		sintern(s)
-	}
-	e.u32(uint32(len(strs)))
-	for _, s := range strs {
-		e.str(s)
-	}
-	e.u32(uint32(len(cf.fsm.States)))
-	for _, s := range cf.fsm.States {
-		e.u32(strID[s])
-	}
-	e.u32(uint32(len(cf.fsm.Edges)))
-	for _, ed := range cf.fsm.Edges {
-		e.u32(strID[ed.From])
-		e.u32(strID[ed.Event])
-		e.u32(strID[ed.To])
-	}
-	e.u32(uint32(len(stableKeys)))
-	for _, s := range stableKeys {
-		e.u32(strID[s])
-		e.bool(cf.stable[s])
-	}
 	sealArtifact(e.buf)
 	return e.buf
 }
@@ -474,21 +397,17 @@ type artifactParts struct {
 	deadlockAt string
 
 	imgs, mems [][]byte
-	refs       []spec.NodeSet
 	msgs       []spec.Msg
 	recs       []compRecord
 	spans      [][]int32
-	initLocal  string
-	fsmStates  []string
-	fsmEdges   []Edge
-	stable     map[string]bool
 }
 
 // parseArtifact decodes and structurally validates the byte form: header,
-// body checksum, section framing, and every cross-reference (at least the
-// initial state, message/string/state indices in range, spans
-// message-sorted so the binary search is sound, stalls without effects).
-// It does not touch protocol semantics.
+// body checksum, section framing, message images that re-encode to
+// themselves, and every cross-reference (at least the initial state,
+// message/state indices in range, spans message-sorted so the binary
+// search is sound, stalls without effects). It does not touch protocol
+// semantics.
 func parseArtifact(data []byte) (*artifactParts, error) {
 	if len(data) < artifactHeaderLen || string(data[:4]) != ArtifactMagic {
 		return nil, fmt.Errorf("%w (%d bytes, no %q header)", ErrArtifactFormat, len(data), ArtifactMagic)
@@ -537,27 +456,32 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	if d.ok && len(p.mems) != nStates {
 		d.fail()
 	}
-	if d.ok && d.rem() < nStates*32 {
-		d.fail()
-	}
-	p.refs = make([]spec.NodeSet, 0, nStates)
-	for i := 0; i < nStates && d.ok; i++ {
-		var ns spec.NodeSet
-		for w := range ns {
-			ns[w] = d.u64()
+
+	// An accepted artifact re-marshals byte-identically, so the pool must
+	// be the one MarshalArtifact writes: distinct messages in first-use
+	// order, each image re-encoding to itself (spec.Dec accepts
+	// non-minimal varints).
+	var md spec.Dec
+	pooled := map[spec.Msg]bool{}
+	for _, b := range d.offsetBlob() {
+		md.Reset(b)
+		m := spec.DecodeMsg(&md)
+		if md.Err() != nil || pooled[m] || !bytes.Equal(m.AppendBinary(nil), b) {
+			d.fail()
+			break
 		}
-		p.refs = append(p.refs, ns)
+		pooled[m] = true
+		p.msgs = append(p.msgs, m)
 	}
 
-	nMsgs := d.count(4)
-	for i := 0; i < nMsgs && d.ok; i++ {
-		p.msgs = append(p.msgs, d.msg())
-	}
-
+	firstUnused := uint32(0)
 	msgAt := func(id uint32) spec.Msg {
-		if int(id) >= len(p.msgs) {
+		if id > firstUnused || int(id) >= len(p.msgs) {
 			d.fail()
 			return spec.Msg{}
+		}
+		if id == firstUnused {
+			firstUnused++
 		}
 		return p.msgs[id]
 	}
@@ -599,34 +523,8 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 			start = end
 		}
 	}
-
-	p.initLocal = d.str()
-	nStrs := d.count(4)
-	strs := make([]string, 0, nStrs)
-	for i := 0; i < nStrs && d.ok; i++ {
-		strs = append(strs, d.str())
-	}
-	strAt := func(id uint32) string {
-		if int(id) >= len(strs) {
-			d.fail()
-			return ""
-		}
-		return strs[id]
-	}
-	nFsmStates := d.count(4)
-	for i := 0; i < nFsmStates && d.ok; i++ {
-		p.fsmStates = append(p.fsmStates, strAt(d.u32()))
-	}
-	nEdges := d.count(12)
-	for i := 0; i < nEdges && d.ok; i++ {
-		p.fsmEdges = append(p.fsmEdges, Edge{
-			From: strAt(d.u32()), Event: strAt(d.u32()), To: strAt(d.u32())})
-	}
-	nStable := d.count(5)
-	p.stable = make(map[string]bool, nStable)
-	for i := 0; i < nStable && d.ok; i++ {
-		s := strAt(d.u32())
-		p.stable[s] = d.bool()
+	if d.ok && int(firstUnused) != len(p.msgs) {
+		d.fail()
 	}
 
 	if !d.ok {
@@ -755,17 +653,24 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 // buildFromParts anchors the decoded table to a (re)built fusion: fresh
 // template system, scratch directory and permutation group from (f, cfg),
 // table contents and extraction verdict from the artifact. Every stored
-// message must name only nodes the rebuilt system routes, and state images
-// are then decoded through the interpreted scratch directory and
-// re-encoded to cross-check them against the rebuilt fusion, so any
-// semantic drift the digest missed still fails the load rather than
+// message must name only nodes the rebuilt system routes and every stored
+// state must stand for a state of the rebuilt fusion (deriveStates); the
+// projected FSM is then derived by the projectFSM a fresh compile runs.
+// Any semantic drift the digest missed fails the load rather than
 // corrupting a search.
 func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFusion, error) {
-	cf, _ := newCompiledFusion(f, cfg)
-	if cf.initLocal != p.initLocal {
-		return nil, fmt.Errorf("%w: initial local state %q, rebuilt fusion starts at %q",
-			ErrArtifactMismatch, p.initLocal, cf.initLocal)
+	// The digest covers the constituents' canonical exports, not the
+	// embedded text; an accepted artifact re-marshals byte-identically, so
+	// the text must be that export.
+	if len(p.pccTexts) != len(f.Protocols) {
+		return nil, fmt.Errorf("%w: %d embedded protocols for a fusion of %d", ErrArtifactCorrupt, len(p.pccTexts), len(f.Protocols))
 	}
+	for i, proto := range f.Protocols {
+		if p.pccTexts[i] != spec.ExportPCC(proto) {
+			return nil, fmt.Errorf("%w: embedded protocol %d is not its canonical PCC export", ErrArtifactCorrupt, i)
+		}
+	}
+	cf, _ := newCompiledFusion(f, cfg)
 	// A send to a node the rebuilt system does not route would panic the
 	// first search that replays it; refuse it here instead.
 	var routed spec.NodeSet
@@ -785,47 +690,55 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 	states := make([]compState, len(p.imgs))
 	cf.states = make([]*compState, len(states))
 	for i := range states {
-		states[i] = compState{img: p.imgs[i], mem: p.mems[i], refs: p.refs[i]}
+		states[i] = compState{img: p.imgs[i], mem: p.mems[i]}
 		cf.states[i] = &states[i]
+	}
+	if err := cf.deriveStates(); err != nil {
+		return nil, err
 	}
 	cf.recs = p.recs[:len(p.recs):len(p.recs)]
 	cf.spans = p.spans
-	cf.fsm.States = p.fsmStates
-	cf.fsm.Edges = p.fsmEdges
-	for s, v := range p.stable {
-		cf.stable[s] = v
-	}
-	if err := cf.crossCheck(); err != nil {
-		return nil, err
-	}
+	cf.projectFSM()
 	return cf, nil
 }
 
-// crossCheck verifies that decoding a stored image into the interpreted
-// directory rebuilt from the fusion and re-encoding it reproduces the
-// image byte for byte. With a nontrivial symmetry group every state is
-// checked, since the relabelings a symmetric search computes from the
-// images must stand for the states the images name; with a trivial group
-// only the initial state is (the full sweep would be pure verification
-// cost). parseArtifact guarantees the initial state exists.
-func (cf *CompiledFusion) crossCheck() error {
-	check := 1
-	if len(cf.perms) > 1 {
-		check = len(cf.states)
+// deriveStates checks the loaded states against the rebuilt fusion and
+// derives what the artifact does not store. State 0 must be the rebuilt
+// initial directory state (ErrArtifactMismatch); the others must be
+// distinct from it and strictly ascending by (image, memory), the order
+// canonicalOrder numbers them in, so no state is stored twice
+// (ErrArtifactCorrupt). Every image and memory is decoded through the
+// interpreted scratch directory and must re-encode to itself
+// (ErrArtifactMismatch), and that decode yields the state's POR
+// references. parseArtifact guarantees the initial state exists.
+func (cf *CompiledFusion) deriveStates() error {
+	initial := compState{img: cf.layout.Merged.AppendBinary(nil), mem: cf.layout.Merged.Memory().AppendBinary(nil)}
+	if stateCmp(cf.states[0], &initial) != 0 {
+		return fmt.Errorf("%w: state 0 is not the rebuilt fusion's initial directory state", ErrArtifactMismatch)
 	}
-	for i := check - 1; i >= 0; i-- {
-		st := cf.states[i]
-		if err := cf.scratch.DecodeState(spec.NewDec(st.img)); err != nil {
-			return fmt.Errorf("%w: state %d image undecodable against the rebuilt fusion: %v",
-				ErrArtifactMismatch, i, err)
+	mem := cf.scratch.Memory().Clone()
+	var dec spec.Dec
+	var buf []byte
+	for i, st := range cf.states {
+		if i > 0 && (stateCmp(st, cf.states[0]) == 0 || i > 1 && stateCmp(cf.states[i-1], st) >= 0) {
+			return fmt.Errorf("%w: state %d repeats a state or breaks the canonical state order", ErrArtifactCorrupt, i)
 		}
-		if got := cf.scratch.AppendBinary(nil); !bytes.Equal(got, st.img) {
+		dec.Reset(st.img)
+		if err := cf.scratch.DecodeState(&dec); err != nil {
+			return fmt.Errorf("%w: state %d image undecodable against the rebuilt fusion: %v", ErrArtifactMismatch, i, err)
+		}
+		if buf = cf.scratch.AppendBinary(buf[:0]); !bytes.Equal(buf, st.img) {
 			return fmt.Errorf("%w: state %d image does not re-encode to itself under the rebuilt fusion", ErrArtifactMismatch, i)
 		}
+		dec.Reset(st.mem)
+		if err := mem.DecodeState(&dec); err != nil {
+			return fmt.Errorf("%w: state %d memory undecodable: %v", ErrArtifactMismatch, i, err)
+		}
+		if buf = mem.AppendBinary(buf[:0]); !bytes.Equal(buf, st.mem) {
+			return fmt.Errorf("%w: state %d memory does not re-encode to itself", ErrArtifactMismatch, i)
+		}
+		st.refs = cf.scratch.RefNodes()
 	}
-	// The loop ends on state 0, leaving the scratch directory at the
-	// initial image so lazy snapshot reconstruction starts from a
-	// decodable state.
 	return nil
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,8 +32,11 @@ func quickArtifactFusion(t testing.TB) (*Fusion, CompileConfig, *CompiledFusion)
 
 // TestArtifactRoundTripAllPairs pins the full codec on every Table II
 // pair: a self-contained load from the marshaled bytes must reproduce the
-// table's counts, a byte-identical FlatFSM dump, the same content digest,
-// and a byte-identical re-marshal (the encoding is deterministic).
+// table's counts, a byte-identical FlatFSM dump, the same per-state POR
+// references, stability verdicts and projected PCC protocol, the same
+// content digest, and a byte-identical re-marshal (the encoding is
+// deterministic). The references and the projection are not stored, so
+// this pins the load's derivation against the compile's.
 func TestArtifactRoundTripAllPairs(t *testing.T) {
 	for _, pair := range TableIIPairs() {
 		f, err := Fuse(Options{}, protocols.MustByName(pair[0]), protocols.MustByName(pair[1]))
@@ -59,6 +64,18 @@ func TestArtifactRoundTripAllPairs(t *testing.T) {
 		if got, want := lcf.FlatFSM().Format(), cf.FlatFSM().Format(); got != want {
 			t.Errorf("%s: FlatFSM dump differs across the round trip", f.Name())
 		}
+		for i := range cf.states {
+			if i < len(lcf.states) && lcf.states[i].refs != cf.states[i].refs {
+				t.Errorf("%s: state %d POR references differ across the round trip", f.Name(), i)
+				break
+			}
+		}
+		if !maps.Equal(lcf.stable, cf.stable) {
+			t.Errorf("%s: stability map differs across the round trip", f.Name())
+		}
+		if got, want := exportProtocol(t, lcf), exportProtocol(t, cf); got != want {
+			t.Errorf("%s: projected PCC protocol differs across the round trip", f.Name())
+		}
 		if lcf.Digest() != cf.Digest() {
 			t.Errorf("%s: digest differs across the round trip", f.Name())
 		}
@@ -72,11 +89,23 @@ func TestArtifactRoundTripAllPairs(t *testing.T) {
 	}
 }
 
+// exportProtocol renders cf's projected flat protocol as PCC text.
+func exportProtocol(t *testing.T, cf *CompiledFusion) string {
+	t.Helper()
+	p, err := cf.Protocol()
+	if err != nil {
+		t.Fatalf("%s: %v", cf.Fusion().Name(), err)
+	}
+	return spec.ExportPCC(p)
+}
+
 // TestArtifactMismatchErrors pins the structured load-time failures: a
 // digest mismatch against the requested search, a foreign format, an
 // unsupported version, corrupted or truncated bytes, and well-formed
 // tables that break the table's invariants all fail with the matching
-// sentinel error — never an unknown-key panic inside a later Deliver.
+// sentinel error — never an unknown-key panic inside a later Deliver. A
+// sealed artifact that is not in the form MarshalArtifact writes is
+// refused rather than loaded to a table that re-marshals differently.
 func TestArtifactMismatchErrors(t *testing.T) {
 	f, cfg, cf := quickArtifactFusion(t)
 	data := cf.MarshalArtifact()
@@ -149,11 +178,98 @@ func TestArtifactMismatchErrors(t *testing.T) {
 			}
 		}
 	})
+	t.Run("non_minimal_message", func(t *testing.T) {
+		// The first pooled message's type length rewritten as a two-byte
+		// varint, its last character dropped to keep the length: the image
+		// decodes, but does not re-encode to itself.
+		m := cf.recs[cf.spans[0][0]].msg
+		img := m.AppendBinary(nil)
+		at := bytes.LastIndex(data, img)
+		if n := len(m.Type); at < 0 || n < 2 || n > 128 {
+			t.Fatalf("message %s image not found in the pool", m)
+		}
+		bad := append([]byte(nil), data...)
+		bad[at], bad[at+1] = 0x80|byte(len(m.Type)-1), 0
+		copy(bad[at+2:], m.Type[:len(m.Type)-1])
+		sealArtifact(bad)
+		if _, err := LoadArtifact(bad); !errors.Is(err, ErrArtifactCorrupt) {
+			t.Errorf("non-minimal message image: got %v, want ErrArtifactCorrupt", err)
+		}
+	})
+	// pool lists the message images in the order MarshalArtifact pools
+	// them: first use, record by record, each record's message before its
+	// sends.
+	var pool [][]byte
+	pooled := map[spec.Msg]bool{}
+	cf.eachRecord(func(_ int32, r *compRecord) {
+		for _, m := range append([]spec.Msg{r.msg}, r.tr.sends...) {
+			if !pooled[m] {
+				pooled[m] = true
+				pool = append(pool, m.AppendBinary(nil))
+			}
+		}
+	})
+	// remarshals reports whether bad, once sealed, is refused or loads to
+	// a table that re-marshals to it byte for byte.
+	remarshals := func(bad []byte) bool {
+		sealArtifact(bad)
+		lcf, err := LoadArtifact(bad)
+		return err != nil || bytes.Equal(lcf.MarshalArtifact(), bad)
+	}
+	t.Run("duplicate_message", func(t *testing.T) {
+		// Every pooled message image overwritten by every other of the
+		// same length; a pool holding a message twice would re-marshal
+		// differently.
+		for i, a := range pool {
+			at := bytes.LastIndex(data, a)
+			for j, b := range pool {
+				if i == j || len(a) != len(b) {
+					continue
+				}
+				bad := append([]byte(nil), data...)
+				copy(bad[at:], b)
+				if !remarshals(bad) {
+					t.Errorf("pool message %d overwritten by %d loads and re-marshals differently", i, j)
+				}
+			}
+		}
+	})
+	t.Run("message_order", func(t *testing.T) {
+		// Each of state 0's record message ids rewritten to every pooled
+		// id; a table that uses a message before an earlier-pooled one
+		// would re-marshal differently. The table section follows the
+		// pool: per state a record count, per record a message id,
+		// successor, memory bit, send count and send ids.
+		last := pool[len(pool)-1]
+		at := bytes.LastIndex(data, last) + len(last) + 4
+		for _, ri := range cf.spans[0] {
+			for id := range pool {
+				bad := append([]byte(nil), data...)
+				binary.LittleEndian.PutUint32(bad[at:], uint32(id))
+				if !remarshals(bad) {
+					t.Errorf("record %d rewritten to message %d loads and re-marshals differently", ri, id)
+				}
+			}
+			at += 13 + 4*len(cf.recs[ri].tr.sends)
+		}
+	})
+	t.Run("non_canonical_pcc", func(t *testing.T) {
+		// A space of the first embedded protocol's text turned into a tab:
+		// the text parses to the same protocol, so the digest still holds.
+		text := []byte(spec.ExportPCC(f.Protocols[0]))
+		at := bytes.Index(data, text) + bytes.IndexByte(text, ' ')
+		bad := append([]byte(nil), data...)
+		bad[at] = '\t'
+		sealArtifact(bad)
+		if _, err := LoadArtifact(bad); !errors.Is(err, ErrArtifactCorrupt) {
+			t.Errorf("tab in the embedded PCC text: got %v, want ErrArtifactCorrupt", err)
+		}
+	})
 	// The remaining cases are sealed artifacts whose table itself is
 	// unsound, marshaled from a doctored copy of cf.
 	doctored := func(states []*compState, recs []compRecord, spans [][]int32) []byte {
 		return (&CompiledFusion{fusion: cf.fusion, cfg: cf.cfg, explored: cf.explored, stats: cf.stats,
-			states: states, recs: recs, spans: spans, fsm: cf.fsm, initLocal: cf.initLocal, stable: cf.stable}).MarshalArtifact()
+			states: states, recs: recs, spans: spans}).MarshalArtifact()
 	}
 	t.Run("zero states", func(t *testing.T) {
 		if _, err := LoadArtifact(doctored(nil, nil, nil)); !errors.Is(err, ErrArtifactCorrupt) {
@@ -182,6 +298,68 @@ func TestArtifactMismatchErrors(t *testing.T) {
 			if _, err := LoadArtifact(doctored(cf.states, recs, cf.spans)); !errors.Is(err, ErrArtifactCorrupt) {
 				t.Errorf("stall with %s: got %v, want ErrArtifactCorrupt", tc.name, err)
 			}
+		}
+	})
+	t.Run("swapped_initial", func(t *testing.T) {
+		// States 0 and 1 trade places, with spans and successors remapped:
+		// a consistent table whose search would start elsewhere.
+		swap := func(s int32) int32 {
+			switch s {
+			case 0:
+				return 1
+			case 1:
+				return 0
+			}
+			return s
+		}
+		states := append([]*compState(nil), cf.states...)
+		states[0], states[1] = states[1], states[0]
+		spans := append([][]int32(nil), cf.spans...)
+		spans[0], spans[1] = spans[1], spans[0]
+		recs := append([]compRecord(nil), cf.recs...)
+		for i := range recs {
+			if recs[i].tr.next != stallState {
+				recs[i].tr.next = swap(recs[i].tr.next)
+			}
+		}
+		if _, err := LoadArtifact(doctored(states, recs, spans)); !errors.Is(err, ErrArtifactMismatch) {
+			t.Errorf("initial state swapped out: got %v, want ErrArtifactMismatch", err)
+		}
+	})
+	t.Run("duplicate_state", func(t *testing.T) {
+		// A copy of state 1 is appended and one record that reaches state
+		// 1 is redirected to the copy.
+		dup := int32(len(cf.states))
+		states := append(append([]*compState(nil), cf.states...), cf.states[1])
+		spans := append(append([][]int32(nil), cf.spans...), cf.spans[1])
+		recs := append([]compRecord(nil), cf.recs...)
+		redirected := false
+		for i := range recs {
+			if recs[i].tr.next == 1 {
+				recs[i].tr.next = dup
+				redirected = true
+				break
+			}
+		}
+		if !redirected {
+			t.Fatal("no record reaches state 1")
+		}
+		if _, err := LoadArtifact(doctored(states, recs, spans)); !errors.Is(err, ErrArtifactCorrupt) {
+			t.Errorf("duplicated state: got %v, want ErrArtifactCorrupt", err)
+		}
+	})
+	t.Run("undecodable_memory", func(t *testing.T) {
+		// A truncated memory image on a state whose image no neighbour
+		// shares, so the canonical order still holds.
+		states := append([]*compState(nil), cf.states...)
+		for k := 1; k < len(states)-1; k++ {
+			if !bytes.Equal(states[k].img, states[k-1].img) && !bytes.Equal(states[k].img, states[k+1].img) {
+				states[k] = &compState{img: states[k].img, mem: []byte{5}}
+				break
+			}
+		}
+		if _, err := LoadArtifact(doctored(states, cf.recs, cf.spans)); !errors.Is(err, ErrArtifactMismatch) {
+			t.Errorf("truncated memory image: got %v, want ErrArtifactMismatch", err)
 		}
 	})
 	t.Run("unrouted_send", func(t *testing.T) {
@@ -250,15 +428,24 @@ func TestArtifactFileAndCache(t *testing.T) {
 			ccf2.DirStates(), ccf2.Transitions(), ccf.DirStates(), ccf.Transitions())
 	}
 
-	if err := os.WriteFile(entry, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, cached3, err := CompileOrLoad(f, cfg, cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached3 {
-		t.Error("corrupt cache entry reported as a hit")
+	// A corrupt entry and an entry from an older format version are both
+	// recompiled over, and the entry is rewritten in the current format.
+	old := cf.MarshalArtifact()
+	old[4] = ArtifactVersion - 1
+	for name, content := range map[string][]byte{"corrupt": []byte("garbage"), "old-version": old} {
+		if err := os.WriteFile(entry, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, cached3, err := CompileOrLoad(f, cfg, cacheDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached3 {
+			t.Errorf("%s cache entry reported as a hit", name)
+		}
+		if _, err := LoadArtifactFileFor(entry, f, cfg); err != nil {
+			t.Errorf("%s cache entry not rewritten: %v", name, err)
+		}
 	}
 }
 

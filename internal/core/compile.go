@@ -400,8 +400,8 @@ func (cf *CompiledFusion) finalize(c *compiler) {
 }
 
 // canonicalOrder lists the interned states in their canonical order: state
-// 0 stays the initial state (CompiledDir starts there and the artifact
-// codec assumes it), the rest sort by their (image, memory) key. Intern
+// 0 stays the initial state (CompiledDir starts there), the rest sort by
+// their (image, memory) key; the artifact loader checks both. Intern
 // order is a schedule artifact of the extraction search's worker
 // interleaving, so canonical numbering is what makes the finished table,
 // and therefore the artifact bytes, identical across worker counts (the
@@ -412,14 +412,16 @@ func canonicalOrder(states []*compState) []int32 {
 		ord[i] = int32(i)
 	}
 	rest := ord[1:]
-	sort.Slice(rest, func(i, j int) bool {
-		a, b := states[rest[i]], states[rest[j]]
-		if cmp := bytes.Compare(a.img, b.img); cmp != 0 {
-			return cmp < 0
-		}
-		return bytes.Compare(a.mem, b.mem) < 0
-	})
+	sort.Slice(rest, func(i, j int) bool { return stateCmp(states[rest[i]], states[rest[j]]) < 0 })
 	return ord
+}
+
+// stateCmp orders interned states by their (image, memory) key.
+func stateCmp(a, b *compState) int {
+	if cmp := bytes.Compare(a.img, b.img); cmp != 0 {
+		return cmp
+	}
+	return bytes.Compare(a.mem, b.mem)
 }
 
 // projectFSM derives the per-address local-state projection (the Table II
@@ -430,35 +432,43 @@ func canonicalOrder(states []*compState) []int32 {
 // its successor: every successful delivery contributes the edge its
 // record contributes.
 func (cf *CompiledFusion) projectFSM() {
-	needs := make(map[int32]map[spec.Addr]bool)
-	add := func(s int32, a spec.Addr) {
-		m := needs[s]
-		if m == nil {
-			m = map[spec.Addr]bool{}
-			needs[s] = m
+	// local[s] names state s at each address a successful delivery to or
+	// from it touches. The first pass over the records adds the entries
+	// and the second only finds them. A state touches a handful of
+	// addresses, so a short slice beats a map per state.
+	type named struct {
+		a    spec.Addr
+		name string
+	}
+	local := make([][]named, len(cf.states))
+	nameOf := func(s int32, a spec.Addr) *named {
+		for i := range local[s] {
+			if local[s][i].a == a {
+				return &local[s][i]
+			}
 		}
-		m[a] = true
+		local[s] = append(local[s], named{a: a})
+		return &local[s][len(local[s])-1]
 	}
 	cf.eachRecord(func(pre int32, r *compRecord) {
 		if r.tr.next != stallState {
-			add(pre, r.msg.Addr)
-			add(r.tr.next, r.msg.Addr)
+			nameOf(pre, r.msg.Addr)
+			nameOf(r.tr.next, r.msg.Addr)
 		}
 	})
-	local := make(map[int32]map[spec.Addr]string, len(needs))
 	cf.snapMu.Lock()
-	for s, addrs := range needs {
+	for s, names := range local {
+		if len(names) == 0 {
+			continue
+		}
 		if err := cf.scratch.DecodeState(spec.NewDec(cf.states[s].img)); err != nil {
 			cf.snapMu.Unlock()
 			panic(fmt.Sprintf("core: state %d image undecodable during FSM projection: %v", s, err))
 		}
-		byAddr := make(map[spec.Addr]string, len(addrs))
-		for a := range addrs {
-			name := cf.scratch.LocalState(a)
-			byAddr[a] = name
-			cf.stable[name] = cf.scratch.localStable(a)
+		for i := range names {
+			names[i].name = cf.scratch.LocalState(names[i].a)
+			cf.stable[names[i].name] = cf.scratch.localStable(names[i].a)
 		}
-		local[s] = byAddr
 	}
 	cf.snapMu.Unlock()
 
@@ -468,8 +478,8 @@ func (cf *CompiledFusion) projectFSM() {
 		if r.tr.next == stallState {
 			return
 		}
-		e := Edge{From: local[pre][r.msg.Addr], Event: string(r.msg.Type),
-			To: local[r.tr.next][r.msg.Addr]}
+		e := Edge{From: nameOf(pre, r.msg.Addr).name, Event: string(r.msg.Type),
+			To: nameOf(r.tr.next, r.msg.Addr).name}
 		states[e.From] = true
 		states[e.To] = true
 		if !seen[e] {

@@ -38,7 +38,9 @@ func sameStrings(a, b []string) bool {
 // under identical options, and fails unless every observable the
 // differential contract covers agrees:
 // reachable-state and transition counts, deadlock count, outcome sets, and
-// the symmetry group order the checker settled on. DeadlockAt is
+// the symmetry group order the checker settled on; the compiled and loaded
+// runs also agree on the ample-state count, since a load derives the POR
+// references the compile captured. DeadlockAt is
 // deliberately excluded (parallel search order is nondeterministic).
 func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Options) (*mcheck.Result, *mcheck.Result) {
 	t.Helper()
@@ -63,9 +65,10 @@ func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Op
 	lres := mcheck.Explore(lcf.System(), opts)
 	if lres.States != cres.States || lres.Transitions != cres.Transitions ||
 		lres.Deadlocks != cres.Deadlocks || lres.Truncated != cres.Truncated ||
-		lres.SymmetryPerms != cres.SymmetryPerms {
-		t.Errorf("%s: loaded-artifact run diverges from compiled: %d/%d states, %d/%d transitions, %d/%d deadlocks",
-			f.Name(), lres.States, cres.States, lres.Transitions, cres.Transitions, lres.Deadlocks, cres.Deadlocks)
+		lres.SymmetryPerms != cres.SymmetryPerms || lres.PORReduced != cres.PORReduced {
+		t.Errorf("%s: loaded-artifact run diverges from compiled: %d/%d states, %d/%d transitions, %d/%d deadlocks, %d/%d ample",
+			f.Name(), lres.States, cres.States, lres.Transitions, cres.Transitions, lres.Deadlocks, cres.Deadlocks,
+			lres.PORReduced, cres.PORReduced)
 	}
 	if lk, ck := outcomeKeys(lres), outcomeKeys(cres); !sameStrings(lk, ck) {
 		t.Errorf("%s: loaded-artifact outcome set differs:\n  compiled: %v\n  loaded:   %v", f.Name(), ck, lk)

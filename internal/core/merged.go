@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"heterogen/internal/spec"
@@ -785,29 +786,32 @@ func (d *MergedDir) freeProxy(cluster, idx int) {
 // address — the flattened FSM state (Figure 9's "VxS" notation, extended
 // with proxy and bridge phases).
 func (d *MergedDir) LocalState(a spec.Addr) string {
-	var parts []string
-	for _, dir := range d.dirs {
-		parts = append(parts, string(dir.LineState(a)))
+	var b strings.Builder
+	b.Grow(32) // fits the common composite name in one allocation
+	for i, dir := range d.dirs {
+		if i > 0 {
+			b.WriteByte('x')
+		}
+		b.WriteString(string(dir.LineState(a)))
 	}
-	s := strings.Join(parts, "x")
 	for ci, pool := range d.proxies {
 		for _, p := range pool {
 			if st := p.LineState(a); st != p.Protocol().Cache.Init {
-				s += fmt.Sprintf("+p%d:%s", ci, st)
+				b.WriteString("+p" + strconv.Itoa(ci) + ":" + string(st))
 			}
 		}
 	}
 	if br := d.bridgeAt(a); br != nil {
-		kind := "rd"
+		kind := "/rd-"
 		if br.isWrite {
-			kind = "wr"
+			kind = "/wr-"
 		}
-		s += fmt.Sprintf("/%s-%s", kind, br.phase)
+		b.WriteString(kind + br.phase.String())
 	}
 	if o := d.Owner(a); o >= 0 {
-		s += fmt.Sprintf("·o%d", o)
+		b.WriteString("·o" + strconv.Itoa(o))
 	}
-	return s
+	return b.String()
 }
 
 // localStable reports whether the composite local state at a is quiescent:

@@ -372,7 +372,7 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	}
 	workers := opts.EffectiveWorkers()
 	if initial.OnDeliver != nil {
-		// Delivery observers (sequence charts, FSM recorders) are shared
+		// Delivery observers (sequence charts) are shared
 		// by clones and not synchronized; keep those walks on one worker.
 		workers = 1
 	}
