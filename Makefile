@@ -24,9 +24,10 @@ vet:
 race:
 	$(GO) test -race -timeout 30m ./internal/mcheck/... ./internal/litmus/... ./internal/core/... ./internal/engine/... ./internal/server/...
 
-# Allocation regression guards: the search hot path (Clone+Apply+encode),
-# the bytes-per-state guard on the compacted visited table, the
-# frontier publish/take cycle, the compiler's memo-hit replay
+# Allocation regression guards: the search hot path (restore, Apply,
+# splice and Insert, allocation-free for a rejected successor), the cost
+# of a System Clone, the bytes-per-state guard on the compacted visited
+# table, the frontier publish/take cycle, the compiler's memo-hit replay
 # path, and the simulator's discrete-event loop (allocs per memory
 # operation). Runs without the race detector: its instrumentation changes
 # alloc counts, so the alloc guard files are build-tagged out of

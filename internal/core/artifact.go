@@ -463,7 +463,9 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	// non-minimal varints).
 	var md spec.Dec
 	pooled := map[spec.Msg]bool{}
-	for _, b := range d.offsetBlob() {
+	msgImgs := d.offsetBlob()
+	p.msgs = make([]spec.Msg, 0, len(msgImgs))
+	for _, b := range msgImgs {
 		md.Reset(b)
 		m := spec.DecodeMsg(&md)
 		if md.Err() != nil || pooled[m] || !bytes.Equal(m.AppendBinary(nil), b) {
@@ -487,10 +489,12 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	}
 	// Records land in one slice, state after state, and their sends in
 	// one pool; spans and send lists are cut from them once every record
-	// is read.
+	// is read. Both are sized once, by a counting pass.
+	recCap, sendCap := countRecords(*d, nStates)
 	spanEnd := make([]int, 0, nStates)
-	var sendPool []spec.Msg
-	var sendEnd []int
+	p.recs = make([]compRecord, 0, recCap)
+	sendPool := make([]spec.Msg, 0, sendCap)
+	sendEnd := make([]int, 0, recCap)
 	for s := 0; s < nStates && d.ok; s++ {
 		nRecs := d.count(13)
 		for i := 0; i < nRecs && d.ok; i++ {
@@ -548,7 +552,7 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	}
 	for s, span := range p.spans {
 		for i := 1; i < len(span); i++ {
-			if msgCmp(p.recs[span[i-1]].msg, p.recs[span[i]].msg) >= 0 {
+			if msgCmp(&p.recs[span[i-1]].msg, &p.recs[span[i]].msg) >= 0 {
 				return nil, fmt.Errorf("%w: state %d span not strictly message-sorted", ErrArtifactCorrupt, s)
 			}
 		}
@@ -563,6 +567,24 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 		}
 	}
 	return p, nil
+}
+
+// countRecords counts the records and sends of the record section at d
+// for nStates states. d is a copy, so the caller's cursor stays put. It
+// checks nothing beyond the counts' bounds (count keeps them within the
+// remaining input); the decoding pass validates the section.
+func countRecords(d artDec, nStates int) (recs, sends int) {
+	for s := 0; s < nStates && d.ok; s++ {
+		n := d.count(13)
+		for i := 0; i < n && d.ok; i++ {
+			d.take(9) // message id, successor, remem flag
+			m := d.count(4)
+			d.take(4 * m)
+			sends += m
+		}
+		recs += n
+	}
+	return recs, sends
 }
 
 // LoadArtifact loads a self-contained artifact: the constituent protocols
@@ -654,8 +676,9 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 // template system, scratch directory and permutation group from (f, cfg),
 // table contents and extraction verdict from the artifact. Every stored
 // message must name only nodes the rebuilt system routes and every stored
-// state must stand for a state of the rebuilt fusion (deriveStates); the
-// projected FSM is then derived by the projectFSM a fresh compile runs.
+// state must stand for a state of the rebuilt fusion (deriveStates, which
+// also names it for the FSM projection in the same decode); the projected
+// FSM is then derived by the projectFSM a fresh compile runs.
 // Any semantic drift the digest missed fails the load rather than
 // corrupting a search.
 func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFusion, error) {
@@ -693,12 +716,13 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 		states[i] = compState{img: p.imgs[i], mem: p.mems[i]}
 		cf.states[i] = &states[i]
 	}
-	if err := cf.deriveStates(); err != nil {
-		return nil, err
-	}
 	cf.recs = p.recs[:len(p.recs):len(p.recs)]
 	cf.spans = p.spans
-	cf.projectFSM()
+	local := cf.localAddrs()
+	if err := cf.deriveStates(local); err != nil {
+		return nil, err
+	}
+	cf.projectFSM(local)
 	return cf, nil
 }
 
@@ -710,8 +734,10 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 // (ErrArtifactCorrupt). Every image and memory is decoded through the
 // interpreted scratch directory and must re-encode to itself
 // (ErrArtifactMismatch), and that decode yields the state's POR
-// references. parseArtifact guarantees the initial state exists.
-func (cf *CompiledFusion) deriveStates() error {
+// references and its local-state names at the addresses local lists
+// (localAddrs), so each state is decoded once per load. parseArtifact
+// guarantees the initial state exists.
+func (cf *CompiledFusion) deriveStates(local [][]localName) error {
 	initial := compState{img: cf.layout.Merged.AppendBinary(nil), mem: cf.layout.Merged.Memory().AppendBinary(nil)}
 	if stateCmp(cf.states[0], &initial) != 0 {
 		return fmt.Errorf("%w: state 0 is not the rebuilt fusion's initial directory state", ErrArtifactMismatch)
@@ -738,6 +764,7 @@ func (cf *CompiledFusion) deriveStates() error {
 			return fmt.Errorf("%w: state %d memory does not re-encode to itself", ErrArtifactMismatch, i)
 		}
 		st.refs = cf.scratch.RefNodes()
+		cf.nameLocal(local[i])
 	}
 	return nil
 }

@@ -396,7 +396,9 @@ func (cf *CompiledFusion) finalize(c *compiler) {
 			tr.next = remap[tr.next]
 		}
 	}
-	cf.projectFSM()
+	local := cf.localAddrs()
+	cf.nameStates(local)
+	cf.projectFSM(local)
 }
 
 // canonicalOrder lists the interned states in their canonical order: state
@@ -424,62 +426,85 @@ func stateCmp(a, b *compState) int {
 	return bytes.Compare(a.mem, b.mem)
 }
 
-// projectFSM derives the per-address local-state projection (the Table II
-// machine) from the finalized records, decoding each referenced state's
-// exact image once — instead of building LocalState strings inline on
-// every extraction delivery. The projection over records equals the
-// projection over deliveries because a (state, message) pair determines
-// its successor: every successful delivery contributes the edge its
-// record contributes.
-func (cf *CompiledFusion) projectFSM() {
-	// local[s] names state s at each address a successful delivery to or
-	// from it touches. The first pass over the records adds the entries
-	// and the second only finds them. A state touches a handful of
-	// addresses, so a short slice beats a map per state.
-	type named struct {
-		a    spec.Addr
-		name string
-	}
-	local := make([][]named, len(cf.states))
-	nameOf := func(s int32, a spec.Addr) *named {
+// localName is a state's local-state name at one address.
+type localName struct {
+	a    spec.Addr
+	name string
+}
+
+// localAddrs lists, per state, the addresses a successful delivery to or
+// from it touches: the addresses projectFSM names it at, unnamed yet. A
+// state touches a handful of addresses, so a short slice beats a map per
+// state.
+func (cf *CompiledFusion) localAddrs() [][]localName {
+	local := make([][]localName, len(cf.states))
+	add := func(s int32, a spec.Addr) {
 		for i := range local[s] {
 			if local[s][i].a == a {
-				return &local[s][i]
+				return
 			}
 		}
-		local[s] = append(local[s], named{a: a})
-		return &local[s][len(local[s])-1]
+		local[s] = append(local[s], localName{a: a})
 	}
 	cf.eachRecord(func(pre int32, r *compRecord) {
 		if r.tr.next != stallState {
-			nameOf(pre, r.msg.Addr)
-			nameOf(r.tr.next, r.msg.Addr)
+			add(pre, r.msg.Addr)
+			add(r.tr.next, r.msg.Addr)
 		}
 	})
+	return local
+}
+
+// nameLocal names names' addresses after the state the scratch directory
+// holds and records each name's stability. The caller owns the scratch.
+func (cf *CompiledFusion) nameLocal(names []localName) {
+	for i := range names {
+		names[i].name = cf.scratch.LocalState(names[i].a)
+		cf.stable[names[i].name] = cf.scratch.localStable(names[i].a)
+	}
+}
+
+// nameStates decodes every state localAddrs listed addresses for into the
+// scratch directory and names them there.
+func (cf *CompiledFusion) nameStates(local [][]localName) {
 	cf.snapMu.Lock()
+	defer cf.snapMu.Unlock()
 	for s, names := range local {
 		if len(names) == 0 {
 			continue
 		}
 		if err := cf.scratch.DecodeState(spec.NewDec(cf.states[s].img)); err != nil {
-			cf.snapMu.Unlock()
 			panic(fmt.Sprintf("core: state %d image undecodable during FSM projection: %v", s, err))
 		}
-		for i := range names {
-			names[i].name = cf.scratch.LocalState(names[i].a)
-			cf.stable[names[i].name] = cf.scratch.localStable(names[i].a)
-		}
+		cf.nameLocal(names)
 	}
-	cf.snapMu.Unlock()
+}
 
+// projectFSM derives the per-address local-state projection (the Table II
+// machine) from the finalized records and local, every state's names at
+// the addresses localAddrs listed (nameStates, or the artifact load's
+// deriveStates, decodes each referenced state's exact image once) —
+// instead of building LocalState strings inline on every extraction
+// delivery. The projection over records equals the projection over
+// deliveries because a (state, message) pair determines its successor:
+// every successful delivery contributes the edge its record contributes.
+func (cf *CompiledFusion) projectFSM(local [][]localName) {
+	nameOf := func(s int32, a spec.Addr) string {
+		for i := range local[s] {
+			if local[s][i].a == a {
+				return local[s][i].name
+			}
+		}
+		panic(fmt.Sprintf("core: state %d has no local name at a%d", s, a))
+	}
 	states := map[string]bool{}
 	seen := map[Edge]bool{}
 	cf.eachRecord(func(pre int32, r *compRecord) {
 		if r.tr.next == stallState {
 			return
 		}
-		e := Edge{From: nameOf(pre, r.msg.Addr).name, Event: string(r.msg.Type),
-			To: nameOf(r.tr.next, r.msg.Addr).name}
+		e := Edge{From: nameOf(pre, r.msg.Addr), Event: string(r.msg.Type),
+			To: nameOf(r.tr.next, r.msg.Addr)}
 		states[e.From] = true
 		states[e.To] = true
 		if !seen[e] {
@@ -516,8 +541,9 @@ func (cf *CompiledFusion) eachRecord(visit func(pre int32, r *compRecord)) {
 // msgCmp is a strict total order over messages consistent with equality,
 // cheap integer fields first so the string compare only runs when every
 // endpoint and payload field ties. It is both the span order and the
-// binary-search comparison in compiler.step.
-func msgCmp(a, b spec.Msg) int {
+// binary-search comparison in compiler.step. It takes pointers: a by-value
+// Msg is copied on every probe of the search's per-delivery lookup.
+func msgCmp(a, b *spec.Msg) int {
 	switch {
 	case a.Addr != b.Addr:
 		if a.Addr < b.Addr {
@@ -923,19 +949,28 @@ func (e *sendCapture) Send(m spec.Msg) { e.sends = append(e.sends, m) }
 
 // step returns the outcome of delivering m in state pre. A pair already
 // recorded replays (memoization); a miss runs the interpreter and records
-// the outcome.
-func (c *compiler) step(pre int32, m spec.Msg) compTransition {
-	pos, found := slices.BinarySearchFunc(c.spans[pre], m, func(ri int32, m spec.Msg) int {
-		return msgCmp(c.recs[ri].msg, m)
-	})
-	if found {
+// the outcome. The lookup is a hand-written binary search: through
+// slices.BinarySearchFunc's comparator the target would escape, costing
+// the caller's Msg a heap allocation per delivery.
+func (c *compiler) step(pre int32, m *spec.Msg) compTransition {
+	span := c.spans[pre]
+	pos, hi := 0, len(span)
+	for pos < hi {
+		h := int(uint(pos+hi) >> 1)
+		if msgCmp(&c.recs[span[h]].msg, m) < 0 {
+			pos = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if pos < len(span) && msgCmp(&c.recs[span[pos]].msg, m) == 0 {
 		c.memoHits++
-		return c.recs[c.spans[pre][pos]].tr
+		return c.recs[span[pos]].tr
 	}
 	c.interpreted++
-	tr := c.interpret(pre, m)
+	tr := c.interpret(pre, *m)
 	c.spans[pre] = slices.Insert(c.spans[pre], pos, int32(len(c.recs)))
-	c.recs = append(c.recs, compRecord{msg: m, tr: tr})
+	c.recs = append(c.recs, compRecord{msg: *m, tr: tr})
 	return tr
 }
 
@@ -1033,7 +1068,7 @@ func (d *CompiledDir) OwnedIDs() []spec.NodeID { return d.cf.owned }
 func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
 	c := d.grow
 	c.mu.Lock()
-	tr := c.step(d.cur, m)
+	tr := c.step(d.cur, &m)
 	var mem []byte
 	if tr.remem {
 		mem = c.states[tr.next].mem

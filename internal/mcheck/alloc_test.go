@@ -2,14 +2,15 @@
 
 package mcheck
 
-// Allocation regression guard for the successor-generation hot path. The
-// search's inner loop is Clone → Apply → encode; the flat-slice state
-// layout keeps that to O(components) allocations per successor (one
-// backing slice per cloned component plus a handful of fixed-count
-// slices: route is shared, messages live in one arena, core loads in
-// another, and the encode buffer is reused). The file is excluded under
-// the race detector, whose instrumentation changes allocation counts;
-// `make check` runs it in a separate uninstrumented pass.
+// Allocation regression guards. The search's hot path is the in-place
+// expansion: decode the taken image once, then restore → Apply → splice →
+// Insert per move, which must allocate nothing for a successor the
+// visited set rejects. Clone → Apply → encode is no longer on it (workers
+// clone the initial system once), but Clone stays the cost of a value
+// copy of a state, kept to O(components) allocations by the flat state
+// layout. The file is excluded under the race detector, whose
+// instrumentation changes allocation counts; `make check` runs it in a
+// separate uninstrumented pass.
 
 import (
 	"bytes"
@@ -25,7 +26,10 @@ import (
 // covers Go-version variance without masking a return to per-map clones.
 const allocBudget = 30
 
-func TestAllocRegressionCloneApplyEncode(t *testing.T) {
+// allocSystem is the 3-cache MESI configuration the guards measure,
+// stepped a few transitions in so caches, directory and channels are all
+// populated — an empty system would understate the cost.
+func allocSystem(t *testing.T) *System {
 	p := protocols.MustByName(protocols.NameMESI)
 	sys := NewHomogeneous(p, 3)
 	progs := make([][]spec.CoreReq, 3)
@@ -36,8 +40,6 @@ func TestAllocRegressionCloneApplyEncode(t *testing.T) {
 		}
 	}
 	sys.SetPrograms(progs)
-	// Step a few transitions in so caches, directory and channels are all
-	// populated — an empty system would understate the clone cost.
 	for i := 0; i < 6; i++ {
 		moves := sys.Moves(false)
 		if len(moves) == 0 {
@@ -48,6 +50,14 @@ func TestAllocRegressionCloneApplyEncode(t *testing.T) {
 			sys = next
 		}
 	}
+	if len(sys.Moves(false)) == 0 {
+		t.Fatal("system quiesced before the measurement point")
+	}
+	return sys
+}
+
+func TestAllocRegressionCloneApplyEncode(t *testing.T) {
+	sys := allocSystem(t)
 	moves := sys.Moves(false)
 	if len(moves) == 0 {
 		t.Fatal("system quiesced before the measurement point")
@@ -63,6 +73,66 @@ func TestAllocRegressionCloneApplyEncode(t *testing.T) {
 	if allocs > allocBudget {
 		t.Errorf("Clone+Apply+encode allocates %.1f per successor, budget %d — the flat state layout regressed",
 			allocs, allocBudget)
+	}
+}
+
+// TestAllocRegressionInPlace guards the search's per-transition loop, run
+// through the search's own successorsInPlace under every storage mode: in
+// steady state, with every successor already visited, restoring the
+// state, applying a move, splicing the successor's image and probing the
+// visited set allocate nothing.
+func TestAllocRegressionInPlace(t *testing.T) {
+	sys := allocSystem(t)
+	pre := sys.EncodeBinary(nil)
+	for _, mode := range []struct {
+		name string
+		opts Options
+	}{
+		{"exact", Options{}},
+		{"hash-compaction", Options{HashCompaction: true}},
+		{"bitstate", Options{Bitstate: true}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			opts := mode.opts
+			opts.Evictions = true
+			opts.POR = POROff // every move, not an ample subset
+			ctx := newSearchCtx(sys, opts, DefaultMaxStates)
+			visited := newVisited(opts, 1)
+			defer visited.release()
+			ins := visited.handle(0)
+			cur := sys.Clone()
+			var sc expandScratch
+			if err := decodeImage(cur, pre, &sc.segs); err != nil {
+				t.Fatal(err)
+			}
+			sc.moves = cur.AppendMoves(sc.moves[:0], opts.Evictions)
+			var res Result
+			admitted := 0
+			expand := func() {
+				ins.Begin()
+				ctx.successorsInPlace(cur, pre, &res, &sc, ins.Insert, func([]byte) { admitted++ })
+				ins.End()
+				// Back to the expanded state for the next run, as the
+				// next move's restore would.
+				if err := cur.restore(pre, sc.segs, &sc.saved); err != nil {
+					t.Fatal(err)
+				}
+			}
+			expand() // admits every successor once
+			if admitted == 0 || res.Transitions < 2 {
+				t.Fatalf("measurement state has %d successors (%d admitted) — too few to measure", res.Transitions, admitted)
+			}
+			succs, admitted := res.Transitions, 0
+			allocs := testing.AllocsPerRun(200, expand)
+			if admitted != 0 {
+				t.Fatalf("%d successors admitted on a revisit", admitted)
+			}
+			perSucc := allocs / float64(succs)
+			t.Logf("restore+Apply+splice+Insert: %.2f allocs per rejected successor", perSucc)
+			if allocs > 0 {
+				t.Errorf("restore+Apply+splice+Insert allocates %.2f per rejected successor, budget 0", perSucc)
+			}
+		})
 	}
 }
 

@@ -11,19 +11,35 @@ import "heterogen/internal/spec"
 // as the visited-set key when symmetry is off, as the frontier entry and
 // as the in-place restore image.
 func (s *System) EncodeBinary(buf []byte) []byte {
-	return s.encode(buf, nil)
-}
-
-// encode is EncodeBinary, recording the end offset of every component's
-// segment into *segs when segs is non-nil, so restoreSegs can later
-// re-decode just the components a move dirtied.
-func (s *System) encode(buf []byte, segs *[]int) []byte {
 	for _, c := range s.Components {
 		buf = c.AppendBinary(buf)
-		if segs != nil {
-			*segs = append(*segs, len(buf))
-		}
 	}
+	return s.appendTail(buf)
+}
+
+// spliceImage appends EncodeBinary's image of s after one successful
+// Apply to the state decoded from pre with offsets segs (decodeImage):
+// every component but the one the move touched is copied from pre, and
+// only that one, the memory, the channels and the cores are encoded
+// afresh. A move that touched no component index encodes in full.
+func (s *System) spliceImage(buf, pre []byte, segs []int) []byte {
+	t := s.touched
+	if t < 0 || t >= len(s.Components) {
+		return s.EncodeBinary(buf)
+	}
+	start := 0
+	if t > 0 {
+		start = segs[t-1]
+	}
+	buf = append(buf, pre[:start]...)
+	buf = s.Components[t].AppendBinary(buf)
+	buf = append(buf, pre[segs[t]:segs[len(s.Components)-1]]...)
+	return s.appendTail(buf)
+}
+
+// appendTail appends the image's segments after the components: the
+// shared memory, the channels and the cores.
+func (s *System) appendTail(buf []byte) []byte {
 	buf = s.Mem.AppendBinary(buf)
 	buf = spec.AppendUvarint(buf, uint64(len(s.chans)))
 	for i := range s.chans {

@@ -242,16 +242,16 @@ type searchCtx struct {
 
 // expandScratch is the per-worker reusable buffer set.
 type expandScratch struct {
-	moves   []Move
-	amp     []Move // ample-partition scratch (por.go)
-	rest    []Move
-	iso     []porCand // isolated ample candidates (por.go)
-	ranked  []porCand
-	encBuf  []byte // visited-set key of the latest successor
-	img     []byte // its state image, when the key is a symmetric one
-	preImg  []byte // expanded state's image (in-place restore)
-	preSegs []int  // per-component end offsets into preImg (partial restore)
-	canon   canonScratch
+	moves  []Move
+	amp    []Move // ample-partition scratch (por.go)
+	rest   []Move
+	iso    []porCand // isolated ample candidates (por.go)
+	ranked []porCand
+	key    []byte // symmetric visited-set key of the latest successor
+	img    []byte // its state image
+	segs   []int  // decodeImage's offsets into the expanded state's image
+	saved  tailCopy
+	canon  canonScratch
 }
 
 func newSearchCtx(initial *System, opts Options, maxStates int) *searchCtx {
@@ -582,30 +582,30 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 				f.stop()
 				return res
 			}
-			if err := decodeImage(cur, enc); err != nil {
+			if err := decodeImage(cur, enc, &sc.segs); err != nil {
 				panic(err.Error())
 			}
 			ins.Begin()
-			ctx.expand(cur, res, &sc, ins.Insert, admit)
+			ctx.expand(cur, enc, res, &sc, ins.Insert, admit)
 			ins.End()
 		}
 	}
 }
 
-// expand processes one taken state: invariants, successor generation
-// (insert filters duplicates, enqueue receives the new ones) and
-// deadlock/outcome classification.
+// expand processes one taken state, cur decoded from its image pre:
+// invariants, successor generation (insert filters duplicates, enqueue
+// receives the new ones) and deadlock/outcome classification.
 //
 // Successors are generated in place (successorsInPlace): each move is
-// applied to cur directly, the successor is keyed, its image handed to
-// enqueue *borrowed* only if the visited set actually admits it, and cur
-// is restored from its own one-time image before the next move. Most
+// applied to cur directly, the successor's image is spliced from pre and
+// keyed, the image is handed to enqueue *borrowed* only if the visited
+// set actually admits it, and cur is restored before the next move. Most
 // applied moves reach already-visited states, so this trades a full clone
 // per transition — the checker's dominant allocation and the GC pressure
-// behind it — for a cheap allocation-light in-place decode. The restore is
-// lazy (a stalled Apply leaves the system unchanged, so only a progressed
-// move dirties cur), which also means a state whose moves all stall
-// reaches classification untouched.
+// behind it — for a partial decode and a few copies. The restore is lazy
+// (a stalled Apply leaves the system unchanged, so only a progressed move
+// dirties cur), which also means a state whose moves all stall reaches
+// classification untouched.
 //
 // With POR active, an ample subset is tried first: if any ample move
 // progressed, the remaining moves are pruned. No cycle proviso is needed:
@@ -620,7 +620,7 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 // choice is a pure function of the state — never of visit order or
 // visited-set contents — the reduced graph is a fixed subgraph and every
 // worker count reports the same counts.
-func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func([]byte)) {
+func (ctx *searchCtx) expand(cur *System, pre []byte, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func([]byte)) {
 	res.States++
 	for _, inv := range ctx.opts.Invariants {
 		if err := inv(cur); err != nil {
@@ -629,7 +629,7 @@ func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert
 	}
 
 	sc.moves = cur.AppendMoves(sc.moves[:0], ctx.opts.Evictions)
-	if len(sc.moves) > 0 && ctx.successorsInPlace(cur, res, sc, insert, enqueue) {
+	if len(sc.moves) > 0 && ctx.successorsInPlace(cur, pre, res, sc, insert, enqueue) {
 		return
 	}
 	if cur.Quiescent() {
@@ -655,43 +655,46 @@ func (ctx *searchCtx) expand(cur *System, res *Result, sc *expandScratch, insert
 	}
 }
 
-// successorsInPlace generates cur's successors by mutating cur directly,
-// restoring it from its image between moves. Admitted successors' images
-// are handed to enqueue borrowed — valid only until the callback returns —
-// so the callback must copy what it keeps. The image is exact
-// (spec.StateCodec), so the restore is too. Returns whether any move
-// progressed; when none did, cur was never dirtied and is still the
-// expanded state.
-func (ctx *searchCtx) successorsInPlace(cur *System, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func([]byte)) bool {
-	sc.preSegs = sc.preSegs[:0]
-	sc.preImg = cur.encode(sc.preImg[:0], &sc.preSegs)
-	var dirtyMask uint64
+// successorsInPlace generates the successors of cur, decoded from pre with
+// offsets sc.segs, by mutating cur directly. The state is read from bytes
+// once, by that decode: the channels and cores are saved once here, and
+// after each progressed move restore re-decodes only the dirtied
+// component and the memory from their segments of pre and copies the
+// channels and cores back. A successor's image is spliced: pre's bytes
+// for every component the move left alone, a fresh encode of the rest
+// (the full encode when Apply reports no component). Under symmetry the
+// visited key is the canonical encode, and the image is built only for
+// an admitted successor. Admitted images are handed to enqueue borrowed —
+// valid only until the callback returns — so the callback must copy what
+// it keeps. Returns whether any move progressed; when none did, cur was
+// never dirtied and is still the expanded state.
+func (ctx *searchCtx) successorsInPlace(cur *System, pre []byte, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func([]byte)) bool {
+	sc.saved.save(cur)
+	dirty := false
 	// try applies move i to a clean cur and, when it progresses, admits
 	// the successor; cur stays dirty until the next try restores it.
 	try := func(i int) bool {
-		if dirtyMask != 0 {
-			if err := cur.restoreSegs(sc.preImg, sc.preSegs, dirtyMask); err != nil {
+		if dirty {
+			if err := cur.restore(pre, sc.segs, &sc.saved); err != nil {
 				panic(err.Error())
 			}
-			dirtyMask = 0
+			dirty = false
 		}
 		if !cur.Apply(sc.moves[i]) {
 			return false
 		}
-		if t := cur.touched; t >= 0 && t < 64 {
-			dirtyMask = uint64(1) << uint(t)
-		} else {
-			dirtyMask = ^uint64(0)
-		}
+		dirty = true
 		res.Transitions++
-		sc.encBuf = ctx.encode(cur, sc, sc.encBuf[:0])
-		if !insert(sc.encBuf) {
+		if ctx.canon == nil {
+			sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs) // the key is the image
+			if insert(sc.img) {
+				enqueue(sc.img)
+			}
 			return true
 		}
-		if ctx.canon == nil {
-			enqueue(sc.encBuf) // the key is the image
-		} else {
-			sc.img = cur.EncodeBinary(sc.img[:0])
+		sc.key = ctx.canon.canonical(cur, &sc.canon, sc.key[:0])
+		if insert(sc.key) {
+			sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs)
 			enqueue(sc.img)
 		}
 		return true

@@ -124,7 +124,7 @@ type exactShard struct {
 
 // exactSet stores complete state encodings — no omissions, memory grows
 // with total encoding size. States are keyed by their compact binary
-// encoding; the encoding's exactHash selects the stripe and probe start.
+// encoding; the encoding's stateHash selects the stripe and probe start.
 type exactSet struct {
 	size     atomic.Int64
 	encBytes atomic.Int64 // total bytes of stored encodings
@@ -159,7 +159,7 @@ func (s *exactShard) grow() {
 // Insert implements inserter. The set itself is the handle for every
 // worker: shard mutexes make it safe for concurrent use.
 func (v *exactSet) Insert(enc []byte) bool {
-	h := exactHash(enc)
+	h := stateHash(enc)
 	s := &v.shards[h%visitedShards]
 	s.mu.Lock()
 	if s.slots == nil {
@@ -455,7 +455,7 @@ func (h *fpHandle) Insert(enc []byte) bool {
 		// search observes Full() and truncates.
 		return false
 	}
-	fp := fnv64a(enc)
+	fp := stateHash(enc)
 	if fp == 0 {
 		fp = 1 // 0 is the empty-slot sentinel
 	}

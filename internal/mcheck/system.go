@@ -87,10 +87,16 @@ type System struct {
 	dec       spec.Dec
 	decIntern *spec.Intern
 
+	// spare holds the message buffers of channels that emptied, for send
+	// and the restores to reuse. A buffer is either here or backing exactly
+	// one live channel, never both, so appending to one queue can never
+	// clobber another.
+	spare [][]spec.Msg
+
 	// touched is the component index the last successful Apply mutated
 	// (-1 when unrouted). Only meaningful immediately after Apply returns
-	// true; the in-place successor strategy reads it to restore just the
-	// dirtied component between moves.
+	// true; the in-place expansion reads it to re-decode just that
+	// component between moves and to splice the successor's image.
 	touched int
 }
 
@@ -204,8 +210,10 @@ func (s *System) chanIdx(k chanKey) (int, bool) {
 	return len(s.chans), false
 }
 
-// send enqueues a message on its channel.
-func (s *System) send(m spec.Msg) {
+// Send implements spec.Env: it enqueues m on its channel. Components
+// send through the System itself, so Apply hands them an Env without
+// allocating one.
+func (s *System) Send(m spec.Msg) {
 	k := chanKey{m.Src, m.Dst, m.VNet}
 	i, ok := s.chanIdx(k)
 	if ok {
@@ -214,11 +222,30 @@ func (s *System) send(m spec.Msg) {
 	}
 	s.chans = append(s.chans, chanState{})
 	copy(s.chans[i+1:], s.chans[i:])
-	s.chans[i] = chanState{k: k, msgs: []spec.Msg{m}}
+	s.chans[i] = chanState{k: k, msgs: append(s.msgBuf(), m)}
 }
 
-// env returns an Env that enqueues onto this system.
-func (s *System) env() spec.Env { return spec.EnvFunc(s.send) }
+// msgBuf takes an empty message buffer from the retired ones (nil when
+// none is left, so the caller's append allocates).
+func (s *System) msgBuf() []spec.Msg {
+	n := len(s.spare)
+	if n == 0 {
+		return nil
+	}
+	b := s.spare[n-1]
+	s.spare[n-1] = nil
+	s.spare = s.spare[:n-1]
+	return b
+}
+
+// retireChans empties the interconnect, keeping every channel's buffer
+// for reuse.
+func (s *System) retireChans() {
+	for i := range s.chans {
+		s.spare = append(s.spare, s.chans[i].msgs[:0])
+	}
+	s.chans = s.chans[:0]
+}
 
 // Clone deep-copies the system. The route table is shared (immutable), the
 // cores copy through one backing array, and every in-flight message copies
@@ -316,7 +343,7 @@ func (s *System) Warm(addrs []spec.Addr) error {
 			continue
 		}
 		for _, a := range addrs {
-			if !cache.Issue(s.env(), spec.CoreReq{Op: spec.OpLoad, Addr: a}) {
+			if !cache.Issue(s, spec.CoreReq{Op: spec.OpLoad, Addr: a}) {
 				return fmt.Errorf("mcheck: warm load of a%d refused by cache %d", a, cache.ID())
 			}
 			if err := s.Drain(); err != nil {
@@ -475,7 +502,7 @@ func (s *System) Apply(m Move) bool {
 		if idx < 0 {
 			panic(fmt.Sprintf("mcheck: message to unrouted node %d", msg.Dst))
 		}
-		if !s.Components[idx].Deliver(s.env(), msg) {
+		if !s.Components[idx].Deliver(s, msg) {
 			return false
 		}
 		s.touched = idx
@@ -483,24 +510,27 @@ func (s *System) Apply(m Move) bool {
 			s.OnDeliver(msg)
 		}
 		// Delivery may have sent messages, inserting channels and shifting
-		// the slice: re-find our channel before popping its head.
+		// the slice: re-find our channel before popping its head. The pop
+		// shifts the queue down rather than reslicing past the head, so
+		// the buffer keeps its capacity for reuse.
 		ci, _ = s.chanIdx(m.Chan)
-		if len(s.chans[ci].msgs) == 1 {
+		if q := s.chans[ci].msgs; len(q) == 1 {
+			s.spare = append(s.spare, q[:0])
 			s.chans = append(s.chans[:ci], s.chans[ci+1:]...)
 		} else {
-			s.chans[ci].msgs = s.chans[ci].msgs[1:]
+			s.chans[ci].msgs = q[:copy(q, q[1:])]
 		}
 	case MoveIssue:
 		core := s.Cores[m.Core]
 		cache := s.Cache(core.Cache)
-		if cache == nil || !cache.Issue(s.env(), core.Prog[core.PC]) {
+		if cache == nil || !cache.Issue(s, core.Prog[core.PC]) {
 			return false
 		}
 		core.Issued = true
 		s.touched = s.componentOf(core.Cache)
 	case MoveEvict:
 		cache := s.Cache(m.Cache)
-		if cache == nil || !cache.Evict(s.env(), m.Addr) {
+		if cache == nil || !cache.Evict(s, m.Addr) {
 			return false
 		}
 		s.touched = s.componentOf(m.Cache)

@@ -12,10 +12,9 @@ const (
 )
 
 // fnv64a hashes b with FNV-1a, inlined to avoid the hash.Hash64 allocation
-// per state that hash/fnv would cost on the exploration hot path. It is the
-// fingerprint function of the lossy visited-set modes: the stored
-// fingerprint under hash compaction and the first of the double hashes in
-// bitstate mode (see storage.go). Exact mode uses exactHash below.
+// per state that hash/fnv would cost on the exploration hot path. It is
+// the first of bitstate mode's double hashes (see storage.go); the other
+// modes use stateHash below.
 func fnv64a(b []byte) uint64 {
 	h := uint64(fnvOffset)
 	for _, c := range b {
@@ -25,16 +24,20 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// exactHash is the exact set's stripe-and-probe hash: a word-at-a-time
+// stateHash is the 64-bit hash of a state encoding: a word-at-a-time
 // multiply-rotate mix (xxhash-style constants) that runs ~8x faster than
-// byte-at-a-time FNV on the ~250-byte encodings the exact mode stores per
-// state. Exactness never depends on it — Insert compares full encodings —
-// so unlike fnv64a it is free to change; the compacted modes keep fnv64a
-// as their fingerprint function.
-func exactHash(b []byte) uint64 {
+// byte-at-a-time FNV on the few-hundred-byte encodings a search hashes
+// per transition, closed by xxhash64's full-avalanche finalizer so every
+// input bit reaches every output bit. It is deterministic, with no
+// per-process seed, so a search stores the same values run to run. It is
+// the stored fingerprint under hash compaction, where its quality is the
+// omission bound, and the exact set's stripe-and-probe hash, where
+// exactness never depends on it (Insert compares full encodings).
+func stateHash(b []byte) uint64 {
 	const (
 		m1 = 0x9e3779b185ebca87
 		m2 = 0xc2b2ae3d27d4eb4f
+		m3 = 0x165667b19e3779f9
 	)
 	h := uint64(len(b))*m1 + fnvOffset
 	for len(b) >= 8 {
@@ -48,5 +51,7 @@ func exactHash(b []byte) uint64 {
 	h ^= h >> 33
 	h *= m2
 	h ^= h >> 29
+	h *= m3
+	h ^= h >> 32
 	return h
 }

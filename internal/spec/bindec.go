@@ -241,13 +241,8 @@ func (c *CacheInst) DecodeState(d *Dec) error {
 		c.lines = append(c.lines, e)
 	}
 	if d.Bool() {
-		req := CoreReq{Op: CoreOp(d.Int()), Addr: Addr(d.Int()), Value: d.Int()}
-		if c.pending == nil {
-			// Clones never share this pointer (CloneCache copies the value),
-			// so an in-place restore can overwrite rather than reallocate.
-			c.pending = new(CoreReq)
-		}
-		*c.pending = req
+		c.req = CoreReq{Op: CoreOp(d.Int()), Addr: Addr(d.Int()), Value: d.Int()}
+		c.pending = &c.req
 	} else {
 		c.pending = nil
 	}

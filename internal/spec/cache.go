@@ -38,7 +38,8 @@ type CacheInst struct {
 	proto *Protocol
 	lines []cacheEntry // sorted by address
 
-	pending  *CoreReq // current core request, nil when idle
+	pending  *CoreReq // current core request, nil when idle; else &req
+	req      CoreReq  // pending's storage, so an issue allocates nothing
 	syncWait bool     // pending is a sync op waiting for outstanding drain
 	lastLoad int      // value returned by the most recent completed load
 	multi    bool     // a whole-cache effect ran; next compaction scans all lines
@@ -204,8 +205,8 @@ func (c *CacheInst) Issue(env Env, req CoreReq) bool {
 		return false
 	}
 	defer c.compactAfter(req.Addr)
-	r := req
-	c.pending = &r
+	c.req = req
+	c.pending = &c.req
 	if req.Op.IsSync() {
 		c.startSync(env, req.Op)
 		return true
@@ -455,8 +456,8 @@ func (c *CacheInst) CloneCache() *CacheInst {
 		cp.lines = append(make([]cacheEntry, 0, len(c.lines)), c.lines...)
 	}
 	if c.pending != nil {
-		p := *c.pending
-		cp.pending = &p
+		cp.req = *c.pending
+		cp.pending = &cp.req
 	}
 	return cp
 }
