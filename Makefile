@@ -28,12 +28,12 @@ race:
 # splice and Insert, allocation-free for a rejected successor), the cost
 # of a System Clone, the bytes-per-state guard on the compacted visited
 # table, the frontier publish/take cycle, the compiler's memo-hit replay
-# path, and the simulator's discrete-event loop (allocs per memory
-# operation). Runs without the race detector: its instrumentation changes
-# alloc counts, so the alloc guard files are build-tagged out of
-# `make race`.
+# path, a directory's steady-state delivery, and the simulator's
+# discrete-event loop (allocs per memory operation). Runs without the
+# race detector: its instrumentation changes alloc counts, so the alloc
+# guard files are build-tagged out of `make race`.
 allocs:
-	$(GO) test -run 'TestAllocRegression|TestBytesPerStateRegression' ./internal/mcheck ./internal/sim ./internal/core
+	$(GO) test -run 'TestAllocRegression|TestBytesPerStateRegression' ./internal/mcheck ./internal/sim ./internal/core ./internal/spec
 
 # The verification gate: vet, race-checked tests of the concurrent
 # packages, and the allocation guard.

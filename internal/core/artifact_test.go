@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"heterogen/internal/mcheck"
@@ -360,6 +361,33 @@ func TestArtifactMismatchErrors(t *testing.T) {
 		}
 		if _, err := LoadArtifact(doctored(states, cf.recs, cf.spans)); !errors.Is(err, ErrArtifactMismatch) {
 			t.Errorf("truncated memory image: got %v, want ErrArtifactMismatch", err)
+		}
+	})
+	t.Run("out_of_range_dir_address", func(t *testing.T) {
+		// The last state's first directory line moved to an address far
+		// past the decode bound. States ascend by image and the image
+		// opens with the first directory's line count, so the last state
+		// holds lines there, and a larger address keeps it the largest:
+		// the canonical order holds and the directory decode refuses it.
+		last := len(cf.states) - 1
+		img := cf.states[last].img
+		dec := spec.NewDec(img)
+		dec.Int() // directory id
+		if n := dec.Uvarint(); n == 0 || dec.Err() != nil {
+			t.Fatalf("last state's first directory holds %d lines (%v)", n, dec.Err())
+		}
+		at := len(img) - dec.Len()
+		dec.Int() // the first line's address
+		rest := img[len(img)-dec.Len():]
+		bad := append(spec.AppendInt(append([]byte(nil), img[:at]...), 1<<40), rest...)
+		states := append([]*compState(nil), cf.states...)
+		states[last] = &compState{img: bad, mem: cf.states[last].mem}
+		_, err := LoadArtifact(doctored(states, cf.recs, cf.spans))
+		if !errors.Is(err, ErrArtifactMismatch) && !errors.Is(err, ErrArtifactCorrupt) {
+			t.Fatalf("directory line at address 2^40: got %v, want ErrArtifactMismatch or ErrArtifactCorrupt", err)
+		}
+		if !strings.Contains(err.Error(), "address") {
+			t.Errorf("directory line at address 2^40 refused for another reason: %v", err)
 		}
 	})
 	t.Run("unrouted_send", func(t *testing.T) {

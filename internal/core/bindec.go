@@ -189,6 +189,7 @@ func (d *MergedDir) DecodeState(dec *spec.Dec) error {
 	d.busySrc = spec.DecodeNodeSet(dec)
 	d.proxyBusy = spec.DecodeNodeSet(dec)
 	// The decoded bridges record no waits: the first advance drives them.
+	d.nWaits = [len(d.nWaits)]int{}
 	d.lazyWake = len(d.bridges) > 0
 	return dec.Err()
 }

@@ -159,6 +159,10 @@ type MergedDir struct {
 	dirs    []*spec.DirInst
 	proxies [][]*spec.CacheInst
 
+	// ends maps an endpoint id to its role; shared by clones (it is a
+	// function of the layout).
+	ends []endpoint
+
 	owners    []ownerCell // sorted by address
 	bridges   []*bridge   // in-flight bridges, sorted by address
 	busySrc   spec.NodeSet
@@ -166,6 +170,10 @@ type MergedDir struct {
 
 	// lazyWake is advance's global "some bridge may be runnable" latch.
 	lazyWake bool
+	// nWaits counts the waits of each kind the in-flight bridges have
+	// recorded, so a wake of a kind no bridge waits on returns without
+	// scanning the bridges.
+	nWaits [wDir + 1]int
 
 	trace func(string)
 	sink  ChangeSink
@@ -186,11 +194,46 @@ type ChangeSink interface {
 	AllChanged()
 }
 
+// endpoint is the role of one of the merged directory's node ids: cluster
+// c's directory (proxy −1) or slot proxy of cluster c's proxy pool.
+// Ids the directory does not own have cluster −1.
+type endpoint struct {
+	cluster, proxy int32
+}
+
+// endpoints indexes the layout's ids by node id.
+func endpoints(layout Layout) []endpoint {
+	var ends []endpoint
+	set := func(id spec.NodeID, e endpoint) {
+		for int(id) >= len(ends) {
+			ends = append(ends, endpoint{-1, -1})
+		}
+		ends[id] = e
+	}
+	for c, id := range layout.DirIDs {
+		set(id, endpoint{int32(c), -1})
+	}
+	for c, pool := range layout.ProxyIDs {
+		for j, id := range pool {
+			set(id, endpoint{int32(c), int32(j)})
+		}
+	}
+	return ends
+}
+
+// endpointOf returns the role of id (cluster −1 for a foreign id).
+func (d *MergedDir) endpointOf(id spec.NodeID) endpoint {
+	if id >= 0 && int(id) < len(d.ends) {
+		return d.ends[id]
+	}
+	return endpoint{-1, -1}
+}
+
 // NewMergedDir instantiates the merged directory over a fresh shared
 // memory.
 func NewMergedDir(f *Fusion, layout Layout) *MergedDir {
 	mem := spec.NewMemory()
-	d := &MergedDir{fusion: f, layout: layout, mem: mem}
+	d := &MergedDir{fusion: f, layout: layout, mem: mem, ends: endpoints(layout)}
 	for i, p := range f.Protocols {
 		d.dirs = append(d.dirs, spec.NewDirInst(layout.DirIDs[i], p, mem))
 		var pool []*spec.CacheInst
@@ -232,69 +275,78 @@ func (d *MergedDir) Fusion() *Fusion { return d.fusion }
 // DirID returns the directory endpoint for a cluster.
 func (d *MergedDir) DirID(cluster int) spec.NodeID { return d.layout.DirIDs[cluster] }
 
+// findOwner binary-searches the owner table for a, returning the
+// insertion index and whether a has an owner cell.
+func (d *MergedDir) findOwner(a spec.Addr) (int, bool) {
+	lo, hi := 0, len(d.owners)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d.owners[mid].a < a {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(d.owners) && d.owners[lo].a == a
+}
+
 // Owner returns the owning cluster of an address (-1 if none).
 func (d *MergedDir) Owner(a spec.Addr) int {
-	for _, c := range d.owners {
-		if c.a == a {
-			return c.cluster
-		}
-		if c.a > a {
-			break
-		}
+	if i, ok := d.findOwner(a); ok {
+		return d.owners[i].cluster
 	}
 	return -1
 }
 
 // setOwner records cluster as the owner of a (insert sorted).
 func (d *MergedDir) setOwner(a spec.Addr, cluster int) {
-	i := 0
-	for ; i < len(d.owners); i++ {
-		if d.owners[i].a == a {
-			d.owners[i].cluster = cluster
-			return
-		}
-		if d.owners[i].a > a {
-			break
-		}
+	i, ok := d.findOwner(a)
+	if ok {
+		d.owners[i].cluster = cluster
+		return
 	}
 	d.owners = append(d.owners, ownerCell{})
 	copy(d.owners[i+1:], d.owners[i:])
 	d.owners[i] = ownerCell{a: a, cluster: cluster}
 }
 
+// findBridge binary-searches the in-flight bridges for a, returning the
+// insertion index and whether a bridge for a is in flight.
+func (d *MergedDir) findBridge(a spec.Addr) (int, bool) {
+	lo, hi := 0, len(d.bridges)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d.bridges[mid].addr < a {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(d.bridges) && d.bridges[lo].addr == a
+}
+
 // bridgeAt returns the in-flight bridge for a, or nil.
 func (d *MergedDir) bridgeAt(a spec.Addr) *bridge {
-	for _, br := range d.bridges {
-		if br.addr == a {
-			return br
-		}
-		if br.addr > a {
-			break
-		}
+	if i, ok := d.findBridge(a); ok {
+		return d.bridges[i]
 	}
 	return nil
 }
 
-// addBridge inserts br in address order.
+// addBridge inserts br in address order (an address has at most one
+// bridge in flight: intake stalls requests to a bridged address).
 func (d *MergedDir) addBridge(br *bridge) {
-	i := 0
-	for ; i < len(d.bridges); i++ {
-		if d.bridges[i].addr > br.addr {
-			break
-		}
-	}
+	i, _ := d.findBridge(br.addr)
 	d.bridges = append(d.bridges, nil)
 	copy(d.bridges[i+1:], d.bridges[i:])
 	d.bridges[i] = br
 }
 
-// removeBridge drops the bridge for a.
+// removeBridge drops the bridge for a, with the waits it recorded.
 func (d *MergedDir) removeBridge(a spec.Addr) {
-	for i, br := range d.bridges {
-		if br.addr == a {
-			d.bridges = append(d.bridges[:i], d.bridges[i+1:]...)
-			return
-		}
+	if i, ok := d.findBridge(a); ok {
+		d.countWaits(d.bridges[i], -1)
+		d.bridges = append(d.bridges[:i], d.bridges[i+1:]...)
 	}
 }
 
@@ -310,34 +362,24 @@ func (d *MergedDir) OwnedIDs() []spec.NodeID {
 
 // clusterOfDir returns the cluster whose directory id this is, or -1.
 func (d *MergedDir) clusterOfDir(id spec.NodeID) int {
-	for i, did := range d.layout.DirIDs {
-		if did == id {
-			return i
-		}
+	if e := d.endpointOf(id); e.proxy < 0 {
+		return int(e.cluster)
 	}
 	return -1
 }
 
 // proxyAt returns (cluster, poolIdx) for a proxy id, or (-1, -1).
 func (d *MergedDir) proxyAt(id spec.NodeID) (int, int) {
-	for i, pool := range d.layout.ProxyIDs {
-		for j, pid := range pool {
-			if pid == id {
-				return i, j
-			}
-		}
+	if e := d.endpointOf(id); e.proxy >= 0 {
+		return int(e.cluster), int(e.proxy)
 	}
 	return -1, -1
 }
 
 // isProxySrc reports whether the sender is one of cluster i's proxies.
 func (d *MergedDir) isProxySrc(cluster int, src spec.NodeID) bool {
-	for _, pid := range d.layout.ProxyIDs[cluster] {
-		if pid == src {
-			return true
-		}
-	}
-	return false
+	e := d.endpointOf(src)
+	return e.proxy >= 0 && int(e.cluster) == cluster
 }
 
 // Deliver implements spec.Component: route to a proxy, handle handshakes,
@@ -503,6 +545,9 @@ func reqsOfInto(dst []spec.CoreReq, seq []spec.CoreOp, a spec.Addr, value int) [
 
 // wake marks every bridge blocked on the condition as runnable.
 func (d *MergedDir) wake(k waitKind, arg int) {
+	if d.nWaits[k] == 0 {
+		return
+	}
 	for _, br := range d.bridges {
 		if br.woken {
 			continue
@@ -521,6 +566,7 @@ func (d *MergedDir) wake(k waitKind, arg int) {
 // phase and task state. Called after a drive that left the bridge in
 // place; precise because advanceBridge only stops at genuine blocks.
 func (d *MergedDir) recordWaits(br *bridge) {
+	d.countWaits(br, -1)
 	br.waits = br.waits[:0]
 	switch br.phase {
 	case phaseHS:
@@ -533,6 +579,14 @@ func (d *MergedDir) recordWaits(br *bridge) {
 		}
 	case phaseDeliver:
 		br.waits = append(br.waits, waitCond{wDir, br.origin})
+	}
+	d.countWaits(br, 1)
+}
+
+// countWaits adds delta per recorded wait of br to nWaits.
+func (d *MergedDir) countWaits(br *bridge, delta int) {
+	for _, w := range br.waits {
+		d.nWaits[w.kind] += delta
 	}
 }
 
@@ -840,7 +894,7 @@ func (d *MergedDir) Clone() spec.Component { return d.CloneWithMemory(d.mem.Clon
 
 // CloneWithMemory implements mcheck.MemoryCloner.
 func (d *MergedDir) CloneWithMemory(mem *spec.Memory) spec.Component {
-	cp := &MergedDir{fusion: d.fusion, layout: d.layout, mem: mem,
+	cp := &MergedDir{fusion: d.fusion, layout: d.layout, mem: mem, ends: d.ends,
 		busySrc: d.busySrc, proxyBusy: d.proxyBusy, lazyWake: len(d.bridges) > 0}
 	cp.dirs = make([]*spec.DirInst, len(d.dirs))
 	for i, dir := range d.dirs {

@@ -45,15 +45,14 @@ func (c *Core) step(s *Sim) {
 	if op.Req.Op == spec.OpLoad || op.Req.Op == spec.OpStore {
 		c.ensureCapacity(s, op.Req.Addr)
 	}
-	if !c.cache.CanIssue(op.Req) {
+	if !c.cache.Issue(s, op.Req) {
 		// Transient conflict (e.g. a write-through still draining on this
 		// line); retry shortly.
-		s.schedule(s.now+1, event{kind: evCore, core: c.idx})
+		s.schedule(s.now+1, coreEvent(c.idx))
 		return
 	}
 	c.touch(op.Req.Addr, op.Req.Op)
 	c.issuedAt = s.now
-	c.cache.Issue(s, op.Req)
 	switch op.Req.Op {
 	case spec.OpLoad:
 		s.Stats.Loads++
@@ -109,7 +108,7 @@ func (c *Core) complete(s *Sim) {
 		}
 		next -= overlap
 	}
-	s.schedule(next, event{kind: evCore, core: c.idx})
+	s.schedule(next, coreEvent(c.idx))
 }
 
 // touch updates LRU state.

@@ -26,71 +26,71 @@ func (t tile) hops(o tile) int {
 	return dx + dy
 }
 
-// event is one scheduled occurrence.
+// event is one scheduled occurrence, as the heap holds it: a pointer-free
+// key, so a sift moves 24 bytes and pays no write barrier. ref ≥ 0 is a
+// message arrival, indexing Sim.msgs; ref < 0 is a step of core ^ref.
 type event struct {
-	at   uint64
-	seq  uint64 // tie-break for determinism
-	kind eventKind
-	msg  spec.Msg
-	core int
+	at  uint64
+	seq uint64 // tie-break for determinism
+	ref int32
 }
 
-// eventKind discriminates event payloads.
-type eventKind int
-
-const (
-	evArrive eventKind = iota
-	evCore
-)
+// coreEvent is the ref of a step of core i.
+func coreEvent(i int) int32 { return ^int32(i) }
 
 // eventQueue is a binary min-heap of events ordered by (at, seq). It is
 // hand-rolled rather than container/heap so pushes and pops stay free of
 // interface boxing — the event loop runs millions of them per simulation.
+// Every (at, seq) is distinct, so the pop order is fixed by the keys
+// alone.
 type eventQueue []event
 
-func (h eventQueue) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before orders events by (at, seq).
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
+// push and pop sift a hole rather than swapping, so each level moves one
+// key.
 func (h *eventQueue) push(e event) {
-	*h = append(*h, e)
-	q := *h
+	q := append(*h, e)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !e.before(&q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = e
+	*h = q
 }
 
 func (h *eventQueue) pop() event {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q = q[:n]
 	*h = q
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && q.less(l, small) {
-			small = l
-		}
-		if r < n && q.less(r, small) {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		q[i], q[small] = q[small], q[i]
-		i = small
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
 	}
 	return top
 }
@@ -147,6 +147,10 @@ type Sim struct {
 	now    uint64
 	seq    uint64
 	events eventQueue
+	// msgs holds the in-flight messages the arrival events index; a slot
+	// returns to freeMsgs when its message arrives.
+	msgs     []spec.Msg
+	freeMsgs []int32
 
 	chans     []channel // dense channel registry, appended on first use
 	chanKeys  []chanKey // parallel to chans
@@ -168,8 +172,9 @@ type Sim struct {
 	ctrlFlits uint64
 	dataFlits uint64
 
-	// Stats accumulates as the run progresses.
+	// Stats accumulates as the run progresses; ByType once it ends.
 	Stats Stats
+	types typeCounts
 }
 
 // Stats aggregates run statistics. Cycles is the simulated wall-clock;
@@ -198,12 +203,50 @@ type Stats struct {
 	ByType map[spec.MsgType]uint64
 }
 
-// countType increments the per-type message counter.
-func (st *Stats) countType(t spec.MsgType) {
+// typeCounts is Stats.ByType while a run goes: a fixed open-addressed
+// table keyed by message type, so Send counts a message without a
+// string-keyed map update. A fusion has a few dozen types; should a run
+// outgrow the table, the rest count in ByType directly. Run folds the
+// table into ByType when it ends.
+type typeCounts [128]struct {
+	t spec.MsgType
+	n uint64 // 0: free slot
+}
+
+// add counts one message of type t in st.
+func (tc *typeCounts) add(st *Stats, t spec.MsgType) {
+	h := uint(len(t)) * 131
+	if len(t) > 0 {
+		h += uint(t[0])*31 + uint(t[len(t)-1])
+	}
+	for i := range tc {
+		c := &tc[(h+uint(i))%uint(len(tc))]
+		if c.n == 0 {
+			c.t, c.n = t, 1
+			return
+		}
+		if c.t == t {
+			c.n++
+			return
+		}
+	}
 	if st.ByType == nil {
 		st.ByType = map[spec.MsgType]uint64{}
 	}
 	st.ByType[t]++
+}
+
+// foldInto moves the table's counts into st.ByType, emptying the table.
+func (tc *typeCounts) foldInto(st *Stats) {
+	for i := range tc {
+		if c := &tc[i]; c.n > 0 {
+			if st.ByType == nil {
+				st.ByType = map[spec.MsgType]uint64{}
+			}
+			st.ByType[c.t] += c.n
+		}
+	}
+	*tc = typeCounts{}
 }
 
 // New builds a simulator: big cores (cluster 0, protocol[0]) on the first
@@ -385,11 +428,11 @@ func (s *Sim) Send(m spec.Msg) {
 		}
 		s.bankFree[col] = arrive + uint64(s.Cfg.L2Latency)
 	}
-	s.schedule(arrive, event{kind: evArrive, msg: m})
+	s.schedule(arrive, s.holdMsg(m))
 
 	s.Stats.Messages++
 	s.Stats.Flits += flits
-	s.Stats.countType(m.Type)
+	s.types.add(&s.Stats, m.Type)
 	if m.HasData {
 		s.Stats.DataMsgs++
 	}
@@ -398,12 +441,22 @@ func (s *Sim) Send(m spec.Msg) {
 	}
 }
 
-// schedule enqueues an event at the given cycle.
-func (s *Sim) schedule(at uint64, e event) {
-	e.at = at
-	e.seq = s.seq
+// holdMsg stores an in-flight message in the slab and returns its ref.
+func (s *Sim) holdMsg(m spec.Msg) int32 {
+	if n := len(s.freeMsgs); n > 0 {
+		ref := s.freeMsgs[n-1]
+		s.freeMsgs = s.freeMsgs[:n-1]
+		s.msgs[ref] = m
+		return ref
+	}
+	s.msgs = append(s.msgs, m)
+	return int32(len(s.msgs) - 1)
+}
+
+// schedule enqueues the event ref at the given cycle.
+func (s *Sim) schedule(at uint64, ref int32) {
+	s.events.push(event{at: at, seq: s.seq, ref: ref})
 	s.seq++
-	s.events.push(e)
 }
 
 // Run executes to completion and returns the statistics.
@@ -413,7 +466,7 @@ func (s *Sim) Run() (*Stats, error) {
 		if len(c.trace) > 0 {
 			start = uint64(c.trace[0].Gap)
 		}
-		s.schedule(start, event{kind: evCore, core: i})
+		s.schedule(start, coreEvent(i))
 	}
 	for len(s.events) > 0 {
 		e := s.events.pop()
@@ -421,23 +474,26 @@ func (s *Sim) Run() (*Stats, error) {
 			return nil, fmt.Errorf("sim: exceeded %d cycles (livelock?)", s.Cfg.MaxCycles)
 		}
 		s.now = e.at
-		switch e.kind {
-		case evArrive:
-			ch := s.chanFor(e.msg.Src, e.msg.Dst, e.msg.VNet)
-			ch.q = append(ch.q, e.msg)
-			if s.nodeKind[e.msg.Dst] == nkCache {
-				s.drainCache(e.msg.Dst)
-				break
-			}
-			if len(ch.q)-ch.head == 1 {
-				// A fresh head; a later message waits behind the head
-				// already ready or parked.
-				s.md.ready.set(chanKey{e.msg.Src, e.msg.Dst, e.msg.VNet}.index(s.nNodes) - s.rankBase)
-			}
-			s.drainMerged()
-		case evCore:
-			s.cores[e.core].step(s)
+		if e.ref < 0 {
+			s.cores[^e.ref].step(s)
+			continue
 		}
+		// The slot is free once its message is queued: drains may reuse it.
+		m := &s.msgs[e.ref]
+		k := chanKey{m.Src, m.Dst, m.VNet}
+		ch := s.chanFor(k.src, k.dst, k.vnet)
+		ch.q = append(ch.q, *m)
+		s.freeMsgs = append(s.freeMsgs, e.ref)
+		if s.nodeKind[k.dst] == nkCache {
+			s.drainCache(k.dst)
+			continue
+		}
+		if len(ch.q)-ch.head == 1 {
+			// A fresh head; a later message waits behind the head
+			// already ready or parked.
+			s.md.ready.set(k.index(s.nNodes) - s.rankBase)
+		}
+		s.drainMerged()
 	}
 	for i, c := range s.cores {
 		if !c.finished {
@@ -447,6 +503,7 @@ func (s *Sim) Run() (*Stats, error) {
 			s.Stats.Cycles = c.finishAt
 		}
 	}
+	s.types.foldInto(&s.Stats)
 	// A copy: a caller keeping the result must not keep the whole machine.
 	st := s.Stats
 	st.ByType = maps.Clone(s.Stats.ByType)

@@ -251,22 +251,50 @@ func (c *CacheInst) DecodeState(d *Dec) error {
 	return d.Err()
 }
 
+// maxDecodeAddr bounds the line addresses a directory image may carry.
+// DecodeState sizes the address-indexed line table from the image, so an
+// address is checked before the table grows to it. The largest address a
+// workload generates is 4096 + cores×PrivateBlocks − 1: 61,439 for the
+// Figure 10 points and 200,703 for the bigset-mix family on the 1024-core
+// TableIIIMesh(32); model-checker and artifact states use addresses below
+// ten.
+const maxDecodeAddr = 1 << 18
+
 // DecodeState implements StateCodec: the inverse of AppendBinary (the
-// shared memory is decoded separately by the host).
+// shared memory is decoded separately by the host). Line addresses must
+// ascend strictly and lie in [0, maxDecodeAddr); an image breaking that
+// is not AppendBinary's and fails to decode.
 func (dir *DirInst) DecodeState(d *Dec) error {
 	if id := NodeID(d.Int()); d.err == nil && id != dir.id {
 		d.fail("directory id %d decoded into directory %d", id, dir.id)
 	}
 	m := dir.proto.Dir
 	n := d.Uvarint()
-	dir.lines = dir.lines[:0]
+	for _, pg := range dir.pages {
+		clear(pg)
+	}
+	dir.n = 0
+	prev := Addr(-1)
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		var e dirEntry
-		e.a = Addr(d.Int())
-		e.l.State = decodeState(d, m, "directory line")
-		e.l.Owner = NodeID(d.Int())
-		e.l.Sharers = DecodeNodeSet(d)
-		dir.lines = append(dir.lines, e)
+		a := Addr(d.Int())
+		switch {
+		case d.err != nil:
+			return d.err
+		case a < 0 || a >= maxDecodeAddr:
+			d.fail("directory line address %d outside [0, %d)", a, maxDecodeAddr)
+			return d.err
+		case a <= prev:
+			d.fail("directory line address %d after %d: addresses must ascend", a, prev)
+			return d.err
+		}
+		prev = a
+		l := dir.slot(a)
+		l.State = decodeState(d, m, "directory line")
+		l.Owner = NodeID(d.Int())
+		l.Sharers = DecodeNodeSet(d)
+		if l.State != "" {
+			dir.n++
+		}
 	}
 	return d.Err()
 }

@@ -147,15 +147,20 @@ func (d *DirInst) AppendBinary(buf []byte) []byte {
 func (d *DirInst) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
 	buf = AppendInt(buf, int(r.Of(d.id)))
 	m := d.proto.Dir
-	buf = AppendUvarint(buf, uint64(len(d.lines)))
-	for i := range d.lines {
-		l := &d.lines[i].l
-		buf = AppendInt(buf, int(d.lines[i].a))
-		buf = AppendInt(buf, m.StateIndex(l.State))
-		buf = AppendInt(buf, int(r.Of(l.Owner)))
-		sh := l.Sharers.Relabeled(r)
-		buf = AppendUvarint(buf, uint64(sh.Len()))
-		sh.Each(func(s NodeID) { buf = AppendInt(buf, int(s)) })
+	buf = AppendUvarint(buf, uint64(d.n))
+	for p, pg := range d.pages {
+		for o := range pg {
+			l := &pg[o]
+			if l.State == "" {
+				continue
+			}
+			buf = AppendInt(buf, p<<dirPageBits|o)
+			buf = AppendInt(buf, m.StateIndex(l.State))
+			buf = AppendInt(buf, int(r.Of(l.Owner)))
+			sh := l.Sharers.Relabeled(r)
+			buf = AppendUvarint(buf, uint64(sh.Len()))
+			sh.Each(func(s NodeID) { buf = AppendInt(buf, int(s)) })
+		}
 	}
 	return buf
 }

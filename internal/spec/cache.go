@@ -21,7 +21,11 @@ type Line struct {
 // cacheEntry is one materialized line, kept in a slice sorted by address:
 // the two or three lines a model-checked cache holds clone as one memcpy
 // and snapshot without sorting, where the old map paid an allocation per
-// line per clone on the state-space search's hot path.
+// line per clone on the state-space search's hot path. Unlike a
+// directory's address-indexed table (DirInst), a cache holds at most its
+// L1 capacity, so its storage stays proportional to that, not to the
+// address range: one table per simulated core would cost more than the
+// binary search it saves.
 type cacheEntry struct {
 	a Addr
 	l Line
@@ -73,7 +77,8 @@ func (c *CacheInst) DirID() NodeID { return c.dir }
 // findLine binary-searches the sorted line slice for addr, returning the
 // insertion index and whether the line is present. The checker holds two
 // or three lines per cache, but the performance simulator holds hundreds,
-// so lookup must not be linear.
+// so lookup must not be linear. Each public entry point searches once and
+// works on the index from then on.
 func (c *CacheInst) findLine(a Addr) (int, bool) {
 	lo, hi := 0, len(c.lines)
 	for lo < hi {
@@ -96,18 +101,26 @@ func (c *CacheInst) lineAt(a Addr) *Line {
 	return nil
 }
 
-// line returns the line for addr, materializing an initial-state line.
-// Materialization may shift the slice: pointers from earlier line/lineAt
-// calls are invalid afterwards. Public entry points materialize at most
-// once, up front.
-func (c *CacheInst) line(a Addr) *Line {
-	i, ok := c.findLine(a)
+// stateAt returns the state of the line findLine reported at (i, ok): the
+// initial state when the line is absent.
+func (c *CacheInst) stateAt(i int, ok bool) State {
 	if ok {
-		return &c.lines[i].l
+		return c.lines[i].l.State
 	}
-	c.lines = append(c.lines, cacheEntry{})
-	copy(c.lines[i+1:], c.lines[i:])
-	c.lines[i] = cacheEntry{a: a, l: Line{State: c.proto.Cache.Init}}
+	return c.proto.Cache.Init
+}
+
+// lineFor returns the line findLine reported at (i, ok) for addr,
+// inserting an initial-state line at i if it is absent. Insertion shifts
+// the slice: pointers from earlier lineAt calls are invalid afterwards.
+// Public entry points materialize at most once, and only once the line is
+// sure to take a transition.
+func (c *CacheInst) lineFor(i int, ok bool, a Addr) *Line {
+	if !ok {
+		c.lines = append(c.lines, cacheEntry{})
+		copy(c.lines[i+1:], c.lines[i:])
+		c.lines[i] = cacheEntry{a: a, l: Line{State: c.proto.Cache.Init}}
+	}
 	return &c.lines[i].l
 }
 
@@ -131,18 +144,19 @@ func (c *CacheInst) compact() {
 }
 
 // compactAfter is the end-of-entry-point compaction. An entry point that
-// only touched the line at a checks just that line; whole-cache effects
-// (sync behaviors, fill-triggered self-invalidation) set c.multi so the
-// full scan runs instead. This keeps compaction O(log n) for the
-// performance simulator's large caches without changing what compact
-// produces.
-func (c *CacheInst) compactAfter(a Addr) {
+// only touched line i checks just that line; whole-cache effects (sync
+// behaviors, fill-triggered self-invalidation) set c.multi so the full
+// scan runs instead. This keeps compaction O(1) for the performance
+// simulator's large caches without changing what compact produces. A
+// transition never inserts or removes a line, so the index the entry
+// point found is still the line's.
+func (c *CacheInst) compactAfter(i int) {
 	if c.multi {
 		c.multi = false
 		c.compact()
 		return
 	}
-	if i, ok := c.findLine(a); ok && c.pristine(&c.lines[i].l) {
+	if c.pristine(&c.lines[i].l) {
 		c.lines = append(c.lines[:i], c.lines[i+1:]...)
 	}
 }
@@ -201,30 +215,36 @@ func (c *CacheInst) CanIssue(req CoreReq) bool {
 // effects) if the cache cannot accept it yet. The request is complete once
 // Idle() again.
 func (c *CacheInst) Issue(env Env, req CoreReq) bool {
-	if !c.CanIssue(req) {
+	if c.pending != nil {
 		return false
 	}
-	defer c.compactAfter(req.Addr)
+	if req.Op.IsSync() {
+		c.req = req
+		c.pending = &c.req
+		c.startSync(env, req.Op)
+		if c.multi {
+			c.multi = false
+			c.compact()
+		}
+		return true
+	}
+	i, ok := c.findLine(req.Addr)
+	t := c.proto.Cache.OnCoreOp(c.stateAt(i, ok), req.Op)
+	if t == nil {
+		// A replacement without an eviction transition is a no-op that
+		// completes at once (see CanIssue); anything else cannot issue.
+		return req.Op == OpEvict
+	}
 	c.req = req
 	c.pending = &c.req
-	if req.Op.IsSync() {
-		c.startSync(env, req.Op)
-		return true
-	}
-	line := c.line(req.Addr)
-	t := c.proto.Cache.OnCoreOp(line.State, req.Op)
-	if t == nil && req.Op == OpEvict {
-		// No-op replacement (see CanIssue).
-		c.pending = nil
-		return true
-	}
-	c.apply(env, req.Addr, line, t, nil)
+	c.apply(env, req.Addr, c.lineFor(i, ok, req.Addr), t, nil)
 	if req.Op == OpEvict && c.pending != nil && c.pending.Op == OpEvict {
 		// Replacements complete immediately from the core's perspective;
 		// the write-back transaction drains asynchronously (wait on it
 		// with a fence/release if needed).
 		c.pending = nil
 	}
+	c.compactAfter(i)
 	return true
 }
 
@@ -300,13 +320,13 @@ func (c *CacheInst) addrs() []Addr {
 // eviction transition. Used by the model checker's optional eviction
 // exploration and by sync write-backs.
 func (c *CacheInst) Evict(env Env, a Addr) bool {
-	defer c.compactAfter(a)
-	line := c.line(a)
-	t := c.proto.Cache.OnCoreOp(line.State, OpEvict)
+	i, ok := c.findLine(a)
+	t := c.proto.Cache.OnCoreOp(c.stateAt(i, ok), OpEvict)
 	if t == nil {
 		return false
 	}
-	c.apply(env, a, line, t, nil)
+	c.apply(env, a, c.lineFor(i, ok, a), t, nil)
+	c.compactAfter(i)
 	return true
 }
 
@@ -315,21 +335,24 @@ func (c *CacheInst) CanEvict(a Addr) bool {
 	return c.proto.Cache.OnCoreOp(c.LineState(a), OpEvict) != nil
 }
 
-// Deliver implements Component.
+// Deliver implements Component. A stalled message leaves the cache
+// untouched.
 func (c *CacheInst) Deliver(env Env, m Msg) bool {
-	defer c.compactAfter(m.Addr)
-	line := c.line(m.Addr)
+	i, ok := c.findLine(m.Addr)
 	// Automatic invalidation-ack bookkeeping.
 	if c.proto.AckType != "" && m.Type == c.proto.AckType {
+		line := c.lineFor(i, ok, m.Addr)
 		line.AckBalance--
 		c.fireLastAck(env, m.Addr, line)
+		c.compactAfter(i)
 		return true
 	}
-	t := c.proto.Cache.OnMessage(line.State, &m, MsgCtx{})
+	t := c.proto.Cache.OnMessage(c.stateAt(i, ok), &m, MsgCtx{})
 	if t == nil {
 		return false
 	}
-	c.apply(env, m.Addr, line, t, &m)
+	c.apply(env, m.Addr, c.lineFor(i, ok, m.Addr), t, &m)
+	c.compactAfter(i)
 	return true
 }
 

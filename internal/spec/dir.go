@@ -12,29 +12,37 @@ type DirLine struct {
 	Owner   NodeID
 }
 
-// dirEntry is one materialized line, kept in a slice sorted by address
-// (same layout rationale as cacheEntry: clone is a memcpy, snapshot and
-// binary encoding iterate in order without sorting).
-type dirEntry struct {
-	a Addr
-	l DirLine
-}
-
 // DirInst executes a directory controller specification for one cluster.
 // The backing Memory may be shared with other directories (the merged
 // directory shares one LLC/memory across all clusters).
+//
+// Lines live in a table indexed by address, in pages of dirPageSize
+// lines: pages[a>>dirPageBits][a&dirPageMask] is address a's line, and an
+// entry whose State is "" is absent (never materialized, or compacted
+// back to pristine). Lookup, materialization and compaction are O(1)
+// whatever the address footprint — the performance simulator's
+// directories hold thousands of lines, the model checker's a handful at
+// addresses 0 and 1 — and the encoders walk the table in address order,
+// skipping absent entries, so no sort is needed. A page is allocated on
+// first use and grows only to its highest line in use, so the table costs
+// memory in proportion to the address ranges in use, not to the largest
+// address: the simulated workloads leave a gap of thousands of addresses
+// between their shared and private regions.
 type DirInst struct {
 	id    NodeID
 	proto *Protocol
 	mem   *Memory
-	lines []dirEntry // sorted by address
+	pages [][]DirLine // the line table; State "" marks an absent line
+	n     int         // present lines
 	trace func(string)
-
-	// onTransition, when set, observes every applied transition. The
-	// fusion engine hooks this to intercept globally-visible writes and to
-	// enumerate the merged FSM.
-	onTransition func(a Addr, t *Transition, m *Msg)
 }
+
+// The line table's page size.
+const (
+	dirPageBits = 8
+	dirPageSize = 1 << dirPageBits
+	dirPageMask = dirPageSize - 1
+)
 
 // NewDirInst builds a directory for the protocol over the given memory.
 func NewDirInst(id NodeID, proto *Protocol, mem *Memory) *DirInst {
@@ -43,9 +51,6 @@ func NewDirInst(id NodeID, proto *Protocol, mem *Memory) *DirInst {
 
 // SetTrace installs a trace sink.
 func (d *DirInst) SetTrace(fn func(string)) { d.trace = fn }
-
-// SetTransitionHook installs a transition observer.
-func (d *DirInst) SetTransitionHook(fn func(a Addr, t *Transition, m *Msg)) { d.onTransition = fn }
 
 // OwnedIDs implements Component.
 func (d *DirInst) OwnedIDs() []NodeID { return []NodeID{d.id} }
@@ -64,27 +69,38 @@ func (d *DirInst) initLine() DirLine {
 	return DirLine{State: d.proto.Dir.Init, Owner: NoNode}
 }
 
-// findLine binary-searches the sorted line slice for addr, returning the
-// insertion index and whether the line is present. The checker holds a
-// handful of lines; the performance simulator holds thousands, so lookup
-// must not be linear.
-func (d *DirInst) findLine(a Addr) (int, bool) {
-	lo, hi := 0, len(d.lines)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if d.lines[mid].a < a {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// slot returns address a's table entry, growing the table to cover it.
+// The entry may be absent. The pointer is valid until a's page next
+// grows.
+func (d *DirInst) slot(a Addr) *DirLine {
+	if a < 0 {
+		panic(fmt.Sprintf("spec: directory line at negative address %d", a))
 	}
-	return lo, lo < len(d.lines) && d.lines[lo].a == a
+	p, o := int(a)>>dirPageBits, int(a)&dirPageMask
+	if p >= len(d.pages) {
+		d.pages = append(d.pages, make([][]DirLine, p+1-len(d.pages))...)
+	}
+	pg := d.pages[p]
+	if n := o + 1; n > len(pg) {
+		if n <= cap(pg) {
+			old := len(pg)
+			pg = pg[:n]
+			clear(pg[old:])
+		} else {
+			grown := make([]DirLine, n, min(max(n, 2*cap(pg)), dirPageSize))
+			copy(grown, pg)
+			pg = grown
+		}
+		d.pages[p] = pg
+	}
+	return &pg[o]
 }
 
 // lineAt returns the materialized line for addr, or nil.
 func (d *DirInst) lineAt(a Addr) *DirLine {
-	if i, ok := d.findLine(a); ok {
-		return &d.lines[i].l
+	p, o := int(a)>>dirPageBits, int(a)&dirPageMask
+	if a >= 0 && p < len(d.pages) && o < len(d.pages[p]) && d.pages[p][o].State != "" {
+		return &d.pages[p][o]
 	}
 	return nil
 }
@@ -98,16 +114,14 @@ func (d *DirInst) lineRead(a Addr) DirLine {
 }
 
 // Line returns the directory line for addr (materialized on demand). The
-// pointer is valid until the next materialization or compaction.
+// pointer is valid until the line's page next grows.
 func (d *DirInst) Line(a Addr) *DirLine {
-	i, ok := d.findLine(a)
-	if ok {
-		return &d.lines[i].l
+	l := d.slot(a)
+	if l.State == "" {
+		*l = d.initLine()
+		d.n++
 	}
-	d.lines = append(d.lines, dirEntry{})
-	copy(d.lines[i+1:], d.lines[i:])
-	d.lines[i] = dirEntry{a: a, l: d.initLine()}
-	return &d.lines[i].l
+	return l
 }
 
 // LineState returns the directory state for addr (pure).
@@ -120,34 +134,23 @@ func (d *DirInst) LineState(a Addr) State {
 
 // Stable reports whether every directory line is in a stable state.
 func (d *DirInst) Stable() bool {
-	for i := range d.lines {
-		if !d.proto.Dir.IsStable(d.lines[i].l.State) {
-			return false
+	for _, pg := range d.pages {
+		for i := range pg {
+			if s := pg[i].State; s != "" && !d.proto.Dir.IsStable(s) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// compact drops lines that are back to the pristine initial state so
-// snapshots stay canonical.
-func (d *DirInst) compact() {
-	init := d.initLine()
-	kept := d.lines[:0]
-	for i := range d.lines {
-		if d.lines[i].l != init {
-			kept = append(kept, d.lines[i])
-		}
-	}
-	d.lines = kept
-}
-
-// compactAt drops the line at a if it is back to the pristine initial
-// state. Apply only mutates the line it was handed, so checking that one
-// line is equivalent to the full compact scan (and O(log n) rather than
-// O(n) for the simulator's thousands of lines).
-func (d *DirInst) compactAt(a Addr) {
-	if i, ok := d.findLine(a); ok && d.lines[i].l == d.initLine() {
-		d.lines = append(d.lines[:i], d.lines[i+1:]...)
+// compactLine drops the materialized line l if it is back to the pristine
+// initial state, so snapshots stay canonical. apply only mutates the line
+// it was handed, so checking that one line keeps the whole table compact.
+func (d *DirInst) compactLine(l *DirLine) {
+	if *l == d.initLine() {
+		*l = DirLine{}
+		d.n--
 	}
 }
 
@@ -155,6 +158,11 @@ func (d *DirInst) compactAt(a Addr) {
 // in its current state, or nil if it would stall. No state is modified.
 func (d *DirInst) Lookup(m *Msg) *Transition {
 	line := d.lineRead(m.Addr)
+	return d.lookup(&line, m)
+}
+
+// lookup matches the message against the directory table in line's state.
+func (d *DirInst) lookup(line *DirLine, m *Msg) *Transition {
 	ctx := MsgCtx{
 		IsOwner:      m.Src == line.Owner,
 		IsLastSharer: line.Sharers.Len() == 1 && line.Sharers.Has(m.Src),
@@ -162,19 +170,28 @@ func (d *DirInst) Lookup(m *Msg) *Transition {
 	return d.proto.Dir.OnMessage(line.State, m, ctx)
 }
 
-// Deliver implements Component.
+// Deliver implements Component. The line is read once: a stalled message
+// leaves it untouched, and a delivered one materializes it in place.
 func (d *DirInst) Deliver(env Env, m Msg) bool {
-	t := d.Lookup(&m)
+	l := d.slot(m.Addr)
+	line := *l
+	if line.State == "" {
+		line = d.initLine()
+	}
+	t := d.lookup(&line, &m)
 	if t == nil {
 		return false
 	}
-	d.Apply(env, m.Addr, d.Line(m.Addr), t, &m)
+	if l.State == "" {
+		*l = line
+		d.n++
+	}
+	d.apply(env, m.Addr, l, t, &m)
 	return true
 }
 
-// Apply executes a directory transition (exported for the merged directory,
-// which drives sub-directories directly when bridging).
-func (d *DirInst) Apply(env Env, a Addr, line *DirLine, t *Transition, m *Msg) {
+// apply executes a directory transition on the materialized line for a.
+func (d *DirInst) apply(env Env, a Addr, line *DirLine, t *Transition, m *Msg) {
 	if d.trace != nil {
 		d.trace(fmt.Sprintf("dir%d a%d %s --%s--> %s", d.id, a, t.From, t.On, t.Next))
 	}
@@ -207,10 +224,7 @@ func (d *DirInst) Apply(env Env, a Addr, line *DirLine, t *Transition, m *Msg) {
 		}
 	}
 	line.State = t.Next
-	if d.onTransition != nil {
-		d.onTransition(a, t, m)
-	}
-	d.compactAt(a)
+	d.compactLine(line)
 }
 
 // ackCount returns the number of sharers excluding the requestor.
@@ -279,9 +293,14 @@ func (d *DirInst) CloneWithMemory(mem *Memory) Component { return d.CloneDir(mem
 // share memory across directories clone the memory once and pass it to
 // each).
 func (d *DirInst) CloneDir(mem *Memory) *DirInst {
-	cp := &DirInst{id: d.id, proto: d.proto, mem: mem, onTransition: d.onTransition}
-	if len(d.lines) > 0 {
-		cp.lines = append(make([]dirEntry, 0, len(d.lines)), d.lines...)
+	cp := &DirInst{id: d.id, proto: d.proto, mem: mem, n: d.n}
+	if d.n > 0 {
+		cp.pages = make([][]DirLine, len(d.pages))
+		for p, pg := range d.pages {
+			if len(pg) > 0 {
+				cp.pages[p] = append(make([]DirLine, 0, len(pg)), pg...)
+			}
+		}
 	}
 	return cp
 }
@@ -290,11 +309,16 @@ func (d *DirInst) CloneDir(mem *Memory) *DirInst {
 // host, since it may be shared).
 func (d *DirInst) Snapshot(b *SnapshotWriter) {
 	fmt.Fprintf(b, "dir%d{", d.id)
-	for i := range d.lines {
-		l := &d.lines[i].l
-		sh := make([]int, 0, l.Sharers.Len())
-		l.Sharers.Each(func(s NodeID) { sh = append(sh, int(s)) })
-		fmt.Fprintf(b, "a%d:%s,o%d,s%v;", d.lines[i].a, l.State, l.Owner, sh)
+	for p, pg := range d.pages {
+		for o := range pg {
+			l := &pg[o]
+			if l.State == "" {
+				continue
+			}
+			sh := make([]int, 0, l.Sharers.Len())
+			l.Sharers.Each(func(s NodeID) { sh = append(sh, int(s)) })
+			fmt.Fprintf(b, "a%d:%s,o%d,s%v;", p<<dirPageBits|o, l.State, l.Owner, sh)
+		}
 	}
 	b.WriteString("}")
 }

@@ -102,13 +102,18 @@ func (c *CacheInst) PORLocal() bool { return c.proto.PORLocal() }
 func (d *DirInst) RefNodes() NodeSet {
 	var ns NodeSet
 	inv := d.proto.Dir.InvalidatesSharers()
-	for i := range d.lines {
-		l := &d.lines[i].l
-		if inv {
-			ns = ns.Or(l.Sharers)
-		}
-		if l.Owner != NoNode {
-			ns.Add(l.Owner)
+	for _, pg := range d.pages {
+		for i := range pg {
+			l := &pg[i]
+			if l.State == "" {
+				continue
+			}
+			if inv {
+				ns = ns.Or(l.Sharers)
+			}
+			if l.Owner != NoNode {
+				ns.Add(l.Owner)
+			}
 		}
 	}
 	return ns
