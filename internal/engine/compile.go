@@ -33,8 +33,7 @@ type CompileRequest struct {
 	// Search supplies Workers and MaxStates (the extraction's state
 	// budget). Extraction always runs with POR off, so NoPOR is accepted
 	// and changes nothing; it fixes exact storage and no symmetry, so a
-	// request setting hash, bitstate, symmetry, mem_budget or spill_dir
-	// fails.
+	// request setting hash, symmetry, mem_budget or spill_dir fails.
 	Search SearchOptions `json:"search,omitempty"`
 }
 
@@ -76,7 +75,7 @@ func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResu
 		name string
 		set  bool
 	}{
-		{"hash", s.Hash}, {"bitstate", s.Bitstate}, {"symmetry", s.Symmetry},
+		{"hash", s.Hash}, {"symmetry", s.Symmetry},
 		{"mem_budget", s.MemBudget != 0}, {"spill_dir", s.SpillDir != ""},
 	} {
 		if knob.set {

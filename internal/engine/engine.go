@@ -30,8 +30,6 @@ type SearchOptions struct {
 	Workers int `json:"workers,omitempty"`
 	// Hash selects 64-bit fingerprint state storage (hash compaction).
 	Hash bool `json:"hash,omitempty"`
-	// Bitstate selects Bloom-filter supertrace storage; overrides Hash.
-	Bitstate bool `json:"bitstate,omitempty"`
 	// Symmetry canonicalizes states under cache-permutation symmetry.
 	Symmetry bool `json:"symmetry,omitempty"`
 	// NoPOR disables the ample-set partial order reduction. The field is
@@ -111,7 +109,6 @@ func (s SearchOptions) mcheckOptions(h Hooks, evictions bool) mcheck.Options {
 		Evictions:      evictions,
 		MaxStates:      s.MaxStates,
 		HashCompaction: s.Hash,
-		Bitstate:       s.Bitstate,
 		MemBudget:      s.MemBudget,
 		SpillDir:       s.SpillDir,
 		Workers:        s.Workers,

@@ -315,7 +315,6 @@ func TestCompileSearchKnobs(t *testing.T) {
 	}
 	for field, s := range map[string]SearchOptions{
 		"hash":       {Hash: true},
-		"bitstate":   {Bitstate: true},
 		"symmetry":   {Symmetry: true},
 		"mem_budget": {MemBudget: 1 << 20},
 		"spill_dir":  {SpillDir: t.TempDir()},

@@ -90,14 +90,13 @@ func TestAllocRegressionInPlace(t *testing.T) {
 	}{
 		{"exact", Options{}},
 		{"hash-compaction", Options{HashCompaction: true}},
-		{"bitstate", Options{Bitstate: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			opts := mode.opts
 			opts.Evictions = true
 			opts.POR = POROff // every move, not an ample subset
 			ctx := newSearchCtx(sys, opts, DefaultMaxStates)
-			visited := newVisited(opts, 1)
+			visited := newVisited(opts, 1, sys.imageSegments())
 			defer visited.release()
 			ins := visited.handle(0)
 			cur := sys.Clone()
@@ -106,10 +105,12 @@ func TestAllocRegressionInPlace(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.moves = cur.AppendMoves(sc.moves[:0], opts.Evictions)
+			ins.Insert(pre, sc.segs, 0) // the expanded state is visited, as in a search
+			ids := bytes.Clone(ins.IDs())
 			var res Result
 			admitted := 0
 			expand := func() {
-				ins.Begin()
+				ins.Begin(pre, sc.segs, ids)
 				ctx.successorsInPlace(cur, pre, &res, &sc, ins.Insert, func([]byte) { admitted++ })
 				ins.End()
 				// Back to the expanded state for the next run, as the

@@ -63,9 +63,11 @@ type canonicalizer struct {
 
 // canonScratch is the per-worker buffer set for canonical encoding.
 type canonScratch struct {
-	best  []byte
-	try   []byte
-	order []int
+	best     []byte
+	try      []byte
+	bestEnds []int // best's segment ends
+	tryEnds  []int
+	order    []int
 }
 
 // symGroup is one class of interchangeable cache component indices.
@@ -281,16 +283,28 @@ func (c *canonicalizer) Perms() int {
 	return len(c.perms)
 }
 
-// encodePerm appends the state's binary encoding under permutation p. For
-// the identity it produces System.EncodeBinary's bytes, except that a
-// core.CompiledDir writes its interpreted image where EncodeBinary writes
-// its state register: a symmetric key is compared across permutations,
-// so every permutation must encode the same way.
-func (c *canonicalizer) encodePerm(s *System, p *symPerm, sc *canonScratch, buf []byte) []byte {
+// encodePerm appends the state's binary encoding under permutation p,
+// recording its segment ends (System.encodeImage's layout) when ends is
+// non-nil. For the identity it produces System.EncodeBinary's bytes,
+// except that a core.CompiledDir writes its interpreted image where
+// EncodeBinary writes its state register: a symmetric key is compared
+// across permutations, so every permutation must encode the same way.
+func (c *canonicalizer) encodePerm(s *System, p *symPerm, sc *canonScratch, buf []byte, ends *[]int) []byte {
+	base := len(buf)
+	mark := func() {
+		if ends != nil {
+			*ends = append(*ends, len(buf)-base)
+		}
+	}
+	if ends != nil {
+		*ends = (*ends)[:0]
+	}
 	for _, ci := range p.comp {
 		buf = s.Components[ci].(spec.RelabelAppender).AppendBinaryRelabeled(buf, p.ids)
+		mark()
 	}
 	buf = s.Mem.AppendBinary(buf)
+	mark()
 	// Relabeling renames channel endpoints, which reorders the (src, dst,
 	// vnet)-sorted channel section: re-sort indices under the mapped keys.
 	sc.order = sc.order[:0]
@@ -315,6 +329,7 @@ func (c *canonicalizer) encodePerm(s *System, p *symPerm, sc *canonScratch, buf 
 			buf = s.chans[ci].msgs[j].AppendBinaryRelabeled(buf, p.ids)
 		}
 	}
+	mark()
 	for _, ti := range p.core {
 		core := s.Cores[ti]
 		buf = spec.AppendInt(buf, core.PC)
@@ -324,25 +339,29 @@ func (c *canonicalizer) encodePerm(s *System, p *symPerm, sc *canonScratch, buf 
 			buf = spec.AppendInt(buf, v)
 		}
 	}
+	mark()
 	return buf
 }
 
-// canonical appends the canonical representative encoding: the
-// lexicographically least encodePerm over the group.
-func (c *canonicalizer) canonical(s *System, sc *canonScratch, buf []byte) []byte {
+// canonical appends the canonical representative encoding, the
+// lexicographically least encodePerm over the group, to buf and returns
+// it with its segment ends (relative to the encoding's start; valid until
+// sc's next use).
+func (c *canonicalizer) canonical(s *System, sc *canonScratch, buf []byte) ([]byte, []int) {
 	c.canonicalPerm(s, sc)
-	return append(buf, sc.best...)
+	return append(buf, sc.best...), sc.bestEnds
 }
 
 // canonicalPerm returns the first permutation whose encoding of s is the
-// least, leaving that encoding in sc.best.
+// least, leaving that encoding in sc.best and its ends in sc.bestEnds.
 func (c *canonicalizer) canonicalPerm(s *System, sc *canonScratch) *symPerm {
-	sc.best = c.encodePerm(s, &c.perms[0], sc, sc.best[:0])
+	sc.best = c.encodePerm(s, &c.perms[0], sc, sc.best[:0], &sc.bestEnds)
 	best := &c.perms[0]
 	for i := 1; i < len(c.perms); i++ {
-		sc.try = c.encodePerm(s, &c.perms[i], sc, sc.try[:0])
+		sc.try = c.encodePerm(s, &c.perms[i], sc, sc.try[:0], &sc.tryEnds)
 		if bytes.Compare(sc.try, sc.best) < 0 {
 			sc.best, sc.try = sc.try, sc.best
+			sc.bestEnds, sc.tryEnds = sc.tryEnds, sc.bestEnds
 			best = &c.perms[i]
 		}
 	}
@@ -356,7 +375,7 @@ func (c *canonicalizer) canonicalPerm(s *System, sc *canonScratch) *symPerm {
 func (c *canonicalizer) orbitSize(s *System, sc *canonScratch) int {
 	seen := make(map[string]bool, len(c.perms))
 	for i := range c.perms {
-		sc.try = c.encodePerm(s, &c.perms[i], sc, sc.try[:0])
+		sc.try = c.encodePerm(s, &c.perms[i], sc, sc.try[:0], nil)
 		seen[string(sc.try)] = true
 	}
 	return len(seen)

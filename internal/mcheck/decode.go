@@ -27,29 +27,35 @@ func (s *System) imageDec(enc []byte) *spec.Dec {
 // decodeImage rebuilds an encoded state in place over s, which must be a
 // clone of the system the state was encoded from (programs, topology and
 // component structure are taken from the receiver; only mutable state is
-// read from enc). When segs is non-nil it receives the end offset of
-// every component's segment and then of the memory's, the offsets
-// restore and spliceImage cut enc at.
+// read from enc). When segs is non-nil it receives the image's segment
+// ends, the same ones encodeImage records: every component's, then the
+// memory's, the channel block's and the cores'. restore and spliceImage
+// cut enc at them, and the exact visited set interns the parent's
+// segments by them.
 func decodeImage(s *System, enc []byte, segs *[]int) error {
 	d := s.imageDec(enc)
 	if segs != nil {
 		*segs = (*segs)[:0]
 	}
-	for _, c := range s.Components {
-		if err := c.DecodeState(d); err != nil {
-			return err
-		}
+	mark := func() {
 		if segs != nil {
 			*segs = append(*segs, len(enc)-d.Len())
 		}
 	}
+	for _, c := range s.Components {
+		if err := c.DecodeState(d); err != nil {
+			return err
+		}
+		mark()
+	}
 	if err := s.Mem.DecodeState(d); err != nil {
 		return err
 	}
-	if segs != nil {
-		*segs = append(*segs, len(enc)-d.Len())
-	}
-	decodeTail(s, d)
+	mark()
+	decodeChans(s, d)
+	mark()
+	decodeCores(s, d)
+	mark()
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -72,7 +78,7 @@ func (s *System) decodeSegment(c spec.StateCodec, seg []byte) error {
 }
 
 // restore returns s to the state decodeImage read from pre (segs are its
-// offsets) after one successful Apply: the component the move touched and
+// segment ends) after one successful Apply: the component the move touched and
 // the shared memory are re-decoded from their segments (every component
 // when it touched no component index), and the channels and cores, which
 // every move may touch, are copied back from saved.
@@ -147,9 +153,9 @@ func (t *tailCopy) restore(s *System) {
 	}
 }
 
-// decodeTail decodes the channel and core segments (everything after
-// the shared memory). Errors are left on the cursor for the caller.
-func decodeTail(s *System, d *spec.Dec) {
+// decodeChans decodes the channel segment. Errors are left on the cursor
+// for the caller.
+func decodeChans(s *System, d *spec.Dec) {
 	n := d.Uvarint()
 	s.retireChans()
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
@@ -171,6 +177,11 @@ func decodeTail(s *System, d *spec.Dec) {
 		}
 		s.chans = append(s.chans, cs)
 	}
+}
+
+// decodeCores decodes the cores' segment. Errors are left on the cursor
+// for the caller.
+func decodeCores(s *System, d *spec.Dec) {
 	for _, c := range s.Cores {
 		c.PC = d.Int()
 		c.Issued = d.Bool()

@@ -1,6 +1,12 @@
 package mcheck
 
-import "heterogen/internal/memmodel"
+import (
+	"bytes"
+	"fmt"
+	"slices"
+
+	"heterogen/internal/memmodel"
+)
 
 // Seams for the external test package (mcheck_test), whose tests build
 // fused systems through core, which imports this package.
@@ -17,10 +23,12 @@ func DecodeImage(s *System, enc []byte) error { return decodeImage(s, enc, nil) 
 // one state at a time, so a test can drive a search of its own over it
 // and check every successor image it produces.
 type Expander struct {
-	ctx *searchCtx
-	cur *System
-	sc  expandScratch
-	res Result
+	ctx  *searchCtx
+	cur  *System
+	chk  *System // decodes keys to check their segment ends
+	segs []int
+	sc   expandScratch
+	res  Result
 }
 
 // NewExpander prepares expansions of initial's states under opts.
@@ -29,6 +37,7 @@ func NewExpander(initial *System, opts Options) *Expander {
 	return &Expander{
 		ctx: newSearchCtx(initial, opts, DefaultMaxStates),
 		cur: initial.Clone(),
+		chk: initial.Clone(),
 		res: Result{Outcomes: memmodel.OutcomeSet{}},
 	}
 }
@@ -37,14 +46,38 @@ func NewExpander(initial *System, opts Options) *Expander {
 // does, with insert as the visited set and enqueue as the frontier. It
 // then runs the restore the next move would have run and returns the
 // system's image afterwards, which must be pre again. Its second result
-// counts the successors the expansion applied.
+// counts the successors the expansion applied. Without symmetry, where
+// the key is the image, every key's segment ends must be the ones
+// decodeImage records for it, and every segment it marks copied must
+// equal the parent's, or Expand fails.
 func (e *Expander) Expand(pre []byte, insert func([]byte) bool, enqueue func([]byte)) ([]byte, int, error) {
 	if err := decodeImage(e.cur, pre, &e.sc.segs); err != nil {
 		return nil, 0, err
 	}
+	var bad error
+	checked := func(key []byte, ends []int, copied uint64) bool {
+		if e.ctx.canon == nil && bad == nil {
+			if err := decodeImage(e.chk, key, &e.segs); err != nil {
+				bad = err
+			} else if !slices.Equal(ends, e.segs) {
+				bad = fmt.Errorf("successor key segment ends %v, decodeImage records %v", ends, e.segs)
+			}
+			start, pstart := 0, 0
+			for p, end := range ends {
+				if copied&(1<<p) != 0 && !bytes.Equal(key[start:end], pre[pstart:e.sc.segs[p]]) {
+					bad = fmt.Errorf("successor key segment %d is marked copied but differs from the parent's", p)
+				}
+				start, pstart = end, e.sc.segs[p]
+			}
+		}
+		return insert(key)
+	}
 	before := e.res.Transitions
-	e.ctx.expand(e.cur, pre, &e.res, &e.sc, insert, enqueue)
+	e.ctx.expand(e.cur, pre, &e.res, &e.sc, checked, enqueue)
 	applied := e.res.Transitions - before
+	if bad != nil {
+		return nil, applied, bad
+	}
 	if applied > 0 {
 		if err := e.cur.restore(pre, e.sc.segs, &e.sc.saved); err != nil {
 			return nil, applied, err

@@ -22,7 +22,9 @@ import (
 // check. For every expanded state, the images the expansion hands on must
 // be exactly the EncodeBinary images of Clone()+Apply of each progressed
 // move from the parent, and the system restored after the last move must
-// re-encode to the parent's image. The search's own visited set is keyed
+// re-encode to the parent's image, and every successor key's segment ends
+// must be the ones decodeImage records (Expander checks them). The
+// search's own visited set is keyed
 // by image, so under symmetry it walks the unreduced space. When marker
 // is nonempty, some expanded state's Snapshot must contain it.
 func checkInPlaceImages(t *testing.T, sys *mcheck.System, opts mcheck.Options, minStates int, marker string) {

@@ -7,9 +7,9 @@ import "sync/atomic"
 // a per-search Options.MemBudget; a long-running server hosting many
 // searches at once needs those budgets to come out of one machine-wide
 // pot, or N concurrent jobs would each believe they own the whole
-// machine. When Options.MemPool is set, every byte the lossy visited sets
-// allocate (the fingerprint table's generations, the bitstate filter) is
-// acquired from the pool first and released back when the search ends —
+// machine. When Options.MemPool is set, every byte the lossy visited set
+// allocates (the fingerprint table's generations) is acquired from the
+// pool first and released back when the search ends —
 // so a search that cannot grow its table because *other* searches hold
 // the memory truncates with BudgetFull exactly as if its private budget
 // were exhausted, instead of overcommitting the host.
@@ -18,8 +18,9 @@ import "sync/atomic"
 // allocator: Acquire answers whether the requested bytes fit under the
 // configured total, and the caller allocates normally on a grant. Exact
 // (non-lossy) visited sets are unpooled — their growth is proportional to
-// the full state encodings and is bounded by MaxStates, not MemBudget,
-// matching the per-search semantics they always had.
+// the states and distinct segments they store and is bounded by
+// MaxStates, not MemBudget, matching the per-search semantics they always
+// had.
 type MemPool struct {
 	total int64
 	used  atomic.Int64

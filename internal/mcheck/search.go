@@ -3,6 +3,7 @@ package mcheck
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -30,28 +31,22 @@ type Options struct {
 	// MaxStates aborts the search beyond this many visited states
 	// (0 = DefaultMaxStates, 4M). Mirrors Murphi's memory bound.
 	MaxStates int
-	// HashCompaction stores 64-bit state fingerprints instead of full
-	// encodings — in a lock-free open-addressing table of ~8–10 bytes per
+	// HashCompaction stores 64-bit state fingerprints instead of exact
+	// keys — in a lock-free open-addressing table of ~8–10 bytes per
 	// state — trading a vanishing omission probability for memory (reported
 	// in Result.OmissionProb), the technique §VII-C uses for >1 cache per
-	// cluster.
+	// cluster. Without it the visited set is exact: every key is stored as
+	// a vector of interned segment IDs (storage.go).
 	HashCompaction bool
-	// Bitstate stores each state as 3 bits of a fixed-size Bloom filter
-	// (Holzmann's bitstate/supertrace search): a fraction of a bit per
-	// state at useful fills, for sweeps whose state count exceeds even a
-	// fingerprint table's budget. Omission grows with the filter's fill
-	// (Result.OmissionProb); takes precedence over HashCompaction.
-	Bitstate bool
 	// MemBudget bounds visited-set memory in bytes: the growth cap of the
 	// fingerprint table under HashCompaction (the search truncates with
-	// Truncated=true when the table saturates), or the Bloom filter size
-	// under Bitstate (which never truncates — omission just grows). 0
-	// defaults to 8 GiB for the table cap and 64 MiB for the filter.
+	// Truncated=true when the table saturates). 0 defaults to 8 GiB.
 	// Ignored in exact mode.
 	MemBudget int64
 	// SpillDir, when nonempty, bounds frontier memory too. The frontier
 	// always holds compact state images (System.EncodeBinary, rehydrated
-	// on take by decodeImage); with SpillDir, beyond a bounded in-memory
+	// on take by decodeImage, prefixed by their segment-ID vectors under
+	// exact storage); with SpillDir, beyond a bounded in-memory
 	// ring of 32Ki entries per window they spill in waves to temp files
 	// under this directory, streamed back FIFO. Without it the ring is
 	// unbounded and no file is created. I/O failures panic: a half-lost
@@ -156,8 +151,8 @@ type Result struct {
 
 	// State-storage accounting (see storage.go).
 	BudgetFull     bool    // truncation came from the storage MemBudget, not MaxStates
-	Storage        string  // "exact", "hash-compaction" or "bitstate", "+spill" when the frontier spilled to disk
-	TableBytes     int64   // visited-set memory (exact mode: encoding bytes + map overhead estimate)
+	Storage        string  // "exact" or "hash-compaction", "+spill" when the frontier spilled to disk
+	TableBytes     int64   // visited-set memory (exact mode: the ID-vector table and arena plus every segment intern table)
 	BytesPerState  float64 // TableBytes per distinct visited state
 	PeakLoadFactor float64 // highest visited-table occupancy (0 in exact mode)
 	OmissionProb   float64 // estimated probability ≥1 state was omitted (lossy modes)
@@ -230,6 +225,8 @@ type searchCtx struct {
 	opts      Options
 	maxStates int
 	canon     *canonicalizer
+	segments  int        // key segment count (System.imageSegments)
+	carryIDs  bool       // frontier entries carry their key's segment IDs (entry)
 	por       bool       // ample-set reduction active for this search
 	porCands  []porCand  // reduction candidates (top-level caches)
 	loadKeys  [][]string // per core, per completed-load index
@@ -249,16 +246,18 @@ type expandScratch struct {
 	ranked []porCand
 	key    []byte // symmetric visited-set key of the latest successor
 	img    []byte // its state image
-	segs   []int  // decodeImage's offsets into the expanded state's image
+	ends   []int  // segment ends of the latest image (encodeImage)
+	segs   []int  // decodeImage's segment ends of the expanded state's image
 	saved  tailCopy
 	canon  canonScratch
 }
 
 func newSearchCtx(initial *System, opts Options, maxStates int) *searchCtx {
-	ctx := &searchCtx{opts: opts, maxStates: maxStates}
+	ctx := &searchCtx{opts: opts, maxStates: maxStates, segments: initial.imageSegments()}
 	if opts.Symmetry {
 		ctx.canon = detectSymmetry(initial)
 	}
+	ctx.carryIDs = !opts.HashCompaction && ctx.canon == nil
 	if opts.POR != POROff && len(opts.Invariants) == 0 && initial.OnDeliver == nil {
 		// Invariants and delivery observers inspect intermediate states,
 		// which the reduction does not preserve; candidates are empty when
@@ -299,13 +298,46 @@ func (ctx *searchCtx) loadKey(t, i int) string {
 	return fmt.Sprintf("T%d:%d", t, i)
 }
 
-// encode appends the visited-set key of s: the canonical representative
-// under symmetry, the state image otherwise.
-func (ctx *searchCtx) encode(s *System, sc *expandScratch, buf []byte) []byte {
+// encode appends the visited-set key of s, the canonical representative
+// under symmetry and the state image otherwise, and returns it with its
+// segment ends.
+func (ctx *searchCtx) encode(s *System, sc *expandScratch, buf []byte) ([]byte, []int) {
 	if ctx.canon != nil {
 		return ctx.canon.canonical(s, &sc.canon, buf)
 	}
-	return s.EncodeBinary(buf)
+	buf = s.encodeImage(buf, &sc.ends)
+	return buf, sc.ends
+}
+
+// entry returns the frontier entry of an image whose key ins just
+// stored: a copy of the image, prefixed under exact storage without
+// symmetry (where the key is the image) by the key's segment-ID vector,
+// so expanding the entry hands the exact set its parent's IDs without a
+// lookup.
+func (ctx *searchCtx) entry(img []byte, ins inserter) []byte {
+	if !ctx.carryIDs {
+		return bytes.Clone(img)
+	}
+	ids := ins.IDs()
+	e := make([]byte, 0, len(ids)+len(img))
+	return append(append(e, ids...), img...)
+}
+
+// splitEntry splits a frontier entry into its segment-ID vector (nil
+// unless carried) and the state image.
+func (ctx *searchCtx) splitEntry(e []byte) (ids, img []byte) {
+	if !ctx.carryIDs {
+		return nil, e
+	}
+	n := 0
+	for range ctx.segments {
+		_, k := binary.Uvarint(e[n:])
+		if k <= 0 {
+			panic("mcheck: frontier entry's segment-ID vector is malformed")
+		}
+		n += k
+	}
+	return e[:n], e[n:]
 }
 
 // outcome extracts the litmus outcome of a quiescent state using the
@@ -379,17 +411,19 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	ctx := newSearchCtx(initial, opts, maxStates)
 	stopWatch := watchCancel(cctx, ctx)
 	defer stopWatch()
-	visited := newVisited(opts, workers)
+	visited := newVisited(opts, workers, ctx.segments)
 	defer visited.release()
 	var seed expandScratch
-	visited.handle(0).Insert(ctx.encode(initial, &seed, nil))
+	ins := visited.handle(0)
+	key, ends := ctx.encode(initial, &seed, nil)
+	ins.Insert(key, ends, 0)
 
 	sq, err := newSpillQueue(opts.SpillDir, opts.spillRing)
 	if err != nil {
 		panic(err.Error())
 	}
 	defer sq.close()
-	f := newFrontier(sq, initial.EncodeBinary(nil))
+	f := newFrontier(sq, ctx.entry(initial.EncodeBinary(nil), ins))
 
 	stopProgress := startProgress(ctx, visited, f)
 	defer stopProgress()
@@ -561,7 +595,7 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 	defer ins.End()
 	var sc expandScratch
 	var batch, pend [][]byte
-	admit := func(img []byte) { pend = append(pend, bytes.Clone(img)) }
+	admit := func(img []byte) { pend = append(pend, ctx.entry(img, ins)) }
 	for done := 0; ; {
 		batch = f.exchange(pend, done, batch)
 		clear(pend) // the frontier owns the published encodings now
@@ -582,11 +616,12 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 				f.stop()
 				return res
 			}
-			if err := decodeImage(cur, enc, &sc.segs); err != nil {
+			ids, img := ctx.splitEntry(enc)
+			if err := decodeImage(cur, img, &sc.segs); err != nil {
 				panic(err.Error())
 			}
-			ins.Begin()
-			ctx.expand(cur, enc, res, &sc, ins.Insert, admit)
+			ins.Begin(img, sc.segs, ids)
+			ctx.expand(cur, img, res, &sc, ins.Insert, admit)
 			ins.End()
 		}
 	}
@@ -620,7 +655,7 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 // choice is a pure function of the state — never of visit order or
 // visited-set contents — the reduced graph is a fixed subgraph and every
 // worker count reports the same counts.
-func (ctx *searchCtx) expand(cur *System, pre []byte, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func([]byte)) {
+func (ctx *searchCtx) expand(cur *System, pre []byte, res *Result, sc *expandScratch, insert func([]byte, []int, uint64) bool, enqueue func([]byte)) {
 	res.States++
 	for _, inv := range ctx.opts.Invariants {
 		if err := inv(cur); err != nil {
@@ -656,7 +691,7 @@ func (ctx *searchCtx) expand(cur *System, pre []byte, res *Result, sc *expandScr
 }
 
 // successorsInPlace generates the successors of cur, decoded from pre with
-// offsets sc.segs, by mutating cur directly. The state is read from bytes
+// segment ends sc.segs, by mutating cur directly. The state is read from bytes
 // once, by that decode: the channels and cores are saved once here, and
 // after each progressed move restore re-decodes only the dirtied
 // component and the memory from their segments of pre and copies the
@@ -668,7 +703,7 @@ func (ctx *searchCtx) expand(cur *System, pre []byte, res *Result, sc *expandScr
 // valid only until the callback returns — so the callback must copy what
 // it keeps. Returns whether any move progressed; when none did, cur was
 // never dirtied and is still the expanded state.
-func (ctx *searchCtx) successorsInPlace(cur *System, pre []byte, res *Result, sc *expandScratch, insert func([]byte) bool, enqueue func([]byte)) bool {
+func (ctx *searchCtx) successorsInPlace(cur *System, pre []byte, res *Result, sc *expandScratch, insert func([]byte, []int, uint64) bool, enqueue func([]byte)) bool {
 	sc.saved.save(cur)
 	dirty := false
 	// try applies move i to a clean cur and, when it progresses, admits
@@ -686,15 +721,16 @@ func (ctx *searchCtx) successorsInPlace(cur *System, pre []byte, res *Result, sc
 		dirty = true
 		res.Transitions++
 		if ctx.canon == nil {
-			sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs) // the key is the image
-			if insert(sc.img) {
+			sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs, &sc.ends) // the key is the image
+			if insert(sc.img, sc.ends, cur.splicedCopies()) {
 				enqueue(sc.img)
 			}
 			return true
 		}
-		sc.key = ctx.canon.canonical(cur, &sc.canon, sc.key[:0])
-		if insert(sc.key) {
-			sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs)
+		var ends []int
+		sc.key, ends = ctx.canon.canonical(cur, &sc.canon, sc.key[:0])
+		if insert(sc.key, ends, 0) {
+			sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs, nil)
 			enqueue(sc.img)
 		}
 		return true

@@ -2,34 +2,32 @@ package mcheck
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// This file implements the memory-bounded visited-state storage engine:
+// This file implements the visited-state storage engine:
 //
+//   - exactSet: the default. Every key is stored exactly, collapse-
+//     compressed into a vector of per-position segment IDs.
 //   - fpSet: a lock-free open-addressing table of 64-bit state fingerprints
 //     (Stern & Dill's hash compaction) — CAS-based linear-probe inserts,
 //     power-of-two capacity doubling under a stop-the-world rendezvous with
 //     the worker pool, ~8–10 bytes per state with no shard mutexes on the
-//     hot path.
-//   - bloomSet: a fixed-size Bloom filter of k=3 bits per state (Holzmann's
-//     bitstate / supertrace search) for runs whose state count exceeds even
-//     a fingerprint table's budget.
-//
-// Both are lossy: two distinct states may collide, silently omitting part
-// of the state space. storageStats carries the standard omission-probability
-// estimates so results report how much to trust a "no deadlock" verdict,
-// the way Murphi prints its omission probabilities.
+//     hot path. It is lossy: two distinct states may collide, silently
+//     omitting part of the state space, so storageStats carries the
+//     standard omission-probability estimate and results report how much
+//     to trust a "no deadlock" verdict, the way Murphi prints it.
 
 // storageStats is the accounting snapshot a visited set reports at the end
 // of a search.
 type storageStats struct {
-	mode       string  // "exact", "hash-compaction" or "bitstate"
+	mode       string  // "exact" or "hash-compaction"
 	tableBytes int64   // memory held by the visited structure
-	loadFactor float64 // final occupancy (table load or filter fill)
+	loadFactor float64 // final table occupancy
 	peakLoad   float64 // highest observed occupancy
 	omission   float64 // probability at least one state was omitted
 }
@@ -37,14 +35,26 @@ type storageStats struct {
 // inserter is one worker's insertion handle into a visited set. Handles are
 // not safe for concurrent use by multiple goroutines; each worker owns one.
 type inserter interface {
-	// Insert adds the state encoding and reports whether it was new.
-	Insert(enc []byte) bool
+	// Insert adds the state key enc and reports whether it was new. ends
+	// are the end offsets of enc's segments (System.encodeImage), and bit
+	// p of copied, inside a window with a parent, marks segment p as a
+	// byte copy of the parent's (spliceImage's untouched components). The
+	// fingerprint table ignores both.
+	Insert(enc []byte, ends []int, copied uint64) bool
+	// IDs returns the segment-ID vector of the key the latest Insert
+	// stored (nil from the fingerprint table): uvarints, one per segment.
+	// It is valid until the next Insert.
+	IDs() []byte
 	// Begin and End bracket one expansion's run of Inserts so a handle can
-	// amortize per-probe synchronization across the whole batch (the
+	// amortize work across the whole batch. parent is the expanded
+	// state's image with segment ends pends, and ids the segment-ID vector
+	// its key was stored with, or nil when its frontier entry carried none
+	// (the key was not the image, as under symmetry): the exact set reuses
+	// those IDs for every successor segment equal to the parent's, and the
 	// fingerprint table holds its growth-rendezvous flag open for the
-	// window; the striped sets have nothing to amortize and no-op). An
-	// Insert outside any window behaves as a window of one.
-	Begin()
+	// window. An Insert outside any window behaves as a window of one with
+	// no parent.
+	Begin(parent []byte, pends []int, ids []byte)
 	End()
 }
 
@@ -67,16 +77,13 @@ type visitedSet interface {
 	release()
 }
 
-// newVisited builds the visited set for the configured storage mode.
-func newVisited(opts Options, workers int) visitedSet {
-	switch {
-	case opts.Bitstate:
-		return newBloomSet(opts.MemBudget, opts.MemPool)
-	case opts.HashCompaction:
+// newVisited builds the visited set for the configured storage mode, for
+// keys of segments segments.
+func newVisited(opts Options, workers, segments int) visitedSet {
+	if opts.HashCompaction {
 		return newFPSet(opts.MemBudget, workers, opts.MemPool)
-	default:
-		return newExactSet()
 	}
+	return newExactSet(workers, segments)
 }
 
 // sternDillOmission is the standard hash-compaction omission-probability
@@ -92,134 +99,300 @@ func sternDillOmission(n int64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Exact mode: the 64-shard mutex-striped map of full state encodings.
+// Exact mode: the collapse-compressed set of state keys.
+//
+// A key (a state image, or its canonical form under symmetry) is a fixed
+// sequence of segments: one per component, then the shared memory, the
+// channel block and the cores (System.encodeImage records their ends).
+// Reachable states share few distinct segments per position — the
+// MESI&RCC-O extraction's 253,244 states hold 106 and 59 cache images,
+// 7,020 directory registers, 9 memories, 15,208 channel blocks and 109
+// core blocks — so the set interns each segment once per position and
+// stores a state as the uvarint vector of its segment IDs: SPIN's
+// COLLAPSE compression. Both levels compare full bytes, so the set stays
+// exact; only which ID a segment gets depends on the worker schedule.
 
-// visitedShards is the stripe count of the exact set. 64 stripes keep lock
-// contention negligible for any worker count the search runs with.
+// visitedShards is the stripe count of the vector table. 64 stripes keep
+// lock contention negligible for any worker count the search runs with.
 const visitedShards = 64
 
-// exactSlot is one open-addressing slot: the encoding's full 64-bit hash
-// plus its position in the shard's arena. len == 0 marks an empty slot
-// (state encodings are never empty — every component writes at least its
-// id or a count).
-type exactSlot struct {
-	hash uint64
-	off  uint32
-	len  uint32
-}
+// segStripes is the stripe count of each position's intern table.
+const segStripes = 8
 
-// exactShard is one mutex-striped stripe of the exact set: a power-of-two
-// open-addressing table over a pointer-free byte arena. Compared to a
-// map[string]struct{} this reuses the hash the stripe selector already
-// computed (the runtime map would re-hash every ~250-byte key) and stores
-// all encodings in one append-only allocation, so the garbage collector
-// neither traces per-state strings nor scans the arena.
-type exactShard struct {
+// Initial slot counts: a table starts small and doubles at 3/4 load, so a
+// few-thousand-state search holds tens of KiB, not a fixed megabyte.
+const (
+	vecInitSlots = 16
+	segInitSlots = 8
+)
+
+// stripe is one mutex-striped stripe of the vector table or of a
+// position's intern table: a power-of-two open-addressing table over a
+// pointer-free byte arena, which the garbage collector never scans. A
+// slot packs the entry's hash tag (the hash's high 32 bits, which also
+// pick the probe start, so growth rehashes from the slots alone) above
+// its arena offset plus one; 0 marks an empty slot. A vector holds a
+// fixed number of uvarints, so it is self-delimiting and stored bare; an
+// interned segment is stored after its ID and length.
+type stripe struct {
 	mu    sync.Mutex
-	slots []exactSlot
+	slots []uint64
 	n     int
-	arena []byte // all stored encodings, concatenated
-	_     [24]byte
+	arena []byte
+	_     [64]byte // keep stripes off each other's cache lines
 }
 
-// exactSet stores complete state encodings — no omissions, memory grows
-// with total encoding size. States are keyed by their compact binary
-// encoding; the encoding's stateHash selects the stripe and probe start.
+// segTable interns the segments of one key position. IDs are dense from
+// 0 in first-intern order, so a position's first 128 segments take one
+// vector byte each.
+type segTable struct {
+	next    atomic.Uint32
+	stripes [segStripes]stripe
+}
+
+// exactSet stores every visited key exactly, as its vector of interned
+// segment IDs. Its stripes lock only when more than one worker shares
+// it: a one-worker search has nothing to exclude.
 type exactSet struct {
-	size     atomic.Int64
-	encBytes atomic.Int64 // total bytes of stored encodings
-	shards   [visitedShards]exactShard
+	size    atomic.Int64
+	shared  bool
+	segs    []segTable // one per key position
+	shards  [visitedShards]stripe
+	handles []exactHandle
 }
 
-func newExactSet() *exactSet { return &exactSet{} }
+// exactHandle is one worker's insertion handle. Inside a Begin window it
+// holds the expanded state's key: a successor segment marked copied, or
+// whose bytes equal the parent's at the same position, reuses the
+// parent's ID, so an insert interns only what the move changed —
+// typically the touched component and the channel block.
+type exactHandle struct {
+	v      *exactSet
+	vec    []byte   // vector of the latest insert
+	parent []byte   // the window's parent key (nil: intern every segment)
+	pends  []int    // its segment ends
+	pids   []uint32 // its segment IDs
+	_      [64]byte
+}
 
-const exactInitSlots = 1024
+// newExactSet builds an exact set for keys of segments segments.
+func newExactSet(workers, segments int) *exactSet {
+	v := &exactSet{
+		shared:  workers > 1,
+		segs:    make([]segTable, segments),
+		handles: make([]exactHandle, workers),
+	}
+	for i := range v.handles {
+		v.handles[i].v = v
+	}
+	return v
+}
 
-// probeStart maps a hash to a slot index. The low six bits picked the
-// shard, so they are constant within one stripe; probing starts from the
-// bits above them.
-func exactProbeStart(h uint64, mask uint64) uint64 { return (h >> 6) & mask }
+// errArenaFull is the panic of a stripe whose arena would pass 4 GiB:
+// hundreds of millions of states in ONE stripe, far beyond any
+// configuration this checker hosts.
+const errArenaFull = "mcheck: exact-set stripe arena exceeds 4 GiB"
 
-func (s *exactShard) grow() {
-	old := s.slots
-	s.slots = make([]exactSlot, 2*len(old))
-	mask := uint64(len(s.slots) - 1)
-	for _, sl := range old {
-		if sl.len == 0 {
+// intern returns seg's ID at position p, assigning the next one when the
+// segment is new.
+func (v *exactSet) intern(p int, seg []byte) uint32 {
+	t := &v.segs[p]
+	h := stateHash(seg)
+	s := &t.stripes[h%segStripes]
+	if v.shared {
+		s.mu.Lock()
+	}
+	id, ok := s.intern(seg, uint32(h>>32), &t.next)
+	if v.shared {
+		s.mu.Unlock()
+	}
+	if !ok {
+		panic(errArenaFull)
+	}
+	return id
+}
+
+// intern finds or adds seg, whose hash tag is tag; ok is false when the
+// arena is full. An arena entry is the segment's ID (4 bytes,
+// little-endian), its length as a uvarint and its bytes, so a hit reads
+// one slot and one run of arena.
+func (s *stripe) intern(seg []byte, tag uint32, next *atomic.Uint32) (id uint32, ok bool) {
+	if s.slots == nil {
+		s.slots = make([]uint64, segInitSlots)
+	}
+	mask := uint32(len(s.slots) - 1)
+	i := tag & mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		sl := s.slots[i]
+		if uint32(sl>>32) != tag {
 			continue
 		}
-		i := exactProbeStart(sl.hash, mask)
-		for s.slots[i].len != 0 {
-			i = (i + 1) & mask
+		e := s.arena[uint32(sl)-1:]
+		n, k := binary.Uvarint(e[4:])
+		if int(n) == len(seg) && bytes.Equal(e[4+k:4+k+int(n)], seg) {
+			return binary.LittleEndian.Uint32(e), true
 		}
-		s.slots[i] = sl
-	}
-}
-
-// Insert implements inserter. The set itself is the handle for every
-// worker: shard mutexes make it safe for concurrent use.
-func (v *exactSet) Insert(enc []byte) bool {
-	h := stateHash(enc)
-	s := &v.shards[h%visitedShards]
-	s.mu.Lock()
-	if s.slots == nil {
-		s.slots = make([]exactSlot, exactInitSlots)
-	}
-	mask := uint64(len(s.slots) - 1)
-	i := exactProbeStart(h, mask)
-	for {
-		sl := s.slots[i]
-		if sl.len == 0 {
-			break
-		}
-		if sl.hash == h && int(sl.len) == len(enc) &&
-			bytes.Equal(s.arena[sl.off:sl.off+sl.len], enc) {
-			s.mu.Unlock()
-			return false
-		}
-		i = (i + 1) & mask
 	}
 	off := len(s.arena)
-	if off+len(enc) > math.MaxUint32 {
-		// 4 GiB of encodings in ONE of 64 stripes (~256 GiB total) is far
-		// beyond any configuration this checker hosts.
-		s.mu.Unlock()
-		panic("mcheck: exact-set stripe arena exceeds 4 GiB")
+	if off+len(seg)+binary.MaxVarintLen64+4 >= math.MaxUint32 {
+		return 0, false
 	}
-	s.arena = append(s.arena, enc...)
-	s.slots[i] = exactSlot{hash: h, off: uint32(off), len: uint32(len(enc))}
-	s.n++
-	if 4*s.n >= 3*len(s.slots) {
-		s.grow()
+	id = next.Add(1) - 1
+	s.arena = binary.LittleEndian.AppendUint32(s.arena, id)
+	s.arena = binary.AppendUvarint(s.arena, uint64(len(seg)))
+	s.arena = append(s.arena, seg...)
+	s.slots[i] = uint64(tag)<<32 | uint64(off+1)
+	if s.n++; 4*s.n >= 3*len(s.slots) {
+		s.slots = regrow(s.slots)
 	}
-	s.mu.Unlock()
-	v.size.Add(1)
-	v.encBytes.Add(int64(len(enc)))
-	return true
+	return id, true
 }
 
-// Begin/End implement the inserter batching hooks: the shard mutexes are
-// already per-probe, there is no cross-worker rendezvous to amortize.
-func (v *exactSet) Begin() {}
-func (v *exactSet) End()   {}
+// regrow rehashes a full slot table (vector or intern) into one twice its
+// size: a slot's tag picks its probe start, so the arena is not read.
+func regrow(old []uint64) []uint64 {
+	slots := make([]uint64, 2*len(old))
+	mask := uint32(len(slots) - 1)
+	for _, sl := range old {
+		if sl == 0 {
+			continue
+		}
+		j := uint32(sl>>32) & mask
+		for slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		slots[j] = sl
+	}
+	return slots
+}
 
-func (v *exactSet) handle(int) inserter { return v }
-func (v *exactSet) Size() int           { return int(v.size.Load()) }
-func (v *exactSet) Full() bool          { return false }
-func (v *exactSet) load() float64       { return 0 }
-func (v *exactSet) release()            {} // exact mode is unpooled (see MemPool)
+// insertVec adds a segment-ID vector and reports whether it was new.
+func (v *exactSet) insertVec(vec []byte) bool {
+	h := stateHash(vec)
+	s := &v.shards[h%visitedShards]
+	if v.shared {
+		s.mu.Lock()
+	}
+	isNew, ok := s.insert(vec, uint32(h>>32))
+	if v.shared {
+		s.mu.Unlock()
+	}
+	if !ok {
+		panic(errArenaFull)
+	}
+	if isNew {
+		v.size.Add(1)
+	}
+	return isNew
+}
 
+// insert adds vec, whose hash tag is tag, unless the shard holds it; ok
+// is false when the arena is full.
+func (s *stripe) insert(vec []byte, tag uint32) (isNew, ok bool) {
+	if s.slots == nil {
+		s.slots = make([]uint64, vecInitSlots)
+	}
+	mask := uint32(len(s.slots) - 1)
+	i := tag & mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		sl := s.slots[i]
+		// A stored vector is self-delimiting, so matching vec's bytes at
+		// its offset means it is vec.
+		if off := int(uint32(sl)) - 1; uint32(sl>>32) == tag &&
+			off+len(vec) <= len(s.arena) && bytes.Equal(s.arena[off:off+len(vec)], vec) {
+			return false, true
+		}
+	}
+	off := len(s.arena)
+	if off+1 >= math.MaxUint32 {
+		return false, false
+	}
+	s.arena = append(s.arena, vec...)
+	s.slots[i] = uint64(tag)<<32 | uint64(off+1)
+	if s.n++; 4*s.n >= 3*len(s.slots) {
+		s.slots = regrow(s.slots)
+	}
+	return true, true
+}
+
+// Begin implements inserter by decoding the parent's IDs.
+func (h *exactHandle) Begin(parent []byte, pends []int, ids []byte) {
+	h.parent, h.pends, h.pids = nil, nil, h.pids[:0]
+	if ids == nil {
+		return
+	}
+	h.parent, h.pends = parent, pends
+	for range pends {
+		id, n := binary.Uvarint(ids)
+		if n <= 0 {
+			panic("mcheck: parent segment-ID vector is malformed")
+		}
+		h.pids, ids = append(h.pids, uint32(id)), ids[n:]
+	}
+}
+
+// End implements inserter by forgetting the window's parent.
+func (h *exactHandle) End() { h.parent, h.pends = nil, nil }
+
+// IDs implements inserter.
+func (h *exactHandle) IDs() []byte { return h.vec }
+
+// Insert implements inserter: build enc's vector, reusing the parent's
+// IDs where segments are copied or their bytes match, and add it to the
+// vector table.
+func (h *exactHandle) Insert(enc []byte, ends []int, copied uint64) bool {
+	v := h.v
+	if len(ends) != len(v.segs) || ends[len(ends)-1] != len(enc) {
+		panic("mcheck: key segment ends do not match the exact set's layout")
+	}
+	vec, start := h.vec[:0], 0
+	if h.parent == nil {
+		for p, end := range ends {
+			vec = binary.AppendUvarint(vec, uint64(v.intern(p, enc[start:end])))
+			start = end
+		}
+	} else {
+		parent, pends, pids := h.parent, h.pends[:len(ends)], h.pids[:len(ends)]
+		pstart := 0
+		for p, end := range ends {
+			id, pend := pids[p], pends[p]
+			// Bits past 63 shift out to 0: such positions are compared.
+			if copied&(1<<p) == 0 {
+				if seg := enc[start:end]; !bytes.Equal(seg, parent[pstart:pend]) {
+					id = v.intern(p, seg)
+				}
+			}
+			vec = binary.AppendUvarint(vec, uint64(id))
+			start, pstart = end, pend
+		}
+	}
+	h.vec = vec
+	return v.insertVec(vec)
+}
+
+func (v *exactSet) handle(w int) inserter { return &v.handles[w] }
+func (v *exactSet) Size() int             { return int(v.size.Load()) }
+func (v *exactSet) Full() bool            { return false }
+func (v *exactSet) load() float64         { return 0 }
+func (v *exactSet) release()              {} // exact mode is unpooled (see MemPool)
+
+// stats counts the vector table's slots and arena and every intern
+// table's slots and arena, at capacity.
 func (v *exactSet) stats() storageStats {
-	slotBytes := int64(0)
-	for i := range v.shards {
-		v.shards[i].mu.Lock()
-		slotBytes += int64(len(v.shards[i].slots)) * 16 // sizeof(exactSlot)
-		v.shards[i].mu.Unlock()
+	var b int64
+	add := func(ss []stripe) {
+		for i := range ss {
+			s := &ss[i]
+			s.mu.Lock()
+			b += int64(len(s.slots))*8 + int64(cap(s.arena))
+			s.mu.Unlock()
+		}
 	}
-	return storageStats{
-		mode:       "exact",
-		tableBytes: v.encBytes.Load() + slotBytes,
+	add(v.shards[:])
+	for p := range v.segs {
+		add(v.segs[p].stripes[:])
 	}
+	return storageStats{mode: "exact", tableBytes: b}
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +490,10 @@ type fpHandle struct {
 }
 
 // Begin implements inserter by opening a batched probe window.
-func (h *fpHandle) Begin() { h.batched = true; h.raise() }
+func (h *fpHandle) Begin([]byte, []int, []byte) { h.batched = true; h.raise() }
+
+// IDs implements inserter: a fingerprint has no segment IDs.
+func (h *fpHandle) IDs() []byte { return nil }
 
 // End implements inserter by closing the window.
 func (h *fpHandle) End() { h.batched = false; h.inflight.Store(0) }
@@ -448,7 +624,7 @@ func (s *fpSet) stats() storageStats {
 }
 
 // Insert implements inserter; h is owned by a single worker.
-func (h *fpHandle) Insert(enc []byte) bool {
+func (h *fpHandle) Insert(enc []byte, _ []int, _ uint64) bool {
 	s := h.s
 	if s.full.Load() {
 		// At the budget cap and effectively saturated: drop the state. The
@@ -545,146 +721,4 @@ func (s *fpSet) grow(old *fpSlots, probeFailed bool) {
 		s.pooled -= oldBytes
 	}
 	s.pooled += newBytes
-}
-
-// ---------------------------------------------------------------------------
-// Bitstate (supertrace): the Bloom-filter visited set.
-
-const (
-	// bloomK is the bits set per state (SPIN's default hash count).
-	bloomK = 3
-	// bloomDefaultBytes sizes the filter when no MemBudget is given.
-	bloomDefaultBytes = 64 << 20
-)
-
-// bloomStripes is the lock-stripe count of bloomSet: inserts of the same
-// state hash to the same stripe, so duplicate claims serialize; distinct
-// states collide on a stripe with probability 1/bloomStripes.
-const bloomStripes = 512
-
-// bloomSet is a fixed-size Bloom filter over state fingerprints: bloomK
-// bits per state via double hashing. Bit-sets are CAS (stripes share
-// words), and a mutex stripe keyed by the state's fingerprint serializes
-// concurrent inserts of the same state — otherwise two workers could each
-// flip a different one of its bits, both report it new, and the state
-// would be expanded twice (parallel counts would drift from sequential).
-// Never "full": past its working capacity it degrades by omitting states,
-// which the fill-based omission estimate exposes.
-type bloomSet struct {
-	words   []uint64
-	mask    uint64 // bit-index mask; bit count is a power of two
-	stripes [bloomStripes]sync.Mutex
-	size    atomic.Int64
-	setBits atomic.Int64
-	pool    *MemPool
-	pooled  int64
-}
-
-func newBloomSet(memBudget int64, pool *MemPool) *bloomSet {
-	maxBytes := memBudget
-	if maxBytes <= 0 {
-		maxBytes = bloomDefaultBytes
-	}
-	bits := uint64(1 << 16) // 8 KiB floor
-	for bits*2/8 <= uint64(maxBytes) {
-		bits *= 2
-	}
-	// The filter is sized once up front, so a shared pool shapes it at
-	// creation: halve until the accountant grants the bytes. Omission
-	// grows with fill, so a smaller filter degrades accuracy, never
-	// soundness of a reported deadlock. The 8 KiB floor is taken
-	// unconditionally — accounting noise next to any real pool.
-	b := &bloomSet{pool: pool}
-	for bits > 1<<16 && !pool.Acquire(int64(bits/8)) {
-		bits /= 2
-	}
-	if pool != nil {
-		b.pooled = int64(bits / 8)
-		if bits == 1<<16 && !pool.Acquire(b.pooled) {
-			// Floor not grantable: account it anyway (forced overdraft).
-			pool.used.Add(b.pooled)
-		}
-	}
-	b.words = make([]uint64, bits/64)
-	b.mask = bits - 1
-	return b
-}
-
-// release implements visitedSet.
-func (b *bloomSet) release() {
-	b.pool.Release(b.pooled)
-	b.pooled = 0
-}
-
-// splitmix64 is the SplitMix64 finalizer: mixes a fingerprint into an
-// independent second hash for double hashing.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// Insert implements inserter; the set itself is every worker's handle
-// (no per-worker state).
-func (b *bloomSet) Insert(enc []byte) bool {
-	h1 := fnv64a(enc)
-	h2 := splitmix64(h1) | 1 // odd stride visits all bit positions
-	mu := &b.stripes[h1&(bloomStripes-1)]
-	mu.Lock()
-	isNew := false
-	for j := uint64(0); j < bloomK; j++ {
-		idx := (h1 + j*h2) & b.mask
-		w := &b.words[idx>>6]
-		bit := uint64(1) << (idx & 63)
-		for {
-			old := atomic.LoadUint64(w)
-			if old&bit != 0 {
-				break
-			}
-			if atomic.CompareAndSwapUint64(w, old, old|bit) {
-				isNew = true
-				b.setBits.Add(1)
-				break
-			}
-		}
-	}
-	mu.Unlock()
-	if isNew {
-		b.size.Add(1)
-	}
-	return isNew
-}
-
-// Begin/End implement the inserter batching hooks: filter inserts are
-// stripe-locked per probe, nothing to amortize.
-func (b *bloomSet) Begin() {}
-func (b *bloomSet) End()   {}
-
-func (b *bloomSet) handle(int) inserter { return b }
-func (b *bloomSet) Size() int           { return int(b.size.Load()) }
-func (b *bloomSet) Full() bool          { return false }
-
-func (b *bloomSet) load() float64 {
-	return float64(b.setBits.Load()) / float64(b.mask+1)
-}
-
-// stats estimates the bitstate omission probability from the final fill f:
-// each visited state was falsely "already seen" with probability ≈ f^k, so
-// P(≥1 omission) ≈ 1 - (1 - f^k)^n. (An upper-bound flavor of SPIN's hash-
-// factor heuristic; exact per-insert fills were lower than the final f.)
-func (b *bloomSet) stats() storageStats {
-	n := b.size.Load()
-	f := b.load()
-	var om float64
-	if n > 0 && f > 0 {
-		om = -math.Expm1(float64(n) * math.Log1p(-math.Pow(f, bloomK)))
-	}
-	return storageStats{
-		mode:       "bitstate",
-		tableBytes: int64(len(b.words)) * 8,
-		loadFactor: f,
-		peakLoad:   f,
-		omission:   om,
-	}
 }

@@ -1,8 +1,8 @@
 package mcheck_test
 
 // Storage-mode agreement on the fused Table II pairs: hash compaction,
-// bitstate and the disk-spilling frontier must reproduce the exact
-// search's verdicts on every heterogeneous system, sequentially and in
+// the parallel exact set and the disk-spilling frontier must reproduce the
+// exact sequential search's verdicts on every heterogeneous system, sequentially and in
 // parallel, with and without symmetry reduction. This is the soundness
 // gate for the state image's decode on MergedDir states (bridges, proxy captures,
 // handshake cohorts): an unfaithful decode would change some state's
@@ -52,8 +52,8 @@ func assertStorageAgrees(t *testing.T, label string, got, want *mcheck.Result) {
 }
 
 // TestStorageModesAgreeTableIIPairs: on every fused Table II pair, each
-// lossy/spilled storage configuration must agree exactly with the exact
-// sequential search. The worker axis is spread across the modes. The
+// lossy, parallel or spilled storage configuration must agree exactly
+// with the exact sequential search. The worker axis is spread across the modes. The
 // headline pair is left to TestStorageModesCrossHeadlinePair, whose full
 // cross runs each of these configurations.
 func TestStorageModesAgreeTableIIPairs(t *testing.T) {
@@ -67,7 +67,7 @@ func TestStorageModesAgreeTableIIPairs(t *testing.T) {
 			t.Parallel()
 			sys := pairSystem(t, pair[0], pair[1], storeLoadProg)
 			// POR pinned off throughout: this matrix gates the image decode
-			// and lossy visited sets, so the baselines should keep
+			// and the visited sets, so the baselines should keep
 			// covering the full unreduced space.
 			exact := mcheck.Explore(sys, mcheck.Options{Workers: 1, POR: mcheck.POROff})
 			configs := []struct {
@@ -75,7 +75,7 @@ func TestStorageModesAgreeTableIIPairs(t *testing.T) {
 				opts mcheck.Options
 			}{
 				{"hash/seq", mcheck.Options{Workers: 1, HashCompaction: true, POR: mcheck.POROff}},
-				{"bitstate/par", mcheck.Options{Workers: workers, Bitstate: true, POR: mcheck.POROff}},
+				{"exact/par", mcheck.Options{Workers: workers, POR: mcheck.POROff}},
 				{"hash+spill/par", mcheck.Options{Workers: workers, HashCompaction: true,
 					SpillDir: t.TempDir(), POR: mcheck.POROff}},
 			}
@@ -111,7 +111,6 @@ func TestStorageModesCrossHeadlinePair(t *testing.T) {
 			}{
 				{"exact", func(o *mcheck.Options) {}},
 				{"hash", func(o *mcheck.Options) { o.HashCompaction = true }},
-				{"bitstate", func(o *mcheck.Options) { o.Bitstate = true }},
 				{"exact+spill", func(o *mcheck.Options) { o.SpillDir = t.TempDir(); mcheck.SetSpillRing(o, 256) }},
 				{"hash+spill", func(o *mcheck.Options) {
 					o.HashCompaction = true

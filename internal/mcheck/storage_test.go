@@ -1,9 +1,10 @@
 package mcheck
 
-// Tests for the memory-bounded state-storage engine (storage.go, spill.go,
-// decode.go): fingerprint-table semantics under concurrency and growth,
-// bitstate behavior, spill-queue FIFO discipline, and agreement of every
-// storage mode with the exact search on the litmus configurations. The
+// Tests for the state-storage engine (storage.go, spill.go, decode.go):
+// the collapse-compressed exact set against a reference model,
+// fingerprint-table semantics under concurrency and growth, spill-queue
+// FIFO discipline, and agreement of every storage mode with the exact
+// search on the litmus configurations. The
 // fused-pair agreement matrix lives in storage_pairs_test.go and the
 // state-image round trip in encode_test.go (external package; they need
 // core.Fuse).
@@ -12,9 +13,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,6 +25,8 @@ import (
 	"time"
 
 	"heterogen/internal/memmodel"
+	"heterogen/internal/protocols"
+	"heterogen/internal/spec"
 )
 
 // encOf builds a distinct 8-byte state encoding for synthetic inserts.
@@ -39,12 +44,12 @@ func TestFPSetInsertSemantics(t *testing.T) {
 	s := newFPSet(0, 1, nil)
 	ins := s.handle(0)
 	for i := 0; i < n; i++ {
-		if !ins.Insert(encOf(i)) {
+		if !ins.Insert(encOf(i), nil, 0) {
 			t.Fatalf("insert %d: not reported new", i)
 		}
 	}
 	for i := 0; i < n; i += 97 {
-		if ins.Insert(encOf(i)) {
+		if ins.Insert(encOf(i), nil, 0) {
 			t.Fatalf("re-insert %d: reported new", i)
 		}
 	}
@@ -64,28 +69,50 @@ func TestFPSetInsertSemantics(t *testing.T) {
 }
 
 // TestBytesPerStateRegression is the storage counterpart of the allocation
-// guard: the fingerprint table must stay a flat 8 bytes per slot, growing
+// guard. The fingerprint table must stay a flat 8 bytes per slot, growing
 // at 0.75 load — at 190k states that lands on a 256Ki-slot table,
-// ~11 bytes/state. A slot-size or load-factor regression trips this.
+// ~11 bytes/state. The exact set must keep its collapse compression: on
+// the release/acquire MP search with evictions it stores each state as a
+// few-byte ID vector behind an 8-byte slot, measured at 39.5 bytes/state
+// with its intern tables (a search this small is dominated by the
+// channel blocks it interns). A slot-size, load-factor or interning
+// regression trips this.
 func TestBytesPerStateRegression(t *testing.T) {
-	const n = 190_000
-	s := newFPSet(0, 1, nil)
-	ins := s.handle(0)
-	for i := 0; i < n; i++ {
-		ins.Insert(encOf(i))
-	}
-	st := s.stats()
-	bps := float64(st.tableBytes) / float64(n)
-	if bps > 12 {
-		t.Fatalf("hash compaction costs %.2f bytes/state (table %d bytes for %d states), budget is 12",
-			bps, st.tableBytes, n)
-	}
-	if bps < 8 {
-		t.Fatalf("%.2f bytes/state is below the 8-byte slot floor — accounting bug", bps)
-	}
-	if st.peakLoad < fpGrowLoad-0.01 {
-		t.Fatalf("peak load %.3f never reached the %.2f growth threshold", st.peakLoad, fpGrowLoad)
-	}
+	t.Run("hash-compaction", func(t *testing.T) {
+		const n = 190_000
+		s := newFPSet(0, 1, nil)
+		ins := s.handle(0)
+		for i := 0; i < n; i++ {
+			ins.Insert(encOf(i), nil, 0)
+		}
+		st := s.stats()
+		bps := float64(st.tableBytes) / float64(n)
+		if bps > 12 {
+			t.Fatalf("hash compaction costs %.2f bytes/state (table %d bytes for %d states), budget is 12",
+				bps, st.tableBytes, n)
+		}
+		if bps < 8 {
+			t.Fatalf("%.2f bytes/state is below the 8-byte slot floor — accounting bug", bps)
+		}
+		if st.peakLoad < fpGrowLoad-0.01 {
+			t.Fatalf("peak load %.3f never reached the %.2f growth threshold", st.peakLoad, fpGrowLoad)
+		}
+	})
+	t.Run("exact", func(t *testing.T) {
+		const budget = 39.5 * 1.1
+		res := exploreWith(t, mpSync(), 1, Options{Evictions: true, POR: POROff})
+		t.Logf("exact: %d states, %d table bytes, %.1f bytes/state", res.States, res.TableBytes, res.BytesPerState)
+		if res.Storage != "exact" || res.Truncated {
+			t.Fatalf("storage %q, truncated %t", res.Storage, res.Truncated)
+		}
+		if res.BytesPerState > budget {
+			t.Fatalf("exact storage costs %.1f bytes/state (table %d bytes for %d states), budget is %.1f",
+				res.BytesPerState, res.TableBytes, res.States, budget)
+		}
+		if res.BytesPerState < 9 {
+			t.Fatalf("%.1f bytes/state is below an 8-byte slot plus a vector — accounting bug", res.BytesPerState)
+		}
+	})
 }
 
 // TestFPSetExactlyOnceUnderContention: every worker races to insert the
@@ -111,7 +138,7 @@ func TestFPSetExactlyOnceUnderContention(t *testing.T) {
 			var enc [8]byte
 			for i := 0; i < n; i++ {
 				binary.LittleEndian.PutUint64(enc[:], uint64(i))
-				if ins.Insert(enc[:]) {
+				if ins.Insert(enc[:], nil, 0) {
 					claimed[w]++
 				}
 			}
@@ -130,29 +157,32 @@ func TestFPSetExactlyOnceUnderContention(t *testing.T) {
 	}
 }
 
-// TestBloomSetExactlyOnceUnderContention: like the fingerprint table, the
-// Bloom filter must claim each state new exactly once when workers race on
-// the same stream — otherwise a state whose bits were split between two
-// workers is expanded twice and parallel counts drift from sequential.
-// The filter is sized generously so omissions cannot confound the count.
-func TestBloomSetExactlyOnceUnderContention(t *testing.T) {
+// TestExactSetExactlyOnceUnderContention: like the fingerprint table, the
+// exact set must claim each state new exactly once when workers race on
+// the same stream, with every worker interning the same segments
+// concurrently — otherwise a state is expanded twice and parallel counts
+// drift from sequential. Run under -race this also exercises the stripe
+// locks of the vector and intern tables.
+func TestExactSetExactlyOnceUnderContention(t *testing.T) {
 	const n = 100_000
 	workers := runtime.NumCPU()
 	if workers < 4 {
 		workers = 4
 	}
-	b := newBloomSet(64<<20, nil)
+	s := newExactSet(workers, 3)
 	claimed := make([]int64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
+		ins := s.handle(w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var enc [8]byte
+			var enc []byte
+			var ends []int
 			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(enc[:], uint64(i))
-				if b.Insert(enc[:]) {
+				enc, ends = segKey(enc[:0], ends[:0], i%97, i/97%211, i/(97*211))
+				if ins.Insert(enc, ends, 0) {
 					claimed[w]++
 				}
 			}
@@ -166,6 +196,141 @@ func TestBloomSetExactlyOnceUnderContention(t *testing.T) {
 	if total != n {
 		t.Fatalf("%d workers claimed %d states as new, want exactly %d", workers, total, n)
 	}
+	if s.Size() != n {
+		t.Fatalf("Size() = %d, want %d", s.Size(), n)
+	}
+	for p, want := range []uint32{97, 211, n/(97*211) + 1} {
+		if got := s.segs[p].next.Load(); got != want {
+			t.Errorf("position %d interned %d segments, want %d", p, got, want)
+		}
+	}
+}
+
+// segKey appends a key whose segments encode the given values, one per
+// position, with lengths that vary with the value.
+func segKey(enc []byte, ends []int, vals ...int) ([]byte, []int) {
+	for _, v := range vals {
+		enc = binary.AppendUvarint(enc, uint64(v))
+		enc = append(enc, bytes.Repeat([]byte{'s'}, v%5)...)
+		ends = append(ends, len(enc))
+	}
+	return enc, ends
+}
+
+// TestExactSetMatchesReference: random keys inserted into the exact set,
+// inside and outside parent windows, must be reported new exactly when a
+// map of whole keys (bytes plus segment ends) has not seen them. The keys
+// cover an empty channel-block segment, equal bytes at different
+// positions, and one position with over 16,384 distinct segments, so
+// vector IDs cross the one- and two-byte uvarint widths.
+func TestExactSetMatchesReference(t *testing.T) {
+	const segments = 6 // three components, then memory, channel block (4) and cores
+	rng := rand.New(rand.NewPCG(1, 2))
+	s := newExactSet(1, segments)
+	ins := s.handle(0)
+	ref := map[string]struct{}{}
+	pick := func(p int) []byte {
+		switch p {
+		case 1: // wide: drives IDs past 16,383
+			return binary.AppendUvarint([]byte{1}, rng.Uint64N(40_000))
+		case 4: // the channel block: empty a third of the time
+			if rng.IntN(3) == 0 {
+				return nil
+			}
+			return bytes.Repeat([]byte{byte(rng.IntN(4))}, 1+rng.IntN(6))
+		default: // small alphabets, shared across positions
+			return []byte{byte(rng.IntN(5)), 7}
+		}
+	}
+	var parent, enc []byte
+	var pends, ends []int
+	var copied uint64
+	check := func(i int) {
+		t.Helper()
+		key := fmt.Sprint(ends) + string(enc)
+		_, seen := ref[key]
+		ref[key] = struct{}{}
+		if got := ins.Insert(enc, ends, copied); got == seen {
+			t.Fatalf("insert %d (%q, ends %v): reported new=%t, reference has seen=%t", i, enc, ends, got, seen)
+		}
+	}
+	for i := 0; i < 120_000; i++ {
+		enc, ends, copied = enc[:0], ends[:0], 0
+		for p := 0; p < segments; p++ {
+			var seg []byte
+			if parent != nil && rng.IntN(2) == 0 {
+				// Keep the parent's segment, as a move that left the
+				// position alone would; mark some of the copies so both
+				// the marked and the compared path run.
+				start := 0
+				if p > 0 {
+					start = pends[p-1]
+				}
+				seg = parent[start:pends[p]]
+				if rng.IntN(2) == 0 {
+					copied |= 1 << p
+				}
+			} else {
+				seg = pick(p)
+			}
+			enc = append(enc, seg...)
+			ends = append(ends, len(enc))
+		}
+		check(i)
+		switch {
+		case i%7 == 0:
+			// Open a window on this key, as an expansion of it would.
+			ins.End()
+			parent, pends = bytes.Clone(enc), slices.Clone(ends)
+			ins.Begin(parent, pends, bytes.Clone(ins.IDs()))
+		case i%11 == 0:
+			ins.End()
+			parent, pends = nil, nil
+		}
+	}
+	ins.End()
+	if s.Size() != len(ref) {
+		t.Fatalf("Size() = %d, reference holds %d keys", s.Size(), len(ref))
+	}
+	if n := s.segs[1].next.Load(); n <= 1<<14 {
+		t.Fatalf("position 1 interned only %d segments, too few to reach three-byte IDs", n)
+	}
+	// Equal bytes at different positions are interned per position: the
+	// small alphabets' IDs are dense from 0 at each position.
+	for _, p := range []int{0, 2, 3, 5} {
+		if n := s.segs[p].next.Load(); n != 5 {
+			t.Errorf("position %d interned %d segments, want its alphabet of 5", p, n)
+		}
+	}
+	if st := s.stats(); st.mode != "exact" || st.tableBytes <= 0 {
+		t.Fatalf("stats: mode %q, %d table bytes", st.mode, st.tableBytes)
+	}
+}
+
+// TestExactSetSmallSearchFloor: the exact set's tables start small and
+// grow, so the 3,614-state deadlock check of two MSI caches on one
+// address (hgcheck's driver: store, load, release, acquire per core)
+// holds 110 KiB, not a megabyte of preallocated stripes.
+func TestExactSetSmallSearchFloor(t *testing.T) {
+	sys := NewHomogeneous(protocols.MustByName(protocols.NameMSI), 2)
+	progs := make([][]spec.CoreReq, 2)
+	for c := range progs {
+		progs[c] = []spec.CoreReq{
+			{Op: spec.OpStore, Addr: 0, Value: c + 1},
+			{Op: spec.OpLoad, Addr: 0},
+			{Op: spec.OpRelease},
+			{Op: spec.OpAcquire},
+		}
+	}
+	sys.SetPrograms(progs)
+	res := Explore(sys, Options{Evictions: true, POR: POROff, Workers: 1})
+	t.Logf("%d states, %d table bytes, %.1f bytes/state", res.States, res.TableBytes, res.BytesPerState)
+	if res.States != 3614 {
+		t.Fatalf("search has %d states, want 3614", res.States)
+	}
+	if budget := int64(112_592 * 11 / 10); res.TableBytes > budget {
+		t.Fatalf("exact set of %d states holds %d bytes, budget %d", res.States, res.TableBytes, budget)
+	}
 }
 
 // TestFPSetBudgetTruncation: a table pinned at its minimum capacity by a
@@ -176,14 +341,14 @@ func TestFPSetBudgetTruncation(t *testing.T) {
 	ins := s.handle(0)
 	inserted := 0
 	for i := 0; i < 2*fpInitialSlots && !s.Full(); i++ {
-		if ins.Insert(encOf(i)) {
+		if ins.Insert(encOf(i), nil, 0) {
 			inserted++
 		}
 	}
 	if !s.Full() {
 		t.Fatalf("table never filled after %d inserts into %d slots", inserted, fpInitialSlots)
 	}
-	if ins.Insert(encOf(1 << 40)) {
+	if ins.Insert(encOf(1<<40), nil, 0) {
 		t.Fatal("full table accepted a new state")
 	}
 	if lo := int(fpFullLoad*fpInitialSlots) - 1; inserted < lo {
@@ -195,36 +360,6 @@ func TestFPSetBudgetTruncation(t *testing.T) {
 	st := s.stats()
 	if st.peakLoad < fpFullLoad-0.01 {
 		t.Fatalf("peak load %.3f below the declared-full threshold", st.peakLoad)
-	}
-}
-
-// TestBloomSetSemantics: dedup on repeats, omission under saturation. An
-// 8 KiB filter (the budget floor) holds 64Ki bits; 100k states × 3 bits
-// saturate it, so Size must fall short of the distinct count and the
-// omission estimate must approach 1.
-func TestBloomSetSemantics(t *testing.T) {
-	b := newBloomSet(1, nil) // floor: 64Ki bits
-	if b.Insert(encOf(1)) != true {
-		t.Fatal("first insert not new")
-	}
-	if b.Insert(encOf(1)) != false {
-		t.Fatal("repeat insert reported new")
-	}
-	for i := 0; i < 100_000; i++ {
-		b.Insert(encOf(i))
-	}
-	if b.Size() >= 100_000 {
-		t.Fatalf("saturated filter claims %d distinct states — no omissions?", b.Size())
-	}
-	st := b.stats()
-	if st.mode != "bitstate" {
-		t.Fatalf("mode = %q", st.mode)
-	}
-	if st.loadFactor < 0.5 || st.loadFactor > 1 {
-		t.Fatalf("fill = %.3f, want high", st.loadFactor)
-	}
-	if st.omission < 0.5 {
-		t.Fatalf("omission = %g on a saturated filter, want near 1", st.omission)
 	}
 }
 
@@ -314,7 +449,6 @@ func storageModes(spillDir string) []struct {
 		set  func(*Options)
 	}{
 		{"hash", func(o *Options) { o.HashCompaction = true }},
-		{"bitstate", func(o *Options) { o.Bitstate = true }},
 		{"exact+spill", func(o *Options) { o.SpillDir = spillDir; o.spillRing = 64 }},
 		{"hash+spill", func(o *Options) {
 			o.HashCompaction = true
@@ -348,12 +482,12 @@ func assertAgrees(t *testing.T, label string, got, want *Result) {
 }
 
 // TestStorageModesAgreeLitmus: on MP, SB and IRIW, every storage mode —
-// hash compaction, bitstate, and both with the disk-spilling frontier
-// (ring forced down to 64 so waves really hit disk) — must visit exactly
-// the state set of the exact search, sequentially and with a worker pool.
-// 64-bit fingerprints (and a near-empty Bloom filter) make a collision at
-// these state counts vanishingly unlikely, so exact agreement is the
-// correct expectation, not a lucky one.
+// hash compaction, and both it and exact storage with the disk-spilling
+// frontier (ring forced down to 64 so waves really hit disk) — must visit
+// exactly the state set of the exact search, sequentially and with a
+// worker pool. 64-bit fingerprints make a collision at these state counts
+// vanishingly unlikely, so exact agreement is the correct expectation,
+// not a lucky one.
 func TestStorageModesAgreeLitmus(t *testing.T) {
 	workers := runtime.NumCPU()
 	if workers < 2 {

@@ -5,24 +5,8 @@ import (
 	"math/bits"
 )
 
-// fnvOffset and fnvPrime are the FNV-1a 64-bit parameters.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// fnv64a hashes b with FNV-1a, inlined to avoid the hash.Hash64 allocation
-// per state that hash/fnv would cost on the exploration hot path. It is
-// the first of bitstate mode's double hashes (see storage.go); the other
-// modes use stateHash below.
-func fnv64a(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
+// fnvOffset is the FNV-1a 64-bit offset basis, stateHash's seed.
+const fnvOffset = 14695981039346656037
 
 // stateHash is the 64-bit hash of a state encoding: a word-at-a-time
 // multiply-rotate mix (xxhash-style constants) that runs ~8x faster than
@@ -31,8 +15,9 @@ func fnv64a(b []byte) uint64 {
 // input bit reaches every output bit. It is deterministic, with no
 // per-process seed, so a search stores the same values run to run. It is
 // the stored fingerprint under hash compaction, where its quality is the
-// omission bound, and the exact set's stripe-and-probe hash, where
-// exactness never depends on it (Insert compares full encodings).
+// omission bound, and the exact set's stripe-and-probe hash for segments
+// and ID vectors, where exactness never depends on it (probes compare
+// full bytes).
 func stateHash(b []byte) uint64 {
 	const (
 		m1 = 0x9e3779b185ebca87

@@ -17,6 +17,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,9 +63,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
+	// Unknown fields are errors: a knob the server does not have (a
+	// misspelling, or a removed option) must not silently run the default.
 	var sb submitBody
-	if err := json.Unmarshal(body, &sb); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sb); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return
+	}
+	if dec.Decode(&struct{}{}) != io.EOF {
+		httpError(w, http.StatusBadRequest, "decoding request: trailing data after the request object")
 		return
 	}
 	var kind JobKind

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -121,34 +120,14 @@ func TestConcurrentChecksMatchDirect(t *testing.T) {
 	}
 }
 
-// TestRetiredCompiledFieldIgnored: a check job that still carries the
-// retired "compiled" field runs like any request with an unknown key —
-// the same growing-table search as without it.
-func TestRetiredCompiledFieldIgnored(t *testing.T) {
-	_, ts := testServer(t, Config{JobWorkers: 1})
-	id := postJob(t, ts, `{"check":{"pair":["MSI","RCC"],"caches":1,"addrs":1,"compiled":true,"search":{"workers":1,"hash":true}}}`)
-	direct, err := engine.Check(context.Background(), engine.CheckRequest{
-		Pair: []string{"MSI", "RCC"}, Caches: 1, Addrs: 1,
-		Search: engine.SearchOptions{Workers: 1, Hash: true},
-	}, engine.Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(direct)
-	got := waitState(t, ts, id, StateDone)["result"]
-	if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
-		t.Fatalf("job result differs from the direct engine run:\n got %s\nwant %s", got, want)
-	}
-}
-
 // TestCompileCacheAcrossJobs: the second identical compile job is served
 // from the server's shared artifact cache, and its table downloads in
-// both binary and textual form. A request naming its own compile_cache
-// directory cannot redirect the server's reads or writes there.
+// both binary and textual form. (A request cannot name a cache directory
+// of its own: TestSubmitRejectsUnknownFields.)
 func TestCompileCacheAcrossJobs(t *testing.T) {
-	cache, clientDir := t.TempDir(), t.TempDir()
+	cache := t.TempDir()
 	_, ts := testServer(t, Config{JobWorkers: 1, CompileCache: cache})
-	body := fmt.Sprintf(`{"compile":{"pair":["MSI","MSI"],"search":{"workers":1,"compile_cache":%q}}}`, clientDir)
+	body := `{"compile":{"pair":["MSI","MSI"],"search":{"workers":1}}}`
 
 	var sources []string
 	var last string
@@ -169,14 +148,10 @@ func TestCompileCacheAcrossJobs(t *testing.T) {
 	if sources[0] != "compiler" || sources[1] != "cache" {
 		t.Fatalf("compile sources %v, want [compiler cache]", sources)
 	}
-	for dir, want := range map[string]int{cache: 1, clientDir: 0} {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != want {
-			t.Errorf("%s holds %d entries, want %d", dir, len(entries), want)
-		}
+	if entries, err := os.ReadDir(cache); err != nil {
+		t.Fatal(err)
+	} else if len(entries) != 1 {
+		t.Errorf("%s holds %d entries, want 1", cache, len(entries))
 	}
 
 	for _, kind := range []string{"hgcf", "table"} {
@@ -273,6 +248,38 @@ func TestCancelRunningJob(t *testing.T) {
 	// The worker pool is intact: a follow-up job completes.
 	id2 := postJob(t, ts, `{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1}}}`)
 	waitState(t, ts, id2, StateDone)
+}
+
+// TestSubmitRejectsUnknownFields: a request naming a field the API does
+// not have — the removed "bitstate" storage knob, the retired "compiled"
+// and "compile_cache" fields (a client cannot redirect the server's
+// artifact cache), a misspelling, an unknown job kind — or carrying
+// trailing data fails with a 400 naming the problem, and no job is
+// queued that would run the defaults instead.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	srv, ts := testServer(t, Config{JobWorkers: 1})
+	for body, want := range map[string]string{
+		`{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1,"bitstate":true}}}`:   `unknown field "bitstate"`,
+		`{"check":{"pair":["MSI","RCC"],"caches":1,"addrs":1,"compiled":true}}`:                      `unknown field "compiled"`,
+		`{"compile":{"pair":["MSI","MSI"],"search":{"workers":1,"compile_cache":"/tmp/elsewhere"}}}`: `unknown field "compile_cache"`,
+		`{"check":{"protocol":"MSI","cache":1}}`:                                                     `unknown field "cache"`,
+		`{"verify":{"protocol":"MSI"}}`:                                                              `unknown field "verify"`,
+		`{"check":{"protocol":"MSI"}} {"check":{"protocol":"MSI"}}`:                                  "trailing data",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, want) {
+			t.Errorf("body %s: status %d, error %q; want 400 naming %s", body, resp.StatusCode, e.Error, want)
+		}
+	}
+	if n := len(srv.jobs.list()); n != 0 {
+		t.Fatalf("%d jobs queued from rejected requests", n)
+	}
 }
 
 // TestSubmitValidationAndHealth covers the request envelope rules, 404s
