@@ -406,9 +406,9 @@ type benchCompileReport struct {
 // that every fused check runs; precompiled/check, the steady-state
 // dispatch-only cost of an in-memory table; and the artifact path —
 // serializing the table to its .hgcf binary form, cold-loading it back
-// (PCC reparse, digest verification, every state image decoded and
-// re-encoded with its POR references derived, FSM re-projection), and a check
-// through the cold-loaded table. State counts must agree across every searching row
+// (PCC reparse, digest verification, every stored (state, message) pair
+// replayed through the compiler, finalization), and a check through the
+// cold-loaded table. State counts must agree across every searching row
 // or the run aborts. With BENCH_COMPILE_OUT set, the measurements are
 // written as BENCH_COMPILE.json v3 after the subtests finish.
 func BenchmarkCompile(b *testing.B) {
@@ -518,7 +518,7 @@ func BenchmarkCompile(b *testing.B) {
 				b.Fatal(err)
 			}
 			record("artifact/coldload", time.Since(start), 0,
-				"one-read cold load of the serialized table: body checksum, PCC reparse, re-fusion, digest verification, every state decoded and re-encoded (POR references derived), FSM re-projection — replaces the extraction entirely")
+				"one-read cold load of the serialized table: body checksum, PCC reparse, re-fusion, digest verification, every stored (state, message) pair replayed through the compiler (states, outcomes and POR references derived), finalization with the FSM projection — replaces the extraction search entirely")
 			b.ReportMetric(float64(lcf.DirStates()), "dirstates")
 		}
 	})

@@ -33,17 +33,22 @@ import (
 //	                     explored-state count
 //	          verdict  — the extraction's deadlock count and lex-least
 //	                     deadlock snapshot (CompiledFusion.Verdict)
-//	          states   — image and memory blobs with u32 offset tables
-//	                     (loaded as subslices of one backing array)
-//	          msgs     — the interned message pool, an offset blob of
+//	          msgs     — every message the table delivers, once, in
+//	                     first-use order: an offset blob of
 //	                     Msg.AppendBinary images
-//	          table    — per state, its message-sorted records: message
-//	                     id, successor, memory bit, send ids
+//	          lists    — per state, in discovery order, the message ids
+//	                     of its records in message order
 //
-// The body holds only what the extraction found. Everything derivable —
-// each state's POR references, the projected Table II machine and its
-// stability verdicts, snapshots and relabelings — is rebuilt from the
-// state images by the same code a fresh compile runs.
+// The body holds only the (state, message) pairs the extraction
+// delivered. States are not stored: state 0 is the initial directory
+// state, and discovery order numbers the others as a replay of the lists
+// interns them (CompiledFusion.discoveryOrder). A load rebuilds the
+// growing table a fresh compile starts from, replays list k at state k
+// through the compiler for k = 0, 1, …, and runs the same finalize as
+// CompileCtx, so every state, successor, send, memory bit, POR reference
+// and projected FSM row of a loaded table is the interpreted oracle's
+// outcome. Only the verdict, the explored count and which pairs the
+// extraction reached are taken on trust.
 //
 // Versioning rule: any change to the section layout or field widths bumps
 // ArtifactVersion; loaders reject other versions outright (there is no
@@ -59,17 +64,14 @@ import (
 // ErrArtifactMismatch at load time — never a search that replays another
 // machine's transitions.
 //
-// The loader trusts nothing: every read is bounds-checked and every index
-// (state, message id) is validated before use, so a corrupt or truncated
-// file fails with ErrArtifactCorrupt instead of panicking
-// (FuzzArtifactCodec pins this, re-sealing the checksum so its mutations
-// reach the parser). After decoding, the table is re-anchored to a freshly
-// rebuilt fusion: state 0 must be its initial directory state, the other
-// states must be distinct and in canonical order, and every state's image
-// and memory are decoded through the interpreted MergedDir and must
-// re-encode to themselves — drift between the artifact and the rebuilt
-// fusion is caught at load. The loaded table is a seed: System() searches
-// it as a growing table, like a freshly compiled one.
+// The loader trusts nothing: every read is bounds-checked and every
+// message id is validated before use, so a corrupt or truncated file
+// fails with ErrArtifactCorrupt instead of panicking (FuzzArtifactCodec
+// pins this, re-sealing the checksum so its mutations reach the parser).
+// Every pooled message must travel to the merged directory from a node
+// the rebuilt system routes, at an address some program names, before the
+// replay delivers any; the replay must then reach exactly one state per
+// list (buildFromParts, replay).
 
 // ArtifactMagic identifies a compiled-fusion artifact file.
 const ArtifactMagic = "HGCF"
@@ -78,8 +80,10 @@ const ArtifactMagic = "HGCF"
 // the verdict section; version 3 added the body checksum, stores one image
 // per state and writes the table as per-state record lists; version 4
 // drops the derived sections (POR reference sets and the projected FSM)
-// and stores messages as their binary images.
-const ArtifactVersion = 4
+// and stores messages as their binary images; version 5 drops the states
+// and every record's outcome, keeping per state only the messages it
+// delivers, which a load replays.
+const ArtifactVersion = 5
 
 // ArtifactExt is the conventional file extension (and the one the
 // content-addressed cache uses).
@@ -272,33 +276,89 @@ func (d *artDec) offsetBlob() [][]byte {
 // MarshalArtifact serializes the compiled table into the versioned binary
 // artifact. The encoding is deterministic: marshaling the same table (or a
 // table reloaded from the artifact) reproduces identical bytes.
-func (cf *CompiledFusion) MarshalArtifact() []byte {
+func (cf *CompiledFusion) MarshalArtifact() []byte { return cf.artifactParts().marshal() }
+
+// artifactParts is the artifact's content: what a table is compiled from,
+// what its extraction found, and the (state, message) pairs it delivered.
+// MarshalArtifact writes it and parseArtifact reads it back.
+type artifactParts struct {
+	digest   [sha256.Size]byte
+	name     string
+	opts     Options
+	pccTexts []string
+	cfg      CompileConfig
+	explored int
+
+	deadlocks  int
+	deadlockAt string
+
+	// msgs holds every delivered message once, in first-use order; lists
+	// holds, per state in discovery order (discoveryOrder), the message
+	// ids of its records in message order.
+	msgs  []spec.Msg
+	lists [][]uint32
+}
+
+// artifactParts collects cf's artifact content.
+func (cf *CompiledFusion) artifactParts() *artifactParts {
+	p := &artifactParts{
+		digest:     compileDigestRaw(cf.fusion, cf.cfg),
+		name:       cf.fusion.Name(),
+		opts:       cf.fusion.Opts,
+		cfg:        cf.cfg,
+		explored:   cf.explored,
+		deadlocks:  cf.stats.Deadlocks,
+		deadlockAt: cf.stats.DeadlockAt,
+	}
+	for _, proto := range cf.fusion.Protocols {
+		p.pccTexts = append(p.pccTexts, spec.ExportPCC(proto))
+	}
+	msgID := map[spec.Msg]uint32{}
+	ids := make([]uint32, 0, len(cf.recs))
+	for _, s := range cf.discoveryOrder() {
+		start := len(ids)
+		for _, ri := range cf.spans[s] {
+			m := cf.recs[ri].msg
+			id, ok := msgID[m]
+			if !ok {
+				id = uint32(len(p.msgs))
+				msgID[m] = id
+				p.msgs = append(p.msgs, m)
+			}
+			ids = append(ids, id)
+		}
+		p.lists = append(p.lists, ids[start:len(ids):len(ids)])
+	}
+	return p
+}
+
+// marshal encodes p as a sealed artifact.
+func (p *artifactParts) marshal() []byte {
 	var e artEnc
-	e.buf = make([]byte, 0, 1<<20)
+	e.buf = make([]byte, 0, 64<<10)
 	e.buf = append(e.buf, ArtifactMagic...)
 	e.u32(ArtifactVersion)
-	digest := compileDigestRaw(cf.fusion, cf.cfg)
-	e.buf = append(e.buf, digest[:]...)
+	e.buf = append(e.buf, p.digest[:]...)
 	e.buf = append(e.buf, make([]byte, sha256.Size)...) // body checksum, sealed below
 
 	// Fusion: self-contained — constituents travel as canonical PCC text.
-	e.str(cf.fusion.Name())
-	e.u32(uint32(cf.fusion.Opts.Handshake))
-	e.u32(uint32(cf.fusion.Opts.ProxyPool))
-	e.bool(cf.fusion.Opts.ForceConservative)
-	e.u32(uint32(len(cf.fusion.Protocols)))
-	for _, p := range cf.fusion.Protocols {
-		e.str(spec.ExportPCC(p))
+	e.str(p.name)
+	e.u32(uint32(p.opts.Handshake))
+	e.u32(uint32(p.opts.ProxyPool))
+	e.bool(p.opts.ForceConservative)
+	e.u32(uint32(len(p.pccTexts)))
+	for _, text := range p.pccTexts {
+		e.str(text)
 	}
 
 	// Config (semantic fields only; MaxStates/Workers are not part of the
 	// table's identity).
-	e.u32(uint32(len(cf.cfg.CachesPerCluster)))
-	for _, n := range cf.cfg.CachesPerCluster {
+	e.u32(uint32(len(p.cfg.CachesPerCluster)))
+	for _, n := range p.cfg.CachesPerCluster {
 		e.u32(uint32(n))
 	}
-	e.u32(uint32(len(cf.cfg.Programs)))
-	for _, prog := range cf.cfg.Programs {
+	e.u32(uint32(len(p.cfg.Programs)))
+	for _, prog := range p.cfg.Programs {
 		e.u32(uint32(len(prog)))
 		for _, r := range prog {
 			e.i64(int64(r.Op))
@@ -306,50 +366,19 @@ func (cf *CompiledFusion) MarshalArtifact() []byte {
 			e.i64(int64(r.Value))
 		}
 	}
-	e.bool(cf.cfg.Evictions)
-	e.u64(uint64(cf.explored))
+	e.bool(p.cfg.Evictions)
+	e.u64(uint64(p.explored))
 
 	// Verdict: a loaded table reports what its extraction found.
-	e.u64(uint64(cf.stats.Deadlocks))
-	e.str(cf.stats.DeadlockAt)
+	e.u64(uint64(p.deadlocks))
+	e.str(p.deadlockAt)
 
-	// States: two offset-table blobs.
-	n := len(cf.states)
-	e.offsetBlob(func(i int) []byte { return cf.states[i].img }, n)
-	e.offsetBlob(func(i int) []byte { return cf.states[i].mem }, n)
-
-	// Message pool: every distinct table/send message, first-use order.
-	msgID := map[spec.Msg]uint32{}
-	var msgs []spec.Msg
-	intern := func(m spec.Msg) uint32 {
-		if id, ok := msgID[m]; ok {
-			return id
-		}
-		id := uint32(len(msgs))
-		msgID[m] = id
-		msgs = append(msgs, m)
-		return id
-	}
-	cf.eachRecord(func(_ int32, r *compRecord) {
-		intern(r.msg)
-		for _, m := range r.tr.sends {
-			intern(m)
-		}
-	})
-	e.offsetBlob(func(i int) []byte { return msgs[i].AppendBinary(nil) }, len(msgs))
-
-	// Table: each state's records in message order.
-	for _, span := range cf.spans {
-		e.u32(uint32(len(span)))
-		for _, ri := range span {
-			r := &cf.recs[ri]
-			e.u32(msgID[r.msg])
-			e.u32(uint32(r.tr.next))
-			e.bool(r.tr.remem)
-			e.u32(uint32(len(r.tr.sends)))
-			for _, m := range r.tr.sends {
-				e.u32(msgID[m])
-			}
+	e.offsetBlob(func(i int) []byte { return p.msgs[i].AppendBinary(nil) }, len(p.msgs))
+	e.u32(uint32(len(p.lists)))
+	for _, list := range p.lists {
+		e.u32(uint32(len(list)))
+		for _, id := range list {
+			e.u32(id)
 		}
 	}
 
@@ -384,29 +413,10 @@ func (cf *CompiledFusion) WriteArtifact(path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// artifactParts is the decoded but not yet semantically anchored artifact.
-type artifactParts struct {
-	digest   [sha256.Size]byte
-	name     string
-	opts     Options
-	pccTexts []string
-	cfg      CompileConfig
-	explored int
-
-	deadlocks  int
-	deadlockAt string
-
-	imgs, mems [][]byte
-	msgs       []spec.Msg
-	recs       []compRecord
-	spans      [][]int32
-}
-
 // parseArtifact decodes and structurally validates the byte form: header,
-// body checksum, section framing, message images that re-encode to
-// themselves, and every cross-reference (at least the initial state,
-// message/state indices in range, spans message-sorted so the binary
-// search is sound, stalls without effects). It does not touch protocol
+// body checksum, section framing, a pool of distinct message images that
+// re-encode to themselves and are used in pool order, strictly
+// message-sorted lists, and a sane verdict. It does not touch protocol
 // semantics.
 func parseArtifact(data []byte) (*artifactParts, error) {
 	if len(data) < artifactHeaderLen || string(data[:4]) != ArtifactMagic {
@@ -450,13 +460,6 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	p.deadlocks = int(d.u64())
 	p.deadlockAt = d.str()
 
-	p.imgs = d.offsetBlob()
-	p.mems = d.offsetBlob()
-	nStates := len(p.imgs)
-	if d.ok && len(p.mems) != nStates {
-		d.fail()
-	}
-
 	// An accepted artifact re-marshals byte-identically, so the pool must
 	// be the one MarshalArtifact writes: distinct messages in first-use
 	// order, each image re-encoding to itself (spec.Dec accepts
@@ -476,56 +479,26 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 		p.msgs = append(p.msgs, m)
 	}
 
+	// The lists are the rest of the body, so its length sizes their one
+	// backing array.
+	nLists := d.count(4)
+	ids := make([]uint32, 0, max(0, d.rem()/4-nLists))
+	p.lists = make([][]uint32, 0, nLists)
 	firstUnused := uint32(0)
-	msgAt := func(id uint32) spec.Msg {
-		if id > firstUnused || int(id) >= len(p.msgs) {
-			d.fail()
-			return spec.Msg{}
-		}
-		if id == firstUnused {
-			firstUnused++
-		}
-		return p.msgs[id]
-	}
-	// Records land in one slice, state after state, and their sends in
-	// one pool; spans and send lists are cut from them once every record
-	// is read. Both are sized once, by a counting pass.
-	recCap, sendCap := countRecords(*d, nStates)
-	spanEnd := make([]int, 0, nStates)
-	p.recs = make([]compRecord, 0, recCap)
-	sendPool := make([]spec.Msg, 0, sendCap)
-	sendEnd := make([]int, 0, recCap)
-	for s := 0; s < nStates && d.ok; s++ {
-		nRecs := d.count(13)
-		for i := 0; i < nRecs && d.ok; i++ {
-			r := compRecord{msg: msgAt(d.u32())}
-			r.tr.next = int32(d.u32())
-			r.tr.remem = d.bool()
-			nSends := d.count(4)
-			for j := 0; j < nSends && d.ok; j++ {
-				sendPool = append(sendPool, msgAt(d.u32()))
+	for k := 0; k < nLists && d.ok; k++ {
+		n := d.count(4)
+		start := len(ids)
+		for i := 0; i < n && d.ok; i++ {
+			id := d.u32()
+			switch {
+			case id > firstUnused || int(id) >= len(p.msgs):
+				d.fail()
+			case id == firstUnused:
+				firstUnused++
 			}
-			p.recs = append(p.recs, r)
-			sendEnd = append(sendEnd, len(sendPool))
+			ids = append(ids, id)
 		}
-		spanEnd = append(spanEnd, len(p.recs))
-	}
-	if d.ok {
-		idx := make([]int32, len(p.recs))
-		start := 0
-		for i, end := range sendEnd {
-			idx[i] = int32(i)
-			if end > start {
-				p.recs[i].tr.sends = sendPool[start:end:end]
-			}
-			start = end
-		}
-		p.spans = make([][]int32, nStates)
-		start = 0
-		for s, end := range spanEnd {
-			p.spans[s] = idx[start:end:end]
-			start = end
-		}
+		p.lists = append(p.lists, ids[start:len(ids):len(ids)])
 	}
 	if d.ok && int(firstUnused) != len(p.msgs) {
 		d.fail()
@@ -544,47 +517,16 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 		return nil, fmt.Errorf("%w: verdict of %d deadlock states (snapshot %d bytes) over %d explored",
 			ErrArtifactCorrupt, p.deadlocks, len(p.deadlockAt), p.explored)
 	}
-
-	// Cross-reference validation: the table must be internally sound
-	// before anything dispatches through it.
-	if nStates == 0 {
-		return nil, fmt.Errorf("%w: no states (the initial state is missing)", ErrArtifactCorrupt)
-	}
-	for s, span := range p.spans {
-		for i := 1; i < len(span); i++ {
-			if msgCmp(&p.recs[span[i-1]].msg, &p.recs[span[i]].msg) >= 0 {
-				return nil, fmt.Errorf("%w: state %d span not strictly message-sorted", ErrArtifactCorrupt, s)
+	// Strictly message-sorted lists: a state delivers each message once,
+	// and the replay records them in the order the binary search expects.
+	for k, list := range p.lists {
+		for i := 1; i < len(list); i++ {
+			if msgCmp(&p.msgs[list[i-1]], &p.msgs[list[i]]) >= 0 {
+				return nil, fmt.Errorf("%w: list %d not strictly message-sorted", ErrArtifactCorrupt, k)
 			}
 		}
 	}
-	for i := range p.recs {
-		tr := &p.recs[i].tr
-		switch {
-		case tr.next == stallState && (tr.remem || len(tr.sends) > 0):
-			return nil, fmt.Errorf("%w: record %d is a stall with effects", ErrArtifactCorrupt, i)
-		case tr.next != stallState && (tr.next < 0 || int(tr.next) >= nStates):
-			return nil, fmt.Errorf("%w: record %d successor %d out of range", ErrArtifactCorrupt, i, tr.next)
-		}
-	}
 	return p, nil
-}
-
-// countRecords counts the records and sends of the record section at d
-// for nStates states. d is a copy, so the caller's cursor stays put. It
-// checks nothing beyond the counts' bounds (count keeps them within the
-// remaining input); the decoding pass validates the section.
-func countRecords(d artDec, nStates int) (recs, sends int) {
-	for s := 0; s < nStates && d.ok; s++ {
-		n := d.count(13)
-		for i := 0; i < n && d.ok; i++ {
-			d.take(9) // message id, successor, remem flag
-			m := d.count(4)
-			d.take(4 * m)
-			sends += m
-		}
-		recs += n
-	}
-	return recs, sends
 }
 
 // LoadArtifact loads a self-contained artifact: the constituent protocols
@@ -672,15 +614,16 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 	return cf, nil
 }
 
-// buildFromParts anchors the decoded table to a (re)built fusion: fresh
-// template system, scratch directory and permutation group from (f, cfg),
-// table contents and extraction verdict from the artifact. Every stored
-// message must name only nodes the rebuilt system routes and every stored
-// state must stand for a state of the rebuilt fusion (deriveStates, which
-// also names it for the FSM projection in the same decode); the projected
-// FSM is then derived by the projectFSM a fresh compile runs.
-// Any semantic drift the digest missed fails the load rather than
-// corrupting a search.
+// buildFromParts derives the table from the artifact's delivered pairs:
+// the growing table a fresh compile starts from, built for (f, cfg), is
+// replayed list by list (replay) and then finalized exactly as CompileCtx
+// finalizes an extraction, so every state, record, POR reference and
+// projected FSM row is the interpreted oracle's. Besides which pairs to
+// deliver, only the verdict and the explored count are taken from the
+// artifact. Every pooled message is
+// checked before the replay delivers any: it must travel to the merged
+// directory from a node the rebuilt system routes, at an address some
+// program names.
 func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFusion, error) {
 	// The digest covers the constituents' canonical exports, not the
 	// embedded text; an accepted artifact re-marshals byte-identically, so
@@ -693,78 +636,74 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 			return nil, fmt.Errorf("%w: embedded protocol %d is not its canonical PCC export", ErrArtifactCorrupt, i)
 		}
 	}
-	cf, _ := newCompiledFusion(f, cfg)
-	// A send to a node the rebuilt system does not route would panic the
-	// first search that replays it; refuse it here instead.
-	var routed spec.NodeSet
-	for _, c := range cf.template.Components {
-		for _, id := range c.OwnedIDs() {
+	cf, c, _ := growingSystem(f, cfg)
+	var routed, dir spec.NodeSet
+	for _, comp := range cf.template.Components {
+		for _, id := range comp.OwnedIDs() {
 			routed.Add(id)
 		}
 	}
+	for _, id := range cf.owned {
+		dir.Add(id)
+	}
+	named := map[spec.Addr]bool{}
+	for _, prog := range cfg.Programs {
+		for _, r := range prog {
+			named[r.Addr] = true
+		}
+	}
 	for i, m := range p.msgs {
-		if !routed.Has(m.Src) || !routed.Has(m.Dst) || (m.Req != spec.NoNode && !routed.Has(m.Req)) {
-			return nil, fmt.Errorf("%w: stored message %d (%s) names a node the rebuilt system does not route",
+		switch {
+		case !named[m.Addr]:
+			return nil, fmt.Errorf("%w: stored message %d (%s) is at an address no program names",
+				ErrArtifactMismatch, i, m)
+		case !dir.Has(m.Dst) || !routed.Has(m.Src) || (m.Req != spec.NoNode && !routed.Has(m.Req)):
+			return nil, fmt.Errorf("%w: stored message %d (%s) is not routed from a node of the rebuilt system to its merged directory",
 				ErrArtifactMismatch, i, m)
 		}
 	}
-	cf.explored = p.explored
-	cf.stats = CompileStats{Source: SourceArtifact, Deadlocks: p.deadlocks, DeadlockAt: p.deadlockAt}
-	states := make([]compState, len(p.imgs))
-	cf.states = make([]*compState, len(states))
-	for i := range states {
-		states[i] = compState{img: p.imgs[i], mem: p.mems[i]}
-		cf.states[i] = &states[i]
-	}
-	cf.recs = p.recs[:len(p.recs):len(p.recs)]
-	cf.spans = p.spans
-	local := cf.localAddrs()
-	if err := cf.deriveStates(local); err != nil {
+	if err := replay(c, p); err != nil {
 		return nil, err
 	}
-	cf.projectFSM(local)
+	cf.explored = p.explored
+	cf.stats = CompileStats{Source: SourceArtifact, Deadlocks: p.deadlocks, DeadlockAt: p.deadlockAt}
+	cf.finalize(c)
 	return cf, nil
 }
 
-// deriveStates checks the loaded states against the rebuilt fusion and
-// derives what the artifact does not store. State 0 must be the rebuilt
-// initial directory state (ErrArtifactMismatch); the others must be
-// distinct from it and strictly ascending by (image, memory), the order
-// canonicalOrder numbers them in, so no state is stored twice
-// (ErrArtifactCorrupt). Every image and memory is decoded through the
-// interpreted scratch directory and must re-encode to itself
-// (ErrArtifactMismatch), and that decode yields the state's POR
-// references and its local-state names at the addresses local lists
-// (localAddrs), so each state is decoded once per load. parseArtifact
-// guarantees the initial state exists.
-func (cf *CompiledFusion) deriveStates(local [][]localName) error {
-	initial := compState{img: cf.layout.Merged.AppendBinary(nil), mem: cf.layout.Merged.Memory().AppendBinary(nil)}
-	if stateCmp(cf.states[0], &initial) != 0 {
-		return fmt.Errorf("%w: state 0 is not the rebuilt fusion's initial directory state", ErrArtifactMismatch)
+// replay delivers list k's messages at state k through the compiler, for
+// k = 0, 1, …: each delivery interprets and records its outcome and
+// interns a new successor under the next index, so a list may only be
+// replayed once its state is discovered, and the replay must discover
+// exactly one state per list (ErrArtifactCorrupt). A stall that sends is
+// refused, as it fails a compile (ErrArtifactMismatch).
+func replay(c *compiler, p *artifactParts) error {
+	// A list's records land consecutively and in message order, so the
+	// records and every state's span are sized up front, the spans cut
+	// from one array.
+	total := 0
+	for _, list := range p.lists {
+		total += len(list)
 	}
-	mem := cf.scratch.Memory().Clone()
-	var dec spec.Dec
-	var buf []byte
-	for i, st := range cf.states {
-		if i > 0 && (stateCmp(st, cf.states[0]) == 0 || i > 1 && stateCmp(cf.states[i-1], st) >= 0) {
-			return fmt.Errorf("%w: state %d repeats a state or breaks the canonical state order", ErrArtifactCorrupt, i)
+	c.recs = make([]compRecord, 0, total)
+	spans := make([]int32, total)
+	for k := range p.lists {
+		if k >= len(c.states) {
+			return fmt.Errorf("%w: list %d names a state the replay does not reach (%d reached)",
+				ErrArtifactCorrupt, k, len(c.states))
 		}
-		dec.Reset(st.img)
-		if err := cf.scratch.DecodeState(&dec); err != nil {
-			return fmt.Errorf("%w: state %d image undecodable against the rebuilt fusion: %v", ErrArtifactMismatch, i, err)
+		start := len(c.recs)
+		c.spans[k] = spans[start : start : start+len(p.lists[k])]
+		for _, id := range p.lists[k] {
+			c.step(int32(k), &p.msgs[id])
 		}
-		if buf = cf.scratch.AppendBinary(buf[:0]); !bytes.Equal(buf, st.img) {
-			return fmt.Errorf("%w: state %d image does not re-encode to itself under the rebuilt fusion", ErrArtifactMismatch, i)
-		}
-		dec.Reset(st.mem)
-		if err := mem.DecodeState(&dec); err != nil {
-			return fmt.Errorf("%w: state %d memory undecodable: %v", ErrArtifactMismatch, i, err)
-		}
-		if buf = mem.AppendBinary(buf[:0]); !bytes.Equal(buf, st.mem) {
-			return fmt.Errorf("%w: state %d memory does not re-encode to itself", ErrArtifactMismatch, i)
-		}
-		st.refs = cf.scratch.RefNodes()
-		cf.nameLocal(local[i])
+	}
+	if c.err != nil {
+		return fmt.Errorf("%w: %v", ErrArtifactMismatch, c.err)
+	}
+	if len(c.states) != len(p.lists) {
+		return fmt.Errorf("%w: the replay reaches %d states, the artifact lists %d",
+			ErrArtifactCorrupt, len(c.states), len(p.lists))
 	}
 	return nil
 }

@@ -45,9 +45,11 @@ import (
 //
 // After extraction finalize renumbers the interned states into a canonical
 // order; the table keeps its one form — the records and every state's
-// message-sorted span of record indices — which the on-disk artifact
-// (artifact.go) serializes span by span and System() seeds its tables
-// with.
+// message-sorted span of record indices — which System() seeds its tables
+// with. The on-disk artifact (artifact.go) stores only each state's
+// delivered messages, in discovery order (discoveryOrder); a load replays
+// them through a fresh growing table's step and runs the same finalize,
+// so a loaded table is built by the code that built the compiled one.
 //
 // The compiled artifact drives every downstream layer:
 //
@@ -64,9 +66,10 @@ import (
 //     states/transitions; EnumerateCompiled is the only Table II engine).
 //   - Protocol() lifts the projection into a spec.Protocol value that
 //     round-trips through the PCC text form and exports to Murphi/DOT.
-//   - MarshalArtifact() serializes the table into the versioned
-//     on-disk form; LoadArtifact* rebuilds a working CompiledFusion from
-//     those bytes without re-running the extraction search (artifact.go).
+//   - MarshalArtifact() serializes the table's delivered pairs into the
+//     versioned on-disk form; LoadArtifact* replays them into a working
+//     CompiledFusion without re-running the extraction search
+//     (artifact.go).
 //
 // Soundness: the interpreted composite stays the oracle. A pair no table
 // holds is interpreted, never guessed, so a table searched outside its
@@ -170,9 +173,10 @@ type CompileStats struct {
 	// instead of interpreting.
 	MemoHits int64
 	// Finalize is the table's renumbering and FSM projection time after
-	// extraction.
+	// extraction (a load's is part of Load).
 	Finalize time.Duration
-	// Load is the artifact read+decode+rebuild time (zero when compiled).
+	// Load is the artifact read, parse, replay and finalize time (zero
+	// when compiled).
 	Load time.Duration
 	// Deadlocks counts the deadlock states the extraction search reached
 	// and DeadlockAt is the lex-least one's snapshot (see Verdict). A
@@ -403,11 +407,11 @@ func (cf *CompiledFusion) finalize(c *compiler) {
 
 // canonicalOrder lists the interned states in their canonical order: state
 // 0 stays the initial state (CompiledDir starts there), the rest sort by
-// their (image, memory) key; the artifact loader checks both. Intern
-// order is a schedule artifact of the extraction search's worker
-// interleaving, so canonical numbering is what makes the finished table,
-// and therefore the artifact bytes, identical across worker counts (the
-// determinism tests pin this).
+// their (image, memory) key. Intern order is a schedule artifact of the
+// extraction search's worker interleaving (and discovery order for an
+// artifact load's replay), so canonical numbering is what makes the
+// finished table, and therefore the artifact bytes, identical across
+// worker counts and round trips (the determinism tests pin this).
 func canonicalOrder(states []*compState) []int32 {
 	ord := make([]int32, len(states))
 	for i := range ord {
@@ -455,17 +459,9 @@ func (cf *CompiledFusion) localAddrs() [][]localName {
 	return local
 }
 
-// nameLocal names names' addresses after the state the scratch directory
-// holds and records each name's stability. The caller owns the scratch.
-func (cf *CompiledFusion) nameLocal(names []localName) {
-	for i := range names {
-		names[i].name = cf.scratch.LocalState(names[i].a)
-		cf.stable[names[i].name] = cf.scratch.localStable(names[i].a)
-	}
-}
-
 // nameStates decodes every state localAddrs listed addresses for into the
-// scratch directory and names them there.
+// scratch directory, names it there at those addresses and records each
+// name's stability.
 func (cf *CompiledFusion) nameStates(local [][]localName) {
 	cf.snapMu.Lock()
 	defer cf.snapMu.Unlock()
@@ -476,18 +472,21 @@ func (cf *CompiledFusion) nameStates(local [][]localName) {
 		if err := cf.scratch.DecodeState(spec.NewDec(cf.states[s].img)); err != nil {
 			panic(fmt.Sprintf("core: state %d image undecodable during FSM projection: %v", s, err))
 		}
-		cf.nameLocal(names)
+		for i := range names {
+			names[i].name = cf.scratch.LocalState(names[i].a)
+			cf.stable[names[i].name] = cf.scratch.localStable(names[i].a)
+		}
 	}
 }
 
 // projectFSM derives the per-address local-state projection (the Table II
 // machine) from the finalized records and local, every state's names at
-// the addresses localAddrs listed (nameStates, or the artifact load's
-// deriveStates, decodes each referenced state's exact image once) —
-// instead of building LocalState strings inline on every extraction
-// delivery. The projection over records equals the projection over
-// deliveries because a (state, message) pair determines its successor:
-// every successful delivery contributes the edge its record contributes.
+// the addresses localAddrs listed (nameStates decodes each referenced
+// state's exact image once) — instead of building LocalState strings
+// inline on every extraction delivery. The projection over records equals
+// the projection over deliveries because a (state, message) pair
+// determines its successor: every successful delivery contributes the
+// edge its record contributes.
 func (cf *CompiledFusion) projectFSM(local [][]localName) {
 	nameOf := func(s int32, a spec.Addr) string {
 		for i := range local[s] {
@@ -526,6 +525,27 @@ func (cf *CompiledFusion) projectFSM(local [][]localName) {
 		}
 		return a.To < b.To
 	})
+}
+
+// discoveryOrder lists the finished table's states in the order a replay
+// from state 0 discovers them: state 0 first, then each state's unseen
+// successors in its records' message order, state by state in this same
+// order. Every state of a finished table is reachable from state 0, so the
+// order covers them all; the artifact stores the states' message lists in
+// it (artifact.go), and its load's replay interns them in it.
+func (cf *CompiledFusion) discoveryOrder() []int32 {
+	order := make([]int32, 1, len(cf.states))
+	seen := make([]bool, len(cf.states))
+	seen[0] = true
+	for k := 0; k < len(order); k++ {
+		for _, ri := range cf.spans[order[k]] {
+			if next := cf.recs[ri].tr.next; next != stallState && !seen[next] {
+				seen[next] = true
+				order = append(order, next)
+			}
+		}
+	}
+	return order
 }
 
 // eachRecord visits the finished table's records state by state, each

@@ -19,11 +19,11 @@ func fusePair(t *testing.T, a, b string) *Fusion {
 }
 
 // TestExtractionDeterminism pins the memoized extraction's core contract:
-// Workers ∈ {1,2,4} all produce byte-identical artifacts (which subsumes
-// the table, the interned state images and the digest) and byte-identical
-// FlatFSM renderings — canonical state renumbering is what erases the
-// schedule from the bytes — and each distinct (state, message) pair is
-// interpreted exactly once.
+// Workers ∈ {1,2,4} all produce the same table state by state and record
+// by record, byte-identical artifacts (the delivered pairs and the
+// digest) and byte-identical FlatFSM renderings — canonical state
+// renumbering is what erases the schedule from the table — and each
+// distinct (state, message) pair is interpreted exactly once.
 func TestExtractionDeterminism(t *testing.T) {
 	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
 	base, err := Compile(f, TableIICompileConfig(true, 1))
@@ -51,6 +51,7 @@ func TestExtractionDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireSameTable(t, fmt.Sprintf("Workers=%d", workers), base, cf)
 			if !bytes.Equal(cf.MarshalArtifact(), wantArt) {
 				t.Error("artifact bytes differ from the Workers=1 baseline")
 			}
