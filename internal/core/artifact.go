@@ -34,8 +34,9 @@ import (
 //	          verdict  — the extraction's deadlock count and lex-least
 //	                     deadlock snapshot (CompiledFusion.Verdict)
 //	          msgs     — every message the table delivers, once, in
-//	                     first-use order: an offset blob of
-//	                     Msg.AppendBinary images
+//	                     first-use order: an offset blob of named
+//	                     message images (Vocab.AppendMsg: the type as
+//	                     its name, never as a number)
 //	          lists    — per state, in discovery order, the message ids
 //	                     of its records in message order
 //
@@ -294,9 +295,14 @@ type artifactParts struct {
 
 	// msgs holds every delivered message once, in first-use order; lists
 	// holds, per state in discovery order (discoveryOrder), the message
-	// ids of its records in message order.
-	msgs  []spec.Msg
-	lists [][]uint32
+	// ids of its records in message order. The pool stores each message's
+	// named image (Vocab.AppendMsg): vocab is the fusion's, and a parse
+	// keeps the images in msgImgs until decodeMsgs numbers them under the
+	// rebuilt fusion's vocabulary.
+	vocab   *spec.Vocab
+	msgImgs [][]byte
+	msgs    []spec.Msg
+	lists   [][]uint32
 }
 
 // artifactParts collects cf's artifact content.
@@ -309,6 +315,7 @@ func (cf *CompiledFusion) artifactParts() *artifactParts {
 		explored:   cf.explored,
 		deadlocks:  cf.stats.Deadlocks,
 		deadlockAt: cf.stats.DeadlockAt,
+		vocab:      cf.fusion.vocab,
 	}
 	for _, proto := range cf.fusion.Protocols {
 		p.pccTexts = append(p.pccTexts, spec.ExportPCC(proto))
@@ -373,7 +380,7 @@ func (p *artifactParts) marshal() []byte {
 	e.u64(uint64(p.deadlocks))
 	e.str(p.deadlockAt)
 
-	e.offsetBlob(func(i int) []byte { return p.msgs[i].AppendBinary(nil) }, len(p.msgs))
+	e.offsetBlob(func(i int) []byte { return p.vocab.AppendMsg(nil, &p.msgs[i]) }, len(p.msgs))
 	e.u32(uint32(len(p.lists)))
 	for _, list := range p.lists {
 		e.u32(uint32(len(list)))
@@ -460,24 +467,9 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	p.deadlocks = int(d.u64())
 	p.deadlockAt = d.str()
 
-	// An accepted artifact re-marshals byte-identically, so the pool must
-	// be the one MarshalArtifact writes: distinct messages in first-use
-	// order, each image re-encoding to itself (spec.Dec accepts
-	// non-minimal varints).
-	var md spec.Dec
-	pooled := map[spec.Msg]bool{}
-	msgImgs := d.offsetBlob()
-	p.msgs = make([]spec.Msg, 0, len(msgImgs))
-	for _, b := range msgImgs {
-		md.Reset(b)
-		m := spec.DecodeMsg(&md)
-		if md.Err() != nil || pooled[m] || !bytes.Equal(m.AppendBinary(nil), b) {
-			d.fail()
-			break
-		}
-		pooled[m] = true
-		p.msgs = append(p.msgs, m)
-	}
+	// The pool's images are decoded once the fusion is rebuilt
+	// (decodeMsgs); the lists are checked against its size here.
+	p.msgImgs = d.offsetBlob()
 
 	// The lists are the rest of the body, so its length sizes their one
 	// backing array.
@@ -491,7 +483,7 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 		for i := 0; i < n && d.ok; i++ {
 			id := d.u32()
 			switch {
-			case id > firstUnused || int(id) >= len(p.msgs):
+			case id > firstUnused || int(id) >= len(p.msgImgs):
 				d.fail()
 			case id == firstUnused:
 				firstUnused++
@@ -500,7 +492,7 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 		}
 		p.lists = append(p.lists, ids[start:len(ids):len(ids)])
 	}
-	if d.ok && int(firstUnused) != len(p.msgs) {
+	if d.ok && int(firstUnused) != len(p.msgImgs) {
 		d.fail()
 	}
 
@@ -517,16 +509,38 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 		return nil, fmt.Errorf("%w: verdict of %d deadlock states (snapshot %d bytes) over %d explored",
 			ErrArtifactCorrupt, p.deadlocks, len(p.deadlockAt), p.explored)
 	}
-	// Strictly message-sorted lists: a state delivers each message once,
-	// and the replay records them in the order the binary search expects.
+	return p, nil
+}
+
+// decodeMsgs numbers the parsed pool under v, the rebuilt fusion's
+// vocabulary. An accepted artifact re-marshals byte-identically, so the
+// pool must be the one MarshalArtifact writes: distinct messages of types
+// v names, in first-use order, each image re-encoding to itself (spec.Dec
+// accepts non-minimal varints); and every list strictly message-sorted —
+// a state delivers each message once, and the replay records them in the
+// order the binary search expects.
+func (p *artifactParts) decodeMsgs(v *spec.Vocab) error {
+	p.vocab = v
+	var md spec.Dec
+	pooled := make(map[spec.Msg]bool, len(p.msgImgs))
+	p.msgs = make([]spec.Msg, 0, len(p.msgImgs))
+	for i, b := range p.msgImgs {
+		md.Reset(b)
+		m := v.DecodeMsg(&md)
+		if md.Err() != nil || pooled[m] || !bytes.Equal(v.AppendMsg(nil, &m), b) {
+			return fmt.Errorf("%w: pooled message %d is not a distinct, minimal image of a message the fusion names", ErrArtifactCorrupt, i)
+		}
+		pooled[m] = true
+		p.msgs = append(p.msgs, m)
+	}
 	for k, list := range p.lists {
 		for i := 1; i < len(list); i++ {
-			if msgCmp(&p.msgs[list[i-1]], &p.msgs[list[i]]) >= 0 {
-				return nil, fmt.Errorf("%w: list %d not strictly message-sorted", ErrArtifactCorrupt, k)
+			if msgCmp(&p.msgs[list[i-1]], &p.msgs[list[i]], v) >= 0 {
+				return fmt.Errorf("%w: list %d not strictly message-sorted", ErrArtifactCorrupt, k)
 			}
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // LoadArtifact loads a self-contained artifact: the constituent protocols
@@ -635,6 +649,9 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 		if p.pccTexts[i] != spec.ExportPCC(proto) {
 			return nil, fmt.Errorf("%w: embedded protocol %d is not its canonical PCC export", ErrArtifactCorrupt, i)
 		}
+	}
+	if err := p.decodeMsgs(f.vocab); err != nil {
+		return nil, err
 	}
 	cf, c, _ := growingSystem(f, cfg)
 	var routed, dir spec.NodeSet

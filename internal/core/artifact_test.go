@@ -139,7 +139,21 @@ func doctor(t testing.TB, data []byte, edit func(p *artifactParts)) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.msgs = slices.Clone(p.msgs)
+	var protos []*spec.Protocol
+	for _, text := range p.pccTexts {
+		proto, err := spec.ParsePCC(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		protos = append(protos, proto)
+	}
+	f, err := Fuse(p.opts, protos...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.decodeMsgs(f.vocab); err != nil {
+		t.Fatal(err)
+	}
 	lists := make([][]uint32, len(p.lists))
 	for k, list := range p.lists {
 		lists[k] = slices.Clone(list)
@@ -155,7 +169,7 @@ func doctor(t testing.TB, data []byte, edit func(p *artifactParts)) []byte {
 func lastMsg(p *artifactParts) int {
 	last := 0
 	for i := range p.msgs {
-		if msgCmp(&p.msgs[i], &p.msgs[last]) > 0 {
+		if msgCmp(&p.msgs[i], &p.msgs[last], p.vocab) > 0 {
 			last = i
 		}
 	}
@@ -247,14 +261,16 @@ func TestArtifactMismatchErrors(t *testing.T) {
 		// varint, its last character dropped to keep the length: the image
 		// decodes, but does not re-encode to itself.
 		m := cf.recs[cf.spans[0][0]].msg
-		img := m.AppendBinary(nil)
+		v := cf.fusion.Vocab()
+		img := v.AppendMsg(nil, &m)
+		name := v.Name(m.Type)
 		at := bytes.LastIndex(data, img)
-		if n := len(m.Type); at < 0 || n < 2 || n > 128 {
-			t.Fatalf("message %s image not found in the pool", m)
+		if n := len(name); at < 0 || n < 2 || n > 128 {
+			t.Fatalf("message %s image not found in the pool", v.Format(m))
 		}
 		bad := append([]byte(nil), data...)
-		bad[at], bad[at+1] = 0x80|byte(len(m.Type)-1), 0
-		copy(bad[at+2:], m.Type[:len(m.Type)-1])
+		bad[at], bad[at+1] = 0x80|byte(len(name)-1), 0
+		copy(bad[at+2:], name[:len(name)-1])
 		sealArtifact(bad)
 		if _, err := LoadArtifact(bad); !errors.Is(err, ErrArtifactCorrupt) {
 			t.Errorf("non-minimal message image: got %v, want ErrArtifactCorrupt", err)

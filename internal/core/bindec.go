@@ -93,7 +93,7 @@ func (d *MergedDir) decodeBridgeInto(br *bridge, dec *spec.Dec) {
 	br.hsSent = dec.Bool()
 	br.hsDone = dec.Bool()
 	br.hsWith = dec.Int()
-	br.orig = spec.DecodeMsg(dec)
+	spec.DecodeMsgInto(&br.orig, dec)
 	if dec.Bool() {
 		if oldFetch == nil {
 			oldFetch = &proxyTask{}
@@ -194,14 +194,9 @@ func (d *MergedDir) DecodeState(dec *spec.Dec) error {
 	return dec.Err()
 }
 
-// Freeze implements spec.Freezer: pre-builds the table indexes of every
-// constituent protocol so parallel exploration over clones never races on
-// their lazy initialization.
-func (d *MergedDir) Freeze() { d.fusion.Freeze() }
-
-// Freeze pre-builds the table indexes of every constituent protocol. Call
-// it before model-checking systems built from this fusion on several
-// goroutines at once.
+// Freeze freezes every constituent protocol (spec.Protocol.Freeze), which
+// Fuse has already done: a fusion is ready to share between goroutines
+// when Fuse returns.
 func (f *Fusion) Freeze() {
 	for _, p := range f.Protocols {
 		p.Freeze()
@@ -211,5 +206,4 @@ func (f *Fusion) Freeze() {
 var (
 	_ spec.RelabelAppender = (*MergedDir)(nil)
 	_ spec.StateCodec      = (*MergedDir)(nil)
-	_ spec.Freezer         = (*MergedDir)(nil)
 )

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -279,7 +280,6 @@ const maxCompiledPerms = 5040
 func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.System) {
 	sys, layout := BuildSystem(f, cfg.CachesPerCluster)
 	sys.SetPrograms(cfg.Programs)
-	f.Freeze()
 	cf := &CompiledFusion{
 		fusion: f, cfg: cfg, layout: layout,
 		scratch:   layout.Merged.Clone().(*MergedDir),
@@ -502,7 +502,7 @@ func (cf *CompiledFusion) projectFSM(local [][]localName) {
 		if r.tr.next == stallState {
 			return
 		}
-		e := Edge{From: nameOf(pre, r.msg.Addr), Event: string(r.msg.Type),
+		e := Edge{From: nameOf(pre, r.msg.Addr), Event: string(cf.fusion.vocab.Name(r.msg.Type)),
 			To: nameOf(r.tr.next, r.msg.Addr)}
 		states[e.From] = true
 		states[e.To] = true
@@ -558,12 +558,13 @@ func (cf *CompiledFusion) eachRecord(visit func(pre int32, r *compRecord)) {
 	}
 }
 
-// msgCmp is a strict total order over messages consistent with equality,
-// cheap integer fields first so the string compare only runs when every
-// endpoint and payload field ties. It is both the span order and the
-// binary-search comparison in compiler.step. It takes pointers: a by-value
-// Msg is copied on every probe of the search's per-delivery lookup.
-func msgCmp(a, b *spec.Msg) int {
+// msgCmp is a strict total order over messages consistent with equality:
+// endpoints and payload first, then the type's name order, which v keeps
+// as a rank table (Vocab.NameRank) so no name is compared. It is both the
+// span order and the binary-search comparison in compiler.step. It takes
+// pointers: a by-value Msg is copied on every probe of the search's
+// per-delivery lookup.
+func msgCmp(a, b *spec.Msg, v *spec.Vocab) int {
 	switch {
 	case a.Addr != b.Addr:
 		if a.Addr < b.Addr {
@@ -606,7 +607,7 @@ func msgCmp(a, b *spec.Msg) int {
 		}
 		return 1
 	default:
-		return strings.Compare(string(a.Type), string(b.Type))
+		return cmp.Compare(v.NameRank(a.Type), v.NameRank(b.Type))
 	}
 }
 
@@ -944,11 +945,13 @@ type compiler struct {
 	recs   []compRecord
 
 	// Miss path: the private interpreted directory a pre-state is decoded
-	// into, a reusable decode cursor with a message-type intern table, and
-	// the send capture. All confined to mu.
+	// into, a reusable decode cursor and the send capture. All confined to
+	// mu.
 	scratch *MergedDir
 	dec     spec.Dec
 	capture sendCapture
+	// vocab names the fusion's message types (msgCmp's tie-break).
+	vocab *spec.Vocab
 
 	interpreted int64 // deliveries that ran the interpreted MergedDir
 	memoHits    int64 // deliveries replayed from the recorded table
@@ -957,9 +960,7 @@ type compiler struct {
 
 // newCompiler returns an empty growing table over cf's configuration.
 func newCompiler(cf *CompiledFusion) *compiler {
-	c := &compiler{scratch: cf.layout.Merged.Clone().(*MergedDir)}
-	c.dec.InternStrings(new(spec.Intern))
-	return c
+	return &compiler{scratch: cf.layout.Merged.Clone().(*MergedDir), vocab: cf.fusion.vocab}
 }
 
 // sendCapture is the spec.Env the scratch directory delivers into.
@@ -977,13 +978,13 @@ func (c *compiler) step(pre int32, m *spec.Msg) compTransition {
 	pos, hi := 0, len(span)
 	for pos < hi {
 		h := int(uint(pos+hi) >> 1)
-		if msgCmp(&c.recs[span[h]].msg, m) < 0 {
+		if msgCmp(&c.recs[span[h]].msg, m, c.vocab) < 0 {
 			pos = h + 1
 		} else {
 			hi = h
 		}
 	}
-	if pos < len(span) && msgCmp(&c.recs[span[pos]].msg, m) == 0 {
+	if pos < len(span) && msgCmp(&c.recs[span[pos]].msg, m, c.vocab) == 0 {
 		c.memoHits++
 		return c.recs[span[pos]].tr
 	}
@@ -1004,7 +1005,7 @@ func (c *compiler) interpret(pre int32, m spec.Msg) compTransition {
 	c.capture.sends = c.capture.sends[:0]
 	if !c.scratch.deliver(&c.capture, m) {
 		if n := len(c.capture.sends); n > 0 && c.err == nil {
-			c.err = fmt.Errorf("core: stalled delivery of %s sent %d messages during compile", m, n)
+			c.err = fmt.Errorf("core: stalled delivery of %s sent %d messages during compile", c.vocab.Format(m), n)
 		}
 		return compTransition{next: stallState}
 	}
@@ -1176,15 +1177,10 @@ func (d *CompiledDir) RefNodes() spec.NodeSet { return d.state().refs }
 // PORLocal mirrors the interpreted MergedDir's locality verdict.
 func (d *CompiledDir) PORLocal() bool { return d.cf.porLocal }
 
-// Freeze implements spec.Freezer (the constituent protocols were frozen at
-// compile time).
-func (d *CompiledDir) Freeze() {}
-
 var (
 	_ spec.Component       = (*CompiledDir)(nil)
 	_ spec.RelabelAppender = (*CompiledDir)(nil)
 	_ spec.StateCodec      = (*CompiledDir)(nil)
 	_ spec.NodeReferrer    = (*CompiledDir)(nil)
-	_ spec.Freezer         = (*CompiledDir)(nil)
 	_ mcheck.MemoryCloner  = (*CompiledDir)(nil)
 )

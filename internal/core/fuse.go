@@ -80,6 +80,16 @@ type Fusion struct {
 	// Compound is the compound consistency model the output enforces.
 	Compound []memmodel.Model
 	Opts     Options
+
+	// The runtime numbering: one vocabulary for every message the fused
+	// system exchanges (the clusters' and the handshake's), under which
+	// Protocols — clones of the inputs — are frozen; the analyses'
+	// request classes as per-cluster rows by MsgID; the handshake types'
+	// numbers.
+	vocab        *spec.Vocab
+	gvWrites     [][]bool
+	readFills    [][]bool
+	hsReq, hsAck spec.MsgID
 }
 
 // Fuse analyzes and composes the input protocols. Each input keeps its
@@ -133,6 +143,9 @@ func Fuse(opts Options, protos ...*spec.Protocol) (*Fusion, error) {
 			f.Conservative = true
 		}
 	}
+	if err := f.number(); err != nil {
+		return nil, err
+	}
 	if opts.ForceConservative {
 		f.Conservative = true
 	}
@@ -143,6 +156,47 @@ func Fuse(opts Options, protos ...*spec.Protocol) (*Fusion, error) {
 	}
 	return f, nil
 }
+
+// number builds the fusion's vocabulary and freezes a clone of each input
+// protocol under it, so the inputs stay free to run (or fuse) elsewhere.
+func (f *Fusion) number() error {
+	names := []spec.MsgType{spec.EvLastAck, msgHSReq, msgHSAck}
+	for _, p := range f.Protocols {
+		names = append(names, p.MsgTypes()...)
+	}
+	var err error
+	if f.vocab, err = spec.NewVocab(names); err != nil {
+		return fmt.Errorf("core: fusion %s: %w", f.Name(), err)
+	}
+	f.hsReq, f.hsAck = f.vocab.ID(msgHSReq), f.vocab.ID(msgHSAck)
+	row := func(set map[spec.MsgType]bool) []bool {
+		out := make([]bool, f.vocab.Len())
+		for t, ok := range set {
+			if id := f.vocab.ID(t); ok && id != spec.NoMsg {
+				out[id] = true
+			}
+		}
+		return out
+	}
+	for i, p := range f.Protocols {
+		cp := p.Clone()
+		if err := cp.FreezeWith(f.vocab); err != nil {
+			return err
+		}
+		f.Protocols[i] = cp
+		f.gvWrites = append(f.gvWrites, row(f.Analyses[i].GVWrites))
+		f.readFills = append(f.readFills, row(f.Analyses[i].ReadFills))
+	}
+	return nil
+}
+
+// Vocab returns the vocabulary the fused system's messages are numbered
+// in.
+func (f *Fusion) Vocab() *spec.Vocab { return f.vocab }
+
+// IsHandshake reports whether t is one of the merged directory's
+// handshake message types (§VIII variants).
+func (f *Fusion) IsHandshake(t spec.MsgID) bool { return t == f.hsReq || t == f.hsAck }
 
 // checkEvictable verifies every stable non-initial cache state can be
 // evicted — the proxy cache relinquishes each line after bridging, so the

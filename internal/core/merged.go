@@ -8,7 +8,8 @@ import (
 	"heterogen/internal/spec"
 )
 
-// Handshake message types (merged-directory internal, §VIII variants).
+// Handshake message types (merged-directory internal, §VIII variants);
+// the fusion numbers them with its clusters' types (Fusion.IsHandshake).
 const (
 	msgHSReq spec.MsgType = "__hsreq"
 	msgHSAck spec.MsgType = "__hsack"
@@ -126,8 +127,8 @@ type bridge struct {
 	woken bool
 }
 
-func (br *bridge) snapshot(b *spec.SnapshotWriter) {
-	fmt.Fprintf(b, "br{a%d,o%d,%s,w=%t,v=%d/%t,hs=%t/%t/%d,orig=%s", br.addr, br.origin, br.phase, br.isWrite, br.value, br.hasValue, br.hsSent, br.hsDone, br.hsWith, br.orig)
+func (br *bridge) snapshot(b *spec.SnapshotWriter, v *spec.Vocab) {
+	fmt.Fprintf(b, "br{a%d,o%d,%s,w=%t,v=%d/%t,hs=%t/%t/%d,orig=%s", br.addr, br.origin, br.phase, br.isWrite, br.value, br.hasValue, br.hsSent, br.hsDone, br.hsWith, v.Format(br.orig))
 	if br.fetch != nil {
 		b.WriteString(",f=")
 		br.fetch.snapshot(b)
@@ -395,11 +396,11 @@ func (d *MergedDir) Deliver(env spec.Env, m spec.Msg) bool {
 func (d *MergedDir) deliver(env spec.Env, m spec.Msg) bool {
 	defer d.advance(env)
 	switch m.Type {
-	case msgHSReq:
-		env.Send(spec.Msg{Type: msgHSAck, Addr: m.Addr, Src: m.Dst, Dst: m.Src,
+	case d.fusion.hsReq:
+		env.Send(spec.Msg{Type: d.fusion.hsAck, Addr: m.Addr, Src: m.Dst, Dst: m.Src,
 			Req: spec.NoNode, VNet: spec.VResp})
 		return true
-	case msgHSAck:
+	case d.fusion.hsAck:
 		if br := d.bridgeAt(m.Addr); br != nil {
 			br.hsDone = true
 			br.woken = true
@@ -450,10 +451,10 @@ func (d *MergedDir) intake(env spec.Env, cluster int, m spec.Msg) bool {
 	if d.fusion.Conservative && d.busySrc.Has(m.Src) {
 		return false // processor-centric: initiating processor blocked
 	}
-	an := d.fusion.Analyses[cluster]
+	gv, fills := d.fusion.gvWrites[cluster], d.fusion.readFills[cluster]
 	owner := d.Owner(m.Addr)
 	switch {
-	case an.GVWrites[m.Type]:
+	case int(m.Type) < len(gv) && gv[m.Type]:
 		// Consult the cluster directory before propagating: if it would
 		// stall the request, stall here too; if it would discard the
 		// request as a stale write-back (a non-owner race — the matched
@@ -468,7 +469,7 @@ func (d *MergedDir) intake(env spec.Env, cluster int, m spec.Msg) bool {
 		}
 		d.startBridge(env, cluster, m, true)
 		return true
-	case an.ReadFills[m.Type] && owner >= 0 && owner != cluster:
+	case int(m.Type) < len(fills) && fills[m.Type] && owner >= 0 && owner != cluster:
 		d.startBridge(env, cluster, m, false)
 		return true
 	default:
@@ -476,10 +477,10 @@ func (d *MergedDir) intake(env spec.Env, cluster int, m spec.Msg) bool {
 	}
 }
 
-// writesMem reports whether the transition stores the message payload to
-// memory (the mark of an accepted write-back).
-func writesMem(t *spec.Transition) bool {
-	for _, a := range t.Actions {
+// writesMem reports whether the row stores the message payload to memory
+// (the mark of an accepted write-back).
+func writesMem(t *spec.Step) bool {
+	for _, a := range t.Acts {
 		if a.Op == spec.ActWriteMem {
 			return true
 		}
@@ -523,7 +524,7 @@ func (d *MergedDir) startBridge(env spec.Env, cluster int, m spec.Msg, isWrite b
 		if isWrite {
 			kind = "write"
 		}
-		d.trace(fmt.Sprintf("merged-dir a%d: %s bridge for %s from cluster%d (owner=%d)", m.Addr, kind, m.Type, cluster, owner))
+		d.trace(fmt.Sprintf("merged-dir a%d: %s bridge for %s from cluster%d (owner=%d)", m.Addr, kind, d.fusion.vocab.Name(m.Type), cluster, owner))
 	}
 }
 
@@ -648,7 +649,7 @@ func (d *MergedDir) advanceBridge(env spec.Env, br *bridge) bool {
 		if !br.hsSent {
 			br.hsSent = true
 			acted = true
-			env.Send(spec.Msg{Type: msgHSReq, Addr: br.addr,
+			env.Send(spec.Msg{Type: d.fusion.hsReq, Addr: br.addr,
 				Src: d.layout.DirIDs[br.origin], Dst: d.layout.DirIDs[br.hsWith],
 				Req: spec.NoNode, VNet: spec.VResp})
 		}
@@ -777,19 +778,19 @@ func (d *MergedDir) driveTask(env spec.Env, br *bridge, t *proxyTask) (done, act
 
 // driveEvict relinquishes the proxy's line and frees the pool slot.
 func (d *MergedDir) driveEvict(env spec.Env, t *proxyTask, proxy *spec.CacheInst) (done, acted bool) {
+	m := proxy.Protocol().Cache
 	st := proxy.LineState(t.seqAddr())
-	if st == proxy.Protocol().Cache.Init {
+	if st == m.InitID() {
 		t.done = true
 		d.freeProxy(t.cluster, t.proxyIdx)
 		return true, true
 	}
-	if !proxy.Protocol().Cache.IsStable(st) {
+	if !m.StableID(st) {
 		return false, false // transaction (store drain or eviction) in flight
 	}
-	if proxy.CanEvict(t.seqAddr()) {
-		proxy.Evict(env, t.seqAddr())
+	if proxy.Evict(env, t.seqAddr()) {
 		st = proxy.LineState(t.seqAddr())
-		if st == proxy.Protocol().Cache.Init {
+		if st == m.InitID() {
 			t.done = true
 			d.freeProxy(t.cluster, t.proxyIdx)
 			return true, true
@@ -846,12 +847,13 @@ func (d *MergedDir) LocalState(a spec.Addr) string {
 		if i > 0 {
 			b.WriteByte('x')
 		}
-		b.WriteString(string(dir.LineState(a)))
+		b.WriteString(string(dir.Protocol().Dir.StateName(dir.LineState(a))))
 	}
 	for ci, pool := range d.proxies {
 		for _, p := range pool {
-			if st := p.LineState(a); st != p.Protocol().Cache.Init {
-				b.WriteString("+p" + strconv.Itoa(ci) + ":" + string(st))
+			m := p.Protocol().Cache
+			if st := p.LineState(a); st != m.InitID() {
+				b.WriteString("+p" + strconv.Itoa(ci) + ":" + string(m.StateName(st)))
 			}
 		}
 	}
@@ -875,13 +877,13 @@ func (d *MergedDir) LocalState(a spec.Addr) string {
 // does not make a state transient).
 func (d *MergedDir) localStable(a spec.Addr) bool {
 	for ci, dir := range d.dirs {
-		if !d.fusion.Protocols[ci].Dir.IsStable(dir.LineState(a)) {
+		if !d.fusion.Protocols[ci].Dir.StableID(dir.LineState(a)) {
 			return false
 		}
 	}
 	for _, pool := range d.proxies {
 		for _, p := range pool {
-			if p.LineState(a) != p.Protocol().Cache.Init {
+			if p.LineState(a) != p.Protocol().Cache.InitID() {
 				return false
 			}
 		}
@@ -954,7 +956,7 @@ func (d *MergedDir) Snapshot(b *spec.SnapshotWriter) {
 		fmt.Fprintf(b, "o[a%d]=%d;", c.a, c.cluster)
 	}
 	for _, br := range d.bridges {
-		br.snapshot(b)
+		br.snapshot(b, d.fusion.vocab)
 	}
 	srcs := make([]int, 0, d.busySrc.Len())
 	d.busySrc.Each(func(s spec.NodeID) { srcs = append(srcs, int(s)) })
@@ -999,6 +1001,9 @@ func (d *MergedDir) PORLocal() bool {
 	}
 	return true
 }
+
+// Vocab implements spec.Namer: the fusion's vocabulary.
+func (d *MergedDir) Vocab() *spec.Vocab { return d.fusion.vocab }
 
 var _ spec.Component = (*MergedDir)(nil)
 var _ spec.NodeReferrer = (*MergedDir)(nil)

@@ -305,7 +305,8 @@ func TestFigure9DirectoryStates(t *testing.T) {
 	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := merged.dirs[1].LineState(data); got != "S" {
+	scDir := merged.dirs[1].Protocol().Dir
+	if got := scDir.StateName(merged.dirs[1].LineState(data)); got != "S" {
 		t.Fatalf("SC directory state = %s, want S", got)
 	}
 	if got := merged.LocalState(data); !strings.HasPrefix(got, "VxS") {
@@ -323,14 +324,14 @@ func TestFigure9DirectoryStates(t *testing.T) {
 	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := merged.dirs[1].LineState(data); got != "I" {
+	if got := scDir.StateName(merged.dirs[1].LineState(data)); got != "I" {
 		t.Errorf("SC directory state after write-back = %s, want I (Figure 9's VxI)", got)
 	}
 	if got := merged.LocalState(data); !strings.HasPrefix(got, "VxI") {
 		t.Errorf("merged local state = %s, want VxI...", got)
 	}
-	if sc := sys.Cache(1); sc.LineState(data) != "I" {
-		t.Errorf("P1's copy not invalidated: %s", sc.LineState(data))
+	if sc := sys.Cache(1); sc.Protocol().Cache.StateName(sc.LineState(data)) != "I" {
+		t.Errorf("P1's copy not invalidated: %s", sc.Protocol().Cache.StateName(sc.LineState(data)))
 	}
 	if got := merged.Memory().Read(data); got != 1 {
 		t.Errorf("memory = %d after propagated write-back, want 1", got)

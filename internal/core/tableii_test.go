@@ -85,7 +85,7 @@ func TestEnumerateFSMFullSmallestPair(t *testing.T) {
 	}
 }
 
-var updateTableII = flag.Bool("update", false, "rewrite testdata/tableii.golden from the compiled tables")
+var updateTableII = flag.Bool("update", false, "rewrite testdata/tableii.golden and testdata/hgcf.sha256 from the compiled tables")
 
 // tableIIGoldenFull names the pairs whose full (eviction-exploring) rows
 // testdata/tableii.golden pins besides every quick row: the four whose

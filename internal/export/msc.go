@@ -12,7 +12,7 @@ import (
 // Figure 7/8 protocol-flow diagrams as text. names maps node ids to column
 // labels; unnamed ids get "n<id>". Participants appear in the order their
 // ids sort.
-func SequenceChart(msgs []spec.Msg, names map[spec.NodeID]string) string {
+func SequenceChart(msgs []spec.Msg, names map[spec.NodeID]string, v *spec.Vocab) string {
 	// Collect participants.
 	seen := map[spec.NodeID]bool{}
 	var ids []spec.NodeID
@@ -90,7 +90,7 @@ func SequenceChart(msgs []spec.Msg, names map[spec.NodeID]string) string {
 		} else {
 			row[lo*colw+1] = '<'
 		}
-		label := fmt.Sprintf("%s a%d", m.Type, m.Addr)
+		label := fmt.Sprintf("%s a%d", v.Name(m.Type), m.Addr)
 		if m.HasData {
 			label += fmt.Sprintf("=%d", m.Data)
 		}

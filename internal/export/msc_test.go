@@ -11,11 +11,15 @@ import (
 )
 
 func TestSequenceChartBasic(t *testing.T) {
-	msgs := []spec.Msg{
-		{Type: "GetS", Addr: 0, Src: 0, Dst: 2},
-		{Type: "Data", Addr: 0, Src: 2, Dst: 0, Data: 7, HasData: true},
+	v, err := spec.NewVocab([]spec.MsgType{"GetS", "Data"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := SequenceChart(msgs, map[spec.NodeID]string{0: "cache0", 2: "dir"})
+	msgs := []spec.Msg{
+		{Type: v.ID("GetS"), Addr: 0, Src: 0, Dst: 2},
+		{Type: v.ID("Data"), Addr: 0, Src: 2, Dst: 0, Data: 7, HasData: true},
+	}
+	out := SequenceChart(msgs, map[spec.NodeID]string{0: "cache0", 2: "dir"}, v)
 	if !strings.Contains(out, "cache0") || !strings.Contains(out, "dir") {
 		t.Fatalf("missing participants:\n%s", out)
 	}
@@ -67,7 +71,7 @@ func TestSequenceChartFigure8(t *testing.T) {
 		0: "P4(RC)", 1: "P1(SC)",
 		layout.Merged.DirID(0): "dirRC", layout.Merged.DirID(1): "dirSC",
 	}
-	chart := SequenceChart(msgs, names)
+	chart := SequenceChart(msgs, names, f.Vocab())
 	// The propagated write-back must invalidate the SC cache: an Inv row
 	// and the WB row both appear.
 	if !strings.Contains(chart, "WB") || !strings.Contains(chart, "Inv") {

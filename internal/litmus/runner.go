@@ -392,7 +392,6 @@ func RunSuiteCtx(ctx context.Context, pairs [][]*spec.Protocol, opts Options) (*
 		if err != nil {
 			return nil, err
 		}
-		f.Freeze()
 		for _, shape := range shapes {
 			threads := len(shape.Prog().Threads)
 			if opts.MaxThreads > 0 && threads > opts.MaxThreads {

@@ -13,13 +13,8 @@ import (
 // topology — only the mutable state differs). Every spec.Component's
 // AppendBinary is bijective (spec.StateCodec), so the decode is exact.
 
-// imageDec returns the system's reusable decode cursor repointed at enc,
-// lazily wiring up its message-type intern table on first use.
+// imageDec returns the system's reusable decode cursor repointed at enc.
 func (s *System) imageDec(enc []byte) *spec.Dec {
-	if s.decIntern == nil {
-		s.decIntern = new(spec.Intern)
-		s.dec.InternStrings(s.decIntern)
-	}
 	s.dec.Reset(enc)
 	return &s.dec
 }

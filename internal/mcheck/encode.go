@@ -113,14 +113,3 @@ func (s *System) appendTail(buf []byte, base int, ends *[]int) []byte {
 	}
 	return buf
 }
-
-// freezeComponents pre-builds every lazily-initialized structure shared
-// between system clones (protocol table indexes) so parallel workers never
-// race on first use.
-func freezeComponents(s *System) {
-	for _, c := range s.Components {
-		if f, ok := c.(spec.Freezer); ok {
-			f.Freeze()
-		}
-	}
-}

@@ -33,7 +33,6 @@ type Expander struct {
 
 // NewExpander prepares expansions of initial's states under opts.
 func NewExpander(initial *System, opts Options) *Expander {
-	freezeComponents(initial)
 	return &Expander{
 		ctx: newSearchCtx(initial, opts, DefaultMaxStates),
 		cur: initial.Clone(),

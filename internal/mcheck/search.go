@@ -532,7 +532,6 @@ func startProgress(ctx *searchCtx, visited visitedSet, f *frontier) func() {
 // process; once every worker has exited, its panic value is re-raised
 // here, on the caller's goroutine.
 func explore(initial *System, ctx *searchCtx, workers int, visited visitedSet, f *frontier) *Result {
-	freezeComponents(initial)
 	results := make([]*Result, workers)
 	panics := make(chan any, workers)
 	var wg sync.WaitGroup
@@ -777,7 +776,7 @@ func SWMRInvariant(writeStates ...spec.State) Invariant {
 				continue
 			}
 			for _, a := range cache.Addrs() {
-				if ws[cache.LineState(a)] {
+				if ws[cache.Protocol().Cache.StateName(cache.LineState(a))] {
 					writers[a] = append(writers[a], cache.ID())
 				}
 			}

@@ -79,13 +79,11 @@ type System struct {
 	// surface it so runs are unambiguous. Empty for plain systems.
 	engine string
 
-	// Image-decode scratch: a reusable cursor plus a message-type intern
-	// table, lazily initialized by imageDec. Owned by this System alone
-	// (Clone starts its copy with fresh zero values), so the single-
+	// Image-decode scratch: a reusable cursor. Owned by this System alone
+	// (Clone starts its copy with a fresh zero value), so the single-
 	// goroutine confinement the decoder requires holds as long as the
 	// System itself is goroutine-confined — which the searches guarantee.
-	dec       spec.Dec
-	decIntern *spec.Intern
+	dec spec.Dec
 
 	// spare holds the message buffers of channels that emptied, for send
 	// and the restores to reuse. A buffer is either here or backing exactly
@@ -400,11 +398,12 @@ func (s *System) Snapshot() string {
 		c.Snapshot(&b)
 	}
 	s.Mem.Snapshot(&b)
+	v := s.vocab()
 	for i := range s.chans {
 		k := s.chans[i].k
 		fmt.Fprintf(&b, "ch%d-%d-%d[", k.src, k.dst, k.vnet)
 		for _, m := range s.chans[i].msgs {
-			fmt.Fprintf(&b, "%s|", m)
+			fmt.Fprintf(&b, "%s|", v.Format(m))
 		}
 		b.WriteString("]")
 	}
@@ -412,6 +411,18 @@ func (s *System) Snapshot() string {
 		fmt.Fprintf(&b, "core%d{pc=%d,iss=%t,ld=%v}", i, c.PC, c.Issued, c.Loads)
 	}
 	return b.String()
+}
+
+// vocab returns the vocabulary the first component that names its
+// messages (spec.Namer) numbers them in: the one the whole system's
+// messages share, as the components run one protocol or one fusion.
+func (s *System) vocab() *spec.Vocab {
+	for _, c := range s.Components {
+		if n, ok := c.(spec.Namer); ok {
+			return n.Vocab()
+		}
+	}
+	return nil
 }
 
 // Move is one enabled step of the system: a message delivery, a core issue
@@ -478,7 +489,7 @@ func (s *System) AppendMoves(out []Move, evictions bool) []Move {
 			proto := cache.Protocol().Cache
 			for i := 0; i < cache.NumLines(); i++ {
 				a := cache.AddrAt(i)
-				if st := cache.LineState(a); proto.IsStable(st) && st != proto.Init {
+				if st := cache.LineState(a); proto.StableID(st) && st != proto.InitID() {
 					out = append(out, Move{Kind: MoveEvict, Cache: cache.ID(), Addr: a})
 				}
 			}

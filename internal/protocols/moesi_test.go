@@ -19,17 +19,19 @@ func TestMOESIValidates(t *testing.T) {
 func TestMOESIOwnedStateServesReads(t *testing.T) {
 	p := MustByName(NameMOESI)
 	// M downgrades to O (not S) on a forwarded read and keeps serving.
-	tr := p.Cache.OnMessage("M", &spec.Msg{Type: MsgFwdGetS}, spec.MsgCtx{})
-	if tr == nil || tr.Next != "O" {
+	m := p.Cache
+	fwd := &spec.Msg{Type: p.MsgID(MsgFwdGetS)}
+	tr := m.MsgStep(m.StateID("M"), fwd, spec.MsgCtx{})
+	if tr == nil || tr.Row.Next != "O" {
 		t.Fatalf("M on FwdGetS = %v, want O", tr)
 	}
-	tr = p.Cache.OnMessage("O", &spec.Msg{Type: MsgFwdGetS}, spec.MsgCtx{})
-	if tr == nil || tr.Next != "O" {
+	tr = m.MsgStep(m.StateID("O"), fwd, spec.MsgCtx{})
+	if tr == nil || tr.Row.Next != "O" {
 		t.Fatalf("O on FwdGetS = %v, want O", tr)
 	}
 	// No write-back to the directory on the downgrade (that is the point
 	// of Owned).
-	for _, a := range p.Cache.OnMessage("M", &spec.Msg{Type: MsgFwdGetS}, spec.MsgCtx{}).Actions {
+	for _, a := range m.MsgStep(m.StateID("M"), fwd, spec.MsgCtx{}).Acts {
 		if a.Op == spec.ActSend && a.Dst == spec.ToDir {
 			t.Error("M→O downgrade writes back to the directory")
 		}

@@ -20,15 +20,14 @@ type Core struct {
 	pc       int
 	waiting  bool
 	issuedAt uint64
-	lru      map[spec.Addr]uint64
-	useSeq   uint64
+	useSeq   uint64 // the last LRU stamp handed to a line (CacheInst.Touch)
 	finished bool
 	finishAt uint64
 }
 
 func newCore(idx, cluster int, big bool, capacity int, cache *spec.CacheInst, trace workload.CoreTrace) *Core {
 	return &Core{idx: idx, cluster: cluster, big: big, capacity: capacity,
-		cache: cache, trace: trace, lru: map[spec.Addr]uint64{}}
+		cache: cache, trace: trace}
 }
 
 // step attempts to issue the next trace op at the current time.
@@ -111,39 +110,27 @@ func (c *Core) complete(s *Sim) {
 	s.schedule(next, coreEvent(c.idx))
 }
 
-// touch updates LRU state.
+// touch stamps the line a load or store used with the next LRU stamp.
 func (c *Core) touch(a spec.Addr, op spec.CoreOp) {
 	if op == spec.OpLoad || op == spec.OpStore {
 		c.useSeq++
-		c.lru[a] = c.useSeq
+		c.cache.Touch(a, c.useSeq)
 	}
 }
 
 // ensureCapacity evicts the least-recently-used evictable line when the L1
-// is full and the target line is absent.
+// is full and the target line is absent. A line never touched counts as
+// stamp 0, and ties go to the lowest address (CacheInst.LRUVictim). A
+// victim whose write-back leaves it resident is reset to stamp 0.
 func (c *Core) ensureCapacity(s *Sim, a spec.Addr) {
-	init := c.cache.Protocol().Cache.Init
-	if c.cache.LineState(a) != init {
+	if c.cache.LineState(a) != c.cache.Protocol().Cache.InitID() {
 		return
 	}
 	if c.cache.NumLines() < c.capacity {
 		return
 	}
-	var victim spec.Addr = -1
-	var oldest uint64 = ^uint64(0)
-	for i := 0; i < c.cache.NumLines(); i++ {
-		va := c.cache.AddrAt(i)
-		st := c.cache.LineState(va)
-		if !c.cache.Protocol().Cache.IsStable(st) || !c.cache.CanEvict(va) {
-			continue
-		}
-		if u := c.lru[va]; u < oldest {
-			oldest = u
-			victim = va
-		}
-	}
-	if victim >= 0 {
+	if victim, ok := c.cache.LRUVictim(); ok {
 		c.cache.Evict(s, victim)
-		delete(c.lru, victim)
+		c.cache.Touch(victim, 0)
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"maps"
 	"math/bits"
 
 	"heterogen/internal/core"
@@ -172,9 +171,10 @@ type Sim struct {
 	ctrlFlits uint64
 	dataFlits uint64
 
-	// Stats accumulates as the run progresses; ByType once it ends.
+	// Stats accumulates as the run progresses; ByType once it ends, from
+	// types, the per-MsgID message counts.
 	Stats Stats
-	types typeCounts
+	types []uint64
 }
 
 // Stats aggregates run statistics. Cycles is the simulated wall-clock;
@@ -203,52 +203,6 @@ type Stats struct {
 	ByType map[spec.MsgType]uint64
 }
 
-// typeCounts is Stats.ByType while a run goes: a fixed open-addressed
-// table keyed by message type, so Send counts a message without a
-// string-keyed map update. A fusion has a few dozen types; should a run
-// outgrow the table, the rest count in ByType directly. Run folds the
-// table into ByType when it ends.
-type typeCounts [128]struct {
-	t spec.MsgType
-	n uint64 // 0: free slot
-}
-
-// add counts one message of type t in st.
-func (tc *typeCounts) add(st *Stats, t spec.MsgType) {
-	h := uint(len(t)) * 131
-	if len(t) > 0 {
-		h += uint(t[0])*31 + uint(t[len(t)-1])
-	}
-	for i := range tc {
-		c := &tc[(h+uint(i))%uint(len(tc))]
-		if c.n == 0 {
-			c.t, c.n = t, 1
-			return
-		}
-		if c.t == t {
-			c.n++
-			return
-		}
-	}
-	if st.ByType == nil {
-		st.ByType = map[spec.MsgType]uint64{}
-	}
-	st.ByType[t]++
-}
-
-// foldInto moves the table's counts into st.ByType, emptying the table.
-func (tc *typeCounts) foldInto(st *Stats) {
-	for i := range tc {
-		if c := &tc[i]; c.n > 0 {
-			if st.ByType == nil {
-				st.ByType = map[spec.MsgType]uint64{}
-			}
-			st.ByType[c.t] += c.n
-		}
-	}
-	*tc = typeCounts{}
-}
-
 // New builds a simulator: big cores (cluster 0, protocol[0]) on the first
 // tiles, tiny cores (cluster 1, protocol[1]) after them, a merged directory
 // banked across the mesh, and the given per-core traces.
@@ -260,8 +214,15 @@ func New(cfg Config, fusion *core.Fusion, wl *workload.Workload) (*Sim, error) {
 	if len(wl.Traces) != n {
 		return nil, fmt.Errorf("sim: workload has %d traces, config has %d cores", len(wl.Traces), n)
 	}
-	s := &Sim{Cfg: cfg, fusion: fusion,
+	s := &Sim{Cfg: cfg, fusion: fusion, types: make([]uint64, fusion.Vocab().Len()),
 		ctrlFlits: uint64(cfg.Flits(false)), dataFlits: uint64(cfg.Flits(true))}
+	for _, tr := range wl.Traces {
+		for _, op := range tr {
+			if a := op.Req.Addr; a < 0 || a >= spec.MaxDecodeAddr {
+				return nil, fmt.Errorf("sim: workload address %d outside the directory's [0, %d)", a, spec.MaxDecodeAddr)
+			}
+		}
+	}
 
 	layout := fusion.DefaultLayout(spec.NodeID(n))
 	s.merged = core.NewMergedDir(fusion, layout)
@@ -432,11 +393,11 @@ func (s *Sim) Send(m spec.Msg) {
 
 	s.Stats.Messages++
 	s.Stats.Flits += flits
-	s.types.add(&s.Stats, m.Type)
+	s.types[m.Type]++
 	if m.HasData {
 		s.Stats.DataMsgs++
 	}
-	if m.Type == "__hsreq" || m.Type == "__hsack" {
+	if s.fusion.IsHandshake(m.Type) {
 		s.Stats.Handshakes++
 	}
 }
@@ -503,10 +464,14 @@ func (s *Sim) Run() (*Stats, error) {
 			s.Stats.Cycles = c.finishAt
 		}
 	}
-	s.types.foldInto(&s.Stats)
 	// A copy: a caller keeping the result must not keep the whole machine.
 	st := s.Stats
-	st.ByType = maps.Clone(s.Stats.ByType)
+	st.ByType = map[spec.MsgType]uint64{}
+	for t, n := range s.types {
+		if n > 0 {
+			st.ByType[s.fusion.Vocab().Name(spec.MsgID(t))] = n
+		}
+	}
 	return &st, nil
 }
 

@@ -28,7 +28,7 @@ func TestChannelOrderingAndSerialization(t *testing.T) {
 	// Two back-to-back data messages on one channel: the second's arrival
 	// must not precede the first's, and serialization spaces them by the
 	// flit count.
-	m := spec.Msg{Type: "Data", Addr: 0, Src: 0, Dst: 1, HasData: true, VNet: spec.VResp}
+	m := spec.Msg{Type: s.fusion.Vocab().ID("Data"), Addr: 0, Src: 0, Dst: 1, HasData: true, VNet: spec.VResp}
 	s.Send(m)
 	s.Send(m)
 	if len(s.events) != 2 {
@@ -49,14 +49,14 @@ func TestChannelOrderingAndSerialization(t *testing.T) {
 func TestLatencyChargesL2AndColdMemory(t *testing.T) {
 	s := buildSim(t)
 	dirID := s.merged.DirID(0)
-	toDir := spec.Msg{Type: "GetS", Addr: 0, Src: 0, Dst: dirID, VNet: spec.VReq}
+	toDir := spec.Msg{Type: s.fusion.Vocab().ID("GetS"), Addr: 0, Src: 0, Dst: dirID, VNet: spec.VReq}
 	lat := s.latency(toDir)
 	if lat < uint64(s.Cfg.L2Latency) {
 		t.Errorf("directory access latency %d missing the L2 charge", lat)
 	}
 	// First data response from the directory pays the memory latency;
 	// the second (same address) does not.
-	fromDir := spec.Msg{Type: "Data", Addr: 0, Src: dirID, Dst: 0, HasData: true, VNet: spec.VResp}
+	fromDir := spec.Msg{Type: s.fusion.Vocab().ID("Data"), Addr: 0, Src: dirID, Dst: 0, HasData: true, VNet: spec.VResp}
 	first := s.latency(fromDir)
 	second := s.latency(fromDir)
 	if first < uint64(s.Cfg.MemLatency) {
@@ -69,8 +69,8 @@ func TestLatencyChargesL2AndColdMemory(t *testing.T) {
 
 func TestXYDistanceAffectsLatency(t *testing.T) {
 	s := buildSim(t)
-	near := spec.Msg{Type: "Data", Addr: 0, Src: 0, Dst: 1, VNet: spec.VResp}
-	far := spec.Msg{Type: "Data", Addr: 0, Src: 0, Dst: spec.NodeID(s.Cfg.Cores() - 1), VNet: spec.VResp}
+	near := spec.Msg{Type: s.fusion.Vocab().ID("Data"), Addr: 0, Src: 0, Dst: 1, VNet: spec.VResp}
+	far := spec.Msg{Type: s.fusion.Vocab().ID("Data"), Addr: 0, Src: 0, Dst: spec.NodeID(s.Cfg.Cores() - 1), VNet: spec.VResp}
 	if s.latency(far) <= s.latency(near) {
 		t.Errorf("far latency %d not greater than near %d", s.latency(far), s.latency(near))
 	}

@@ -19,44 +19,9 @@ import (
 // Read methods record the first error and return zero values afterwards, so
 // callers check Err() once at the end of a decode.
 type Dec struct {
-	buf    []byte
-	off    int
-	err    error
-	intern *Intern
-}
-
-// Intern is a tiny open-addressed string-intern table sized for the decode
-// vocabulary of this repo: the message types of the protocols in play, a few
-// dozen distinct values. A fixed probe table beats map[string]string here
-// because the runtime map's hash+probe dominated hot decode loops; two bytes
-// and the length are enough to spread such a small vocabulary. An Intern and
-// the Decs using it must stay confined to one goroutine.
-type Intern struct {
-	slots [128]string
-}
-
-const internProbes = 8
-
-func (t *Intern) lookup(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	h := (uint32(len(b))*131 + uint32(b[0])*31 + uint32(b[len(b)-1])) & uint32(len(t.slots)-1)
-	for i := uint32(0); i < internProbes; i++ {
-		j := (h + i) & uint32(len(t.slots)-1)
-		s := t.slots[j]
-		if s == "" {
-			s = string(b)
-			t.slots[j] = s
-			return s
-		}
-		if s == string(b) { // no-alloc comparison
-			return s
-		}
-	}
-	// Probe window saturated (vocabulary larger than designed for): give up
-	// interning this value rather than evicting.
-	return string(b)
+	buf []byte
+	off int
+	err error
 }
 
 // NewDec returns a cursor reading from buf.
@@ -64,13 +29,8 @@ func NewDec(buf []byte) *Dec { return &Dec{buf: buf} }
 
 // Reset repoints the cursor at buf and clears any recorded error, so one
 // long-lived Dec can decode millions of images without a per-decode
-// allocation. The intern table, if set, survives resets.
+// allocation.
 func (d *Dec) Reset(buf []byte) { d.buf, d.off, d.err = buf, 0, nil }
-
-// InternStrings attaches a string-intern table: String reads whose bytes
-// match an earlier decode return the retained copy instead of allocating a
-// fresh one. The Dec and its table must stay confined to one goroutine.
-func (d *Dec) InternStrings(t *Intern) { d.intern = t }
 
 // Err returns the first decode error, or nil.
 func (d *Dec) Err() error { return d.err }
@@ -158,9 +118,6 @@ func (d *Dec) String() string {
 	}
 	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	if d.intern != nil {
-		return d.intern.lookup(b)
-	}
 	return string(b)
 }
 
@@ -175,31 +132,29 @@ type StateCodec interface {
 	DecodeState(d *Dec) error
 }
 
-// decodeState looks up a machine state from its dense index, recording an
-// error on the cursor if the index is out of range.
-func decodeState(d *Dec, m *Machine, what string) State {
+// decodeState reads a machine state's index (StateID − 1), recording an
+// error on the cursor if it is out of range.
+func decodeState(d *Dec, m *Machine, what string) StateID {
 	i := d.Int()
 	if d.err != nil {
-		return ""
+		return NoState
 	}
-	s := m.StateAt(i)
-	if s == "" {
+	if i < 0 || i >= m.NumStates() {
 		d.fail("%s state index %d out of range for machine %s", what, i, m.Name)
+		return NoState
 	}
-	return s
+	return StateID(i + 1)
 }
 
-// DecodeMsg reads a message written by Msg.AppendBinary.
-func DecodeMsg(d *Dec) Msg {
-	var m Msg
-	DecodeMsgInto(&m, d)
-	return m
-}
-
-// DecodeMsgInto decodes in place, for hot loops that would otherwise copy
-// the message struct through a return value.
+// DecodeMsgInto reads a message written by Msg.AppendBinary into m, in
+// place: hot loops would otherwise copy the struct through a return value.
 func DecodeMsgInto(m *Msg, d *Dec) {
-	m.Type = MsgType(d.String())
+	m.Type = MsgID(d.Uvarint())
+	m.decodeFields(d)
+}
+
+// decodeFields reads everything after the type.
+func (m *Msg) decodeFields(d *Dec) {
 	m.Addr = Addr(d.Int())
 	m.Src = NodeID(d.Int())
 	m.Dst = NodeID(d.Int())
@@ -251,18 +206,19 @@ func (c *CacheInst) DecodeState(d *Dec) error {
 	return d.Err()
 }
 
-// maxDecodeAddr bounds the line addresses a directory image may carry.
-// DecodeState sizes the address-indexed line table from the image, so an
-// address is checked before the table grows to it. The largest address a
-// workload generates is 4096 + cores×PrivateBlocks − 1: 61,439 for the
-// Figure 10 points and 200,703 for the bigset-mix family on the 1024-core
-// TableIIIMesh(32); model-checker and artifact states use addresses below
-// ten.
-const maxDecodeAddr = 1 << 18
+// MaxDecodeAddr bounds the line addresses a directory holds: a delivery
+// (DirInst.slot) and an image (DecodeState) at an address outside
+// [0, MaxDecodeAddr) fail before the address-indexed line table grows to
+// it. The largest address a workload generates is 4096 + cores×
+// PrivateBlocks − 1: 61,439 for the Figure 10 points and 200,703 for the
+// bigset-mix family on the 1024-core TableIIIMesh(32); model-checker and
+// artifact states use addresses below ten. The simulator refuses a
+// workload that names a larger address (sim.New).
+const MaxDecodeAddr = 1 << 18
 
 // DecodeState implements StateCodec: the inverse of AppendBinary (the
 // shared memory is decoded separately by the host). Line addresses must
-// ascend strictly and lie in [0, maxDecodeAddr); an image breaking that
+// ascend strictly and lie in [0, MaxDecodeAddr); an image breaking that
 // is not AppendBinary's and fails to decode.
 func (dir *DirInst) DecodeState(d *Dec) error {
 	if id := NodeID(d.Int()); d.err == nil && id != dir.id {
@@ -280,8 +236,8 @@ func (dir *DirInst) DecodeState(d *Dec) error {
 		switch {
 		case d.err != nil:
 			return d.err
-		case a < 0 || a >= maxDecodeAddr:
-			d.fail("directory line address %d outside [0, %d)", a, maxDecodeAddr)
+		case a < 0 || a >= MaxDecodeAddr:
+			d.fail("directory line address %d outside [0, %d)", a, MaxDecodeAddr)
 			return d.err
 		case a <= prev:
 			d.fail("directory line address %d after %d: addresses must ascend", a, prev)
@@ -292,7 +248,7 @@ func (dir *DirInst) DecodeState(d *Dec) error {
 		l.State = decodeState(d, m, "directory line")
 		l.Owner = NodeID(d.Int())
 		l.Sharers = DecodeNodeSet(d)
-		if l.State != "" {
+		if l.State != NoState {
 			dir.n++
 		}
 	}

@@ -12,11 +12,9 @@ import "encoding/binary"
 // (varint lengths/counts before variable-size sections), so concatenating
 // encodings over a fixed component list stays injective.
 //
-// Controller states are written as their dense Machine.StateIndex rather
-// than length-prefixed names: a one-byte varint instead of a string per
-// line, and the property symmetry reduction relies on — two lines in the
-// same protocol state encode identically regardless of how the state is
-// spelled.
+// Controller states are written as their index in Machine.States()
+// (StateID − 1) and message types as their MsgID, never as names: a
+// one-byte varint instead of a string per line or message.
 //
 // Each encoder also has an AppendBinaryRelabeled form taking a Relabel that
 // maps every NodeID reference (component ids, message endpoints, sharer
@@ -31,14 +29,6 @@ import "encoding/binary"
 // buf.
 type BinaryAppender interface {
 	AppendBinary(buf []byte) []byte
-}
-
-// Freezer is implemented by components that pre-build lazily-initialized
-// lookup structures shared between clones (protocol table indexes). The
-// model checker freezes every component before spawning parallel workers so
-// concurrent exploration never races on first-use initialization.
-type Freezer interface {
-	Freeze()
 }
 
 // AppendUvarint appends v in unsigned varint form. Values under 0x80 — the
@@ -75,17 +65,22 @@ func AppendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// AppendBinary encodes the message: type, endpoints and payload fields.
-// Pointer receiver: encode loops over message slices are hot enough that
-// the by-value copy of the struct showed up in profiles.
+// AppendBinary encodes the message: type number, endpoints and payload
+// fields. Pointer receiver: encode loops over message slices are hot
+// enough that the by-value copy of the struct showed up in profiles.
 func (m *Msg) AppendBinary(buf []byte) []byte {
 	return m.AppendBinaryRelabeled(buf, nil)
 }
 
 // AppendBinaryRelabeled encodes the message with its endpoint ids mapped
-// through r.
+// through r. The type is its MsgID, which sorts as the name did (Vocab).
 func (m *Msg) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
-	buf = AppendString(buf, string(m.Type))
+	buf = AppendUvarint(buf, uint64(m.Type))
+	return m.appendFields(buf, r)
+}
+
+// appendFields encodes everything after the type.
+func (m *Msg) appendFields(buf []byte, r Relabel) []byte {
 	buf = AppendInt(buf, int(m.Addr))
 	buf = AppendInt(buf, int(r.Of(m.Src)))
 	buf = AppendInt(buf, int(r.Of(m.Dst)))
@@ -108,12 +103,11 @@ func (c *CacheInst) AppendBinary(buf []byte) []byte {
 // no node references, so only its own id is mapped.
 func (c *CacheInst) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
 	buf = AppendInt(buf, int(r.Of(c.id)))
-	m := c.proto.Cache
 	buf = AppendUvarint(buf, uint64(len(c.lines)))
 	for i := range c.lines {
 		l := &c.lines[i].l
 		buf = AppendInt(buf, int(c.lines[i].a))
-		buf = AppendInt(buf, m.StateIndex(l.State))
+		buf = AppendInt(buf, int(l.State)-1)
 		buf = AppendInt(buf, l.Data)
 		buf = AppendBool(buf, l.HasData)
 		buf = AppendInt(buf, l.AckBalance)
@@ -132,9 +126,6 @@ func (c *CacheInst) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
 	return buf
 }
 
-// Freeze pre-builds the protocol's table indexes (see Freezer).
-func (c *CacheInst) Freeze() { c.proto.Freeze() }
-
 // AppendBinary encodes id and the directory lines in address order: state
 // index, owner and the sharer bitset — the same facts as Snapshot.
 func (d *DirInst) AppendBinary(buf []byte) []byte {
@@ -146,16 +137,15 @@ func (d *DirInst) AppendBinary(buf []byte) []byte {
 // ascending mapped order, so the sharer list stays canonical).
 func (d *DirInst) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
 	buf = AppendInt(buf, int(r.Of(d.id)))
-	m := d.proto.Dir
 	buf = AppendUvarint(buf, uint64(d.n))
 	for p, pg := range d.pages {
 		for o := range pg {
 			l := &pg[o]
-			if l.State == "" {
+			if l.State == NoState {
 				continue
 			}
 			buf = AppendInt(buf, p<<dirPageBits|o)
-			buf = AppendInt(buf, m.StateIndex(l.State))
+			buf = AppendInt(buf, int(l.State)-1)
 			buf = AppendInt(buf, int(r.Of(l.Owner)))
 			sh := l.Sharers.Relabeled(r)
 			buf = AppendUvarint(buf, uint64(sh.Len()))
@@ -165,9 +155,6 @@ func (d *DirInst) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
 	return buf
 }
 
-// Freeze pre-builds the protocol's table indexes (see Freezer).
-func (d *DirInst) Freeze() { d.proto.Freeze() }
-
 // AppendBinary encodes the populated locations in address order.
 func (m *Memory) AppendBinary(buf []byte) []byte {
 	buf = AppendUvarint(buf, uint64(len(m.cells)))
@@ -176,15 +163,4 @@ func (m *Memory) AppendBinary(buf []byte) []byte {
 		buf = AppendInt(buf, c.v)
 	}
 	return buf
-}
-
-// intSort is an insertion sort: the slices here (cached addresses, sharer
-// sets) hold a handful of elements, where sort.Ints' interface overhead
-// dominates on the exploration hot path.
-func intSort(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

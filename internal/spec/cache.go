@@ -8,7 +8,7 @@ import (
 
 // Line is the per-address state a cache controller keeps.
 type Line struct {
-	State   State
+	State   StateID
 	Data    int
 	HasData bool
 	// Invalidation-ack bookkeeping, maintained by the runtime (ProtoGen
@@ -26,9 +26,14 @@ type Line struct {
 // L1 capacity, so its storage stays proportional to that, not to the
 // address range: one table per simulated core would cost more than the
 // binary search it saves.
+//
+// stamp is a host's recency mark (Touch): the performance simulator's LRU
+// order. It is bookkeeping outside the protocol state — neither encoded
+// nor compared — and a freshly materialized line starts at 0.
 type cacheEntry struct {
-	a Addr
-	l Line
+	a     Addr
+	l     Line
+	stamp uint64
 }
 
 // CacheInst executes a cache controller specification for one core's
@@ -40,6 +45,7 @@ type CacheInst struct {
 	id    NodeID
 	dir   NodeID
 	proto *Protocol
+	m     *Machine     // proto.Cache
 	lines []cacheEntry // sorted by address
 
 	pending  *CoreReq // current core request, nil when idle; else &req
@@ -53,9 +59,10 @@ type CacheInst struct {
 }
 
 // NewCacheInst builds a cache for the given protocol, wired to directory
-// id dir.
+// id dir. It freezes the protocol (Protocol.Freeze).
 func NewCacheInst(id, dir NodeID, proto *Protocol) *CacheInst {
-	return &CacheInst{id: id, dir: dir, proto: proto}
+	proto.Freeze()
+	return &CacheInst{id: id, dir: dir, proto: proto, m: proto.Cache}
 }
 
 // SetTrace installs a trace sink (used by examples and debugging).
@@ -69,6 +76,9 @@ func (c *CacheInst) ID() NodeID { return c.id }
 
 // Protocol returns the protocol this cache runs.
 func (c *CacheInst) Protocol() *Protocol { return c.proto }
+
+// Vocab implements Namer.
+func (c *CacheInst) Vocab() *Vocab { return c.proto.vocab }
 
 // DirID returns the directory this cache sends requests to. The model
 // checker's symmetry detection groups caches by (protocol, directory).
@@ -103,11 +113,11 @@ func (c *CacheInst) lineAt(a Addr) *Line {
 
 // stateAt returns the state of the line findLine reported at (i, ok): the
 // initial state when the line is absent.
-func (c *CacheInst) stateAt(i int, ok bool) State {
+func (c *CacheInst) stateAt(i int, ok bool) StateID {
 	if ok {
 		return c.lines[i].l.State
 	}
-	return c.proto.Cache.Init
+	return c.m.init
 }
 
 // lineFor returns the line findLine reported at (i, ok) for addr,
@@ -119,14 +129,14 @@ func (c *CacheInst) lineFor(i int, ok bool, a Addr) *Line {
 	if !ok {
 		c.lines = append(c.lines, cacheEntry{})
 		copy(c.lines[i+1:], c.lines[i:])
-		c.lines[i] = cacheEntry{a: a, l: Line{State: c.proto.Cache.Init}}
+		c.lines[i] = cacheEntry{a: a, l: Line{State: c.m.init}}
 	}
 	return &c.lines[i].l
 }
 
 // pristine reports whether a line is back to the untouched initial state.
 func (c *CacheInst) pristine(l *Line) bool {
-	return l.State == c.proto.Cache.Init && !l.AckArmed && l.AckBalance == 0
+	return l.State == c.m.init && !l.AckArmed && l.AckBalance == 0
 }
 
 // compact drops lines that are back to the pristine initial state so
@@ -168,11 +178,11 @@ func (c *CacheInst) Idle() bool { return c.pending == nil }
 func (c *CacheInst) LastLoad() int { return c.lastLoad }
 
 // LineState returns the state of the line at addr (init state if absent).
-func (c *CacheInst) LineState(a Addr) State {
+func (c *CacheInst) LineState(a Addr) StateID {
 	if l := c.lineAt(a); l != nil {
 		return l.State
 	}
-	return c.proto.Cache.Init
+	return c.m.init
 }
 
 // LineData returns the data of the line at addr.
@@ -186,7 +196,7 @@ func (c *CacheInst) LineData(a Addr) (int, bool) {
 // Outstanding reports whether any line is in a transient state.
 func (c *CacheInst) Outstanding() bool {
 	for i := range c.lines {
-		if !c.proto.Cache.IsStable(c.lines[i].l.State) {
+		if !c.m.StableID(c.lines[i].l.State) {
 			return true
 		}
 	}
@@ -208,7 +218,7 @@ func (c *CacheInst) CanIssue(req CoreReq) bool {
 		// epilogues can flush unconditionally.
 		return true
 	}
-	return c.proto.Cache.OnCoreOp(c.LineState(req.Addr), req.Op) != nil
+	return c.m.CoreStep(c.LineState(req.Addr), req.Op) != nil
 }
 
 // Issue starts processing a core request. It returns false (with no side
@@ -229,7 +239,7 @@ func (c *CacheInst) Issue(env Env, req CoreReq) bool {
 		return true
 	}
 	i, ok := c.findLine(req.Addr)
-	t := c.proto.Cache.OnCoreOp(c.stateAt(i, ok), req.Op)
+	t := c.m.CoreStep(c.stateAt(i, ok), req.Op)
 	if t == nil {
 		// A replacement without an eviction transition is a no-op that
 		// completes at once (see CanIssue); anything else cannot issue.
@@ -250,39 +260,29 @@ func (c *CacheInst) Issue(env Env, req CoreReq) bool {
 
 // startSync executes the whole-cache SyncBehavior for a sync op.
 func (c *CacheInst) startSync(env Env, op CoreOp) {
-	sb, ok := c.proto.Cache.Sync[op]
-	if !ok {
+	sb := c.m.syncs[op]
+	if sb == nil {
 		// Undeclared sync ops are no-ops (e.g. Fence on an SC protocol).
 		c.pending = nil
 		return
 	}
 	// Arm the wait flag before triggering write-backs: apply() checks for
 	// sync completion after every transition it executes.
-	c.syncWait = sb.WaitOutstanding
+	c.syncWait = sb.wait
 	c.multi = true
 	for i := range c.lines {
 		l := &c.lines[i].l
 		switch {
-		case stateIn(sb.Invalidate, l.State):
+		case sb.invalidate[l.State]:
 			// Self-invalidation is silent.
-			*l = Line{State: c.proto.Cache.Init}
-		case stateIn(sb.Writeback, l.State):
-			if t := c.proto.Cache.OnCoreOp(l.State, OpEvict); t != nil {
+			*l = Line{State: c.m.init}
+		case sb.writeback[l.State]:
+			if t := c.m.CoreStep(l.State, OpEvict); t != nil {
 				c.apply(env, c.lines[i].a, l, t, nil)
 			}
 		}
 	}
 	c.checkSyncDone()
-}
-
-// stateIn reports whether s appears in the (small) state list.
-func stateIn(states []State, s State) bool {
-	for _, st := range states {
-		if st == s {
-			return true
-		}
-	}
-	return false
 }
 
 // checkSyncDone completes a waiting sync op once all lines are stable.
@@ -321,7 +321,7 @@ func (c *CacheInst) addrs() []Addr {
 // exploration and by sync write-backs.
 func (c *CacheInst) Evict(env Env, a Addr) bool {
 	i, ok := c.findLine(a)
-	t := c.proto.Cache.OnCoreOp(c.stateAt(i, ok), OpEvict)
+	t := c.m.CoreStep(c.stateAt(i, ok), OpEvict)
 	if t == nil {
 		return false
 	}
@@ -330,9 +330,28 @@ func (c *CacheInst) Evict(env Env, a Addr) bool {
 	return true
 }
 
-// CanEvict reports whether the line at addr has an eviction transition.
-func (c *CacheInst) CanEvict(a Addr) bool {
-	return c.proto.Cache.OnCoreOp(c.LineState(a), OpEvict) != nil
+// Touch stamps the resident line at a with a host's recency mark (see
+// cacheEntry); an absent line is left alone.
+func (c *CacheInst) Touch(a Addr, stamp uint64) {
+	if i, ok := c.findLine(a); ok {
+		c.lines[i].stamp = stamp
+	}
+}
+
+// LRUVictim returns the resident line with the least stamp among those in
+// a stable state with an eviction transition, the lowest address first
+// on a tie, in one pass over the lines; ok is false when no line
+// qualifies.
+func (c *CacheInst) LRUVictim() (a Addr, ok bool) {
+	oldest := ^uint64(0)
+	for i := range c.lines {
+		e := &c.lines[i]
+		if e.stamp >= oldest || !c.m.StableID(e.l.State) || c.m.CoreStep(e.l.State, OpEvict) == nil {
+			continue
+		}
+		oldest, a, ok = e.stamp, e.a, true
+	}
+	return a, ok
 }
 
 // Deliver implements Component. A stalled message leaves the cache
@@ -340,14 +359,14 @@ func (c *CacheInst) CanEvict(a Addr) bool {
 func (c *CacheInst) Deliver(env Env, m Msg) bool {
 	i, ok := c.findLine(m.Addr)
 	// Automatic invalidation-ack bookkeeping.
-	if c.proto.AckType != "" && m.Type == c.proto.AckType {
+	if m.Type == c.proto.ackID && m.Type != NoMsg {
 		line := c.lineFor(i, ok, m.Addr)
 		line.AckBalance--
 		c.fireLastAck(env, m.Addr, line)
 		c.compactAfter(i)
 		return true
 	}
-	t := c.proto.Cache.OnMessage(c.stateAt(i, ok), &m, MsgCtx{})
+	t := c.m.MsgStep(c.stateAt(i, ok), &m, MsgCtx{})
 	if t == nil {
 		return false
 	}
@@ -361,8 +380,8 @@ func (c *CacheInst) fireLastAck(env Env, a Addr, line *Line) {
 	if !line.AckArmed || line.AckBalance != 0 {
 		return
 	}
-	ev := Msg{Type: EvLastAck, Addr: a, Src: c.id, Dst: c.id}
-	t := c.proto.Cache.OnMessage(line.State, &ev, MsgCtx{})
+	ev := Msg{Type: c.proto.lastAckID, Addr: a, Src: c.id, Dst: c.id}
+	t := c.m.MsgStep(line.State, &ev, MsgCtx{})
 	if t == nil {
 		return
 	}
@@ -371,13 +390,13 @@ func (c *CacheInst) fireLastAck(env Env, a Addr, line *Line) {
 }
 
 // apply executes a transition on a line.
-func (c *CacheInst) apply(env Env, a Addr, line *Line, t *Transition, m *Msg) {
+func (c *CacheInst) apply(env Env, a Addr, line *Line, t *Step, m *Msg) {
 	if c.trace != nil {
-		ev := t.On.String()
-		c.trace(fmt.Sprintf("cache%d a%d %s --%s--> %s", c.id, a, t.From, ev, t.Next))
+		c.trace(fmt.Sprintf("cache%d a%d %s --%s--> %s", c.id, a, t.Row.From, t.Row.On, t.Row.Next))
 	}
 	filled := false
-	for _, act := range t.Actions {
+	for i := range t.Acts {
+		act := &t.Acts[i]
 		switch act.Op {
 		case ActSend:
 			c.send(env, a, line, act, m)
@@ -409,7 +428,7 @@ func (c *CacheInst) apply(env Env, a Addr, line *Line, t *Transition, m *Msg) {
 				c.pending = nil
 			}
 		default:
-			panic(fmt.Sprintf("spec: cache %s executing non-cache action %s", c.proto.Name, act))
+			panic(fmt.Sprintf("spec: cache %s executing non-cache action %s", c.proto.Name, act.Action))
 		}
 	}
 	line.State = t.Next
@@ -423,7 +442,7 @@ func (c *CacheInst) apply(env Env, a Addr, line *Line, t *Transition, m *Msg) {
 // invalidateOnFill applies the machine's fill-triggered self-invalidation
 // (TSO-CC-basic): every *other* line in a listed state drops to init.
 func (c *CacheInst) invalidateOnFill(filledAddr Addr) {
-	if len(c.proto.Cache.InvalidateOnFill) == 0 {
+	if !c.m.hasFill {
 		return
 	}
 	c.multi = true
@@ -431,15 +450,15 @@ func (c *CacheInst) invalidateOnFill(filledAddr Addr) {
 		if c.lines[i].a == filledAddr {
 			continue
 		}
-		if l := &c.lines[i].l; stateIn(c.proto.Cache.InvalidateOnFill, l.State) {
-			*l = Line{State: c.proto.Cache.Init}
+		if l := &c.lines[i].l; c.m.invFill[l.State] {
+			*l = Line{State: c.m.init}
 		}
 	}
 }
 
 // send materializes and emits a message per the action.
-func (c *CacheInst) send(env Env, a Addr, line *Line, act Action, m *Msg) {
-	out := Msg{Type: act.Msg, Addr: a, Src: c.id, VNet: c.proto.VNetOf(act.Msg)}
+func (c *CacheInst) send(env Env, a Addr, line *Line, act *Act, m *Msg) {
+	out := Msg{Type: act.Type, Addr: a, Src: c.id, VNet: act.VNet}
 	switch act.Dst {
 	case ToDir:
 		out.Dst = c.dir
@@ -473,7 +492,7 @@ func (c *CacheInst) Clone() Component { return c.CloneCache() }
 
 // CloneCache deep-copies the cache with its concrete type.
 func (c *CacheInst) CloneCache() *CacheInst {
-	cp := &CacheInst{id: c.id, dir: c.dir, proto: c.proto,
+	cp := &CacheInst{id: c.id, dir: c.dir, proto: c.proto, m: c.m,
 		syncWait: c.syncWait, lastLoad: c.lastLoad}
 	if len(c.lines) > 0 {
 		cp.lines = append(make([]cacheEntry, 0, len(c.lines)), c.lines...)
@@ -490,7 +509,7 @@ func (c *CacheInst) Snapshot(b *SnapshotWriter) {
 	fmt.Fprintf(b, "cache%d{", c.id)
 	for i := range c.lines {
 		l := &c.lines[i].l
-		fmt.Fprintf(b, "a%d:%s,%d,%t,%d,%t;", c.lines[i].a, l.State, l.Data, l.HasData, l.AckBalance, l.AckArmed)
+		fmt.Fprintf(b, "a%d:%s,%d,%t,%d,%t;", c.lines[i].a, c.m.StateName(l.State), l.Data, l.HasData, l.AckBalance, l.AckArmed)
 	}
 	if c.pending != nil {
 		fmt.Fprintf(b, "|pend=%s", c.pending)

@@ -32,6 +32,13 @@ type Component interface {
 	StateCodec
 }
 
+// Namer is implemented by components that can name the message types
+// they exchange: the vocabulary their messages are numbered in. Hosts
+// use it where names are printed (snapshots, traces, statistics).
+type Namer interface {
+	Vocab() *Vocab
+}
+
 // SnapshotWriter accumulates canonical state encodings for hashing.
 type SnapshotWriter struct {
 	strings.Builder

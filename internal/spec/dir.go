@@ -7,7 +7,7 @@ import (
 // DirLine is the per-address state a directory controller keeps. Sharers
 // is a bitset value (see NodeSet) so lines clone by assignment.
 type DirLine struct {
-	State   State
+	State   StateID
 	Sharers NodeSet
 	Owner   NodeID
 }
@@ -18,7 +18,7 @@ type DirLine struct {
 //
 // Lines live in a table indexed by address, in pages of dirPageSize
 // lines: pages[a>>dirPageBits][a&dirPageMask] is address a's line, and an
-// entry whose State is "" is absent (never materialized, or compacted
+// entry whose State is NoState is absent (never materialized, or compacted
 // back to pristine). Lookup, materialization and compaction are O(1)
 // whatever the address footprint — the performance simulator's
 // directories hold thousands of lines, the model checker's a handful at
@@ -27,12 +27,15 @@ type DirLine struct {
 // first use and grows only to its highest line in use, so the table costs
 // memory in proportion to the address ranges in use, not to the largest
 // address: the simulated workloads leave a gap of thousands of addresses
-// between their shared and private regions.
+// between their shared and private regions. Addresses lie in
+// [0, MaxDecodeAddr): slot refuses any other, so no message can grow the
+// table past that bound.
 type DirInst struct {
 	id    NodeID
 	proto *Protocol
+	m     *Machine // proto.Dir
 	mem   *Memory
-	pages [][]DirLine // the line table; State "" marks an absent line
+	pages [][]DirLine // the line table; State NoState marks an absent line
 	n     int         // present lines
 	trace func(string)
 }
@@ -45,8 +48,10 @@ const (
 )
 
 // NewDirInst builds a directory for the protocol over the given memory.
+// It freezes the protocol (Protocol.Freeze).
 func NewDirInst(id NodeID, proto *Protocol, mem *Memory) *DirInst {
-	return &DirInst{id: id, proto: proto, mem: mem}
+	proto.Freeze()
+	return &DirInst{id: id, proto: proto, m: proto.Dir, mem: mem}
 }
 
 // SetTrace installs a trace sink.
@@ -61,20 +66,24 @@ func (d *DirInst) ID() NodeID { return d.id }
 // Protocol returns the protocol this directory runs.
 func (d *DirInst) Protocol() *Protocol { return d.proto }
 
+// Vocab implements Namer.
+func (d *DirInst) Vocab() *Vocab { return d.proto.vocab }
+
 // Memory returns the backing memory.
 func (d *DirInst) Memory() *Memory { return d.mem }
 
 // initLine is the pristine line value for this directory's protocol.
 func (d *DirInst) initLine() DirLine {
-	return DirLine{State: d.proto.Dir.Init, Owner: NoNode}
+	return DirLine{State: d.m.init, Owner: NoNode}
 }
 
 // slot returns address a's table entry, growing the table to cover it.
 // The entry may be absent. The pointer is valid until a's page next
+// grows. An address outside [0, MaxDecodeAddr) panics before the table
 // grows.
 func (d *DirInst) slot(a Addr) *DirLine {
-	if a < 0 {
-		panic(fmt.Sprintf("spec: directory line at negative address %d", a))
+	if a < 0 || a >= MaxDecodeAddr {
+		panic(fmt.Sprintf("spec: directory line at address %d outside [0, %d)", a, MaxDecodeAddr))
 	}
 	p, o := int(a)>>dirPageBits, int(a)&dirPageMask
 	if p >= len(d.pages) {
@@ -99,7 +108,7 @@ func (d *DirInst) slot(a Addr) *DirLine {
 // lineAt returns the materialized line for addr, or nil.
 func (d *DirInst) lineAt(a Addr) *DirLine {
 	p, o := int(a)>>dirPageBits, int(a)&dirPageMask
-	if a >= 0 && p < len(d.pages) && o < len(d.pages[p]) && d.pages[p][o].State != "" {
+	if a >= 0 && p < len(d.pages) && o < len(d.pages[p]) && d.pages[p][o].State != NoState {
 		return &d.pages[p][o]
 	}
 	return nil
@@ -117,7 +126,7 @@ func (d *DirInst) lineRead(a Addr) DirLine {
 // pointer is valid until the line's page next grows.
 func (d *DirInst) Line(a Addr) *DirLine {
 	l := d.slot(a)
-	if l.State == "" {
+	if l.State == NoState {
 		*l = d.initLine()
 		d.n++
 	}
@@ -125,18 +134,18 @@ func (d *DirInst) Line(a Addr) *DirLine {
 }
 
 // LineState returns the directory state for addr (pure).
-func (d *DirInst) LineState(a Addr) State {
+func (d *DirInst) LineState(a Addr) StateID {
 	if l := d.lineAt(a); l != nil {
 		return l.State
 	}
-	return d.proto.Dir.Init
+	return d.m.init
 }
 
 // Stable reports whether every directory line is in a stable state.
 func (d *DirInst) Stable() bool {
 	for _, pg := range d.pages {
 		for i := range pg {
-			if s := pg[i].State; s != "" && !d.proto.Dir.IsStable(s) {
+			if s := pg[i].State; s != NoState && !d.m.StableID(s) {
 				return false
 			}
 		}
@@ -154,20 +163,20 @@ func (d *DirInst) compactLine(l *DirLine) {
 	}
 }
 
-// Lookup returns the transition this directory would take for the message
-// in its current state, or nil if it would stall. No state is modified.
-func (d *DirInst) Lookup(m *Msg) *Transition {
+// Lookup returns the row this directory would take for the message in
+// its current state, or nil if it would stall. No state is modified.
+func (d *DirInst) Lookup(m *Msg) *Step {
 	line := d.lineRead(m.Addr)
 	return d.lookup(&line, m)
 }
 
 // lookup matches the message against the directory table in line's state.
-func (d *DirInst) lookup(line *DirLine, m *Msg) *Transition {
+func (d *DirInst) lookup(line *DirLine, m *Msg) *Step {
 	ctx := MsgCtx{
 		IsOwner:      m.Src == line.Owner,
 		IsLastSharer: line.Sharers.Len() == 1 && line.Sharers.Has(m.Src),
 	}
-	return d.proto.Dir.OnMessage(line.State, m, ctx)
+	return d.m.MsgStep(line.State, m, ctx)
 }
 
 // Deliver implements Component. The line is read once: a stalled message
@@ -175,14 +184,14 @@ func (d *DirInst) lookup(line *DirLine, m *Msg) *Transition {
 func (d *DirInst) Deliver(env Env, m Msg) bool {
 	l := d.slot(m.Addr)
 	line := *l
-	if line.State == "" {
+	if line.State == NoState {
 		line = d.initLine()
 	}
 	t := d.lookup(&line, &m)
 	if t == nil {
 		return false
 	}
-	if l.State == "" {
+	if l.State == NoState {
 		*l = line
 		d.n++
 	}
@@ -191,11 +200,12 @@ func (d *DirInst) Deliver(env Env, m Msg) bool {
 }
 
 // apply executes a directory transition on the materialized line for a.
-func (d *DirInst) apply(env Env, a Addr, line *DirLine, t *Transition, m *Msg) {
+func (d *DirInst) apply(env Env, a Addr, line *DirLine, t *Step, m *Msg) {
 	if d.trace != nil {
-		d.trace(fmt.Sprintf("dir%d a%d %s --%s--> %s", d.id, a, t.From, t.On, t.Next))
+		d.trace(fmt.Sprintf("dir%d a%d %s --%s--> %s", d.id, a, t.Row.From, t.Row.On, t.Row.Next))
 	}
-	for _, act := range t.Actions {
+	for i := range t.Acts {
+		act := &t.Acts[i]
 		switch act.Op {
 		case ActSend:
 			d.send(env, a, line, act, m)
@@ -220,7 +230,7 @@ func (d *DirInst) apply(env Env, a Addr, line *DirLine, t *Transition, m *Msg) {
 				d.mem.Write(a, m.Data)
 			}
 		default:
-			panic(fmt.Sprintf("spec: directory %s executing non-directory action %s", d.proto.Name, act))
+			panic(fmt.Sprintf("spec: directory %s executing non-directory action %s", d.proto.Name, act.Action))
 		}
 	}
 	line.State = t.Next
@@ -236,8 +246,8 @@ func ackCount(line *DirLine, req NodeID) int {
 	return n
 }
 
-func (d *DirInst) send(env Env, a Addr, line *DirLine, act Action, m *Msg) {
-	out := Msg{Type: act.Msg, Addr: a, Src: d.id, VNet: d.proto.VNetOf(act.Msg)}
+func (d *DirInst) send(env Env, a Addr, line *DirLine, act *Act, m *Msg) {
+	out := Msg{Type: act.Type, Addr: a, Src: d.id, VNet: act.VNet}
 	switch act.Dst {
 	case ToMsgSrc:
 		out.Dst, out.Req = m.Src, m.Req
@@ -245,7 +255,7 @@ func (d *DirInst) send(env Env, a Addr, line *DirLine, act Action, m *Msg) {
 		out.Dst, out.Req = m.Req, m.Req
 	case ToOwner:
 		if line.Owner == NoNode {
-			panic(fmt.Sprintf("spec: directory %s forwards to absent owner in state %s", d.proto.Name, line.State))
+			panic(fmt.Sprintf("spec: directory %s forwards to absent owner in state %s", d.proto.Name, d.m.StateName(line.State)))
 		}
 		out.Dst, out.Req = line.Owner, m.Req
 	default:
@@ -271,12 +281,11 @@ func (d *DirInst) send(env Env, a Addr, line *DirLine, act Action, m *Msg) {
 // invSharers sends the invalidation message to every sharer except the
 // requestor; acks flow to the requestor (carried in Req). NodeSet iterates
 // in ascending id order, so send order is deterministic.
-func (d *DirInst) invSharers(env Env, a Addr, line *DirLine, act Action, m *Msg) {
+func (d *DirInst) invSharers(env Env, a Addr, line *DirLine, act *Act, m *Msg) {
 	req := m.Req
-	vnet := d.proto.VNetOf(act.Msg)
 	line.Sharers.Each(func(s NodeID) {
 		if s != req {
-			env.Send(Msg{Type: act.Msg, Addr: a, Src: d.id, Dst: s, Req: req, VNet: vnet})
+			env.Send(Msg{Type: act.Type, Addr: a, Src: d.id, Dst: s, Req: req, VNet: act.VNet})
 		}
 	})
 }
@@ -293,7 +302,7 @@ func (d *DirInst) CloneWithMemory(mem *Memory) Component { return d.CloneDir(mem
 // share memory across directories clone the memory once and pass it to
 // each).
 func (d *DirInst) CloneDir(mem *Memory) *DirInst {
-	cp := &DirInst{id: d.id, proto: d.proto, mem: mem, n: d.n}
+	cp := &DirInst{id: d.id, proto: d.proto, m: d.m, mem: mem, n: d.n}
 	if d.n > 0 {
 		cp.pages = make([][]DirLine, len(d.pages))
 		for p, pg := range d.pages {
@@ -312,12 +321,12 @@ func (d *DirInst) Snapshot(b *SnapshotWriter) {
 	for p, pg := range d.pages {
 		for o := range pg {
 			l := &pg[o]
-			if l.State == "" {
+			if l.State == NoState {
 				continue
 			}
 			sh := make([]int, 0, l.Sharers.Len())
 			l.Sharers.Each(func(s NodeID) { sh = append(sh, int(s)) })
-			fmt.Fprintf(b, "a%d:%s,o%d,s%v;", p<<dirPageBits|o, l.State, l.Owner, sh)
+			fmt.Fprintf(b, "a%d:%s,o%d,s%v;", p<<dirPageBits|o, d.m.StateName(l.State), l.Owner, sh)
 		}
 	}
 	b.WriteString("}")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"heterogen/internal/protocols"
@@ -16,17 +17,28 @@ import (
 // a map of materialized lines, sorted at encode time. It applies the
 // line-level effects of a directory transition itself (sends and memory
 // writes leave no trace in a directory's image).
+//
+// The model works on names: its lines hold state names and it matches
+// rows by scanning the machine's Rows, so it checks the numbered runtime
+// against the specification layer.
 type refDir struct {
 	id    spec.NodeID
 	proto *spec.Protocol
-	lines map[spec.Addr]spec.DirLine
+	lines map[spec.Addr]refLine
 }
 
-func (r *refDir) init() spec.DirLine {
-	return spec.DirLine{State: r.proto.Dir.Init, Owner: spec.NoNode}
+// refLine is a directory line with its state named.
+type refLine struct {
+	State   spec.State
+	Sharers spec.NodeSet
+	Owner   spec.NodeID
 }
 
-func (r *refDir) line(a spec.Addr) spec.DirLine {
+func (r *refDir) init() refLine {
+	return refLine{State: r.proto.Dir.Init, Owner: spec.NoNode}
+}
+
+func (r *refDir) line(a spec.Addr) refLine {
 	if l, ok := r.lines[a]; ok {
 		return l
 	}
@@ -48,13 +60,39 @@ func (r *refDir) compact(a spec.Addr) {
 // transition is the row a message takes, or nil. forwardsNowhere reports
 // a row that forwards to an owner the line does not have, which a real
 // directory treats as a protocol bug (a panic): the test does not send it.
-func (r *refDir) transition(m *spec.Msg) (t *spec.Transition, forwardsNowhere bool) {
+func (r *refDir) transition(mt spec.MsgType, m *spec.Msg) (t *spec.Transition, forwardsNowhere bool) {
 	l := r.line(m.Addr)
-	ctx := spec.MsgCtx{
-		IsOwner:      m.Src == l.Owner,
-		IsLastSharer: l.Sharers.Len() == 1 && l.Sharers.Has(m.Src),
+	isOwner := m.Src == l.Owner
+	isLast := l.Sharers.Len() == 1 && l.Sharers.Has(m.Src)
+	for i := range r.proto.Dir.Rows {
+		row := &r.proto.Dir.Rows[i]
+		if row.From != l.State || row.On.IsCore() || row.On.Msg != mt {
+			continue
+		}
+		var match bool
+		switch row.On.Cond {
+		case spec.CondAny:
+			if t == nil {
+				t = row
+			}
+		case spec.CondAckZero:
+			match = m.Ack == 0
+		case spec.CondAckPos:
+			match = m.Ack > 0
+		case spec.CondFromOwner:
+			match = isOwner
+		case spec.CondNotOwner:
+			match = !isOwner
+		case spec.CondLastSharer:
+			match = isLast
+		case spec.CondNotLastSharer:
+			match = !isLast
+		}
+		if match {
+			t = row
+			break
+		}
 	}
-	t = r.proto.Dir.OnMessage(l.State, m, ctx)
 	if t == nil {
 		return nil, false
 	}
@@ -106,7 +144,7 @@ func (r *refDir) encode() []byte {
 	for _, a := range r.addrs() {
 		l := r.lines[a]
 		buf = spec.AppendInt(buf, int(a))
-		buf = spec.AppendInt(buf, r.proto.Dir.StateIndex(l.State))
+		buf = spec.AppendInt(buf, slices.Index(r.proto.Dir.States(), l.State))
 		buf = spec.AppendInt(buf, int(l.Owner))
 		buf = spec.AppendUvarint(buf, uint64(l.Sharers.Len()))
 		l.Sharers.Each(func(s spec.NodeID) { buf = spec.AppendInt(buf, int(s)) })
@@ -152,16 +190,12 @@ func TestDirTableMatchesReference(t *testing.T) {
 	const id = spec.NodeID(9)
 	for _, name := range []string{protocols.NameMSI, protocols.NameMESI, protocols.NameRCCO} {
 		p := protocols.MustByName(name)
-		var types []spec.MsgType
-		for mt := range p.Msgs {
-			types = append(types, mt)
-		}
-		slices.Sort(types)
+		types := p.MsgTypes()
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			mem := spec.NewMemory()
 			d := spec.NewDirInst(id, p, mem)
-			ref := &refDir{id: id, proto: p, lines: map[spec.Addr]spec.DirLine{}}
+			ref := &refDir{id: id, proto: p, lines: map[spec.Addr]refLine{}}
 			addr := func() spec.Addr {
 				if rng.Intn(8) == 0 {
 					return spec.Addr(100 + rng.Intn(400))
@@ -173,16 +207,16 @@ func TestDirTableMatchesReference(t *testing.T) {
 				op := rng.Intn(20)
 				switch {
 				case op < 12:
-					m := spec.Msg{Type: types[rng.Intn(len(types))], Addr: addr(),
+					mt := types[rng.Intn(len(types))]
+					m := spec.Msg{Type: p.MsgID(mt), Addr: addr(),
 						Src: spec.NodeID(rng.Intn(4)), Dst: id, Req: spec.NodeID(rng.Intn(4)),
-						Data: rng.Intn(5), HasData: rng.Intn(2) == 0, Ack: rng.Intn(3)}
-					m.VNet = p.VNetOf(m.Type)
-					tr, bad := ref.transition(&m)
+						Data: rng.Intn(5), HasData: rng.Intn(2) == 0, Ack: rng.Intn(3), VNet: p.VNetOf(mt)}
+					tr, bad := ref.transition(mt, &m)
 					if bad {
 						continue
 					}
 					if got := d.Deliver(sink{}, m); got != (tr != nil) {
-						t.Fatalf("%s seed %d step %d: Deliver(%s) = %t, reference %t", name, seed, step, m, got, tr != nil)
+						t.Fatalf("%s seed %d step %d: Deliver(%s) = %t, reference %t", name, seed, step, p.Vocab().Format(m), got, tr != nil)
 					}
 					if tr != nil {
 						ref.deliver(&m, tr)
@@ -227,8 +261,8 @@ func TestDirTableMatchesReference(t *testing.T) {
 				if got, want := d.Stable(), ref.stable(); got != want {
 					t.Fatalf("%s seed %d step %d: Stable = %t, reference %t", name, seed, step, got, want)
 				}
-				if a := addr(); d.LineState(a) != ref.line(a).State {
-					t.Fatalf("%s seed %d step %d: LineState(%d) = %s, reference %s", name, seed, step, a, d.LineState(a), ref.line(a).State)
+				if a := addr(); p.Dir.StateName(d.LineState(a)) != ref.line(a).State {
+					t.Fatalf("%s seed %d step %d: LineState(%d) = %s, reference %s", name, seed, step, a, p.Dir.StateName(d.LineState(a)), ref.line(a).State)
 				}
 			}
 			if delivered < 100 {
@@ -240,11 +274,12 @@ func TestDirTableMatchesReference(t *testing.T) {
 
 // dirImage is a directory image with one pristine line per address.
 func dirImage(p *spec.Protocol, id spec.NodeID, addrs ...int) []byte {
+	p.Freeze()
 	buf := spec.AppendInt(nil, int(id))
 	buf = spec.AppendUvarint(buf, uint64(len(addrs)))
 	for _, a := range addrs {
 		buf = spec.AppendInt(buf, a)
-		buf = spec.AppendInt(buf, p.Dir.StateIndex(p.Dir.Init))
+		buf = spec.AppendInt(buf, int(p.Dir.InitID())-1)
 		buf = spec.AppendInt(buf, int(spec.NoNode))
 		buf = spec.AppendUvarint(buf, 0)
 	}
@@ -299,5 +334,35 @@ func TestDirDecodeStateRejectsBadAddresses(t *testing.T) {
 				t.Errorf("good image re-encodes as %x, want %x", got, good)
 			}
 		})
+	}
+}
+
+// TestDirDeliverRejectsFarAddress pins the address bound inside the
+// directory itself: a message naming an address at or above
+// MaxDecodeAddr (here 2^40) fails with the same clear panic a negative
+// address gives, before the line table grows toward it, and leaves the
+// directory empty.
+func TestDirDeliverRejectsFarAddress(t *testing.T) {
+	p := protocols.MustByName(protocols.NameMSI)
+	for _, a := range []spec.Addr{1 << 40, spec.MaxDecodeAddr, -1} {
+		d := spec.NewDirInst(4, p, spec.NewMemory())
+		m := spec.Msg{Type: p.MsgID(protocols.MsgGetS), Addr: a, Src: 1, Dst: 4, Req: 1, VNet: spec.VReq}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msg := func() (msg any) {
+			defer func() { msg = recover() }()
+			d.Deliver(sink{}, m)
+			return nil
+		}()
+		runtime.ReadMemStats(&after)
+		if s, _ := msg.(string); !strings.Contains(s, "outside [0, ") {
+			t.Errorf("delivery at address %d: got %v, want a panic naming the bound", a, msg)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("refusing address %d allocated %d bytes", a, grew)
+		}
+		if img := d.AppendBinary(nil); len(img) != 2 {
+			t.Errorf("refusing address %d left lines: image %x", a, img)
+		}
 	}
 }

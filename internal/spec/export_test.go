@@ -3,9 +3,6 @@ package spec
 // Seams for the external test package (spec_test), whose tests run the
 // built-in protocols, which import this package.
 
-// MaxDecodeAddr is the bound DirInst.DecodeState puts on line addresses.
-const MaxDecodeAddr = maxDecodeAddr
-
 // CompactAt drops the line at a if it is back to the pristine initial
 // state, as every delivery does for the line it touched.
 func (d *DirInst) CompactAt(a Addr) {

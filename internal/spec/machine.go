@@ -82,116 +82,177 @@ type Machine struct {
 	// the duplicate-row check accordingly.
 	Flat bool
 
-	index     map[State]map[MsgType][]*Transition
-	core      map[State]map[CoreOp]*Transition
-	stateIdx  map[State]int // dense state numbering for binary encoding
-	stateList []State       // inverse of stateIdx, for binary decoding
+	// The runtime form, built once by Protocol.Freeze (compile): states
+	// and message types numbered, and the rows laid out densely by number.
+	names    []State // by StateID − 1: States() order
+	init     StateID // Init's number
+	stable   []bool  // by StateID
+	nMsgs    int     // the vocabulary's size
+	msgOff   []int32 // [(StateID−1)·nMsgs + MsgID]: where that slot's rows start in msgSteps
+	msgSteps []*Step // the message rows grouped by slot, in row order within one
+	opRows   []*Step // [(StateID−1)·numCoreOps + CoreOp]
+	syncs    [numCoreOps]*syncRule
+	invFill  []bool // by StateID: InvalidateOnFill
+	hasFill  bool
 
-	// Dense per-state lookup rows built alongside the maps: OnCoreOp and
-	// IsStable sit on the model checker's successor-generation path, where
-	// one map probe into a fixed-size row beats two chained map probes and
-	// a linear stable-list scan.
-	coreRows   map[State]*coreRow
-	stableSet  map[State]bool
 	sendLocal  bool // see SendLocality
 	invSharers bool // see InvalidatesSharers
 }
 
-// coreRow is the dense CoreOp-indexed transition row of one state.
-type coreRow [int(OpEvict) + 1]*Transition
+// numCoreOps sizes the CoreOp-indexed rows.
+const numCoreOps = int(OpEvict) + 1
 
-// Freeze eagerly builds the lookup indexes. The indexes are otherwise
-// built lazily on first lookup, which is a data race when clones sharing
-// one Machine are exercised from several goroutines — the model checker
-// freezes every protocol before going parallel.
-func (m *Machine) Freeze() { m.buildIndex() }
+// Step is one row compiled onto its machine's numbering: the next state,
+// the condition and every action's message as numbers. Row keeps the
+// names for traces and error text.
+type Step struct {
+	Row  *Transition
+	Next StateID
+	Cond Cond
+	Acts []Act
+}
 
-// buildIndex populates lookup maps; called lazily.
-func (m *Machine) buildIndex() {
-	if m.index != nil {
-		return
+// Act is one action with its message numbered: Type is Action.Msg's MsgID
+// and VNet its virtual network in the sending protocol, so a send looks
+// nothing up.
+type Act struct {
+	Action
+	Type MsgID
+	VNet VNet
+}
+
+// syncRule is a SyncBehavior over state numbers.
+type syncRule struct {
+	invalidate, writeback []bool // by StateID
+	wait                  bool
+}
+
+// msgKind is a message type's number and virtual network in one frozen
+// protocol.
+type msgKind struct {
+	id   MsgID
+	vnet VNet
+}
+
+// compile builds the runtime form for nMsgs message numbers; kinds numbers
+// the protocol's message types (EvLastAck included).
+func (m *Machine) compile(nMsgs int, kinds map[MsgType]msgKind) {
+	m.names = m.States()
+	ids := make(map[State]StateID, len(m.names))
+	for i, s := range m.names {
+		ids[s] = StateID(i + 1)
 	}
-	m.index = map[State]map[MsgType][]*Transition{}
-	m.core = map[State]map[CoreOp]*Transition{}
+	mask := func(states []State) []bool {
+		out := make([]bool, len(m.names)+1)
+		for _, s := range states {
+			out[ids[s]] = true
+		}
+		out[NoState] = false
+		return out
+	}
+	m.init = ids[m.Init]
+	m.stable = mask(m.Stable)
+	m.invSharers = false
+	m.nMsgs = nMsgs
+	nActs := 0
+	for i := range m.Rows {
+		nActs += len(m.Rows[i].Actions)
+	}
+	steps := make([]Step, len(m.Rows))
+	acts := make([]Act, 0, nActs)
+	slot := make([]int32, len(m.Rows)) // each row's message slot, or -1
+	m.msgOff = make([]int32, len(m.names)*m.nMsgs+1)
+	m.opRows = make([]*Step, len(m.names)*numCoreOps)
 	for i := range m.Rows {
 		t := &m.Rows[i]
-		if t.On.IsCore() {
-			byOp := m.core[t.From]
-			if byOp == nil {
-				byOp = map[CoreOp]*Transition{}
-				m.core[t.From] = byOp
+		start := len(acts)
+		for _, a := range t.Actions {
+			act := Act{Action: a, Type: NoMsg, VNet: VResp}
+			if k, ok := kinds[a.Msg]; ok {
+				act.Type, act.VNet = k.id, k.vnet
 			}
-			byOp[t.On.Core] = t
-			continue
+			acts = append(acts, act)
+			m.invSharers = m.invSharers || a.Op == ActInvSharers
 		}
-		byMsg := m.index[t.From]
-		if byMsg == nil {
-			byMsg = map[MsgType][]*Transition{}
-			m.index[t.From] = byMsg
-		}
-		byMsg[t.On.Msg] = append(byMsg[t.On.Msg], t)
-	}
-	m.stateList = m.States()
-	m.stateIdx = make(map[State]int, len(m.stateList))
-	for i, s := range m.stateList {
-		m.stateIdx[s] = i
-	}
-	m.coreRows = make(map[State]*coreRow, len(m.core))
-	for s, byOp := range m.core {
-		row := &coreRow{}
-		for op, t := range byOp {
-			if int(op) < len(row) {
-				row[op] = t
+		steps[i] = Step{Row: t, Next: ids[t.Next], Cond: t.On.Cond, Acts: acts[start:len(acts):len(acts)]}
+		slot[i] = -1
+		from := int(ids[t.From]) - 1
+		switch {
+		case from < 0:
+		case t.On.IsCore():
+			if int(t.On.Core) < numCoreOps {
+				m.opRows[from*numCoreOps+int(t.On.Core)] = &steps[i]
+			}
+		default:
+			if k, ok := kinds[t.On.Msg]; ok {
+				slot[i] = int32(from*m.nMsgs + int(k.id))
+				m.msgOff[slot[i]+1]++
 			}
 		}
-		m.coreRows[s] = row
 	}
-	m.stableSet = make(map[State]bool, len(m.Stable))
-	for _, s := range m.Stable {
-		m.stableSet[s] = true
+	for k := 1; k < len(m.msgOff); k++ {
+		m.msgOff[k] += m.msgOff[k-1]
 	}
+	m.msgSteps = make([]*Step, m.msgOff[len(m.msgOff)-1])
+	for i, k := range slot {
+		if k >= 0 {
+			m.msgSteps[m.msgOff[k]] = &steps[i]
+			m.msgOff[k]++
+		}
+	}
+	// The fill advanced each start to the next slot's start: shift back.
+	copy(m.msgOff[1:], m.msgOff[:len(m.msgOff)-1])
+	m.msgOff[0] = 0
+	m.syncs = [numCoreOps]*syncRule{}
+	for op, sb := range m.Sync {
+		if int(op) < numCoreOps {
+			m.syncs[op] = &syncRule{invalidate: mask(sb.Invalidate), writeback: mask(sb.Writeback), wait: sb.WaitOutstanding}
+		}
+	}
+	m.invFill = mask(m.InvalidateOnFill)
+	m.hasFill = len(m.InvalidateOnFill) > 0
 	m.sendLocal = computeSendLocality(m.Rows)
-	m.invSharers = false
-	for i := range m.Rows {
-		for _, a := range m.Rows[i].Actions {
-			if a.Op == ActInvSharers {
-				m.invSharers = true
-			}
-		}
-	}
 }
 
-// StateIndex returns the dense index of s in the machine's States()
-// ordering, or -1 for a state the machine never mentions. The binary state
-// encoder writes this index instead of the state's name — a varint instead
-// of a length-prefixed string on the model checker's hot path.
-func (m *Machine) StateIndex(s State) int {
-	m.buildIndex()
-	if i, ok := m.stateIdx[s]; ok {
-		return i
-	}
-	return -1
-}
+// NumStates returns the number of states the machine mentions.
+func (m *Machine) NumStates() int { return len(m.names) }
 
-// StateAt is the inverse of StateIndex: the state with dense index i in the
-// States() ordering, or "" for an out-of-range index. The binary state
-// decoder maps encoded indexes back to state names through it.
-func (m *Machine) StateAt(i int) State {
-	m.buildIndex()
-	if i < 0 || i >= len(m.stateList) {
+// InitID returns the number of the initial state.
+func (m *Machine) InitID() StateID { return m.init }
+
+// StateName returns the name of s ("" for NoState or a number out of
+// range).
+func (m *Machine) StateName(s StateID) State {
+	if s == NoState || int(s) > len(m.names) {
 		return ""
 	}
-	return m.stateList[i]
+	return m.names[s-1]
 }
 
-// OnCoreOp returns the transition for a core op in the given state, or nil
-// (the core blocks).
-func (m *Machine) OnCoreOp(s State, op CoreOp) *Transition {
-	m.buildIndex()
-	if row := m.coreRows[s]; row != nil && int(op) < len(row) {
-		return row[op]
+// StateID returns the number of the named state, or NoState. It searches
+// the names, so it serves set-up code, not delivery paths.
+func (m *Machine) StateID(name State) StateID {
+	for i, s := range m.names {
+		if s == name {
+			return StateID(i + 1)
+		}
 	}
-	return nil
+	return NoState
+}
+
+// StableID reports whether s is a declared stable state.
+func (m *Machine) StableID(s StateID) bool {
+	return int(s) < len(m.stable) && m.stable[s]
+}
+
+// CoreStep returns the row for a core op in state s, or nil (the core
+// blocks).
+func (m *Machine) CoreStep(s StateID, op CoreOp) *Step {
+	i := int(s) - 1
+	if i < 0 || i >= len(m.names) || int(op) >= numCoreOps {
+		return nil
+	}
+	return m.opRows[i*numCoreOps+int(op)]
 }
 
 // MsgCtx supplies the line facts conditional rows discriminate on.
@@ -202,16 +263,19 @@ type MsgCtx struct {
 	IsLastSharer bool
 }
 
-// OnMessage returns the transition matching the message in the given state,
-// or nil (the message stalls). Conditional rows are evaluated before
-// unconditional ones; ctx carries the directory-line facts conditions need
-// (caches pass the zero MsgCtx).
-func (m *Machine) OnMessage(s State, msg *Msg, ctx MsgCtx) *Transition {
-	m.buildIndex()
-	rows := m.index[s][msg.Type]
-	var fallback *Transition
-	for _, t := range rows {
-		switch t.On.Cond {
+// MsgStep returns the row matching the message in state s, or nil (the
+// message stalls). Conditional rows are evaluated before unconditional
+// ones; ctx carries the directory-line facts conditions need (caches
+// pass the zero MsgCtx).
+func (m *Machine) MsgStep(s StateID, msg *Msg, ctx MsgCtx) *Step {
+	i := int(s) - 1
+	if i < 0 || i >= len(m.names) || int(msg.Type) >= m.nMsgs {
+		return nil
+	}
+	var fallback *Step
+	k := i*m.nMsgs + int(msg.Type)
+	for _, t := range m.msgSteps[m.msgOff[k]:m.msgOff[k+1]] {
+		switch t.Cond {
 		case CondAny:
 			if fallback == nil {
 				fallback = t
@@ -245,14 +309,21 @@ func (m *Machine) OnMessage(s State, msg *Msg, ctx MsgCtx) *Transition {
 	return fallback
 }
 
-// IsStable reports whether s is a declared stable state. The dense set is
-// only consulted once the lookup index exists: the fusion engine mutates
-// Stable on cloned machines before their first lookup, and triggering the
-// index build from here would freeze a half-rewritten table.
-func (m *Machine) IsStable(s State) bool {
-	if m.stableSet != nil {
-		return m.stableSet[s]
+// OnCoreOp returns the row for a core op in the named state, or nil. It
+// scans Rows: the specification layer's lookup (fusion analysis, export),
+// not the runtime's.
+func (m *Machine) OnCoreOp(s State, op CoreOp) *Transition {
+	var out *Transition
+	for i := range m.Rows {
+		if t := &m.Rows[i]; t.From == s && t.On.Core == op && t.On.IsCore() {
+			out = t
+		}
 	}
+	return out
+}
+
+// IsStable reports whether the named state is a declared stable state.
+func (m *Machine) IsStable(s State) bool {
 	for _, st := range m.Stable {
 		if st == s {
 			return true
@@ -313,7 +384,7 @@ func (m *Machine) Validate() error {
 		s  State
 		ev Event
 	}
-	seen := map[key]bool{}
+	seen := make(map[key]bool, len(m.Rows))
 	for _, t := range m.Rows {
 		k := key{t.From, t.On}
 		if seen[k] && !m.Flat {
@@ -332,17 +403,28 @@ func (m *Machine) Validate() error {
 	if m.Kind == DirCtrl && (len(m.Sync) > 0 || len(m.InvalidateOnFill) > 0) {
 		return fmt.Errorf("spec: directory %s declares cache-only hooks", m.Name)
 	}
+	// A StateID numbers every state; the row count bounds the states
+	// before counting them.
+	const maxStates = int(^StateID(0))
+	if 2*len(m.Rows)+len(m.Stable)+1 > maxStates && len(m.States()) > maxStates {
+		return fmt.Errorf("spec: machine %s has more than %d states", m.Name, maxStates)
+	}
 	return nil
 }
 
 func (m *Machine) checkAction(a Action) error {
-	cacheOnly := map[ActionOp]bool{ActStoreValue: true, ActLoadMsgData: true, ActSetAcks: true, ActCoreDone: true}
-	dirOnly := map[ActionOp]bool{ActInvSharers: true, ActAddSharer: true, ActRemoveSharer: true,
-		ActClearSharers: true, ActOwnerToSharers: true, ActSetOwner: true, ActClearOwner: true, ActWriteMem: true}
+	var cacheOnly, dirOnly bool
+	switch a.Op {
+	case ActStoreValue, ActLoadMsgData, ActSetAcks, ActCoreDone:
+		cacheOnly = true
+	case ActInvSharers, ActAddSharer, ActRemoveSharer, ActClearSharers,
+		ActOwnerToSharers, ActSetOwner, ActClearOwner, ActWriteMem:
+		dirOnly = true
+	}
 	switch {
-	case m.Kind == CacheCtrl && dirOnly[a.Op]:
+	case m.Kind == CacheCtrl && dirOnly:
 		return fmt.Errorf("directory action %s in cache controller", a)
-	case m.Kind == DirCtrl && cacheOnly[a.Op]:
+	case m.Kind == DirCtrl && cacheOnly:
 		return fmt.Errorf("cache action %s in directory controller", a)
 	}
 	if a.Op == ActSend {
@@ -356,8 +438,9 @@ func (m *Machine) checkAction(a Action) error {
 	return nil
 }
 
-// Clone deep-copies the machine (indexes are rebuilt lazily). Fusion clones
-// input machines before rewriting message names.
+// Clone deep-copies the machine's specification; the copy is unfrozen
+// (Protocol.Freeze numbers it afresh). Fusion clones its inputs to number
+// them under the fusion's vocabulary.
 func (m *Machine) Clone() *Machine {
 	cp := &Machine{
 		Name:   m.Name,
@@ -367,9 +450,15 @@ func (m *Machine) Clone() *Machine {
 		Stable: append([]State(nil), m.Stable...),
 		Rows:   make([]Transition, len(m.Rows)),
 	}
+	nActs := 0
+	for i := range m.Rows {
+		nActs += len(m.Rows[i].Actions)
+	}
+	acts := make([]Action, 0, nActs) // one backing array for every row's actions
 	for i, t := range m.Rows {
-		cp.Rows[i] = Transition{From: t.From, On: t.On, Next: t.Next,
-			Actions: append([]Action(nil), t.Actions...)}
+		start := len(acts)
+		acts = append(acts, t.Actions...)
+		cp.Rows[i] = Transition{From: t.From, On: t.On, Next: t.Next, Actions: acts[start:len(acts):len(acts)]}
 	}
 	if m.Sync != nil {
 		cp.Sync = map[CoreOp]SyncBehavior{}

@@ -60,12 +60,9 @@ func computeSendLocality(rows []Transition) bool {
 	return true
 }
 
-// SendLocality reports whether every row of the machine passes the POR
-// locality analysis (computed once when the lookup index is built).
-func (m *Machine) SendLocality() bool {
-	m.buildIndex()
-	return m.sendLocal
-}
+// SendLocality reports whether every row of the frozen machine passes the
+// POR locality analysis (computed once by Protocol.Freeze).
+func (m *Machine) SendLocality() bool { return m.sendLocal }
 
 // InvalidatesSharers reports whether any row of the machine performs
 // ActInvSharers — the only action that addresses messages to a line's
@@ -74,15 +71,13 @@ func (m *Machine) SendLocality() bool {
 // owner, so mere sharer membership need not pin a cache out of POR
 // isolation (the self-invalidation protocols of Table I track sharers
 // for counting but never invalidate them).
-func (m *Machine) InvalidatesSharers() bool {
-	m.buildIndex()
-	return m.invSharers
-}
+func (m *Machine) InvalidatesSharers() bool { return m.invSharers }
 
 // PORLocal reports whether both of the protocol's controllers pass the
 // locality analysis — the precondition for ample-set reduction over
 // components running this protocol.
 func (p *Protocol) PORLocal() bool {
+	p.Freeze()
 	return p.Cache.SendLocality() && p.Dir.SendLocality()
 }
 
@@ -105,7 +100,7 @@ func (d *DirInst) RefNodes() NodeSet {
 	for _, pg := range d.pages {
 		for i := range pg {
 			l := &pg[i]
-			if l.State == "" {
+			if l.State == NoState {
 				continue
 			}
 			if inv {

@@ -48,6 +48,13 @@ type Protocol struct {
 	// AckType is the invalidation-acknowledgment message counted by the
 	// runtime's automatic ack bookkeeping ("" if the protocol has none).
 	AckType MsgType
+
+	// The runtime numbering, set once by Freeze or FreezeWith: the
+	// vocabulary messages are numbered in, AckType's number (NoMsg
+	// without one) and EvLastAck's.
+	vocab     *Vocab
+	ackID     MsgID
+	lastAckID MsgID
 }
 
 // EvLastAck is the runtime-synthesized event delivered when a line's
@@ -115,6 +122,9 @@ func (p *Protocol) Validate() error {
 			return fmt.Errorf("spec: protocol %s ack type %s undeclared", p.Name, p.AckType)
 		}
 	}
+	if n := len(p.Msgs) + 1; n > maxVocab { // + EvLastAck
+		return fmt.Errorf("spec: protocol %s declares %d message types, more than a vocabulary numbers", p.Name, n-1)
+	}
 	return nil
 }
 
@@ -137,14 +147,76 @@ func (p *Protocol) VNetOf(t MsgType) VNet {
 	return VResp
 }
 
-// Freeze pre-builds both controllers' lookup indexes so concurrent
-// exploration over shared tables never races on lazy initialization.
+// Freeze numbers the protocol once: its message types in its own
+// vocabulary (every declared type plus EvLastAck), and each controller's
+// states, with the dense transition rows the runtime dispatches through.
+// NewCacheInst and NewDirInst freeze their protocol, so a protocol is
+// frozen before anything runs on it; freeze it before sharing it between
+// goroutines. Freezing again is a no-op. Rows, states and messages must
+// not change once frozen.
 func (p *Protocol) Freeze() {
-	p.Cache.Freeze()
-	p.Dir.Freeze()
+	if p.vocab == nil {
+		v, err := NewVocab(append(p.MsgTypes(), EvLastAck))
+		if err != nil {
+			panic(fmt.Sprintf("spec: protocol %s: %v (Validate refuses it)", p.Name, err))
+		}
+		p.freeze(v)
+	}
 }
 
-// Clone deep-copies the protocol, so fusion can rewrite without aliasing.
+// FreezeWith freezes the protocol under v, the vocabulary of a fusion
+// it runs in, which must number every message type the protocol declares
+// and EvLastAck. It fails on a protocol already frozen under another
+// vocabulary: fusion freezes a clone.
+func (p *Protocol) FreezeWith(v *Vocab) error {
+	if p.vocab != nil {
+		if p.vocab != v {
+			return fmt.Errorf("spec: protocol %s is already frozen under another vocabulary", p.Name)
+		}
+		return nil
+	}
+	for t := range p.Msgs {
+		if v.ID(t) == NoMsg {
+			return fmt.Errorf("spec: protocol %s: vocabulary lacks message %s", p.Name, t)
+		}
+	}
+	if v.ID(EvLastAck) == NoMsg {
+		return fmt.Errorf("spec: protocol %s: vocabulary lacks %s", p.Name, EvLastAck)
+	}
+	p.freeze(v)
+	return nil
+}
+
+func (p *Protocol) freeze(v *Vocab) {
+	kinds := make(map[MsgType]msgKind, len(p.Msgs)+1)
+	for t, info := range p.Msgs {
+		kinds[t] = msgKind{v.ID(t), info.VNet}
+	}
+	kinds[EvLastAck] = msgKind{v.ID(EvLastAck), VResp}
+	if p.Cache != nil {
+		p.Cache.compile(v.Len(), kinds)
+	}
+	p.Dir.compile(v.Len(), kinds)
+	p.ackID = NoMsg
+	if p.AckType != "" {
+		p.ackID = v.ID(p.AckType)
+	}
+	p.lastAckID = v.ID(EvLastAck)
+	p.vocab = v
+}
+
+// Vocab returns the vocabulary the protocol's messages are numbered in,
+// freezing the protocol first if needed.
+func (p *Protocol) Vocab() *Vocab {
+	p.Freeze()
+	return p.vocab
+}
+
+// MsgID returns the number of a message type in the protocol's
+// vocabulary, or NoMsg (set-up code and tests; see Vocab.ID).
+func (p *Protocol) MsgID(t MsgType) MsgID { return p.Vocab().ID(t) }
+
+// Clone deep-copies the protocol's specification; the copy is unfrozen.
 func (p *Protocol) Clone() *Protocol {
 	cp := &Protocol{
 		Name:    p.Name,

@@ -31,18 +31,18 @@ func TestCacheLoadMissFlow(t *testing.T) {
 	if cache.Idle() {
 		t.Fatal("miss completed synchronously")
 	}
-	if cache.LineState(3) != "IV" {
-		t.Fatalf("line state = %s", cache.LineState(3))
+	if cache.LineState(3) != p.Cache.StateID("IV") {
+		t.Fatalf("line state = %s", p.Cache.StateName(cache.LineState(3)))
 	}
 	msgs := env.take()
-	if len(msgs) != 1 || msgs[0].Type != "Get" || msgs[0].Dst != 9 || msgs[0].VNet != VReq {
+	if len(msgs) != 1 || msgs[0].Type != p.MsgID("Get") || msgs[0].Dst != 9 || msgs[0].VNet != VReq {
 		t.Fatalf("request = %v", msgs)
 	}
 	if !dir.Deliver(env, msgs[0]) {
 		t.Fatal("directory stalled the request")
 	}
 	resp := env.take()
-	if len(resp) != 1 || resp[0].Type != "Data" || resp[0].Data != 42 || !resp[0].HasData {
+	if len(resp) != 1 || resp[0].Type != p.MsgID("Data") || resp[0].Data != 42 || !resp[0].HasData {
 		t.Fatalf("response = %v", resp)
 	}
 	if !cache.Deliver(env, resp[0]) {
@@ -51,8 +51,8 @@ func TestCacheLoadMissFlow(t *testing.T) {
 	if !cache.Idle() || cache.LastLoad() != 42 {
 		t.Fatalf("load result = %d, idle=%t", cache.LastLoad(), cache.Idle())
 	}
-	if cache.LineState(3) != "V" {
-		t.Fatalf("final state = %s", cache.LineState(3))
+	if cache.LineState(3) != p.Cache.StateID("V") {
+		t.Fatalf("final state = %s", p.Cache.StateName(cache.LineState(3)))
 	}
 	if v, ok := cache.LineData(3); !ok || v != 42 {
 		t.Fatalf("line data = %d/%t", v, ok)
@@ -64,7 +64,7 @@ func TestCacheStallAndRetry(t *testing.T) {
 	env := &collector{}
 	cache := NewCacheInst(0, 9, p)
 	// Data in state I stalls (no row).
-	if cache.Deliver(env, Msg{Type: "Data", Addr: 1, Data: 5, HasData: true}) {
+	if cache.Deliver(env, Msg{Type: p.MsgID("Data"), Addr: 1, Data: 5, HasData: true}) {
 		t.Fatal("stall expected")
 	}
 	// The failed delivery must not leak a materialized line.
@@ -116,17 +116,17 @@ func TestAckCountingDataFirst(t *testing.T) {
 	cache.Issue(env, CoreReq{Op: OpStore, Addr: 1, Value: 7})
 	env.take()
 	// Data with 2 pending acks.
-	cache.Deliver(env, Msg{Type: "Data", Addr: 1, Ack: 2, HasData: true})
+	cache.Deliver(env, Msg{Type: p.MsgID("Data"), Addr: 1, Ack: 2, HasData: true})
 	if cache.Idle() {
 		t.Fatal("completed before acks")
 	}
-	cache.Deliver(env, Msg{Type: "InvAck", Addr: 1})
+	cache.Deliver(env, Msg{Type: p.MsgID("InvAck"), Addr: 1})
 	if cache.Idle() {
 		t.Fatal("completed after one of two acks")
 	}
-	cache.Deliver(env, Msg{Type: "InvAck", Addr: 1})
-	if !cache.Idle() || cache.LineState(1) != "M" {
-		t.Fatalf("state = %s idle=%t", cache.LineState(1), cache.Idle())
+	cache.Deliver(env, Msg{Type: p.MsgID("InvAck"), Addr: 1})
+	if !cache.Idle() || cache.LineState(1) != p.Cache.StateID("M") {
+		t.Fatalf("state = %s idle=%t", p.Cache.StateName(cache.LineState(1)), cache.Idle())
 	}
 	if v, _ := cache.LineData(1); v != 7 {
 		t.Fatalf("stored value = %d", v)
@@ -139,14 +139,14 @@ func TestAckCountingAcksFirst(t *testing.T) {
 	env := &collector{}
 	cache := NewCacheInst(0, 9, p)
 	cache.Issue(env, CoreReq{Op: OpStore, Addr: 1, Value: 7})
-	cache.Deliver(env, Msg{Type: "InvAck", Addr: 1})
-	cache.Deliver(env, Msg{Type: "InvAck", Addr: 1})
+	cache.Deliver(env, Msg{Type: p.MsgID("InvAck"), Addr: 1})
+	cache.Deliver(env, Msg{Type: p.MsgID("InvAck"), Addr: 1})
 	if cache.Idle() {
 		t.Fatal("completed before data")
 	}
-	cache.Deliver(env, Msg{Type: "Data", Addr: 1, Ack: 2, HasData: true})
-	if !cache.Idle() || cache.LineState(1) != "M" {
-		t.Fatalf("state = %s idle=%t after late data", cache.LineState(1), cache.Idle())
+	cache.Deliver(env, Msg{Type: p.MsgID("Data"), Addr: 1, Ack: 2, HasData: true})
+	if !cache.Idle() || cache.LineState(1) != p.Cache.StateID("M") {
+		t.Fatalf("state = %s idle=%t after late data", p.Cache.StateName(cache.LineState(1)), cache.Idle())
 	}
 }
 
@@ -211,11 +211,11 @@ func TestSyncBehaviors(t *testing.T) {
 
 	// Acquire self-invalidates V but keeps D.
 	step(CoreReq{Op: OpAcquire})
-	if cache.LineState(1) != "I" {
-		t.Errorf("V line survived acquire: %s", cache.LineState(1))
+	if cache.LineState(1) != p.Cache.StateID("I") {
+		t.Errorf("V line survived acquire: %s", p.Cache.StateName(cache.LineState(1)))
 	}
-	if cache.LineState(2) != "D" {
-		t.Errorf("D line lost by acquire: %s", cache.LineState(2))
+	if cache.LineState(2) != p.Cache.StateID("D") {
+		t.Errorf("D line lost by acquire: %s", p.Cache.StateName(cache.LineState(2)))
 	}
 
 	// Release writes back dirty lines and waits for the ack.
@@ -226,13 +226,13 @@ func TestSyncBehaviors(t *testing.T) {
 		t.Fatal("release completed before write-back ack")
 	}
 	wb := env.take()
-	if len(wb) != 1 || wb[0].Type != "WB" || wb[0].Data != 5 {
+	if len(wb) != 1 || wb[0].Type != p.MsgID("WB") || wb[0].Data != 5 {
 		t.Fatalf("writeback = %v", wb)
 	}
 	dir.Deliver(env, wb[0])
 	ack := env.take()
 	cache.Deliver(env, ack[0])
-	if !cache.Idle() || cache.LineState(2) != "I" {
+	if !cache.Idle() || cache.LineState(2) != p.Cache.StateID("I") {
 		t.Fatal("release did not complete after ack")
 	}
 	if dir.Memory().Read(2) != 5 {
@@ -275,17 +275,17 @@ func TestDirSharerBookkeeping(t *testing.T) {
 		}}
 	env := &collector{}
 	dir := NewDirInst(9, p, NewMemory())
-	dir.Deliver(env, Msg{Type: "Get", Addr: 1, Src: 10, Req: 10})
-	dir.Deliver(env, Msg{Type: "Get", Addr: 1, Src: 11, Req: 11})
-	dir.Deliver(env, Msg{Type: "Get", Addr: 1, Src: 12, Req: 12})
+	dir.Deliver(env, Msg{Type: p.MsgID("Get"), Addr: 1, Src: 10, Req: 10})
+	dir.Deliver(env, Msg{Type: p.MsgID("Get"), Addr: 1, Src: 11, Req: 11})
+	dir.Deliver(env, Msg{Type: p.MsgID("Get"), Addr: 1, Src: 12, Req: 12})
 	env.take()
 	// Upgrade from sharer 10: 11 and 12 invalidated, ack count 2.
-	dir.Deliver(env, Msg{Type: "Upg", Addr: 1, Src: 10, Req: 10})
+	dir.Deliver(env, Msg{Type: p.MsgID("Upg"), Addr: 1, Src: 10, Req: 10})
 	msgs := env.take()
 	var invs, data int
 	for _, m := range msgs {
 		switch m.Type {
-		case "Inv":
+		case p.MsgID("Inv"):
 			invs++
 			if m.Dst == 10 {
 				t.Error("requestor invalidated")
@@ -293,7 +293,7 @@ func TestDirSharerBookkeeping(t *testing.T) {
 			if m.Req != 10 {
 				t.Error("inv ack target wrong")
 			}
-		case "Data":
+		case p.MsgID("Data"):
 			data++
 			if m.Ack != 2 {
 				t.Errorf("ack count = %d, want 2", m.Ack)
@@ -313,7 +313,7 @@ func TestSnapshotDeterminismAndClone(t *testing.T) {
 	env := &collector{}
 	cache := NewCacheInst(0, 9, p)
 	cache.Issue(env, CoreReq{Op: OpStore, Addr: 1, Value: 7})
-	cache.Deliver(env, Msg{Type: "Data", Addr: 1, Ack: 2, HasData: true})
+	cache.Deliver(env, Msg{Type: p.MsgID("Data"), Addr: 1, Ack: 2, HasData: true})
 
 	var a, b SnapshotWriter
 	cache.Snapshot(&a)
@@ -323,7 +323,7 @@ func TestSnapshotDeterminismAndClone(t *testing.T) {
 		t.Fatalf("clone snapshot differs:\n%s\n%s", a.String(), b.String())
 	}
 	// Mutating the clone must not affect the original.
-	cp.Deliver(env, Msg{Type: "InvAck", Addr: 1})
+	cp.Deliver(env, Msg{Type: p.MsgID("InvAck"), Addr: 1})
 	var c SnapshotWriter
 	cache.Snapshot(&c)
 	if a.String() != c.String() {
@@ -336,7 +336,7 @@ func TestDirCloneIndependence(t *testing.T) {
 	mem := NewMemory()
 	dir := NewDirInst(9, p, mem)
 	env := &collector{}
-	dir.Deliver(env, Msg{Type: "Get", Addr: 1, Src: 3, Req: 3})
+	dir.Deliver(env, Msg{Type: p.MsgID("Get"), Addr: 1, Src: 3, Req: 3})
 	cp := dir.CloneDir(mem.Clone())
 	var a, b SnapshotWriter
 	dir.Snapshot(&a)

@@ -7,6 +7,16 @@
 // artifact: protocols are *data* — the fusion engine in internal/core
 // analyzes and recombines the tables, while internal/mcheck (the Murphi
 // stand-in) and internal/sim (the gem5 stand-in) interpret them.
+//
+// Names and numbers: the specification layer (PCC text, Machine.Rows,
+// the fusion analysis) names states (State) and message types (MsgType).
+// Protocol.Freeze numbers them once, per protocol — or per fusion, whose
+// vocabulary covers all its clusters (Vocab) — and the runtime holds only
+// the numbers: StateID in cache and directory lines, MsgID in every Msg,
+// and dense [state][message] and [state][CoreOp] rows of Steps whose
+// actions carry their message's number and virtual network. Names come
+// back only in Snapshot, exports, statistics and error text. There is no
+// process-wide table of names.
 package spec
 
 import "fmt"
@@ -24,10 +34,28 @@ const NoNode NodeID = -1
 type Addr int
 
 // State names a controller state, stable or transient (e.g. "M", "IM_AD").
+// Names belong to the specification layer; the runtime holds StateIDs.
 type State string
 
+// StateID numbers a state of one machine: 1 + the state's index in
+// Machine.States(). The zero value NoState is no state at all (a directory
+// line table's absent entry), so a cleared line reads as absent.
+type StateID uint16
+
+// NoState is the absent StateID.
+const NoState StateID = 0
+
 // MsgType names a coherence message type (e.g. "GetM", "Data", "Inv").
+// Names belong to the specification layer; the runtime holds MsgIDs.
 type MsgType string
+
+// MsgID numbers a message type within one Vocab: a protocol's own, or the
+// fusion's it runs in.
+type MsgID uint16
+
+// NoMsg is the MsgID of a name a vocabulary does not hold. No row matches
+// it.
+const NoMsg MsgID = ^MsgID(0)
 
 // CoreOp is an operation the processor pipeline presents to its cache
 // controller, per the coherence interface of §II-B.
@@ -163,21 +191,29 @@ const (
 	NumVNets
 )
 
-// Msg is a coherence message in flight.
+// Msg is a coherence message in flight. It holds no pointer, string or
+// slice — the type is its number in the sender's Vocab — so the
+// simulator's message slab and the checker's channel buffers give the
+// garbage collector nothing to scan.
 type Msg struct {
-	Type    MsgType
 	Addr    Addr
 	Src     NodeID // sender
 	Dst     NodeID // destination endpoint
 	Req     NodeID // original requestor (carried through forwards and acks)
 	Data    int    // block value, when HasData
+	Ack     int    // invalidation-ack count piggybacked on data responses
+	VNet    VNet   // channel class
+	Type    MsgID
 	HasData bool
-	Ack     int  // invalidation-ack count piggybacked on data responses
-	VNet    VNet // channel class
 }
 
-func (m Msg) String() string {
-	s := fmt.Sprintf("%s a%d %d->%d", m.Type, m.Addr, m.Src, m.Dst)
+// String renders the message with its type as a number; Vocab.Format
+// names it.
+func (m Msg) String() string { return m.format(fmt.Sprintf("#%d", m.Type)) }
+
+// format renders the message with its type spelled name.
+func (m Msg) format(name string) string {
+	s := fmt.Sprintf("%s a%d %d->%d", name, m.Addr, m.Src, m.Dst)
 	if m.Req != 0 && m.Req != NoNode && m.Req != m.Src {
 		s += fmt.Sprintf(" req=%d", m.Req)
 	}
