@@ -22,7 +22,7 @@ vet:
 # matrices put the mcheck package near go test's default 10m cap under
 # the race detector on a one-core runner, hence the explicit timeout.
 race:
-	$(GO) test -race -timeout 30m ./internal/mcheck/... ./internal/litmus/... ./internal/core/... ./internal/engine/... ./internal/server/...
+	$(GO) test -race -timeout 30m ./internal/mcheck/... ./internal/litmus/... ./internal/core/... ./internal/engine/... ./internal/server/... ./internal/protocols/...
 
 # Allocation regression guards: the search hot path (restore, Apply,
 # splice and Insert, allocation-free for a rejected successor), the cost

@@ -1,7 +1,8 @@
 // Fuse_custom shows the artifact's §A.6 customization path: define a new
 // atomic cache coherence protocol in the PCC-like description language,
 // parse it, let HeteroGen fuse it with a built-in protocol, and validate
-// the result — all without touching the library.
+// the result — all without touching the library. The built-in protocols
+// are written the same way: see internal/protocols/pcc.
 //
 // The custom protocol is a write-through valid/invalid design ("WTVI")
 // that enforces SC through blocking write-throughs and

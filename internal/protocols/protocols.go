@@ -6,14 +6,22 @@
 //	RC:  RCC, RCC-O, GPU    — self-invalidation / ownership / write-through
 //	PLO: PLO-CC             — RCC-O without a release
 //
-// Each protocol is a spec.Protocol: declarative cache and directory
-// controller tables over the spec action vocabulary, executable by the
-// shared runtime and analyzable by the fusion engine.
+// and two further SWMR protocols, MOESI and MESIF.
+//
+// Each protocol is written in the PCC-like description language of
+// spec.ParsePCC, one file per protocol under pcc/, embedded in the
+// binary: the same path a user's -spec file or a .hgcf artifact's
+// constituents take. A file is the canonical spec.ExportPCC text of the
+// protocol it defines, plus whole-line '#' comments that give sources and
+// the reasons for individual rows. To add a protocol, write
+// pcc/<lower-case name>.pcc in that form, declare its Name constant and
+// list it in Names; TestPCCFilesAreCanonical checks all three.
 package protocols
 
 import (
+	"embed"
 	"fmt"
-	"sort"
+	"sync"
 
 	"heterogen/internal/spec"
 )
@@ -27,27 +35,64 @@ const (
 	NameRCCO  = "RCC-O"
 	NameGPU   = "GPU"
 	NamePLOCC = "PLO-CC"
+	NameMOESI = "MOESI"
+	NameMESIF = "MESIF"
 )
 
-// registry builds protocols lazily so each caller gets an isolated copy
-// (fusion rewrites tables in place on its clones).
-var registry = map[string]func() *spec.Protocol{
-	NameMSI:   MSI,
-	NameMESI:  MESI,
-	NameTSOCC: TSOCC,
-	NameRCC:   RCC,
-	NameRCCO:  RCCO,
-	NameGPU:   GPU,
-	NamePLOCC: PLOCC,
-}
+// Message type names shared by several built-ins. Protocols that use the
+// same flow reuse the same names; fusion namespaces them per cluster.
+const (
+	MsgGetS    spec.MsgType = "GetS"
+	MsgGetM    spec.MsgType = "GetM"
+	MsgGetV    spec.MsgType = "GetV"
+	MsgPutS    spec.MsgType = "PutS"
+	MsgPutM    spec.MsgType = "PutM"
+	MsgPutAck  spec.MsgType = "PutAck"
+	MsgFwdGetS spec.MsgType = "FwdGetS"
+	MsgData    spec.MsgType = "Data"
+)
+
+//go:embed pcc/*.pcc
+var files embed.FS
+
+// templates parses every embedded file once per process, keyed by the
+// parsed protocol name. The templates are never frozen or handed out:
+// ByName clones them, so each caller gets an isolated copy (fusion
+// rewrites tables in place on its clones).
+var templates = sync.OnceValues(func() (map[string]*spec.Protocol, error) {
+	entries, err := files.ReadDir("pcc")
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*spec.Protocol, len(entries))
+	for _, e := range entries {
+		src, err := files.ReadFile("pcc/" + e.Name())
+		if err != nil {
+			return nil, err
+		}
+		p, err := spec.ParsePCC(string(src))
+		if err != nil {
+			return nil, fmt.Errorf("protocols: %s: %w", e.Name(), err)
+		}
+		if _, dup := out[p.Name]; dup {
+			return nil, fmt.Errorf("protocols: %s: protocol %s defined twice", e.Name(), p.Name)
+		}
+		out[p.Name] = p
+	}
+	return out, nil
+})
 
 // ByName returns a fresh instance of the named protocol.
 func ByName(name string) (*spec.Protocol, error) {
-	mk, ok := registry[name]
+	ts, err := templates()
+	if err != nil {
+		return nil, err
+	}
+	p, ok := ts[name]
 	if !ok {
 		return nil, fmt.Errorf("protocols: unknown protocol %q (have %v)", name, Names())
 	}
-	return mk(), nil
+	return p.Clone(), nil
 }
 
 // MustByName is ByName for statically known names.
@@ -80,18 +125,8 @@ func All() []*spec.Protocol {
 	return out
 }
 
-// sortedMsgs is a helper for deterministic docs output.
-func sortedMsgs(m map[spec.MsgType]spec.MsgInfo) []spec.MsgType {
-	out := make([]spec.MsgType, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Describe renders a one-line summary of a protocol for Table I output.
 func Describe(p *spec.Protocol) string {
 	return fmt.Sprintf("%-7s model=%-3s cacheStates=%d dirStates=%d msgs=%d",
-		p.Name, p.Model, len(p.Cache.States()), len(p.Dir.States()), len(sortedMsgs(p.Msgs)))
+		p.Name, p.Model, len(p.Cache.States()), len(p.Dir.States()), len(p.Msgs))
 }

@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"sync"
 	"testing"
 
 	"heterogen/internal/memmodel"
@@ -49,13 +50,48 @@ func TestTableIModels(t *testing.T) {
 	}
 }
 
+// TestInstancesAreIsolated takes instances from several goroutines at
+// once, as hgserve's concurrent jobs do, freezes them and mutates every
+// part: each instance taken afterwards must still export as its file.
+// Under the race detector this also shows that ByName only reads the
+// shared templates.
 func TestInstancesAreIsolated(t *testing.T) {
-	a := MustByName(NameMSI)
-	b := MustByName(NameMSI)
-	a.Cache.Rows[0].Next = "ZZZ"
-	if b.Cache.Rows[0].Next == "ZZZ" {
-		t.Fatal("protocol instances share transition tables")
+	want := map[string]string{}
+	for _, n := range Names() {
+		want[n] = spec.ExportPCC(MustByName(n))
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for _, n := range Names() {
+					p := MustByName(n)
+					p.Freeze()
+					for _, m := range []*spec.Machine{p.Cache, p.Dir} {
+						m.Stable[0] = "ZZZ"
+						m.Rows[0].Next = "ZZZ"
+						for i := range m.Rows {
+							m.Rows[i].Actions = append(m.Rows[i].Actions[:0], spec.CoreDone)
+						}
+						for op, sb := range m.Sync {
+							sb.Invalidate = append(sb.Invalidate[:0], "ZZZ")
+							m.Sync[op] = sb
+						}
+					}
+					for typ := range p.Msgs {
+						p.Msgs[typ] = spec.MsgInfo{VNet: spec.VFwd, CarriesData: true}
+					}
+					p.AckType = "ZZZ"
+					if got := spec.ExportPCC(MustByName(n)); got != want[n] {
+						t.Errorf("%s: a fresh instance changed after another was mutated:\n%s", n, got)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSWMRProtocolsInvalidateOnWrite(t *testing.T) {

@@ -12,7 +12,8 @@ import (
 // in the spirit of ProtoGen's PCC input format (§IV, artifact appendix
 // A.3.2): protocols are written as stable-state controller tables and
 // parsed into spec.Protocol values, so users can define new atomic
-// protocols without writing Go (artifact §A.6). Format (one declaration
+// protocols without writing Go (artifact §A.6). The built-in protocols
+// are written in it too (internal/protocols/pcc). Format (one declaration
 // per line, '#' comments):
 //
 //	protocol MSI model SC [acktype InvAck] [class invalidation|update|lease]
@@ -96,6 +97,7 @@ func ParsePCC(src string) (*Protocol, error) {
 	if p.Name == "" {
 		return nil, fmt.Errorf("pcc: missing protocol declaration")
 	}
+	p.shareNames()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("pcc: %w", err)
 	}
@@ -559,4 +561,51 @@ func exportAction(a Action) string {
 		return "coredone"
 	}
 	return "?"
+}
+
+// shareNames makes every occurrence of one state or message name in p
+// share one string, as the literals of a protocol written in Go do.
+// Freeze and the fusion analysis look names up in maps and compare them,
+// and two equal strings with one backing array compare without reading
+// their bytes.
+func (p *Protocol) shareNames() {
+	names := map[string]string{}
+	name := func(s string) string {
+		if t, ok := names[s]; ok {
+			return t
+		}
+		names[s] = s
+		return s
+	}
+	st := func(ss []State) {
+		for i, s := range ss {
+			ss[i] = State(name(string(s)))
+		}
+	}
+	mt := func(t MsgType) MsgType { return MsgType(name(string(t))) }
+	msgs := make(map[MsgType]MsgInfo, len(p.Msgs))
+	for t, info := range p.Msgs {
+		msgs[mt(t)] = info
+	}
+	p.Msgs, p.AckType = msgs, mt(p.AckType)
+	for _, m := range []*Machine{p.Cache, p.Dir} {
+		if m == nil {
+			continue
+		}
+		m.Init = State(name(string(m.Init)))
+		st(m.Stable)
+		st(m.InvalidateOnFill)
+		for _, sb := range m.Sync {
+			st(sb.Invalidate)
+			st(sb.Writeback)
+		}
+		for i := range m.Rows {
+			r := &m.Rows[i]
+			r.From, r.Next = State(name(string(r.From))), State(name(string(r.Next)))
+			r.On.Msg = mt(r.On.Msg)
+			for j := range r.Actions {
+				r.Actions[j].Msg = mt(r.Actions[j].Msg)
+			}
+		}
+	}
 }

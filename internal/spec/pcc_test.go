@@ -3,6 +3,7 @@ package spec
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 const pccSample = `
@@ -140,5 +141,50 @@ func TestParsedProtocolRuns(t *testing.T) {
 	}
 	if !strings.Contains(ExportPCC(p), "sync Release writeback D wait") {
 		t.Error("export missing sync line")
+	}
+}
+
+// TestParsePCCSharesNames pins that a parsed protocol holds one string
+// per state or message name (see shareNames).
+func TestParsePCCSharesNames(t *testing.T) {
+	p, err := ParsePCC(pccSample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := map[string]*byte{}
+	check := func(s string) {
+		if s == "" {
+			return
+		}
+		if d, ok := data[s]; !ok {
+			data[s] = unsafe.StringData(s)
+		} else if d != unsafe.StringData(s) {
+			t.Errorf("name %q is held in more than one string", s)
+		}
+	}
+	for typ := range p.Msgs {
+		check(string(typ))
+	}
+	check(string(p.AckType))
+	for _, m := range []*Machine{p.Cache, p.Dir} {
+		check(string(m.Init))
+		for _, s := range m.Stable {
+			check(string(s))
+		}
+		for _, r := range m.Rows {
+			check(string(r.From))
+			check(string(r.Next))
+			check(string(r.On.Msg))
+			for _, a := range r.Actions {
+				check(string(a.Msg))
+			}
+		}
+		for _, sb := range m.Sync {
+			for _, ss := range [][]State{sb.Invalidate, sb.Writeback} {
+				for _, s := range ss {
+					check(string(s))
+				}
+			}
+		}
 	}
 }
