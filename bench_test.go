@@ -518,7 +518,7 @@ func BenchmarkCompile(b *testing.B) {
 				b.Fatal(err)
 			}
 			record("artifact/coldload", time.Since(start), 0,
-				"one-read cold load of the serialized table: body checksum, PCC reparse, re-fusion, digest verification, every stored (state, message) pair replayed through the compiler (states, outcomes and POR references derived), finalization with the FSM projection — replaces the extraction search entirely")
+				"one-read cold load of the serialized table: body checksum, PCC reparse, re-fusion, digest verification, every stored (state, message) pair replayed through the compiler (states, outcomes and POR references derived), finalization with the FSM projection, and the re-marshal that must reproduce the file byte for byte — replaces the extraction search entirely")
 			b.ReportMetric(float64(lcf.DirStates()), "dirstates")
 		}
 	})

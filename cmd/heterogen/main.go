@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,7 +85,7 @@ type cliConfig struct {
 
 func main() {
 	var cfg cliConfig
-	flag.BoolVar(&cfg.list, "list", false, "list the built-in protocols (Table I)")
+	flag.BoolVar(&cfg.list, "list", false, "list the built-in protocols (Table I, then the extensions)")
 	flag.StringVar(&cfg.pair, "pair", "", "comma-separated protocols to fuse ('-' uses -spec)")
 	flag.BoolVar(&cfg.fsm, "fsm", false, "dump the enumerated merged-directory FSM")
 	flag.BoolVar(&cfg.full, "full", false, "full FSM enumeration (explores evictions; slower)")
@@ -141,9 +142,16 @@ func run(ctx context.Context, cfg cliConfig) error {
 		fmt.Print(exportpkg.Murphi(p, exportpkg.DefaultMurphiConfig()))
 		return nil
 	case cfg.list:
+		tableI := protocols.TableINames()
 		fmt.Println("Table I: protocols used in the case studies")
-		for _, p := range protocols.All() {
-			fmt.Println(" ", protocols.Describe(p))
+		for _, n := range tableI {
+			fmt.Println(" ", protocols.Describe(protocols.MustByName(n)))
+		}
+		fmt.Println("Extensions beyond Table I")
+		for _, n := range protocols.Names() {
+			if !slices.Contains(tableI, n) {
+				fmt.Println(" ", protocols.Describe(protocols.MustByName(n)))
+			}
 		}
 		return nil
 	case cfg.export != "":

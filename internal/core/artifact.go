@@ -20,13 +20,14 @@ import (
 // CompiledFusion, so the extraction search runs once and every later check
 // starts from a sub-second load.
 //
-// Layout ("HGCF" format, everything little-endian):
+// Layout ("HGCF" format):
 //
 //	[0:4]   magic "HGCF"
-//	[4:8]   u32 format version (ArtifactVersion)
+//	[4:8]   little-endian u32 format version (ArtifactVersion)
 //	[8:40]  sha256 content digest of (fusion spec, CompileConfig)
 //	[40:72] sha256 checksum of the body
-//	body    sections in fixed order:
+//	body    sections in fixed order, in the codec of the state images
+//	        (spec.AppendUvarint, AppendInt, AppendBool, AppendString):
 //	          fusion   — name, fuse options, constituent protocols as
 //	                     embedded PCC text (the artifact is self-contained)
 //	          config   — caches per cluster, driver programs, evictions,
@@ -34,11 +35,11 @@ import (
 //	          verdict  — the extraction's deadlock count and lex-least
 //	                     deadlock snapshot (CompiledFusion.Verdict)
 //	          msgs     — every message the table delivers, once, in
-//	                     first-use order: an offset blob of named
-//	                     message images (Vocab.AppendMsg: the type as
-//	                     its name, never as a number)
-//	          lists    — per state, in discovery order, the message ids
-//	                     of its records in message order
+//	                     first-use order, as named message images
+//	                     (Vocab.AppendMsg: the type as its name, never as
+//	                     a number)
+//	          lists    — per state, in discovery order, the pool ids of
+//	                     its records' messages in message order
 //
 // The body holds only the (state, message) pairs the extraction
 // delivered. States are not stored: state 0 is the initial directory
@@ -51,7 +52,7 @@ import (
 // outcome. Only the verdict, the explored count and which pairs the
 // extraction reached are taken on trust.
 //
-// Versioning rule: any change to the section layout or field widths bumps
+// Versioning rule: any change to the section layout or encoding bumps
 // ArtifactVersion; loaders reject other versions outright (there is no
 // in-place migration — recompiling is cheap relative to getting a silent
 // misread wrong). The body checksum catches damage to the bytes: a load
@@ -65,14 +66,18 @@ import (
 // ErrArtifactMismatch at load time — never a search that replays another
 // machine's transitions.
 //
-// The loader trusts nothing: every read is bounds-checked and every
-// message id is validated before use, so a corrupt or truncated file
-// fails with ErrArtifactCorrupt instead of panicking (FuzzArtifactCodec
-// pins this, re-sealing the checksum so its mutations reach the parser).
-// Every pooled message must travel to the merged directory from a node
-// the rebuilt system routes, at an address some program names, before the
-// replay delivers any; the replay must then reach exactly one state per
-// list (buildFromParts, replay).
+// The loader trusts nothing: every read is bounds-checked, no count may
+// exceed the bytes left (spec.Dec.Count) and every message id is
+// validated before use, so a corrupt or truncated file fails with
+// ErrArtifactCorrupt instead of panicking (FuzzArtifactCodec pins this,
+// re-sealing the checksum so its mutations reach the parser). Before the
+// replay delivers anything, the configuration must be one the system
+// builder can number, every program address must lie in
+// [0, spec.MaxDecodeAddr), and every pooled message must travel to the merged directory from a
+// node the rebuilt system routes, at an address some program names; the
+// replay must then reach exactly one state per list. One rule stands for
+// every canonical-form check: the loaded table must re-marshal to the
+// loaded bytes exactly (buildFromParts, replay).
 
 // ArtifactMagic identifies a compiled-fusion artifact file.
 const ArtifactMagic = "HGCF"
@@ -83,8 +88,10 @@ const ArtifactMagic = "HGCF"
 // drops the derived sections (POR reference sets and the projected FSM)
 // and stores messages as their binary images; version 5 drops the states
 // and every record's outcome, keeping per state only the messages it
-// delivers, which a load replays.
-const ArtifactVersion = 5
+// delivers, which a load replays; version 6 writes the body in the state
+// images' varint codec, the pooled messages inline, where version 5 used
+// fixed-width fields and an offset table.
+const ArtifactVersion = 6
 
 // ArtifactExt is the conventional file extension (and the one the
 // content-addressed cache uses).
@@ -142,138 +149,6 @@ func compileDigestRaw(f *Fusion, cfg CompileConfig) [sha256.Size]byte {
 // Digest returns this table's content address (see CompileDigest).
 func (cf *CompiledFusion) Digest() string { return CompileDigest(cf.fusion, cf.cfg) }
 
-// artEnc is the little-endian section writer.
-type artEnc struct{ buf []byte }
-
-func (e *artEnc) u8(v byte)    { e.buf = append(e.buf, v) }
-func (e *artEnc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *artEnc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *artEnc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *artEnc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *artEnc) str(s string) { e.u32(uint32(len(s))); e.buf = append(e.buf, s...) }
-
-// artDec is the bounds-checked reader: after the first failed read every
-// further read returns the zero value and ok stays false — decode loops
-// need no per-read error plumbing, one ok check at the end suffices
-// (counts are still guarded eagerly so no oversized allocation happens).
-type artDec struct {
-	data []byte
-	off  int
-	ok   bool
-}
-
-func (d *artDec) fail() { d.ok = false }
-
-func (d *artDec) rem() int { return len(d.data) - d.off }
-
-func (d *artDec) take(n int) []byte {
-	if !d.ok || n < 0 || n > d.rem() {
-		d.fail()
-		return nil
-	}
-	b := d.data[d.off : d.off+n : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *artDec) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *artDec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *artDec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *artDec) i64() int64 { return int64(d.u64()) }
-
-func (d *artDec) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail()
-		return false
-	}
-}
-
-func (d *artDec) str() string { return string(d.take(int(d.u32()))) }
-
-// count reads an element count and rejects it unless elemSize bytes per
-// element still fit in the remaining input — the guard that keeps a
-// corrupt count from turning into a multi-gigabyte allocation.
-func (d *artDec) count(elemSize int) int {
-	n := int(d.u32())
-	if !d.ok || n < 0 || elemSize <= 0 || n > d.rem()/elemSize {
-		d.fail()
-		return 0
-	}
-	return n
-}
-
-// offsetBlob writes n variable-length byte strings as one offset table
-// plus one contiguous byte pool, so the loader re-materializes them as n
-// subslices of a single backing array.
-func (e *artEnc) offsetBlob(items func(i int) []byte, n int) {
-	e.u32(uint32(n))
-	total := uint32(0)
-	for i := 0; i < n; i++ {
-		e.u32(total)
-		total += uint32(len(items(i)))
-	}
-	e.u32(total)
-	for i := 0; i < n; i++ {
-		e.buf = append(e.buf, items(i)...)
-	}
-}
-
-func (d *artDec) offsetBlob() [][]byte {
-	n := d.count(4)
-	offs := make([]uint32, n+1)
-	for i := range offs {
-		offs[i] = d.u32()
-	}
-	if !d.ok {
-		return nil
-	}
-	pool := d.take(int(offs[n]))
-	if pool == nil {
-		return nil
-	}
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		if offs[i] > offs[i+1] || int(offs[i+1]) > len(pool) {
-			d.fail()
-			return nil
-		}
-		out[i] = pool[offs[i]:offs[i+1]:offs[i+1]]
-	}
-	return out
-}
-
 // MarshalArtifact serializes the compiled table into the versioned binary
 // artifact. The encoding is deterministic: marshaling the same table (or a
 // table reloaded from the artifact) reproduces identical bytes.
@@ -296,13 +171,13 @@ type artifactParts struct {
 	// msgs holds every delivered message once, in first-use order; lists
 	// holds, per state in discovery order (discoveryOrder), the message
 	// ids of its records in message order. The pool stores each message's
-	// named image (Vocab.AppendMsg): vocab is the fusion's, and a parse
-	// keeps the images in msgImgs until decodeMsgs numbers them under the
+	// named image (Vocab.AppendMsg) under vocab, the fusion's; a parse
+	// leaves both sections in rest until decodeTable reads them under the
 	// rebuilt fusion's vocabulary.
-	vocab   *spec.Vocab
-	msgImgs [][]byte
-	msgs    []spec.Msg
-	lists   [][]uint32
+	vocab *spec.Vocab
+	msgs  []spec.Msg
+	lists [][]uint32
+	rest  spec.Dec
 }
 
 // artifactParts collects cf's artifact content.
@@ -341,56 +216,58 @@ func (cf *CompiledFusion) artifactParts() *artifactParts {
 
 // marshal encodes p as a sealed artifact.
 func (p *artifactParts) marshal() []byte {
-	var e artEnc
-	e.buf = make([]byte, 0, 64<<10)
-	e.buf = append(e.buf, ArtifactMagic...)
-	e.u32(ArtifactVersion)
-	e.buf = append(e.buf, p.digest[:]...)
-	e.buf = append(e.buf, make([]byte, sha256.Size)...) // body checksum, sealed below
+	buf := make([]byte, 0, 16<<10)
+	buf = append(buf, ArtifactMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, ArtifactVersion)
+	buf = append(buf, p.digest[:]...)
+	buf = append(buf, make([]byte, sha256.Size)...) // body checksum, sealed below
 
 	// Fusion: self-contained — constituents travel as canonical PCC text.
-	e.str(p.name)
-	e.u32(uint32(p.opts.Handshake))
-	e.u32(uint32(p.opts.ProxyPool))
-	e.bool(p.opts.ForceConservative)
-	e.u32(uint32(len(p.pccTexts)))
+	buf = spec.AppendString(buf, p.name)
+	buf = spec.AppendInt(buf, int(p.opts.Handshake))
+	buf = spec.AppendInt(buf, p.opts.ProxyPool)
+	buf = spec.AppendBool(buf, p.opts.ForceConservative)
+	buf = spec.AppendUvarint(buf, uint64(len(p.pccTexts)))
 	for _, text := range p.pccTexts {
-		e.str(text)
+		buf = spec.AppendString(buf, text)
 	}
 
 	// Config (semantic fields only; MaxStates/Workers are not part of the
 	// table's identity).
-	e.u32(uint32(len(p.cfg.CachesPerCluster)))
+	buf = spec.AppendUvarint(buf, uint64(len(p.cfg.CachesPerCluster)))
 	for _, n := range p.cfg.CachesPerCluster {
-		e.u32(uint32(n))
+		buf = spec.AppendInt(buf, n)
 	}
-	e.u32(uint32(len(p.cfg.Programs)))
+	buf = spec.AppendUvarint(buf, uint64(len(p.cfg.Programs)))
 	for _, prog := range p.cfg.Programs {
-		e.u32(uint32(len(prog)))
+		buf = spec.AppendUvarint(buf, uint64(len(prog)))
 		for _, r := range prog {
-			e.i64(int64(r.Op))
-			e.i64(int64(r.Addr))
-			e.i64(int64(r.Value))
+			buf = spec.AppendInt(buf, int(r.Op))
+			buf = spec.AppendInt(buf, int(r.Addr))
+			buf = spec.AppendInt(buf, r.Value)
 		}
 	}
-	e.bool(p.cfg.Evictions)
-	e.u64(uint64(p.explored))
+	buf = spec.AppendBool(buf, p.cfg.Evictions)
+	buf = spec.AppendInt(buf, p.explored)
 
 	// Verdict: a loaded table reports what its extraction found.
-	e.u64(uint64(p.deadlocks))
-	e.str(p.deadlockAt)
+	buf = spec.AppendInt(buf, p.deadlocks)
+	buf = spec.AppendString(buf, p.deadlockAt)
 
-	e.offsetBlob(func(i int) []byte { return p.vocab.AppendMsg(nil, &p.msgs[i]) }, len(p.msgs))
-	e.u32(uint32(len(p.lists)))
+	buf = spec.AppendUvarint(buf, uint64(len(p.msgs)))
+	for i := range p.msgs {
+		buf = p.vocab.AppendMsg(buf, &p.msgs[i])
+	}
+	buf = spec.AppendUvarint(buf, uint64(len(p.lists)))
 	for _, list := range p.lists {
-		e.u32(uint32(len(list)))
+		buf = spec.AppendUvarint(buf, uint64(len(list)))
 		for _, id := range list {
-			e.u32(id)
+			buf = spec.AppendUvarint(buf, uint64(id))
 		}
 	}
 
-	sealArtifact(e.buf)
-	return e.buf
+	sealArtifact(buf)
+	return buf
 }
 
 // sealArtifact writes the checksum of data's body into its header.
@@ -420,11 +297,9 @@ func (cf *CompiledFusion) WriteArtifact(path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// parseArtifact decodes and structurally validates the byte form: header,
-// body checksum, section framing, a pool of distinct message images that
-// re-encode to themselves and are used in pool order, strictly
-// message-sorted lists, and a sane verdict. It does not touch protocol
-// semantics.
+// parseArtifact checks the header and the body checksum and reads the
+// sections that need no vocabulary — fusion, config and verdict — with a
+// sane verdict. The pool and the lists stay unread in p.rest.
 func parseArtifact(data []byte) (*artifactParts, error) {
 	if len(data) < artifactHeaderLen || string(data[:4]) != ArtifactMagic {
 		return nil, fmt.Errorf("%w (%d bytes, no %q header)", ErrArtifactFormat, len(data), ArtifactMagic)
@@ -437,70 +312,36 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	}
 	p := &artifactParts{}
 	copy(p.digest[:], data[8:8+sha256.Size])
-	d := &artDec{data: data, off: artifactHeaderLen, ok: true}
+	d := &p.rest
+	d.Reset(data[artifactHeaderLen:])
 
-	p.name = d.str()
-	p.opts.Handshake = HandshakeMode(d.u32())
-	p.opts.ProxyPool = int(d.u32())
-	p.opts.ForceConservative = d.bool()
-	nProtos := d.count(4)
-	for i := 0; i < nProtos && d.ok; i++ {
-		p.pccTexts = append(p.pccTexts, d.str())
+	p.name = d.String()
+	p.opts.Handshake = HandshakeMode(d.Int())
+	p.opts.ProxyPool = d.Int()
+	p.opts.ForceConservative = d.Bool()
+	p.pccTexts = make([]string, d.Count())
+	for i := range p.pccTexts {
+		p.pccTexts[i] = d.String()
 	}
 
-	nClusters := d.count(4)
-	for i := 0; i < nClusters && d.ok; i++ {
-		p.cfg.CachesPerCluster = append(p.cfg.CachesPerCluster, int(d.u32()))
+	p.cfg.CachesPerCluster = make([]int, d.Count())
+	for i := range p.cfg.CachesPerCluster {
+		p.cfg.CachesPerCluster[i] = d.Int()
 	}
-	nProgs := d.count(4)
-	for i := 0; i < nProgs && d.ok; i++ {
-		nReqs := d.count(24)
-		prog := make([]spec.CoreReq, 0, nReqs)
-		for j := 0; j < nReqs && d.ok; j++ {
-			prog = append(prog, spec.CoreReq{
-				Op: spec.CoreOp(d.i64()), Addr: spec.Addr(d.i64()), Value: int(d.i64())})
+	p.cfg.Programs = make([][]spec.CoreReq, d.Count())
+	for i := range p.cfg.Programs {
+		prog := make([]spec.CoreReq, d.Count())
+		for j := range prog {
+			prog[j] = spec.CoreReq{Op: spec.CoreOp(d.Int()), Addr: spec.Addr(d.Int()), Value: d.Int()}
 		}
-		p.cfg.Programs = append(p.cfg.Programs, prog)
+		p.cfg.Programs[i] = prog
 	}
-	p.cfg.Evictions = d.bool()
-	p.explored = int(d.u64())
-	p.deadlocks = int(d.u64())
-	p.deadlockAt = d.str()
-
-	// The pool's images are decoded once the fusion is rebuilt
-	// (decodeMsgs); the lists are checked against its size here.
-	p.msgImgs = d.offsetBlob()
-
-	// The lists are the rest of the body, so its length sizes their one
-	// backing array.
-	nLists := d.count(4)
-	ids := make([]uint32, 0, max(0, d.rem()/4-nLists))
-	p.lists = make([][]uint32, 0, nLists)
-	firstUnused := uint32(0)
-	for k := 0; k < nLists && d.ok; k++ {
-		n := d.count(4)
-		start := len(ids)
-		for i := 0; i < n && d.ok; i++ {
-			id := d.u32()
-			switch {
-			case id > firstUnused || int(id) >= len(p.msgImgs):
-				d.fail()
-			case id == firstUnused:
-				firstUnused++
-			}
-			ids = append(ids, id)
-		}
-		p.lists = append(p.lists, ids[start:len(ids):len(ids)])
-	}
-	if d.ok && int(firstUnused) != len(p.msgImgs) {
-		d.fail()
-	}
-
-	if !d.ok {
-		return nil, fmt.Errorf("%w: truncated or inconsistent section data at byte %d", ErrArtifactCorrupt, d.off)
-	}
-	if d.rem() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrArtifactCorrupt, d.rem())
+	p.cfg.Evictions = d.Bool()
+	p.explored = d.Int()
+	p.deadlocks = d.Int()
+	p.deadlockAt = d.String()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrArtifactCorrupt, err)
 	}
 
 	// A verdict names a deadlock state exactly when it counts some, and
@@ -512,41 +353,40 @@ func parseArtifact(data []byte) (*artifactParts, error) {
 	return p, nil
 }
 
-// decodeMsgs numbers the parsed pool under v, the rebuilt fusion's
-// vocabulary. An accepted artifact re-marshals byte-identically, so the
-// pool must be the one MarshalArtifact writes: distinct messages of types
-// v names, in first-use order, each image re-encoding to itself (spec.Dec
-// accepts non-minimal varints); and every list strictly message-sorted —
-// a state delivers each message once, and the replay records them in the
-// order the binary search expects.
-func (p *artifactParts) decodeMsgs(v *spec.Vocab) error {
+// decodeTable reads the pool and the lists, the rest of the body, under v,
+// the rebuilt fusion's vocabulary; every list's ids must name pooled
+// messages.
+func (p *artifactParts) decodeTable(v *spec.Vocab) error {
+	d := &p.rest
 	p.vocab = v
-	var md spec.Dec
-	pooled := make(map[spec.Msg]bool, len(p.msgImgs))
-	p.msgs = make([]spec.Msg, 0, len(p.msgImgs))
-	for i, b := range p.msgImgs {
-		md.Reset(b)
-		m := v.DecodeMsg(&md)
-		if md.Err() != nil || pooled[m] || !bytes.Equal(v.AppendMsg(nil, &m), b) {
-			return fmt.Errorf("%w: pooled message %d is not a distinct, minimal image of a message the fusion names", ErrArtifactCorrupt, i)
-		}
-		pooled[m] = true
-		p.msgs = append(p.msgs, m)
+	p.msgs = make([]spec.Msg, d.Count())
+	for i := range p.msgs {
+		p.msgs[i] = v.DecodeMsg(d)
 	}
-	for k, list := range p.lists {
-		for i := 1; i < len(list); i++ {
-			if msgCmp(&p.msgs[list[i-1]], &p.msgs[list[i]], v) >= 0 {
-				return fmt.Errorf("%w: list %d not strictly message-sorted", ErrArtifactCorrupt, k)
+	p.lists = make([][]uint32, d.Count())
+	ids := make([]uint32, 0, d.Len())
+	for k := range p.lists {
+		start := len(ids)
+		for range d.Count() {
+			id := d.Uvarint()
+			if id >= uint64(len(p.msgs)) && d.Err() == nil {
+				return fmt.Errorf("%w: list %d names message %d of a pool of %d", ErrArtifactCorrupt, k, id, len(p.msgs))
 			}
+			ids = append(ids, uint32(id))
 		}
+		p.lists[k] = ids[start:len(ids):len(ids)]
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("%w: %v", ErrArtifactCorrupt, err)
 	}
 	return nil
 }
 
 // LoadArtifact loads a self-contained artifact: the constituent protocols
-// are reparsed from the embedded PCC text, re-fused with the stored
-// options, and the recomputed content digest must reproduce the stored one
-// — a drifted or tampered spec section fails here, not in a later Deliver.
+// are reparsed from the embedded PCC text and re-fused with the stored
+// options, and the table is replayed for the stored configuration. The
+// loaded table must re-marshal to data, so the stored digest is the
+// content address of the embedded spec (buildFromParts).
 func LoadArtifact(data []byte) (*CompiledFusion, error) {
 	start := time.Now()
 	p, err := parseArtifact(data)
@@ -565,19 +405,7 @@ func LoadArtifact(data []byte) (*CompiledFusion, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: embedded fusion does not re-fuse: %v", ErrArtifactCorrupt, err)
 	}
-	if f.Name() != p.name {
-		return nil, fmt.Errorf("%w: stored fusion name %q, embedded spec names %q", ErrArtifactCorrupt, p.name, f.Name())
-	}
-	if got := compileDigestRaw(f, p.cfg); got != p.digest {
-		return nil, fmt.Errorf("%w: stored digest %s does not cover the embedded spec (recomputed %s)",
-			ErrArtifactCorrupt, hex.EncodeToString(p.digest[:8]), hex.EncodeToString(got[:8]))
-	}
-	cf, err := buildFromParts(f, p.cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	cf.stats.Load = time.Since(start)
-	return cf, nil
+	return buildFromParts(data, f, p.cfg, p, start)
 }
 
 // LoadArtifactFor loads an artifact against a caller-provided fusion and
@@ -594,17 +422,42 @@ func LoadArtifactFor(data []byte, f *Fusion, cfg CompileConfig) (*CompiledFusion
 			ErrArtifactMismatch, p.name, hex.EncodeToString(p.digest[:8]),
 			f.Name(), hex.EncodeToString(want[:8]))
 	}
-	cf, err := buildFromParts(f, cfg, p)
+	return buildFromParts(data, f, cfg, p, start)
+}
+
+// maxArtifactBytes bounds the artifact files a load reads: no file larger,
+// and nothing but a regular file, is read at all. The largest Table II
+// artifact is about a tenth of a megabyte.
+const maxArtifactBytes = 64 << 20
+
+// readArtifactFile reads path if it is a regular file of at most
+// maxArtifactBytes; anything else fails with ErrArtifactFormat before a
+// byte is read, so a device or a FIFO can neither exhaust memory nor
+// block the caller.
+func readArtifactFile(path string) ([]byte, error) {
+	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	cf.stats.Load = time.Since(start)
-	return cf, nil
+	switch {
+	case !fi.Mode().IsRegular():
+		return nil, fmt.Errorf("%w: %s is not a regular file", ErrArtifactFormat, path)
+	case fi.Size() > maxArtifactBytes:
+		return nil, fmt.Errorf("%w: %s holds %d bytes, over the %d an artifact may", ErrArtifactFormat, path, fi.Size(), maxArtifactBytes)
+	}
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer fh.Close()
+	// A file that grows after the stat is cut at the bound, and then
+	// fails its checksum.
+	return io.ReadAll(io.LimitReader(fh, maxArtifactBytes))
 }
 
 // LoadArtifactFile is LoadArtifact over a file.
 func LoadArtifactFile(path string) (*CompiledFusion, error) {
-	data, err := os.ReadFile(path)
+	data, err := readArtifactFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +470,7 @@ func LoadArtifactFile(path string) (*CompiledFusion, error) {
 
 // LoadArtifactFileFor is LoadArtifactFor over a file.
 func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
-	data, err := os.ReadFile(path)
+	data, err := readArtifactFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -634,24 +487,29 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 // finalizes an extraction, so every state, record, POR reference and
 // projected FSM row is the interpreted oracle's. Besides which pairs to
 // deliver, only the verdict and the explored count are taken from the
-// artifact. Every pooled message is
-// checked before the replay delivers any: it must travel to the merged
-// directory from a node the rebuilt system routes, at an address some
-// program names.
-func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFusion, error) {
-	// The digest covers the constituents' canonical exports, not the
-	// embedded text; an accepted artifact re-marshals byte-identically, so
-	// the text must be that export.
-	if len(p.pccTexts) != len(f.Protocols) {
-		return nil, fmt.Errorf("%w: %d embedded protocols for a fusion of %d", ErrArtifactCorrupt, len(p.pccTexts), len(f.Protocols))
-	}
-	for i, proto := range f.Protocols {
-		if p.pccTexts[i] != spec.ExportPCC(proto) {
-			return nil, fmt.Errorf("%w: embedded protocol %d is not its canonical PCC export", ErrArtifactCorrupt, i)
-		}
-	}
-	if err := p.decodeMsgs(f.vocab); err != nil {
+// artifact.
+//
+// Before the replay delivers anything, the configuration must be one
+// BuildSystem builds, every program address must lie in
+// [0, spec.MaxDecodeAddr), and every pooled message must travel to the
+// merged directory from a node the rebuilt system routes, at an address
+// some program names. After it, one rule stands for every canonical-form
+// check: the table must re-marshal to data, byte for byte.
+func buildFromParts(data []byte, f *Fusion, cfg CompileConfig, p *artifactParts, start time.Time) (*CompiledFusion, error) {
+	if err := p.decodeTable(f.vocab); err != nil {
 		return nil, err
+	}
+	if err := f.CheckCaches(cfg.CachesPerCluster); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrArtifactCorrupt, err)
+	}
+	named := map[spec.Addr]bool{}
+	for _, prog := range cfg.Programs {
+		for _, r := range prog {
+			if r.Addr < 0 || r.Addr >= spec.MaxDecodeAddr {
+				return nil, fmt.Errorf("%w: a program names address %d, outside [0, %d)", ErrArtifactCorrupt, r.Addr, spec.MaxDecodeAddr)
+			}
+			named[r.Addr] = true
+		}
 	}
 	cf, c, _ := growingSystem(f, cfg)
 	var routed, dir spec.NodeSet
@@ -662,12 +520,6 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 	}
 	for _, id := range cf.owned {
 		dir.Add(id)
-	}
-	named := map[spec.Addr]bool{}
-	for _, prog := range cfg.Programs {
-		for _, r := range prog {
-			named[r.Addr] = true
-		}
 	}
 	for i, m := range p.msgs {
 		switch {
@@ -685,6 +537,11 @@ func buildFromParts(f *Fusion, cfg CompileConfig, p *artifactParts) (*CompiledFu
 	cf.explored = p.explored
 	cf.stats = CompileStats{Source: SourceArtifact, Deadlocks: p.deadlocks, DeadlockAt: p.deadlockAt}
 	cf.finalize(c)
+	if again := cf.MarshalArtifact(); !bytes.Equal(again, data) {
+		return nil, fmt.Errorf("%w: not the form MarshalArtifact writes (the loaded table re-marshals to %d different bytes, the artifact has %d)",
+			ErrArtifactCorrupt, len(again), len(data))
+	}
+	cf.stats.Load = time.Since(start)
 	return cf, nil
 }
 
@@ -745,11 +602,9 @@ func CompileOrLoadCtx(ctx context.Context, f *Fusion, cfg CompileConfig, cacheDi
 		return cf, false, err
 	}
 	path := filepath.Join(cacheDir, CompileDigest(f, cfg)+ArtifactExt)
-	if data, rerr := os.ReadFile(path); rerr == nil {
-		if cf, lerr := LoadArtifactFor(data, f, cfg); lerr == nil {
-			cf.stats.Source = SourceCache
-			return cf, true, nil
-		}
+	if cf, lerr := LoadArtifactFileFor(path, f, cfg); lerr == nil {
+		cf.stats.Source = SourceCache
+		return cf, true, nil
 	}
 	cf, err = CompileCtx(ctx, f, cfg)
 	if err != nil {

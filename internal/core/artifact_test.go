@@ -151,7 +151,7 @@ func doctor(t testing.TB, data []byte, edit func(p *artifactParts)) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.decodeMsgs(f.vocab); err != nil {
+	if err := p.decodeTable(f.vocab); err != nil {
 		t.Fatal(err)
 	}
 	lists := make([][]uint32, len(p.lists))
@@ -342,6 +342,30 @@ func TestArtifactMismatchErrors(t *testing.T) {
 			t.Errorf("refusing a message at address 2^40 allocated %d bytes", grew)
 		}
 	})
+	t.Run("program_address", func(t *testing.T) {
+		// A program request and the greatest pooled message moved to an
+		// address outside [0, spec.MaxDecodeAddr), the digest recomputed:
+		// the message passes the named-address check, and only the bound
+		// keeps its delivery from panicking in DirInst.slot.
+		for _, a := range []spec.Addr{1 << 20, -1} {
+			refused(t, doctor(t, data, func(p *artifactParts) {
+				p.cfg.Programs[0][0].Addr = a
+				p.msgs[lastMsg(p)].Addr = a
+				p.digest = compileDigestRaw(f, p.cfg)
+			}), ErrArtifactCorrupt)
+		}
+	})
+	t.Run("cache_counts", func(t *testing.T) {
+		// Cache counts BuildSystem cannot build, the digest recomputed: a
+		// negative count, more node ids than a NodeSet holds, and a count
+		// for a cluster the fusion lacks.
+		for _, caches := range [][]int{{-1, 1}, {1, spec.MaxNodes}, {1, 1, 1}} {
+			refused(t, doctor(t, data, func(p *artifactParts) {
+				p.cfg.CachesPerCluster = caches
+				p.digest = compileDigestRaw(f, p.cfg)
+			}), ErrArtifactCorrupt)
+		}
+	})
 	t.Run("unrouted_message", func(t *testing.T) {
 		// The greatest message sent from, or to, node 999: the rebuilt
 		// system has no such node.
@@ -356,12 +380,12 @@ func TestArtifactMismatchErrors(t *testing.T) {
 
 // msiRCCArtifactBytes is the measured size of the MSI&RCC artifact in the
 // quick Table II configuration.
-const msiRCCArtifactBytes = 6216
+const msiRCCArtifactBytes = 4126
 
 // TestArtifactFileAndCache pins the file layer and the content-addressed
 // cache: WriteArtifact round-trips through disk within the size guard,
 // CompileOrLoad compiles and populates the cache on a miss, then loads on
-// a hit (reporting Source "cache"), and a corrupt or format-4 cache entry
+// a hit (reporting Source "cache"), and a corrupt or format-5 cache entry
 // is silently recompiled over.
 func TestArtifactFileAndCache(t *testing.T) {
 	f, cfg, cf := quickArtifactFusion(t)
@@ -372,7 +396,7 @@ func TestArtifactFileAndCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The size guard: this is the artifact `heterogen -pair MSI,RCC
-	// -compile-out` writes, measured at 6,216 bytes; CI bounds that file
+	// -compile-out` writes, measured at 4,126 bytes; CI bounds that file
 	// the same way.
 	if fi, err := os.Stat(path); err != nil {
 		t.Fatal(err)
@@ -420,7 +444,7 @@ func TestArtifactFileAndCache(t *testing.T) {
 	// A corrupt entry and an entry from an older format version are both
 	// recompiled over, and the entry is rewritten in the current format.
 	old := cf.MarshalArtifact()
-	old[4] = 4 // a format-4 header
+	old[4] = 5 // a format-5 header
 	for name, content := range map[string][]byte{"corrupt": []byte("garbage"), "old-version": old} {
 		if err := os.WriteFile(entry, content, 0o644); err != nil {
 			t.Fatal(err)
@@ -490,9 +514,10 @@ func TestArtifactSnapshotEncoding(t *testing.T) {
 
 // FuzzArtifactCodec hammers the loader with mutated artifact bytes: it
 // must return structured errors, never panic or hang, and any accepted
-// input must re-marshal deterministically. Each input's body checksum is re-sealed
-// first, so mutations reach the parser instead of stopping at the
-// checksum.
+// input must re-marshal byte-identically (the load's own last check, so
+// this pins that the rule is kept). Each input's body checksum is
+// re-sealed first, so mutations reach the parser instead of stopping at
+// the checksum.
 func FuzzArtifactCodec(f *testing.F) {
 	fz, err := Fuse(Options{}, protocols.MustByName(protocols.NameMSI), protocols.MustByName(protocols.NameRCC))
 	if err != nil {

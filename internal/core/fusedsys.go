@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"heterogen/internal/mcheck"
 	"heterogen/internal/spec"
 )
@@ -46,4 +48,26 @@ func BuildSystem(f *Fusion, cachesPerCluster []int) (*mcheck.System, *SystemLayo
 	sys := mcheck.NewSystem(comps, cores, merged.Memory())
 	sys.SetEngine(EngineInterpreted)
 	return sys, layout
+}
+
+// CheckCaches refuses a cache configuration BuildSystem cannot number:
+// one count per cluster, none negative, and every node id — caches,
+// directories and proxy pools — inside a spec.NodeSet (spec.MaxNodes).
+func (f *Fusion) CheckCaches(cachesPerCluster []int) error {
+	if len(cachesPerCluster) != len(f.Protocols) {
+		return fmt.Errorf("core: %d cache counts for the %d clusters of %s", len(cachesPerCluster), len(f.Protocols), f.Name())
+	}
+	// Each term is clamped past the bound, so the sum cannot overflow.
+	nodes := 0
+	for _, n := range cachesPerCluster {
+		if n < 0 {
+			return fmt.Errorf("core: negative cache count %d", n)
+		}
+		nodes += min(n, spec.MaxNodes) + 1 + min(f.Opts.ProxyPool, spec.MaxNodes)
+	}
+	if nodes > spec.MaxNodes {
+		return fmt.Errorf("core: %v caches per cluster need %d node ids with %s's directories and proxies, over the %d a system numbers",
+			cachesPerCluster, nodes, f.Name(), spec.MaxNodes)
+	}
+	return nil
 }

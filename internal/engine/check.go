@@ -33,9 +33,12 @@ type CheckRequest struct {
 	Pair []string `json:"pair,omitempty"`
 	// Spec is inline PCC source for a "-" entry in Pair.
 	Spec string `json:"spec,omitempty"`
-	// Caches is the cache count (per cluster for Pair); 0 = 2.
+	// Caches is the cache count (per cluster for Pair); 0 = 2. Negative
+	// counts, and counts whose node ids outgrow a spec.NodeSet, are
+	// request errors.
 	Caches int `json:"caches,omitempty"`
-	// Addrs is the address count of the driver workload; 0 = 2.
+	// Addrs is the address count of the driver workload; 0 = 2. It must
+	// lie in [0, spec.MaxDecodeAddr).
 	Addrs int `json:"addrs,omitempty"`
 	// Table is a compiled-table .hgcf artifact path: alone it supplies
 	// the whole configuration, with Pair it is digest-checked against
@@ -103,6 +106,12 @@ func CheckDriver(cores, addrs int, symmetric bool) [][]spec.CoreReq {
 // — deadlocks, truncation, cancellation — land in the result, with
 // Verdict mapping them back to the CLI error convention.
 func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, error) {
+	switch {
+	case req.Caches < 0 || req.Addrs < 0:
+		return nil, fmt.Errorf("caches (%d) and addrs (%d) must not be negative", req.Caches, req.Addrs)
+	case req.Addrs >= spec.MaxDecodeAddr:
+		return nil, fmt.Errorf("addrs %d: the driver's addresses must lie below %d", req.Addrs, spec.MaxDecodeAddr)
+	}
 	caches := req.Caches
 	if caches == 0 {
 		caches = 2
@@ -133,6 +142,10 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 		if req.Table != "" {
 			return nil, fmt.Errorf("table checks apply to fused pairs, not homogeneous protocols")
 		}
+		// The caches and the directory take node ids 0..caches.
+		if caches >= spec.MaxNodes {
+			return nil, fmt.Errorf("caches %d: a system numbers at most %d nodes, the directory included", caches, spec.MaxNodes)
+		}
 		p, err := resolveProtocol(req.Protocol, req.Spec)
 		if err != nil {
 			return nil, err
@@ -147,6 +160,9 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 		}
 		f, err := core.Fuse(core.Options{}, a, b)
 		if err != nil {
+			return nil, err
+		}
+		if err := f.CheckCaches([]int{caches, caches}); err != nil {
 			return nil, err
 		}
 		name = f.Name()

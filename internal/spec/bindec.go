@@ -105,6 +105,19 @@ func (d *Dec) Bool() bool {
 	return b == 1
 }
 
+// Count reads an element count written with AppendUvarint, failing unless
+// it is at most the number of unread bytes: every element takes at least
+// one byte, so a larger count is corrupt, and the guard keeps it from
+// sizing an allocation.
+func (d *Dec) Count() int {
+	n := d.Uvarint()
+	if d.err == nil && n > uint64(d.Len()) {
+		d.fail("count %d exceeds the %d bytes left at offset %d", n, d.Len(), d.off)
+		return 0
+	}
+	return int(n)
+}
+
 // String reads a length-prefixed string (inverse of AppendString). The
 // result is a copy, safe to retain after the underlying buffer is reused.
 func (d *Dec) String() string {

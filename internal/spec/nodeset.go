@@ -17,17 +17,21 @@ const nodeSetWords = 4
 // deep copy and canonical state encoding need on their hot path.
 type NodeSet [nodeSetWords]uint64
 
+// MaxNodes is a NodeSet's capacity: the node ids of one system lie in
+// [0, MaxNodes).
+const MaxNodes = nodeSetWords * 64
+
 // checkNode panics on ids outside the set's capacity (negative ids are
 // caller bugs; large ids mean the configuration outgrew nodeSetWords).
 func checkNode(id NodeID) {
-	if id < 0 || int(id) >= nodeSetWords*64 {
-		panic(fmt.Sprintf("spec: NodeID %d outside NodeSet capacity %d", id, nodeSetWords*64))
+	if id < 0 || int(id) >= MaxNodes {
+		panic(fmt.Sprintf("spec: NodeID %d outside NodeSet capacity %d", id, MaxNodes))
 	}
 }
 
 // Has reports whether id is in the set.
 func (s *NodeSet) Has(id NodeID) bool {
-	if id < 0 || int(id) >= nodeSetWords*64 {
+	if id < 0 || int(id) >= MaxNodes {
 		return false
 	}
 	return s[id>>6]&(1<<(uint(id)&63)) != 0
@@ -41,7 +45,7 @@ func (s *NodeSet) Add(id NodeID) {
 
 // Remove deletes id.
 func (s *NodeSet) Remove(id NodeID) {
-	if id < 0 || int(id) >= nodeSetWords*64 {
+	if id < 0 || int(id) >= MaxNodes {
 		return
 	}
 	s[id>>6] &^= 1 << (uint(id) & 63)
