@@ -18,9 +18,10 @@ vet:
 
 # Race-check the packages the parallel search touches (the model
 # checker, the litmus suite pool, the compiler, the engine layer and the
-# server's job/SSE machinery). The symmetry, POR and storage agreement
-# matrices put the mcheck package near go test's default 10m cap under
-# the race detector on a one-core runner, hence the explicit timeout.
+# server's job/SSE machinery). The POR and storage agreement matrices and
+# TestPORVerdictsWorkerInvariant put the mcheck package near go test's
+# default 10m cap under the race detector on a one-core runner, hence the
+# explicit timeout.
 race:
 	$(GO) test -race -timeout 30m ./internal/mcheck/... ./internal/litmus/... ./internal/core/... ./internal/engine/... ./internal/server/... ./internal/protocols/...
 

@@ -144,9 +144,6 @@ func run(ctx context.Context, cfg checkConfig) error {
 		}
 		fmt.Println()
 	}
-	if req.Search.Symmetry && res.SymmetryPerms == 1 {
-		fmt.Println("note: -symmetry requested but no symmetric cache group detected (asymmetric programs?)")
-	}
 	if res.Deadlocks > 0 {
 		fmt.Println("deadlock state (lex-least):", res.DeadlockAt)
 	}

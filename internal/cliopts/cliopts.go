@@ -1,10 +1,10 @@
 // Package cliopts registers the command-line flags shared by the hgcheck,
 // hglitmus, heterogen and hgsim commands: worker counts, visited-set
-// storage, the symmetry and partial-order reductions, frontier spilling,
-// timeouts and pprof profiling. The search flags write straight into an
+// storage, the partial-order reduction, frontier spilling, timeouts and
+// pprof profiling. The search flags write straight into an
 // engine.SearchOptions, the one declaration of every search knob, so a
-// flag spelled -symmetry means exactly what the JSON "symmetry" field
-// of a server request means.
+// flag spelled -hash means exactly what the JSON "hash" field of a server
+// request means.
 package cliopts
 
 import (
@@ -66,11 +66,10 @@ func (s *Search) RegisterRun(fs *flag.FlagSet) {
 }
 
 // Register installs RegisterRun's flags plus the storage and reduction
-// knobs: -hash, -symmetry, -por and -spill-dir.
+// knobs: -hash, -por and -spill-dir.
 func (s *Search) Register(fs *flag.FlagSet) {
 	s.RegisterRun(fs)
 	fs.BoolVar(&s.Hash, "hash", s.Hash, "use state-hash compaction (lock-free 64-bit fingerprint table)")
-	fs.BoolVar(&s.Symmetry, "symmetry", s.Symmetry, "canonicalize states under cache-permutation symmetry")
 	fs.Var(porFlag{&s.NoPOR}, "por", "ample-set partial order reduction (-por=0 forces the full interleaving space)")
 	fs.StringVar(&s.SpillDir, "spill-dir", s.SpillDir, "spill frontier overflow to temp files under this directory (bounds BFS memory)")
 }

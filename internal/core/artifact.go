@@ -490,10 +490,10 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 // artifact.
 //
 // Before the replay delivers anything, the configuration must be one
-// BuildSystem builds, every program address must lie in
-// [0, spec.MaxDecodeAddr), and every pooled message must travel to the
-// merged directory from a node the rebuilt system routes, at an address
-// some program names. After it, one rule stands for every canonical-form
+// BuildSystem builds, every program request must be a core operation in
+// [spec.OpLoad, spec.OpEvict] at an address in [0, spec.MaxDecodeAddr),
+// and every pooled message must travel to the merged directory from a
+// node the rebuilt system routes, at an address some program names. After it, one rule stands for every canonical-form
 // check: the table must re-marshal to data, byte for byte.
 func buildFromParts(data []byte, f *Fusion, cfg CompileConfig, p *artifactParts, start time.Time) (*CompiledFusion, error) {
 	if err := p.decodeTable(f.vocab); err != nil {
@@ -505,6 +505,9 @@ func buildFromParts(data []byte, f *Fusion, cfg CompileConfig, p *artifactParts,
 	named := map[spec.Addr]bool{}
 	for _, prog := range cfg.Programs {
 		for _, r := range prog {
+			if r.Op < spec.OpLoad || r.Op > spec.OpEvict {
+				return nil, fmt.Errorf("%w: a program names core operation %d, outside [%d, %d]", ErrArtifactCorrupt, r.Op, spec.OpLoad, spec.OpEvict)
+			}
 			if r.Addr < 0 || r.Addr >= spec.MaxDecodeAddr {
 				return nil, fmt.Errorf("%w: a program names address %d, outside [0, %d)", ErrArtifactCorrupt, r.Addr, spec.MaxDecodeAddr)
 			}

@@ -355,6 +355,17 @@ func TestArtifactMismatchErrors(t *testing.T) {
 			}), ErrArtifactCorrupt)
 		}
 	})
+	t.Run("program_op", func(t *testing.T) {
+		// A program request whose operation is no core operation, the
+		// digest recomputed: the replay would drive a core through it, and
+		// a search of the loaded table reported a deadlock.
+		for _, op := range []spec.CoreOp{spec.CoreNone, 99} {
+			refused(t, doctor(t, data, func(p *artifactParts) {
+				p.cfg.Programs[0][0].Op = op
+				p.digest = compileDigestRaw(f, p.cfg)
+			}), ErrArtifactCorrupt)
+		}
+	})
 	t.Run("cache_counts", func(t *testing.T) {
 		// Cache counts BuildSystem cannot build, the digest recomputed: a
 		// negative count, more node ids than a NodeSet holds, and a count

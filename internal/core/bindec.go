@@ -6,9 +6,8 @@ import (
 
 // Binary state codec for the merged directory: one image that is at once
 // the model checker's visited-set key and exact state image
-// (spec.StateCodec) and, relabeled, the symmetry reducer's key
-// (spec.RelabelAppender). Field for field it carries exactly
-// what Snapshot prints, so the text form, the key and the image
+// (spec.StateCodec). Field for field it carries exactly what Snapshot
+// prints, so the text form, the key and the image
 // distinguish the same states, and DecodeState rebuilds the state the
 // image was taken from.
 //
@@ -16,13 +15,6 @@ import (
 // function of the fusion's armor sequences and the bridge address, it is
 // re-derived from the fusion at decode time, so an image stays a few
 // dozen bytes per bridge instead of re-encoding whole request sequences.
-//
-// The relabeled form threads the symmetry reducer's NodeID permutation
-// through every id reference: the sub-directories' owner/sharer metadata,
-// the bridges' original request endpoints, and the busy-source set (the
-// initiating caches the conservative mode blocks). Proxy ids never appear
-// in a symmetry group, so they map to themselves; cluster indices (owner,
-// origin, handshake partner) are not node ids.
 
 func (t *proxyTask) appendBinary(buf []byte) []byte {
 	buf = spec.AppendInt(buf, t.cluster)
@@ -53,7 +45,7 @@ func decodeTaskInto(t *proxyTask, d *spec.Dec) {
 	t.hasCaptured = d.Bool()
 }
 
-func (br *bridge) appendBinary(buf []byte, r spec.Relabel) []byte {
+func (br *bridge) appendBinary(buf []byte) []byte {
 	buf = spec.AppendInt(buf, int(br.addr))
 	buf = spec.AppendInt(buf, br.origin)
 	buf = spec.AppendInt(buf, int(br.phase))
@@ -63,7 +55,7 @@ func (br *bridge) appendBinary(buf []byte, r spec.Relabel) []byte {
 	buf = spec.AppendBool(buf, br.hsSent)
 	buf = spec.AppendBool(buf, br.hsDone)
 	buf = spec.AppendInt(buf, br.hsWith)
-	buf = br.orig.AppendBinaryRelabeled(buf, r)
+	buf = br.orig.AppendBinary(buf)
 	if br.fetch == nil {
 		buf = spec.AppendBool(buf, false)
 	} else {
@@ -121,17 +113,12 @@ func (d *MergedDir) decodeBridgeInto(br *bridge, dec *spec.Dec) {
 // AppendBinary implements spec.StateCodec (the shared memory is encoded
 // separately by the host, as with Snapshot).
 func (d *MergedDir) AppendBinary(buf []byte) []byte {
-	return d.AppendBinaryRelabeled(buf, nil)
-}
-
-// AppendBinaryRelabeled implements spec.RelabelAppender.
-func (d *MergedDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
 	for _, dir := range d.dirs {
-		buf = dir.AppendBinaryRelabeled(buf, r)
+		buf = dir.AppendBinary(buf)
 	}
 	for _, pool := range d.proxies {
 		for _, p := range pool {
-			buf = p.AppendBinaryRelabeled(buf, r)
+			buf = p.AppendBinary(buf)
 		}
 	}
 	buf = spec.AppendUvarint(buf, uint64(len(d.owners)))
@@ -141,11 +128,10 @@ func (d *MergedDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
 	}
 	buf = spec.AppendUvarint(buf, uint64(len(d.bridges)))
 	for _, br := range d.bridges {
-		buf = br.appendBinary(buf, r)
+		buf = br.appendBinary(buf)
 	}
-	busy := d.busySrc.Relabeled(r)
-	buf = spec.AppendUvarint(buf, uint64(busy.Len()))
-	busy.Each(func(s spec.NodeID) { buf = spec.AppendInt(buf, int(s)) })
+	buf = spec.AppendUvarint(buf, uint64(d.busySrc.Len()))
+	d.busySrc.Each(func(s spec.NodeID) { buf = spec.AppendInt(buf, int(s)) })
 	buf = spec.AppendUvarint(buf, uint64(d.proxyBusy.Len()))
 	d.proxyBusy.Each(func(p spec.NodeID) { buf = spec.AppendInt(buf, int(p)) })
 	return buf
@@ -203,7 +189,4 @@ func (f *Fusion) Freeze() {
 	}
 }
 
-var (
-	_ spec.RelabelAppender = (*MergedDir)(nil)
-	_ spec.StateCodec      = (*MergedDir)(nil)
-)
+var _ spec.StateCodec = (*MergedDir)(nil)

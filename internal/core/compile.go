@@ -39,8 +39,7 @@ import (
 // Extraction is reachability-driven: the fusion is instantiated for one
 // concrete machine configuration (CompileConfig) and the model checker
 // exhaustively explores it over an empty table, with partial order
-// reduction and symmetry off so every reachable (state, message) pair is
-// recorded; the resulting table is total over the compiled configuration
+// reduction off so every reachable (state, message) pair is recorded; the resulting table is total over the compiled configuration
 // by construction. The extraction's deadlock count is its verdict
 // (Verdict).
 //
@@ -58,9 +57,8 @@ import (
 //     interpreted MergedDir is swapped for a CompiledDir — a table
 //     transducer with an int32 current-state register, which is also its
 //     state image and plain visited-set key (a bijection with the
-//     interned image within one table). Its snapshots, symmetry
-//     relabelings and POR node references reproduce the interpreted
-//     component's bytes exactly, so compiled and interpreted searches
+//     interned image within one table). Its snapshots and POR node
+//     references reproduce the interpreted component's bytes exactly, so compiled and interpreted searches
 //     agree state for state (the differential suite in compile_test.go
 //     pins this).
 //   - FlatFSM() projects the per-address local-state machine (Table II's
@@ -208,17 +206,13 @@ func (s CompileStats) String() string {
 
 // compState is one interned merged-directory state: its exact image (the
 // interpreted MergedDir's binary encoding, from which the interpreted
-// snapshot and relabelings are reconstructed on demand), the shared memory
-// image it implies and the POR node references.
+// snapshot is reconstructed on demand), the shared memory image it implies
+// and the POR node references.
 type compState struct {
 	img  []byte       // MergedDir.AppendBinary bytes: the exact image (with mem, the intern key)
 	mem  []byte       // Memory.AppendBinary bytes (replayed on remem transitions)
 	snap string       // interpreted Snapshot output; reconstructed lazily from img
 	refs spec.NodeSet // interpreted RefNodes (ample-set POR)
-	// relab holds the encoding under every permutation of the group
-	// (relab[0] aliases img), computed on the first relabeled request and
-	// published atomically so later readers stay lock-free (relabelings).
-	relab atomic.Pointer[[][]byte]
 }
 
 // compTransition is one recorded outcome: the successor state, the
@@ -238,8 +232,8 @@ type CompiledFusion struct {
 	cfg       CompileConfig
 	template  *mcheck.System // pristine interpreted system; cloned per System()
 	layout    *SystemLayout
-	scratch   *MergedDir // pristine interpreted clone; decode target for snapshots and relabelings
-	snapMu    sync.Mutex // guards scratch and lazy compState.snap/relab fills
+	scratch   *MergedDir // pristine interpreted clone; decode target for snapshots
+	snapMu    sync.Mutex // guards scratch and lazy compState.snap fills
 	mergedIdx int
 	owned     []spec.NodeID
 	// The finished table, in the compiler's form: the interned states, the
@@ -255,26 +249,11 @@ type CompiledFusion struct {
 	initLocal string          // composite local state at the initial state
 	stable    map[string]bool // composite local state -> quiescent?
 	stats     CompileStats
-
-	// Cache-permutation group for symmetry interop: the full product of
-	// per-cluster cache-id permutations (every group the checker's
-	// auto-detection can enable is a subgroup). sigOf maps a permutation's
-	// action on cacheIDs to its index in compState.relab.
-	cacheIDs []spec.NodeID
-	perms    []spec.Relabel // perms[0] is the identity (nil)
-	sigOf    map[string]int
 }
-
-// maxCompiledPerms mirrors the checker's symmetry-group cap (mcheck's
-// maxSymPerms): beyond it auto-detection declines the reduction, so no
-// relabelings will ever be requested and enumerating the group would be
-// waste.
-const maxCompiledPerms = 5040
 
 // newCompiledFusion builds the configuration-dependent skeleton shared by
 // Compile and the artifact loader: the interpreted template system, the
-// pristine scratch directory, the permutation group and the locality
-// verdicts — everything derivable from (fusion, config) without running
+// pristine scratch directory and the locality verdicts — everything derivable from (fusion, config) without running
 // the extraction. It returns the system it built so Compile can run the
 // extraction search over it.
 func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.System) {
@@ -292,7 +271,6 @@ func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.S
 	cf.template = sys.Clone() // before CompileCtx swaps the searched directory
 	cf.initLocal = layout.Merged.LocalState(0)
 	cf.stable[cf.initLocal] = layout.Merged.localStable(0)
-	cf.buildPerms()
 	return cf, sys
 }
 
@@ -611,128 +589,6 @@ func msgCmp(a, b *spec.Msg, v *spec.Vocab) int {
 	}
 }
 
-// buildPerms materializes the per-cluster cache-permutation product group
-// and the signature index used to answer the checker's relabeling
-// requests.
-func (cf *CompiledFusion) buildPerms() {
-	for _, ids := range cf.layout.CacheIDs {
-		cf.cacheIDs = append(cf.cacheIDs, ids...)
-	}
-	total := 1
-	for _, ids := range cf.layout.CacheIDs {
-		for k := 2; k <= len(ids); k++ {
-			total *= k
-			if total > maxCompiledPerms {
-				total = 1 // group too large for the checker to ever enable
-			}
-		}
-		if total == 1 {
-			break
-		}
-	}
-	maxID := spec.NodeID(0)
-	for _, id := range cf.owned {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	for _, id := range cf.cacheIDs {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	cf.perms = []spec.Relabel{nil}
-	cf.sigOf = map[string]int{string(cf.sig(nil)): 0}
-	if total == 1 {
-		return
-	}
-	// Cross product of per-cluster permutations, skipping the identity
-	// (already at index 0).
-	clusterPerms := make([][][]int, len(cf.layout.CacheIDs))
-	for i, ids := range cf.layout.CacheIDs {
-		clusterPerms[i] = permutations(len(ids))
-	}
-	choice := make([]int, len(clusterPerms))
-	for {
-		identity := true
-		for _, c := range choice {
-			if c != 0 {
-				identity = false
-			}
-		}
-		if !identity {
-			r := make(spec.Relabel, maxID+1)
-			for i := range r {
-				r[i] = spec.NodeID(i)
-			}
-			for ci, ids := range cf.layout.CacheIDs {
-				p := clusterPerms[ci][choice[ci]]
-				for pos, id := range ids {
-					r[id] = ids[p[pos]]
-				}
-			}
-			cf.sigOf[string(cf.sig(r))] = len(cf.perms)
-			cf.perms = append(cf.perms, r)
-		}
-		// Advance the mixed-radix counter.
-		i := 0
-		for ; i < len(choice); i++ {
-			choice[i]++
-			if choice[i] < len(clusterPerms[i]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i == len(choice) {
-			return
-		}
-	}
-}
-
-// sig renders a permutation's action on the cache ids — the key the
-// checker's detected symmetry perms are matched against.
-func (cf *CompiledFusion) sig(r spec.Relabel) []byte {
-	buf := make([]byte, 0, 2*len(cf.cacheIDs))
-	for _, id := range cf.cacheIDs {
-		buf = spec.AppendInt(buf, int(r.Of(id)))
-	}
-	return buf
-}
-
-// permIndex resolves a checker relabeling to its index in the group.
-func (cf *CompiledFusion) permIndex(r spec.Relabel) (int, bool) {
-	buf := make([]byte, 0, 64)
-	for _, id := range cf.cacheIDs {
-		buf = spec.AppendInt(buf, int(r.Of(id)))
-	}
-	idx, ok := cf.sigOf[string(buf)]
-	return idx, ok
-}
-
-// permutations returns every permutation of 0..n-1.
-func permutations(n int) [][]int {
-	var out [][]int
-	perm := make([]int, n)
-	var rec func(i int, avail []int)
-	rec = func(i int, avail []int) {
-		if i == n {
-			out = append(out, append([]int(nil), perm...))
-			return
-		}
-		for j, v := range avail {
-			perm[i] = v
-			rest := append(append([]int(nil), avail[:j]...), avail[j+1:]...)
-			rec(i+1, rest)
-		}
-	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	rec(0, all)
-	return out
-}
-
 // Fusion returns the fusion this table was compiled from.
 func (cf *CompiledFusion) Fusion() *Fusion { return cf.fusion }
 
@@ -788,37 +644,6 @@ func (cf *CompiledFusion) snapOf(st *compState) string {
 		st.snap = w.String()
 	}
 	return st.snap
-}
-
-// relabelings returns st's encoding under every permutation of the group,
-// computing all of them from its image on the first call. A search
-// without symmetry never calls it, so it never pays for them.
-func (cf *CompiledFusion) relabelings(st *compState) [][]byte {
-	if r := st.relab.Load(); r != nil {
-		return *r
-	}
-	cf.snapMu.Lock()
-	defer cf.snapMu.Unlock()
-	if r := st.relab.Load(); r != nil {
-		return *r
-	}
-	cf.decodeScratch(st)
-	relab := make([][]byte, len(cf.perms))
-	relab[0] = st.img
-	for i := 1; i < len(cf.perms); i++ {
-		relab[i] = cf.scratch.AppendBinaryRelabeled(nil, cf.perms[i])
-	}
-	st.relab.Store(&relab)
-	return relab
-}
-
-// relabel appends st's encoding under r, a permutation outside the group,
-// without caching it.
-func (cf *CompiledFusion) relabel(buf []byte, st *compState, r spec.Relabel) []byte {
-	cf.snapMu.Lock()
-	defer cf.snapMu.Unlock()
-	cf.decodeScratch(st)
-	return cf.scratch.AppendBinaryRelabeled(buf, r)
 }
 
 // decodeScratch loads st's image into the scratch directory; the caller
@@ -903,8 +728,8 @@ func (cf *CompiledFusion) System() *mcheck.System {
 }
 
 // seed returns a compiler whose table starts as this finished one. The
-// states and records are shared (a state's lazy snapshot and relabeling
-// caches are the only fields ever written) and the spans are a shallow
+// states and records are shared (a state's lazy snapshot cache is the
+// only field ever written) and the spans are a shallow
 // copy; every shared slice is capped at its length, so the first growth
 // copies instead of writing into cf's arrays. intern indexes the keys on
 // the first miss.
@@ -935,7 +760,7 @@ type compiler struct {
 	// through table to the lock-free readers — the searched directories'
 	// encode, spill and POR-reference paths. Each publish stores a fresh
 	// slice header after writing the element it newly covers, and interned
-	// states are immutable (bar their snapshot and relabeling caches), so a
+	// states are immutable (bar their snapshot cache), so a
 	// reader never sees a partially built state.
 	states []*compState
 	table  atomic.Pointer[[]*compState]
@@ -1029,10 +854,9 @@ func (c *compiler) load(img, mem []byte) {
 
 // intern returns the dense index of the directory's current
 // (state, memory) pair, creating and publishing the compState on first
-// sight. Neither the fmt-based Snapshot nor the relabelings are captured
-// here — the exact image is, and both are reconstructed from it on demand
-// (snapOf, relabelings), keeping extraction on the binary-encoding path
-// throughout.
+// sight. The fmt-based Snapshot is not captured here — the exact image
+// is, and the snapshot is reconstructed from it on demand (snapOf),
+// keeping extraction on the binary-encoding path throughout.
 func (c *compiler) intern(d *MergedDir) int32 {
 	if c.keys == nil {
 		c.keys = make(map[string]int32, len(c.states))
@@ -1063,8 +887,8 @@ func (c *compiler) intern(d *MergedDir) int32 {
 // CompiledDir is the flat-table stand-in for the interpreted MergedDir: an
 // int32 state register, the shared memory handle, and the growing table it
 // dispatches through. It reproduces the interpreted component's
-// visited-set encoding, snapshot, relabelings, POR references and spill
-// codec byte for byte, so searches over compiled and interpreted systems
+// visited-set encoding, snapshot, POR references and spill codec byte for
+// byte, so searches over compiled and interpreted systems
 // agree exactly.
 type CompiledDir struct {
 	cf   *CompiledFusion
@@ -1127,34 +951,12 @@ func (d *CompiledDir) Snapshot(b *spec.SnapshotWriter) {
 }
 
 // AppendBinary implements spec.StateCodec with the state register: the
-// visited-set key when symmetry is off, the frontier entry and the restore
-// image. Within one table the register is a bijection with the interned
+// visited-set key, the frontier entry and the restore image. Within one table the register is a bijection with the interned
 // (image, memory) pair, so the key distinguishes exactly the states the
 // interpreted image does; the shared memory is encoded by the host as
 // usual.
 func (d *CompiledDir) AppendBinary(buf []byte) []byte {
 	return spec.AppendUvarint(buf, uint64(d.cur))
-}
-
-// AppendBinaryRelabeled implements spec.RelabelAppender with the
-// interpreted directory's encodings, byte for byte: the image itself under
-// the identity, and its relabelings under the group, computed on the first
-// request; a permutation outside the group is computed uncached. A
-// symmetric key is compared across states and permutations, so it must be
-// the interpreted image rather than the register.
-func (d *CompiledDir) AppendBinaryRelabeled(buf []byte, r spec.Relabel) []byte {
-	st := d.state()
-	if r == nil {
-		return append(buf, st.img...)
-	}
-	idx, ok := d.cf.permIndex(r)
-	switch {
-	case !ok:
-		return d.cf.relabel(buf, st, r)
-	case idx == 0:
-		return append(buf, st.img...)
-	}
-	return append(buf, d.cf.relabelings(st)[idx]...)
 }
 
 // DecodeState implements spec.StateCodec: the inverse of AppendBinary.
@@ -1178,9 +980,8 @@ func (d *CompiledDir) RefNodes() spec.NodeSet { return d.state().refs }
 func (d *CompiledDir) PORLocal() bool { return d.cf.porLocal }
 
 var (
-	_ spec.Component       = (*CompiledDir)(nil)
-	_ spec.RelabelAppender = (*CompiledDir)(nil)
-	_ spec.StateCodec      = (*CompiledDir)(nil)
-	_ spec.NodeReferrer    = (*CompiledDir)(nil)
-	_ mcheck.MemoryCloner  = (*CompiledDir)(nil)
+	_ spec.Component      = (*CompiledDir)(nil)
+	_ spec.StateCodec     = (*CompiledDir)(nil)
+	_ spec.NodeReferrer   = (*CompiledDir)(nil)
+	_ mcheck.MemoryCloner = (*CompiledDir)(nil)
 )

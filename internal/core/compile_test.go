@@ -37,9 +37,8 @@ func sameStrings(a, b []string) bool {
 // after a serialize → load round trip through the binary artifact, all
 // under identical options, and fails unless every observable the
 // differential contract covers agrees:
-// reachable-state and transition counts, deadlock count, outcome sets, and
-// the symmetry group order the checker settled on; the compiled and loaded
-// runs also agree on the ample-state count, since a load derives the POR
+// reachable-state and transition counts, deadlock count and outcome sets;
+// the compiled and loaded runs also agree on the ample-state count, since a load derives the POR
 // references the compile captured. DeadlockAt is
 // deliberately excluded (parallel search order is nondeterministic).
 func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Options) (*mcheck.Result, *mcheck.Result) {
@@ -65,7 +64,7 @@ func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Op
 	lres := mcheck.Explore(lcf.System(), opts)
 	if lres.States != cres.States || lres.Transitions != cres.Transitions ||
 		lres.Deadlocks != cres.Deadlocks || lres.Truncated != cres.Truncated ||
-		lres.SymmetryPerms != cres.SymmetryPerms || lres.PORReduced != cres.PORReduced {
+		lres.PORReduced != cres.PORReduced {
 		t.Errorf("%s: loaded-artifact run diverges from compiled: %d/%d states, %d/%d transitions, %d/%d deadlocks, %d/%d ample",
 			f.Name(), lres.States, cres.States, lres.Transitions, cres.Transitions, lres.Deadlocks, cres.Deadlocks,
 			lres.PORReduced, cres.PORReduced)
@@ -79,11 +78,10 @@ func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Op
 		t.Errorf("%s: growing-table run labeled %q", f.Name(), gres.Engine)
 	}
 	if gres.States != ires.States || gres.Transitions != ires.Transitions ||
-		gres.Deadlocks != ires.Deadlocks || gres.Truncated != ires.Truncated ||
-		gres.SymmetryPerms != ires.SymmetryPerms {
-		t.Errorf("%s: growing table diverges from interpreted: %d/%d states, %d/%d transitions, %d/%d deadlocks, truncated %v/%v, symmetry ×%d/×%d",
+		gres.Deadlocks != ires.Deadlocks || gres.Truncated != ires.Truncated {
+		t.Errorf("%s: growing table diverges from interpreted: %d/%d states, %d/%d transitions, %d/%d deadlocks, truncated %v/%v",
 			f.Name(), gres.States, ires.States, gres.Transitions, ires.Transitions, gres.Deadlocks, ires.Deadlocks,
-			gres.Truncated, ires.Truncated, gres.SymmetryPerms, ires.SymmetryPerms)
+			gres.Truncated, ires.Truncated)
 	}
 	if ik, gk := outcomeKeys(ires), outcomeKeys(gres); !sameStrings(ik, gk) {
 		t.Errorf("%s: growing-table outcome set differs:\n  interpreted: %v\n  growing:     %v", f.Name(), ik, gk)
@@ -107,9 +105,6 @@ func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Op
 	if cres.Truncated != ires.Truncated {
 		t.Errorf("%s: truncation differs: compiled %v vs interpreted %v", f.Name(), cres.Truncated, ires.Truncated)
 	}
-	if cres.SymmetryPerms != ires.SymmetryPerms {
-		t.Errorf("%s: symmetry group differs: compiled %d vs interpreted %d", f.Name(), cres.SymmetryPerms, ires.SymmetryPerms)
-	}
 	if ik, ck := outcomeKeys(ires), outcomeKeys(cres); !sameStrings(ik, ck) {
 		t.Errorf("%s: outcome sets differ:\n  interpreted: %v\n  compiled:    %v", f.Name(), ik, ck)
 	}
@@ -130,9 +125,8 @@ func TestCompiledAgreementQuickAllPairs(t *testing.T) {
 }
 
 // TestCompiledAgreementModes sweeps the checker's mode matrix — workers ×
-// symmetry × POR × storage — on RCC&RCC with two caches in the first
-// cluster (so the symmetry group is nontrivial) and pins agreement in
-// every cell.
+// POR × storage — on RCC&RCC with two caches in the first cluster and
+// pins agreement in every cell.
 func TestCompiledAgreementModes(t *testing.T) {
 	f, err := Fuse(Options{}, protocols.MustByName(protocols.NameRCC), protocols.MustByName(protocols.NameRCC))
 	if err != nil {
@@ -145,21 +139,19 @@ func TestCompiledAgreementModes(t *testing.T) {
 	}
 	cfg := CompileConfig{CachesPerCluster: []int{2, 1}, Programs: progs}
 	for _, workers := range []int{1, 0} {
-		for _, sym := range []bool{false, true} {
-			for _, por := range []mcheck.PORMode{mcheck.POROff, mcheck.PORAuto} {
-				for _, storage := range []string{"exact", "hash", "spill"} {
-					name := fmt.Sprintf("w%d_sym%v_por%v_%s", workers, sym, por != mcheck.POROff, storage)
-					t.Run(name, func(t *testing.T) {
-						opts := mcheck.Options{Workers: workers, Symmetry: sym, POR: por}
-						switch storage {
-						case "hash":
-							opts.HashCompaction = true
-						case "spill":
-							opts.SpillDir = t.TempDir()
-						}
-						requireAgreement(t, f, cfg, opts)
-					})
-				}
+		for _, por := range []mcheck.PORMode{mcheck.POROff, mcheck.PORAuto} {
+			for _, storage := range []string{"exact", "hash", "spill"} {
+				name := fmt.Sprintf("w%d_por%v_%s", workers, por != mcheck.POROff, storage)
+				t.Run(name, func(t *testing.T) {
+					opts := mcheck.Options{Workers: workers, POR: por}
+					switch storage {
+					case "hash":
+						opts.HashCompaction = true
+					case "spill":
+						opts.SpillDir = t.TempDir()
+					}
+					requireAgreement(t, f, cfg, opts)
+				})
 			}
 		}
 	}
@@ -271,19 +263,15 @@ func sameSearch(t *testing.T, what string, got, want *mcheck.Result) {
 
 // foreignTable compiles MSI&RCC with caches per cluster for every core
 // loading address 0, and returns it with programs it was not compiled
-// for: every core storing address 1 (value 1 under symmetric, else a
-// per-core value) reaches (state, message) pairs the table does not hold.
-func foreignTable(t *testing.T, caches []int, symmetric bool) (*Fusion, *CompiledFusion, [][]spec.CoreReq) {
+// for: every core storing its own value to address 1 reaches (state,
+// message) pairs the table does not hold.
+func foreignTable(t *testing.T, caches []int) (*Fusion, *CompiledFusion, [][]spec.CoreReq) {
 	t.Helper()
 	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
 	var progs, foreign [][]spec.CoreReq
 	for core := 0; core < caches[0]+caches[1]; core++ {
-		v := core + 1
-		if symmetric {
-			v = 1
-		}
 		progs = append(progs, []spec.CoreReq{{Op: spec.OpLoad, Addr: 0}})
-		foreign = append(foreign, []spec.CoreReq{{Op: spec.OpStore, Addr: 1, Value: v}})
+		foreign = append(foreign, []spec.CoreReq{{Op: spec.OpStore, Addr: 1, Value: core + 1}})
 	}
 	cf, err := Compile(f, CompileConfig{CachesPerCluster: caches, Programs: progs})
 	if err != nil {
@@ -304,7 +292,7 @@ func compilerOf(cf *CompiledFusion, sys *mcheck.System) *compiler {
 // pairs and reports exactly what a fresh growing table does, while the
 // CompiledFusion itself stays untouched.
 func TestCompiledSystemInterpretsForeignPrograms(t *testing.T) {
-	f, cf, foreign := foreignTable(t, []int{1, 1}, false)
+	f, cf, foreign := foreignTable(t, []int{1, 1})
 	data := cf.MarshalArtifact()
 	lcf, err := LoadArtifactFor(data, f, cf.Config())
 	if err != nil {
@@ -337,16 +325,13 @@ func TestCompiledSystemInterpretsForeignPrograms(t *testing.T) {
 }
 
 // TestCompiledSystemConcurrentMisses runs two searches of one
-// cf.System() at once, both growing its table on misses (symmetry on, so
-// the shared states' relabelings are also filled concurrently). Under
-// -race this pins the table's locking and lock-free publication.
+// cf.System() at once, each on 2 workers, both growing its table on
+// misses. Under -race this pins the table's locking and lock-free
+// publication.
 func TestCompiledSystemConcurrentMisses(t *testing.T) {
-	f, cf, foreign := foreignTable(t, []int{2, 1}, true)
-	opts := mcheck.Options{Workers: 2, Symmetry: true}
+	f, cf, foreign := foreignTable(t, []int{2, 1})
+	opts := mcheck.Options{Workers: 2}
 	want := mcheck.Explore(FusedSystem(f, []int{2, 1}, foreign), opts)
-	if want.SymmetryPerms < 2 {
-		t.Fatalf("symmetric search ran with group order %d", want.SymmetryPerms)
-	}
 	sys := cf.System()
 	sys.SetPrograms(foreign)
 	var results [2]*mcheck.Result
@@ -361,40 +346,8 @@ func TestCompiledSystemConcurrentMisses(t *testing.T) {
 	wg.Wait()
 	for i, res := range results {
 		sameSearch(t, fmt.Sprintf("search %d", i), res, want)
-		if res.SymmetryPerms != want.SymmetryPerms {
-			t.Errorf("search %d: group order %d, want %d", i, res.SymmetryPerms, want.SymmetryPerms)
-		}
 	}
 	if compilerOf(cf, sys).interpreted == 0 {
 		t.Error("foreign programs never missed the seeded table")
-	}
-}
-
-// TestNoSymmetryComputesNoRelabelings pins that relabelings are computed
-// on demand: a search without symmetry, on a configuration whose group is
-// nontrivial, leaves every interned state without them.
-func TestNoSymmetryComputesNoRelabelings(t *testing.T) {
-	f := fusePair(t, protocols.NameRCC, protocols.NameRCC)
-	progs := [][]spec.CoreReq{
-		{{Op: spec.OpStore, Addr: 0, Value: 1}},
-		{{Op: spec.OpStore, Addr: 0, Value: 1}},
-		{{Op: spec.OpLoad, Addr: 0}},
-	}
-	cf, c, sys := growingSystem(f, CompileConfig{CachesPerCluster: []int{2, 1}, Programs: progs})
-	if len(cf.perms) < 2 {
-		t.Fatal("configuration has a trivial permutation group")
-	}
-	mcheck.Explore(sys, mcheck.Options{Workers: 1})
-	for i, st := range c.states {
-		if st.relab.Load() != nil {
-			t.Fatalf("state %d of %d holds relabelings after a search without symmetry", i, len(c.states))
-		}
-	}
-	res := mcheck.Explore(sys, mcheck.Options{Workers: 1, Symmetry: true})
-	if res.SymmetryPerms < 2 {
-		t.Fatalf("symmetric search ran with group order %d", res.SymmetryPerms)
-	}
-	if c.states[0].relab.Load() == nil {
-		t.Error("a symmetric search left the initial state without relabelings")
 	}
 }

@@ -80,15 +80,15 @@ func (r *CheckResult) Verdict() error {
 // CheckDriver builds the deadlock-stress workload shared by hgcheck and
 // the server: every core stores and loads every address; the checker
 // injects evictions at any time. Stores carry per-core distinct values so
-// outcomes identify the writer — except under symmetry, where every core
-// stores the same value: protocol guards never read data values, so
-// deadlock reachability is unchanged, and the identical programs make the
-// caches interchangeable for the reduction.
-func CheckDriver(cores, addrs int, symmetric bool) [][]spec.CoreReq {
+// outcomes identify the writer. With sameValue every core stores the
+// value 1 instead, a program with a single outcome; no check passes it,
+// and it stays only for the benchmark harness's existing calls and the
+// tests that compare the two drivers.
+func CheckDriver(cores, addrs int, sameValue bool) [][]spec.CoreReq {
 	progs := make([][]spec.CoreReq, cores)
 	for c := 0; c < cores; c++ {
 		v := c + 1
-		if symmetric {
+		if sameValue {
 			v = 1
 		}
 		for a := 0; a < addrs; a++ {
@@ -151,7 +151,7 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 			return nil, err
 		}
 		sys = mcheck.NewHomogeneous(p, caches)
-		sys.SetPrograms(CheckDriver(caches, addrs, req.Search.Symmetry))
+		sys.SetPrograms(CheckDriver(caches, addrs, false))
 		name = req.Protocol
 	case len(req.Pair) > 0:
 		a, b, err := resolvePair(req.Pair, req.Spec)
@@ -166,7 +166,7 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 			return nil, err
 		}
 		name = f.Name()
-		progs := CheckDriver(2*caches, addrs, req.Search.Symmetry)
+		progs := CheckDriver(2*caches, addrs, false)
 		if req.Table == "" {
 			sys = core.FusedSystem(f, []int{caches, caches}, progs)
 			break

@@ -32,8 +32,8 @@ type CompileRequest struct {
 	Full bool `json:"full,omitempty"`
 	// Search supplies Workers and MaxStates (the extraction's state
 	// budget). Extraction always runs with POR off, so NoPOR is accepted
-	// and changes nothing; it fixes exact storage and no symmetry, so a
-	// request setting hash, symmetry, mem_budget or spill_dir fails.
+	// and changes nothing; it fixes exact storage, so a request setting
+	// hash, mem_budget or spill_dir fails.
 	Search SearchOptions `json:"search,omitempty"`
 }
 
@@ -75,8 +75,7 @@ func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResu
 		name string
 		set  bool
 	}{
-		{"hash", s.Hash}, {"symmetry", s.Symmetry},
-		{"mem_budget", s.MemBudget != 0}, {"spill_dir", s.SpillDir != ""},
+		{"hash", s.Hash}, {"mem_budget", s.MemBudget != 0}, {"spill_dir", s.SpillDir != ""},
 	} {
 		if knob.set {
 			return nil, fmt.Errorf("compile request sets search.%s, which extraction does not honour (it takes workers, max_states and no_por)", knob.name)

@@ -30,8 +30,6 @@ type SearchOptions struct {
 	Workers int `json:"workers,omitempty"`
 	// Hash selects 64-bit fingerprint state storage (hash compaction).
 	Hash bool `json:"hash,omitempty"`
-	// Symmetry canonicalizes states under cache-permutation symmetry.
-	Symmetry bool `json:"symmetry,omitempty"`
 	// NoPOR disables the ample-set partial order reduction. The field is
 	// inverted from the -por flag so the zero value (and an absent JSON
 	// key) keeps the reduction on, matching every command's default.
@@ -112,7 +110,6 @@ func (s SearchOptions) mcheckOptions(h Hooks, evictions bool) mcheck.Options {
 		MemBudget:      s.MemBudget,
 		SpillDir:       s.SpillDir,
 		Workers:        s.Workers,
-		Symmetry:       s.Symmetry,
 		POR:            s.PORMode(),
 		ProgressEvery:  h.ProgressEvery,
 		OnProgress:     h.searchProgress("search"),

@@ -300,8 +300,8 @@ func TestCompileResultCarriesVerdict(t *testing.T) {
 
 // TestCompileSearchKnobs: a compile request honours max_states (a budget
 // below the extraction's size truncates it) and accepts no_por, while
-// each storage or reduction knob extraction cannot honour fails the
-// request with an error naming the field.
+// each storage knob extraction cannot honour fails the request with an
+// error naming the field.
 func TestCompileSearchKnobs(t *testing.T) {
 	ctx := context.Background()
 	req := func(s SearchOptions) CompileRequest {
@@ -315,7 +315,6 @@ func TestCompileSearchKnobs(t *testing.T) {
 	}
 	for field, s := range map[string]SearchOptions{
 		"hash":       {Hash: true},
-		"symmetry":   {Symmetry: true},
 		"mem_budget": {MemBudget: 1 << 20},
 		"spill_dir":  {SpillDir: t.TempDir()},
 	} {

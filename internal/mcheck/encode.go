@@ -8,8 +8,8 @@ import "heterogen/internal/spec"
 // distinguishes (two systems of the same configuration produce equal
 // encodings iff they produce equal Snapshots), and decodeImage (decode.go)
 // reads it back into a clone of the system. One byte string thus serves
-// as the visited-set key when symmetry is off, as the frontier entry and
-// as the in-place restore image.
+// as the visited-set key, as the frontier entry and as the in-place
+// restore image.
 func (s *System) EncodeBinary(buf []byte) []byte { return s.encodeImage(buf, nil) }
 
 // imageSegments is the segment count of s's state image: one per

@@ -45,17 +45,16 @@ func NewExpander(initial *System, opts Options) *Expander {
 // does, with insert as the visited set and enqueue as the frontier. It
 // then runs the restore the next move would have run and returns the
 // system's image afterwards, which must be pre again. Its second result
-// counts the successors the expansion applied. Without symmetry, where
-// the key is the image, every key's segment ends must be the ones
-// decodeImage records for it, and every segment it marks copied must
-// equal the parent's, or Expand fails.
+// counts the successors the expansion applied. Every key's segment ends
+// must be the ones decodeImage records for it, and every segment it marks
+// copied must equal the parent's, or Expand fails.
 func (e *Expander) Expand(pre []byte, insert func([]byte) bool, enqueue func([]byte)) ([]byte, int, error) {
 	if err := decodeImage(e.cur, pre, &e.sc.segs); err != nil {
 		return nil, 0, err
 	}
 	var bad error
 	checked := func(key []byte, ends []int, copied uint64) bool {
-		if e.ctx.canon == nil && bad == nil {
+		if bad == nil {
 			if err := decodeImage(e.chk, key, &e.segs); err != nil {
 				bad = err
 			} else if !slices.Equal(ends, e.segs) {

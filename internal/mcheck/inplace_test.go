@@ -23,10 +23,8 @@ import (
 // be exactly the EncodeBinary images of Clone()+Apply of each progressed
 // move from the parent, and the system restored after the last move must
 // re-encode to the parent's image, and every successor key's segment ends
-// must be the ones decodeImage records (Expander checks them). The
-// search's own visited set is keyed
-// by image, so under symmetry it walks the unreduced space. When marker
-// is nonempty, some expanded state's Snapshot must contain it.
+// must be the ones decodeImage records (Expander checks them). When
+// marker is nonempty, some expanded state's Snapshot must contain it.
 func checkInPlaceImages(t *testing.T, sys *mcheck.System, opts mcheck.Options, minStates int, marker string) {
 	t.Helper()
 	opts.POR = mcheck.POROff // every progressed move, not an ample subset
@@ -104,10 +102,5 @@ func TestInPlaceSuccessorImages(t *testing.T) {
 	})
 	t.Run("compiled-growing", func(t *testing.T) {
 		checkInPlaceImages(t, core.FusedSystem(f, []int{1, 1}, fusedProgs), mcheck.Options{Evictions: true}, 1000, "")
-	})
-	t.Run("symmetry", func(t *testing.T) {
-		sys := mcheck.NewHomogeneous(protocols.MustByName(protocols.NameMSI), 3)
-		sys.SetPrograms(symmetricPrograms(3))
-		checkInPlaceImages(t, sys, mcheck.Options{Symmetry: true}, 1000, "")
 	})
 }

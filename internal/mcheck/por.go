@@ -41,9 +41,8 @@ import "heterogen/internal/spec"
 // state. Induction over path length then gives: every terminal state
 // reachable in the full graph is reachable in the reduced graph. The
 // ample choice is a pure function of the state (candidate order is fixed,
-// isolation reads only state content) — under symmetry, of the state's
-// orbit (selectAmple) — so the reduced graph is a fixed subgraph of the
-// full one and even the parallel reduced search is schedule-independent.
+// isolation reads only state content), so the reduced graph is a fixed
+// subgraph of the full one and even the parallel reduced search is schedule-independent.
 // See docs/MCHECK.md for the full argument.
 
 // PORMode selects the partial order reduction behavior.
@@ -56,7 +55,7 @@ const (
 	// otherwise.
 	PORAuto PORMode = iota
 	// POROff disables the reduction unconditionally (the -por=0 escape
-	// hatch; also what the storage/symmetry/parallel count-agreement
+	// hatch; also what the storage/parallel count-agreement
 	// tests pin, so their baselines keep covering the full unreduced
 	// space).
 	POROff
@@ -70,24 +69,19 @@ type porComponent interface {
 	PORLocal() bool
 }
 
-// porCand is one reduction candidate: a top-level cache component.
-type porCand struct {
-	ci int         // component index
-	id spec.NodeID // the cache's node id
-}
-
-// porCandidates returns the ample-set candidates of a configuration, or nil
-// when any component is ineligible (unknown component kind, or a protocol
-// failing the locality analysis) and the search must stay unreduced.
-func porCandidates(s *System) []porCand {
-	var cands []porCand
-	for ci, c := range s.Components {
+// porCandidates returns the ample-set candidates of a configuration, the
+// node ids of its top-level caches, or nil when any component is
+// ineligible (unknown component kind, or a protocol failing the locality
+// analysis) and the search must stay unreduced.
+func porCandidates(s *System) []spec.NodeID {
+	var cands []spec.NodeID
+	for _, c := range s.Components {
 		pc, ok := c.(porComponent)
 		if !ok || !pc.PORLocal() {
 			return nil
 		}
 		if cache, ok := c.(*spec.CacheInst); ok {
-			cands = append(cands, porCand{ci: ci, id: cache.ID()})
+			cands = append(cands, cache.ID())
 		}
 	}
 	return cands
@@ -98,38 +92,16 @@ func porCandidates(s *System) []porCand {
 // On success sc.moves is stably partitioned with the ample block first and
 // its length returned; 0 means no reduction applies and sc.moves is left in
 // its deterministic full order.
-//
-// Under symmetry the frontier holds whichever orbit member reached it
-// first, so "first" must not mean component order: two members of one
-// orbit would pick caches that are not images of each other, and the
-// reduced graph (hence the counts) would depend on the worker schedule.
-// The candidates are therefore ranked by their position under the
-// permutation that canonicalizes cur, which every orbit member shares.
 func (ctx *searchCtx) selectAmple(cur *System, sc *expandScratch) int {
 	var refs spec.NodeSet
 	for _, c := range cur.Components {
 		refs = refs.Or(c.(spec.NodeReferrer).RefNodes())
 	}
-	sc.iso = sc.iso[:0]
-	for _, cand := range ctx.porCands {
-		if !refs.Has(cand.id) && chanIsolated(cur, cand.id) {
-			sc.iso = append(sc.iso, cand)
+	for _, id := range ctx.porCands {
+		if refs.Has(id) || !chanIsolated(cur, id) {
+			continue
 		}
-	}
-	if len(sc.iso) > 1 && ctx.canon != nil {
-		p := ctx.canon.canonicalPerm(cur, &sc.canon)
-		sc.ranked = sc.ranked[:0]
-		for _, ci := range p.comp {
-			for _, cand := range sc.iso {
-				if cand.ci == ci {
-					sc.ranked = append(sc.ranked, cand)
-				}
-			}
-		}
-		sc.iso, sc.ranked = sc.ranked, sc.iso
-	}
-	for _, cand := range sc.iso {
-		if k := partitionAmple(cur, sc, cand.id); k > 0 && k < len(sc.moves) {
+		if k := partitionAmple(cur, sc, id); k > 0 && k < len(sc.moves) {
 			return k
 		}
 	}

@@ -59,20 +59,9 @@ type Options struct {
 	// (deterministic visit order and truncation counts). Every worker count
 	// visits the same state set and reports the same counts, outcomes and
 	// DeadlockAt (the ample choice under POR is a pure function of the
-	// state, or of its orbit under Symmetry, so this holds with the
-	// reductions on too); only the exact state count at truncation depends
-	// on scheduling.
+	// state, so this holds with the reduction on too); only the exact
+	// state count at truncation depends on scheduling.
 	Workers int
-	// Symmetry enables scalarset-style symmetry reduction: states are
-	// keyed in the visited set by their canonical representative under
-	// permutations of interchangeable caches (same protocol, same
-	// directory, cores running identical programs), auto-detected from the
-	// configuration — see canonical.go for when detection declines and
-	// the reduction silently falls back to the exact search. Deadlock
-	// counts and outcome sets are orbit-corrected so they match the
-	// unreduced search; user Invariants must not distinguish
-	// interchangeable caches.
-	Symmetry bool
 	// POR selects ample-set partial order reduction (por.go): PORAuto (the
 	// zero value) prunes commuting interleavings whenever that provably
 	// preserves deadlock counts and litmus outcome sets, falling back to
@@ -136,18 +125,17 @@ func (o Options) EffectiveWorkers() int {
 
 // Result summarizes a search.
 type Result struct {
-	States        int                 // distinct states visited (canonical under symmetry)
-	Transitions   int                 // moves applied
-	Deadlocks     int                 // states with pending work but no moves (orbit-corrected)
-	DeadlockAt    string              // snapshot of the lexicographically least deadlock state (stable across worker counts)
-	Outcomes      memmodel.OutcomeSet // outcomes at quiescent states
-	Violations    []string            // invariant failures
-	Truncated     bool                // MaxStates (or the visited-table budget) hit
-	Cancelled     bool                // the context was cancelled mid-search (partial result)
-	MaxStates     int                 // the state budget that was in effect
-	SymmetryPerms int                 // symmetry group order in effect (1 = unreduced)
-	PORReduced    int                 // states expanded through an ample subset only (0 = POR off or never hit)
-	Engine        string              // System.Engine() label of the searched system ("" = unlabeled)
+	States      int                 // distinct states visited
+	Transitions int                 // moves applied
+	Deadlocks   int                 // states with pending work but no moves
+	DeadlockAt  string              // snapshot of the lexicographically least deadlock state (stable across worker counts)
+	Outcomes    memmodel.OutcomeSet // outcomes at quiescent states
+	Violations  []string            // invariant failures
+	Truncated   bool                // MaxStates (or the visited-table budget) hit
+	Cancelled   bool                // the context was cancelled mid-search (partial result)
+	MaxStates   int                 // the state budget that was in effect
+	PORReduced  int                 // states expanded through an ample subset only (0 = POR off or never hit)
+	Engine      string              // System.Engine() label of the searched system ("" = unlabeled)
 
 	// State-storage accounting (see storage.go).
 	BudgetFull     bool    // truncation came from the storage MemBudget, not MaxStates
@@ -175,9 +163,6 @@ func (r *Result) String() string {
 		r.States, r.Transitions, r.Deadlocks, len(r.Outcomes))
 	if r.Engine != "" {
 		s += fmt.Sprintf(" [%s]", r.Engine)
-	}
-	if r.SymmetryPerms > 1 {
-		s += fmt.Sprintf(" (symmetry ×%d)", r.SymmetryPerms)
 	}
 	if r.PORReduced > 0 {
 		s += fmt.Sprintf(" (por: %d ample states)", r.PORReduced)
@@ -218,19 +203,17 @@ func lossy(storage string) bool {
 }
 
 // searchCtx is the per-search immutable context shared by all workers:
-// resolved options, the symmetry group (nil when unreduced) and the
-// outcome key tables precomputed once instead of fmt.Sprintf-ed per
-// quiescent state.
+// resolved options and the outcome key tables precomputed once instead of
+// fmt.Sprintf-ed per quiescent state.
 type searchCtx struct {
 	opts      Options
 	maxStates int
-	canon     *canonicalizer
-	segments  int        // key segment count (System.imageSegments)
-	carryIDs  bool       // frontier entries carry their key's segment IDs (entry)
-	por       bool       // ample-set reduction active for this search
-	porCands  []porCand  // reduction candidates (top-level caches)
-	loadKeys  [][]string // per core, per completed-load index
-	memKeys   []string   // per ObserveMem entry
+	segments  int           // key segment count (System.imageSegments)
+	carryIDs  bool          // frontier entries carry their key's segment IDs (entry)
+	por       bool          // ample-set reduction active for this search
+	porCands  []spec.NodeID // reduction candidates (top-level caches)
+	loadKeys  [][]string    // per core, per completed-load index
+	memKeys   []string      // per ObserveMem entry
 	// cancelled is raised by the context watcher goroutine; the search
 	// loop polls it at the same cadence as the state-budget check, so
 	// cancellation is cooperative and costs one atomic load per expansion.
@@ -239,25 +222,21 @@ type searchCtx struct {
 
 // expandScratch is the per-worker reusable buffer set.
 type expandScratch struct {
-	moves  []Move
-	amp    []Move // ample-partition scratch (por.go)
-	rest   []Move
-	iso    []porCand // isolated ample candidates (por.go)
-	ranked []porCand
-	key    []byte // symmetric visited-set key of the latest successor
-	img    []byte // its state image
-	ends   []int  // segment ends of the latest image (encodeImage)
-	segs   []int  // decodeImage's segment ends of the expanded state's image
-	saved  tailCopy
-	canon  canonScratch
+	moves []Move
+	amp   []Move // ample-partition scratch (por.go)
+	rest  []Move
+	img   []byte // state image of the latest successor
+	ends  []int  // segment ends of the latest image (encodeImage)
+	segs  []int  // decodeImage's segment ends of the expanded state's image
+	saved tailCopy
 }
 
 func newSearchCtx(initial *System, opts Options, maxStates int) *searchCtx {
-	ctx := &searchCtx{opts: opts, maxStates: maxStates, segments: initial.imageSegments()}
-	if opts.Symmetry {
-		ctx.canon = detectSymmetry(initial)
+	ctx := &searchCtx{
+		opts: opts, maxStates: maxStates,
+		segments: initial.imageSegments(),
+		carryIDs: !opts.HashCompaction,
 	}
-	ctx.carryIDs = !opts.HashCompaction && ctx.canon == nil
 	if opts.POR != POROff && len(opts.Invariants) == 0 && initial.OnDeliver == nil {
 		// Invariants and delivery observers inspect intermediate states,
 		// which the reduction does not preserve; candidates are empty when
@@ -298,21 +277,9 @@ func (ctx *searchCtx) loadKey(t, i int) string {
 	return fmt.Sprintf("T%d:%d", t, i)
 }
 
-// encode appends the visited-set key of s, the canonical representative
-// under symmetry and the state image otherwise, and returns it with its
-// segment ends.
-func (ctx *searchCtx) encode(s *System, sc *expandScratch, buf []byte) ([]byte, []int) {
-	if ctx.canon != nil {
-		return ctx.canon.canonical(s, &sc.canon, buf)
-	}
-	buf = s.encodeImage(buf, &sc.ends)
-	return buf, sc.ends
-}
-
-// entry returns the frontier entry of an image whose key ins just
-// stored: a copy of the image, prefixed under exact storage without
-// symmetry (where the key is the image) by the key's segment-ID vector,
-// so expanding the entry hands the exact set its parent's IDs without a
+// entry returns the frontier entry of an image ins just stored: a copy
+// of the image, prefixed under exact storage by its segment-ID vector, so
+// expanding the entry hands the exact set its parent's IDs without a
 // lookup.
 func (ctx *searchCtx) entry(img []byte, ins inserter) []byte {
 	if !ctx.carryIDs {
@@ -355,28 +322,6 @@ func (ctx *searchCtx) outcome(s *System) memmodel.Outcome {
 	return out
 }
 
-// orbitOutcomes adds the outcome of s under every non-identity group
-// permutation: the reduced search reaches one representative per orbit of
-// quiescent states, so the permuted siblings' outcomes (same loaded
-// values, observed by the permuted cores) are synthesized here to keep the
-// reported outcome set equal to the unreduced search's.
-func (ctx *searchCtx) orbitOutcomes(s *System, set memmodel.OutcomeSet) {
-	for pi := 1; pi < len(ctx.canon.perms); pi++ {
-		p := &ctx.canon.perms[pi]
-		out := memmodel.Outcome{}
-		for t, ti := range p.core {
-			core := s.Cores[ti]
-			for i, v := range core.Loads {
-				out[ctx.loadKey(t, i)] = v
-			}
-		}
-		for i, a := range ctx.opts.ObserveMem {
-			out[ctx.memKeys[i]] = s.Mem.Read(a)
-		}
-		set.Add(out)
-	}
-}
-
 // Explore runs an exhaustive breadth-first search from the initial system
 // state over Workers workers sharing one FIFO frontier and one visited set.
 // It visits every reachable state (modulo the MaxStates budget) and reports
@@ -413,22 +358,21 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	defer stopWatch()
 	visited := newVisited(opts, workers, ctx.segments)
 	defer visited.release()
-	var seed expandScratch
+	var ends []int
 	ins := visited.handle(0)
-	key, ends := ctx.encode(initial, &seed, nil)
-	ins.Insert(key, ends, 0)
+	img := initial.encodeImage(nil, &ends)
+	ins.Insert(img, ends, 0)
 
 	sq, err := newSpillQueue(opts.SpillDir, opts.spillRing)
 	if err != nil {
 		panic(err.Error())
 	}
 	defer sq.close()
-	f := newFrontier(sq, ctx.entry(initial.EncodeBinary(nil), ins))
+	f := newFrontier(sq, ctx.entry(img, ins))
 
 	stopProgress := startProgress(ctx, visited, f)
 	defer stopProgress()
 	res := explore(initial, ctx, workers, visited, f)
-	res.SymmetryPerms = ctx.canon.Perms()
 	res.Engine = initial.Engine()
 
 	st := visited.stats()
@@ -667,20 +611,10 @@ func (ctx *searchCtx) expand(cur *System, pre []byte, res *Result, sc *expandScr
 		return
 	}
 	if cur.Quiescent() {
-		o := ctx.outcome(cur)
-		res.Outcomes.Add(o)
-		if ctx.canon != nil {
-			ctx.orbitOutcomes(cur, res.Outcomes)
-		}
+		res.Outcomes.Add(ctx.outcome(cur))
 		return
 	}
-	if ctx.canon != nil {
-		// Report the orbit size so the count matches the unreduced
-		// search, which visits every permuted sibling separately.
-		res.Deadlocks += ctx.canon.orbitSize(cur, &sc.canon)
-	} else {
-		res.Deadlocks++
-	}
+	res.Deadlocks++
 	// Which worker meets which deadlock first depends on the schedule;
 	// keeping the lexicographically least snapshot (here and at merge)
 	// makes the diagnostic the same at every worker count.
@@ -696,9 +630,8 @@ func (ctx *searchCtx) expand(cur *System, pre []byte, res *Result, sc *expandScr
 // component and the memory from their segments of pre and copies the
 // channels and cores back. A successor's image is spliced: pre's bytes
 // for every component the move left alone, a fresh encode of the rest
-// (the full encode when Apply reports no component). Under symmetry the
-// visited key is the canonical encode, and the image is built only for
-// an admitted successor. Admitted images are handed to enqueue borrowed —
+// (the full encode when Apply reports no component); the image is the
+// visited-set key. Admitted images are handed to enqueue borrowed —
 // valid only until the callback returns — so the callback must copy what
 // it keeps. Returns whether any move progressed; when none did, cur was
 // never dirtied and is still the expanded state.
@@ -719,17 +652,8 @@ func (ctx *searchCtx) successorsInPlace(cur *System, pre []byte, res *Result, sc
 		}
 		dirty = true
 		res.Transitions++
-		if ctx.canon == nil {
-			sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs, &sc.ends) // the key is the image
-			if insert(sc.img, sc.ends, cur.splicedCopies()) {
-				enqueue(sc.img)
-			}
-			return true
-		}
-		var ends []int
-		sc.key, ends = ctx.canon.canonical(cur, &sc.canon, sc.key[:0])
-		if insert(sc.key, ends, 0) {
-			sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs, nil)
+		sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs, &sc.ends)
+		if insert(sc.img, sc.ends, cur.splicedCopies()) {
 			enqueue(sc.img)
 		}
 		return true

@@ -48,11 +48,10 @@ type inserter interface {
 	// Begin and End bracket one expansion's run of Inserts so a handle can
 	// amortize work across the whole batch. parent is the expanded
 	// state's image with segment ends pends, and ids the segment-ID vector
-	// its key was stored with, or nil when its frontier entry carried none
-	// (the key was not the image, as under symmetry): the exact set reuses
-	// those IDs for every successor segment equal to the parent's, and the
-	// fingerprint table holds its growth-rendezvous flag open for the
-	// window. An Insert outside any window behaves as a window of one with
+	// it was stored with (nil under hash compaction, whose entries carry
+	// none): the exact set reuses those IDs for every successor segment
+	// equal to the parent's, and the fingerprint table ignores them and
+	// holds its growth-rendezvous flag open for the window. An Insert outside any window behaves as a window of one with
 	// no parent.
 	Begin(parent []byte, pends []int, ids []byte)
 	End()
@@ -101,8 +100,7 @@ func sternDillOmission(n int64) float64 {
 // ---------------------------------------------------------------------------
 // Exact mode: the collapse-compressed set of state keys.
 //
-// A key (a state image, or its canonical form under symmetry) is a fixed
-// sequence of segments: one per component, then the shared memory, the
+// A key (a state image) is a fixed sequence of segments: one per component, then the shared memory, the
 // channel block and the cores (System.encodeImage records their ends).
 // Reachable states share few distinct segments per position — the
 // MESI&RCC-O extraction's 253,244 states hold 106 and 59 cache images,
@@ -317,11 +315,7 @@ func (s *stripe) insert(vec []byte, tag uint32) (isNew, ok bool) {
 
 // Begin implements inserter by decoding the parent's IDs.
 func (h *exactHandle) Begin(parent []byte, pends []int, ids []byte) {
-	h.parent, h.pends, h.pids = nil, nil, h.pids[:0]
-	if ids == nil {
-		return
-	}
-	h.parent, h.pends = parent, pends
+	h.parent, h.pends, h.pids = parent, pends, h.pids[:0]
 	for range pends {
 		id, n := binary.Uvarint(ids)
 		if n <= 0 {

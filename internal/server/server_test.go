@@ -263,6 +263,8 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 		`{"check":{"pair":["MSI","RCC"],"caches":1,"addrs":1,"compiled":true}}`:                      `unknown field "compiled"`,
 		`{"compile":{"pair":["MSI","MSI"],"search":{"workers":1,"compile_cache":"/tmp/elsewhere"}}}`: `unknown field "compile_cache"`,
 		`{"check":{"protocol":"MSI","cache":1}}`:                                                     `unknown field "cache"`,
+		`{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1,"symmetry":true}}}`:   `unknown field "symmetry"`,
+		`{"compile":{"pair":["MSI","MSI"],"search":{"symmetry":true}}}`:                              `unknown field "symmetry"`,
 		`{"verify":{"protocol":"MSI"}}`:                                                              `unknown field "verify"`,
 		`{"check":{"protocol":"MSI"}} {"check":{"protocol":"MSI"}}`:                                  "trailing data",
 	} {

@@ -189,8 +189,7 @@ func DecodeNodeSet(d *Dec) NodeSet {
 	return s
 }
 
-// DecodeState implements StateCodec: the inverse of AppendBinaryRelabeled
-// with the identity relabeling.
+// DecodeState implements StateCodec: the inverse of AppendBinary.
 func (c *CacheInst) DecodeState(d *Dec) error {
 	if id := NodeID(d.Int()); d.err == nil && id != c.id {
 		d.fail("cache id %d decoded into cache %d", id, c.id)

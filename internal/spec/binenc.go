@@ -15,14 +15,6 @@ import "encoding/binary"
 // Controller states are written as their index in Machine.States()
 // (StateID − 1) and message types as their MsgID, never as names: a
 // one-byte varint instead of a string per line or message.
-//
-// Each encoder also has an AppendBinaryRelabeled form taking a Relabel that
-// maps every NodeID reference (component ids, message endpoints, sharer
-// sets, owners) through a permutation. Symmetry reduction encodes a state
-// under each permutation of interchangeable caches and keeps the
-// lexicographically least result; a nil Relabel is the identity, and for
-// the encoders here AppendBinaryRelabeled(buf, nil) equals AppendBinary(buf)
-// byte for byte. A relabeled encoding is a key only, never decoded.
 
 // BinaryAppender is the binary counterpart of Component.Snapshot: it
 // appends a compact, self-delimiting image of the component's state to
@@ -67,24 +59,19 @@ func AppendString(buf []byte, s string) []byte {
 
 // AppendBinary encodes the message: type number, endpoints and payload
 // fields. Pointer receiver: encode loops over message slices are hot
-// enough that the by-value copy of the struct showed up in profiles.
+// enough that the by-value copy of the struct showed up in profiles. The
+// type is its MsgID, which sorts as the name did (Vocab).
 func (m *Msg) AppendBinary(buf []byte) []byte {
-	return m.AppendBinaryRelabeled(buf, nil)
-}
-
-// AppendBinaryRelabeled encodes the message with its endpoint ids mapped
-// through r. The type is its MsgID, which sorts as the name did (Vocab).
-func (m *Msg) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
 	buf = AppendUvarint(buf, uint64(m.Type))
-	return m.appendFields(buf, r)
+	return m.appendFields(buf)
 }
 
 // appendFields encodes everything after the type.
-func (m *Msg) appendFields(buf []byte, r Relabel) []byte {
+func (m *Msg) appendFields(buf []byte) []byte {
 	buf = AppendInt(buf, int(m.Addr))
-	buf = AppendInt(buf, int(r.Of(m.Src)))
-	buf = AppendInt(buf, int(r.Of(m.Dst)))
-	buf = AppendInt(buf, int(r.Of(m.Req)))
+	buf = AppendInt(buf, int(m.Src))
+	buf = AppendInt(buf, int(m.Dst))
+	buf = AppendInt(buf, int(m.Req))
 	buf = AppendInt(buf, m.Data)
 	buf = AppendBool(buf, m.HasData)
 	buf = AppendInt(buf, m.Ack)
@@ -96,13 +83,7 @@ func (m *Msg) appendFields(buf []byte, r Relabel) []byte {
 // pending request and the sync/load bookkeeping — the same facts as
 // Snapshot, with line states as machine state indexes.
 func (c *CacheInst) AppendBinary(buf []byte) []byte {
-	return c.AppendBinaryRelabeled(buf, nil)
-}
-
-// AppendBinaryRelabeled implements RelabelAppender. A cache's lines hold
-// no node references, so only its own id is mapped.
-func (c *CacheInst) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
-	buf = AppendInt(buf, int(r.Of(c.id)))
+	buf = AppendInt(buf, int(c.id))
 	buf = AppendUvarint(buf, uint64(len(c.lines)))
 	for i := range c.lines {
 		l := &c.lines[i].l
@@ -129,14 +110,7 @@ func (c *CacheInst) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
 // AppendBinary encodes id and the directory lines in address order: state
 // index, owner and the sharer bitset — the same facts as Snapshot.
 func (d *DirInst) AppendBinary(buf []byte) []byte {
-	return d.AppendBinaryRelabeled(buf, nil)
-}
-
-// AppendBinaryRelabeled implements RelabelAppender: the owner and every
-// sharer id are mapped through r (a relabeled NodeSet iterates in
-// ascending mapped order, so the sharer list stays canonical).
-func (d *DirInst) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
-	buf = AppendInt(buf, int(r.Of(d.id)))
+	buf = AppendInt(buf, int(d.id))
 	buf = AppendUvarint(buf, uint64(d.n))
 	for p, pg := range d.pages {
 		for o := range pg {
@@ -146,10 +120,9 @@ func (d *DirInst) AppendBinaryRelabeled(buf []byte, r Relabel) []byte {
 			}
 			buf = AppendInt(buf, p<<dirPageBits|o)
 			buf = AppendInt(buf, int(l.State)-1)
-			buf = AppendInt(buf, int(r.Of(l.Owner)))
-			sh := l.Sharers.Relabeled(r)
-			buf = AppendUvarint(buf, uint64(sh.Len()))
-			sh.Each(func(s NodeID) { buf = AppendInt(buf, int(s)) })
+			buf = AppendInt(buf, int(l.Owner))
+			buf = AppendUvarint(buf, uint64(l.Sharers.Len()))
+			l.Sharers.Each(func(s NodeID) { buf = AppendInt(buf, int(s)) })
 		}
 	}
 	return buf

@@ -80,10 +80,6 @@ func (c *CacheInst) Protocol() *Protocol { return c.proto }
 // Vocab implements Namer.
 func (c *CacheInst) Vocab() *Vocab { return c.proto.vocab }
 
-// DirID returns the directory this cache sends requests to. The model
-// checker's symmetry detection groups caches by (protocol, directory).
-func (c *CacheInst) DirID() NodeID { return c.dir }
-
 // findLine binary-searches the sorted line slice for addr, returning the
 // insertion index and whether the line is present. The checker holds two
 // or three lines per cache, but the performance simulator holds hundreds,

@@ -91,41 +91,3 @@ func (s *NodeSet) Members() []NodeID {
 	s.Each(func(id NodeID) { out = append(out, id) })
 	return out
 }
-
-// Relabeled returns the set with every member id mapped through r.
-func (s *NodeSet) Relabeled(r Relabel) NodeSet {
-	if r == nil {
-		return *s
-	}
-	var out NodeSet
-	s.Each(func(id NodeID) { out.Add(r.Of(id)) })
-	return out
-}
-
-// Relabel maps NodeIDs to NodeIDs for symmetry-reduced state encoding: the
-// model checker canonicalizes a state by encoding it under every
-// permutation of interchangeable caches and keeping the lexicographically
-// least form. A nil Relabel is the identity; ids outside the slice (and
-// NoNode) map to themselves.
-type Relabel []NodeID
-
-// Of returns the relabeled id.
-func (r Relabel) Of(id NodeID) NodeID {
-	if r == nil || id < 0 || int(id) >= len(r) {
-		return id
-	}
-	return r[id]
-}
-
-// RelabelAppender is implemented by components that can append their
-// binary state encoding with every NodeID reference mapped through r —
-// the hook symmetry reduction needs to encode a state as it would look
-// with interchangeable caches permuted. AppendBinaryRelabeled(buf, nil)
-// must distinguish exactly the states AppendBinary does, in the layout
-// every other permutation uses, since canonical keys compare encodings
-// across permutations. It need not be AppendBinary's bytes:
-// core.CompiledDir writes its interpreted image here and its state
-// register there.
-type RelabelAppender interface {
-	AppendBinaryRelabeled(buf []byte, r Relabel) []byte
-}

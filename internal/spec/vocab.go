@@ -19,8 +19,8 @@ import (
 // Message images carry the ID as a one-byte uvarint, so for vocabularies
 // of up to 128 types an image sorts as the same image with the names
 // written out would, and what image order decides (the compiled table's
-// canonical state numbering, hence the artifact's bytes, and symmetry's
-// minimum image) does not depend on the numbering. Plain name order,
+// canonical state numbering, hence the artifact's bytes) does not depend
+// on the numbering. Plain name order,
 // which the compiled table's message order breaks ties by, is kept as a
 // rank table (NameRank).
 type Vocab struct {
@@ -109,7 +109,7 @@ func (v *Vocab) Format(m Msg) string {
 // messages this way, so its bytes do not depend on any numbering.
 func (v *Vocab) AppendMsg(buf []byte, m *Msg) []byte {
 	buf = AppendString(buf, string(v.Name(m.Type)))
-	return m.appendFields(buf, nil)
+	return m.appendFields(buf)
 }
 
 // DecodeMsg reads a named image written by AppendMsg. A name outside the
