@@ -25,8 +25,9 @@ vet:
 race:
 	$(GO) test -race -timeout 30m ./internal/mcheck/... ./internal/litmus/... ./internal/core/... ./internal/engine/... ./internal/server/... ./internal/protocols/...
 
-# Allocation regression guards: the search hot path (restore, Apply,
-# splice and Insert, allocation-free for a rejected successor), the cost
+# Allocation regression guards: the search hot path (memo lookups, the
+# vector edit, keying and Insert, allocation-free for a rejected successor
+# once every memo is warm, under both storage modes), the cost
 # of a System Clone, the bytes-per-state guard on the compacted visited
 # table, the frontier publish/take cycle, the compiler's memo-hit replay
 # path, the steady-state deliveries of a cache, a directory and the

@@ -950,8 +950,8 @@ func (d *CompiledDir) Snapshot(b *spec.SnapshotWriter) {
 	b.WriteString(d.cf.snapOf(d.state()))
 }
 
-// AppendBinary implements spec.StateCodec with the state register: the
-// visited-set key, the frontier entry and the restore image. Within one table the register is a bijection with the interned
+// AppendBinary implements spec.StateCodec with the state register (a
+// search numbers the directory by it: Register). Within one table the register is a bijection with the interned
 // (image, memory) pair, so the key distinguishes exactly the states the
 // interpreted image does; the shared memory is encoded by the host as
 // usual.
@@ -972,6 +972,17 @@ func (d *CompiledDir) DecodeState(dec *spec.Dec) error {
 	return nil
 }
 
+// Register implements mcheck.Registered: a search numbers the directory
+// by its state register and delivers through step, its only memo.
+func (d *CompiledDir) Register() uint32 { return uint32(d.cur) }
+
+// SetRegister implements mcheck.Registered.
+func (d *CompiledDir) SetRegister(n uint32) { d.cur = int32(n) }
+
+// MemoryImage implements mcheck.Registered with the memory image
+// interned with the current state.
+func (d *CompiledDir) MemoryImage() []byte { return d.state().mem }
+
 // RefNodes implements spec.NodeReferrer with the interpreted component's
 // references captured at intern time (identical ample-set choices).
 func (d *CompiledDir) RefNodes() spec.NodeSet { return d.state().refs }
@@ -984,4 +995,5 @@ var (
 	_ spec.StateCodec     = (*CompiledDir)(nil)
 	_ spec.NodeReferrer   = (*CompiledDir)(nil)
 	_ mcheck.MemoryCloner = (*CompiledDir)(nil)
+	_ mcheck.Registered   = (*CompiledDir)(nil)
 )

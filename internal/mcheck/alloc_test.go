@@ -2,15 +2,16 @@
 
 package mcheck
 
-// Allocation regression guards. The search's hot path is the in-place
-// expansion: decode the taken image once, then restore → Apply → splice →
-// Insert per move, which must allocate nothing for a successor the
-// visited set rejects. Clone → Apply → encode is no longer on it (workers
-// clone the initial system once), but Clone stays the cost of a value
-// copy of a state, kept to O(components) allocations by the flat state
-// layout. The file is excluded under the race detector, whose
-// instrumentation changes allocation counts; `make check` runs it in a
-// separate uninstrumented pass.
+// Allocation regression guards. The search's hot path is the numbered
+// expansion: decode the taken key into a vector, then per move look the
+// move up in the memos, edit a copy of the vector, key it and probe the
+// visited set, which must allocate nothing for a successor the visited
+// set rejects once the memos are warm. Clone → Apply → encode is off it,
+// but Clone stays the cost of a value copy of a state, kept to
+// O(components) allocations by the flat state layout. The file is
+// excluded under the race detector, whose instrumentation changes
+// allocation counts; `make check` runs it in a separate uninstrumented
+// pass.
 
 import (
 	"bytes"
@@ -77,13 +78,12 @@ func TestAllocRegressionCloneApplyEncode(t *testing.T) {
 }
 
 // TestAllocRegressionInPlace guards the search's per-transition loop, run
-// through the search's own successorsInPlace under every storage mode: in
-// steady state, with every successor already visited, restoring the
-// state, applying a move, splicing the successor's image and probing the
-// visited set allocate nothing.
+// through the search's own worker under every storage mode: in steady
+// state, with every memo warm and every successor already visited,
+// expanding a state — memo lookups, vector edits, keying and visited-set
+// probes — allocates nothing.
 func TestAllocRegressionInPlace(t *testing.T) {
 	sys := allocSystem(t)
-	pre := sys.EncodeBinary(nil)
 	for _, mode := range []struct {
 		name string
 		opts Options
@@ -95,43 +95,44 @@ func TestAllocRegressionInPlace(t *testing.T) {
 			opts := mode.opts
 			opts.Evictions = true
 			opts.POR = POROff // every move, not an ample subset
-			ctx := newSearchCtx(sys, opts, DefaultMaxStates)
-			visited := newVisited(opts, 1, sys.imageSegments())
+			ctx := newSearchCtx(sys, opts, DefaultMaxStates, 1)
+			visited := newVisited(opts, 1)
 			defer visited.release()
 			ins := visited.handle(0)
-			cur := sys.Clone()
-			var sc expandScratch
-			if err := decodeImage(cur, pre, &sc.segs); err != nil {
-				t.Fatal(err)
-			}
-			sc.moves = cur.AppendMoves(sc.moves[:0], opts.Evictions)
-			ins.Insert(pre, sc.segs, 0) // the expanded state is visited, as in a search
-			ids := bytes.Clone(ins.IDs())
+			w := newWorker(ctx)
+			key := ctx.num.number(sys).appendKey(nil)
+			ins.Insert(key) // the expanded state is visited, as in a search
 			var res Result
 			admitted := 0
 			expand := func() {
-				ins.Begin(pre, sc.segs, ids)
-				ctx.successorsInPlace(cur, pre, &res, &sc, ins.Insert, func([]byte) { admitted++ })
+				w.cur.decode(key, ctx.num)
+				ins.Begin()
+				w.expand(&res, ins.Insert, func([]byte) { admitted++ })
 				ins.End()
-				// Back to the expanded state for the next run, as the
-				// next move's restore would.
-				if err := cur.restore(pre, sc.segs, &sc.saved); err != nil {
-					t.Fatal(err)
-				}
 			}
-			expand() // admits every successor once
+			expand() // memoizes every move and admits every successor once
 			if admitted == 0 || res.Transitions < 2 {
 				t.Fatalf("measurement state has %d successors (%d admitted) — too few to measure", res.Transitions, admitted)
 			}
+			memos := func() (n int) {
+				for _, pt := range ctx.num.pos {
+					n += len(pt.memo)
+				}
+				return n + len(ctx.num.fifoPush)
+			}
+			warm := memos()
 			succs, admitted := res.Transitions, 0
 			allocs := testing.AllocsPerRun(200, expand)
 			if admitted != 0 {
 				t.Fatalf("%d successors admitted on a revisit", admitted)
 			}
+			if n := memos(); n != warm {
+				t.Fatalf("a warm expansion missed a memo: %d memo entries, %d after the first expansion", n, warm)
+			}
 			perSucc := allocs / float64(succs)
-			t.Logf("restore+Apply+splice+Insert: %.2f allocs per rejected successor", perSucc)
+			t.Logf("memo+vector+Insert: %.2f allocs per rejected successor", perSucc)
 			if allocs > 0 {
-				t.Errorf("restore+Apply+splice+Insert allocates %.2f per rejected successor, budget 0", perSucc)
+				t.Errorf("memo+vector+Insert allocates %.2f per rejected successor, budget 0", perSucc)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"heterogen/internal/memmodel"
 	"heterogen/internal/protocols"
 )
 
@@ -46,12 +47,25 @@ func cancelOptions(cancel context.CancelFunc, threshold int) Options {
 	}
 }
 
+// iriwReaders is IRIW whose writers also read the other location: 32,899
+// states, enough that a cancellation reported at a 1 ms cadence lands
+// mid-search at every worker count (plain IRIW's 6,344 states can finish
+// first).
+func iriwReaders() *memmodel.Program {
+	return memmodel.NewProgram(
+		[]*memmodel.Op{memmodel.St("x", 1), memmodel.Ld("y")},
+		[]*memmodel.Op{memmodel.St("y", 1), memmodel.Ld("x")},
+		[]*memmodel.Op{memmodel.Ld("x"), memmodel.Ld("y")},
+		[]*memmodel.Op{memmodel.Ld("y"), memmodel.Ld("x")},
+	)
+}
+
 // TestCancelPartialResult drives a mid-search cancellation at both worker
 // counts and checks the three contract points: the result is flagged
 // partial, nothing leaks (goroutines or spill files), and a fresh rerun
 // of the same configuration still produces the full, unchanged result.
 func TestCancelPartialResult(t *testing.T) {
-	control := exploreWith(t, iriw(), 1, Options{POR: POROff})
+	control := exploreWith(t, iriwReaders(), 1, Options{POR: POROff})
 	if control.Cancelled || !control.Ok() {
 		t.Fatalf("control run not clean: %s", control)
 	}
@@ -62,7 +76,7 @@ func TestCancelPartialResult(t *testing.T) {
 		opts := cancelOptions(cancel, control.States/10)
 		opts.SpillDir = t.TempDir()
 		opts.Workers = workers
-		res := exploreIRIWCtx(t, ctx, opts)
+		res := exploreProgramCtx(t, ctx, iriwReaders(), opts)
 		cancel()
 
 		if !res.Cancelled {
@@ -87,7 +101,7 @@ func TestCancelPartialResult(t *testing.T) {
 
 		// Rerun without cancellation: the partial run must not have
 		// perturbed anything — the full result still comes out whole.
-		rerun := exploreWith(t, iriw(), workers, Options{POR: POROff})
+		rerun := exploreWith(t, iriwReaders(), workers, Options{POR: POROff})
 		if rerun.Cancelled || rerun.States != control.States || rerun.Deadlocks != control.Deadlocks {
 			t.Fatalf("workers=%d: rerun after cancel diverged: got %s, control %s", workers, rerun, control)
 		}
@@ -103,7 +117,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		res := exploreIRIWCtx(t, ctx, Options{POR: POROff, Workers: workers})
+		res := exploreProgramCtx(t, ctx, iriw(), Options{POR: POROff, Workers: workers})
 		if !res.Cancelled {
 			t.Fatalf("workers=%d: expected Cancelled on a pre-cancelled context, got %s", workers, res)
 		}
@@ -122,10 +136,9 @@ func TestExploreWithoutContextUnchanged(t *testing.T) {
 	}
 }
 
-// exploreIRIWCtx is exploreWith for the IRIW program under a context.
-func exploreIRIWCtx(t *testing.T, ctx context.Context, opts Options) *Result {
+// exploreProgramCtx is exploreWith for program p under a context.
+func exploreProgramCtx(t *testing.T, ctx context.Context, p *memmodel.Program, opts Options) *Result {
 	t.Helper()
-	p := iriw()
 	pr := protocols.MustByName(protocols.NameMSI)
 	progs, keys := reqsFor(p)
 	sys := NewHomogeneous(pr, len(p.Threads))

@@ -109,9 +109,10 @@ func TestEncodeBinaryMatchesSnapshotFused(t *testing.T) {
 }
 
 // TestSpillCodecRoundTrip round-trips every walked state of a homogeneous,
-// an interpreted fused and a compiled fused system through its image:
-// decoding EncodeBinary into a clone of the initial system must re-encode
-// to identical bytes and render an identical snapshot.
+// an interpreted fused and a compiled fused system through its numbered
+// vector, the form a search keys, queues and spills it in: numbering the
+// state and materializing the vector into a clone of the initial system
+// must re-encode to identical bytes and render an identical snapshot.
 func TestSpillCodecRoundTrip(t *testing.T) {
 	progs := [][]spec.CoreReq{
 		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}, {Op: spec.OpRelease}},
@@ -139,10 +140,7 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 			walkStates(t, tc.sys, 3000, func(cur *mcheck.System) {
 				states++
 				enc := cur.EncodeBinary(nil)
-				clone := template.Clone()
-				if err := mcheck.DecodeImage(clone, enc); err != nil {
-					t.Fatalf("decode: %v\nstate: %s", err, cur.Snapshot())
-				}
+				clone := mcheck.RoundTrip(template, cur)
 				if re := clone.EncodeBinary(nil); !bytes.Equal(enc, re) {
 					t.Fatalf("re-encode differs from encode\nstate: %s", cur.Snapshot())
 				}

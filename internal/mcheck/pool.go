@@ -18,7 +18,7 @@ import "sync/atomic"
 // allocator: Acquire answers whether the requested bytes fit under the
 // configured total, and the caller allocates normally on a grant. Exact
 // (non-lossy) visited sets are unpooled — their growth is proportional to
-// the states and distinct segments they store and is bounded by
+// the states they store and is bounded by
 // MaxStates, not MemBudget, matching the per-search semantics they always
 // had.
 type MemPool struct {

@@ -60,7 +60,7 @@ func TestMemPoolSharedBudget(t *testing.T) {
 	s := newFPSet(0, 1, tiny)
 	ins := s.handle(0)
 	for i := 0; i < 2*fpInitialSlots && !s.Full(); i++ {
-		ins.Insert(encOf(i), nil, 0)
+		ins.Insert(encOf(i))
 	}
 	if !s.Full() {
 		t.Fatal("fingerprint table under a starved pool never declared itself full")

@@ -87,21 +87,27 @@ func porCandidates(s *System) []spec.NodeID {
 	return cands
 }
 
-// selectAmple picks an ample move subset for the current state: the moves
-// of the first isolated candidate that has some moves but not all of them.
-// On success sc.moves is stably partitioned with the ample block first and
-// its length returned; 0 means no reduction applies and sc.moves is left in
-// its deterministic full order.
-func (ctx *searchCtx) selectAmple(cur *System, sc *expandScratch) int {
+// selectAmple picks an ample move subset for the expanded state w.cur:
+// the moves of the first isolated candidate that has some moves but not
+// all of them. On success w.moves is stably partitioned with the ample
+// block first and its length returned; 0 means no reduction applies and
+// w.moves is left in its deterministic full order.
+func (w *worker) selectAmple() int {
 	var refs spec.NodeSet
-	for _, c := range cur.Components {
-		refs = refs.Or(c.(spec.NodeReferrer).RefNodes())
+	for p, n := range w.cur.comps {
+		if w.num.reg[p] {
+			c := w.regs[p]
+			c.(Registered).SetRegister(n)
+			refs = refs.Or(c.(spec.NodeReferrer).RefNodes())
+		} else {
+			refs = refs.Or(w.num.pos[p].at(n).refs)
+		}
 	}
-	for _, id := range ctx.porCands {
-		if refs.Has(id) || !chanIsolated(cur, id) {
+	for _, id := range w.ctx.porCands {
+		if refs.Has(id) || !w.chanIsolated(id) {
 			continue
 		}
-		if k := partitionAmple(cur, sc, id); k > 0 && k < len(sc.moves) {
+		if k := w.partitionAmple(id); k > 0 && k < len(w.moves) {
 			return k
 		}
 	}
@@ -112,51 +118,33 @@ func (ctx *searchCtx) selectAmple(cur *System, sc *expandScratch) int {
 // incoming channels references x as sender or original requestor. (Req's
 // zero value aliases cache 0, so handshake messages that never set Req cost
 // cache 0 an occasional false negative — conservative, never unsound.)
-func chanIsolated(s *System, x spec.NodeID) bool {
-	for i := range s.chans {
-		ch := &s.chans[i]
-		if ch.k.dst == x {
-			continue
-		}
-		for j := range ch.msgs {
-			if ch.msgs[j].Src == x || ch.msgs[j].Req == x {
-				return false
-			}
+// Each FIFO number keeps the nodes its messages name, so this reads one
+// set per channel.
+func (w *worker) chanIsolated(x spec.NodeID) bool {
+	for _, cf := range w.cur.chans {
+		if w.num.chanDst(cf.ch) != x && w.num.fifo(cf.fifo).nodes.Has(x) {
+			return false
 		}
 	}
 	return true
 }
 
-// ampleMove reports whether m belongs to cache x's move class.
-func ampleMove(s *System, m Move, x spec.NodeID) bool {
-	switch m.Kind {
-	case MoveDeliver:
-		return m.Chan.dst == x
-	case MoveIssue:
-		return s.Cores[m.Core].Cache == x
-	case MoveEvict:
-		return m.Cache == x
-	}
-	return false
-}
-
-// partitionAmple stably partitions sc.moves so x's moves come first,
-// returning their count. A count of 0 or len(sc.moves) leaves the slice
+// partitionAmple stably partitions w.moves so x's moves come first,
+// returning their count. A count of 0 or len(w.moves) leaves the slice
 // untouched (no useful reduction either way).
-func partitionAmple(s *System, sc *expandScratch, x spec.NodeID) int {
-	sc.amp, sc.rest = sc.amp[:0], sc.rest[:0]
-	for _, m := range sc.moves {
-		if ampleMove(s, m, x) {
-			sc.amp = append(sc.amp, m)
+func (w *worker) partitionAmple(x spec.NodeID) int {
+	w.amp, w.rest = w.amp[:0], w.rest[:0]
+	for _, m := range w.moves {
+		if m.node == x {
+			w.amp = append(w.amp, m)
 		} else {
-			sc.rest = append(sc.rest, m)
+			w.rest = append(w.rest, m)
 		}
 	}
-	k := len(sc.amp)
-	if k == 0 || k == len(sc.moves) {
+	k := len(w.amp)
+	if k == 0 || k == len(w.moves) {
 		return k
 	}
-	sc.moves = append(sc.moves[:0], sc.amp...)
-	sc.moves = append(sc.moves, sc.rest...)
+	w.moves = append(append(w.moves[:0], w.amp...), w.rest...)
 	return k
 }

@@ -3,7 +3,6 @@ package mcheck
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -35,8 +34,8 @@ type Options struct {
 	// keys — in a lock-free open-addressing table of ~8–10 bytes per
 	// state — trading a vanishing omission probability for memory (reported
 	// in Result.OmissionProb), the technique §VII-C uses for >1 cache per
-	// cluster. Without it the visited set is exact: every key is stored as
-	// a vector of interned segment IDs (storage.go).
+	// cluster. Without it the visited set is exact: every key, a state's
+	// numbered vector (number.go), is stored whole (storage.go).
 	HashCompaction bool
 	// MemBudget bounds visited-set memory in bytes: the growth cap of the
 	// fingerprint table under HashCompaction (the search truncates with
@@ -44,9 +43,8 @@ type Options struct {
 	// Ignored in exact mode.
 	MemBudget int64
 	// SpillDir, when nonempty, bounds frontier memory too. The frontier
-	// always holds compact state images (System.EncodeBinary, rehydrated
-	// on take by decodeImage, prefixed by their segment-ID vectors under
-	// exact storage); with SpillDir, beyond a bounded in-memory
+	// always holds state keys (the uvarint bytes of numbered vectors,
+	// number.go); with SpillDir, beyond a bounded in-memory
 	// ring of 32Ki entries per window they spill in waves to temp files
 	// under this directory, streamed back FIFO. Without it the ring is
 	// unbounded and no file is created. I/O failures panic: a half-lost
@@ -140,7 +138,7 @@ type Result struct {
 	// State-storage accounting (see storage.go).
 	BudgetFull     bool    // truncation came from the storage MemBudget, not MaxStates
 	Storage        string  // "exact" or "hash-compaction", "+spill" when the frontier spilled to disk
-	TableBytes     int64   // visited-set memory (exact mode: the ID-vector table and arena plus every segment intern table)
+	TableBytes     int64   // visited-set memory (exact mode: the key table's slots and arenas)
 	BytesPerState  float64 // TableBytes per distinct visited state
 	PeakLoadFactor float64 // highest visited-table occupancy (0 in exact mode)
 	OmissionProb   float64 // estimated probability ≥1 state was omitted (lossy modes)
@@ -202,40 +200,32 @@ func lossy(storage string) bool {
 	return storage != "" && storage != "exact" && storage != "exact+spill"
 }
 
-// searchCtx is the per-search immutable context shared by all workers:
-// resolved options and the outcome key tables precomputed once instead of
-// fmt.Sprintf-ed per quiescent state.
+// searchCtx is the per-search context shared by all workers: resolved
+// options, the numbering tables and the outcome key tables precomputed
+// once instead of fmt.Sprintf-ed per quiescent state.
 type searchCtx struct {
 	opts      Options
 	maxStates int
-	segments  int           // key segment count (System.imageSegments)
-	carryIDs  bool          // frontier entries carry their key's segment IDs (entry)
+	initial   *System       // cloned by each worker to materialize states
+	num       *numbering    // the search's state tables (number.go)
 	por       bool          // ample-set reduction active for this search
 	porCands  []spec.NodeID // reduction candidates (top-level caches)
 	loadKeys  [][]string    // per core, per completed-load index
 	memKeys   []string      // per ObserveMem entry
+	// tried, when set, sees every move the search tries, materialized
+	// with its parent and successor (nil when the move stalls), before
+	// the visited set sees the successor (the differential tests' probe).
+	tried func(parent *System, m Move, succ *System)
 	// cancelled is raised by the context watcher goroutine; the search
 	// loop polls it at the same cadence as the state-budget check, so
 	// cancellation is cooperative and costs one atomic load per expansion.
 	cancelled atomic.Bool
 }
 
-// expandScratch is the per-worker reusable buffer set.
-type expandScratch struct {
-	moves []Move
-	amp   []Move // ample-partition scratch (por.go)
-	rest  []Move
-	img   []byte // state image of the latest successor
-	ends  []int  // segment ends of the latest image (encodeImage)
-	segs  []int  // decodeImage's segment ends of the expanded state's image
-	saved tailCopy
-}
-
-func newSearchCtx(initial *System, opts Options, maxStates int) *searchCtx {
+func newSearchCtx(initial *System, opts Options, maxStates, workers int) *searchCtx {
 	ctx := &searchCtx{
-		opts: opts, maxStates: maxStates,
-		segments: initial.imageSegments(),
-		carryIDs: !opts.HashCompaction,
+		opts: opts, maxStates: maxStates, initial: initial,
+		num: newNumbering(initial, workers),
 	}
 	if opts.POR != POROff && len(opts.Invariants) == 0 && initial.OnDeliver == nil {
 		// Invariants and delivery observers inspect intermediate states,
@@ -277,36 +267,6 @@ func (ctx *searchCtx) loadKey(t, i int) string {
 	return fmt.Sprintf("T%d:%d", t, i)
 }
 
-// entry returns the frontier entry of an image ins just stored: a copy
-// of the image, prefixed under exact storage by its segment-ID vector, so
-// expanding the entry hands the exact set its parent's IDs without a
-// lookup.
-func (ctx *searchCtx) entry(img []byte, ins inserter) []byte {
-	if !ctx.carryIDs {
-		return bytes.Clone(img)
-	}
-	ids := ins.IDs()
-	e := make([]byte, 0, len(ids)+len(img))
-	return append(append(e, ids...), img...)
-}
-
-// splitEntry splits a frontier entry into its segment-ID vector (nil
-// unless carried) and the state image.
-func (ctx *searchCtx) splitEntry(e []byte) (ids, img []byte) {
-	if !ctx.carryIDs {
-		return nil, e
-	}
-	n := 0
-	for range ctx.segments {
-		_, k := binary.Uvarint(e[n:])
-		if k <= 0 {
-			panic("mcheck: frontier entry's segment-ID vector is malformed")
-		}
-		n += k
-	}
-	return e[:n], e[n:]
-}
-
 // outcome extracts the litmus outcome of a quiescent state using the
 // precomputed key tables.
 func (ctx *searchCtx) outcome(s *System) memmodel.Outcome {
@@ -343,6 +303,11 @@ func Explore(initial *System, opts Options) *Result {
 // bug, a spill I/O error) is re-raised on the calling goroutine after the
 // same cleanup. The initial system is never mutated.
 func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
+	return exploreProbed(cctx, initial, opts, nil)
+}
+
+// exploreProbed is ExploreCtx with the searchCtx.tried probe.
+func exploreProbed(cctx context.Context, initial *System, opts Options, tried func(*System, Move, *System)) *Result {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
@@ -353,26 +318,25 @@ func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 		// by clones and not synchronized; keep those walks on one worker.
 		workers = 1
 	}
-	ctx := newSearchCtx(initial, opts, maxStates)
+	ctx := newSearchCtx(initial, opts, maxStates, workers)
+	ctx.tried = tried
 	stopWatch := watchCancel(cctx, ctx)
 	defer stopWatch()
-	visited := newVisited(opts, workers, ctx.segments)
+	visited := newVisited(opts, workers)
 	defer visited.release()
-	var ends []int
-	ins := visited.handle(0)
-	img := initial.encodeImage(nil, &ends)
-	ins.Insert(img, ends, 0)
+	root := ctx.num.number(initial).appendKey(nil)
+	visited.handle(0).Insert(root)
 
 	sq, err := newSpillQueue(opts.SpillDir, opts.spillRing)
 	if err != nil {
 		panic(err.Error())
 	}
 	defer sq.close()
-	f := newFrontier(sq, ctx.entry(img, ins))
+	f := newFrontier(sq, root)
 
 	stopProgress := startProgress(ctx, visited, f)
 	defer stopProgress()
-	res := explore(initial, ctx, workers, visited, f)
+	res := explore(ctx, workers, visited, f)
 	res.Engine = initial.Engine()
 
 	st := visited.stats()
@@ -475,7 +439,7 @@ func startProgress(ctx *searchCtx, visited visitedSet, f *frontier) func() {
 // spawned worker that panics stops the frontier instead of killing the
 // process; once every worker has exited, its panic value is re-raised
 // here, on the caller's goroutine.
-func explore(initial *System, ctx *searchCtx, workers int, visited visitedSet, f *frontier) *Result {
+func explore(ctx *searchCtx, workers int, visited visitedSet, f *frontier) *Result {
 	results := make([]*Result, workers)
 	panics := make(chan any, workers)
 	var wg sync.WaitGroup
@@ -489,14 +453,14 @@ func explore(initial *System, ctx *searchCtx, workers int, visited visitedSet, f
 					panics <- p
 				}
 			}()
-			results[w] = ctx.work(initial.Clone(), visited, visited.handle(w), f)
+			results[w] = ctx.work(newWorker(ctx), visited, visited.handle(w), f)
 		}(w)
 	}
 	func() {
 		// Runs on worker 0's panic too: siblings stop and exit before the
 		// panic unwinds past ExploreCtx's cleanup.
 		defer func() { f.stop(); wg.Wait() }()
-		results[0] = ctx.work(initial.Clone(), visited, visited.handle(0), f)
+		results[0] = ctx.work(newWorker(ctx), visited, visited.handle(0), f)
 	}()
 	select {
 	case p := <-panics:
@@ -525,29 +489,26 @@ func explore(initial *System, ctx *searchCtx, workers int, visited visitedSet, f
 }
 
 // work is one worker's search loop: trade the successors admitted while
-// expanding the last batch for the next batch, rehydrate each taken state
-// into the worker's own System cur, and expand it in place. Admitted
-// successors enter the frontier as their state images, so no System
-// outlives its expansion. The loop ends when the frontier drains or
-// stops, or when the state budget, the visited set's memory budget or
-// cancellation fires.
-func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *frontier) *Result {
+// expanding the last batch for the next batch and expand each taken
+// state's key. Admitted successors enter the frontier as their keys. The
+// loop ends when the frontier drains or stops, or when the state budget,
+// the visited set's memory budget or cancellation fires.
+func (ctx *searchCtx) work(w *worker, visited visitedSet, ins inserter, f *frontier) *Result {
 	res := &Result{Outcomes: memmodel.OutcomeSet{}}
 	// A panic mid-expansion must not leave the handle's window open: a
 	// sibling growing the fingerprint table would wait on it forever.
 	defer ins.End()
-	var sc expandScratch
 	var batch, pend [][]byte
-	admit := func(img []byte) { pend = append(pend, ctx.entry(img, ins)) }
+	admit := func(key []byte) { pend = append(pend, bytes.Clone(key)) }
 	for done := 0; ; {
 		batch = f.exchange(pend, done, batch)
-		clear(pend) // the frontier owns the published encodings now
+		clear(pend) // the frontier owns the published keys now
 		pend = pend[:0]
 		if len(batch) == 0 {
 			return res
 		}
 		done = len(batch)
-		for i, enc := range batch {
+		for i, key := range batch {
 			batch[i] = nil
 			if visited.Size() > ctx.maxStates || visited.Full() {
 				res.Truncated = true
@@ -559,31 +520,64 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 				f.stop()
 				return res
 			}
-			ids, img := ctx.splitEntry(enc)
-			if err := decodeImage(cur, img, &sc.segs); err != nil {
-				panic(err.Error())
-			}
-			ins.Begin(img, sc.segs, ids)
-			ctx.expand(cur, img, res, &sc, ins.Insert, admit)
+			w.cur.decode(key, ctx.num)
+			ins.Begin()
+			w.expand(res, ins.Insert, admit)
 			ins.End()
 		}
 	}
 }
 
-// expand processes one taken state, cur decoded from its image pre:
-// invariants, successor generation (insert filters duplicates, enqueue
-// receives the new ones) and deadlock/outcome classification.
-//
-// Successors are generated in place (successorsInPlace): each move is
-// applied to cur directly, the successor's image is spliced from pre and
-// keyed, the image is handed to enqueue *borrowed* only if the visited
-// set actually admits it, and cur is restored before the next move. Most
-// applied moves reach already-visited states, so this trades a full clone
-// per transition — the checker's dominant allocation and the GC pressure
-// behind it — for a partial decode and a few copies. The restore is lazy
-// (a stalled Apply leaves the system unchanged, so only a progressed move
-// dirties cur), which also means a state whose moves all stall reaches
-// classification untouched.
+// worker is one search worker's scratch: the expanded state, the
+// successor being built and its key, the move lists, a System to
+// materialize states into, and its own copy of every Registered
+// component, through which it delivers.
+type worker struct {
+	ctx   *searchCtx
+	num   *numbering
+	cur   vec
+	next  vec
+	key   []byte
+	moves []vmove
+	amp   []vmove // ample-partition scratch (por.go)
+	rest  []vmove
+	sends sendCapture // messages a miss or a Registered delivery sent
+	nums  []uint32    // their numbers (Registered deliveries)
+	img   []byte      // intern scratch
+	sys   *System     // materialization target
+	regs  []spec.Component
+}
+
+// sendCapture is the spec.Env a worker runs components against.
+type sendCapture struct{ msgs []spec.Msg }
+
+func (e *sendCapture) Send(m spec.Msg) { e.msgs = append(e.msgs, m) }
+
+// vmove is one enabled move of a vector: a delivery from channel index i,
+// an issue by core i or an eviction of addr at position i. node is the
+// cache whose move class it belongs to (POR): the channel's destination,
+// the core's cache or the evicting cache.
+type vmove struct {
+	kind MoveKind
+	i    int
+	addr spec.Addr
+	node spec.NodeID
+}
+
+func newWorker(ctx *searchCtx) *worker {
+	w := &worker{ctx: ctx, num: ctx.num, sys: ctx.initial.Clone()}
+	w.regs = make([]spec.Component, len(w.sys.Components))
+	for i, c := range w.sys.Components {
+		if ctx.num.reg[i] {
+			w.regs[i] = c.Clone()
+		}
+	}
+	return w
+}
+
+// expand processes the taken state w.cur: invariants, successor
+// generation (insert filters duplicates, enqueue receives the new ones'
+// keys, borrowed) and deadlock/outcome classification.
 //
 // With POR active, an ample subset is tried first: if any ample move
 // progressed, the remaining moves are pruned. No cycle proviso is needed:
@@ -598,70 +592,58 @@ func (ctx *searchCtx) work(cur *System, visited visitedSet, ins inserter, f *fro
 // choice is a pure function of the state — never of visit order or
 // visited-set contents — the reduced graph is a fixed subgraph and every
 // worker count reports the same counts.
-func (ctx *searchCtx) expand(cur *System, pre []byte, res *Result, sc *expandScratch, insert func([]byte, []int, uint64) bool, enqueue func([]byte)) {
+func (w *worker) expand(res *Result, insert func([]byte) bool, enqueue func([]byte)) {
+	ctx := w.ctx
 	res.States++
-	for _, inv := range ctx.opts.Invariants {
-		if err := inv(cur); err != nil {
-			res.Violations = append(res.Violations, err.Error())
+	if len(ctx.opts.Invariants) > 0 {
+		w.num.materialize(w.sys, &w.cur)
+		for _, inv := range ctx.opts.Invariants {
+			if err := inv(w.sys); err != nil {
+				res.Violations = append(res.Violations, err.Error())
+			}
 		}
 	}
-
-	sc.moves = cur.AppendMoves(sc.moves[:0], ctx.opts.Evictions)
-	if len(sc.moves) > 0 && ctx.successorsInPlace(cur, pre, res, sc, insert, enqueue) {
+	w.appendMoves()
+	if len(w.moves) > 0 && w.successors(res, insert, enqueue) {
 		return
 	}
-	if cur.Quiescent() {
-		res.Outcomes.Add(ctx.outcome(cur))
+	w.num.materialize(w.sys, &w.cur)
+	if w.sys.Quiescent() {
+		res.Outcomes.Add(ctx.outcome(w.sys))
 		return
 	}
 	res.Deadlocks++
 	// Which worker meets which deadlock first depends on the schedule;
 	// keeping the lexicographically least snapshot (here and at merge)
 	// makes the diagnostic the same at every worker count.
-	if snap := cur.Snapshot(); res.DeadlockAt == "" || snap < res.DeadlockAt {
+	if snap := w.sys.Snapshot(); res.DeadlockAt == "" || snap < res.DeadlockAt {
 		res.DeadlockAt = snap
 	}
 }
 
-// successorsInPlace generates the successors of cur, decoded from pre with
-// segment ends sc.segs, by mutating cur directly. The state is read from bytes
-// once, by that decode: the channels and cores are saved once here, and
-// after each progressed move restore re-decodes only the dirtied
-// component and the memory from their segments of pre and copies the
-// channels and cores back. A successor's image is spliced: pre's bytes
-// for every component the move left alone, a fresh encode of the rest
-// (the full encode when Apply reports no component); the image is the
-// visited-set key. Admitted images are handed to enqueue borrowed —
-// valid only until the callback returns — so the callback must copy what
-// it keeps. Returns whether any move progressed; when none did, cur was
-// never dirtied and is still the expanded state.
-func (ctx *searchCtx) successorsInPlace(cur *System, pre []byte, res *Result, sc *expandScratch, insert func([]byte, []int, uint64) bool, enqueue func([]byte)) bool {
-	sc.saved.save(cur)
-	dirty := false
-	// try applies move i to a clean cur and, when it progresses, admits
-	// the successor; cur stays dirty until the next try restores it.
+// successors applies each move to a copy of w.cur and keys the
+// successor; admitted keys are handed to enqueue borrowed — valid only
+// until the callback returns. Returns whether any move progressed.
+func (w *worker) successors(res *Result, insert func([]byte) bool, enqueue func([]byte)) bool {
 	try := func(i int) bool {
-		if dirty {
-			if err := cur.restore(pre, sc.segs, &sc.saved); err != nil {
-				panic(err.Error())
-			}
-			dirty = false
+		ok := w.apply(w.moves[i])
+		if w.ctx.tried != nil {
+			w.probe(w.moves[i], ok)
 		}
-		if !cur.Apply(sc.moves[i]) {
+		if !ok {
 			return false
 		}
-		dirty = true
 		res.Transitions++
-		sc.img = cur.spliceImage(sc.img[:0], pre, sc.segs, &sc.ends)
-		if insert(sc.img, sc.ends, cur.splicedCopies()) {
-			enqueue(sc.img)
+		w.key = w.next.appendKey(w.key[:0])
+		if insert(w.key) {
+			enqueue(w.key)
 		}
 		return true
 	}
 	progressed := false
 	start := 0
-	if ctx.por && len(sc.moves) > 1 {
-		if amp := ctx.selectAmple(cur, sc); amp > 0 {
+	if w.ctx.por && len(w.moves) > 1 {
+		if amp := w.selectAmple(); amp > 0 {
 			for i := 0; i < amp; i++ {
 				if try(i) {
 					progressed = true
@@ -674,12 +656,211 @@ func (ctx *searchCtx) successorsInPlace(cur *System, pre []byte, res *Result, sc
 			start = amp // every ample move stalled: full expansion
 		}
 	}
-	for i := start; i < len(sc.moves); i++ {
+	for i := start; i < len(w.moves); i++ {
 		if try(i) {
 			progressed = true
 		}
 	}
 	return progressed
+}
+
+// probe hands the tried move, its parent w.cur and (when the move
+// progressed) its successor w.next to ctx.tried, each materialized
+// afresh; a stalled move's successor is nil.
+func (w *worker) probe(m vmove, progressed bool) {
+	parent := w.ctx.initial.Clone()
+	w.num.materialize(parent, &w.cur)
+	var succ *System
+	if progressed {
+		succ = w.ctx.initial.Clone()
+		w.num.materialize(succ, &w.next)
+	}
+	mv := Move{Kind: m.kind}
+	switch m.kind {
+	case MoveDeliver:
+		mv.Chan = w.num.chanKey(w.cur.chans[m.i].ch)
+	case MoveIssue:
+		mv.Core = m.i
+	case MoveEvict:
+		mv.Cache, mv.Addr = m.node, m.addr
+	}
+	w.ctx.tried(parent, mv, succ)
+}
+
+// appendMoves lists w.cur's enabled moves in System.AppendMoves' order:
+// deliveries by channel, issues by core, evictions by component and
+// line.
+func (w *worker) appendMoves() {
+	num, v := w.num, &w.cur
+	w.moves = w.moves[:0]
+	for i, cf := range v.chans {
+		w.moves = append(w.moves, vmove{kind: MoveDeliver, i: i, node: num.chanDst(cf.ch)})
+	}
+	for i, p := range num.corePos {
+		word := v.cores[num.coreOff[i]]
+		pc := int(word >> 1)
+		if word&1 != 0 || pc >= len(num.progReq[i]) || p < 0 {
+			continue
+		}
+		if e := num.pos[p].at(v.comps[p]); e.cache.CanIssue(num.reqs[num.progReq[i][pc]]) {
+			w.moves = append(w.moves, vmove{kind: MoveIssue, i: i, node: e.cache.ID()})
+		}
+	}
+	if w.ctx.opts.Evictions {
+		for p, t := range num.pos {
+			if t == nil {
+				continue
+			}
+			e := t.at(v.comps[p])
+			if e.cache == nil || !e.cache.Idle() {
+				continue
+			}
+			for _, a := range e.evicts {
+				w.moves = append(w.moves, vmove{kind: MoveEvict, i: p, addr: a, node: e.cache.ID()})
+			}
+		}
+	}
+}
+
+// apply builds the successor of w.cur under m in w.next, reporting
+// whether the move progressed.
+func (w *worker) apply(m vmove) bool {
+	num, cur, next := w.num, &w.cur, &w.next
+	switch m.kind {
+	case MoveDeliver:
+		cf := cur.chans[m.i]
+		f := num.fifo(cf.fifo)
+		me := num.msg(f.msgs[0])
+		p := num.position(me.m.Dst)
+		out := w.deliver(p, cur.comps[p], f.msgs[0], &me.m)
+		if out.next == stall {
+			return false
+		}
+		next.copyFrom(cur)
+		next.comps[p] = out.next
+		if f.pop == 0 {
+			next.chans = append(next.chans[:m.i], next.chans[m.i+1:]...)
+		} else {
+			next.chans[m.i].fifo = f.pop
+		}
+		w.push(out.sends)
+		if od := w.ctx.initial.OnDeliver; od != nil {
+			od(me.m)
+		}
+	case MoveIssue:
+		p, off := num.corePos[m.i], num.coreOff[m.i]
+		rq := num.progReq[m.i][cur.cores[off]>>1]
+		out := w.step(p, cur.comps[p], memoKey(cur.comps[p], inIssue, rq))
+		if out.next == stall {
+			return false
+		}
+		next.copyFrom(cur)
+		next.comps[p] = out.next
+		next.cores[off] |= 1
+		w.push(out.sends)
+	case MoveEvict:
+		p := m.i
+		if m.addr < 0 {
+			panic(fmt.Sprintf("mcheck: eviction of negative address %d", m.addr))
+		}
+		out := w.step(p, cur.comps[p], memoKey(cur.comps[p], inEvict, uint32(m.addr)))
+		if out.next == stall {
+			return false
+		}
+		next.copyFrom(cur)
+		next.comps[p] = out.next
+		w.push(out.sends)
+	}
+	w.syncCores()
+	return true
+}
+
+// deliver runs the delivery of message mn (m) to position p in state n.
+func (w *worker) deliver(p int, n, mn uint32, m *spec.Msg) memoOut {
+	if !w.num.reg[p] {
+		return w.step(p, n, memoKey(n, inDeliver, mn))
+	}
+	c := w.regs[p]
+	c.(Registered).SetRegister(n)
+	w.sends.msgs = w.sends.msgs[:0]
+	if !c.Deliver(&w.sends, *m) {
+		return memoOut{next: stall}
+	}
+	w.nums = w.nums[:0]
+	for _, s := range w.sends.msgs {
+		w.nums = append(w.nums, w.num.msgNum(s))
+	}
+	return memoOut{next: c.(Registered).Register(), sends: w.nums}
+}
+
+// step returns the memoized move key of table position p in state n,
+// running it on a thawed copy of the frozen instance on a miss.
+func (w *worker) step(p int, n uint32, key uint64) memoOut {
+	t := w.num.pos[p]
+	if out, ok := t.lookup(key); ok {
+		return out
+	}
+	c, mem := t.at(n).thaw()
+	w.sends.msgs = w.sends.msgs[:0]
+	var ok bool
+	switch in := uint32(key) &^ (3 << inputBits); uint32(key) >> inputBits {
+	case inDeliver:
+		ok = c.Deliver(&w.sends, w.num.msg(in).m)
+	case inIssue:
+		ok = c.(*spec.CacheInst).Issue(&w.sends, w.num.reqs[in])
+	case inEvict:
+		ok = c.(*spec.CacheInst).Evict(&w.sends, spec.Addr(in))
+	}
+	out := memoOut{next: stall}
+	if ok {
+		out.sends = make([]uint32, len(w.sends.msgs))
+		for i, s := range w.sends.msgs {
+			out.sends[i] = w.num.msgNum(s)
+		}
+		out.next = t.intern(c, mem, &w.img)
+	}
+	return t.record(key, out)
+}
+
+// push appends the sent messages to their channels in w.next.
+func (w *worker) push(sends []uint32) {
+	next := &w.next
+	for _, s := range sends {
+		ch := w.num.msg(s).ch
+		i := 0
+		for i < len(next.chans) && next.chans[i].ch < ch {
+			i++
+		}
+		if i < len(next.chans) && next.chans[i].ch == ch {
+			next.chans[i].fifo = w.num.push(next.chans[i].fifo, s)
+			continue
+		}
+		next.chans = append(next.chans, chanFIFO{})
+		copy(next.chans[i+1:], next.chans[i:])
+		next.chans[i] = chanFIFO{ch, w.num.push(0, s)}
+	}
+}
+
+// syncCores advances w.next's cores whose issued op has completed, as
+// System.syncCores does.
+func (w *worker) syncCores() {
+	num, next := w.num, &w.next
+	for i, p := range num.corePos {
+		off := num.coreOff[i]
+		word := next.cores[off]
+		if word&1 == 0 || p < 0 {
+			continue
+		}
+		e := num.pos[p].at(next.comps[p])
+		if !e.cache.Idle() {
+			continue
+		}
+		pc := int(word >> 1)
+		if num.reqs[num.progReq[i][pc]].Op == spec.OpLoad {
+			next.cores[off+1+num.loadsAt[i][pc]] = zigzag(e.cache.LastLoad())
+		}
+		next.cores[off] = uint32(pc+1) << 1
+	}
 }
 
 // SWMRInvariant returns an invariant asserting the Single-Writer-Multiple-

@@ -14,9 +14,7 @@ import (
 )
 
 // spillQueue is the FIFO behind the search frontier: states are queued as
-// their frontier entries (System.EncodeBinary images, each prefixed by its
-// segment-ID vector under exact storage; searchCtx.entry) instead of
-// cloned Systems, and
+// their keys (numbered vectors, number.go) instead of cloned Systems, and
 // only a bounded window lives in memory — a head slice being consumed, a
 // tail slice being filled, and an ordered list of "wave" files holding
 // everything in between. When the tail reaches the ring capacity it is

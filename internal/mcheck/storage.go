@@ -2,17 +2,18 @@ package mcheck
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// This file implements the visited-state storage engine:
+// This file implements the visited-state storage engine. A search state
+// reaches it as its key: the uvarint bytes of its numbered vector
+// (number.go).
 //
-//   - exactSet: the default. Every key is stored exactly, collapse-
-//     compressed into a vector of per-position segment IDs.
+//   - exactSet: the default. Every key is stored exactly, in a
+//     mutex-striped open-addressing table over pointer-free arenas.
 //   - fpSet: a lock-free open-addressing table of 64-bit state fingerprints
 //     (Stern & Dill's hash compaction) — CAS-based linear-probe inserts,
 //     power-of-two capacity doubling under a stop-the-world rendezvous with
@@ -35,25 +36,13 @@ type storageStats struct {
 // inserter is one worker's insertion handle into a visited set. Handles are
 // not safe for concurrent use by multiple goroutines; each worker owns one.
 type inserter interface {
-	// Insert adds the state key enc and reports whether it was new. ends
-	// are the end offsets of enc's segments (System.encodeImage), and bit
-	// p of copied, inside a window with a parent, marks segment p as a
-	// byte copy of the parent's (spliceImage's untouched components). The
-	// fingerprint table ignores both.
-	Insert(enc []byte, ends []int, copied uint64) bool
-	// IDs returns the segment-ID vector of the key the latest Insert
-	// stored (nil from the fingerprint table): uvarints, one per segment.
-	// It is valid until the next Insert.
-	IDs() []byte
-	// Begin and End bracket one expansion's run of Inserts so a handle can
-	// amortize work across the whole batch. parent is the expanded
-	// state's image with segment ends pends, and ids the segment-ID vector
-	// it was stored with (nil under hash compaction, whose entries carry
-	// none): the exact set reuses those IDs for every successor segment
-	// equal to the parent's, and the fingerprint table ignores them and
-	// holds its growth-rendezvous flag open for the window. An Insert outside any window behaves as a window of one with
-	// no parent.
-	Begin(parent []byte, pends []int, ids []byte)
+	// Insert adds the state key and reports whether it was new.
+	Insert(key []byte) bool
+	// Begin and End bracket one expansion's run of Inserts: the
+	// fingerprint table holds its growth-rendezvous flag open for the
+	// window, and the exact set ignores them. An Insert outside any
+	// window behaves as a window of one.
+	Begin()
 	End()
 }
 
@@ -76,13 +65,12 @@ type visitedSet interface {
 	release()
 }
 
-// newVisited builds the visited set for the configured storage mode, for
-// keys of segments segments.
-func newVisited(opts Options, workers, segments int) visitedSet {
+// newVisited builds the visited set for the configured storage mode.
+func newVisited(opts Options, workers int) visitedSet {
 	if opts.HashCompaction {
 		return newFPSet(opts.MemBudget, workers, opts.MemPool)
 	}
-	return newExactSet(workers, segments)
+	return newExactSet(workers)
 }
 
 // sternDillOmission is the standard hash-compaction omission-probability
@@ -98,40 +86,29 @@ func sternDillOmission(n int64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Exact mode: the collapse-compressed set of state keys.
+// Exact mode: the set of state keys.
 //
-// A key (a state image) is a fixed sequence of segments: one per component, then the shared memory, the
-// channel block and the cores (System.encodeImage records their ends).
-// Reachable states share few distinct segments per position — the
-// MESI&RCC-O extraction's 253,244 states hold 106 and 59 cache images,
-// 7,020 directory registers, 9 memories, 15,208 channel blocks and 109
-// core blocks — so the set interns each segment once per position and
-// stores a state as the uvarint vector of its segment IDs: SPIN's
-// COLLAPSE compression. Both levels compare full bytes, so the set stays
-// exact; only which ID a segment gets depends on the worker schedule.
+// A key is a few-byte vector of numbers — the MESI&RCC-O extraction's
+// keys average about 14 bytes — so the set stores it bare, behind one
+// 8-byte slot.
 
-// visitedShards is the stripe count of the vector table. 64 stripes keep
-// lock contention negligible for any worker count the search runs with.
+// visitedShards is the stripe count of the table. 64 stripes keep lock
+// contention negligible for any worker count the search runs with.
 const visitedShards = 64
 
-// segStripes is the stripe count of each position's intern table.
-const segStripes = 8
+// vecInitSlots is a stripe's initial slot count: a stripe starts small
+// and doubles at 3/4 load, so a few-thousand-state search holds tens of
+// KiB, not a fixed megabyte.
+const vecInitSlots = 16
 
-// Initial slot counts: a table starts small and doubles at 3/4 load, so a
-// few-thousand-state search holds tens of KiB, not a fixed megabyte.
-const (
-	vecInitSlots = 16
-	segInitSlots = 8
-)
-
-// stripe is one mutex-striped stripe of the vector table or of a
-// position's intern table: a power-of-two open-addressing table over a
-// pointer-free byte arena, which the garbage collector never scans. A
-// slot packs the entry's hash tag (the hash's high 32 bits, which also
-// pick the probe start, so growth rehashes from the slots alone) above
-// its arena offset plus one; 0 marks an empty slot. A vector holds a
-// fixed number of uvarints, so it is self-delimiting and stored bare; an
-// interned segment is stored after its ID and length.
+// stripe is one mutex-striped stripe of the table: a power-of-two
+// open-addressing table over a pointer-free byte arena, which the garbage
+// collector never scans. A slot packs the key's hash tag (the hash's high
+// 32 bits, which also pick the probe start, so growth rehashes from the
+// slots alone) above its arena offset plus one; 0 marks an empty slot. A
+// key is self-delimiting (a fixed count of uvarints, then a channel count
+// and that many pairs; vec.appendKey), so no key is a proper prefix of
+// another and a key is stored bare.
 type stripe struct {
 	mu    sync.Mutex
 	slots []uint64
@@ -140,114 +117,28 @@ type stripe struct {
 	_     [64]byte // keep stripes off each other's cache lines
 }
 
-// segTable interns the segments of one key position. IDs are dense from
-// 0 in first-intern order, so a position's first 128 segments take one
-// vector byte each.
-type segTable struct {
-	next    atomic.Uint32
-	stripes [segStripes]stripe
-}
-
-// exactSet stores every visited key exactly, as its vector of interned
-// segment IDs. Its stripes lock only when more than one worker shares
-// it: a one-worker search has nothing to exclude.
+// exactSet stores every visited key exactly. Its stripes lock only when
+// more than one worker shares it: a one-worker search has nothing to
+// exclude.
 type exactSet struct {
-	size    atomic.Int64
-	shared  bool
-	segs    []segTable // one per key position
-	shards  [visitedShards]stripe
-	handles []exactHandle
+	size   atomic.Int64
+	shared bool
+	shards [visitedShards]stripe
 }
 
-// exactHandle is one worker's insertion handle. Inside a Begin window it
-// holds the expanded state's key: a successor segment marked copied, or
-// whose bytes equal the parent's at the same position, reuses the
-// parent's ID, so an insert interns only what the move changed —
-// typically the touched component and the channel block.
-type exactHandle struct {
-	v      *exactSet
-	vec    []byte   // vector of the latest insert
-	parent []byte   // the window's parent key (nil: intern every segment)
-	pends  []int    // its segment ends
-	pids   []uint32 // its segment IDs
-	_      [64]byte
-}
+// exactHandle is one worker's insertion handle.
+type exactHandle struct{ v *exactSet }
 
-// newExactSet builds an exact set for keys of segments segments.
-func newExactSet(workers, segments int) *exactSet {
-	v := &exactSet{
-		shared:  workers > 1,
-		segs:    make([]segTable, segments),
-		handles: make([]exactHandle, workers),
-	}
-	for i := range v.handles {
-		v.handles[i].v = v
-	}
-	return v
-}
+// newExactSet builds an exact set for workers workers.
+func newExactSet(workers int) *exactSet { return &exactSet{shared: workers > 1} }
 
 // errArenaFull is the panic of a stripe whose arena would pass 4 GiB:
 // hundreds of millions of states in ONE stripe, far beyond any
 // configuration this checker hosts.
 const errArenaFull = "mcheck: exact-set stripe arena exceeds 4 GiB"
 
-// intern returns seg's ID at position p, assigning the next one when the
-// segment is new.
-func (v *exactSet) intern(p int, seg []byte) uint32 {
-	t := &v.segs[p]
-	h := stateHash(seg)
-	s := &t.stripes[h%segStripes]
-	if v.shared {
-		s.mu.Lock()
-	}
-	id, ok := s.intern(seg, uint32(h>>32), &t.next)
-	if v.shared {
-		s.mu.Unlock()
-	}
-	if !ok {
-		panic(errArenaFull)
-	}
-	return id
-}
-
-// intern finds or adds seg, whose hash tag is tag; ok is false when the
-// arena is full. An arena entry is the segment's ID (4 bytes,
-// little-endian), its length as a uvarint and its bytes, so a hit reads
-// one slot and one run of arena.
-func (s *stripe) intern(seg []byte, tag uint32, next *atomic.Uint32) (id uint32, ok bool) {
-	if s.slots == nil {
-		s.slots = make([]uint64, segInitSlots)
-	}
-	mask := uint32(len(s.slots) - 1)
-	i := tag & mask
-	for ; s.slots[i] != 0; i = (i + 1) & mask {
-		sl := s.slots[i]
-		if uint32(sl>>32) != tag {
-			continue
-		}
-		e := s.arena[uint32(sl)-1:]
-		n, k := binary.Uvarint(e[4:])
-		if int(n) == len(seg) && bytes.Equal(e[4+k:4+k+int(n)], seg) {
-			return binary.LittleEndian.Uint32(e), true
-		}
-	}
-	off := len(s.arena)
-	if off+len(seg)+binary.MaxVarintLen64+4 >= math.MaxUint32 {
-		return 0, false
-	}
-	id = next.Add(1) - 1
-	s.arena = binary.LittleEndian.AppendUint32(s.arena, id)
-	s.arena = binary.AppendUvarint(s.arena, uint64(len(seg)))
-	s.arena = append(s.arena, seg...)
-	s.slots[i] = uint64(tag)<<32 | uint64(off+1)
-	if s.n++; 4*s.n >= 3*len(s.slots) {
-		s.slots = regrow(s.slots)
-	}
-	return id, true
-}
-
-// regrow rehashes a full slot table (vector or intern) into one twice its
-// size: a slot's tag picks its probe start, so the arena is not read.
+// regrow rehashes a full slot table into one twice its size: a slot's tag
+// picks its probe start, so the arena is not read.
 func regrow(old []uint64) []uint64 {
 	slots := make([]uint64, 2*len(old))
 	mask := uint32(len(slots) - 1)
@@ -264,7 +155,7 @@ func regrow(old []uint64) []uint64 {
 	return slots
 }
 
-// insertVec adds a segment-ID vector and reports whether it was new.
+// insertVec adds a key and reports whether it was new.
 func (v *exactSet) insertVec(vec []byte) bool {
 	h := stateHash(vec)
 	s := &v.shards[h%visitedShards]
@@ -294,15 +185,17 @@ func (s *stripe) insert(vec []byte, tag uint32) (isNew, ok bool) {
 	i := tag & mask
 	for ; s.slots[i] != 0; i = (i + 1) & mask {
 		sl := s.slots[i]
-		// A stored vector is self-delimiting, so matching vec's bytes at
-		// its offset means it is vec.
+		// Stored keys and vec are self-delimiting: if the arena's bytes
+		// at the offset start with vec, the key stored there is vec (a
+		// shorter one would be a proper prefix of vec, a longer one
+		// would have vec as one).
 		if off := int(uint32(sl)) - 1; uint32(sl>>32) == tag &&
 			off+len(vec) <= len(s.arena) && bytes.Equal(s.arena[off:off+len(vec)], vec) {
 			return false, true
 		}
 	}
 	off := len(s.arena)
-	if off+1 >= math.MaxUint32 {
+	if off+len(vec)+1 >= math.MaxUint32 {
 		return false, false
 	}
 	s.arena = append(s.arena, vec...)
@@ -313,78 +206,27 @@ func (s *stripe) insert(vec []byte, tag uint32) (isNew, ok bool) {
 	return true, true
 }
 
-// Begin implements inserter by decoding the parent's IDs.
-func (h *exactHandle) Begin(parent []byte, pends []int, ids []byte) {
-	h.parent, h.pends, h.pids = parent, pends, h.pids[:0]
-	for range pends {
-		id, n := binary.Uvarint(ids)
-		if n <= 0 {
-			panic("mcheck: parent segment-ID vector is malformed")
-		}
-		h.pids, ids = append(h.pids, uint32(id)), ids[n:]
-	}
-}
+// Insert implements inserter.
+func (h exactHandle) Insert(key []byte) bool { return h.v.insertVec(key) }
 
-// End implements inserter by forgetting the window's parent.
-func (h *exactHandle) End() { h.parent, h.pends = nil, nil }
+// Begin and End implement inserter: the exact set has no windows.
+func (exactHandle) Begin() {}
+func (exactHandle) End()   {}
 
-// IDs implements inserter.
-func (h *exactHandle) IDs() []byte { return h.vec }
+func (v *exactSet) handle(int) inserter { return exactHandle{v} }
+func (v *exactSet) Size() int           { return int(v.size.Load()) }
+func (v *exactSet) Full() bool          { return false }
+func (v *exactSet) load() float64       { return 0 }
+func (v *exactSet) release()            {} // exact mode is unpooled (see MemPool)
 
-// Insert implements inserter: build enc's vector, reusing the parent's
-// IDs where segments are copied or their bytes match, and add it to the
-// vector table.
-func (h *exactHandle) Insert(enc []byte, ends []int, copied uint64) bool {
-	v := h.v
-	if len(ends) != len(v.segs) || ends[len(ends)-1] != len(enc) {
-		panic("mcheck: key segment ends do not match the exact set's layout")
-	}
-	vec, start := h.vec[:0], 0
-	if h.parent == nil {
-		for p, end := range ends {
-			vec = binary.AppendUvarint(vec, uint64(v.intern(p, enc[start:end])))
-			start = end
-		}
-	} else {
-		parent, pends, pids := h.parent, h.pends[:len(ends)], h.pids[:len(ends)]
-		pstart := 0
-		for p, end := range ends {
-			id, pend := pids[p], pends[p]
-			// Bits past 63 shift out to 0: such positions are compared.
-			if copied&(1<<p) == 0 {
-				if seg := enc[start:end]; !bytes.Equal(seg, parent[pstart:pend]) {
-					id = v.intern(p, seg)
-				}
-			}
-			vec = binary.AppendUvarint(vec, uint64(id))
-			start, pstart = end, pend
-		}
-	}
-	h.vec = vec
-	return v.insertVec(vec)
-}
-
-func (v *exactSet) handle(w int) inserter { return &v.handles[w] }
-func (v *exactSet) Size() int             { return int(v.size.Load()) }
-func (v *exactSet) Full() bool            { return false }
-func (v *exactSet) load() float64         { return 0 }
-func (v *exactSet) release()              {} // exact mode is unpooled (see MemPool)
-
-// stats counts the vector table's slots and arena and every intern
-// table's slots and arena, at capacity.
+// stats counts the table's slots and arenas, at capacity.
 func (v *exactSet) stats() storageStats {
 	var b int64
-	add := func(ss []stripe) {
-		for i := range ss {
-			s := &ss[i]
-			s.mu.Lock()
-			b += int64(len(s.slots))*8 + int64(cap(s.arena))
-			s.mu.Unlock()
-		}
-	}
-	add(v.shards[:])
-	for p := range v.segs {
-		add(v.segs[p].stripes[:])
+	for i := range v.shards {
+		s := &v.shards[i]
+		s.mu.Lock()
+		b += int64(len(s.slots))*8 + int64(cap(s.arena))
+		s.mu.Unlock()
 	}
 	return storageStats{mode: "exact", tableBytes: b}
 }
@@ -484,10 +326,7 @@ type fpHandle struct {
 }
 
 // Begin implements inserter by opening a batched probe window.
-func (h *fpHandle) Begin([]byte, []int, []byte) { h.batched = true; h.raise() }
-
-// IDs implements inserter: a fingerprint has no segment IDs.
-func (h *fpHandle) IDs() []byte { return nil }
+func (h *fpHandle) Begin() { h.batched = true; h.raise() }
 
 // End implements inserter by closing the window.
 func (h *fpHandle) End() { h.batched = false; h.inflight.Store(0) }
@@ -618,7 +457,7 @@ func (s *fpSet) stats() storageStats {
 }
 
 // Insert implements inserter; h is owned by a single worker.
-func (h *fpHandle) Insert(enc []byte, _ []int, _ uint64) bool {
+func (h *fpHandle) Insert(enc []byte) bool {
 	s := h.s
 	if s.full.Load() {
 		// At the budget cap and effectively saturated: drop the state. The

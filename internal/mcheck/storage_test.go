@@ -1,7 +1,7 @@
 package mcheck
 
-// Tests for the state-storage engine (storage.go, spill.go, decode.go):
-// the collapse-compressed exact set against a reference model,
+// Tests for the state-storage engine (storage.go, spill.go): the exact
+// set against a reference model and under forced tag collisions,
 // fingerprint-table semantics under concurrency and growth, spill-queue
 // FIFO discipline, and agreement of every storage mode with the exact
 // search on the litmus configurations. The
@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -44,12 +43,12 @@ func TestFPSetInsertSemantics(t *testing.T) {
 	s := newFPSet(0, 1, nil)
 	ins := s.handle(0)
 	for i := 0; i < n; i++ {
-		if !ins.Insert(encOf(i), nil, 0) {
+		if !ins.Insert(encOf(i)) {
 			t.Fatalf("insert %d: not reported new", i)
 		}
 	}
 	for i := 0; i < n; i += 97 {
-		if ins.Insert(encOf(i), nil, 0) {
+		if ins.Insert(encOf(i)) {
 			t.Fatalf("re-insert %d: reported new", i)
 		}
 	}
@@ -71,19 +70,18 @@ func TestFPSetInsertSemantics(t *testing.T) {
 // TestBytesPerStateRegression is the storage counterpart of the allocation
 // guard. The fingerprint table must stay a flat 8 bytes per slot, growing
 // at 0.75 load — at 190k states that lands on a 256Ki-slot table,
-// ~11 bytes/state. The exact set must keep its collapse compression: on
-// the release/acquire MP search with evictions it stores each state as a
-// few-byte ID vector behind an 8-byte slot, measured at 39.5 bytes/state
-// with its intern tables (a search this small is dominated by the
-// channel blocks it interns). A slot-size, load-factor or interning
-// regression trips this.
+// ~11 bytes/state. The exact set must keep storing a state as its
+// few-byte numbered vector behind an 8-byte slot: on the release/acquire
+// MP search with evictions that measures 32.4 bytes/state (the budget
+// dates from the collapse-compressed set, 39.5 with its intern tables).
+// A slot-size, load-factor or key-size regression trips this.
 func TestBytesPerStateRegression(t *testing.T) {
 	t.Run("hash-compaction", func(t *testing.T) {
 		const n = 190_000
 		s := newFPSet(0, 1, nil)
 		ins := s.handle(0)
 		for i := 0; i < n; i++ {
-			ins.Insert(encOf(i), nil, 0)
+			ins.Insert(encOf(i))
 		}
 		st := s.stats()
 		bps := float64(st.tableBytes) / float64(n)
@@ -138,7 +136,7 @@ func TestFPSetExactlyOnceUnderContention(t *testing.T) {
 			var enc [8]byte
 			for i := 0; i < n; i++ {
 				binary.LittleEndian.PutUint64(enc[:], uint64(i))
-				if ins.Insert(enc[:], nil, 0) {
+				if ins.Insert(enc[:]) {
 					claimed[w]++
 				}
 			}
@@ -159,17 +157,16 @@ func TestFPSetExactlyOnceUnderContention(t *testing.T) {
 
 // TestExactSetExactlyOnceUnderContention: like the fingerprint table, the
 // exact set must claim each state new exactly once when workers race on
-// the same stream, with every worker interning the same segments
-// concurrently — otherwise a state is expanded twice and parallel counts
-// drift from sequential. Run under -race this also exercises the stripe
-// locks of the vector and intern tables.
+// the same stream — otherwise a state is expanded twice and parallel
+// counts drift from sequential. Run under -race this also exercises the
+// stripe locks.
 func TestExactSetExactlyOnceUnderContention(t *testing.T) {
 	const n = 100_000
 	workers := runtime.NumCPU()
 	if workers < 4 {
 		workers = 4
 	}
-	s := newExactSet(workers, 3)
+	s := newExactSet(workers)
 	claimed := make([]int64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -178,11 +175,10 @@ func TestExactSetExactlyOnceUnderContention(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var enc []byte
-			var ends []int
+			var key []byte
 			for i := 0; i < n; i++ {
-				enc, ends = segKey(enc[:0], ends[:0], i%97, i/97%211, i/(97*211))
-				if ins.Insert(enc, ends, 0) {
+				key = vecKey(key[:0], i%97, i/97%211, i/(97*211))
+				if ins.Insert(key) {
 					claimed[w]++
 				}
 			}
@@ -199,118 +195,107 @@ func TestExactSetExactlyOnceUnderContention(t *testing.T) {
 	if s.Size() != n {
 		t.Fatalf("Size() = %d, want %d", s.Size(), n)
 	}
-	for p, want := range []uint32{97, 211, n/(97*211) + 1} {
-		if got := s.segs[p].next.Load(); got != want {
-			t.Errorf("position %d interned %d segments, want %d", p, got, want)
-		}
-	}
 }
 
-// segKey appends a key whose segments encode the given values, one per
-// position, with lengths that vary with the value.
-func segKey(enc []byte, ends []int, vals ...int) ([]byte, []int) {
-	for _, v := range vals {
-		enc = binary.AppendUvarint(enc, uint64(v))
-		enc = append(enc, bytes.Repeat([]byte{'s'}, v%5)...)
-		ends = append(ends, len(enc))
+// vecKey appends the key of a vector of the given numbers.
+func vecKey(key []byte, nums ...int) []byte {
+	for _, x := range nums {
+		key = binary.AppendUvarint(key, uint64(x))
 	}
-	return enc, ends
+	return key
 }
 
-// TestExactSetMatchesReference: random keys inserted into the exact set,
-// inside and outside parent windows, must be reported new exactly when a
-// map of whole keys (bytes plus segment ends) has not seen them. The keys
-// cover an empty channel-block segment, equal bytes at different
-// positions, and one position with over 16,384 distinct segments, so
-// vector IDs cross the one- and two-byte uvarint widths.
+// randomVec draws a vector shaped like a search's: three component
+// numbers (one from over 16,384, so keys cross the one-, two- and
+// three-byte uvarint widths), one core word, then zero to three
+// (channel, FIFO) pairs, so vectors of one channel count extend those of
+// a smaller one.
+func randomVec(rng *rand.Rand) *vec {
+	v := &vec{
+		comps: []uint32{uint32(rng.IntN(5)), uint32(rng.IntN(40_000)), uint32(rng.IntN(3))},
+		cores: []uint32{uint32(rng.IntN(4))},
+	}
+	for range rng.IntN(4) {
+		v.chans = append(v.chans, chanFIFO{uint32(rng.IntN(8)), uint32(1 + rng.IntN(4))})
+	}
+	return v
+}
+
+// TestExactSetMatchesReference: random vector keys must be reported new
+// exactly when a map of whole keys has not seen them.
 func TestExactSetMatchesReference(t *testing.T) {
-	const segments = 6 // three components, then memory, channel block (4) and cores
 	rng := rand.New(rand.NewPCG(1, 2))
-	s := newExactSet(1, segments)
+	s := newExactSet(1)
 	ins := s.handle(0)
 	ref := map[string]struct{}{}
-	pick := func(p int) []byte {
-		switch p {
-		case 1: // wide: drives IDs past 16,383
-			return binary.AppendUvarint([]byte{1}, rng.Uint64N(40_000))
-		case 4: // the channel block: empty a third of the time
-			if rng.IntN(3) == 0 {
-				return nil
-			}
-			return bytes.Repeat([]byte{byte(rng.IntN(4))}, 1+rng.IntN(6))
-		default: // small alphabets, shared across positions
-			return []byte{byte(rng.IntN(5)), 7}
-		}
-	}
-	var parent, enc []byte
-	var pends, ends []int
-	var copied uint64
-	check := func(i int) {
-		t.Helper()
-		key := fmt.Sprint(ends) + string(enc)
-		_, seen := ref[key]
-		ref[key] = struct{}{}
-		if got := ins.Insert(enc, ends, copied); got == seen {
-			t.Fatalf("insert %d (%q, ends %v): reported new=%t, reference has seen=%t", i, enc, ends, got, seen)
-		}
-	}
+	var key []byte
 	for i := 0; i < 120_000; i++ {
-		enc, ends, copied = enc[:0], ends[:0], 0
-		for p := 0; p < segments; p++ {
-			var seg []byte
-			if parent != nil && rng.IntN(2) == 0 {
-				// Keep the parent's segment, as a move that left the
-				// position alone would; mark some of the copies so both
-				// the marked and the compared path run.
-				start := 0
-				if p > 0 {
-					start = pends[p-1]
-				}
-				seg = parent[start:pends[p]]
-				if rng.IntN(2) == 0 {
-					copied |= 1 << p
-				}
-			} else {
-				seg = pick(p)
-			}
-			enc = append(enc, seg...)
-			ends = append(ends, len(enc))
-		}
-		check(i)
-		switch {
-		case i%7 == 0:
-			// Open a window on this key, as an expansion of it would.
-			ins.End()
-			parent, pends = bytes.Clone(enc), slices.Clone(ends)
-			ins.Begin(parent, pends, bytes.Clone(ins.IDs()))
-		case i%11 == 0:
-			ins.End()
-			parent, pends = nil, nil
+		key = randomVec(rng).appendKey(key[:0])
+		_, seen := ref[string(key)]
+		ref[string(key)] = struct{}{}
+		if got := ins.Insert(key); got == seen {
+			t.Fatalf("insert %d (%x): reported new=%t, reference has seen=%t", i, key, got, seen)
 		}
 	}
-	ins.End()
 	if s.Size() != len(ref) {
 		t.Fatalf("Size() = %d, reference holds %d keys", s.Size(), len(ref))
-	}
-	if n := s.segs[1].next.Load(); n <= 1<<14 {
-		t.Fatalf("position 1 interned only %d segments, too few to reach three-byte IDs", n)
-	}
-	// Equal bytes at different positions are interned per position: the
-	// small alphabets' IDs are dense from 0 at each position.
-	for _, p := range []int{0, 2, 3, 5} {
-		if n := s.segs[p].next.Load(); n != 5 {
-			t.Errorf("position %d interned %d segments, want its alphabet of 5", p, n)
-		}
 	}
 	if st := s.stats(); st.mode != "exact" || st.tableBytes <= 0 {
 		t.Fatalf("stats: mode %q, %d table bytes", st.mode, st.tableBytes)
 	}
 }
 
+// TestExactSetForcedTagCollisions: a stripe matches a probe by its 32-bit
+// tag and then by the arena bytes at the slot's offset, so a key must
+// never match a stored key it extends, one that extends it, or a stored
+// key followed by the next arena entry. Every key here goes to one stripe
+// under one tag, so every probe compares bytes: a key and its extensions
+// by one and two channels, in both orders, then random vectors against a
+// map. Each key must also decode to its vector.
+func TestExactSetForcedTagCollisions(t *testing.T) {
+	const tag = 0x5eed
+	base := &vec{comps: []uint32{1, 2}, cores: []uint32{3}}
+	one := &vec{comps: base.comps, cores: base.cores, chans: []chanFIFO{{5, 1}}}
+	two := &vec{comps: base.comps, cores: base.cores, chans: []chanFIFO{{5, 1}, {7, 2}}}
+	for _, order := range [][]*vec{{base, one, two}, {two, one, base}, {one, base, two}} {
+		var s stripe
+		for round := range 2 {
+			for _, v := range order {
+				key := v.appendKey(nil)
+				if isNew, ok := s.insert(key, tag); !ok || isNew != (round == 0) {
+					t.Fatalf("round %d, key %x with %d channels: new=%t ok=%t", round, key, len(v.chans), isNew, ok)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(3, 4))
+	n := &numbering{pos: make([]*compTable, 3), coreWords: 1}
+	var s stripe
+	ref := map[string]struct{}{}
+	var got vec
+	for i := range 3000 {
+		v := randomVec(rng)
+		key := v.appendKey(nil)
+		got.decode(key, n)
+		if fmt.Sprint(got) != fmt.Sprint(*v) {
+			t.Fatalf("key %x decodes to %v, want %v", key, got, *v)
+		}
+		_, seen := ref[string(key)]
+		ref[string(key)] = struct{}{}
+		if isNew, ok := s.insert(key, tag); !ok || isNew == seen {
+			t.Fatalf("insert %d (%x): new=%t ok=%t, reference has seen=%t", i, key, isNew, ok, seen)
+		}
+	}
+	if s.n != len(ref) {
+		t.Fatalf("stripe holds %d keys, reference %d", s.n, len(ref))
+	}
+}
+
 // TestExactSetSmallSearchFloor: the exact set's tables start small and
 // grow, so the 3,614-state deadlock check of two MSI caches on one
 // address (hgcheck's driver: store, load, release, acquire per core)
-// holds 110 KiB, not a megabyte of preallocated stripes.
+// holds about 115 KiB, not a megabyte of preallocated stripes.
 func TestExactSetSmallSearchFloor(t *testing.T) {
 	sys := NewHomogeneous(protocols.MustByName(protocols.NameMSI), 2)
 	progs := make([][]spec.CoreReq, 2)
@@ -341,14 +326,14 @@ func TestFPSetBudgetTruncation(t *testing.T) {
 	ins := s.handle(0)
 	inserted := 0
 	for i := 0; i < 2*fpInitialSlots && !s.Full(); i++ {
-		if ins.Insert(encOf(i), nil, 0) {
+		if ins.Insert(encOf(i)) {
 			inserted++
 		}
 	}
 	if !s.Full() {
 		t.Fatalf("table never filled after %d inserts into %d slots", inserted, fpInitialSlots)
 	}
-	if ins.Insert(encOf(1<<40), nil, 0) {
+	if ins.Insert(encOf(1 << 40)) {
 		t.Fatal("full table accepted a new state")
 	}
 	if lo := int(fpFullLoad*fpInitialSlots) - 1; inserted < lo {

@@ -78,24 +78,6 @@ type System struct {
 	// ("interpreted composite", "compiled table"); Result and the CLIs
 	// surface it so runs are unambiguous. Empty for plain systems.
 	engine string
-
-	// Image-decode scratch: a reusable cursor. Owned by this System alone
-	// (Clone starts its copy with a fresh zero value), so the single-
-	// goroutine confinement the decoder requires holds as long as the
-	// System itself is goroutine-confined — which the searches guarantee.
-	dec spec.Dec
-
-	// spare holds the message buffers of channels that emptied, for send
-	// and the restores to reuse. A buffer is either here or backing exactly
-	// one live channel, never both, so appending to one queue can never
-	// clobber another.
-	spare [][]spec.Msg
-
-	// touched is the component index the last successful Apply mutated
-	// (-1 when unrouted). Only meaningful immediately after Apply returns
-	// true; the in-place expansion reads it to re-decode just that
-	// component between moves and to splice the successor's image.
-	touched int
 }
 
 // SetEngine labels the system's directory-evaluation engine; Engine reads
@@ -220,29 +202,7 @@ func (s *System) Send(m spec.Msg) {
 	}
 	s.chans = append(s.chans, chanState{})
 	copy(s.chans[i+1:], s.chans[i:])
-	s.chans[i] = chanState{k: k, msgs: append(s.msgBuf(), m)}
-}
-
-// msgBuf takes an empty message buffer from the retired ones (nil when
-// none is left, so the caller's append allocates).
-func (s *System) msgBuf() []spec.Msg {
-	n := len(s.spare)
-	if n == 0 {
-		return nil
-	}
-	b := s.spare[n-1]
-	s.spare[n-1] = nil
-	s.spare = s.spare[:n-1]
-	return b
-}
-
-// retireChans empties the interconnect, keeping every channel's buffer
-// for reuse.
-func (s *System) retireChans() {
-	for i := range s.chans {
-		s.spare = append(s.spare, s.chans[i].msgs[:0])
-	}
-	s.chans = s.chans[:0]
+	s.chans[i] = chanState{k: k, msgs: []spec.Msg{m}}
 }
 
 // Clone deep-copies the system. The route table is shared (immutable), the
@@ -272,7 +232,7 @@ func (s *System) Clone() *System {
 	for i, c := range s.Cores {
 		coreArr[i] = *c
 		// Never alias the source's Loads backing array: an empty slice can
-		// still carry capacity (decodeImage restores reuse allocations), and
+		// still carry capacity (materialized states reuse allocations), and
 		// a shared backing array races once parent and clone both append.
 		coreArr[i].Loads = nil
 		if len(c.Loads) > 0 {
@@ -516,17 +476,13 @@ func (s *System) Apply(m Move) bool {
 		if !s.Components[idx].Deliver(s, msg) {
 			return false
 		}
-		s.touched = idx
 		if s.OnDeliver != nil {
 			s.OnDeliver(msg)
 		}
 		// Delivery may have sent messages, inserting channels and shifting
-		// the slice: re-find our channel before popping its head. The pop
-		// shifts the queue down rather than reslicing past the head, so
-		// the buffer keeps its capacity for reuse.
+		// the slice: re-find our channel before popping its head.
 		ci, _ = s.chanIdx(m.Chan)
 		if q := s.chans[ci].msgs; len(q) == 1 {
-			s.spare = append(s.spare, q[:0])
 			s.chans = append(s.chans[:ci], s.chans[ci+1:]...)
 		} else {
 			s.chans[ci].msgs = q[:copy(q, q[1:])]
@@ -538,13 +494,11 @@ func (s *System) Apply(m Move) bool {
 			return false
 		}
 		core.Issued = true
-		s.touched = s.componentOf(core.Cache)
 	case MoveEvict:
 		cache := s.Cache(m.Cache)
 		if cache == nil || !cache.Evict(s, m.Addr) {
 			return false
 		}
-		s.touched = s.componentOf(m.Cache)
 	}
 	s.syncCores()
 	return true

@@ -15,9 +15,8 @@ const fnvOffset = 14695981039346656037
 // input bit reaches every output bit. It is deterministic, with no
 // per-process seed, so a search stores the same values run to run. It is
 // the stored fingerprint under hash compaction, where its quality is the
-// omission bound, and the exact set's stripe-and-probe hash for segments
-// and ID vectors, where exactness never depends on it (probes compare
-// full bytes).
+// omission bound, and the exact set's stripe-and-probe hash for keys,
+// where exactness never depends on it (probes compare full bytes).
 func stateHash(b []byte) uint64 {
 	const (
 		m1 = 0x9e3779b185ebca87

@@ -7,8 +7,7 @@ import (
 
 // This file implements the inverse of binenc.go: a cursor-based reader for
 // the compact binary encoding, and each component's DecodeState, which the
-// model checker uses to rehydrate frontier states and to restore a state
-// between in-place successor moves.
+// model checker uses to materialize a numbered state into a System.
 //
 // AppendBinary is one image serving both roles: as a visited-set key it
 // need only be injective, but since it is also decoded it must be

@@ -2,8 +2,9 @@ package spec
 
 import "encoding/binary"
 
-// This file implements the compact binary state image: the model checker's
-// visited-set key, frontier entry and in-place restore image. The string
+// This file implements the compact binary state image: the key by which
+// the model checker numbers component states, the image a numbered state
+// materializes from, and the artifact codec's form. The string
 // Snapshot form stays the canonical human-readable encoding (debug output,
 // deadlock reports); AppendBinary produces a byte string that
 // distinguishes exactly the same states while avoiding the fmt formatting

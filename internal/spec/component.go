@@ -26,9 +26,9 @@ type Component interface {
 	// Snapshot appends a canonical encoding of the component's state.
 	Snapshot(b *SnapshotWriter)
 	// StateCodec is Snapshot's compact, exact form: AppendBinary writes
-	// the state image DecodeState reads back. The model checker keys its
-	// visited set by the image, holds frontier states in it and restores
-	// from it between the in-place successor moves.
+	// the state image DecodeState reads back. The model checker numbers
+	// a component's states by their images and materializes a numbered
+	// state from its image.
 	StateCodec
 }
 
