@@ -53,7 +53,7 @@ func main() {
 	flag.StringVar(&cfg.pair, "pair", "", "protocol pair A,B to fuse and check")
 	flag.IntVar(&cfg.caches, "caches", 2, "caches (per cluster for -pair)")
 	flag.IntVar(&cfg.addrs, "addrs", 2, "addresses in the driver workload")
-	mem := flag.String("mem", "", "hash-compaction table memory budget, e.g. 512MiB or 2GiB (default: 8GiB)")
+	mem := flag.String("mem", "", "visited-set memory budget in either storage mode, e.g. 512MiB or 2GiB (default: 8GiB)")
 	flag.IntVar(&cfg.search.MaxStates, "max-states", engine.DefaultCheckMaxStates, "state budget")
 	flag.StringVar(&cfg.table, "table", "", "check a compiled-table .hgcf artifact (alone: its baked config; with -pair: digest-checked against the flags)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "print the result as JSON on stdout (diagnostics stay on stderr)")

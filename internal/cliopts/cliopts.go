@@ -69,7 +69,7 @@ func (s *Search) RegisterRun(fs *flag.FlagSet) {
 // knobs: -hash, -por and -spill-dir.
 func (s *Search) Register(fs *flag.FlagSet) {
 	s.RegisterRun(fs)
-	fs.BoolVar(&s.Hash, "hash", s.Hash, "use state-hash compaction (lock-free 64-bit fingerprint table)")
+	fs.BoolVar(&s.Hash, "hash", s.Hash, "use state-hash compaction (store 64-bit state fingerprints, not exact states)")
 	fs.Var(porFlag{&s.NoPOR}, "por", "ample-set partial order reduction (-por=0 forces the full interleaving space)")
 	fs.StringVar(&s.SpillDir, "spill-dir", s.SpillDir, "spill frontier overflow to temp files under this directory (bounds BFS memory)")
 }

@@ -116,8 +116,9 @@ type CompileConfig struct {
 	OnProgress    func(mcheck.Progress)
 	// MemPool forwards a shared visited-set memory accountant to the
 	// extraction search (mcheck.Options.MemPool) so a server hosting
-	// concurrent compiles shares one budget. Excluded from the digest —
-	// accounting never changes what is extracted.
+	// concurrent compiles shares one budget: an extraction the pool
+	// cannot hold truncates, failing with ErrCompileTruncated. Excluded
+	// from the digest — accounting never changes what is extracted.
 	MemPool *mcheck.MemPool
 }
 
@@ -126,8 +127,8 @@ type CompileConfig struct {
 const stallState = int32(-1)
 
 // ErrCompileTruncated marks a Compile failure caused by the extraction
-// search hitting its state budget (raise CompileConfig.MaxStates).
-// Detectable with errors.Is.
+// search hitting its state budget (raise CompileConfig.MaxStates) or its
+// visited-set memory (CompileConfig.MemPool). Detectable with errors.Is.
 var ErrCompileTruncated = errors.New("core: compile extraction truncated")
 
 // ErrCompileCancelled marks a CompileCtx failure caused by context
@@ -343,7 +344,11 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 		return nil, fmt.Errorf("%w: %s at %d states: %w", ErrCompileCancelled, f.Name(), res.States, ctx.Err())
 	}
 	if res.Truncated {
-		return nil, fmt.Errorf("%w: %s at %d states", ErrCompileTruncated, f.Name(), res.States)
+		bound := "MaxStates"
+		if res.BudgetFull {
+			bound = "memory budget"
+		}
+		return nil, fmt.Errorf("%w: %s at %d states (%s)", ErrCompileTruncated, f.Name(), res.States, bound)
 	}
 	cf.explored = res.States
 	cf.stats = CompileStats{Source: SourceCompiler, Extract: time.Since(start),

@@ -34,8 +34,8 @@ type SearchOptions struct {
 	// inverted from the -por flag so the zero value (and an absent JSON
 	// key) keeps the reduction on, matching every command's default.
 	NoPOR bool `json:"no_por,omitempty"`
-	// MemBudget bounds visited-set memory in bytes (0 = storage-mode
-	// default).
+	// MemBudget bounds visited-set memory in bytes, in either storage
+	// mode (0 = 8 GiB).
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// MaxStates bounds the search's state budget (0 = per-command
 	// default).

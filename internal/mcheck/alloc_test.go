@@ -98,17 +98,14 @@ func TestAllocRegressionInPlace(t *testing.T) {
 			ctx := newSearchCtx(sys, opts, DefaultMaxStates, 1)
 			visited := newVisited(opts, 1)
 			defer visited.release()
-			ins := visited.handle(0)
 			w := newWorker(ctx)
 			key := ctx.num.number(sys).appendKey(nil)
-			ins.Insert(key) // the expanded state is visited, as in a search
+			visited.Insert(key) // the expanded state is visited, as in a search
 			var res Result
 			admitted := 0
 			expand := func() {
 				w.cur.decode(key, ctx.num)
-				ins.Begin()
-				w.expand(&res, ins.Insert, func([]byte) { admitted++ })
-				ins.End()
+				w.expand(&res, visited.Insert, func([]byte) { admitted++ })
 			}
 			expand() // memoizes every move and admits every successor once
 			if admitted == 0 || res.Transitions < 2 {

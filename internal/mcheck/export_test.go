@@ -31,6 +31,15 @@ func ExploreProbed(initial *System, opts Options, probe func(parent *System, m M
 	return exploreProbed(context.Background(), initial, opts, probe)
 }
 
+// insert adds key to a lone stripe under the forced hash tag tag, as an
+// exact set under the default budget would; ok is false once that set is
+// Full.
+func (s *stripe) insert(key []byte, tag uint32) (isNew, ok bool) {
+	v := newVisited(Options{}, 1)
+	isNew = v.insert(s, key, uint64(tag)<<32)
+	return isNew, !v.Full()
+}
+
 // InFlight returns every message in s's channels, channel by channel.
 func InFlight(s *System) []spec.Msg {
 	var out []spec.Msg

@@ -3,24 +3,21 @@ package mcheck
 import "sync/atomic"
 
 // MemPool is a shared memory accountant for the visited-set storage of
-// concurrent searches. A one-shot CLI run sizes its fingerprint table with
-// a per-search Options.MemBudget; a long-running server hosting many
+// concurrent searches. A one-shot CLI run bounds its visited set with a
+// per-search Options.MemBudget; a long-running server hosting many
 // searches at once needs those budgets to come out of one machine-wide
 // pot, or N concurrent jobs would each believe they own the whole
-// machine. When Options.MemPool is set, every byte the lossy visited set
-// allocates (the fingerprint table's generations) is acquired from the
-// pool first and released back when the search ends —
+// machine. When Options.MemPool is set, every byte the visited set
+// allocates (its slot tables and, in exact mode, its key arenas) is
+// acquired from the pool first and released back when the search ends —
 // so a search that cannot grow its table because *other* searches hold
 // the memory truncates with BudgetFull exactly as if its private budget
 // were exhausted, instead of overcommitting the host.
 //
 // The accountant is advisory bookkeeping over atomic counters, not an
 // allocator: Acquire answers whether the requested bytes fit under the
-// configured total, and the caller allocates normally on a grant. Exact
-// (non-lossy) visited sets are unpooled — their growth is proportional to
-// the states they store and is bounded by
-// MaxStates, not MemBudget, matching the per-search semantics they always
-// had.
+// configured total, and the caller allocates normally on a grant. A
+// search's private MemBudget is kept by a MemPool of its own.
 type MemPool struct {
 	total int64
 	used  atomic.Int64

@@ -36,50 +36,54 @@ func TestMemPoolAccounting(t *testing.T) {
 	}
 }
 
-// TestMemPoolSharedBudget runs hash-compacted searches against a shared
-// pool: a pool too small for the visited table to grow truncates the
-// search with BudgetFull (the same failure mode as a private MemBudget),
-// and every search returns its bytes on exit, so a following search on
-// the same pool sees the full budget again.
+// TestMemPoolSharedBudget runs searches of either key kind against a
+// shared pool: a pool too small for the visited set to grow truncates
+// the search with BudgetFull (the same failure mode as a private
+// MemBudget), and every search returns its bytes on exit, so a following
+// search on the same pool sees the full budget again.
 func TestMemPoolSharedBudget(t *testing.T) {
-	// Generous pool first: the search completes and releases everything.
-	pool := NewMemPool(64 << 20)
-	res := exploreWith(t, iriw(), 1, Options{POR: POROff, HashCompaction: true, MemPool: pool})
-	if res.Cancelled || res.Truncated {
-		t.Fatalf("search under a generous pool did not complete: %s", res)
-	}
-	if got := pool.Used(); got != 0 {
-		t.Fatalf("pool.Used() = %d after the search released, want 0", got)
-	}
+	for _, kind := range keyKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			// Generous pool first: the search completes and releases
+			// everything.
+			pool := NewMemPool(64 << 20)
+			res := exploreWith(t, iriw(), 1, Options{POR: POROff, HashCompaction: kind.fp, MemPool: pool})
+			if res.Cancelled || res.Truncated {
+				t.Fatalf("search under a generous pool did not complete: %s", res)
+			}
+			if got := pool.Used(); got != 0 {
+				t.Fatalf("pool.Used() = %d after the search released, want 0", got)
+			}
 
-	// Starved pool, storage level: even the initial table is denied (the
-	// set starts anyway, unpooled), the first growth is denied too, and
-	// the set declares itself full — which the search surfaces as a
-	// BudgetFull truncation, same as a private MemBudget exhausting.
-	tiny := NewMemPool(1)
-	s := newFPSet(0, 1, tiny)
-	ins := s.handle(0)
-	for i := 0; i < 2*fpInitialSlots && !s.Full(); i++ {
-		ins.Insert(encOf(i))
-	}
-	if !s.Full() {
-		t.Fatal("fingerprint table under a starved pool never declared itself full")
-	}
-	s.release()
-	if got := tiny.Used(); got != 0 {
-		t.Fatalf("starved pool Used() = %d after release, want 0", got)
-	}
+			// Starved pool, storage level: a stripe's first slots are
+			// denied, and the set declares itself full — which the search
+			// surfaces as a BudgetFull truncation, same as a private
+			// MemBudget exhausting.
+			tiny := NewMemPool(1)
+			s := newVisited(Options{HashCompaction: kind.fp, MemPool: tiny}, 1)
+			for i := 0; i < 1<<17 && !s.Full(); i++ {
+				s.Insert(encOf(i))
+			}
+			if !s.Full() {
+				t.Fatal("visited set under a starved pool never declared itself full")
+			}
+			s.release()
+			if got := tiny.Used(); got != 0 {
+				t.Fatalf("starved pool Used() = %d after release, want 0", got)
+			}
 
-	// Two searches sharing one pool sequentially both complete and net
-	// out to zero — the server's steady-state invariant.
-	shared := NewMemPool(64 << 20)
-	for i := 0; i < 2; i++ {
-		r := exploreWith(t, mpPlain(), 1, Options{HashCompaction: true, MemPool: shared})
-		if !r.Ok() {
-			t.Fatalf("shared-pool search %d failed: %s", i, r)
-		}
-	}
-	if got := shared.Used(); got != 0 {
-		t.Fatalf("shared pool Used() = %d after both searches, want 0", got)
+			// Two searches sharing one pool sequentially both complete and
+			// net out to zero — the server's steady-state invariant.
+			shared := NewMemPool(64 << 20)
+			for i := 0; i < 2; i++ {
+				r := exploreWith(t, mpPlain(), 1, Options{HashCompaction: kind.fp, MemPool: shared})
+				if !r.Ok() {
+					t.Fatalf("shared-pool search %d failed: %s", i, r)
+				}
+			}
+			if got := shared.Used(); got != 0 {
+				t.Fatalf("shared pool Used() = %d after both searches, want 0", got)
+			}
+		})
 	}
 }

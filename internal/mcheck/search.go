@@ -31,16 +31,16 @@ type Options struct {
 	// (0 = DefaultMaxStates, 4M). Mirrors Murphi's memory bound.
 	MaxStates int
 	// HashCompaction stores 64-bit state fingerprints instead of exact
-	// keys — in a lock-free open-addressing table of ~8–10 bytes per
-	// state — trading a vanishing omission probability for memory (reported
-	// in Result.OmissionProb), the technique §VII-C uses for >1 cache per
+	// keys — one 8-byte slot per state in the visited set's table —
+	// trading a vanishing omission probability for memory (reported in
+	// Result.OmissionProb), the technique §VII-C uses for >1 cache per
 	// cluster. Without it the visited set is exact: every key, a state's
 	// numbered vector (number.go), is stored whole (storage.go).
 	HashCompaction bool
-	// MemBudget bounds visited-set memory in bytes: the growth cap of the
-	// fingerprint table under HashCompaction (the search truncates with
-	// Truncated=true when the table saturates). 0 defaults to 8 GiB.
-	// Ignored in exact mode.
+	// MemBudget bounds visited-set memory in bytes, in either storage
+	// mode: every slot and arena growth is charged to it, and a set that
+	// can no longer grow truncates the search with BudgetFull. 0 defaults
+	// to 8 GiB.
 	MemBudget int64
 	// SpillDir, when nonempty, bounds frontier memory too. The frontier
 	// always holds state keys (the uvarint bytes of numbered vectors,
@@ -85,8 +85,8 @@ type Options struct {
 	// OnProgress receives each report; it runs on the ticker goroutine and
 	// must not block for long.
 	OnProgress func(Progress)
-	// MemPool, when non-nil, is a shared accountant the lossy visited sets
-	// acquire their memory from (see MemPool): MemBudget stays this
+	// MemPool, when non-nil, is a shared accountant the visited set
+	// acquires its memory from (see MemPool): MemBudget stays this
 	// search's private cap, but the bytes under it must also fit in the
 	// pool, so concurrent searches on one host share one budget. Denied
 	// growth truncates with BudgetFull, exactly like a private cap.
@@ -103,7 +103,7 @@ type Progress struct {
 	Visited       int     // distinct states in the visited set so far
 	StatesPerSec  float64 // visited-set growth rate since the last report
 	Frontier      int     // states queued awaiting expansion
-	LoadFactor    float64 // visited-table occupancy (0 in exact mode)
+	LoadFactor    float64 // visited-table occupancy over all its slots
 	SpilledStates int64   // cumulative frontier states written to disk
 	HeapBytes     uint64  // runtime.ReadMemStats HeapAlloc (RSS proxy)
 }
@@ -138,9 +138,9 @@ type Result struct {
 	// State-storage accounting (see storage.go).
 	BudgetFull     bool    // truncation came from the storage MemBudget, not MaxStates
 	Storage        string  // "exact" or "hash-compaction", "+spill" when the frontier spilled to disk
-	TableBytes     int64   // visited-set memory (exact mode: the key table's slots and arenas)
+	TableBytes     int64   // visited-set memory: its slots and, in exact mode, key arenas
 	BytesPerState  float64 // TableBytes per distinct visited state
-	PeakLoadFactor float64 // highest visited-table occupancy (0 in exact mode)
+	PeakLoadFactor float64 // highest visited-table occupancy over all its slots
 	OmissionProb   float64 // estimated probability ≥1 state was omitted (lossy modes)
 	SpilledStates  int64   // cumulative frontier states written to disk
 	SpilledBytes   int64   // cumulative bytes written to spill files
@@ -325,7 +325,7 @@ func exploreProbed(cctx context.Context, initial *System, opts Options, tried fu
 	visited := newVisited(opts, workers)
 	defer visited.release()
 	root := ctx.num.number(initial).appendKey(nil)
-	visited.handle(0).Insert(root)
+	visited.Insert(root)
 
 	sq, err := newSpillQueue(opts.SpillDir, opts.spillRing)
 	if err != nil {
@@ -391,7 +391,7 @@ func watchCancel(cctx context.Context, ctx *searchCtx) func() {
 
 // startProgress spawns the Options.OnProgress ticker goroutine and returns
 // its stop function (a no-op closure when progress is off).
-func startProgress(ctx *searchCtx, visited visitedSet, f *frontier) func() {
+func startProgress(ctx *searchCtx, visited *visitedSet, f *frontier) func() {
 	if ctx.opts.ProgressEvery <= 0 || ctx.opts.OnProgress == nil {
 		return func() {}
 	}
@@ -439,7 +439,7 @@ func startProgress(ctx *searchCtx, visited visitedSet, f *frontier) func() {
 // spawned worker that panics stops the frontier instead of killing the
 // process; once every worker has exited, its panic value is re-raised
 // here, on the caller's goroutine.
-func explore(ctx *searchCtx, workers int, visited visitedSet, f *frontier) *Result {
+func explore(ctx *searchCtx, workers int, visited *visitedSet, f *frontier) *Result {
 	results := make([]*Result, workers)
 	panics := make(chan any, workers)
 	var wg sync.WaitGroup
@@ -453,14 +453,14 @@ func explore(ctx *searchCtx, workers int, visited visitedSet, f *frontier) *Resu
 					panics <- p
 				}
 			}()
-			results[w] = ctx.work(newWorker(ctx), visited, visited.handle(w), f)
+			results[w] = ctx.work(newWorker(ctx), visited, f)
 		}(w)
 	}
 	func() {
 		// Runs on worker 0's panic too: siblings stop and exit before the
 		// panic unwinds past ExploreCtx's cleanup.
 		defer func() { f.stop(); wg.Wait() }()
-		results[0] = ctx.work(newWorker(ctx), visited, visited.handle(0), f)
+		results[0] = ctx.work(newWorker(ctx), visited, f)
 	}()
 	select {
 	case p := <-panics:
@@ -493,11 +493,8 @@ func explore(ctx *searchCtx, workers int, visited visitedSet, f *frontier) *Resu
 // state's key. Admitted successors enter the frontier as their keys. The
 // loop ends when the frontier drains or stops, or when the state budget,
 // the visited set's memory budget or cancellation fires.
-func (ctx *searchCtx) work(w *worker, visited visitedSet, ins inserter, f *frontier) *Result {
+func (ctx *searchCtx) work(w *worker, visited *visitedSet, f *frontier) *Result {
 	res := &Result{Outcomes: memmodel.OutcomeSet{}}
-	// A panic mid-expansion must not leave the handle's window open: a
-	// sibling growing the fingerprint table would wait on it forever.
-	defer ins.End()
 	var batch, pend [][]byte
 	admit := func(key []byte) { pend = append(pend, bytes.Clone(key)) }
 	for done := 0; ; {
@@ -521,9 +518,7 @@ func (ctx *searchCtx) work(w *worker, visited visitedSet, ins inserter, f *front
 				return res
 			}
 			w.cur.decode(key, ctx.num)
-			ins.Begin()
-			w.expand(res, ins.Insert, admit)
-			ins.End()
+			w.expand(res, visited.Insert, admit)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package mcheck
 
-// Tests for the state-storage engine (storage.go, spill.go): the exact
-// set against a reference model and under forced tag collisions,
-// fingerprint-table semantics under concurrency and growth, spill-queue
-// FIFO discipline, and agreement of every storage mode with the exact
+// Tests for the state-storage engine (storage.go, spill.go): the visited
+// set's two key kinds under concurrency, growth and a memory budget, the
+// exact kind against a reference model and under forced tag collisions,
+// spill-queue FIFO discipline, and agreement of every storage mode with the exact
 // search on the litmus configurations. The
 // fused-pair agreement matrix lives in storage_pairs_test.go and the
 // state-image round trip in encode_test.go (external package; they need
@@ -35,42 +35,58 @@ func encOf(i int) []byte {
 	return b[:]
 }
 
-// TestFPSetInsertSemantics: first insert of a fingerprint is new, repeats
-// are not, and the count survives growth (190k inserts force two capacity
-// doublings from the 64Ki initial table).
+// keyKinds are the visited set's two kinds of key, named by their
+// Result.Storage labels.
+var keyKinds = []struct {
+	name string
+	fp   bool // hash compaction
+}{{"exact", false}, {"hash-compaction", true}}
+
+// TestFPSetInsertSemantics: in either key kind, the first insert of a
+// key is new, repeats are not, and the count survives growth (190k
+// inserts double every stripe eight times from its 16 slots).
 func TestFPSetInsertSemantics(t *testing.T) {
 	const n = 190_000
-	s := newFPSet(0, 1, nil)
-	ins := s.handle(0)
-	for i := 0; i < n; i++ {
-		if !ins.Insert(encOf(i)) {
-			t.Fatalf("insert %d: not reported new", i)
-		}
-	}
-	for i := 0; i < n; i += 97 {
-		if ins.Insert(encOf(i)) {
-			t.Fatalf("re-insert %d: reported new", i)
-		}
-	}
-	if s.Size() != n {
-		t.Fatalf("Size() = %d, want %d", s.Size(), n)
-	}
-	if s.Full() {
-		t.Fatal("unbudgeted table reported Full")
-	}
-	st := s.stats()
-	if st.mode != "hash-compaction" {
-		t.Fatalf("mode = %q", st.mode)
-	}
-	if st.omission <= 0 || st.omission > 1e-6 {
-		t.Fatalf("omission = %g, want small positive", st.omission)
+	for _, kind := range keyKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := newVisited(Options{HashCompaction: kind.fp}, 1)
+			for i := 0; i < n; i++ {
+				if !s.Insert(encOf(i)) {
+					t.Fatalf("insert %d: not reported new", i)
+				}
+			}
+			for i := 0; i < n; i += 97 {
+				if s.Insert(encOf(i)) {
+					t.Fatalf("re-insert %d: reported new", i)
+				}
+			}
+			if s.Size() != n {
+				t.Fatalf("Size() = %d, want %d", s.Size(), n)
+			}
+			if s.Full() {
+				t.Fatal("set under the default budget reported Full")
+			}
+			st := s.stats()
+			if st.mode != kind.name {
+				t.Fatalf("mode = %q", st.mode)
+			}
+			if !kind.fp {
+				if st.omission != 0 {
+					t.Fatalf("exact omission = %g, want 0", st.omission)
+				}
+				return
+			}
+			if st.omission <= 0 || st.omission > 1e-6 {
+				t.Fatalf("omission = %g, want small positive", st.omission)
+			}
+		})
 	}
 }
 
 // TestBytesPerStateRegression is the storage counterpart of the allocation
-// guard. The fingerprint table must stay a flat 8 bytes per slot, growing
-// at 0.75 load — at 190k states that lands on a 256Ki-slot table,
-// ~11 bytes/state. The exact set must keep storing a state as its
+// guard. Hash compaction must stay a flat 8 bytes per slot, every stripe
+// growing at 3/4 load: at 190k states that lands most stripes on 4Ki
+// slots, ~11 bytes/state. The exact set must keep storing a state as its
 // few-byte numbered vector behind an 8-byte slot: on the release/acquire
 // MP search with evictions that measures 32.4 bytes/state (the budget
 // dates from the collapse-compressed set, 39.5 with its intern tables).
@@ -78,10 +94,9 @@ func TestFPSetInsertSemantics(t *testing.T) {
 func TestBytesPerStateRegression(t *testing.T) {
 	t.Run("hash-compaction", func(t *testing.T) {
 		const n = 190_000
-		s := newFPSet(0, 1, nil)
-		ins := s.handle(0)
+		s := newVisited(Options{HashCompaction: true}, 1)
 		for i := 0; i < n; i++ {
-			ins.Insert(encOf(i))
+			s.Insert(encOf(i))
 		}
 		st := s.stats()
 		bps := float64(st.tableBytes) / float64(n)
@@ -92,8 +107,11 @@ func TestBytesPerStateRegression(t *testing.T) {
 		if bps < 8 {
 			t.Fatalf("%.2f bytes/state is below the 8-byte slot floor — accounting bug", bps)
 		}
-		if st.peakLoad < fpGrowLoad-0.01 {
-			t.Fatalf("peak load %.3f never reached the %.2f growth threshold", st.peakLoad, fpGrowLoad)
+		// Each stripe doubles at 3/4 of its own slots, so the load over
+		// all slots peaks a few points lower, by the spread of the keys
+		// over the stripes (0.708 here).
+		if st.peakLoad < 0.7 {
+			t.Fatalf("peak load %.3f never neared the 3/4 growth threshold", st.peakLoad)
 		}
 	})
 	t.Run("exact", func(t *testing.T) {
@@ -113,87 +131,48 @@ func TestBytesPerStateRegression(t *testing.T) {
 	})
 }
 
-// TestFPSetExactlyOnceUnderContention: every worker races to insert the
-// same stream of states, across several table growths. Each state must be
-// claimed new by exactly one worker — the property that keeps compacted
-// state counts equal to exact counts. Run under -race this also exercises
-// the stop-the-world growth rendezvous.
-func TestFPSetExactlyOnceUnderContention(t *testing.T) {
+// TestVisitedExactlyOnceUnderContention: workers race to insert the same
+// stream of keys while every stripe grows from its 16 slots. In either
+// key kind each key must be claimed new by exactly one worker — the
+// property that keeps parallel counts equal to sequential ones (no lost
+// or double-expanded states). Run under -race this also exercises the
+// stripe locks.
+func TestVisitedExactlyOnceUnderContention(t *testing.T) {
 	const n = 200_000
 	workers := runtime.NumCPU()
 	if workers < 4 {
 		workers = 4
 	}
-	s := newFPSet(0, workers, nil)
-	claimed := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		ins := s.handle(w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var enc [8]byte
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(enc[:], uint64(i))
-				if ins.Insert(enc[:]) {
-					claimed[w]++
-				}
+	for _, kind := range keyKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := newVisited(Options{HashCompaction: kind.fp}, workers)
+			claimed := make([]int64, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var key []byte
+					for i := 0; i < n; i++ {
+						key = vecKey(key[:0], i%97, i/97%211, i/(97*211))
+						if s.Insert(key) {
+							claimed[w]++
+						}
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	total := int64(0)
-	for _, c := range claimed {
-		total += c
-	}
-	if total != n {
-		t.Fatalf("%d workers claimed %d states as new, want exactly %d", workers, total, n)
-	}
-	if s.Size() != n {
-		t.Fatalf("Size() = %d, want %d", s.Size(), n)
-	}
-}
-
-// TestExactSetExactlyOnceUnderContention: like the fingerprint table, the
-// exact set must claim each state new exactly once when workers race on
-// the same stream — otherwise a state is expanded twice and parallel
-// counts drift from sequential. Run under -race this also exercises the
-// stripe locks.
-func TestExactSetExactlyOnceUnderContention(t *testing.T) {
-	const n = 100_000
-	workers := runtime.NumCPU()
-	if workers < 4 {
-		workers = 4
-	}
-	s := newExactSet(workers)
-	claimed := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		ins := s.handle(w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var key []byte
-			for i := 0; i < n; i++ {
-				key = vecKey(key[:0], i%97, i/97%211, i/(97*211))
-				if ins.Insert(key) {
-					claimed[w]++
-				}
+			wg.Wait()
+			total := int64(0)
+			for _, c := range claimed {
+				total += c
 			}
-		}()
-	}
-	wg.Wait()
-	total := int64(0)
-	for _, c := range claimed {
-		total += c
-	}
-	if total != n {
-		t.Fatalf("%d workers claimed %d states as new, want exactly %d", workers, total, n)
-	}
-	if s.Size() != n {
-		t.Fatalf("Size() = %d, want %d", s.Size(), n)
+			if total != n {
+				t.Fatalf("%d workers claimed %d states as new, want exactly %d", workers, total, n)
+			}
+			if s.Size() != n {
+				t.Fatalf("Size() = %d, want %d", s.Size(), n)
+			}
+		})
 	}
 }
 
@@ -225,15 +204,14 @@ func randomVec(rng *rand.Rand) *vec {
 // exactly when a map of whole keys has not seen them.
 func TestExactSetMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	s := newExactSet(1)
-	ins := s.handle(0)
+	s := newVisited(Options{}, 1)
 	ref := map[string]struct{}{}
 	var key []byte
 	for i := 0; i < 120_000; i++ {
 		key = randomVec(rng).appendKey(key[:0])
 		_, seen := ref[string(key)]
 		ref[string(key)] = struct{}{}
-		if got := ins.Insert(key); got == seen {
+		if got := s.Insert(key); got == seen {
 			t.Fatalf("insert %d (%x): reported new=%t, reference has seen=%t", i, key, got, seen)
 		}
 	}
@@ -318,33 +296,52 @@ func TestExactSetSmallSearchFloor(t *testing.T) {
 	}
 }
 
-// TestFPSetBudgetTruncation: a table pinned at its minimum capacity by a
-// tiny MemBudget must declare itself Full near the saturation load and
-// reject further states instead of thrashing.
+// TestFPSetBudgetTruncation: in either key kind, a set whose MemBudget
+// stops its stripes growing must declare itself Full — only once a stripe
+// it cannot double is 15/16 occupied, or an arena cannot take a key — and
+// then reject further states instead of thrashing, never holding more
+// than the budget.
 func TestFPSetBudgetTruncation(t *testing.T) {
-	s := newFPSet(1, 1, nil) // floor capacity: fpInitialSlots
-	ins := s.handle(0)
-	inserted := 0
-	for i := 0; i < 2*fpInitialSlots && !s.Full(); i++ {
-		if ins.Insert(encOf(i)) {
-			inserted++
-		}
-	}
-	if !s.Full() {
-		t.Fatalf("table never filled after %d inserts into %d slots", inserted, fpInitialSlots)
-	}
-	if ins.Insert(encOf(1 << 40)) {
-		t.Fatal("full table accepted a new state")
-	}
-	if lo := int(fpFullLoad*fpInitialSlots) - 1; inserted < lo {
-		t.Fatalf("declared full after only %d inserts, saturation is ~%d", inserted, lo)
-	}
-	if inserted > fpInitialSlots {
-		t.Fatalf("inserted %d states into %d slots", inserted, fpInitialSlots)
-	}
-	st := s.stats()
-	if st.peakLoad < fpFullLoad-0.01 {
-		t.Fatalf("peak load %.3f below the declared-full threshold", st.peakLoad)
+	const budget = 64 << 10
+	for _, kind := range keyKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := newVisited(Options{HashCompaction: kind.fp, MemBudget: budget}, 1)
+			inserted := 0
+			for i := 0; !s.Full(); i++ {
+				if i == budget {
+					t.Fatalf("set never filled after %d inserts under a %d-byte budget", i, budget)
+				}
+				if s.Insert(encOf(i)) {
+					inserted++
+				}
+			}
+			if s.Insert(encOf(1 << 40)) {
+				t.Fatal("full set accepted a new state")
+			}
+			if inserted != s.Size() {
+				t.Fatalf("%d inserts reported new, Size() = %d", inserted, s.Size())
+			}
+			used := s.stats().tableBytes
+			if used > budget {
+				t.Fatalf("set holds %d bytes, budget %d", used, budget)
+			}
+			// A stripe saturated: its doubling or its arena's growth by a
+			// quarter does not fit the budget.
+			saturated := false
+			for i := range s.shards {
+				sh := &s.shards[i]
+				if 16*sh.n > 15*len(sh.slots) {
+					t.Fatalf("stripe %d holds %d keys in %d slots, past 15/16", i, sh.n, len(sh.slots))
+				}
+				slotsFull := 16*sh.n >= 15*len(sh.slots) && used+8*int64(len(sh.slots)) > budget
+				c := cap(sh.arena)
+				arenaFull := !kind.fp && len(sh.arena)+8 > c && used+int64(c/4+256) > budget
+				saturated = saturated || slotsFull || arenaFull
+			}
+			if !saturated {
+				t.Fatalf("declared Full after %d inserts with no stripe saturated (%d of %d bytes held)", inserted, used, budget)
+			}
+		})
 	}
 }
 
@@ -571,14 +568,18 @@ func TestResultStringTruncationCauses(t *testing.T) {
 	}
 }
 
-// TestExploreBudgetTruncation: an Explore whose fingerprint table hits its
+// TestExploreBudgetTruncation: a compacted Explore whose visited set hits its
 // MemBudget must stop, flag BudgetFull, and report fewer states than the
 // space holds — end-to-end through the search loop, not just the table.
-// IRIW with evictions reaches ~1.6M states; a minimum-capacity table
-// (64Ki slots, ~61k usable at the saturation load) cuts the search off
-// after a few percent of the space.
+// IRIW with evictions reaches ~1.6M states; a 512 KiB budget (64Ki slots
+// at most, ~61k usable at the saturation load) cuts the search off after
+// a few percent of the space.
 func TestExploreBudgetTruncation(t *testing.T) {
-	const fullSpace = 1_600_000 // known size of the IRIW eviction space
+	const (
+		fullSpace   = 1_600_000 // known size of the IRIW eviction space
+		budget      = 512 << 10
+		budgetSlots = budget / 8
+	)
 	check := func(label string, res *Result) {
 		t.Helper()
 		if !res.Truncated || !res.BudgetFull {
@@ -588,9 +589,9 @@ func TestExploreBudgetTruncation(t *testing.T) {
 		// Expanded states lag the visited set (the frontier holds states
 		// already claimed but not yet expanded), so only bracket loosely:
 		// well past trivial, well short of the full space.
-		if res.States < fpInitialSlots/4 || res.States > fullSpace/4 {
-			t.Fatalf("%s: truncated at %d states, expected table saturation near %d",
-				label, res.States, int(fpFullLoad*fpInitialSlots))
+		if res.States < budgetSlots/4 || res.States > fullSpace/4 {
+			t.Fatalf("%s: truncated at %d states, expected table saturation below %d",
+				label, res.States, budgetSlots)
 		}
 		if res.Ok() {
 			t.Fatalf("%s: truncated result reported Ok", label)
@@ -599,7 +600,7 @@ func TestExploreBudgetTruncation(t *testing.T) {
 			t.Fatalf("%s: summary does not blame the memory budget: %q", label, res)
 		}
 	}
-	opts := Options{Evictions: true, HashCompaction: true, MemBudget: 1}
+	opts := Options{Evictions: true, HashCompaction: true, MemBudget: budget}
 	check("sequential", exploreWith(t, iriw(), 1, opts))
 	check("parallel", exploreWith(t, iriw(), 8, opts))
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"heterogen/internal/core"
 	"heterogen/internal/engine"
 )
 
@@ -248,6 +249,54 @@ func TestCancelRunningJob(t *testing.T) {
 	// The worker pool is intact: a follow-up job completes.
 	id2 := postJob(t, ts, `{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1}}}`)
 	waitState(t, ts, id2, StateDone)
+}
+
+// TestMemPoolBoundsExactJobs: the server-wide memory pool bounds every
+// search, exact storage included. Under a 64 KiB pool a default (exact)
+// check job of 3,614 states ends truncated with BudgetFull, and a compile
+// job's extraction fails as truncated instead of growing the daemon; the
+// pool is empty after each, and a search that fits still completes.
+func TestMemPoolBoundsExactJobs(t *testing.T) {
+	srv, ts := testServer(t, Config{JobWorkers: 1, MemPoolBytes: 64 << 10})
+	emptyPool := func(after string) {
+		t.Helper()
+		if used := srv.Pool().Used(); used != 0 {
+			t.Fatalf("memory pool holds %d bytes after %s", used, after)
+		}
+	}
+
+	id := postJob(t, ts, `{"check":{"protocol":"MSI","caches":2,"addrs":1,"search":{"workers":1}}}`)
+	m := waitState(t, ts, id, StateDone)
+	var res struct {
+		Truncated  bool   `json:"Truncated"`
+		BudgetFull bool   `json:"BudgetFull"`
+		Storage    string `json:"Storage"`
+		States     int    `json:"States"`
+	}
+	if err := json.Unmarshal(m["result"], &res); err != nil {
+		t.Fatalf("decoding check result: %v (%s)", err, m["result"])
+	}
+	if !res.Truncated || !res.BudgetFull || res.Storage != "exact" || res.States >= 3614 {
+		t.Fatalf("exact check under a 64 KiB pool: %+v, want a BudgetFull truncation short of 3614 states", res)
+	}
+	emptyPool("the truncated check")
+
+	id = postJob(t, ts, `{"compile":{"pair":["MSI","RCC"],"full":true}}`)
+	m = waitState(t, ts, id, StateFailed)
+	var msg string
+	json.Unmarshal(m["error"], &msg)
+	if !strings.Contains(msg, core.ErrCompileTruncated.Error()) || !strings.Contains(msg, "memory budget") {
+		t.Fatalf("compile under a 64 KiB pool failed with %q, want a memory-budget %q", msg, core.ErrCompileTruncated)
+	}
+	emptyPool("the truncated compile")
+
+	id = postJob(t, ts, `{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1}}}`)
+	m = waitState(t, ts, id, StateDone)
+	res.Truncated = true
+	if err := json.Unmarshal(m["result"], &res); err != nil || res.Truncated {
+		t.Fatalf("small check under the pool: %+v (%v), want a complete search", res, err)
+	}
+	emptyPool("the small check")
 }
 
 // TestSubmitRejectsUnknownFields: a request naming a field the API does
