@@ -462,7 +462,7 @@ func BenchmarkCompile(b *testing.B) {
 			cf = compile(b)
 			st := cf.Stats()
 			record("extract", time.Since(start), st.ExtractStates,
-				fmt.Sprintf("memoized table extraction (the default): exhaustive POR-off search of the compiled configuration with each distinct (state, message) pair interpreted exactly once — %d interpreted, %d replayed from the growing table — plus finalization (canonical renumbering and the FSM projection)",
+				fmt.Sprintf("memoized table extraction (the default): exhaustive POR-off search of the compiled configuration with each distinct (state, message) pair interpreted exactly once — %d interpreted, %d served from the search's memo or the growing table — plus finalization (canonical renumbering and the FSM projection)",
 					st.Interpreted, st.MemoHits))
 			b.ReportMetric(float64(st.ExtractStates), "states")
 			b.ReportMetric(float64(st.MemoHits), "memo-hits")

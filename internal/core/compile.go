@@ -120,6 +120,11 @@ type CompileConfig struct {
 	// cannot hold truncates, failing with ErrCompileTruncated. Excluded
 	// from the digest — accounting never changes what is extracted.
 	MemPool *mcheck.MemPool
+	// MemBudget bounds the extraction's visited-set memory in bytes
+	// (mcheck.Options.MemBudget; 0 = the checker default): an extraction
+	// that outgrows it truncates, failing with ErrCompileTruncated.
+	// Excluded from the digest, as MemPool is.
+	MemBudget int64
 }
 
 // stallState marks a recorded stall: Deliver returns false, no side
@@ -128,7 +133,8 @@ const stallState = int32(-1)
 
 // ErrCompileTruncated marks a Compile failure caused by the extraction
 // search hitting its state budget (raise CompileConfig.MaxStates) or its
-// visited-set memory (CompileConfig.MemPool). Detectable with errors.Is.
+// visited-set memory (CompileConfig.MemBudget or MemPool). Detectable
+// with errors.Is.
 var ErrCompileTruncated = errors.New("core: compile extraction truncated")
 
 // ErrCompileCancelled marks a CompileCtx failure caused by context
@@ -169,8 +175,8 @@ type CompileStats struct {
 	// MergedDir during extraction — exactly one per distinct (state,
 	// message) pair.
 	Interpreted int64
-	// MemoHits counts deliveries replayed from the already-recorded table
-	// instead of interpreting.
+	// MemoHits counts deliveries served without interpreting, from the
+	// search's memo or the table.
 	MemoHits int64
 	// Finalize is the table's renumbering and FSM projection time after
 	// extraction (a load's is part of Load).
@@ -332,7 +338,7 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 		Evictions: cfg.Evictions, MaxStates: cfg.MaxStates,
 		Workers:       cfg.Workers,
 		ProgressEvery: cfg.ProgressEvery, OnProgress: cfg.OnProgress,
-		MemPool: cfg.MemPool,
+		MemPool: cfg.MemPool, MemBudget: cfg.MemBudget,
 		// Full coverage: reductions prune (state, message) pairs the checker
 		// may later need. Deadlocks are fine — the table must reproduce them.
 		POR: mcheck.POROff,
@@ -784,7 +790,7 @@ type compiler struct {
 	vocab *spec.Vocab
 
 	interpreted int64 // deliveries that ran the interpreted MergedDir
-	memoHits    int64 // deliveries replayed from the recorded table
+	memoHits    int64 // deliveries served from the search's memo or the table
 	err         error
 }
 
@@ -955,8 +961,8 @@ func (d *CompiledDir) Snapshot(b *spec.SnapshotWriter) {
 	b.WriteString(d.cf.snapOf(d.state()))
 }
 
-// AppendBinary implements spec.StateCodec with the state register (a
-// search numbers the directory by it: Register). Within one table the register is a bijection with the interned
+// AppendBinary implements spec.StateCodec with the state register. Within
+// one table the register is a bijection with the interned
 // (image, memory) pair, so the key distinguishes exactly the states the
 // interpreted image does; the shared memory is encoded by the host as
 // usual.
@@ -977,16 +983,13 @@ func (d *CompiledDir) DecodeState(dec *spec.Dec) error {
 	return nil
 }
 
-// Register implements mcheck.Registered: a search numbers the directory
-// by its state register and delivers through step, its only memo.
-func (d *CompiledDir) Register() uint32 { return uint32(d.cur) }
-
-// SetRegister implements mcheck.Registered.
-func (d *CompiledDir) SetRegister(n uint32) { d.cur = int32(n) }
-
-// MemoryImage implements mcheck.Registered with the memory image
-// interned with the current state.
-func (d *CompiledDir) MemoryImage() []byte { return d.state().mem }
+// Replayed implements mcheck.Replayer: deliveries a search's memo served
+// without reaching the table count as memo hits.
+func (d *CompiledDir) Replayed(n int64) {
+	d.grow.mu.Lock()
+	d.grow.memoHits += n
+	d.grow.mu.Unlock()
+}
 
 // RefNodes implements spec.NodeReferrer with the interpreted component's
 // references captured at intern time (identical ample-set choices).
@@ -1000,5 +1003,5 @@ var (
 	_ spec.StateCodec     = (*CompiledDir)(nil)
 	_ spec.NodeReferrer   = (*CompiledDir)(nil)
 	_ mcheck.MemoryCloner = (*CompiledDir)(nil)
-	_ mcheck.Registered   = (*CompiledDir)(nil)
+	_ mcheck.Replayer     = (*CompiledDir)(nil)
 )

@@ -66,6 +66,26 @@ func TestExtractionDeterminism(t *testing.T) {
 	}
 }
 
+// TestExtractionDeliverySplit pins the MESI&RCC-O full extraction's
+// delivery counts at one worker and two: every delivery the search's memo
+// serves is handed to the compiled directory as a memo hit, so the split
+// into interpreted and memoized deliveries is the one the table would
+// count if it saw every delivery itself.
+func TestExtractionDeliverySplit(t *testing.T) {
+	f := fusePair(t, protocols.NameMESI, protocols.NameRCCO)
+	for _, workers := range []int{1, 2} {
+		cf, err := Compile(f, TableIICompileConfig(false, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := cf.Stats()
+		if st.ExtractStates != 253244 || st.Interpreted != 23476 || st.MemoHits != 439022 {
+			t.Errorf("Workers=%d: %d states, %d interpreted, %d memo hits; want 253244, 23476, 439022",
+				workers, st.ExtractStates, st.Interpreted, st.MemoHits)
+		}
+	}
+}
+
 // TestExtractionSearchMatchesTable pins that a finished table reproduces
 // exactly the graph that extracted it: a search of cf.System() under the
 // extraction's own options (evictions as compiled, POR off, one worker)

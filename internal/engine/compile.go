@@ -30,10 +30,11 @@ type CompileRequest struct {
 	// Full extracts with evictions explored (slower); the default is
 	// the quick eviction-free Table II configuration.
 	Full bool `json:"full,omitempty"`
-	// Search supplies Workers and MaxStates (the extraction's state
-	// budget). Extraction always runs with POR off, so NoPOR is accepted
-	// and changes nothing; it fixes exact storage, so a request setting
-	// hash, mem_budget or spill_dir fails.
+	// Search supplies Workers, MaxStates (the extraction's state budget)
+	// and MemBudget (its visited-set memory). Extraction always runs with
+	// POR off, so NoPOR is accepted and changes nothing; it fixes exact
+	// storage with an in-memory frontier, so a request setting hash or
+	// spill_dir fails.
 	Search SearchOptions `json:"search,omitempty"`
 }
 
@@ -75,10 +76,10 @@ func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResu
 		name string
 		set  bool
 	}{
-		{"hash", s.Hash}, {"mem_budget", s.MemBudget != 0}, {"spill_dir", s.SpillDir != ""},
+		{"hash", s.Hash}, {"spill_dir", s.SpillDir != ""},
 	} {
 		if knob.set {
-			return nil, fmt.Errorf("compile request sets search.%s, which extraction does not honour (it takes workers, max_states and no_por)", knob.name)
+			return nil, fmt.Errorf("compile request sets search.%s, which extraction does not honour (it takes workers, max_states, mem_budget and no_por)", knob.name)
 		}
 	}
 	mode, err := ParseHandshake(req.Handshake)
@@ -99,6 +100,7 @@ func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResu
 	}
 	ccfg := core.TableIICompileConfig(!req.Full, s.Workers)
 	ccfg.MaxStates = s.MaxStates
+	ccfg.MemBudget = s.MemBudget
 	ccfg.ProgressEvery = hooks.ProgressEvery
 	ccfg.OnProgress = hooks.searchProgress("extract")
 	ccfg.MemPool = hooks.MemPool

@@ -298,10 +298,10 @@ func TestCompileResultCarriesVerdict(t *testing.T) {
 	}
 }
 
-// TestCompileSearchKnobs: a compile request honours max_states (a budget
-// below the extraction's size truncates it) and accepts no_por, while
-// each storage knob extraction cannot honour fails the request with an
-// error naming the field.
+// TestCompileSearchKnobs: a compile request honours max_states and
+// mem_budget (a budget below the extraction's size truncates it) and
+// accepts no_por, while each storage knob extraction cannot honour fails
+// the request with an error naming the field.
 func TestCompileSearchKnobs(t *testing.T) {
 	ctx := context.Background()
 	req := func(s SearchOptions) CompileRequest {
@@ -310,13 +310,16 @@ func TestCompileSearchKnobs(t *testing.T) {
 	if _, err := Compile(ctx, req(SearchOptions{Workers: 1, MaxStates: 10}), Hooks{}); !errors.Is(err, core.ErrCompileTruncated) {
 		t.Errorf("max_states 10: got %v, want core.ErrCompileTruncated", err)
 	}
+	_, err := Compile(ctx, req(SearchOptions{Workers: 1, MemBudget: 1 << 10}), Hooks{})
+	if !errors.Is(err, core.ErrCompileTruncated) || !strings.Contains(err.Error(), "(memory budget)") {
+		t.Errorf("mem_budget 1 KiB: got %v, want core.ErrCompileTruncated naming the memory budget", err)
+	}
 	if _, err := Compile(ctx, req(SearchOptions{Workers: 1, NoPOR: true}), Hooks{}); err != nil {
 		t.Errorf("no_por: %v", err)
 	}
 	for field, s := range map[string]SearchOptions{
-		"hash":       {Hash: true},
-		"mem_budget": {MemBudget: 1 << 20},
-		"spill_dir":  {SpillDir: t.TempDir()},
+		"hash":      {Hash: true},
+		"spill_dir": {SpillDir: t.TempDir()},
 	} {
 		s.Workers = 1
 		if _, err := Compile(ctx, req(s), Hooks{}); err == nil || !strings.Contains(err.Error(), "search."+field) {

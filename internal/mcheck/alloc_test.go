@@ -14,7 +14,6 @@ package mcheck
 // pass.
 
 import (
-	"bytes"
 	"testing"
 
 	"heterogen/internal/protocols"
@@ -135,11 +134,12 @@ func TestAllocRegressionInPlace(t *testing.T) {
 	}
 }
 
-// TestAllocRegressionFrontier guards the frontier's publish/take cycle:
-// the only allocation per admitted state is the copy of its encoding out
-// of the worker's scratch buffer, and the queue windows and the batch
-// slice are reused, so a take costs at most one allocation on top. A
-// regression here multiplies across every state the search moves.
+// TestAllocRegressionFrontier guards the frontier's publish/take cycle
+// through the search's own admit path: an admitted key is copied into the
+// worker's current slab, so the copies cost one allocation per 64 KiB of
+// keys, and the queue windows and the batch slice are reused, so a take
+// costs at most one allocation on top. A copy per admitted state would
+// multiply across every state the search moves.
 func TestAllocRegressionFrontier(t *testing.T) {
 	q, err := newSpillQueue("", 0)
 	if err != nil {
@@ -147,26 +147,25 @@ func TestAllocRegressionFrontier(t *testing.T) {
 	}
 	scratch := make([]byte, 200) // a typical encoding's size
 	f := newFrontier(q, append([]byte(nil), scratch...))
-	const admitted = 8
-	pend := make([][]byte, 0, admitted)
+	const admitted = 32
+	var pend pending
 	batch := make([][]byte, 0, maxBatch)
 	done := 0
 	cycle := func() {
 		for i := 0; i < admitted; i++ {
-			pend = append(pend, bytes.Clone(scratch))
+			pend.admit(scratch)
 		}
-		batch = f.exchange(pend, done, batch)
-		clear(pend)
-		pend = pend[:0]
+		batch = f.exchange(pend.keys, done, batch)
+		pend.published()
 		done = len(batch)
 	}
 	for i := 0; i < 1024; i++ { // pre-grow the queue windows
 		cycle()
 	}
 	allocs := testing.AllocsPerRun(200, cycle)
-	t.Logf("frontier publish+take cycle: %.1f allocs for %d admitted states", allocs, admitted)
-	if allocs > admitted+1 {
-		t.Errorf("frontier publish+take cycle allocates %.1f, budget %d — one encoding copy per admitted state plus one batch slice",
-			allocs, admitted+1)
+	t.Logf("frontier publish+take cycle: %.2f allocs for %d admitted states", allocs, admitted)
+	if budget := admitted / 8; allocs > float64(budget) {
+		t.Errorf("frontier publish+take cycle allocates %.2f for %d admitted states, budget %d — admitted keys must share slabs",
+			allocs, admitted, budget)
 	}
 }

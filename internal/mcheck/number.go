@@ -24,9 +24,9 @@ import (
 //     interns the result;
 //   - the component that holds the shared memory (a directory) is
 //     numbered by its (image, memory) pair, so the memory is no position
-//     of its own;
-//   - a Registered component (core.CompiledDir) numbers its states
-//     itself: its register is its number and its own table is its memo;
+//     of its own. That holds for core.CompiledDir too: its image is its
+//     state register, and its compiled table is consulted only on a
+//     memo miss, through the thawed clone's Deliver;
 //   - a FIFO number stands for a channel's message sequence, with its
 //     pop and push memos and the set of nodes its messages name;
 //   - a message number stands for one spec.Msg and its channel.
@@ -36,20 +36,13 @@ import (
 // Only invariants, deadlocks and outcomes, which read a whole machine,
 // see a System, materialized from the vector.
 
-// Registered is implemented by a component that numbers its own states,
-// shared memory included, in a table it keeps itself (core.CompiledDir).
-// The search stores the register as the component's number and delivers
-// through the component, so the component's table is the only memo of
-// its moves.
-type Registered interface {
-	// Register returns the current state's number.
-	Register() uint32
-	// SetRegister moves the component to state n, leaving the shared
-	// memory alone.
-	SetRegister(n uint32)
-	// MemoryImage returns the image (spec.Memory.AppendBinary) of the
-	// memory the current state implies. The caller must not modify it.
-	MemoryImage() []byte
+// Replayer is implemented by a component that counts its own deliveries
+// (core.CompiledDir). A memo hit serves a delivery without running the
+// component, so each worker tallies the hits at such a position and hands
+// the total over once, when it exits.
+type Replayer interface {
+	// Replayed adds n deliveries served without running the component.
+	Replayed(n int64)
 }
 
 // stall is the next number of a refused move.
@@ -218,11 +211,11 @@ type fifoEntry struct {
 // numbering is one search's shared tables. FIFO number 0 is the empty
 // channel, which no vector holds.
 type numbering struct {
-	route []int // NodeID → component position (System.route)
-	nodes int   // len(route): channel numbers are (src·nodes + dst)·NumVNets + vnet
-	pos   []*compTable
-	reg   []bool // position i is Registered (pos[i] is nil)
-	owner int    // the position holding the shared memory, -1 if none
+	route  []int // NodeID → component position (System.route)
+	nodes  int   // len(route): channel numbers are (src·nodes + dst)·NumVNets + vnet
+	pos    []*compTable
+	replay []Replayer // position i's component as a Replayer, or nil
+	owner  int        // the position holding the shared memory, -1 if none
 
 	// The cores' inline block: core i's words start at coreOff[i] — its
 	// PC<<1|issued, then one zigzag value per load of its program, the
@@ -252,7 +245,7 @@ func newNumbering(s *System, workers int) *numbering {
 	shared := workers > 1
 	n := &numbering{
 		route: s.route, nodes: len(s.route),
-		pos: make([]*compTable, len(s.Components)), reg: make([]bool, len(s.Components)),
+		pos: make([]*compTable, len(s.Components)), replay: make([]Replayer, len(s.Components)),
 		owner:    -1,
 		reqIndex: map[spec.CoreReq]uint32{},
 		msgIndex: map[spec.Msg]uint32{}, fifoIndex: map[string]uint32{}, fifoPush: map[uint64]uint32{},
@@ -267,10 +260,7 @@ func newNumbering(s *System, workers int) *numbering {
 			}
 			n.owner = i
 		}
-		if _, ok := c.(Registered); ok {
-			n.reg[i] = true
-			continue
-		}
+		n.replay[i], _ = c.(Replayer)
 		n.pos[i] = &compTable{gate: gate{shared: shared}, index: map[string]uint32{}, memo: map[uint64]memoOut{}}
 	}
 	for _, core := range s.Cores {
@@ -486,10 +476,6 @@ func (n *numbering) number(s *System) *vec {
 	v := &vec{}
 	var buf []byte
 	for i, c := range s.Components {
-		if n.reg[i] {
-			v.comps = append(v.comps, c.(Registered).Register())
-			continue
-		}
 		var mem *spec.Memory
 		if i == n.owner {
 			mem = s.Mem.Clone()
@@ -531,14 +517,6 @@ func (n *numbering) number(s *System) *vec {
 // to the state v.
 func (n *numbering) materialize(s *System, v *vec) {
 	for i, c := range s.Components {
-		if n.reg[i] {
-			r := c.(Registered)
-			r.SetRegister(v.comps[i])
-			if i == n.owner {
-				mustDecode(s.Mem, r.MemoryImage())
-			}
-			continue
-		}
 		e := n.pos[i].at(v.comps[i])
 		mustDecode(c, e.img[:e.split])
 		if i == n.owner {

@@ -95,13 +95,7 @@ func porCandidates(s *System) []spec.NodeID {
 func (w *worker) selectAmple() int {
 	var refs spec.NodeSet
 	for p, n := range w.cur.comps {
-		if w.num.reg[p] {
-			c := w.regs[p]
-			c.(Registered).SetRegister(n)
-			refs = refs.Or(c.(spec.NodeReferrer).RefNodes())
-		} else {
-			refs = refs.Or(w.num.pos[p].at(n).refs)
-		}
+		refs = refs.Or(w.num.pos[p].at(n).refs)
 	}
 	for _, id := range w.ctx.porCands {
 		if refs.Has(id) || !w.chanIsolated(id) {

@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -494,13 +493,13 @@ func explore(ctx *searchCtx, workers int, visited *visitedSet, f *frontier) *Res
 // loop ends when the frontier drains or stops, or when the state budget,
 // the visited set's memory budget or cancellation fires.
 func (ctx *searchCtx) work(w *worker, visited *visitedSet, f *frontier) *Result {
+	defer w.flushReplayed()
 	res := &Result{Outcomes: memmodel.OutcomeSet{}}
-	var batch, pend [][]byte
-	admit := func(key []byte) { pend = append(pend, bytes.Clone(key)) }
+	var batch [][]byte
+	var pend pending
 	for done := 0; ; {
-		batch = f.exchange(pend, done, batch)
-		clear(pend) // the frontier owns the published keys now
-		pend = pend[:0]
+		batch = f.exchange(pend.keys, done, batch)
+		pend.published()
 		if len(batch) == 0 {
 			return res
 		}
@@ -518,15 +517,48 @@ func (ctx *searchCtx) work(w *worker, visited *visitedSet, f *frontier) *Result 
 				return res
 			}
 			w.cur.decode(key, ctx.num)
-			w.expand(res, visited.Insert, admit)
+			w.expand(res, visited.Insert, pend.admit)
 		}
 	}
 }
 
+// The blocks pending copies admitted keys into start at minSlab bytes and
+// double up to slabSize, so a small search does not pay for a full slab.
+const (
+	minSlab  = 1 << 10
+	slabSize = 64 << 10
+)
+
+// pending holds a worker's admitted keys until its next exchange. Each
+// key is copied into an append-only slab and kept as a capped sub-slice
+// of it, so once the slabs reach full size admitting a state costs an
+// allocation per 64 KiB of keys, not one per key. No byte of a slab is
+// written twice, so the frontier may hold a key as long as it likes; the
+// collector frees a slab once its last key is dropped.
+type pending struct {
+	keys [][]byte
+	slab []byte
+}
+
+// admit queues a copy of key, which the caller may reuse.
+func (p *pending) admit(key []byte) {
+	if len(key) > cap(p.slab)-len(p.slab) {
+		p.slab = make([]byte, 0, max(min(2*cap(p.slab), slabSize), minSlab, len(key)))
+	}
+	i := len(p.slab)
+	p.slab = append(p.slab, key...)
+	p.keys = append(p.keys, p.slab[i:len(p.slab):len(p.slab)])
+}
+
+// published empties the queue once the frontier owns its keys.
+func (p *pending) published() {
+	clear(p.keys)
+	p.keys = p.keys[:0]
+}
+
 // worker is one search worker's scratch: the expanded state, the
 // successor being built and its key, the move lists, a System to
-// materialize states into, and its own copy of every Registered
-// component, through which it delivers.
+// materialize states into, and its memo hits per position.
 type worker struct {
 	ctx   *searchCtx
 	num   *numbering
@@ -536,11 +568,10 @@ type worker struct {
 	moves []vmove
 	amp   []vmove // ample-partition scratch (por.go)
 	rest  []vmove
-	sends sendCapture // messages a miss or a Registered delivery sent
-	nums  []uint32    // their numbers (Registered deliveries)
+	sends sendCapture // messages a memo miss sent
 	img   []byte      // intern scratch
 	sys   *System     // materialization target
-	regs  []spec.Component
+	hits  []int64     // memo hits by position, for Replayer positions
 }
 
 // sendCapture is the spec.Env a worker runs components against.
@@ -560,14 +591,18 @@ type vmove struct {
 }
 
 func newWorker(ctx *searchCtx) *worker {
-	w := &worker{ctx: ctx, num: ctx.num, sys: ctx.initial.Clone()}
-	w.regs = make([]spec.Component, len(w.sys.Components))
-	for i, c := range w.sys.Components {
-		if ctx.num.reg[i] {
-			w.regs[i] = c.Clone()
+	return &worker{ctx: ctx, num: ctx.num, sys: ctx.initial.Clone(), hits: make([]int64, len(ctx.num.pos))}
+}
+
+// flushReplayed hands each Replayer position the memo hits the worker
+// served there.
+func (w *worker) flushReplayed() {
+	for p, r := range w.num.replay {
+		if r != nil && w.hits[p] > 0 {
+			r.Replayed(w.hits[p])
+			w.hits[p] = 0
 		}
 	}
-	return w
 }
 
 // expand processes the taken state w.cur: invariants, successor
@@ -703,9 +738,6 @@ func (w *worker) appendMoves() {
 	}
 	if w.ctx.opts.Evictions {
 		for p, t := range num.pos {
-			if t == nil {
-				continue
-			}
 			e := t.at(v.comps[p])
 			if e.cache == nil || !e.cache.Idle() {
 				continue
@@ -727,7 +759,7 @@ func (w *worker) apply(m vmove) bool {
 		f := num.fifo(cf.fifo)
 		me := num.msg(f.msgs[0])
 		p := num.position(me.m.Dst)
-		out := w.deliver(p, cur.comps[p], f.msgs[0], &me.m)
+		out := w.step(p, cur.comps[p], memoKey(cur.comps[p], inDeliver, f.msgs[0]))
 		if out.next == stall {
 			return false
 		}
@@ -770,29 +802,12 @@ func (w *worker) apply(m vmove) bool {
 	return true
 }
 
-// deliver runs the delivery of message mn (m) to position p in state n.
-func (w *worker) deliver(p int, n, mn uint32, m *spec.Msg) memoOut {
-	if !w.num.reg[p] {
-		return w.step(p, n, memoKey(n, inDeliver, mn))
-	}
-	c := w.regs[p]
-	c.(Registered).SetRegister(n)
-	w.sends.msgs = w.sends.msgs[:0]
-	if !c.Deliver(&w.sends, *m) {
-		return memoOut{next: stall}
-	}
-	w.nums = w.nums[:0]
-	for _, s := range w.sends.msgs {
-		w.nums = append(w.nums, w.num.msgNum(s))
-	}
-	return memoOut{next: c.(Registered).Register(), sends: w.nums}
-}
-
 // step returns the memoized move key of table position p in state n,
 // running it on a thawed copy of the frozen instance on a miss.
 func (w *worker) step(p int, n uint32, key uint64) memoOut {
 	t := w.num.pos[p]
 	if out, ok := t.lookup(key); ok {
+		w.hits[p]++
 		return out
 	}
 	c, mem := t.at(n).thaw()
