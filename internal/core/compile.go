@@ -922,14 +922,7 @@ func (d *CompiledDir) OwnedIDs() []spec.NodeID { return d.cf.owned }
 // recorded sends, memory image and successor state outside it. Each
 // distinct pair misses once, so a search mostly runs at table speed.
 func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
-	c := d.grow
-	c.mu.Lock()
-	tr := c.step(d.cur, &m)
-	var mem []byte
-	if tr.remem {
-		mem = c.states[tr.next].mem
-	}
-	c.mu.Unlock()
+	tr, mem := d.grow.locked(d.cur, &m)
 	if tr.next == stallState {
 		return false
 	}
@@ -943,6 +936,21 @@ func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
 	}
 	d.cur = tr.next
 	return true
+}
+
+// locked is step under the table's lock, with the successor's memory
+// image when the delivery rewrites it. The lock is released on a panic
+// too (an undecodable image, a component bug in the interpreter), so the
+// panic reaches the search's caller instead of stranding every other
+// delivery and Replayed behind it.
+func (c *compiler) locked(pre int32, m *spec.Msg) (compTransition, []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tr := c.step(pre, m)
+	if tr.remem {
+		return tr, c.states[tr.next].mem
+	}
+	return tr, nil
 }
 
 // Clone implements spec.Component.

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"heterogen/internal/mcheck"
 	"heterogen/internal/protocols"
@@ -67,22 +69,62 @@ func TestExtractionDeterminism(t *testing.T) {
 }
 
 // TestExtractionDeliverySplit pins the MESI&RCC-O full extraction's
-// delivery counts at one worker and two: every delivery the search's memo
-// serves is handed to the compiled directory as a memo hit, so the split
-// into interpreted and memoized deliveries is the one the table would
-// count if it saw every delivery itself.
+// delivery counts, the ones hgbench's expected.json holds: every delivery
+// the search's memo serves is handed to the compiled directory as a memo
+// hit, so the split into interpreted and memoized deliveries is the one
+// the table would count if it saw every delivery itself. It runs at two
+// workers, so a spawned worker's hits are counted too;
+// TestExtractionDeterminism holds the split equal across worker counts.
 func TestExtractionDeliverySplit(t *testing.T) {
 	f := fusePair(t, protocols.NameMESI, protocols.NameRCCO)
+	cf, err := Compile(f, TableIICompileConfig(false, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cf.Stats()
+	if st.ExtractStates != 253244 || st.Interpreted != 23476 || st.MemoHits != 439022 {
+		t.Errorf("%d states, %d interpreted, %d memo hits; want 253244, 23476, 439022",
+			st.ExtractStates, st.Interpreted, st.MemoHits)
+	}
+}
+
+// TestCompiledDirPanicReachesCaller: a panic in the compiled directory's
+// miss path unwinds to the search's caller at one worker and at two, and
+// leaves the table's lock free, instead of hanging the search on that
+// lock. The table is grown in full first, so the second search's early
+// deliveries are memo hits; then the last state's records are dropped and
+// its image corrupted, so its first delivery reinterprets and panics.
+func TestCompiledDirPanicReachesCaller(t *testing.T) {
+	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
+	cfg := TableIICompileConfig(true, 1)
 	for _, workers := range []int{1, 2} {
-		cf, err := Compile(f, TableIICompileConfig(false, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := cf.Stats()
-		if st.ExtractStates != 253244 || st.Interpreted != 23476 || st.MemoHits != 439022 {
-			t.Errorf("Workers=%d: %d states, %d interpreted, %d memo hits; want 253244, 23476, 439022",
-				workers, st.ExtractStates, st.Interpreted, st.MemoHits)
-		}
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			_, c, sys := growingSystem(f, cfg)
+			opts := mcheck.Options{Evictions: cfg.Evictions, Workers: workers, POR: mcheck.POROff}
+			if res := mcheck.Explore(sys, opts); res.Truncated || res.Cancelled {
+				t.Fatal("growing search did not run to exhaustion")
+			}
+			last := len(c.states) - 1
+			c.spans[last] = nil
+			c.states[last].img = []byte{0xff}
+			got := make(chan any, 1)
+			go func() {
+				defer func() { got <- recover() }()
+				mcheck.Explore(sys, opts)
+			}()
+			select {
+			case p := <-got:
+				if msg, _ := p.(string); !strings.Contains(msg, "undecodable") {
+					t.Fatalf("recovered %v, want the interpreter's undecodable-image panic", p)
+				}
+			case <-time.After(time.Minute):
+				t.Fatal("search hung after the compiled directory panicked")
+			}
+			if !c.mu.TryLock() {
+				t.Fatal("the panic left the table's lock held")
+			}
+			c.mu.Unlock()
+		})
 	}
 }
 

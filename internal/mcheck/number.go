@@ -14,19 +14,19 @@ import (
 // (channel, FIFO) pair per nonempty channel. The numbers index tables
 // that every worker of the search shares:
 //
-//   - a component position's table holds one frozen decoded instance per
-//     distinct state of that component (interned by its AppendBinary
-//     image), which answers every query the search asks (CanIssue, Idle,
-//     LastLoad, RefNodes, the lines an eviction may replace), plus a memo
-//     (number, input) → (next number, sends) over the inputs delivered
-//     message, core request and eviction address. A miss clones the
-//     frozen instance, runs the component's own Deliver/Issue/Evict and
-//     interns the result;
+//   - a component position's table holds one entry per distinct state of
+//     that component (interned by its AppendBinary image) with the facts
+//     the search asks of it (RefNodes, and for a cache a frozen instance
+//     that answers CanIssue, Idle, LastLoad and the lines an eviction may
+//     replace), plus a memo (number, input) → (next number, sends) over
+//     the inputs delivered message, core request and eviction address. A
+//     miss decodes the state's image into the worker's own instance of
+//     the component, runs its Deliver/Issue/Evict and interns the result;
 //   - the component that holds the shared memory (a directory) is
 //     numbered by its (image, memory) pair, so the memory is no position
 //     of its own. That holds for core.CompiledDir too: its image is its
 //     state register, and its compiled table is consulted only on a
-//     memo miss, through the thawed clone's Deliver;
+//     memo miss, through the worker's instance's Deliver;
 //   - a FIFO number stands for a channel's message sequence, with its
 //     pop and push memos and the set of nodes its messages name;
 //   - a message number stands for one spec.Msg and its channel.
@@ -38,8 +38,8 @@ import (
 
 // Replayer is implemented by a component that counts its own deliveries
 // (core.CompiledDir). A memo hit serves a delivery without running the
-// component, so each worker tallies the hits at such a position and hands
-// the total over once, when it exits.
+// component, so each worker tallies the hits at such a position, and the
+// totals are handed over once the search ends without a panic.
 type Replayer interface {
 	// Replayed adds n deliveries served without running the component.
 	Replayed(n int64)
@@ -103,25 +103,14 @@ func (g *gate) unlock() {
 	}
 }
 
-// compEntry is one numbered component state: a frozen instance no one
-// mutates, and the facts the search reads off it.
+// compEntry is one numbered component state and the facts the search
+// reads off it.
 type compEntry struct {
-	c      spec.Component
-	cache  *spec.CacheInst // c as a cache, or nil
-	mem    *spec.Memory    // c's own memory (memory owner only)
-	img    []byte          // c's image, then (memory owner) the memory's
-	split  int             // end of c's part of img
-	refs   spec.NodeSet    // c's RefNodes (POR)
+	cache  *spec.CacheInst // a frozen copy of the state, for a cache; else nil
+	img    []byte          // the image, then (memory owner) the memory's
+	split  int             // end of the component's part of img
+	refs   spec.NodeSet    // RefNodes (POR)
 	evicts []spec.Addr     // lines an eviction may replace (caches)
-}
-
-// thaw returns a mutable copy of the frozen instance and its memory.
-func (e *compEntry) thaw() (spec.Component, *spec.Memory) {
-	if e.mem == nil {
-		return e.c.Clone(), nil
-	}
-	mem := e.mem.Clone()
-	return e.c.(MemoryCloner).CloneWithMemory(mem), mem
 }
 
 // memoOut is a memoized move: the next number (stall when refused) and
@@ -162,8 +151,9 @@ func (t *compTable) record(key uint64, out memoOut) memoOut {
 }
 
 // intern returns the number of c's state (with mem's, for the memory
-// owner), adopting c as the frozen instance when the state is new. buf
-// is scratch for the image.
+// owner), recording the entry when the state is new; a cache's entry
+// keeps a copy of c, so the caller may go on mutating c. buf is scratch
+// for the image.
 func (t *compTable) intern(c spec.Component, mem *spec.Memory, buf *[]byte) uint32 {
 	img := c.AppendBinary((*buf)[:0])
 	split := len(img)
@@ -176,12 +166,12 @@ func (t *compTable) intern(c spec.Component, mem *spec.Memory, buf *[]byte) uint
 	if n, ok := t.index[string(img)]; ok {
 		return n
 	}
-	e := &compEntry{c: c, mem: mem, img: append([]byte(nil), img...), split: split}
+	e := &compEntry{img: append([]byte(nil), img...), split: split}
 	if r, ok := c.(spec.NodeReferrer); ok {
 		e.refs = r.RefNodes()
 	}
 	if cache, ok := c.(*spec.CacheInst); ok {
-		e.cache = cache
+		e.cache = cache.CloneCache()
 		proto := cache.Protocol().Cache
 		for i := 0; i < cache.NumLines(); i++ {
 			a := cache.AddrAt(i)
@@ -478,10 +468,7 @@ func (n *numbering) number(s *System) *vec {
 	for i, c := range s.Components {
 		var mem *spec.Memory
 		if i == n.owner {
-			mem = s.Mem.Clone()
-			c = c.(MemoryCloner).CloneWithMemory(mem)
-		} else {
-			c = c.Clone()
+			mem = s.Mem
 		}
 		v.comps = append(v.comps, n.pos[i].intern(c, mem, &buf))
 	}
@@ -516,11 +503,12 @@ func (n *numbering) number(s *System) *vec {
 // materialize sets s, a clone of the system the tables were built for,
 // to the state v.
 func (n *numbering) materialize(s *System, v *vec) {
+	d := new(spec.Dec)
 	for i, c := range s.Components {
 		e := n.pos[i].at(v.comps[i])
-		mustDecode(c, e.img[:e.split])
+		mustDecode(d, c, e.img[:e.split])
 		if i == n.owner {
-			mustDecode(s.Mem, e.img[e.split:])
+			mustDecode(d, s.Mem, e.img[e.split:])
 		}
 	}
 	s.chans = s.chans[:0]
@@ -542,10 +530,11 @@ func (n *numbering) materialize(s *System, v *vec) {
 	}
 }
 
-// mustDecode decodes a table's image into c; the tables only hold images
-// their components wrote, so a failure is a codec bug.
-func mustDecode(c spec.StateCodec, img []byte) {
-	d := spec.NewDec(img)
+// mustDecode decodes a table's image into c through the cursor d; the
+// tables only hold images their components wrote, so a failure is a
+// codec bug.
+func mustDecode(d *spec.Dec, c spec.StateCodec, img []byte) {
+	d.Reset(img)
 	if err := c.DecodeState(d); err != nil || d.Len() != 0 {
 		panic(fmt.Sprintf("mcheck: numbered state image does not decode: %v (%d bytes left)", err, d.Len()))
 	}

@@ -440,6 +440,10 @@ func startProgress(ctx *searchCtx, visited *visitedSet, f *frontier) func() {
 // here, on the caller's goroutine.
 func explore(ctx *searchCtx, workers int, visited *visitedSet, f *frontier) *Result {
 	results := make([]*Result, workers)
+	ws := make([]*worker, workers)
+	for w := range ws {
+		ws[w] = newWorker(ctx)
+	}
 	panics := make(chan any, workers)
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
@@ -452,19 +456,25 @@ func explore(ctx *searchCtx, workers int, visited *visitedSet, f *frontier) *Res
 					panics <- p
 				}
 			}()
-			results[w] = ctx.work(newWorker(ctx), visited, f)
+			results[w] = ctx.work(ws[w], visited, f)
 		}(w)
 	}
 	func() {
 		// Runs on worker 0's panic too: siblings stop and exit before the
 		// panic unwinds past ExploreCtx's cleanup.
 		defer func() { f.stop(); wg.Wait() }()
-		results[0] = ctx.work(newWorker(ctx), visited, f)
+		results[0] = ctx.work(ws[0], visited, f)
 	}()
 	select {
 	case p := <-panics:
 		panic(p)
 	default:
+	}
+	// Hand the memo hits over only once every worker has ended normally:
+	// a panicking search counts nothing, and a component whose Replayed
+	// takes a lock its panicking Deliver held is never called mid-unwind.
+	for _, w := range ws {
+		w.flushReplayed()
 	}
 
 	merged := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
@@ -493,7 +503,6 @@ func explore(ctx *searchCtx, workers int, visited *visitedSet, f *frontier) *Res
 // loop ends when the frontier drains or stops, or when the state budget,
 // the visited set's memory budget or cancellation fires.
 func (ctx *searchCtx) work(w *worker, visited *visitedSet, f *frontier) *Result {
-	defer w.flushReplayed()
 	res := &Result{Outcomes: memmodel.OutcomeSet{}}
 	var batch [][]byte
 	var pend pending
@@ -522,19 +531,15 @@ func (ctx *searchCtx) work(w *worker, visited *visitedSet, f *frontier) *Result 
 	}
 }
 
-// The blocks pending copies admitted keys into start at minSlab bytes and
-// double up to slabSize, so a small search does not pay for a full slab.
-const (
-	minSlab  = 1 << 10
-	slabSize = 64 << 10
-)
+// slabSize is the size of the blocks pending copies admitted keys into.
+const slabSize = 64 << 10
 
 // pending holds a worker's admitted keys until its next exchange. Each
 // key is copied into an append-only slab and kept as a capped sub-slice
-// of it, so once the slabs reach full size admitting a state costs an
-// allocation per 64 KiB of keys, not one per key. No byte of a slab is
-// written twice, so the frontier may hold a key as long as it likes; the
-// collector frees a slab once its last key is dropped.
+// of it, so admitting a state costs an allocation per 64 KiB of keys, not
+// one per key. No byte of a slab is written twice, so the frontier may
+// hold a key as long as it likes; the collector frees a slab once its
+// last key is dropped.
 type pending struct {
 	keys [][]byte
 	slab []byte
@@ -543,7 +548,7 @@ type pending struct {
 // admit queues a copy of key, which the caller may reuse.
 func (p *pending) admit(key []byte) {
 	if len(key) > cap(p.slab)-len(p.slab) {
-		p.slab = make([]byte, 0, max(min(2*cap(p.slab), slabSize), minSlab, len(key)))
+		p.slab = make([]byte, 0, max(slabSize, len(key)))
 	}
 	i := len(p.slab)
 	p.slab = append(p.slab, key...)
@@ -558,7 +563,8 @@ func (p *pending) published() {
 
 // worker is one search worker's scratch: the expanded state, the
 // successor being built and its key, the move lists, a System to
-// materialize states into, and its memo hits per position.
+// materialize states into and run memo misses on, and its memo hits per
+// position.
 type worker struct {
 	ctx   *searchCtx
 	num   *numbering
@@ -570,7 +576,8 @@ type worker struct {
 	rest  []vmove
 	sends sendCapture // messages a memo miss sent
 	img   []byte      // intern scratch
-	sys   *System     // materialization target
+	dec   spec.Dec    // miss-path decode cursor
+	sys   *System     // materialization target and miss-path instances
 	hits  []int64     // memo hits by position, for Replayer positions
 }
 
@@ -802,15 +809,23 @@ func (w *worker) apply(m vmove) bool {
 	return true
 }
 
-// step returns the memoized move key of table position p in state n,
-// running it on a thawed copy of the frozen instance on a miss.
+// step returns the memoized move key of table position p in state n. A
+// miss decodes state n into the worker's own instance of the component
+// (w.sys, which materialize rewrites before every other use) and runs the
+// move on it.
 func (w *worker) step(p int, n uint32, key uint64) memoOut {
 	t := w.num.pos[p]
 	if out, ok := t.lookup(key); ok {
 		w.hits[p]++
 		return out
 	}
-	c, mem := t.at(n).thaw()
+	e, c := t.at(n), w.sys.Components[p]
+	mustDecode(&w.dec, c, e.img[:e.split])
+	var mem *spec.Memory
+	if p == w.num.owner {
+		mem = w.sys.Mem
+		mustDecode(&w.dec, mem, e.img[e.split:])
+	}
 	w.sends.msgs = w.sends.msgs[:0]
 	var ok bool
 	switch in := uint32(key) &^ (3 << inputBits); uint32(key) >> inputBits {
