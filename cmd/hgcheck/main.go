@@ -8,7 +8,7 @@
 //
 //	hgcheck -protocol MSI -caches 3            # homogeneous
 //	hgcheck -pair MESI,RCC-O -caches 2         # fused, 2 caches per cluster
-//	hgcheck -pair MESI,RCC-O -caches 2 -mem 512MiB -spill-dir /tmp -progress 10s
+//	hgcheck -pair MESI,RCC-O -caches 2 -mem 512MiB -progress 10s
 //	hgcheck -pair MESI,RCC-O -caches 2 -por=0   # full unreduced interleaving space
 //	hgcheck -table t.hgcf              # check a serialized artifact's own config
 //	hgcheck -pair MESI,RCC-O -table t.hgcf  # ... digest-checked against the flags
@@ -137,12 +137,8 @@ func run(ctx context.Context, cfg checkConfig) error {
 	}
 	fmt.Printf("%s: %s\n", res.Name, &res.Result)
 	if res.Storage != "" {
-		fmt.Printf("storage: %s, %.1f bytes/state (%d table bytes, peak load %.2f)",
+		fmt.Printf("storage: %s, %.1f bytes/state (%d table bytes, peak load %.2f)\n",
 			res.Storage, res.BytesPerState, res.TableBytes, res.PeakLoadFactor)
-		if res.SpilledStates > 0 {
-			fmt.Printf(", spilled %d states / %d MB", res.SpilledStates, res.SpilledBytes>>20)
-		}
-		fmt.Println()
 	}
 	if res.Deadlocks > 0 {
 		fmt.Println("deadlock state (lex-least):", res.DeadlockAt)

@@ -9,7 +9,7 @@
 //
 //	hgserve -addr :8080
 //	hgserve -addr :8080 -job-workers 4 -max-job-workers 2
-//	hgserve -mem-pool 4GiB -compile-cache ~/.cache/hg -spill-root /tmp
+//	hgserve -mem-pool 4GiB -compile-cache ~/.cache/hg
 //
 // SIGTERM or SIGINT drains: the listener stops, queued and running jobs
 // finish, then the process exits. A second signal hard-cancels every
@@ -38,7 +38,6 @@ func main() {
 	maxJobWorkers := flag.Int("max-job-workers", 0, "per-job search-parallelism budget (0 = no clamp)")
 	memPool := flag.String("mem-pool", "", "server-wide visited-set memory pool, e.g. 4GiB (empty = unpooled)")
 	compileCache := flag.String("compile-cache", "", "compiled-table artifact cache directory shared across jobs")
-	spillRoot := flag.String("spill-root", "", "directory jobs spill frontiers under (rewrites per-request spill dirs)")
 	backlog := flag.Int("backlog", 64, "queued-job limit before submissions get 503")
 	progress := flag.Duration("progress", time.Second, "job progress report cadence")
 	verbose := flag.Bool("v", false, "debug-level logging")
@@ -50,13 +49,13 @@ func main() {
 	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if err := run(*addr, *jobWorkers, *maxJobWorkers, *memPool, *compileCache, *spillRoot, *backlog, *progress, log); err != nil {
+	if err := run(*addr, *jobWorkers, *maxJobWorkers, *memPool, *compileCache, *backlog, *progress, log); err != nil {
 		fmt.Fprintln(os.Stderr, "hgserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, jobWorkers, maxJobWorkers int, memPool, compileCache, spillRoot string, backlog int, progress time.Duration, log *slog.Logger) error {
+func run(addr string, jobWorkers, maxJobWorkers int, memPool, compileCache string, backlog int, progress time.Duration, log *slog.Logger) error {
 	poolBytes, err := cliopts.ParseBytes(memPool)
 	if err != nil {
 		return fmt.Errorf("-mem-pool: %w", err)
@@ -66,7 +65,6 @@ func run(addr string, jobWorkers, maxJobWorkers int, memPool, compileCache, spil
 		MaxWorkersPerJob: maxJobWorkers,
 		MemPoolBytes:     poolBytes,
 		CompileCache:     compileCache,
-		SpillRoot:        spillRoot,
 		Backlog:          backlog,
 		ProgressEvery:    progress,
 		Logger:           log,

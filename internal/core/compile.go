@@ -769,7 +769,7 @@ type compiler struct {
 	mu sync.Mutex
 	// states is the interned state table, appended under mu and published
 	// through table to the lock-free readers — the searched directories'
-	// encode, spill and POR-reference paths. Each publish stores a fresh
+	// encode and POR-reference paths. Each publish stores a fresh
 	// slice header after writing the element it newly covers, and interned
 	// states are immutable (bar their snapshot cache), so a
 	// reader never sees a partially built state.
@@ -898,7 +898,7 @@ func (c *compiler) intern(d *MergedDir) int32 {
 // CompiledDir is the flat-table stand-in for the interpreted MergedDir: an
 // int32 state register, the shared memory handle, and the growing table it
 // dispatches through. It reproduces the interpreted component's
-// visited-set encoding, snapshot, POR references and spill codec byte for
+// visited-set encoding, snapshot, POR references and state codec byte for
 // byte, so searches over compiled and interpreted systems
 // agree exactly.
 type CompiledDir struct {

@@ -140,16 +140,10 @@ func TestCompiledAgreementModes(t *testing.T) {
 	cfg := CompileConfig{CachesPerCluster: []int{2, 1}, Programs: progs}
 	for _, workers := range []int{1, 0} {
 		for _, por := range []mcheck.PORMode{mcheck.POROff, mcheck.PORAuto} {
-			for _, storage := range []string{"exact", "hash", "spill"} {
+			for _, storage := range []string{"exact", "hash"} {
 				name := fmt.Sprintf("w%d_por%v_%s", workers, por != mcheck.POROff, storage)
 				t.Run(name, func(t *testing.T) {
-					opts := mcheck.Options{Workers: workers, POR: por}
-					switch storage {
-					case "hash":
-						opts.HashCompaction = true
-					case "spill":
-						opts.SpillDir = t.TempDir()
-					}
+					opts := mcheck.Options{Workers: workers, POR: por, HashCompaction: storage == "hash"}
 					requireAgreement(t, f, cfg, opts)
 				})
 			}

@@ -533,7 +533,7 @@ func reqsOf(seq []spec.CoreOp, a spec.Addr, value int) []spec.CoreReq {
 	return reqsOfInto(nil, seq, a, value)
 }
 
-// reqsOfInto is reqsOf reusing dst's backing array (the spill decoder's
+// reqsOfInto is reqsOf reusing dst's backing array (the image decoder's
 // task-rebuild path, which would otherwise allocate a seq per task per
 // restored state).
 func reqsOfInto(dst []spec.CoreReq, seq []spec.CoreOp, a spec.Addr, value int) []spec.CoreReq {

@@ -106,6 +106,9 @@ func CheckDriver(cores, addrs int, sameValue bool) [][]spec.CoreReq {
 // — deadlocks, truncation, cancellation — land in the result, with
 // Verdict mapping them back to the CLI error convention.
 func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, error) {
+	if err := req.Search.Validate(); err != nil {
+		return nil, err
+	}
 	switch {
 	case req.Caches < 0 || req.Addrs < 0:
 		return nil, fmt.Errorf("caches (%d) and addrs (%d) must not be negative", req.Caches, req.Addrs)

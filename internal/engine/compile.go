@@ -33,8 +33,7 @@ type CompileRequest struct {
 	// Search supplies Workers, MaxStates (the extraction's state budget)
 	// and MemBudget (its visited-set memory). Extraction always runs with
 	// POR off, so NoPOR is accepted and changes nothing; it fixes exact
-	// storage with an in-memory frontier, so a request setting hash or
-	// spill_dir fails.
+	// storage, so a request setting hash fails.
 	Search SearchOptions `json:"search,omitempty"`
 }
 
@@ -72,15 +71,11 @@ func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResu
 		return nil, fmt.Errorf("compile request needs at least two protocols, got %d", len(req.Pair))
 	}
 	s := req.Search
-	for _, knob := range []struct {
-		name string
-		set  bool
-	}{
-		{"hash", s.Hash}, {"spill_dir", s.SpillDir != ""},
-	} {
-		if knob.set {
-			return nil, fmt.Errorf("compile request sets search.%s, which extraction does not honour (it takes workers, max_states, mem_budget and no_por)", knob.name)
-		}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if s.Hash {
+		return nil, fmt.Errorf("compile request sets search.hash, which extraction does not honour (it takes workers, max_states, mem_budget and no_por)")
 	}
 	mode, err := ParseHandshake(req.Handshake)
 	if err != nil {

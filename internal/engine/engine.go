@@ -34,15 +34,42 @@ type SearchOptions struct {
 	// inverted from the -por flag so the zero value (and an absent JSON
 	// key) keeps the reduction on, matching every command's default.
 	NoPOR bool `json:"no_por,omitempty"`
-	// MemBudget bounds visited-set memory in bytes, in either storage
-	// mode (0 = 8 GiB).
+	// MemBudget bounds the search's state memory in bytes — the visited
+	// set in either storage mode and the frontier's queued keys
+	// (0 = 8 GiB).
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// MaxStates bounds the search's state budget (0 = per-command
 	// default).
 	MaxStates int `json:"max_states,omitempty"`
-	// SpillDir spills frontier overflow to temp files under this
-	// directory ("" = in-memory frontier).
-	SpillDir string `json:"spill_dir,omitempty"`
+}
+
+// OptionError is a request's out-of-range search option: the JSON field
+// search.Field carries Value.
+type OptionError struct {
+	Field string
+	Value int64
+}
+
+func (e *OptionError) Error() string {
+	return fmt.Sprintf("search.%s %d must not be negative", e.Field, e.Value)
+}
+
+// Validate rejects negative workers, mem_budget and max_states, which
+// would otherwise fall through to a default the caller never asked for.
+// Check, Litmus and Compile call it first; hgserve answers a failure
+// with a 400.
+func (s SearchOptions) Validate() error {
+	for _, o := range []struct {
+		field string
+		value int64
+	}{
+		{"workers", int64(s.Workers)}, {"mem_budget", s.MemBudget}, {"max_states", int64(s.MaxStates)},
+	} {
+		if o.value < 0 {
+			return &OptionError{Field: o.field, Value: o.value}
+		}
+	}
+	return nil
 }
 
 // PORMode maps NoPOR onto the checker's mode.
@@ -108,7 +135,6 @@ func (s SearchOptions) mcheckOptions(h Hooks, evictions bool) mcheck.Options {
 		MaxStates:      s.MaxStates,
 		HashCompaction: s.Hash,
 		MemBudget:      s.MemBudget,
-		SpillDir:       s.SpillDir,
 		Workers:        s.Workers,
 		POR:            s.PORMode(),
 		ProgressEvery:  h.ProgressEvery,

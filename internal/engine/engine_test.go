@@ -300,8 +300,8 @@ func TestCompileResultCarriesVerdict(t *testing.T) {
 
 // TestCompileSearchKnobs: a compile request honours max_states and
 // mem_budget (a budget below the extraction's size truncates it) and
-// accepts no_por, while each storage knob extraction cannot honour fails
-// the request with an error naming the field.
+// accepts no_por, while hash, which extraction cannot honour, fails the
+// request with an error naming the field.
 func TestCompileSearchKnobs(t *testing.T) {
 	ctx := context.Background()
 	req := func(s SearchOptions) CompileRequest {
@@ -317,13 +317,39 @@ func TestCompileSearchKnobs(t *testing.T) {
 	if _, err := Compile(ctx, req(SearchOptions{Workers: 1, NoPOR: true}), Hooks{}); err != nil {
 		t.Errorf("no_por: %v", err)
 	}
+	if _, err := Compile(ctx, req(SearchOptions{Workers: 1, Hash: true}), Hooks{}); err == nil || !strings.Contains(err.Error(), "search.hash") {
+		t.Errorf("hash: got %v, want an error naming search.hash", err)
+	}
+}
+
+// TestRequestsRefuseNegativeSearch: a negative workers, mem_budget or
+// max_states fails every request kind with an OptionError naming the
+// field, before anything runs, instead of falling through to a default.
+func TestRequestsRefuseNegativeSearch(t *testing.T) {
+	ctx := context.Background()
 	for field, s := range map[string]SearchOptions{
-		"hash":      {Hash: true},
-		"spill_dir": {SpillDir: t.TempDir()},
+		"workers":    {Workers: -1},
+		"mem_budget": {MemBudget: -1 << 20},
+		"max_states": {MaxStates: -5},
 	} {
-		s.Workers = 1
-		if _, err := Compile(ctx, req(s), Hooks{}); err == nil || !strings.Contains(err.Error(), "search."+field) {
-			t.Errorf("%s: got %v, want an error naming search.%s", field, err, field)
+		for kind, run := range map[string]func() error{
+			"check": func() error {
+				_, err := Check(ctx, CheckRequest{Protocol: "MSI", Caches: 2, Addrs: 1, Search: s}, Hooks{})
+				return err
+			},
+			"litmus": func() error {
+				_, err := Litmus(ctx, LitmusRequest{Protocol: "MSI", Shapes: []string{"MP"}, Search: s}, Hooks{})
+				return err
+			},
+			"compile": func() error {
+				_, err := Compile(ctx, CompileRequest{Pair: []string{"MSI", "MSI"}, Search: s}, Hooks{})
+				return err
+			},
+		} {
+			var oe *OptionError
+			if err := run(); !errors.As(err, &oe) || oe.Field != field {
+				t.Errorf("%s with negative %s: got %v, want an OptionError naming search.%s", kind, field, err, field)
+			}
 		}
 	}
 }

@@ -97,6 +97,9 @@ func (req *LitmusRequest) shapes() ([]litmus.Shape, error) {
 // Check, the error covers request problems only; test failures and
 // cancellation land in the result.
 func Litmus(ctx context.Context, req LitmusRequest, hooks Hooks) (*LitmusResult, error) {
+	if err := req.Search.Validate(); err != nil {
+		return nil, err
+	}
 	maxThreads := req.MaxThreads
 	if maxThreads == 0 {
 		maxThreads = 3

@@ -20,7 +20,7 @@ import (
 type Options struct {
 	// Explore is the checker configuration every test's exploration runs
 	// under: evictions, state budget, visited-set storage, reductions,
-	// spilling, progress reports and a shared memory pool. Each test
+	// progress reports and a shared memory pool. Each test
 	// fills in its own Workers (from ExploreWorkers), LoadKeys and
 	// ObserveMem. POR is sound here: litmus verdicts are functions of
 	// terminal states only — observer loads record into core-local Loads

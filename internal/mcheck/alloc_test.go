@@ -137,16 +137,12 @@ func TestAllocRegressionInPlace(t *testing.T) {
 // TestAllocRegressionFrontier guards the frontier's publish/take cycle
 // through the search's own admit path: an admitted key is copied into the
 // worker's current slab, so the copies cost one allocation per 64 KiB of
-// keys, and the queue windows and the batch slice are reused, so a take
-// costs at most one allocation on top. A copy per admitted state would
+// keys, and the queue's backing array and the batch slice are reused, so
+// a take costs at most one allocation on top. A copy per admitted state would
 // multiply across every state the search moves.
 func TestAllocRegressionFrontier(t *testing.T) {
-	q, err := newSpillQueue("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	scratch := make([]byte, 200) // a typical encoding's size
-	f := newFrontier(q, append([]byte(nil), scratch...))
+	f := newFrontier(newVisited(Options{}, 1), append([]byte(nil), scratch...))
 	const admitted = 32
 	var pend pending
 	batch := make([][]byte, 0, maxBatch)
@@ -159,7 +155,7 @@ func TestAllocRegressionFrontier(t *testing.T) {
 		pend.published()
 		done = len(batch)
 	}
-	for i := 0; i < 1024; i++ { // pre-grow the queue windows
+	for i := 0; i < 1024; i++ { // pre-grow the queue
 		cycle()
 	}
 	allocs := testing.AllocsPerRun(200, cycle)

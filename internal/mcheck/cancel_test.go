@@ -2,7 +2,6 @@ package mcheck
 
 import (
 	"context"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -62,7 +61,7 @@ func iriwReaders() *memmodel.Program {
 
 // TestCancelPartialResult drives a mid-search cancellation at both worker
 // counts and checks the three contract points: the result is flagged
-// partial, nothing leaks (goroutines or spill files), and a fresh rerun
+// partial, no goroutine leaks, and a fresh rerun
 // of the same configuration still produces the full, unchanged result.
 func TestCancelPartialResult(t *testing.T) {
 	control := exploreWith(t, iriwReaders(), 1, Options{POR: POROff})
@@ -74,7 +73,6 @@ func TestCancelPartialResult(t *testing.T) {
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		opts := cancelOptions(cancel, control.States/10)
-		opts.SpillDir = t.TempDir()
 		opts.Workers = workers
 		res := exploreProgramCtx(t, ctx, iriwReaders(), opts)
 		cancel()
@@ -90,14 +88,6 @@ func TestCancelPartialResult(t *testing.T) {
 				workers, res.States, control.States)
 		}
 		waitGoroutines(t, base)
-
-		entries, err := os.ReadDir(opts.SpillDir)
-		if err != nil {
-			t.Fatalf("workers=%d: reading spill dir: %v", workers, err)
-		}
-		if len(entries) != 0 {
-			t.Fatalf("workers=%d: cancelled search left %d entries in the spill dir", workers, len(entries))
-		}
 
 		// Rerun without cancellation: the partial run must not have
 		// perturbed anything — the full result still comes out whole.

@@ -110,9 +110,10 @@ func TestEncodeBinaryMatchesSnapshotFused(t *testing.T) {
 
 // TestSpillCodecRoundTrip round-trips every walked state of a homogeneous,
 // an interpreted fused and a compiled fused system through its numbered
-// vector, the form a search keys, queues and spills it in: numbering the
-// state and materializing the vector into a clone of the initial system
-// must re-encode to identical bytes and render an identical snapshot.
+// vector, the form a search keys and queues it in: numbering the state
+// and materializing the vector into a clone of the initial system must
+// re-encode to identical bytes and render an identical snapshot. (The
+// name predates the deletion of frontier spilling.)
 func TestSpillCodecRoundTrip(t *testing.T) {
 	progs := [][]spec.CoreReq{
 		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}, {Op: spec.OpRelease}},

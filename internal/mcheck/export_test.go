@@ -9,10 +9,6 @@ import (
 // Seams for the external test package (mcheck_test), whose tests build
 // fused systems through core, which imports this package.
 
-// SetSpillRing caps a spilling search's in-memory frontier window at n
-// entries, so small state spaces still write wave files.
-func SetSpillRing(o *Options, n int) { o.spillRing = n }
-
 // RoundTrip numbers s in tables built for template (a clone of the
 // system s was reached from) and materializes the vector into a fresh
 // clone of template.

@@ -3,7 +3,6 @@ package mcheck
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -15,59 +14,48 @@ import (
 
 // TestWorkStealingDeterminism pins the shared frontier's core contract: a
 // non-truncated search visits the same state set — identical counts,
-// deadlocks and outcome sets — at every worker count, with the in-memory
-// queue and with a tiny spill ring. Workers ∈ {2,4,8} exceed a small
-// host's core count, so the schedules the test sees interleave batch
-// exchanges heavily, not just one worker per core.
+// deadlocks and outcome sets — at every worker count. Workers ∈ {2,4,8}
+// exceed a small host's core count, so the schedules the test sees
+// interleave batch exchanges heavily, not just one worker per core.
 func TestWorkStealingDeterminism(t *testing.T) {
 	baseline := exploreWith(t, sb(), 1, Options{Evictions: true, POR: POROff})
 	bk := baseline.Outcomes.Keys()
 	sort.Strings(bk)
 
 	for _, workers := range []int{2, 4, 8} {
-		for _, spill := range []bool{false, true} {
-			name := fmt.Sprintf("w%d", workers)
-			opts := Options{Evictions: true, POR: POROff}
-			if spill {
-				name += "+spill"
-				opts.SpillDir = t.TempDir()
-				opts.spillRing = 128 // tiny ring: force overflow + wave files
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			res := exploreWith(t, sb(), workers, Options{Evictions: true, POR: POROff})
+			if res.States != baseline.States {
+				t.Errorf("visited %d states, sequential baseline %d", res.States, baseline.States)
 			}
-			t.Run(name, func(t *testing.T) {
-				res := exploreWith(t, sb(), workers, opts)
-				if res.States != baseline.States {
-					t.Errorf("visited %d states, sequential baseline %d", res.States, baseline.States)
-				}
-				if res.Transitions != baseline.Transitions {
-					t.Errorf("applied %d transitions, baseline %d", res.Transitions, baseline.Transitions)
-				}
-				if res.Deadlocks != baseline.Deadlocks {
-					t.Errorf("found %d deadlocks, baseline %d", res.Deadlocks, baseline.Deadlocks)
-				}
-				rk := res.Outcomes.Keys()
-				sort.Strings(rk)
-				if strings.Join(rk, "\n") != strings.Join(bk, "\n") {
-					t.Errorf("outcome sets differ:\ngot:      %v\nbaseline: %v", rk, bk)
-				}
-				if spill && res.SpilledStates == 0 && res.States > 5_000 {
-					t.Errorf("ring of 128 never spilled a wave (%d states)", res.States)
-				}
-			})
-		}
+			if res.Transitions != baseline.Transitions {
+				t.Errorf("applied %d transitions, baseline %d", res.Transitions, baseline.Transitions)
+			}
+			if res.Deadlocks != baseline.Deadlocks {
+				t.Errorf("found %d deadlocks, baseline %d", res.Deadlocks, baseline.Deadlocks)
+			}
+			rk := res.Outcomes.Keys()
+			sort.Strings(rk)
+			if strings.Join(rk, "\n") != strings.Join(bk, "\n") {
+				t.Errorf("outcome sets differ:\ngot:      %v\nbaseline: %v", rk, bk)
+			}
+		})
 	}
 }
 
 // TestFrontierMechanics exercises the frontier's exchange directly:
 // publishes land in FIFO order behind what is already queued, a take is
 // capped at maxBatch, the outstanding-work count keeps an empty-handed
-// exchange waiting only while work is out, and stop ends every exchange.
+// exchange waiting only while work is out, stop ends every exchange, and
+// queued keys hold budget bytes until taken, a publish the budget cannot
+// cover being refused whole and marking the visited set Full.
 func TestFrontierMechanics(t *testing.T) {
-	q, err := newSpillQueue("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := newVisited(Options{}, 1)
 	enc := func(i int) []byte { return []byte(fmt.Sprintf("s%03d", i)) }
-	f := newFrontier(q, enc(0))
+	f := newFrontier(v, enc(0))
+	if got, want := v.budget.Used(), queuedBytes([][]byte{enc(0)}); got != want {
+		t.Fatalf("root holds %d budget bytes, want %d", got, want)
+	}
 
 	// Take the root, then publish its 100 successors.
 	batch := f.exchange(nil, 0, nil)
@@ -103,29 +91,53 @@ func TestFrontierMechanics(t *testing.T) {
 	if f.work != 0 {
 		t.Fatalf("outstanding work = %d after every state retired, want 0", f.work)
 	}
+	if got := v.budget.Used(); got != 0 {
+		t.Fatalf("drained frontier still holds %d budget bytes", got)
+	}
 
 	// stop wins over queued work.
-	g := newFrontier(q, enc(0))
+	g := newFrontier(v, enc(0))
 	g.stop()
 	if b := g.exchange(nil, 0, nil); len(b) != 0 {
 		t.Fatalf("stopped frontier handed out %d entries", len(b))
 	}
+
+	// A budget with room for the root and two more keys refuses a
+	// publish of three beside the root: nothing of it is queued, the set
+	// is Full, and the root's bytes go back as it is taken.
+	tight := newVisited(Options{MemBudget: 3 * queuedBytes([][]byte{enc(0)})}, 1)
+	h := newFrontier(tight, enc(0))
+	b := h.exchange([][]byte{enc(1), enc(2), enc(3)}, 0, nil)
+	if len(b) != 1 || !bytes.Equal(b[0], enc(0)) {
+		t.Fatalf("take after a refused publish = %q, want the root alone", b)
+	}
+	if !tight.Full() {
+		t.Fatal("a publish the budget cannot cover left the set not Full")
+	}
+	if got := tight.budget.Used(); got != 0 {
+		t.Fatalf("refused publish holds %d budget bytes, want 0", got)
+	}
 }
 
-// TestSpillDeterministic: one worker takes states in plain FIFO order, so
-// two identical runs write identical spill waves.
-func TestSpillDeterministic(t *testing.T) {
-	run := func() *Result {
-		opts := Options{Evictions: true, POR: POROff, SpillDir: t.TempDir(), spillRing: 128}
-		return exploreWith(t, sb(), 1, opts)
+// TestFrontierBudgetTruncates: a memory budget that fits the visited set
+// but not the keys queued on the frontier beside it truncates the search
+// with BudgetFull. Hash compaction makes the table's size a pure function
+// of the state count (its slot doublings), so the budget is exactly the
+// table of the full search; the frontier is never empty when the last
+// doubling is charged.
+func TestFrontierBudgetTruncates(t *testing.T) {
+	opts := Options{Evictions: true, POR: POROff, HashCompaction: true}
+	full := exploreWith(t, sb(), 1, opts)
+	if !full.Ok() || full.TableBytes == 0 {
+		t.Fatalf("unbounded control run: %s", full)
 	}
-	a, b := run(), run()
-	if a.SpilledStates == 0 {
-		t.Fatalf("ring of 128 never spilled a wave (%d states)", a.States)
+	opts.MemBudget = full.TableBytes
+	res := exploreWith(t, sb(), 1, opts)
+	if !res.Truncated || !res.BudgetFull {
+		t.Fatalf("budget of the table alone (%d bytes): %s, want a BudgetFull truncation", opts.MemBudget, res)
 	}
-	if a.SpilledStates != b.SpilledStates || a.SpilledBytes != b.SpilledBytes {
-		t.Fatalf("identical one-worker runs spilled %d states/%d bytes, then %d/%d",
-			a.SpilledStates, a.SpilledBytes, b.SpilledStates, b.SpilledBytes)
+	if res.TableBytes > opts.MemBudget {
+		t.Fatalf("table grew to %d bytes past the %d-byte budget", res.TableBytes, opts.MemBudget)
 	}
 }
 
@@ -154,7 +166,7 @@ func (d panicDir) CloneWithMemory(mem *spec.Memory) spec.Component {
 
 // TestWorkerPanicFailsSearch: a panic on any worker fails the search, not
 // the process. The caller recovers the component's own panic value, and
-// by then every worker has exited and the spill directory is gone.
+// by then every worker has exited.
 func TestWorkerPanicFailsSearch(t *testing.T) {
 	progs, keys := reqsFor(iriw())
 	sys := NewHomogeneous(protocols.MustByName(protocols.NameMSI), 4)
@@ -163,7 +175,6 @@ func TestWorkerPanicFailsSearch(t *testing.T) {
 	if err := sys.SwapComponent(dir, panicDir{sys.Components[dir].(*spec.DirInst)}); err != nil {
 		t.Fatal(err)
 	}
-	spillDir := t.TempDir()
 	base := runtime.NumGoroutine()
 	func() {
 		defer func() {
@@ -171,15 +182,7 @@ func TestWorkerPanicFailsSearch(t *testing.T) {
 				t.Fatalf("recovered %v, want the component's panic %q", p, panicDirValue)
 			}
 		}()
-		Explore(sys, Options{Workers: 4, POR: POROff, LoadKeys: keys,
-			SpillDir: spillDir, spillRing: 64})
+		Explore(sys, Options{Workers: 4, POR: POROff, LoadKeys: keys})
 	}()
 	waitGoroutines(t, base)
-	left, err := filepath.Glob(filepath.Join(spillDir, "hgspill-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("panicked search left %v behind", left)
-	}
 }

@@ -36,19 +36,11 @@ type Options struct {
 	// cluster. Without it the visited set is exact: every key, a state's
 	// numbered vector (number.go), is stored whole (storage.go).
 	HashCompaction bool
-	// MemBudget bounds visited-set memory in bytes, in either storage
-	// mode: every slot and arena growth is charged to it, and a set that
-	// can no longer grow truncates the search with BudgetFull. 0 defaults
-	// to 8 GiB.
+	// MemBudget bounds the search's state memory in bytes, in either
+	// storage mode: every visited-set slot and arena growth is charged to
+	// it, and so are the keys queued on the frontier. A charge it denies
+	// truncates the search with BudgetFull. 0 defaults to 8 GiB.
 	MemBudget int64
-	// SpillDir, when nonempty, bounds frontier memory too. The frontier
-	// always holds state keys (the uvarint bytes of numbered vectors,
-	// number.go); with SpillDir, beyond a bounded in-memory
-	// ring of 32Ki entries per window they spill in waves to temp files
-	// under this directory, streamed back FIFO. Without it the ring is
-	// unbounded and no file is created. I/O failures panic: a half-lost
-	// frontier cannot produce a trustworthy verdict.
-	SpillDir string
 	// Workers sets the search parallelism: 0 uses runtime.NumCPU() workers,
 	// N ≥ 1 exactly N, all running the same loop over one shared FIFO
 	// frontier. Worker 0 runs on the calling goroutine, so Workers: 1 starts
@@ -84,27 +76,23 @@ type Options struct {
 	// OnProgress receives each report; it runs on the ticker goroutine and
 	// must not block for long.
 	OnProgress func(Progress)
-	// MemPool, when non-nil, is a shared accountant the visited set
-	// acquires its memory from (see MemPool): MemBudget stays this
-	// search's private cap, but the bytes under it must also fit in the
-	// pool, so concurrent searches on one host share one budget. Denied
-	// growth truncates with BudgetFull, exactly like a private cap.
+	// MemPool, when non-nil, is a shared accountant the visited set and
+	// the frontier acquire their memory from (see MemPool): MemBudget
+	// stays this search's private cap, but the bytes under it must also
+	// fit in the pool, so concurrent searches on one host share one
+	// budget. A denied charge truncates with BudgetFull, exactly like a
+	// private cap.
 	MemPool *MemPool
-
-	// spillRing caps in-memory frontier entries per window when spilling
-	// (0 = defaultSpillRing). Tests shrink it to force wave files.
-	spillRing int
 }
 
 // Progress is one periodic report of a running search (Options.OnProgress).
 type Progress struct {
-	Elapsed       time.Duration
-	Visited       int     // distinct states in the visited set so far
-	StatesPerSec  float64 // visited-set growth rate since the last report
-	Frontier      int     // states queued awaiting expansion
-	LoadFactor    float64 // visited-table occupancy over all its slots
-	SpilledStates int64   // cumulative frontier states written to disk
-	HeapBytes     uint64  // runtime.ReadMemStats HeapAlloc (RSS proxy)
+	Elapsed      time.Duration
+	Visited      int     // distinct states in the visited set so far
+	StatesPerSec float64 // visited-set growth rate since the last report
+	Frontier     int     // states queued awaiting expansion
+	LoadFactor   float64 // visited-table occupancy over all its slots
+	HeapBytes    uint64  // runtime.ReadMemStats HeapAlloc (RSS proxy)
 }
 
 // EffectiveWorkers resolves Workers to the search parallelism a search
@@ -128,7 +116,7 @@ type Result struct {
 	DeadlockAt  string              // snapshot of the lexicographically least deadlock state (stable across worker counts)
 	Outcomes    memmodel.OutcomeSet // outcomes at quiescent states
 	Violations  []string            // invariant failures
-	Truncated   bool                // MaxStates (or the visited-table budget) hit
+	Truncated   bool                // MaxStates (or the memory budget) hit
 	Cancelled   bool                // the context was cancelled mid-search (partial result)
 	MaxStates   int                 // the state budget that was in effect
 	PORReduced  int                 // states expanded through an ample subset only (0 = POR off or never hit)
@@ -136,13 +124,11 @@ type Result struct {
 
 	// State-storage accounting (see storage.go).
 	BudgetFull     bool    // truncation came from the storage MemBudget, not MaxStates
-	Storage        string  // "exact" or "hash-compaction", "+spill" when the frontier spilled to disk
+	Storage        string  // "exact" or "hash-compaction"
 	TableBytes     int64   // visited-set memory: its slots and, in exact mode, key arenas
 	BytesPerState  float64 // TableBytes per distinct visited state
 	PeakLoadFactor float64 // highest visited-table occupancy over all its slots
 	OmissionProb   float64 // estimated probability ≥1 state was omitted (lossy modes)
-	SpilledStates  int64   // cumulative frontier states written to disk
-	SpilledBytes   int64   // cumulative bytes written to spill files
 }
 
 // Ok reports whether the search finished with no deadlocks or violations.
@@ -196,7 +182,7 @@ func (r *Result) String() string {
 // lossy reports whether a Result.Storage label names a lossy visited-set
 // mode (anything but exact).
 func lossy(storage string) bool {
-	return storage != "" && storage != "exact" && storage != "exact+spill"
+	return storage != "" && storage != "exact"
 }
 
 // searchCtx is the per-search context shared by all workers: resolved
@@ -296,11 +282,10 @@ func Explore(initial *System, opts Options) *Result {
 // Cancelled set and every storage/omission accounting field filled in —
 // the same shape a BudgetFull or MaxStates truncation reports. All worker
 // goroutines, the progress ticker and the context watcher have exited by
-// the time ExploreCtx returns, and spill temp files are removed; a
-// cancelled search leaks nothing and a rerun from the same inputs
-// produces the identical full Result. A panic on any worker (a component
-// bug, a spill I/O error) is re-raised on the calling goroutine after the
-// same cleanup. The initial system is never mutated.
+// the time ExploreCtx returns; a cancelled search leaks nothing and a
+// rerun from the same inputs produces the identical full Result. A panic
+// on any worker (a component bug) is re-raised on the calling goroutine
+// after the same cleanup. The initial system is never mutated.
 func ExploreCtx(cctx context.Context, initial *System, opts Options) *Result {
 	return exploreProbed(cctx, initial, opts, nil)
 }
@@ -325,13 +310,7 @@ func exploreProbed(cctx context.Context, initial *System, opts Options, tried fu
 	defer visited.release()
 	root := ctx.num.number(initial).appendKey(nil)
 	visited.Insert(root)
-
-	sq, err := newSpillQueue(opts.SpillDir, opts.spillRing)
-	if err != nil {
-		panic(err.Error())
-	}
-	defer sq.close()
-	f := newFrontier(sq, root)
+	f := newFrontier(visited, root)
 
 	stopProgress := startProgress(ctx, visited, f)
 	defer stopProgress()
@@ -349,11 +328,6 @@ func exploreProbed(cctx context.Context, initial *System, opts Options, tried fu
 	if visited.Full() {
 		res.Truncated = true
 		res.BudgetFull = true
-	}
-	if opts.SpillDir != "" {
-		res.Storage += "+spill"
-		res.SpilledStates = sq.spilledStates.Load()
-		res.SpilledBytes = sq.spilledBytes.Load()
 	}
 	return res
 }
@@ -411,12 +385,11 @@ func startProgress(ctx *searchCtx, visited *visitedSet, f *frontier) func() {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				p := Progress{
-					Elapsed:       now.Sub(start),
-					Visited:       n,
-					Frontier:      int(f.queued.Load()),
-					LoadFactor:    visited.load(),
-					SpilledStates: f.q.spilledStates.Load(),
-					HeapBytes:     ms.HeapAlloc,
+					Elapsed:    now.Sub(start),
+					Visited:    n,
+					Frontier:   int(f.queued.Load()),
+					LoadFactor: visited.load(),
+					HeapBytes:  ms.HeapAlloc,
 				}
 				if dt := now.Sub(lastT).Seconds(); dt > 0 {
 					p.StatesPerSec = float64(n-lastN) / dt

@@ -29,7 +29,9 @@ import (
 // stripe copies from are garbage once copied, and are not charged. A
 // denied growth leaves the stripe at its size; once a stripe is 15/16
 // occupied, or an arena cannot take a key, the set is Full and the search
-// truncates with BudgetFull.
+// truncates with BudgetFull. The frontier's queued keys are charged to the
+// same budget (holdQueued), so it bounds the whole search's state memory;
+// they are kept out of the set's own accounting.
 
 // storageStats is the accounting snapshot a visited set reports at the end
 // of a search.
@@ -93,8 +95,9 @@ type visitedSet struct {
 	slots  atomic.Int64  // slots over all stripes
 	peak   atomic.Uint64 // math.Float64bits of the highest load a growth saw
 	full   atomic.Bool
-	budget *MemPool // this search's MemBudget: every byte the set holds
-	pool   *MemPool // the shared MemPool (nil: none)
+	held   atomic.Int64 // budget bytes held by queued frontier keys, not the set
+	budget *MemPool     // this search's MemBudget: the set's bytes and queued keys'
+	pool   *MemPool     // the shared MemPool (nil: none)
 	shards [visitedShards]stripe
 }
 
@@ -246,8 +249,26 @@ func (v *visitedSet) acquire(n int64) bool {
 	return true
 }
 
-// release returns every byte the set acquired; called once when the
-// search ends.
+// holdQueued charges n bytes of queued frontier keys to the budget; a
+// denied charge marks the set Full, which truncates the search.
+func (v *visitedSet) holdQueued(n int64) bool {
+	if !v.acquire(n) {
+		v.full.Store(true)
+		return false
+	}
+	v.held.Add(n)
+	return true
+}
+
+// releaseQueued returns n bytes of keys taken off the frontier.
+func (v *visitedSet) releaseQueued(n int64) {
+	v.held.Add(-n)
+	v.budget.Release(n)
+	v.pool.Release(n)
+}
+
+// release returns every byte the set and the frontier acquired; called
+// once when the search ends.
 func (v *visitedSet) release() {
 	n := v.budget.Used()
 	v.budget.Release(n)
@@ -272,11 +293,11 @@ func (v *visitedSet) load() float64 {
 }
 
 // stats returns the end-of-search accounting snapshot: the bytes the set
-// holds are the bytes it has charged.
+// holds are the bytes charged for anything but queued keys.
 func (v *visitedSet) stats() storageStats {
 	st := storageStats{
 		mode:       "exact",
-		tableBytes: v.budget.Used(),
+		tableBytes: v.budget.Used() - v.held.Load(),
 		peakLoad:   max(v.load(), math.Float64frombits(v.peak.Load())),
 	}
 	if v.fp {

@@ -1,8 +1,8 @@
 package mcheck_test
 
-// Storage-mode agreement on the fused Table II pairs: hash compaction,
-// the parallel exact set and the disk-spilling frontier must reproduce the
-// exact sequential search's verdicts on every heterogeneous system,
+// Storage-mode agreement on the fused Table II pairs: hash compaction and
+// the parallel exact set must reproduce the exact sequential search's
+// verdicts on every heterogeneous system,
 // sequentially and in parallel. This is the soundness
 // gate for the state image's decode on MergedDir states (bridges, proxy captures,
 // handshake cohorts): an unfaithful decode would change some state's
@@ -52,7 +52,7 @@ func assertStorageAgrees(t *testing.T, label string, got, want *mcheck.Result) {
 }
 
 // TestStorageModesAgreeTableIIPairs: on every fused Table II pair, each
-// lossy, parallel or spilled storage configuration must agree exactly
+// lossy or parallel storage configuration must agree exactly
 // with the exact sequential search. The worker axis is spread across the modes. The
 // headline pair is left to TestStorageModesCrossHeadlinePair, whose full
 // cross runs each of these configurations.
@@ -76,19 +76,11 @@ func TestStorageModesAgreeTableIIPairs(t *testing.T) {
 			}{
 				{"hash/seq", mcheck.Options{Workers: 1, HashCompaction: true, POR: mcheck.POROff}},
 				{"exact/par", mcheck.Options{Workers: workers, POR: mcheck.POROff}},
-				{"hash+spill/par", mcheck.Options{Workers: workers, HashCompaction: true,
-					SpillDir: t.TempDir(), POR: mcheck.POROff}},
+				{"hash/par", mcheck.Options{Workers: workers, HashCompaction: true, POR: mcheck.POROff}},
 			}
-			mcheck.SetSpillRing(&configs[2].opts, 256)
 			for _, cfg := range configs {
 				res := mcheck.Explore(pairSystem(t, pair[0], pair[1], storeLoadProg), cfg.opts)
 				assertStorageAgrees(t, cfg.name, res, exact)
-				// Small pairs (the GPU fusions run a few hundred states)
-				// never outgrow the ring; only demand disk waves where the
-				// space is wide enough to force them.
-				if cfg.opts.SpillDir != "" && res.SpilledStates == 0 && res.States > 10_000 {
-					t.Errorf("%s: ring of 256 never spilled a wave (%d states)", cfg.name, res.States)
-				}
 			}
 		})
 	}
@@ -108,12 +100,6 @@ func TestStorageModesCrossHeadlinePair(t *testing.T) {
 		}{
 			{"exact", func(o *mcheck.Options) {}},
 			{"hash", func(o *mcheck.Options) { o.HashCompaction = true }},
-			{"exact+spill", func(o *mcheck.Options) { o.SpillDir = t.TempDir(); mcheck.SetSpillRing(o, 256) }},
-			{"hash+spill", func(o *mcheck.Options) {
-				o.HashCompaction = true
-				o.SpillDir = t.TempDir()
-				mcheck.SetSpillRing(o, 256)
-			}},
 		}
 		exact := mcheck.Explore(pairSystem(t, "MESI", "RCC-O", storeLoadProg),
 			mcheck.Options{Workers: 1, POR: mcheck.POROff})
@@ -127,9 +113,6 @@ func TestStorageModesCrossHeadlinePair(t *testing.T) {
 				res := mcheck.Explore(pairSystem(t, "MESI", "RCC-O", storeLoadProg), opts)
 				label := fmt.Sprintf("%s workers=%d", mode.name, w)
 				assertStorageAgrees(t, label, res, exact)
-				if opts.SpillDir != "" && res.SpilledStates == 0 {
-					t.Errorf("%s: ring of 256 never spilled a wave (%d states)", label, res.States)
-				}
 			}
 		}
 	})

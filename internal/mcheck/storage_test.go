@@ -1,21 +1,18 @@
 package mcheck
 
-// Tests for the state-storage engine (storage.go, spill.go): the visited
-// set's two key kinds under concurrency, growth and a memory budget, the
-// exact kind against a reference model and under forced tag collisions,
-// spill-queue FIFO discipline, and agreement of every storage mode with the exact
-// search on the litmus configurations. The
+// Tests for the state-storage engine (storage.go): the visited set's two
+// key kinds under concurrency, growth and a memory budget, the exact kind
+// against a reference model and under forced tag collisions, and
+// agreement of hash compaction with the exact search on the litmus
+// configurations. The
 // fused-pair agreement matrix lives in storage_pairs_test.go and the
 // state-image round trip in encode_test.go (external package; they need
 // core.Fuse).
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -364,82 +361,6 @@ func TestSternDillOmission(t *testing.T) {
 	}
 }
 
-// TestSpillQueueFIFO: the disk-backed queue must be exactly FIFO through
-// wave flush/reload cycles, report an exact length, and leave no files
-// behind on close.
-func TestSpillQueueFIFO(t *testing.T) {
-	dir := t.TempDir()
-	q, err := newSpillQueue(dir, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1000
-	payload := func(i int) []byte { return []byte(fmt.Sprintf("state-%04d-%s", i, strings.Repeat("x", i%17))) }
-	next := 0
-	// Interleave pushes and pops so head, tail and wave files all carry
-	// entries at some point.
-	for i := 0; i < n; i++ {
-		q.push(payload(i))
-		if i%3 == 2 {
-			enc, ok := q.pop()
-			if !ok {
-				t.Fatalf("pop %d: queue empty with %d queued", next, q.len())
-			}
-			if !bytes.Equal(enc, payload(next)) {
-				t.Fatalf("pop %d: got %q, want %q", next, enc, payload(next))
-			}
-			next++
-		}
-	}
-	if got, want := q.len(), n-next; got != want {
-		t.Fatalf("len() = %d, want %d", got, want)
-	}
-	if q.spilledStates.Load() == 0 {
-		t.Fatal("ring of 8 never spilled a wave to disk")
-	}
-	for ; next < n; next++ {
-		enc, ok := q.pop()
-		if !ok {
-			t.Fatalf("pop %d: queue dry early", next)
-		}
-		if !bytes.Equal(enc, payload(next)) {
-			t.Fatalf("pop %d: got %q, want %q", next, enc, payload(next))
-		}
-	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("pop succeeded on a drained queue")
-	}
-	spillDir := q.dir
-	q.close()
-	if _, err := os.Stat(spillDir); !os.IsNotExist(err) {
-		t.Fatalf("close left the spill directory behind: %v", err)
-	}
-	left, _ := filepath.Glob(filepath.Join(dir, "hgspill-*"))
-	if len(left) != 0 {
-		t.Fatalf("close left %v", left)
-	}
-}
-
-// storageModes enumerates the non-exact storage configurations the
-// agreement matrix checks against the exact baseline.
-func storageModes(spillDir string) []struct {
-	name string
-	set  func(*Options)
-} {
-	return []struct {
-		name string
-		set  func(*Options)
-	}{
-		{"hash", func(o *Options) { o.HashCompaction = true }},
-		{"exact+spill", func(o *Options) { o.SpillDir = spillDir; o.spillRing = 64 }},
-		{"hash+spill", func(o *Options) {
-			o.HashCompaction = true
-			o.SpillDir = spillDir
-			o.spillRing = 64
-		}},
-	}
-}
-
 // assertAgrees compares every observable of two searches of the same space.
 func assertAgrees(t *testing.T, label string, got, want *Result) {
 	t.Helper()
@@ -463,11 +384,9 @@ func assertAgrees(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestStorageModesAgreeLitmus: on MP, SB and IRIW, every storage mode —
-// hash compaction, and both it and exact storage with the disk-spilling
-// frontier (ring forced down to 64 so waves really hit disk) — must visit
-// exactly the state set of the exact search, sequentially and with a
-// worker pool. 64-bit fingerprints make a collision at these state counts
+// TestStorageModesAgreeLitmus: on MP, SB and IRIW, hash compaction must
+// visit exactly the state set of the exact search, sequentially and with
+// a worker pool. 64-bit fingerprints make a collision at these state counts
 // vanishingly unlikely, so exact agreement is the correct expectation,
 // not a lucky one.
 func TestStorageModesAgreeLitmus(t *testing.T) {
@@ -493,21 +412,9 @@ func TestStorageModesAgreeLitmus(t *testing.T) {
 			if exact.Storage != "exact" {
 				t.Fatalf("baseline storage label = %q", exact.Storage)
 			}
-			for _, mode := range storageModes(t.TempDir()) {
-				for _, w := range []int{1, workers} {
-					opts := Options{POR: POROff}
-					mode.set(&opts)
-					res := exploreWith(t, tc.prog, w, opts)
-					assertAgrees(t, fmt.Sprintf("%s workers=%d", mode.name, w), res, exact)
-					if strings.Contains(mode.name, "spill") {
-						if !strings.HasSuffix(res.Storage, "+spill") {
-							t.Errorf("%s workers=%d: storage label %q lost the spill marker", mode.name, w, res.Storage)
-						}
-						if res.SpilledStates == 0 && res.States > 200 {
-							t.Errorf("%s workers=%d: ring of 64 never spilled (%d states)", mode.name, w, res.States)
-						}
-					}
-				}
+			for _, w := range []int{1, workers} {
+				res := exploreWith(t, tc.prog, w, Options{POR: POROff, HashCompaction: true})
+				assertAgrees(t, fmt.Sprintf("hash workers=%d", w), res, exact)
 			}
 		})
 	}
@@ -572,8 +479,8 @@ func TestResultStringTruncationCauses(t *testing.T) {
 // MemBudget must stop, flag BudgetFull, and report fewer states than the
 // space holds — end-to-end through the search loop, not just the table.
 // IRIW with evictions reaches ~1.6M states; a 512 KiB budget (64Ki slots
-// at most, ~61k usable at the saturation load) cuts the search off after
-// a few percent of the space.
+// at most, fewer once the frontier's queued keys take their share) cuts
+// the search off after a few percent of the space.
 func TestExploreBudgetTruncation(t *testing.T) {
 	const (
 		fullSpace   = 1_600_000 // known size of the IRIW eviction space
@@ -587,11 +494,17 @@ func TestExploreBudgetTruncation(t *testing.T) {
 				label, res.Truncated, res.BudgetFull, res.States)
 		}
 		// Expanded states lag the visited set (the frontier holds states
-		// already claimed but not yet expanded), so only bracket loosely:
-		// well past trivial, well short of the full space.
-		if res.States < budgetSlots/4 || res.States > fullSpace/4 {
+		// already claimed but not yet expanded, and its keys share the
+		// budget with the table), so only bracket loosely: well past
+		// trivial, well short of the full space, with the table holding
+		// a fair share of the budget and never more than all of it.
+		if res.States < budgetSlots/16 || res.States > fullSpace/4 {
 			t.Fatalf("%s: truncated at %d states, expected table saturation below %d",
 				label, res.States, budgetSlots)
+		}
+		if res.TableBytes < budget/4 || res.TableBytes > budget {
+			t.Fatalf("%s: table holds %d bytes at truncation, want a fair share of the %d-byte budget",
+				label, res.TableBytes, budget)
 		}
 		if res.Ok() {
 			t.Fatalf("%s: truncated result reported Ok", label)

@@ -78,21 +78,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var kind JobKind
 	var req any
+	var search engine.SearchOptions
 	n := 0
 	if sb.Check != nil {
-		kind, req = KindCheck, sb.Check
+		kind, req, search = KindCheck, sb.Check, sb.Check.Search
 		n++
 	}
 	if sb.Litmus != nil {
-		kind, req = KindLitmus, sb.Litmus
+		kind, req, search = KindLitmus, sb.Litmus, sb.Litmus.Search
 		n++
 	}
 	if sb.Compile != nil {
-		kind, req = KindCompile, sb.Compile
+		kind, req, search = KindCompile, sb.Compile, sb.Compile.Search
 		n++
 	}
 	if n != 1 {
 		httpError(w, http.StatusBadRequest, "submit exactly one of check, litmus or compile (got %d)", n)
+		return
+	}
+	if err := search.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	j, err := s.Submit(kind, req)

@@ -39,11 +39,6 @@ type Config struct {
 	// directory every compile job reads and writes — the cross-request
 	// table cache ("" = none). Requests cannot name another.
 	CompileCache string
-	// SpillRoot, when set, is the only directory jobs may spill
-	// frontiers under: a request with a non-empty spill_dir has it
-	// rewritten here, so clients choose whether to spill and the server
-	// chooses where.
-	SpillRoot string
 	// Backlog bounds the queued-job count (0 = 64); submissions beyond
 	// it are rejected with 503.
 	Backlog int
@@ -209,13 +204,10 @@ func (s *Server) run(j *Job) {
 }
 
 // applyPolicy imposes the server's budgets on a request's search
-// options: the per-job worker clamp and the spill-root rewrite.
+// options: the per-job worker clamp.
 func (s *Server) applyPolicy(o engine.SearchOptions) engine.SearchOptions {
 	if max := s.cfg.MaxWorkersPerJob; max > 0 && (o.Workers == 0 || o.Workers > max) {
 		o.Workers = max
-	}
-	if o.SpillDir != "" && s.cfg.SpillRoot != "" {
-		o.SpillDir = s.cfg.SpillRoot
 	}
 	return o
 }

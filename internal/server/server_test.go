@@ -300,22 +300,27 @@ func TestMemPoolBoundsExactJobs(t *testing.T) {
 }
 
 // TestSubmitRejectsUnknownFields: a request naming a field the API does
-// not have — the removed "bitstate" storage knob, the retired "compiled"
-// and "compile_cache" fields (a client cannot redirect the server's
-// artifact cache), a misspelling, an unknown job kind — or carrying
-// trailing data fails with a 400 naming the problem, and no job is
-// queued that would run the defaults instead.
+// not have — the removed "bitstate", "symmetry" and "spill_dir" knobs,
+// the retired "compiled" and "compile_cache" fields (a client cannot
+// redirect the server's artifact cache), a misspelling, an unknown job
+// kind — or carrying trailing data or a negative search size fails with a
+// 400 naming the problem, and no job is queued that would run the
+// defaults instead.
 func TestSubmitRejectsUnknownFields(t *testing.T) {
 	srv, ts := testServer(t, Config{JobWorkers: 1})
 	for body, want := range map[string]string{
-		`{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1,"bitstate":true}}}`:   `unknown field "bitstate"`,
-		`{"check":{"pair":["MSI","RCC"],"caches":1,"addrs":1,"compiled":true}}`:                      `unknown field "compiled"`,
-		`{"compile":{"pair":["MSI","MSI"],"search":{"workers":1,"compile_cache":"/tmp/elsewhere"}}}`: `unknown field "compile_cache"`,
-		`{"check":{"protocol":"MSI","cache":1}}`:                                                     `unknown field "cache"`,
-		`{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1,"symmetry":true}}}`:   `unknown field "symmetry"`,
-		`{"compile":{"pair":["MSI","MSI"],"search":{"symmetry":true}}}`:                              `unknown field "symmetry"`,
-		`{"verify":{"protocol":"MSI"}}`:                                                              `unknown field "verify"`,
-		`{"check":{"protocol":"MSI"}} {"check":{"protocol":"MSI"}}`:                                  "trailing data",
+		`{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1,"bitstate":true}}}`:    `unknown field "bitstate"`,
+		`{"check":{"pair":["MSI","RCC"],"caches":1,"addrs":1,"compiled":true}}`:                       `unknown field "compiled"`,
+		`{"compile":{"pair":["MSI","MSI"],"search":{"workers":1,"compile_cache":"/tmp/elsewhere"}}}`:  `unknown field "compile_cache"`,
+		`{"check":{"protocol":"MSI","cache":1}}`:                                                      `unknown field "cache"`,
+		`{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1,"symmetry":true}}}`:    `unknown field "symmetry"`,
+		`{"compile":{"pair":["MSI","MSI"],"search":{"symmetry":true}}}`:                               `unknown field "symmetry"`,
+		`{"verify":{"protocol":"MSI"}}`:                                                               `unknown field "verify"`,
+		`{"check":{"protocol":"MSI","caches":1,"addrs":1,"search":{"workers":1,"spill_dir":"/tmp"}}}`: `unknown field "spill_dir"`,
+		`{"check":{"protocol":"MSI","search":{"mem_budget":-1048576}}}`:                               "search.mem_budget -1048576 must not be negative",
+		`{"litmus":{"protocol":"MSI","search":{"max_states":-1}}}`:                                    "search.max_states -1 must not be negative",
+		`{"compile":{"pair":["MSI","MSI"],"search":{"workers":-2}}}`:                                  "search.workers -2 must not be negative",
+		`{"check":{"protocol":"MSI"}} {"check":{"protocol":"MSI"}}`:                                   "trailing data",
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -398,17 +403,6 @@ func TestWorkerBudgetClamp(t *testing.T) {
 		if got != want {
 			t.Errorf("workers %d clamped to %d, want %d", req, got, want)
 		}
-	}
-	if got := srv.applyPolicy(engine.SearchOptions{SpillDir: "/elsewhere"}).SpillDir; got != "/elsewhere" {
-		t.Errorf("spill dir rewritten with no SpillRoot configured: %q", got)
-	}
-	srv2 := New(Config{SpillRoot: "/pool", Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	defer srv2.Drain()
-	if got := srv2.applyPolicy(engine.SearchOptions{SpillDir: "/elsewhere"}).SpillDir; got != "/pool" {
-		t.Errorf("spill dir not rewritten under SpillRoot: %q", got)
-	}
-	if got := srv2.applyPolicy(engine.SearchOptions{}).SpillDir; got != "" {
-		t.Errorf("spill imposed on a request that declined it: %q", got)
 	}
 }
 
