@@ -55,8 +55,7 @@ func TestAllocRegressionMemoReplay(t *testing.T) {
 	// the pair is interpreted once below, then every measured delivery is
 	// a memo hit.
 	cf, sys := newCompiledFusion(f, cfg)
-	c := newCompiler(cf)
-	c.intern(cf.layout.Merged)
+	c := cf.fresh()
 	d := &CompiledDir{cf: cf, mem: sys.Mem, grow: c}
 	env := spec.EnvFunc(func(spec.Msg) {})
 	init := c.states[0]

@@ -514,7 +514,8 @@ func buildFromParts(data []byte, f *Fusion, cfg CompileConfig, p *artifactParts,
 			named[r.Addr] = true
 		}
 	}
-	cf, c, _ := growingSystem(f, cfg)
+	cf, _ := newCompiledFusion(f, cfg)
+	c := cf.fresh()
 	var routed, dir spec.NodeSet
 	for _, comp := range cf.template.Components {
 		for _, id := range comp.OwnedIDs() {

@@ -32,10 +32,17 @@ func sameStrings(a, b []string) bool {
 	return true
 }
 
-// requireAgreement explores the interpreted composite, the growing table
-// every fused search runs on, the freshly compiled table, AND the table
-// after a serialize → load round trip through the binary artifact, all
-// under identical options, and fails unless every observable the
+// interpretedSystem is the interpreted composite every fused check and
+// litmus test searches: BuildSystem driven by programs.
+func interpretedSystem(f *Fusion, cachesPerCluster []int, programs [][]spec.CoreReq) *mcheck.System {
+	sys, _ := BuildSystem(f, cachesPerCluster)
+	sys.SetPrograms(programs)
+	return sys
+}
+
+// requireAgreement explores the interpreted composite, the freshly
+// compiled table, AND the table after a serialize → load round trip
+// through the binary artifact, all under identical options, and fails unless every observable the
 // differential contract covers agrees:
 // reachable-state and transition counts, deadlock count and outcome sets;
 // the compiled and loaded runs also agree on the ample-state count, since a load derives the POR
@@ -48,9 +55,7 @@ func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Op
 		t.Fatalf("%s: compile: %v", f.Name(), err)
 	}
 
-	isys, _ := BuildSystem(f, cfg.CachesPerCluster)
-	isys.SetPrograms(cfg.Programs)
-	ires := mcheck.Explore(isys, opts)
+	ires := mcheck.Explore(interpretedSystem(f, cfg.CachesPerCluster, cfg.Programs), opts)
 
 	csys := cf.System()
 	cres := mcheck.Explore(csys, opts)
@@ -71,20 +76,6 @@ func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Op
 	}
 	if lk, ck := outcomeKeys(lres), outcomeKeys(cres); !sameStrings(lk, ck) {
 		t.Errorf("%s: loaded-artifact outcome set differs:\n  compiled: %v\n  loaded:   %v", f.Name(), ck, lk)
-	}
-
-	gres := mcheck.Explore(FusedSystem(f, cfg.CachesPerCluster, cfg.Programs), opts)
-	if gres.Engine != EngineCompiled {
-		t.Errorf("%s: growing-table run labeled %q", f.Name(), gres.Engine)
-	}
-	if gres.States != ires.States || gres.Transitions != ires.Transitions ||
-		gres.Deadlocks != ires.Deadlocks || gres.Truncated != ires.Truncated {
-		t.Errorf("%s: growing table diverges from interpreted: %d/%d states, %d/%d transitions, %d/%d deadlocks, truncated %v/%v",
-			f.Name(), gres.States, ires.States, gres.Transitions, ires.Transitions, gres.Deadlocks, ires.Deadlocks,
-			gres.Truncated, ires.Truncated)
-	}
-	if ik, gk := outcomeKeys(ires), outcomeKeys(gres); !sameStrings(ik, gk) {
-		t.Errorf("%s: growing-table outcome set differs:\n  interpreted: %v\n  growing:     %v", f.Name(), ik, gk)
 	}
 
 	if ires.Engine != EngineInterpreted {
@@ -283,7 +274,7 @@ func compilerOf(cf *CompiledFusion, sys *mcheck.System) *compiler {
 // TestCompiledSystemInterpretsForeignPrograms pins the seeded table's
 // miss path: driving a finished table — compiled here or loaded from its
 // artifact — with programs it was not compiled for interprets the unseen
-// pairs and reports exactly what a fresh growing table does, while the
+// pairs and reports exactly what the interpreted composite does, while the
 // CompiledFusion itself stays untouched.
 func TestCompiledSystemInterpretsForeignPrograms(t *testing.T) {
 	f, cf, foreign := foreignTable(t, []int{1, 1})
@@ -299,7 +290,7 @@ func TestCompiledSystemInterpretsForeignPrograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := mcheck.Options{Workers: 1}
-	want := mcheck.Explore(FusedSystem(f, []int{1, 1}, foreign), opts)
+	want := mcheck.Explore(interpretedSystem(f, []int{1, 1}, foreign), opts)
 	for _, tc := range []struct {
 		name string
 		cf   *CompiledFusion
@@ -325,7 +316,7 @@ func TestCompiledSystemInterpretsForeignPrograms(t *testing.T) {
 func TestCompiledSystemConcurrentMisses(t *testing.T) {
 	f, cf, foreign := foreignTable(t, []int{2, 1})
 	opts := mcheck.Options{Workers: 2}
-	want := mcheck.Explore(FusedSystem(f, []int{2, 1}, foreign), opts)
+	want := mcheck.Explore(interpretedSystem(f, []int{2, 1}, foreign), opts)
 	sys := cf.System()
 	sys.SetPrograms(foreign)
 	var results [2]*mcheck.Result

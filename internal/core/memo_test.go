@@ -91,19 +91,21 @@ func TestExtractionDeliverySplit(t *testing.T) {
 // TestCompiledDirPanicReachesCaller: a panic in the compiled directory's
 // miss path unwinds to the search's caller at one worker and at two, and
 // leaves the table's lock free, instead of hanging the search on that
-// lock. The table is grown in full first, so the second search's early
-// deliveries are memo hits; then the last state's records are dropped and
-// its image corrupted, so its first delivery reinterprets and panics.
+// lock. The search runs a finished table's System(), so its early
+// deliveries replay; the last state's records are dropped and its image
+// corrupted, so its first delivery reinterprets and panics.
 func TestCompiledDirPanicReachesCaller(t *testing.T) {
 	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
 	cfg := TableIICompileConfig(true, 1)
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			_, c, sys := growingSystem(f, cfg)
-			opts := mcheck.Options{Evictions: cfg.Evictions, Workers: workers, POR: mcheck.POROff}
-			if res := mcheck.Explore(sys, opts); res.Truncated || res.Cancelled {
-				t.Fatal("growing search did not run to exhaustion")
+			cf, err := Compile(f, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sys := cf.System()
+			c := compilerOf(cf, sys)
+			opts := mcheck.Options{Evictions: cfg.Evictions, Workers: workers, POR: mcheck.POROff}
 			last := len(c.states) - 1
 			c.spans[last] = nil
 			c.states[last].img = []byte{0xff}

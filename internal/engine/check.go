@@ -21,7 +21,7 @@ const DefaultCheckMaxStates = 8 << 20
 //
 //   - Protocol: a homogeneous system of Caches caches.
 //   - Pair: a fused heterogeneous system, Caches caches per cluster,
-//     searched over a growing compiled table (core.FusedSystem); with
+//     searched as the interpreted composite (core.BuildSystem); with
 //     Table, a serialized artifact digest-checked against the request is
 //     searched instead.
 //   - Table alone: a standalone artifact check under the table's own
@@ -171,7 +171,8 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 		name = f.Name()
 		progs := CheckDriver(2*caches, addrs, false)
 		if req.Table == "" {
-			sys = core.FusedSystem(f, []int{caches, caches}, progs)
+			sys, _ = core.BuildSystem(f, []int{caches, caches})
+			sys.SetPrograms(progs)
 			break
 		}
 		// Artifact against explicit request: the stored digest must

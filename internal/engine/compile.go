@@ -119,10 +119,6 @@ func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResu
 	}, nil
 }
 
-// ArtifactKinds lists the emission formats Emit accepts, in the order
-// the docs present them.
-func ArtifactKinds() []string { return []string{"hgcf", "table", "pcc", "murphi", "dot"} }
-
 // Emit writes one artifact of a compiled fusion: the versioned binary
 // form ("hgcf") or a textual projection ("table", "pcc", "murphi",
 // "dot") — the engine-level home of the heterogen -emit switch, shared

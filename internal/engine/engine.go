@@ -43,15 +43,15 @@ type SearchOptions struct {
 	MaxStates int `json:"max_states,omitempty"`
 }
 
-// OptionError is a request's out-of-range search option: the JSON field
-// search.Field carries Value.
+// OptionError is a request's negative option: the JSON field Field (a
+// dotted path, such as "search.workers") carries Value.
 type OptionError struct {
 	Field string
 	Value int64
 }
 
 func (e *OptionError) Error() string {
-	return fmt.Sprintf("search.%s %d must not be negative", e.Field, e.Value)
+	return fmt.Sprintf("%s %d must not be negative", e.Field, e.Value)
 }
 
 // Validate rejects negative workers, mem_budget and max_states, which
@@ -63,7 +63,7 @@ func (s SearchOptions) Validate() error {
 		field string
 		value int64
 	}{
-		{"workers", int64(s.Workers)}, {"mem_budget", s.MemBudget}, {"max_states", int64(s.MaxStates)},
+		{"search.workers", int64(s.Workers)}, {"search.mem_budget", s.MemBudget}, {"search.max_states", int64(s.MaxStates)},
 	} {
 		if o.value < 0 {
 			return &OptionError{Field: o.field, Value: o.value}

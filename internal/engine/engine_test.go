@@ -49,8 +49,8 @@ func TestCheckMatchesDirect(t *testing.T) {
 		t.Fatalf("engine diverged from direct search:\n engine %s\n direct %s", &res.Result, direct)
 	}
 
-	// A pair searches the growing table; the direct interpreted
-	// composite is its oracle.
+	// A pair searches the interpreted composite: its counts are those of
+	// a direct BuildSystem search.
 	pres, err := Check(context.Background(), CheckRequest{
 		Pair:   []string{"MSI", "RCC"},
 		Caches: 1,
@@ -60,8 +60,8 @@ func TestCheckMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pres.Engine != core.EngineCompiled {
-		t.Errorf("pair check labeled %q, want %q", pres.Engine, core.EngineCompiled)
+	if pres.Engine != core.EngineInterpreted {
+		t.Errorf("pair check labeled %q, want %q", pres.Engine, core.EngineInterpreted)
 	}
 	f, err := core.Fuse(core.Options{}, protocols.MustByName(protocols.NameMSI), protocols.MustByName(protocols.NameRCC))
 	if err != nil {
@@ -324,7 +324,8 @@ func TestCompileSearchKnobs(t *testing.T) {
 
 // TestRequestsRefuseNegativeSearch: a negative workers, mem_budget or
 // max_states fails every request kind with an OptionError naming the
-// field, before anything runs, instead of falling through to a default.
+// field, before anything runs, instead of falling through to a default;
+// so does a litmus request's negative max_threads.
 func TestRequestsRefuseNegativeSearch(t *testing.T) {
 	ctx := context.Background()
 	for field, s := range map[string]SearchOptions{
@@ -347,9 +348,20 @@ func TestRequestsRefuseNegativeSearch(t *testing.T) {
 			},
 		} {
 			var oe *OptionError
-			if err := run(); !errors.As(err, &oe) || oe.Field != field {
+			if err := run(); !errors.As(err, &oe) || oe.Field != "search."+field {
 				t.Errorf("%s with negative %s: got %v, want an OptionError naming search.%s", kind, field, err, field)
 			}
+		}
+	}
+	// A negative max_threads is refused too, homogeneous and fused: it
+	// used to skip every shape of the one and lift the bound of the other.
+	for _, req := range []LitmusRequest{
+		{Protocol: "MSI", MaxThreads: -1},
+		{Pair: []string{"MSI", "RCC"}, MaxThreads: -1},
+	} {
+		var oe *OptionError
+		if _, err := Litmus(ctx, req, Hooks{}); !errors.As(err, &oe) || oe.Field != "max_threads" {
+			t.Errorf("litmus %v/%q with max_threads -1: got %v, want an OptionError naming max_threads", req.Pair, req.Protocol, err)
 		}
 	}
 }

@@ -93,11 +93,22 @@ func (req *LitmusRequest) shapes() ([]litmus.Shape, error) {
 	return shapes, nil
 }
 
+// Validate rejects a negative max_threads, which would skip every shape
+// of a homogeneous run and lift the bound of a pair run, and every search
+// option SearchOptions.Validate rejects. Litmus calls it first; hgserve
+// answers a failure with a 400.
+func (req *LitmusRequest) Validate() error {
+	if req.MaxThreads < 0 {
+		return &OptionError{Field: "max_threads", Value: int64(req.MaxThreads)}
+	}
+	return req.Search.Validate()
+}
+
 // Litmus runs one litmus request to completion (or cancellation). Like
 // Check, the error covers request problems only; test failures and
 // cancellation land in the result.
 func Litmus(ctx context.Context, req LitmusRequest, hooks Hooks) (*LitmusResult, error) {
-	if err := req.Search.Validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	maxThreads := req.MaxThreads

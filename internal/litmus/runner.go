@@ -189,14 +189,9 @@ func RunFused(f *core.Fusion, shape Shape, assign []int, opts Options) *Result {
 
 // RunFusedCtx is RunFused under a context: cancellation stops the test's
 // exploration cooperatively and returns a Result marked Cancelled.
+// The system is the interpreted composite, searched under the search's
+// own memo.
 func RunFusedCtx(ctx context.Context, f *core.Fusion, shape Shape, assign []int, opts Options) *Result {
-	return runFused(ctx, f, shape, assign, opts, core.FusedSystem)
-}
-
-// runFused runs one fused test on the system build makes for the
-// per-cluster cache counts and the cluster-major core programs.
-func runFused(ctx context.Context, f *core.Fusion, shape Shape, assign []int, opts Options,
-	build func(f *core.Fusion, cachesPerCluster []int, programs [][]spec.CoreReq) *mcheck.System) *Result {
 	p := shape.Prog()
 	ap, progsByThread, keysByThread, addrs := Translate(p, f.Compound, assign)
 
@@ -223,8 +218,10 @@ func runFused(ctx context.Context, f *core.Fusion, shape Shape, assign []int, op
 	if err != nil {
 		panic(err)
 	}
+	sys, _ := core.BuildSystem(f, perCluster)
+	sys.SetPrograms(progs)
 	out := &Result{Shape: shape.Name, Pair: f.Name(), Assign: assign}
-	return judge(ctx, build(f, perCluster, progs), opts, shape, p, ap, keys, addrs, cm, out)
+	return judge(ctx, sys, opts, shape, p, ap, keys, addrs, cm, out)
 }
 
 // judge explores sys under opts.Explore, recording the test's loads and

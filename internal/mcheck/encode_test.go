@@ -89,9 +89,21 @@ func fusedMESIRCCO(t *testing.T) *core.Fusion {
 	return f
 }
 
+// compileFused compiles f for progs on one cache per cluster, with
+// evictions: its System() is a CompiledDir over a finished table that
+// holds every (state, message) pair a search of progs meets.
+func compileFused(t *testing.T, f *core.Fusion, progs [][]spec.CoreReq) *core.CompiledFusion {
+	t.Helper()
+	cf, err := core.Compile(f, core.CompileConfig{CachesPerCluster: []int{1, 1}, Programs: progs, Evictions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cf
+}
+
 // TestEncodeBinaryMatchesSnapshotFused checks the interpreted merged
 // directory and the compiled one, whose register key must stand in
-// bijection with the snapshot within its one growing table.
+// bijection with the snapshot within its one table.
 func TestEncodeBinaryMatchesSnapshotFused(t *testing.T) {
 	f := fusedMESIRCCO(t)
 	progs := [][]spec.CoreReq{
@@ -104,7 +116,7 @@ func TestEncodeBinaryMatchesSnapshotFused(t *testing.T) {
 	// prefix exercises every encoder (dirs, proxies, bridges, channels).
 	t.Run("interpreted", func(t *testing.T) { checkEncodingBijective(t, interp, 20000) })
 	t.Run("compiled", func(t *testing.T) {
-		checkEncodingBijective(t, core.FusedSystem(f, []int{1, 1}, progs), 20000)
+		checkEncodingBijective(t, compileFused(t, f, progs).System(), 20000)
 	})
 }
 
@@ -130,7 +142,7 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 	}{
 		{"homogeneous", homog},
 		{"interpreted", interp},
-		{"compiled", core.FusedSystem(f, []int{1, 1}, progs)},
+		{"compiled", compileFused(t, f, progs).System()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			template := tc.sys.Clone()

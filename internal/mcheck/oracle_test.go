@@ -296,9 +296,8 @@ func TestNumberedSearchMatchesOracle(t *testing.T) {
 		}, true, 1000, false, "br{")
 	})
 	t.Run("compiled-growing", func(t *testing.T) {
-		checkAgainstOracle(t, func() *mcheck.System {
-			return core.FusedSystem(f, []int{1, 1}, fusedProgs)
-		}, true, 1000, false, "")
+		cf := compileFused(t, f, fusedProgs)
+		checkAgainstOracle(t, cf.System, true, 1000, false, "")
 	})
 	t.Run("msi-no-putack-deadlock", func(t *testing.T) {
 		text, err := os.ReadFile(filepath.Join("..", "core", "testdata", "msi_no_putack.pcc"))

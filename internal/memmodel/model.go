@@ -2,7 +2,6 @@ package memmodel
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -253,8 +252,7 @@ func StrongerOrEqual(a, b Model) bool {
 }
 
 // OrderMatrix summarizes a model's plain-access ordering as a 2x2 matrix
-// indexed by [first][second] with 0=Load 1=Store. Used in documentation
-// output and ArMOR tables.
+// indexed by [first][second] with 0=Load 1=Store.
 func OrderMatrix(m Model) [2][2]bool {
 	var out [2][2]bool
 	kinds := []Kind{Load, Store}
@@ -266,23 +264,4 @@ func OrderMatrix(m Model) [2][2]bool {
 		}
 	}
 	return out
-}
-
-// FormatOrderMatrix renders an OrderMatrix like "RR:y RW:y WR:n WW:y".
-func FormatOrderMatrix(mx [2][2]bool) string {
-	yn := func(b bool) string {
-		if b {
-			return "y"
-		}
-		return "n"
-	}
-	names := []string{"RR", "RW", "WR", "WW"}
-	vals := []bool{mx[0][0], mx[0][1], mx[1][0], mx[1][1]}
-	parts := make([]string, 4)
-	idx := []int{0, 1, 2, 3}
-	sort.Ints(idx)
-	for _, i := range idx {
-		parts[i] = names[i] + ":" + yn(vals[i])
-	}
-	return strings.Join(parts, " ")
 }

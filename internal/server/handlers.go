@@ -78,25 +78,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var kind JobKind
 	var req any
-	var search engine.SearchOptions
+	var validate func() error
 	n := 0
 	if sb.Check != nil {
-		kind, req, search = KindCheck, sb.Check, sb.Check.Search
+		kind, req, validate = KindCheck, sb.Check, sb.Check.Search.Validate
 		n++
 	}
 	if sb.Litmus != nil {
-		kind, req, search = KindLitmus, sb.Litmus, sb.Litmus.Search
+		kind, req, validate = KindLitmus, sb.Litmus, sb.Litmus.Validate
 		n++
 	}
 	if sb.Compile != nil {
-		kind, req, search = KindCompile, sb.Compile, sb.Compile.Search
+		kind, req, validate = KindCompile, sb.Compile, sb.Compile.Search.Validate
 		n++
 	}
 	if n != 1 {
 		httpError(w, http.StatusBadRequest, "submit exactly one of check, litmus or compile (got %d)", n)
 		return
 	}
-	if err := search.Validate(); err != nil {
+	if err := validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

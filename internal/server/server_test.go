@@ -320,6 +320,7 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 		`{"check":{"protocol":"MSI","search":{"mem_budget":-1048576}}}`:                               "search.mem_budget -1048576 must not be negative",
 		`{"litmus":{"protocol":"MSI","search":{"max_states":-1}}}`:                                    "search.max_states -1 must not be negative",
 		`{"compile":{"pair":["MSI","MSI"],"search":{"workers":-2}}}`:                                  "search.workers -2 must not be negative",
+		`{"litmus":{"protocol":"MSI","max_threads":-1}}`:                                              "max_threads -1 must not be negative",
 		`{"check":{"protocol":"MSI"}} {"check":{"protocol":"MSI"}}`:                                   "trailing data",
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))

@@ -83,11 +83,3 @@ func (s *NodeSet) Each(fn func(NodeID)) {
 		}
 	}
 }
-
-// Members returns the ids in ascending order (allocates; iteration-heavy
-// callers should use Each).
-func (s *NodeSet) Members() []NodeID {
-	out := make([]NodeID, 0, s.Len())
-	s.Each(func(id NodeID) { out = append(out, id) })
-	return out
-}
