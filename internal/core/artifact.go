@@ -151,8 +151,20 @@ func (cf *CompiledFusion) Digest() string { return CompileDigest(cf.fusion, cf.c
 
 // MarshalArtifact serializes the compiled table into the versioned binary
 // artifact. The encoding is deterministic: marshaling the same table (or a
-// table reloaded from the artifact) reproduces identical bytes.
+// table reloaded from the artifact) reproduces identical bytes. Every call
+// marshals afresh.
 func (cf *CompiledFusion) MarshalArtifact() []byte { return cf.artifactParts().marshal() }
+
+// Artifact returns the table's artifact bytes: the ones its load verified
+// (a load re-marshals the table and requires those bytes to equal its
+// input) or its cache write marshalled, and otherwise a fresh
+// MarshalArtifact. The caller must not modify the returned slice.
+func (cf *CompiledFusion) Artifact() []byte {
+	if cf.artifact != nil {
+		return cf.artifact
+	}
+	return cf.MarshalArtifact()
+}
 
 // artifactParts is the artifact's content: what a table is compiled from,
 // what its extraction found, and the (state, message) pairs it delivered.
@@ -279,7 +291,11 @@ func sealArtifact(data []byte) {
 // WriteArtifact writes the artifact atomically (temp file + rename) so a
 // crashed writer never leaves a torn file behind for the cache to load.
 func (cf *CompiledFusion) WriteArtifact(path string) error {
-	data := cf.MarshalArtifact()
+	return writeArtifactFile(path, cf.Artifact())
+}
+
+// writeArtifactFile writes data to path atomically.
+func writeArtifactFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".hgcf-*")
 	if err != nil {
@@ -541,10 +557,14 @@ func buildFromParts(data []byte, f *Fusion, cfg CompileConfig, p *artifactParts,
 	cf.explored = p.explored
 	cf.stats = CompileStats{Source: SourceArtifact, Deadlocks: p.deadlocks, DeadlockAt: p.deadlockAt}
 	cf.finalize(c)
-	if again := cf.MarshalArtifact(); !bytes.Equal(again, data) {
+	again := cf.MarshalArtifact()
+	if !bytes.Equal(again, data) {
 		return nil, fmt.Errorf("%w: not the form MarshalArtifact writes (the loaded table re-marshals to %d different bytes, the artifact has %d)",
 			ErrArtifactCorrupt, len(again), len(data))
 	}
+	// The re-marshal is the load's own copy of data, which the caller may
+	// go on to reuse.
+	cf.artifact = again
 	cf.stats.Load = time.Since(start)
 	return cf, nil
 }
@@ -614,8 +634,9 @@ func CompileOrLoadCtx(ctx context.Context, f *Fusion, cfg CompileConfig, cacheDi
 	if err != nil {
 		return nil, false, err
 	}
+	cf.artifact = cf.MarshalArtifact()
 	if mkErr := os.MkdirAll(cacheDir, 0o755); mkErr == nil {
-		_ = cf.WriteArtifact(path)
+		_ = writeArtifactFile(path, cf.artifact)
 	}
 	return cf, false, nil
 }

@@ -261,6 +261,10 @@ type CompiledFusion struct {
 	initLocal string          // composite local state at the initial state
 	stable    map[string]bool // composite local state -> quiescent?
 	stats     CompileStats
+	// artifact is the table's .hgcf bytes when a load re-marshalled them
+	// or a cache write marshalled them; set before the table is handed
+	// out and never written again (Artifact).
+	artifact []byte
 }
 
 // newCompiledFusion builds the configuration-dependent skeleton shared by

@@ -1,7 +1,7 @@
 // Compilation as a structured request: the engine behind every heterogen
 // compile (-tableii, -pair, -emit, -compile-out) and the server's
-// "compile" jobs (whose artifact downloads serialize the compiled fusion
-// held here).
+// "compile" jobs (which keep only the rendered result and the table's
+// artifact bytes).
 
 package engine
 
@@ -126,7 +126,7 @@ func Compile(ctx context.Context, req CompileRequest, hooks Hooks) (*CompileResu
 func Emit(cf *core.CompiledFusion, kind string, w io.Writer) error {
 	switch kind {
 	case "hgcf":
-		_, err := w.Write(cf.MarshalArtifact())
+		_, err := w.Write(cf.Artifact())
 		return err
 	case "table":
 		_, err := io.WriteString(w, cf.FlatFSM().Format())

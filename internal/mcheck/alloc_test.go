@@ -94,9 +94,9 @@ func TestAllocRegressionInPlace(t *testing.T) {
 			opts := mode.opts
 			opts.Evictions = true
 			opts.POR = POROff // every move, not an ample subset
-			ctx := newSearchCtx(sys, opts, DefaultMaxStates, 1)
 			visited := newVisited(opts, 1)
 			defer visited.release()
+			ctx := newSearchCtx(sys, opts, DefaultMaxStates, 1, visited)
 			w := newWorker(ctx)
 			key := ctx.num.number(sys).appendKey(nil)
 			visited.Insert(key) // the expanded state is visited, as in a search

@@ -13,7 +13,7 @@ import (
 // system s was reached from) and materializes the vector into a fresh
 // clone of template.
 func RoundTrip(template, s *System) *System {
-	num := newNumbering(template, 1)
+	num := newNumbering(template, 1, nil)
 	out := template.Clone()
 	num.materialize(out, num.number(s))
 	return out

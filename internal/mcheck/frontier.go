@@ -85,7 +85,7 @@ func (f *frontier) trade(pend [][]byte, done int, batch [][]byte) ([][]byte, boo
 	taken := f.q[f.head:min(f.head+maxBatch, len(f.q))]
 	if len(taken) > 0 {
 		batch = append(batch, taken...)
-		f.v.releaseQueued(queuedBytes(taken))
+		f.v.releaseHeld(queuedBytes(taken))
 		clear(taken)
 	}
 	if f.head += len(taken); f.head == len(f.q) {
@@ -100,7 +100,7 @@ func (f *frontier) trade(pend [][]byte, done int, batch [][]byte) ([][]byte, boo
 // the taken prefix of the queue outgrows the rest, the rest moves down
 // over it, so the queue's backing array stays within twice its length.
 func (f *frontier) push(pend [][]byte) int {
-	if len(pend) == 0 || !f.v.holdQueued(queuedBytes(pend)) {
+	if len(pend) == 0 || !f.v.hold(queuedBytes(pend)) {
 		return 0
 	}
 	if f.head > 0 && f.head >= len(f.q)-f.head {

@@ -141,6 +141,67 @@ func TestFrontierBudgetTruncates(t *testing.T) {
 	}
 }
 
+// TestNumberingChargedToBudget: every entry the numbering tables add is
+// charged to the search's budget and the shared pool. The charges are
+// held while the search runs, stay out of TableBytes, and are back to 0
+// once it ends; a budget too small for the root's entries marks the set
+// Full.
+func TestNumberingChargedToBudget(t *testing.T) {
+	pr := protocols.MustByName(protocols.NameMSI)
+	progs, keys := reqsFor(sb())
+	sys := NewHomogeneous(pr, 2)
+	sys.SetPrograms(progs)
+	pool := NewMemPool(1 << 30)
+	opts := Options{Evictions: true, POR: POROff, Workers: 1, LoadKeys: keys, MemPool: pool}
+
+	v := newVisited(opts, 1)
+	ctx := newSearchCtx(sys, opts, DefaultMaxStates, 1, v)
+	root := ctx.num.number(sys).appendKey(nil)
+	if v.held.Load() == 0 {
+		t.Fatal("numbering the root charged nothing")
+	}
+	v.Insert(root)
+	res := explore(ctx, 1, v, newFrontier(v, root))
+	// The frontier is empty: every held byte is the numbering's, one
+	// charge per entry of its tables.
+	num := ctx.num
+	charges := int64(len(num.msgs.items))*msgBytes + int64(len(num.fifoPush))*pushBytes
+	for _, e := range num.fifos.items[1:] { // 0, the empty channel, comes with the tables
+		charges += fifoEntryBytes(&e)
+	}
+	for _, pt := range num.pos {
+		for _, e := range pt.entries.items {
+			charges += compEntryBytes(e)
+		}
+		for _, out := range pt.memo {
+			charges += memoBytes + 4*int64(len(out.sends))
+		}
+	}
+	held := v.held.Load()
+	if held <= 0 || held != charges || v.budget.Used() <= held {
+		t.Fatalf("after the search the numbering holds %d of %d budget bytes, its entries' charges sum to %d",
+			held, v.budget.Used(), charges)
+	}
+	if got := pool.Used(); got != v.budget.Used() {
+		t.Fatalf("pool holds %d bytes, the budget %d", got, v.budget.Used())
+	}
+	want := Explore(sys, opts)
+	if res.States != want.States || v.stats().tableBytes != want.TableBytes {
+		t.Fatalf("search holds %d table bytes over %d states; Explore reports %d over %d",
+			v.stats().tableBytes, res.States, want.TableBytes, want.States)
+	}
+	v.release()
+	if got := pool.Used(); got != 0 {
+		t.Fatalf("pool holds %d bytes after the search released", got)
+	}
+
+	tight := newVisited(Options{MemBudget: 1}, 1)
+	newSearchCtx(sys, opts, DefaultMaxStates, 1, tight).num.number(sys)
+	if !tight.Full() {
+		t.Fatal("a budget the root's entries overrun left the set not Full")
+	}
+}
+
 // panicDir is a directory whose Deliver panics when the value 1 for
 // address 1 arrives after address 0's value 1 already reached memory — a
 // component bug reachable only deep into the search, once every worker

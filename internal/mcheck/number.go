@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"heterogen/internal/spec"
 )
@@ -35,6 +36,14 @@ import (
 // vector's uvarint bytes are the visited-set key and the frontier entry.
 // Only invariants, deadlocks and outcomes, which read a whole machine,
 // see a System, materialized from the vector.
+//
+// Every new entry — component state, memo record, message, FIFO content
+// and FIFO push — is charged to the search's memory budget through the
+// visited set (visitedSet.hold), outside the set's own TableBytes. The
+// entry is made whether or not the charge is granted: a denied charge
+// marks the set Full, and the search truncates with BudgetFull at its
+// next check. The charges are estimates of what an entry adds to its
+// tables.
 
 // Replayer is implemented by a component that counts its own deliveries
 // (core.CompiledDir). A memo hit serves a delivery without running the
@@ -58,6 +67,38 @@ const (
 // inputBits bounds a memo input: message numbers, request numbers and
 // eviction addresses below 2^30.
 const inputBits = 30
+
+// mapSlot is a map entry's estimated cost beyond its key and value.
+const mapSlot = 8
+
+// Estimated budget charges of the numbering's fixed-size entries.
+const (
+	memoBytes = int64(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(memoOut{}) + mapSlot)
+	msgBytes  = int64(unsafe.Sizeof(msgEntry{}) + unsafe.Sizeof(spec.Msg{}) + 4 + mapSlot)
+	pushBytes = int64(8 + 4 + mapSlot)
+	// indexBytes is a string-keyed index entry, not counting the key's
+	// bytes.
+	indexBytes = int64(unsafe.Sizeof("") + 4 + mapSlot)
+)
+
+// compEntryBytes is the estimated charge of a new component entry: the
+// entry and its list slot, its image twice (the entry's and the index
+// key's copy), its index slot and eviction list, and for a cache the
+// frozen copy, counted as its image's size again.
+func compEntryBytes(e *compEntry) int64 {
+	n := int64(unsafe.Sizeof(*e)+unsafe.Sizeof(e)) + 2*int64(len(e.img)) + indexBytes +
+		int64(len(e.evicts))*int64(unsafe.Sizeof(spec.Addr(0)))
+	if e.cache != nil {
+		n += int64(len(e.img))
+	}
+	return n
+}
+
+// fifoEntryBytes is the estimated charge of a new FIFO content: the entry
+// and its message numbers, twice (the entry's and the index key's).
+func fifoEntryBytes(e *fifoEntry) int64 {
+	return int64(unsafe.Sizeof(*e)) + 8*int64(len(e.msgs)) + indexBytes
+}
 
 // memoKey packs a state number and an input into a memo key.
 func memoKey(n uint32, kind, in uint32) uint64 {
@@ -126,6 +167,7 @@ type compTable struct {
 	entries list[*compEntry]
 	index   map[string]uint32
 	memo    map[uint64]memoOut
+	budget  *visitedSet // charged for every new entry and record (nil: none)
 }
 
 func (t *compTable) at(n uint32) *compEntry { return *t.entries.at(n) }
@@ -147,6 +189,7 @@ func (t *compTable) record(key uint64, out memoOut) memoOut {
 		return prev
 	}
 	t.memo[key] = out
+	t.budget.hold(memoBytes + 4*int64(len(out.sends)))
 	return out
 }
 
@@ -182,6 +225,7 @@ func (t *compTable) intern(c spec.Component, mem *spec.Memory, buf *[]byte) uint
 	}
 	n := t.entries.add(e)
 	t.index[string(e.img)] = n
+	t.budget.hold(compEntryBytes(e))
 	return n
 }
 
@@ -201,6 +245,8 @@ type fifoEntry struct {
 // numbering is one search's shared tables. FIFO number 0 is the empty
 // channel, which no vector holds.
 type numbering struct {
+	budget *visitedSet // charged for every new entry (nil: none)
+
 	route  []int // NodeID → component position (System.route)
 	nodes  int   // len(route): channel numbers are (src·nodes + dst)·NumVNets + vnet
 	pos    []*compTable
@@ -230,11 +276,11 @@ type numbering struct {
 }
 
 // newNumbering builds the tables for searches from s over workers
-// workers.
-func newNumbering(s *System, workers int) *numbering {
+// workers, charging their entries to budget's (nil: to none).
+func newNumbering(s *System, workers int, budget *visitedSet) *numbering {
 	shared := workers > 1
 	n := &numbering{
-		route: s.route, nodes: len(s.route),
+		budget: budget, route: s.route, nodes: len(s.route),
 		pos: make([]*compTable, len(s.Components)), replay: make([]Replayer, len(s.Components)),
 		owner:    -1,
 		reqIndex: map[spec.CoreReq]uint32{},
@@ -251,7 +297,7 @@ func newNumbering(s *System, workers int) *numbering {
 			n.owner = i
 		}
 		n.replay[i], _ = c.(Replayer)
-		n.pos[i] = &compTable{gate: gate{shared: shared}, index: map[string]uint32{}, memo: map[uint64]memoOut{}}
+		n.pos[i] = &compTable{gate: gate{shared: shared}, index: map[string]uint32{}, memo: map[uint64]memoOut{}, budget: budget}
 	}
 	for _, core := range s.Cores {
 		n.coreOff = append(n.coreOff, n.coreWords)
@@ -333,6 +379,7 @@ func (n *numbering) msgNum(m spec.Msg) uint32 {
 	}
 	i = n.msgs.add(msgEntry{m: m, ch: ch})
 	n.msgIndex[m] = i
+	n.budget.hold(msgBytes)
 	return i
 }
 
@@ -353,6 +400,7 @@ func (n *numbering) push(f, m uint32) uint32 {
 	msgs := append(append(make([]uint32, 0, len(n.fifo(f).msgs)+1), n.fifo(f).msgs...), m)
 	g = n.internFIFO(msgs)
 	n.fifoPush[key] = g
+	n.budget.hold(pushBytes)
 	return g
 }
 
@@ -381,6 +429,7 @@ func (n *numbering) internFIFO(msgs []uint32) uint32 {
 	}
 	f := n.fifos.add(e)
 	n.fifoIndex[key] = f
+	n.budget.hold(fifoEntryBytes(&e))
 	return f
 }
 

@@ -207,10 +207,12 @@ type searchCtx struct {
 	cancelled atomic.Bool
 }
 
-func newSearchCtx(initial *System, opts Options, maxStates, workers int) *searchCtx {
+// newSearchCtx builds a search's context, its numbering charged to
+// visited's budget.
+func newSearchCtx(initial *System, opts Options, maxStates, workers int, visited *visitedSet) *searchCtx {
 	ctx := &searchCtx{
 		opts: opts, maxStates: maxStates, initial: initial,
-		num: newNumbering(initial, workers),
+		num: newNumbering(initial, workers, visited),
 	}
 	if opts.POR != POROff && len(opts.Invariants) == 0 && initial.OnDeliver == nil {
 		// Invariants and delivery observers inspect intermediate states,
@@ -302,12 +304,12 @@ func exploreProbed(cctx context.Context, initial *System, opts Options, tried fu
 		// by clones and not synchronized; keep those walks on one worker.
 		workers = 1
 	}
-	ctx := newSearchCtx(initial, opts, maxStates, workers)
+	visited := newVisited(opts, workers)
+	defer visited.release()
+	ctx := newSearchCtx(initial, opts, maxStates, workers, visited)
 	ctx.tried = tried
 	stopWatch := watchCancel(cctx, ctx)
 	defer stopWatch()
-	visited := newVisited(opts, workers)
-	defer visited.release()
 	root := ctx.num.number(initial).appendKey(nil)
 	visited.Insert(root)
 	f := newFrontier(visited, root)

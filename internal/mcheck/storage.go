@@ -29,9 +29,10 @@ import (
 // stripe copies from are garbage once copied, and are not charged. A
 // denied growth leaves the stripe at its size; once a stripe is 15/16
 // occupied, or an arena cannot take a key, the set is Full and the search
-// truncates with BudgetFull. The frontier's queued keys are charged to the
-// same budget (holdQueued), so it bounds the whole search's state memory;
-// they are kept out of the set's own accounting.
+// truncates with BudgetFull. The frontier's queued keys and the
+// numbering's table entries are charged to the same budget (hold), so it
+// bounds the whole search's state memory; they are kept out of the set's
+// own accounting.
 
 // storageStats is the accounting snapshot a visited set reports at the end
 // of a search.
@@ -95,8 +96,8 @@ type visitedSet struct {
 	slots  atomic.Int64  // slots over all stripes
 	peak   atomic.Uint64 // math.Float64bits of the highest load a growth saw
 	full   atomic.Bool
-	held   atomic.Int64 // budget bytes held by queued frontier keys, not the set
-	budget *MemPool     // this search's MemBudget: the set's bytes and queued keys'
+	held   atomic.Int64 // budget bytes held by queued frontier keys and the numbering, not the set
+	budget *MemPool     // this search's MemBudget: the set's bytes and the held ones
 	pool   *MemPool     // the shared MemPool (nil: none)
 	shards [visitedShards]stripe
 }
@@ -249,9 +250,13 @@ func (v *visitedSet) acquire(n int64) bool {
 	return true
 }
 
-// holdQueued charges n bytes of queued frontier keys to the budget; a
-// denied charge marks the set Full, which truncates the search.
-func (v *visitedSet) holdQueued(n int64) bool {
+// hold charges n bytes the set does not own (queued frontier keys, the
+// numbering's table entries) to the budget; a denied charge marks the set
+// Full, which truncates the search. A nil set charges nothing.
+func (v *visitedSet) hold(n int64) bool {
+	if v == nil {
+		return true
+	}
 	if !v.acquire(n) {
 		v.full.Store(true)
 		return false
@@ -260,15 +265,15 @@ func (v *visitedSet) holdQueued(n int64) bool {
 	return true
 }
 
-// releaseQueued returns n bytes of keys taken off the frontier.
-func (v *visitedSet) releaseQueued(n int64) {
+// releaseHeld returns n held bytes (keys taken off the frontier).
+func (v *visitedSet) releaseHeld(n int64) {
 	v.held.Add(-n)
 	v.budget.Release(n)
 	v.pool.Release(n)
 }
 
-// release returns every byte the set and the frontier acquired; called
-// once when the search ends.
+// release returns every byte the set, the frontier and the numbering
+// acquired; called once when the search ends.
 func (v *visitedSet) release() {
 	n := v.budget.Used()
 	v.budget.Release(n)
@@ -292,8 +297,8 @@ func (v *visitedSet) load() float64 {
 	return float64(v.size.Load()) / float64(n)
 }
 
-// stats returns the end-of-search accounting snapshot: the bytes the set
-// holds are the bytes charged for anything but queued keys.
+// stats returns the end-of-search accounting snapshot: the set's own
+// bytes are everything charged but the held bytes.
 func (v *visitedSet) stats() storageStats {
 	st := storageStats{
 		mode:       "exact",

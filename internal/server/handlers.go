@@ -23,6 +23,7 @@ import (
 	"io"
 	"net/http"
 
+	"heterogen/internal/core"
 	"heterogen/internal/engine"
 )
 
@@ -198,7 +199,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleArtifact serves a finished compile job's table in any emission
-// format; the binary .hgcf form is the default.
+// format; the binary .hgcf form is the default. The job keeps only the
+// .hgcf bytes: a textual kind loads them (digest, replay and re-marshal
+// checked, as any artifact load) and emits from the loaded table.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -208,22 +211,29 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	if kind == "" {
 		kind = "hgcf"
 	}
-	cf := s.jobs.artifact(j)
-	if cf == nil {
-		httpError(w, http.StatusConflict, "job %s has no compiled table (state %s, kind %s)", j.ID, j.State, j.Kind)
+	data := s.jobs.artifact(j)
+	if data == nil {
+		httpError(w, http.StatusConflict, "job %s has no compiled table (state %s, kind %s)", j.ID, s.jobs.state(j), j.Kind)
 		return
 	}
 	if kind == "hgcf" {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", j.ID+".hgcf"))
-	} else {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write(data)
+		return
 	}
-	if err := engine.Emit(cf, kind, w); err != nil {
-		// Headers may be gone already for a bad late error, but an
-		// unknown kind fails before any write.
+	cf, err := core.LoadArtifact(data)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "job %s: reloading its table: %v", j.ID, err)
+		return
+	}
+	var out bytes.Buffer
+	if err := engine.Emit(cf, kind, &out); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Write(out.Bytes())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,10 @@
 // Job queue: the server decouples accepting a request from running it so
 // a bounded worker pool owns all verification work. A job carries one
-// engine request, runs under its own cancellable context, streams engine
-// progress to any number of SSE subscribers, and keeps its result (and,
-// for compiles, the compiled fusion) for later retrieval.
+// engine request, runs under its own cancellable context and streams
+// engine progress to any number of SSE subscribers. Once it ends it keeps
+// only its wire form: the result rendered as JSON and, for a compile, the
+// table's .hgcf bytes. The request, the context and the engine objects
+// are dropped.
 
 package server
 
@@ -13,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"heterogen/internal/core"
 	"heterogen/internal/engine"
 )
 
@@ -54,25 +55,26 @@ type Job struct {
 	// Error carries the failure message in StateFailed.
 	Error string `json:"error,omitempty"`
 	// Result is the engine result (CheckResult, LitmusResult or
-	// CompileResult) once the job ends; a cancelled check/litmus job
-	// still has one — the partial result.
-	Result any `json:"result,omitempty"`
+	// CompileResult), rendered once when the job ends; a cancelled
+	// check/litmus job still has one — the partial result.
+	Result json.RawMessage `json:"result,omitempty"`
 	// Progress is the most recent engine progress report.
 	Progress *engine.Progress `json:"progress,omitempty"`
 
-	// request is the decoded engine request the worker runs.
+	// request is the decoded engine request the worker runs; nil once
+	// the job ends.
 	request any
 	// runCtx/cancel are the job's context pairing, derived from the
-	// server's base context at submission.
+	// server's base context at submission; nil once the job ends.
 	runCtx context.Context
 	cancel context.CancelFunc
 	// cancelled records an explicit DELETE (distinguishes a cancelled
 	// job from one that failed for other reasons).
 	cancelled bool
-	// cf holds the compiled fusion of a finished compile job for
-	// artifact downloads.
-	cf *core.CompiledFusion
-	// subs receive progress events while the job runs; closed on exit.
+	// artifact holds a finished compile job's .hgcf bytes for downloads.
+	artifact []byte
+	// subs receive progress events while the job runs; closed and
+	// dropped when it ends.
 	subs map[chan Event]struct{}
 }
 
@@ -95,6 +97,9 @@ type jobs struct {
 	order  []string // insertion order, for listing
 	queue  chan *Job
 	closed bool
+	// retained is the bytes of the rendered results and artifacts the
+	// finished jobs hold.
+	retained int64
 }
 
 func newJobs(backlog int) *jobs {
@@ -191,17 +196,25 @@ func (js *jobs) start(j *Job) bool {
 	return true
 }
 
-// finish records a job's outcome, closes its subscribers and releases
-// its context.
-func (js *jobs) finish(j *Job, result any, cf *core.CompiledFusion, err error) {
+// finish records a job's outcome: it renders the result once, keeps it
+// and a compile's artifact bytes, closes the subscribers and releases the
+// job's context and request. A result that does not render fails the job.
+func (js *jobs) finish(j *Job, result any, artifact []byte, err error) {
+	var raw json.RawMessage
+	if result != nil {
+		var merr error
+		if raw, merr = json.Marshal(result); merr != nil && err == nil {
+			err = fmt.Errorf("rendering result: %w", merr)
+		}
+	}
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	if j.State.Terminal() {
 		return
 	}
 	j.Ended = time.Now()
-	j.Result = result
-	j.cf = cf
+	j.Result, j.artifact = raw, artifact
+	js.retained += int64(len(raw) + len(artifact))
 	switch {
 	case j.cancelled || (err == nil && resultCancelled(result)):
 		j.State = StateCancelled
@@ -214,12 +227,19 @@ func (js *jobs) finish(j *Job, result any, cf *core.CompiledFusion, err error) {
 	default:
 		j.State = StateDone
 	}
+	js.endLocked(j)
+}
+
+// endLocked tells a job's subscribers its terminal state, closes them and
+// drops what only a running job needs: the request, the context and the
+// subscriber set.
+func (js *jobs) endLocked(j *Job) {
 	js.broadcastLocked(j, Event{Type: "state", State: j.State})
 	for ch := range j.subs {
 		close(ch)
-		delete(j.subs, ch)
 	}
 	j.cancel()
+	j.request, j.runCtx, j.cancel, j.subs = nil, nil, nil, nil
 }
 
 // resultCancelled inspects an engine result for its partial-result flag.
@@ -235,27 +255,23 @@ func resultCancelled(result any) bool {
 
 // requestCancel fires a job's context. A queued job goes terminal
 // immediately; a running one keeps state until the worker observes the
-// cancellation and finishes with the partial result.
+// cancellation and finishes with the partial result. A terminal job is
+// left as it is.
 func (js *jobs) requestCancel(j *Job) JobState {
 	js.mu.Lock()
+	defer js.mu.Unlock()
 	if j.State.Terminal() {
-		defer js.mu.Unlock()
 		return j.State
 	}
 	j.cancelled = true
 	if j.State == StateQueued {
 		j.State = StateCancelled
 		j.Ended = time.Now()
-		js.broadcastLocked(j, Event{Type: "state", State: StateCancelled})
-		for ch := range j.subs {
-			close(ch)
-			delete(j.subs, ch)
-		}
+		js.endLocked(j)
+		return j.State
 	}
-	state := j.State
-	js.mu.Unlock()
 	j.cancel()
-	return state
+	return j.State
 }
 
 // progress records the latest report and fans it out to subscribers.
@@ -320,19 +336,31 @@ func (js *jobs) latestProgress(j *Job) *engine.Progress {
 	return j.Progress
 }
 
-// artifact returns a finished compile job's table (nil otherwise).
-func (js *jobs) artifact(j *Job) *core.CompiledFusion {
+// artifact returns a finished compile job's .hgcf bytes (nil otherwise).
+// The caller must not modify them.
+func (js *jobs) artifact(j *Job) []byte {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	return j.cf
+	return j.artifact
 }
 
-// snapshot renders the job's public view under the lock (the worker
-// mutates fields concurrently otherwise).
-func (js *jobs) snapshot(j *Job) []byte {
+// retainedBytes is the bytes of the rendered results and artifacts the
+// job table holds.
+func (js *jobs) retainedBytes() int64 {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	b, err := json.Marshal(j)
+	return js.retained
+}
+
+// snapshot renders the job's public view. The fields the worker mutates
+// are copied under the lock; the result is already rendered and never
+// changes once set, so the copy is marshalled outside it.
+func (js *jobs) snapshot(j *Job) []byte {
+	js.mu.Lock()
+	view := Job{ID: j.ID, Kind: j.Kind, State: j.State, Created: j.Created, Started: j.Started,
+		Ended: j.Ended, Error: j.Error, Result: j.Result, Progress: j.Progress}
+	js.mu.Unlock()
+	b, err := json.Marshal(&view)
 	if err != nil {
 		b, _ = json.Marshal(map[string]string{"id": j.ID, "error": err.Error()})
 	}

@@ -1,14 +1,23 @@
 // /metrics: a flat text exposition (Prometheus-style `name{labels} value`
 // lines, hand-rolled — no client library) of the job table, the shared
-// memory pool, the compile cache and the aggregate search throughput.
+// memory pool, the compile cache, the aggregate search throughput and the
+// process's heap.
 
 package server
 
 import (
 	"fmt"
 	"net/http"
+	"runtime/metrics"
 	"time"
 )
+
+// goMetrics maps exposition names to the runtime/metrics samples they
+// report (both uint64-valued).
+var goMetrics = [...]struct{ name, sample string }{
+	{"hgserve_go_heap_bytes", "/memory/classes/heap/objects:bytes"},
+	{"hgserve_go_gc_cycles_total", "/gc/cycles/total:gc-cycles"},
+}
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -44,6 +53,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	fmt.Fprintf(w, "hgserve_mem_pool_bytes{kind=\"total\"} %d\n", s.pool.Total())
 	fmt.Fprintf(w, "hgserve_mem_pool_bytes{kind=\"used\"} %d\n", s.pool.Used())
+
+	fmt.Fprintf(w, "hgserve_retained_bytes %d\n", s.jobs.retainedBytes())
+	var samples [len(goMetrics)]metrics.Sample
+	for i, m := range goMetrics {
+		samples[i].Name = m.sample
+	}
+	metrics.Read(samples[:])
+	for i, m := range goMetrics {
+		fmt.Fprintf(w, "%s %d\n", m.name, samples[i].Value.Uint64())
+	}
 
 	fmt.Fprintf(w, "hgserve_uptime_seconds %.0f\n", time.Since(s.start).Seconds())
 }

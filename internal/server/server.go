@@ -163,7 +163,7 @@ func (s *Server) run(j *Job) {
 	}
 
 	var result any
-	var cf *core.CompiledFusion
+	var artifact []byte
 	var err error
 	switch j.Kind {
 	case KindCheck:
@@ -193,13 +193,13 @@ func (s *Server) run(j *Job) {
 		r, err = engine.Compile(ctx, req, hooks)
 		if r != nil {
 			result = r
-			cf = r.Compiled()
+			artifact = r.Compiled().Artifact()
 			s.statesTotal.Add(int64(r.Stats.ExtractStates))
 		}
 	default:
 		err = fmt.Errorf("unknown job kind %q", j.Kind)
 	}
-	s.jobs.finish(j, result, cf, err)
+	s.jobs.finish(j, result, artifact, err)
 	log.Info("job finished", "state", string(j.State), "elapsed", j.Ended.Sub(j.Started).String())
 }
 

@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -121,30 +124,89 @@ func TestConcurrentChecksMatchDirect(t *testing.T) {
 	}
 }
 
+// textKinds are the textual artifact kinds a compile job downloads as.
+var textKinds = []string{"table", "pcc", "murphi", "dot"}
+
+// download fetches one kind of a job's artifact.
+func download(t *testing.T, ts *httptest.Server, id, kind string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/artifact?kind=" + kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || len(data) == 0 {
+		t.Fatalf("job %s artifact %s: status %d, %d bytes: %s", id, kind, resp.StatusCode, len(data), data)
+	}
+	return data
+}
+
+// directEmits compiles req as the CLI does and emits its table in every
+// kind.
+func directEmits(t *testing.T, req engine.CompileRequest) map[string][]byte {
+	t.Helper()
+	r, err := engine.Compile(context.Background(), req, engine.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, kind := range append([]string{"hgcf"}, textKinds...) {
+		var b bytes.Buffer
+		if err := engine.Emit(r.Compiled(), kind, &b); err != nil {
+			t.Fatal(err)
+		}
+		out[kind] = b.Bytes()
+	}
+	return out
+}
+
+// compileJob runs one compile job to done and returns its ID and its
+// result's source and digest.
+func compileJob(t *testing.T, ts *httptest.Server, body string) (id, source, digest string) {
+	t.Helper()
+	id = postJob(t, ts, body)
+	m := waitState(t, ts, id, StateDone)
+	var res struct {
+		Stats struct {
+			Source string `json:"Source"`
+		} `json:"stats"`
+		Digest string `json:"digest"`
+	}
+	if err := json.Unmarshal(m["result"], &res); err != nil {
+		t.Fatalf("decoding compile result: %v (%s)", err, m["result"])
+	}
+	return id, res.Stats.Source, res.Digest
+}
+
+// metricsText fetches /metrics.
+func metricsText(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return string(b)
+}
+
 // TestCompileCacheAcrossJobs: the second identical compile job is served
-// from the server's shared artifact cache, and its table downloads in
-// both binary and textual form. (A request cannot name a cache directory
-// of its own: TestSubmitRejectsUnknownFields.)
+// from the server's shared artifact cache. Both jobs download the cache
+// file's bytes as hgcf, and every textual kind as the CLI's direct
+// compile emits it. (A request cannot name a cache directory of its own:
+// TestSubmitRejectsUnknownFields.)
 func TestCompileCacheAcrossJobs(t *testing.T) {
 	cache := t.TempDir()
 	_, ts := testServer(t, Config{JobWorkers: 1, CompileCache: cache})
 	body := `{"compile":{"pair":["MSI","MSI"],"search":{"workers":1}}}`
+	want := directEmits(t, engine.CompileRequest{Pair: []string{"MSI", "MSI"}, Search: engine.SearchOptions{Workers: 1}})
 
-	var sources []string
-	var last string
+	var sources, ids []string
+	var digest string
 	for i := 0; i < 2; i++ {
-		last = postJob(t, ts, body)
-		m := waitState(t, ts, last, StateDone)
-		var res struct {
-			Stats struct {
-				Source string `json:"Source"`
-			} `json:"stats"`
-			Digest string `json:"digest"`
-		}
-		if err := json.Unmarshal(m["result"], &res); err != nil {
-			t.Fatalf("decoding compile result: %v (%s)", err, m["result"])
-		}
-		sources = append(sources, res.Stats.Source)
+		id, source, d := compileJob(t, ts, body)
+		ids, sources, digest = append(ids, id), append(sources, source), d
 	}
 	if sources[0] != "compiler" || sources[1] != "cache" {
 		t.Fatalf("compile sources %v, want [compiler cache]", sources)
@@ -154,35 +216,99 @@ func TestCompileCacheAcrossJobs(t *testing.T) {
 	} else if len(entries) != 1 {
 		t.Errorf("%s holds %d entries, want 1", cache, len(entries))
 	}
-
-	for _, kind := range []string{"hgcf", "table"} {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + last + "/artifact?kind=" + kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || len(data) == 0 {
-			t.Fatalf("artifact %s: status %d, %d bytes", kind, resp.StatusCode, len(data))
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
+	file, err := os.ReadFile(filepath.Join(cache, digest+core.ArtifactExt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	if !bytes.Equal(file, want["hgcf"]) {
+		t.Fatal("the cache file differs from the direct compile's artifact")
+	}
+	for i, id := range ids {
+		if got := download(t, ts, id, "hgcf"); !bytes.Equal(got, file) {
+			t.Errorf("job %s (%s): hgcf download differs from the cache file (%d vs %d bytes)", id, sources[i], len(got), len(file))
+		}
+		for _, kind := range textKinds {
+			if got := download(t, ts, id, kind); !bytes.Equal(got, want[kind]) {
+				t.Errorf("job %s (%s): %s download differs from the direct compile's emit", id, sources[i], kind)
+			}
+		}
+	}
+
+	metrics := metricsText(t, ts)
 	for _, want := range []string{
 		"hgserve_compile_cache_hits_total 1",
 		"hgserve_compile_cache_misses_total 1",
 		`hgserve_jobs{state="done"} 2`,
 		"hgserve_mem_pool_bytes",
 		"hgserve_states_total",
+		"hgserve_retained_bytes ",
+		"hgserve_go_heap_bytes ",
+		"hgserve_go_gc_cycles_total ",
 	} {
-		if !strings.Contains(string(metrics), want) {
+		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestCompileWithoutCache: a server with no compile cache serves a
+// compile job's downloads byte for byte as the direct compile emits them,
+// and an unknown kind is a 400.
+func TestCompileWithoutCache(t *testing.T) {
+	_, ts := testServer(t, Config{JobWorkers: 1})
+	want := directEmits(t, engine.CompileRequest{Pair: []string{"MSI", "RCC"}, Search: engine.SearchOptions{Workers: 1}})
+	id, source, _ := compileJob(t, ts, `{"compile":{"pair":["MSI","RCC"],"search":{"workers":1}}}`)
+	if source != "compiler" {
+		t.Fatalf("compile source %q, want compiler", source)
+	}
+	for _, kind := range append([]string{"hgcf"}, textKinds...) {
+		if got := download(t, ts, id, kind); !bytes.Equal(got, want[kind]) {
+			t.Errorf("%s download differs from the direct compile's emit (%d vs %d bytes)", kind, len(got), len(want[kind]))
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/artifact?kind=svg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown artifact kind: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFinishedJobsKeepOnlyWireForm: after 8 compile jobs the job table
+// retains at most their artifacts and rendered results, and no finished
+// job still holds its request, context or subscribers; cancelling a
+// finished job leaves it as it is.
+func TestFinishedJobsKeepOnlyWireForm(t *testing.T) {
+	srv, ts := testServer(t, Config{JobWorkers: 1, CompileCache: t.TempDir()})
+	var sum, artifacts int
+	for i := 0; i < 8; i++ {
+		pair := [][2]string{{"MSI", "MSI"}, {"MSI", "RCC"}}[i%2]
+		id, _, _ := compileJob(t, ts, fmt.Sprintf(`{"compile":{"pair":[%q,%q],"search":{"workers":1}}}`, pair[0], pair[1]))
+		n := len(download(t, ts, id, "hgcf"))
+		artifacts += n
+		sum += n + len(getJob(t, ts, id)["result"])
+
+		j, _ := srv.jobs.get(id)
+		srv.jobs.mu.Lock()
+		held := j.request != nil || j.runCtx != nil || j.cancel != nil || j.subs != nil
+		srv.jobs.mu.Unlock()
+		if held {
+			t.Fatalf("finished job %s still holds its request, context or subscribers", id)
+		}
+		if state := srv.jobs.requestCancel(j); state != StateDone {
+			t.Fatalf("cancelling finished job %s left it %s", id, state)
+		}
+	}
+	var retained int
+	for _, line := range strings.Split(metricsText(t, ts), "\n") {
+		if v, ok := strings.CutPrefix(line, "hgserve_retained_bytes "); ok {
+			retained, _ = strconv.Atoi(v)
+		}
+	}
+	if retained < artifacts || retained > sum {
+		t.Fatalf("hgserve_retained_bytes %d, want between the artifacts' %d and their sum with the results, %d", retained, artifacts, sum)
 	}
 }
 
