@@ -29,9 +29,8 @@ race:
 # vector edit, keying and Insert, allocation-free for a rejected successor
 # once every memo is warm, under both storage modes), the cost
 # of a System Clone, the bytes-per-state guard on the compacted visited
-# table, the frontier publish/take cycle, the compiler's memo-hit replay
-# path, the steady-state deliveries of a cache, a directory and the
-# merged directory, and the simulator's
+# table, the frontier publish/take cycle, the steady-state deliveries of
+# a cache, a directory and the merged directory, and the simulator's
 # discrete-event loop (allocs per memory operation). Runs without the
 # race detector: its instrumentation changes alloc counts, so the alloc
 # guard files are build-tagged out of `make race`.

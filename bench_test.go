@@ -396,15 +396,15 @@ type benchCompileReport struct {
 	Agreement    string           `json:"agreement"`
 }
 
-// BenchmarkCompile measures the compiled flat-table directory engine
-// against the interpreted composite (BENCH_COMPILE.json, `make
-// bench-compile`) on the §VII-C headline search: fused MESI & RCC-O, one
+// BenchmarkCompile measures the compiled flat table, seeded into a
+// search's memo, against the interpreted composite (BENCH_COMPILE.json,
+// `make bench-compile`) on the §VII-C headline search: fused MESI & RCC-O, one
 // cache per cluster, two addresses, evictions free, hash-compaction
 // storage. The rows separate every phase of the compile-once/check-many
 // lifecycle over the identical workload: the interpreted MergedDir, the
 // system every fused check and litmus test searches; extraction alone;
-// precompiled/check, the steady-state
-// dispatch-only cost of an in-memory table; and the artifact path —
+// precompiled/check, the steady-state cost of a search seeded with an
+// in-memory table; and the artifact path —
 // serializing the table to its .hgcf binary form, cold-loading it back
 // (PCC reparse, digest verification, every stored (state, message) pair
 // replayed through the compiler, finalization), and a check through the
@@ -462,7 +462,7 @@ func BenchmarkCompile(b *testing.B) {
 			cf = compile(b)
 			st := cf.Stats()
 			record("extract", time.Since(start), st.ExtractStates,
-				fmt.Sprintf("memoized table extraction (the default): exhaustive POR-off search of the compiled configuration with each distinct (state, message) pair interpreted exactly once — %d interpreted, %d served from the search's memo or the growing table — plus finalization (canonical renumbering and the FSM projection)",
+				fmt.Sprintf("memoized table extraction (the default): exhaustive POR-off search of the compiled configuration with each distinct (state, message) pair interpreted exactly once and the table read off the search's directory memo — %d interpreted, %d served from that memo — plus finalization (canonical renumbering and the FSM projection)",
 					st.Interpreted, st.MemoHits))
 			b.ReportMetric(float64(st.ExtractStates), "states")
 			b.ReportMetric(float64(st.MemoHits), "memo-hits")
@@ -478,7 +478,7 @@ func BenchmarkCompile(b *testing.B) {
 			start := time.Now()
 			res := mcheck.Explore(cf.System(), opts)
 			record("precompiled/check", time.Since(start), res.States,
-				"dispatch-only: the steady-state cost of checking an already-compiled in-memory table (a growing table seeded with the finished table's records and spans, so every pair replays)")
+				"the steady-state cost of checking an already-compiled in-memory table: the interpreted composite with the finished table seeded into its search's memo, so no pair the table holds is interpreted")
 			check(b, res, interpStates)
 		}
 	})
@@ -528,13 +528,13 @@ func BenchmarkCompile(b *testing.B) {
 	emitBench(b, "BENCH_COMPILE_OUT", benchCompileReport{
 		Schema:    "heterogen-bench-compile/v3",
 		Benchmark: "BenchmarkCompile",
-		Description: "Compiled flat-table directory engine vs the interpreted composite on the §VII-C headline search: fused MESI & RCC-O, 1 cache per cluster, 2 addresses, evictions at any time, hash-compaction storage, POR on; " +
+		Description: "The compiled flat table, seeded into the search's memo, vs the interpreted composite unseeded on the §VII-C headline search: fused MESI & RCC-O, 1 cache per cluster, 2 addresses, evictions at any time, hash-compaction storage, POR on; " +
 			"BENCH_COMPILE_OUT=BENCH_COMPILE.json go test -bench 'BenchmarkCompile' -benchtime 1x (make bench-compile)",
 		Runner: benchmeta.Collect("Workers:1 throughout, so rows measure the engines themselves on one core of the recorded runner; wall-clock varies a few percent run to run"),
 		Cases:  rec.rows,
 		Amortization: "compile once, check many: the .hgcf artifact makes the extraction a one-time cost, and a cold load from disk is under a second; " +
-			"a check searches the interpreted composite (interpreted), whose own memo runs each distinct (component state, input) pair once inside the search, so it reads close to the dispatch-only row (precompiled/check) with no compile step; " +
+			"a check searches the interpreted composite (interpreted), whose own memo runs each distinct (component state, input) pair once inside the search, so it reads close to the seeded row (precompiled/check) with no compile step; " +
 			"the table is kept for what it produces (Table II, the artifact, the -table checks), not for check speed",
-		Agreement: fmt.Sprintf("every searching row visits the identical %d states (the benchmark aborts on any disagreement); internal/core/compile_test.go and memo_test.go pin compiled-vs-interpreted-vs-loaded equality and byte-identity across extraction worker counts", interpStates),
+		Agreement: fmt.Sprintf("every searching row visits the identical %d states (the benchmark aborts on any disagreement); internal/core/compile_test.go and memo_test.go pin seeded-vs-unseeded-vs-loaded-and-seeded equality and byte-identity across extraction worker counts", interpStates),
 	})
 }

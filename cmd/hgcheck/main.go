@@ -11,7 +11,7 @@
 //	hgcheck -pair MESI,RCC-O -caches 2 -mem 512MiB -progress 10s
 //	hgcheck -pair MESI,RCC-O -caches 2 -por=0   # full unreduced interleaving space
 //	hgcheck -table t.hgcf              # check a serialized artifact's own config
-//	hgcheck -pair MESI,RCC-O -table t.hgcf  # ... digest-checked against the flags
+//	hgcheck -pair MESI,RCC-O -table t.hgcf  # ... seeds the check of the flags
 //	hgcheck -pair MESI,RCC-O -timeout 30s   # cancel after 30s, print the partial result
 //	hgcheck -pair MESI,RCC-O -json          # machine-readable result on stdout
 //	hgcheck -protocol MSI -cpuprofile cpu.pprof # profile the search
@@ -55,7 +55,7 @@ func main() {
 	flag.IntVar(&cfg.addrs, "addrs", 2, "addresses in the driver workload")
 	mem := flag.String("mem", "", "visited-set memory budget in either storage mode, e.g. 512MiB or 2GiB (default: 8GiB)")
 	flag.IntVar(&cfg.search.MaxStates, "max-states", engine.DefaultCheckMaxStates, "state budget")
-	flag.StringVar(&cfg.table, "table", "", "check a compiled-table .hgcf artifact (alone: its baked config; with -pair: digest-checked against the flags)")
+	flag.StringVar(&cfg.table, "table", "", "check a compiled-table .hgcf artifact (alone: its baked config; with -pair: seeds the check, and must hold the same fusion over the same caches)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "print the result as JSON on stdout (diagnostics stay on stderr)")
 	flag.DurationVar(&cfg.progress, "progress", 0, "log states/sec, frontier depth, load factor and heap every interval (e.g. 10s; 0 = silent)")
 	cfg.search.Register(flag.CommandLine)

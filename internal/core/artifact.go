@@ -44,12 +44,12 @@ import (
 // The body holds only the (state, message) pairs the extraction
 // delivered. States are not stored: state 0 is the initial directory
 // state, and discovery order numbers the others as a replay of the lists
-// interns them (CompiledFusion.discoveryOrder). A load rebuilds the
-// growing table a fresh compile starts from, replays list k at state k
-// through the compiler for k = 0, 1, …, and runs the same finalize as
-// CompileCtx, so every state, successor, send, memory bit, POR reference
-// and projected FSM row of a loaded table is the interpreted oracle's
-// outcome. Only the verdict, the explored count and which pairs the
+// interns them (CompiledFusion.discoveryOrder). A load starts a table
+// that holds only the initial state, as an extraction's does, replays
+// list k at state k through the interpreter (compiler) for k = 0, 1, …,
+// and runs the same finalize as CompileCtx, so every state, successor,
+// send, POR reference and projected FSM row of a loaded table is the
+// interpreted oracle's outcome. Only the verdict, the explored count and which pairs the
 // extraction reached are taken on trust.
 //
 // Versioning rule: any change to the section layout or encoding bumps
@@ -498,9 +498,9 @@ func LoadArtifactFileFor(path string, f *Fusion, cfg CompileConfig) (*CompiledFu
 }
 
 // buildFromParts derives the table from the artifact's delivered pairs:
-// the growing table a fresh compile starts from, built for (f, cfg), is
-// replayed list by list (replay) and then finalized exactly as CompileCtx
-// finalizes an extraction, so every state, record, POR reference and
+// a table holding only the initial state of (f, cfg), as an extraction's
+// starts, is replayed list by list (replay) and then finalized exactly as
+// CompileCtx finalizes an extraction, so every state, record, POR reference and
 // projected FSM row is the interpreted oracle's. Besides which pairs to
 // deliver, only the verdict and the explored count are taken from the
 // artifact.
@@ -530,15 +530,15 @@ func buildFromParts(data []byte, f *Fusion, cfg CompileConfig, p *artifactParts,
 			named[r.Addr] = true
 		}
 	}
-	cf, _ := newCompiledFusion(f, cfg)
-	c := cf.fresh()
+	cf := newCompiledFusion(f, cfg)
+	c := newCompiler(cf)
 	var routed, dir spec.NodeSet
 	for _, comp := range cf.template.Components {
 		for _, id := range comp.OwnedIDs() {
 			routed.Add(id)
 		}
 	}
-	for _, id := range cf.owned {
+	for _, id := range cf.layout.Merged.OwnedIDs() {
 		dir.Add(id)
 	}
 	for i, m := range p.msgs {
@@ -556,7 +556,7 @@ func buildFromParts(data []byte, f *Fusion, cfg CompileConfig, p *artifactParts,
 	}
 	cf.explored = p.explored
 	cf.stats = CompileStats{Source: SourceArtifact, Deadlocks: p.deadlocks, DeadlockAt: p.deadlockAt}
-	cf.finalize(c)
+	cf.finalize(c.table)
 	again := cf.MarshalArtifact()
 	if !bytes.Equal(again, data) {
 		return nil, fmt.Errorf("%w: not the form MarshalArtifact writes (the loaded table re-marshals to %d different bytes, the artifact has %d)",
@@ -574,7 +574,7 @@ func buildFromParts(data []byte, f *Fusion, cfg CompileConfig, p *artifactParts,
 // interns a new successor under the next index, so a list may only be
 // replayed once its state is discovered, and the replay must discover
 // exactly one state per list (ErrArtifactCorrupt). A stall that sends is
-// refused, as it fails a compile (ErrArtifactMismatch).
+// refused (table.insert), as it fails a compile (ErrArtifactMismatch).
 func replay(c *compiler, p *artifactParts) error {
 	// A list's records land consecutively and in message order, so the
 	// records and every state's span are sized up front, the spans cut

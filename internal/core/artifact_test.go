@@ -94,8 +94,7 @@ func TestArtifactRoundTripAllPairs(t *testing.T) {
 
 // requireSameTable fails unless the two tables hold the same states in the
 // same order — image, memory and POR references — and, state by state, the
-// same records in the same order: message, successor, sends and memory
-// bit.
+// same records in the same order: message, successor and sends.
 func requireSameTable(t *testing.T, name string, want, got *CompiledFusion) {
 	t.Helper()
 	if got.DirStates() != want.DirStates() || got.Transitions() != want.Transitions() {
@@ -104,7 +103,7 @@ func requireSameTable(t *testing.T, name string, want, got *CompiledFusion) {
 	}
 	for s, ws := range want.states {
 		gs := got.states[s]
-		if !bytes.Equal(gs.img, ws.img) || !bytes.Equal(gs.mem, ws.mem) || gs.refs != ws.refs {
+		if !bytes.Equal(gs.Img, ws.Img) || !bytes.Equal(gs.Mem, ws.Mem) || gs.Refs != ws.Refs {
 			t.Fatalf("%s: state %d differs (image, memory or POR references)", name, s)
 		}
 		if len(got.spans[s]) != len(want.spans[s]) {
@@ -112,9 +111,9 @@ func requireSameTable(t *testing.T, name string, want, got *CompiledFusion) {
 		}
 		for i, wi := range want.spans[s] {
 			w, g := &want.recs[wi], &got.recs[got.spans[s][i]]
-			if g.msg != w.msg || g.tr.next != w.tr.next || g.tr.remem != w.tr.remem || !slices.Equal(g.tr.sends, w.tr.sends) {
-				t.Fatalf("%s: state %d record %d is %s -> %d (remem %t, sends %v), want %s -> %d (remem %t, sends %v)",
-					name, s, i, g.msg, g.tr.next, g.tr.remem, g.tr.sends, w.msg, w.tr.next, w.tr.remem, w.tr.sends)
+			if g.msg != w.msg || g.tr.next != w.tr.next || !slices.Equal(g.tr.sends, w.tr.sends) {
+				t.Fatalf("%s: state %d record %d is %s -> %d (sends %v), want %s -> %d (sends %v)",
+					name, s, i, g.msg, g.tr.next, g.tr.sends, w.msg, w.tr.next, w.tr.sends)
 			}
 		}
 	}
@@ -473,10 +472,11 @@ func TestArtifactFileAndCache(t *testing.T) {
 	}
 }
 
-// TestArtifactSnapshotEncoding pins the lazy snapshot reconstruction: the
-// interpreted system and a system over the loaded artifact, walked in the
-// same move order, must offer the same moves and render byte-identical
-// Snapshot strings at every reachable state.
+// TestArtifactSnapshotEncoding pins that a loaded table's System() is the
+// interpreted composite its seed was extracted from: the interpreted
+// system and a system over the loaded artifact, walked in the same move
+// order, must offer the same moves and render byte-identical Snapshot
+// strings at every reachable state.
 func TestArtifactSnapshotEncoding(t *testing.T) {
 	f, cfg, cf := quickArtifactFusion(t)
 	lcf, err := LoadArtifactFor(cf.MarshalArtifact(), f, cfg)

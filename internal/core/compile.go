@@ -9,8 +9,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"heterogen/internal/mcheck"
@@ -23,47 +21,37 @@ import (
 // table, the explicit merged-directory controller the paper's Table II and
 // Figure 9 describe.
 //
-// A CompiledDir serves the merged directory in two places only: the
-// extraction search, over an empty growing table, and a finished table's
-// System() (the -table checks and the artifact's consumers), over a
-// growing table seeded with it. Every other fused search — deadlock checks
-// and litmus tests — runs the interpreted composite (BuildSystem) under the
-// search's own (component state, input) memo, which already interprets
-// each distinct (state, message) pair once.
-//
-// The growing table is a compiler: interned directory states and recorded
-// (state, message) outcomes. A pair the table holds replays its recorded
-// sends, memory image and register move. A miss decodes the pre-state's
-// interned image into the compiler's private scratch MergedDir, runs the
-// interpreted deliver there, interns the successor and records the
-// outcome — successor state, messages sent, whether memory changed, or a
-// stall. A seeded table's misses (a program or eviction setting outside
-// its CompileConfig) grow the search's own copy and never the
-// CompiledFusion.
+// The table is the search's own memo at the merged directory. A search
+// numbers the directory by its (image, memory) pair and memoizes each
+// (state, message) → (next state, sends) outcome it interprets
+// (internal/mcheck/number.go); a compiled state is such a pair and a
+// record such an outcome, a stall included.
 //
 // Extraction is reachability-driven: the fusion is instantiated for one
 // concrete machine configuration (CompileConfig) and the model checker
-// exhaustively explores it over an empty table, with partial order
-// reduction off so every reachable (state, message) pair is recorded; the resulting table is total over the compiled configuration
-// by construction. The extraction's deadlock count is its verdict
-// (Verdict).
+// exhaustively explores the interpreted composite (BuildSystem) with
+// partial order reduction off, so every reachable (state, message) pair is
+// met. The search reports each outcome its directory memo records, once
+// (mcheck.Options.OnMemo), and the growing table takes it over under the
+// search's own state numbers (table.adopt). The resulting table is total
+// over the compiled configuration by construction, and the extraction's
+// deadlock count is its verdict (Verdict).
 //
-// After extraction finalize renumbers the interned states into a canonical
-// order; the table keeps its one form — the records and every state's
-// message-sorted span of record indices — which System() seeds its tables
-// with. The on-disk artifact (artifact.go) stores only each state's
-// delivered messages, in discovery order (discoveryOrder); a load replays
-// them through a fresh growing table's step and runs the same finalize,
-// so a loaded table is built by the code that built the compiled one.
+// After extraction finalize renumbers the states into a canonical order;
+// the table keeps its one form — the records and every state's
+// message-sorted span of record indices. The on-disk artifact
+// (artifact.go) stores only each state's delivered messages, in discovery
+// order (discoveryOrder); a load replays them through the interpreter
+// (compiler) and runs the same finalize, so a loaded table is built by the
+// code that built the compiled one.
 //
 // The compiled artifact drives every downstream layer:
 //
-//   - CompiledFusion.System() builds a model-checkable system in which the
-//     interpreted MergedDir is swapped for a CompiledDir — a table
-//     transducer with an int32 current-state register, which is also its
-//     state image and plain visited-set key (a bijection with the
-//     interned image within one table). Its snapshots and POR node
-//     references reproduce the interpreted component's bytes exactly, so compiled and interpreted searches
+//   - CompiledFusion.System() builds the interpreted composite with the
+//     finished table attached as its memo seed (mcheck.Seed): a search
+//     enters every state and record before it starts, so no pair the
+//     table holds is interpreted again. The table lends the search its
+//     outcomes, never its own state codec, so seeded and unseeded searches
 //     agree state for state (the differential suite in compile_test.go
 //     pins this).
 //   - FlatFSM() projects the per-address local-state machine (Table II's
@@ -77,11 +65,10 @@ import (
 //
 // Soundness: the interpreted composite stays the oracle. A pair no table
 // holds is interpreted, never guessed, so a table searched outside its
-// CompileConfig reports exactly what the interpreted composite would.
-// An interned state's key is its exact image (the merged directory's
-// binary encoding plus the memory's), and a miss interprets on the state
-// decoded from that image, so replaying a recorded pair is exact by
-// construction.
+// CompileConfig reports exactly what the interpreted composite would. A
+// state's key is its exact image (the merged directory's binary encoding
+// plus the memory's), so a seeded outcome is the one the search would
+// have interpreted.
 
 // Engine labels name the directory-evaluation strategy of a system, carried
 // through mcheck.Result and the CLIs so logs and benchmark JSON are
@@ -176,12 +163,13 @@ type CompileStats struct {
 	Extract time.Duration
 	// ExtractStates counts the system states the extraction visited.
 	ExtractStates int
-	// Interpreted counts the deliveries that ran the interpreted
-	// MergedDir during extraction — exactly one per distinct (state,
-	// message) pair.
+	// Interpreted counts the directory outcomes the extraction search's
+	// memo recorded — exactly one per distinct (state, message) pair, the
+	// table's records.
 	Interpreted int64
-	// MemoHits counts deliveries served without interpreting, from the
-	// search's memo or the table.
+	// MemoHits counts the directory deliveries the memo served instead:
+	// its hits, and the misses whose record another worker made first
+	// (mcheck.Result.MemoHits).
 	MemoHits int64
 	// Finalize is the table's renumbering and FSM projection time after
 	// extraction (a load's is part of Load).
@@ -216,48 +204,28 @@ func (s CompileStats) String() string {
 	}
 }
 
-// compState is one interned merged-directory state: its exact image (the
-// interpreted MergedDir's binary encoding, from which the interpreted
-// snapshot is reconstructed on demand), the shared memory image it implies
-// and the POR node references.
-type compState struct {
-	img  []byte       // MergedDir.AppendBinary bytes: the exact image (with mem, the intern key)
-	mem  []byte       // Memory.AppendBinary bytes (replayed on remem transitions)
-	snap string       // interpreted Snapshot output; reconstructed lazily from img
-	refs spec.NodeSet // interpreted RefNodes (ample-set POR)
-}
-
-// compTransition is one recorded outcome: the successor state, the
-// messages the interpreted deliver sent (replayed in order), and whether
-// the shared memory changed (the successor's memory image is installed
-// wholesale).
+// compTransition is one recorded outcome: the successor state (stallState
+// for a stall) and the messages the interpreted deliver sent, in order.
 type compTransition struct {
 	next  int32
 	sends []spec.Msg
-	remem bool
 }
 
 // CompiledFusion is the compiled flat merged-directory machine plus the
 // pristine system template it was extracted from.
 type CompiledFusion struct {
-	fusion    *Fusion
-	cfg       CompileConfig
-	template  *mcheck.System // pristine interpreted system; cloned per System()
-	layout    *SystemLayout
-	scratch   *MergedDir // pristine interpreted clone; decode target for snapshots
-	snapMu    sync.Mutex // guards scratch and lazy compState.snap fills
-	mergedIdx int
-	owned     []spec.NodeID
-	// The finished table, in the compiler's form: the interned states, the
-	// records, and per state the message-sorted indices of its records.
-	// Every slice is capped at its length, so a seeded compiler's growth
-	// copies instead of writing into them.
-	states    []*compState
+	fusion   *Fusion
+	cfg      CompileConfig
+	template *mcheck.System // pristine interpreted system; cloned per System()
+	layout   *SystemLayout
+	// The finished table: the states (each the directory's image, the
+	// memory's and its RefNodes), the records, and per state the
+	// message-sorted indices of its records.
+	states    []*mcheck.MemoState
 	recs      []compRecord
 	spans     [][]int32
 	fsm       *FlatFSM
-	explored  int // system states visited during extraction
-	porLocal  bool
+	explored  int             // system states visited during extraction
 	initLocal string          // composite local state at the initial state
 	stable    map[string]bool // composite local state -> quiescent?
 	stats     CompileStats
@@ -268,51 +236,36 @@ type CompiledFusion struct {
 }
 
 // newCompiledFusion builds the configuration-dependent skeleton shared by
-// Compile and the artifact loader: the interpreted template system, the
-// pristine scratch directory and the locality verdicts — everything derivable from (fusion, config) without running
-// the extraction. It returns the system it built so Compile can run the
-// extraction search over it.
-func newCompiledFusion(f *Fusion, cfg CompileConfig) (*CompiledFusion, *mcheck.System) {
+// Compile and the artifact loader: the interpreted template system and
+// the initial state's locality verdict — everything derivable from
+// (fusion, config) without running the extraction.
+func newCompiledFusion(f *Fusion, cfg CompileConfig) *CompiledFusion {
 	sys, layout := BuildSystem(f, cfg.CachesPerCluster)
 	sys.SetPrograms(cfg.Programs)
 	cf := &CompiledFusion{
-		fusion: f, cfg: cfg, layout: layout,
-		scratch:   layout.Merged.Clone().(*MergedDir),
-		mergedIdx: len(sys.Components) - 1,
-		owned:     layout.Merged.OwnedIDs(),
-		fsm:       &FlatFSM{Name: f.Name()},
-		porLocal:  layout.Merged.PORLocal(),
-		stable:    map[string]bool{},
+		fusion: f, cfg: cfg, template: sys, layout: layout,
+		fsm:    &FlatFSM{Name: f.Name()},
+		stable: map[string]bool{},
 	}
-	cf.template = sys.Clone() // before CompileCtx swaps the searched directory
 	cf.initLocal = layout.Merged.LocalState(0)
 	cf.stable[cf.initLocal] = layout.Merged.localStable(0)
-	return cf, sys
+	return cf
 }
 
-// bind swaps sys's merged directory for a CompiledDir over c's table.
-func (cf *CompiledFusion) bind(sys *mcheck.System, c *compiler) *mcheck.System {
-	if err := sys.SwapComponent(cf.mergedIdx, &CompiledDir{cf: cf, mem: sys.Mem, grow: c}); err != nil {
-		panic(err.Error())
-	}
-	sys.SetEngine(EngineCompiled)
-	return sys
-}
-
-// fresh returns a compiler over an empty growing table: it holds only the
-// initial directory state, index 0, where a CompiledDir starts.
-func (cf *CompiledFusion) fresh() *compiler {
-	c := newCompiler(cf)
-	c.intern(cf.layout.Merged)
-	return c
+// initial returns a table that holds only the initial directory state,
+// index 0 — the number every search gives it.
+func (cf *CompiledFusion) initial() *table {
+	m := cf.layout.Merged
+	t := &table{vocab: cf.fusion.vocab}
+	t.state(0, mcheck.MemoState{Img: m.AppendBinary(nil), Mem: m.Memory().AppendBinary(nil), Refs: m.RefNodes()})
+	return t
 }
 
 // Compile lowers f into a flat transition table for the given
-// configuration by exhaustively exploring the system with a growing
-// CompiledDir in place of the merged directory (misses run the
-// interpreted composite), then renumbering the recorded transitions
-// canonically. A deadlock the extraction reaches does not fail the compile;
-// it is the table's Verdict.
+// configuration by exhaustively exploring the interpreted composite and
+// taking over every directory outcome its memo records, then renumbering
+// the table canonically. A deadlock the extraction reaches does not fail
+// the compile; it is the table's Verdict.
 func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	return CompileCtx(context.Background(), f, cfg)
 }
@@ -323,19 +276,20 @@ func Compile(f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 // a table.
 func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFusion, error) {
 	start := time.Now()
-	cf, sys := newCompiledFusion(f, cfg)
-	c := cf.fresh()
-	res := mcheck.ExploreCtx(ctx, cf.bind(sys, c), mcheck.Options{
+	cf := newCompiledFusion(f, cfg)
+	t := cf.initial()
+	res := mcheck.ExploreCtx(ctx, cf.template.Clone(), mcheck.Options{
 		Evictions: cfg.Evictions, MaxStates: cfg.MaxStates,
 		Workers:       cfg.Workers,
 		ProgressEvery: cfg.ProgressEvery, OnProgress: cfg.OnProgress,
 		MemPool: cfg.MemPool, MemBudget: cfg.MemBudget,
 		// Full coverage: reductions prune (state, message) pairs the checker
 		// may later need. Deadlocks are fine — the table must reproduce them.
-		POR: mcheck.POROff,
+		POR:    mcheck.POROff,
+		OnMemo: t.adopt,
 	})
-	if c.err != nil {
-		return nil, c.err
+	if t.err != nil {
+		return nil, t.err
 	}
 	if res.Cancelled {
 		return nil, fmt.Errorf("%w: %s at %d states: %w", ErrCompileCancelled, f.Name(), res.States, ctx.Err())
@@ -349,32 +303,32 @@ func CompileCtx(ctx context.Context, f *Fusion, cfg CompileConfig) (*CompiledFus
 	}
 	cf.explored = res.States
 	cf.stats = CompileStats{Source: SourceCompiler, Extract: time.Since(start),
-		ExtractStates: res.States, Interpreted: c.interpreted, MemoHits: c.memoHits,
+		ExtractStates: res.States, Interpreted: int64(len(t.recs)), MemoHits: res.MemoHits,
 		Deadlocks: res.Deadlocks, DeadlockAt: res.DeadlockAt}
 
 	finalizeStart := time.Now()
-	cf.finalize(c)
+	cf.finalize(t)
 	cf.stats.Finalize = time.Since(finalizeStart)
 	return cf, nil
 }
 
-// finalize takes over the compiler's table in its canonical form: states
+// finalize takes over a growing table in its canonical form: states
 // renumbered (spans permuted, successors remapped), every span and the
 // record slice capped, and the projected FSM derived from the records and
 // sorted into its canonical rendering order.
-func (cf *CompiledFusion) finalize(c *compiler) {
-	ord := canonicalOrder(c.states)
+func (cf *CompiledFusion) finalize(t *table) {
+	ord := canonicalOrder(t.states)
 	n := len(ord)
 	remap := make([]int32, n)
-	cf.states = make([]*compState, n)
+	cf.states = make([]*mcheck.MemoState, n)
 	cf.spans = make([][]int32, n)
 	for i, old := range ord {
 		remap[old] = int32(i)
-		cf.states[i] = c.states[old]
-		span := c.spans[old]
+		cf.states[i] = t.states[old]
+		span := t.spans[old]
 		cf.spans[i] = span[:len(span):len(span)]
 	}
-	cf.recs = c.recs[:len(c.recs):len(c.recs)]
+	cf.recs = t.recs[:len(t.recs):len(t.recs)]
 	for i := range cf.recs {
 		if tr := &cf.recs[i].tr; tr.next != stallState {
 			tr.next = remap[tr.next]
@@ -386,13 +340,12 @@ func (cf *CompiledFusion) finalize(c *compiler) {
 }
 
 // canonicalOrder lists the interned states in their canonical order: state
-// 0 stays the initial state (CompiledDir starts there), the rest sort by
-// their (image, memory) key. Intern order is a schedule artifact of the
-// extraction search's worker interleaving (and discovery order for an
-// artifact load's replay), so canonical numbering is what makes the
+// 0 stays the initial state, the rest sort by their (image, memory) key.
+// Intern order is a schedule artifact of the extraction search's worker
+// interleaving (and discovery order for an artifact load's replay), so canonical numbering is what makes the
 // finished table, and therefore the artifact bytes, identical across
 // worker counts and round trips (the determinism tests pin this).
-func canonicalOrder(states []*compState) []int32 {
+func canonicalOrder(states []*mcheck.MemoState) []int32 {
 	ord := make([]int32, len(states))
 	for i := range ord {
 		ord[i] = int32(i)
@@ -403,11 +356,11 @@ func canonicalOrder(states []*compState) []int32 {
 }
 
 // stateCmp orders interned states by their (image, memory) key.
-func stateCmp(a, b *compState) int {
-	if cmp := bytes.Compare(a.img, b.img); cmp != 0 {
+func stateCmp(a, b *mcheck.MemoState) int {
+	if cmp := bytes.Compare(a.Img, b.Img); cmp != 0 {
 		return cmp
 	}
-	return bytes.Compare(a.mem, b.mem)
+	return bytes.Compare(a.Mem, b.Mem)
 }
 
 // localName is a state's local-state name at one address.
@@ -439,22 +392,21 @@ func (cf *CompiledFusion) localAddrs() [][]localName {
 	return local
 }
 
-// nameStates decodes every state localAddrs listed addresses for into the
+// nameStates decodes every state localAddrs listed addresses for into a
 // scratch directory, names it there at those addresses and records each
 // name's stability.
 func (cf *CompiledFusion) nameStates(local [][]localName) {
-	cf.snapMu.Lock()
-	defer cf.snapMu.Unlock()
+	scratch := cf.layout.Merged.Clone().(*MergedDir)
 	for s, names := range local {
 		if len(names) == 0 {
 			continue
 		}
-		if err := cf.scratch.DecodeState(spec.NewDec(cf.states[s].img)); err != nil {
+		if err := scratch.DecodeState(spec.NewDec(cf.states[s].Img)); err != nil {
 			panic(fmt.Sprintf("core: state %d image undecodable during FSM projection: %v", s, err))
 		}
 		for i := range names {
-			names[i].name = cf.scratch.LocalState(names[i].a)
-			cf.stable[names[i].name] = cf.scratch.localStable(names[i].a)
+			names[i].name = scratch.LocalState(names[i].a)
+			cf.stable[names[i].name] = scratch.localStable(names[i].a)
 		}
 	}
 }
@@ -541,7 +493,7 @@ func (cf *CompiledFusion) eachRecord(visit func(pre int32, r *compRecord)) {
 // msgCmp is a strict total order over messages consistent with equality:
 // endpoints and payload first, then the type's name order, which v keeps
 // as a rank table (Vocab.NameRank) so no name is compared. It is both the
-// span order and the binary-search comparison in compiler.step. It takes
+// span order and the binary-search comparison in table.find. It takes
 // pointers: a by-value Msg is copied on every probe of the search's
 // per-delivery lookup.
 func msgCmp(a, b *spec.Msg, v *spec.Vocab) int {
@@ -630,32 +582,6 @@ func (cf *CompiledFusion) Explored() int { return cf.explored }
 // Table II artifact.
 func (cf *CompiledFusion) FlatFSM() *FlatFSM { return cf.fsm }
 
-// snapOf returns the interpreted snapshot of an interned state,
-// reconstructing it on first use by decoding the state's exact image into
-// the pristine scratch directory (the image carries every field Snapshot
-// prints, so the reconstructed bytes equal what the interpreted component
-// would print). Lazy reconstruction keeps the fmt-heavy snapshot path off the
-// extraction hot loop entirely.
-func (cf *CompiledFusion) snapOf(st *compState) string {
-	cf.snapMu.Lock()
-	defer cf.snapMu.Unlock()
-	if st.snap == "" {
-		cf.decodeScratch(st)
-		var w spec.SnapshotWriter
-		cf.scratch.Snapshot(&w)
-		st.snap = w.String()
-	}
-	return st.snap
-}
-
-// decodeScratch loads st's image into the scratch directory; the caller
-// holds snapMu.
-func (cf *CompiledFusion) decodeScratch(st *compState) {
-	if err := cf.scratch.DecodeState(spec.NewDec(st.img)); err != nil {
-		panic(fmt.Sprintf("core: compiled state image undecodable: %v", err))
-	}
-}
-
 // Protocol lifts the compiled table's per-address projection (FlatFSM)
 // into a spec.Protocol value: a directory-only flat machine that
 // round-trips through the PCC text form and exports to Murphi and DOT.
@@ -719,30 +645,73 @@ func (cf *CompiledFusion) Protocol() (*spec.Protocol, error) {
 }
 
 // System builds a model-checkable system for the compiled configuration:
-// the template's caches and cores with the interpreted merged directory
-// swapped for a CompiledDir over a growing table seeded with this one. A
-// pair the table holds replays; a miss (a program or eviction setting the
-// table was not compiled for) interprets and grows the search's own copy,
-// so the search reports exactly what the interpreted composite would. The
-// CompiledFusion never changes.
+// the interpreted composite, labelled EngineCompiled, with the finished
+// table attached as its memo seed (seed). A search enters every state and
+// record of the table before it starts, so a pair the table holds is
+// never interpreted; a miss (a program or eviction setting the table was
+// not compiled for) interprets like any other, so the search reports
+// exactly what the interpreted composite would. The CompiledFusion never
+// changes.
 func (cf *CompiledFusion) System() *mcheck.System {
-	return cf.bind(cf.template.Clone(), cf.seed())
+	sys := cf.template.Clone()
+	sys.SetEngine(EngineCompiled)
+	sys.SetSeed(cf.seed)
+	return sys
 }
 
-// seed returns a compiler whose table starts as this finished one. The
-// states and records are shared (a state's lazy snapshot cache is the
-// only field ever written) and the spans are a shallow
-// copy; every shared slice is capped at its length, so the first growth
-// copies instead of writing into cf's arrays. intern indexes the keys on
-// the first miss.
-func (cf *CompiledFusion) seed() *compiler {
-	c := newCompiler(cf)
-	states := cf.states
-	c.states = states
-	c.table.Store(&states)
-	c.recs = cf.recs
-	c.spans = slices.Clone(cf.spans)
-	return c
+// seed is the finished table as an mcheck.Seed: its states in index
+// order, then its records state by state.
+func (cf *CompiledFusion) seed(state func(mcheck.MemoState), record func(pre uint32, m spec.Msg, next uint32, sends []spec.Msg)) {
+	for _, st := range cf.states {
+		state(*st)
+	}
+	cf.eachRecord(func(pre int32, r *compRecord) {
+		next := mcheck.Stall
+		if r.tr.next != stallState {
+			next = uint32(r.tr.next)
+		}
+		record(uint32(pre), r.msg, next, r.tr.sends)
+	})
+}
+
+// SeedMismatchError is why a table cannot seed a search (Seeds). What
+// names the part that differs — "protocols", "fusion options" or "caches
+// per cluster" — and Table and Request render the two sides. It matches
+// ErrArtifactMismatch under errors.Is.
+type SeedMismatchError struct {
+	What, Table, Request string
+}
+
+func (e *SeedMismatchError) Error() string {
+	return fmt.Sprintf("%v: the table's %s (%s) differ from the requested search's (%s)",
+		ErrArtifactMismatch, e.What, e.Table, e.Request)
+}
+
+func (e *SeedMismatchError) Unwrap() error { return ErrArtifactMismatch }
+
+// Seeds reports whether the table may seed a search of f over
+// cachesPerCluster caches (nil) or why not (*SeedMismatchError). A
+// directory outcome depends on the fusion and the cache layout, not on the
+// cores' programs, so the constituents' canonical PCC exports, the fusion
+// options and the cache counts must match the table's; the programs and
+// the eviction setting need not.
+func (cf *CompiledFusion) Seeds(f *Fusion, cachesPerCluster []int) error {
+	exports := func(f *Fusion) []string {
+		var out []string
+		for _, p := range f.Protocols {
+			out = append(out, spec.ExportPCC(p))
+		}
+		return out
+	}
+	switch {
+	case !slices.Equal(exports(cf.fusion), exports(f)):
+		return &SeedMismatchError{What: "protocols", Table: cf.fusion.Name(), Request: f.Name()}
+	case cf.fusion.Opts != f.Opts:
+		return &SeedMismatchError{What: "fusion options", Table: fmt.Sprintf("%+v", cf.fusion.Opts), Request: fmt.Sprintf("%+v", f.Opts)}
+	case !slices.Equal(cf.cfg.CachesPerCluster, cachesPerCluster):
+		return &SeedMismatchError{What: "caches per cluster", Table: fmt.Sprint(cf.cfg.CachesPerCluster), Request: fmt.Sprint(cachesPerCluster)}
+	}
+	return nil
 }
 
 // compRecord is one recorded (state, message) outcome; the state's span
@@ -752,42 +721,96 @@ type compRecord struct {
 	tr  compTransition
 }
 
-// compiler owns a growing table. Every CompiledDir is bound to one
-// (grow), whose deliveries land in step; the mutex serializes table
-// lookups and growth so a search may run on the parallel path.
-type compiler struct {
-	mu sync.Mutex
-	// states is the interned state table, appended under mu and published
-	// through table to the lock-free readers — the searched directories'
-	// encode and POR-reference paths. Each publish stores a fresh
-	// slice header after writing the element it newly covers, and interned
-	// states are immutable (bar their snapshot cache), so a
-	// reader never sees a partially built state.
-	states []*compState
-	table  atomic.Pointer[[]*compState]
-	keys   map[string]int32 // interned img++mem -> state index; built on the first intern
-	keyBuf []byte
-	spans  [][]int32 // per state: indices into recs, message-sorted
+// table is a growing table: the states, the records, and per state the
+// message-sorted indices of its records. The extraction grows one from
+// its search's memo (adopt), an artifact load through the interpreter
+// (compiler).
+type table struct {
+	states []*mcheck.MemoState
+	spans  [][]int32
 	recs   []compRecord
+	vocab  *spec.Vocab // names the fusion's message types (msgCmp's tie-break)
+	err    error       // the first stalled delivery that sent
+}
 
-	// Miss path: the private interpreted directory a pre-state is decoded
-	// into, a reusable decode cursor and the send capture. All confined to
-	// mu.
+// state returns the index of state n, taking s as its images when the
+// table has not seen it yet. The images are kept, not copied.
+func (t *table) state(n uint32, s mcheck.MemoState) int32 {
+	for int(n) >= len(t.states) {
+		t.states = append(t.states, nil)
+		t.spans = append(t.spans, nil)
+	}
+	if t.states[n] == nil {
+		t.states[n] = &s
+	}
+	return int32(n)
+}
+
+// adopt takes over one outcome the extraction search's directory memo
+// recorded (mcheck.Options.OnMemo). The search numbers the directory's
+// states densely from the initial state 0, so its numbers index the
+// table; finalize renumbers them canonically.
+func (t *table) adopt(e mcheck.MemoEntry) {
+	pre, next := t.state(e.Pre, e.PreState), stallState
+	if e.Next != mcheck.Stall {
+		next = t.state(e.Next, e.NextState)
+	}
+	pos, _ := t.find(pre, &e.Msg)
+	t.insert(pre, pos, e.Msg, next, e.Sends)
+}
+
+// find returns where m's record is, or belongs, in pre's span, and
+// whether it is there. The lookup is a hand-written binary search:
+// through slices.BinarySearchFunc's comparator the target would escape,
+// costing the caller's Msg a heap allocation per delivery.
+func (t *table) find(pre int32, m *spec.Msg) (int, bool) {
+	span := t.spans[pre]
+	pos, hi := 0, len(span)
+	for pos < hi {
+		h := int(uint(pos+hi) >> 1)
+		if msgCmp(&t.recs[span[h]].msg, m, t.vocab) < 0 {
+			pos = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return pos, pos < len(span) && msgCmp(&t.recs[span[pos]].msg, m, t.vocab) == 0
+}
+
+// insert records at position pos of pre's span that delivering m led to
+// next, sending sends. A stall (next stallState) must be effect-free: the
+// checker discards the stalled successor, so a send there would be
+// unreplayable, and the table keeps the first such delivery as its err.
+func (t *table) insert(pre int32, pos int, m spec.Msg, next int32, sends []spec.Msg) {
+	tr := compTransition{next: next}
+	switch {
+	case next == stallState && len(sends) > 0:
+		if t.err == nil {
+			t.err = fmt.Errorf("core: stalled delivery of %s sent %d messages", t.vocab.Format(m), len(sends))
+		}
+	case len(sends) > 0:
+		tr.sends = slices.Clone(sends)
+	}
+	t.spans[pre] = slices.Insert(t.spans[pre], pos, int32(len(t.recs)))
+	t.recs = append(t.recs, compRecord{msg: m, tr: tr})
+}
+
+// compiler grows a table through the interpreter: an artifact load
+// replays each stored (state, message) pair on a private scratch
+// MergedDir loaded with the state's exact image (artifact.go, replay).
+type compiler struct {
+	*table
+	keys    map[string]int32 // interned img++mem -> state index; built on the first intern
+	keyBuf  []byte
 	scratch *MergedDir
 	dec     spec.Dec
 	capture sendCapture
-	// vocab names the fusion's message types (msgCmp's tie-break).
-	vocab *spec.Vocab
-
-	interpreted int64 // deliveries that ran the interpreted MergedDir
-	memoHits    int64 // deliveries served from the search's memo or the table
-	err         error
 }
 
-// newCompiler returns a table with no states over cf's configuration;
-// fresh interns the initial state into it, seed installs a finished table.
+// newCompiler returns a compiler over cf's configuration whose table holds
+// only the initial state.
 func newCompiler(cf *CompiledFusion) *compiler {
-	return &compiler{scratch: cf.layout.Merged.Clone().(*MergedDir), vocab: cf.fusion.vocab}
+	return &compiler{table: cf.initial(), scratch: cf.layout.Merged.Clone().(*MergedDir)}
 }
 
 // sendCapture is the spec.Env the scratch directory delivers into.
@@ -795,50 +818,22 @@ type sendCapture struct{ sends []spec.Msg }
 
 func (e *sendCapture) Send(m spec.Msg) { e.sends = append(e.sends, m) }
 
-// step returns the outcome of delivering m in state pre. A pair already
-// recorded replays (memoization); a miss runs the interpreter and records
-// the outcome. The lookup is a hand-written binary search: through
-// slices.BinarySearchFunc's comparator the target would escape, costing
-// the caller's Msg a heap allocation per delivery.
-func (c *compiler) step(pre int32, m *spec.Msg) compTransition {
-	span := c.spans[pre]
-	pos, hi := 0, len(span)
-	for pos < hi {
-		h := int(uint(pos+hi) >> 1)
-		if msgCmp(&c.recs[span[h]].msg, m, c.vocab) < 0 {
-			pos = h + 1
-		} else {
-			hi = h
-		}
+// step records the outcome of delivering m in state pre, running the
+// interpreter on the scratch directory loaded with pre's exact image and
+// interning the successor. A pair already recorded is left as it is.
+func (c *compiler) step(pre int32, m *spec.Msg) {
+	pos, ok := c.find(pre, m)
+	if ok {
+		return
 	}
-	if pos < len(span) && msgCmp(&c.recs[span[pos]].msg, m, c.vocab) == 0 {
-		c.memoHits++
-		return c.recs[span[pos]].tr
-	}
-	c.interpreted++
-	tr := c.interpret(pre, *m)
-	c.spans[pre] = slices.Insert(c.spans[pre], pos, int32(len(c.recs)))
-	c.recs = append(c.recs, compRecord{msg: *m, tr: tr})
-	return tr
-}
-
-// interpret runs the interpreted deliver of m on the scratch directory
-// loaded with pre's exact image and interns the successor. A stalled
-// delivery must be effect-free: the checker discards the stalled
-// successor, so a send here would be unreplayable.
-func (c *compiler) interpret(pre int32, m spec.Msg) compTransition {
 	st := c.states[pre]
-	c.load(st.img, st.mem)
+	c.load(st.Img, st.Mem)
 	c.capture.sends = c.capture.sends[:0]
-	if !c.scratch.deliver(&c.capture, m) {
-		if n := len(c.capture.sends); n > 0 && c.err == nil {
-			c.err = fmt.Errorf("core: stalled delivery of %s sent %d messages during compile", c.vocab.Format(m), n)
-		}
-		return compTransition{next: stallState}
+	next := stallState
+	if c.scratch.deliver(&c.capture, *m) {
+		next = c.intern(c.scratch)
 	}
-	post := c.intern(c.scratch)
-	return compTransition{next: post, sends: append([]spec.Msg(nil), c.capture.sends...),
-		remem: !bytes.Equal(st.mem, c.states[post].mem)}
+	c.insert(pre, pos, *m, next, c.capture.sends)
 }
 
 // load decodes an exact directory image and memory image into the
@@ -854,16 +849,13 @@ func (c *compiler) load(img, mem []byte) {
 	}
 }
 
-// intern returns the dense index of the directory's current
-// (state, memory) pair, creating and publishing the compState on first
-// sight. The fmt-based Snapshot is not captured here — the exact image
-// is, and the snapshot is reconstructed from it on demand (snapOf),
-// keeping extraction on the binary-encoding path throughout.
+// intern returns the index of the directory's current (state, memory)
+// pair, adding the state on first sight.
 func (c *compiler) intern(d *MergedDir) int32 {
 	if c.keys == nil {
 		c.keys = make(map[string]int32, len(c.states))
 		for i, st := range c.states {
-			c.keys[string(st.img)+string(st.mem)] = int32(i)
+			c.keys[string(st.Img)+string(st.Mem)] = int32(i)
 		}
 	}
 	c.keyBuf = d.AppendBinary(c.keyBuf[:0])
@@ -872,135 +864,11 @@ func (c *compiler) intern(d *MergedDir) int32 {
 	if idx, ok := c.keys[string(c.keyBuf)]; ok {
 		return idx
 	}
-	st := &compState{
-		img:  append([]byte(nil), c.keyBuf[:split]...),
-		mem:  append([]byte(nil), c.keyBuf[split:]...),
-		refs: d.RefNodes(),
-	}
-	idx := int32(len(c.states))
-	c.states = append(c.states, st)
-	published := c.states
-	c.table.Store(&published)
-	c.spans = append(c.spans, nil)
+	idx := c.state(uint32(len(c.states)), mcheck.MemoState{
+		Img:  append([]byte(nil), c.keyBuf[:split]...),
+		Mem:  append([]byte(nil), c.keyBuf[split:]...),
+		Refs: d.RefNodes(),
+	})
 	c.keys[string(c.keyBuf)] = idx
 	return idx
 }
-
-// CompiledDir is the flat-table stand-in for the interpreted MergedDir: an
-// int32 state register, the shared memory handle, and the growing table it
-// dispatches through. It reproduces the interpreted component's
-// visited-set encoding, snapshot, POR references and state codec byte for
-// byte, so searches over compiled and interpreted systems
-// agree exactly.
-type CompiledDir struct {
-	cf   *CompiledFusion
-	cur  int32
-	mem  *spec.Memory
-	grow *compiler
-}
-
-// state returns the interned images of the current state.
-func (d *CompiledDir) state() *compState {
-	return (*d.grow.table.Load())[d.cur]
-}
-
-// OwnedIDs implements spec.Component (same endpoints as the interpreted
-// directory, so the route table is unchanged).
-func (d *CompiledDir) OwnedIDs() []spec.NodeID { return d.cf.owned }
-
-// Deliver implements spec.Component: look up (or grow) the outcome of m
-// in the current state under the table's lock, then stall, or replay the
-// recorded sends, memory image and successor state outside it. Each
-// distinct pair misses once, so a search mostly runs at table speed.
-func (d *CompiledDir) Deliver(env spec.Env, m spec.Msg) bool {
-	tr, mem := d.grow.locked(d.cur, &m)
-	if tr.next == stallState {
-		return false
-	}
-	for _, s := range tr.sends {
-		env.Send(s)
-	}
-	if mem != nil {
-		if err := d.mem.DecodeState(spec.NewDec(mem)); err != nil {
-			panic(err.Error())
-		}
-	}
-	d.cur = tr.next
-	return true
-}
-
-// locked is step under the table's lock, with the successor's memory
-// image when the delivery rewrites it. The lock is released on a panic
-// too (an undecodable image, a component bug in the interpreter), so the
-// panic reaches the search's caller instead of stranding every other
-// delivery and Replayed behind it.
-func (c *compiler) locked(pre int32, m *spec.Msg) (compTransition, []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tr := c.step(pre, m)
-	if tr.remem {
-		return tr, c.states[tr.next].mem
-	}
-	return tr, nil
-}
-
-// Clone implements spec.Component.
-func (d *CompiledDir) Clone() spec.Component { return d.CloneWithMemory(d.mem.Clone()) }
-
-// CloneWithMemory implements mcheck.MemoryCloner: O(1) — the table is
-// shared, only the state register copies.
-func (d *CompiledDir) CloneWithMemory(mem *spec.Memory) spec.Component {
-	return &CompiledDir{cf: d.cf, cur: d.cur, mem: mem, grow: d.grow}
-}
-
-// Snapshot implements spec.Component with the interpreted snapshot
-// reconstructed from the state's image (lazily, cached) —
-// byte-identical diagnostics and snapshot-mode visited keys.
-func (d *CompiledDir) Snapshot(b *spec.SnapshotWriter) {
-	b.WriteString(d.cf.snapOf(d.state()))
-}
-
-// AppendBinary implements spec.StateCodec with the state register. Within
-// one table the register is a bijection with the interned
-// (image, memory) pair, so the key distinguishes exactly the states the
-// interpreted image does; the shared memory is encoded by the host as
-// usual.
-func (d *CompiledDir) AppendBinary(buf []byte) []byte {
-	return spec.AppendUvarint(buf, uint64(d.cur))
-}
-
-// DecodeState implements spec.StateCodec: the inverse of AppendBinary.
-func (d *CompiledDir) DecodeState(dec *spec.Dec) error {
-	v := dec.Uvarint()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if v >= uint64(len(*d.grow.table.Load())) {
-		return fmt.Errorf("core: compiled-state index %d out of range", v)
-	}
-	d.cur = int32(v)
-	return nil
-}
-
-// Replayed implements mcheck.Replayer: deliveries a search's memo served
-// without reaching the table count as memo hits.
-func (d *CompiledDir) Replayed(n int64) {
-	d.grow.mu.Lock()
-	d.grow.memoHits += n
-	d.grow.mu.Unlock()
-}
-
-// RefNodes implements spec.NodeReferrer with the interpreted component's
-// references captured at intern time (identical ample-set choices).
-func (d *CompiledDir) RefNodes() spec.NodeSet { return d.state().refs }
-
-// PORLocal mirrors the interpreted MergedDir's locality verdict.
-func (d *CompiledDir) PORLocal() bool { return d.cf.porLocal }
-
-var (
-	_ spec.Component      = (*CompiledDir)(nil)
-	_ spec.StateCodec     = (*CompiledDir)(nil)
-	_ spec.NodeReferrer   = (*CompiledDir)(nil)
-	_ mcheck.MemoryCloner = (*CompiledDir)(nil)
-	_ mcheck.Replayer     = (*CompiledDir)(nil)
-)

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"heterogen/internal/mcheck"
@@ -40,79 +43,79 @@ func interpretedSystem(f *Fusion, cachesPerCluster []int, programs [][]spec.Core
 	return sys
 }
 
-// requireAgreement explores the interpreted composite, the freshly
-// compiled table, AND the table after a serialize → load round trip
-// through the binary artifact, all under identical options, and fails unless every observable the
-// differential contract covers agrees:
-// reachable-state and transition counts, deadlock count and outcome sets;
-// the compiled and loaded runs also agree on the ample-state count, since a load derives the POR
-// references the compile captured. DeadlockAt is
-// deliberately excluded (parallel search order is nondeterministic).
-func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts mcheck.Options) (*mcheck.Result, *mcheck.Result) {
+// newEntries counts into n the directory outcomes a search's memo
+// records beyond its seed: the search reaches them through opts.OnMemo.
+func newEntries(opts mcheck.Options, n *atomic.Int64) mcheck.Options {
+	opts.OnMemo = func(mcheck.MemoEntry) { n.Add(1) }
+	return opts
+}
+
+// requireAgreement compiles cfg once and, under each of opts, explores
+// the interpreted composite unseeded, seeded with the freshly compiled
+// table (its System()), and seeded with the table after a serialize →
+// load round trip through the binary artifact, and fails unless every
+// observable the
+// differential contract covers agrees: reachable-state and transition
+// counts, ample-state count, deadlock count, truncation and outcome sets.
+// DeadlockAt is deliberately excluded (parallel search order is
+// nondeterministic). A seeded search the table covers — its evictions no
+// broader than the compiled ones — must record no directory outcome of
+// its own.
+func requireAgreement(t *testing.T, f *Fusion, cfg CompileConfig, opts ...mcheck.Options) {
 	t.Helper()
 	cf, err := Compile(f, cfg)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", f.Name(), err)
 	}
-
-	ires := mcheck.Explore(interpretedSystem(f, cfg.CachesPerCluster, cfg.Programs), opts)
-
-	csys := cf.System()
-	cres := mcheck.Explore(csys, opts)
-
-	// Serialize → load → check: the reloaded table must be observationally
-	// identical to the freshly compiled one.
 	lcf, err := LoadArtifactFor(cf.MarshalArtifact(), f, cfg)
 	if err != nil {
 		t.Fatalf("%s: artifact round trip: %v", f.Name(), err)
 	}
-	lres := mcheck.Explore(lcf.System(), opts)
-	if lres.States != cres.States || lres.Transitions != cres.Transitions ||
-		lres.Deadlocks != cres.Deadlocks || lres.Truncated != cres.Truncated ||
-		lres.PORReduced != cres.PORReduced {
-		t.Errorf("%s: loaded-artifact run diverges from compiled: %d/%d states, %d/%d transitions, %d/%d deadlocks, %d/%d ample",
-			f.Name(), lres.States, cres.States, lres.Transitions, cres.Transitions, lres.Deadlocks, cres.Deadlocks,
-			lres.PORReduced, cres.PORReduced)
+	for _, opts := range opts {
+		want := mcheck.Explore(interpretedSystem(f, cfg.CachesPerCluster, cfg.Programs), opts)
+		if want.Engine != EngineInterpreted {
+			t.Errorf("%s: interpreted run labeled %q", f.Name(), want.Engine)
+		}
+		for _, leg := range []struct {
+			name string
+			cf   *CompiledFusion
+		}{{"seeded", cf}, {"loaded and seeded", lcf}} {
+			var added atomic.Int64
+			got := mcheck.Explore(leg.cf.System(), newEntries(opts, &added))
+			what := fmt.Sprintf("%s: %s run at %d workers", f.Name(), leg.name, opts.Workers)
+			sameSearch(t, what, got, want)
+			if got.PORReduced != want.PORReduced || got.Truncated != want.Truncated {
+				t.Errorf("%s: %d ample states, truncated %t; unseeded %d, %t", what, got.PORReduced, got.Truncated, want.PORReduced, want.Truncated)
+			}
+			if got.Engine != EngineCompiled {
+				t.Errorf("%s labeled %q", what, got.Engine)
+			}
+			if n := added.Load(); n != 0 && (cfg.Evictions || !opts.Evictions) {
+				t.Errorf("%s recorded %d directory outcomes its seed does not hold", what, n)
+			}
+		}
 	}
-	if lk, ck := outcomeKeys(lres), outcomeKeys(cres); !sameStrings(lk, ck) {
-		t.Errorf("%s: loaded-artifact outcome set differs:\n  compiled: %v\n  loaded:   %v", f.Name(), ck, lk)
-	}
-
-	if ires.Engine != EngineInterpreted {
-		t.Errorf("%s: interpreted run labeled %q", f.Name(), ires.Engine)
-	}
-	if cres.Engine != EngineCompiled {
-		t.Errorf("%s: compiled run labeled %q", f.Name(), cres.Engine)
-	}
-	if cres.States != ires.States {
-		t.Errorf("%s: states differ: compiled %d vs interpreted %d", f.Name(), cres.States, ires.States)
-	}
-	if cres.Transitions != ires.Transitions {
-		t.Errorf("%s: transitions differ: compiled %d vs interpreted %d", f.Name(), cres.Transitions, ires.Transitions)
-	}
-	if cres.Deadlocks != ires.Deadlocks {
-		t.Errorf("%s: deadlocks differ: compiled %d vs interpreted %d", f.Name(), cres.Deadlocks, ires.Deadlocks)
-	}
-	if cres.Truncated != ires.Truncated {
-		t.Errorf("%s: truncation differs: compiled %v vs interpreted %v", f.Name(), cres.Truncated, ires.Truncated)
-	}
-	if ik, ck := outcomeKeys(ires), outcomeKeys(cres); !sameStrings(ik, ck) {
-		t.Errorf("%s: outcome sets differ:\n  interpreted: %v\n  compiled:    %v", f.Name(), ik, ck)
-	}
-	return ires, cres
 }
 
-// TestCompiledAgreementQuickAllPairs pins compiled ≡ interpreted on every
-// Table II pair under the Table II driver (quick mode: no evictions).
+// TestCompiledAgreementQuickAllPairs pins seeded ≡ unseeded on every
+// Table II pair under the Table II driver (quick mode: no evictions), at
+// one worker and at two.
 func TestCompiledAgreementQuickAllPairs(t *testing.T) {
 	for _, pair := range TableIIPairs() {
-		f, err := Fuse(Options{}, protocols.MustByName(pair[0]), protocols.MustByName(pair[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := CompileConfig{CachesPerCluster: []int{1, 1}, Programs: tableIIDriver()}
-		requireAgreement(t, f, cfg, mcheck.Options{Workers: 1})
+		requireAgreement(t, fusePair(t, pair[0], pair[1]), TableIICompileConfig(true, 1),
+			mcheck.Options{Workers: 1}, mcheck.Options{Workers: 2})
 	}
+}
+
+// TestCompiledAgreementFullMESIRCCO pins seeded ≡ unseeded on MESI&RCC-O
+// at the full Table II configuration (evictions on), at one worker and at
+// two.
+func TestCompiledAgreementFullMESIRCCO(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	requireAgreement(t, fusePair(t, protocols.NameMESI, protocols.NameRCCO), TableIICompileConfig(false, 1),
+		mcheck.Options{Workers: 1, Evictions: true}, mcheck.Options{Workers: 2, Evictions: true})
 }
 
 // TestCompiledAgreementModes sweeps the checker's mode matrix — workers ×
@@ -265,13 +268,7 @@ func foreignTable(t *testing.T, caches []int) (*Fusion, *CompiledFusion, [][]spe
 	return f, cf, foreign
 }
 
-// compilerOf returns the growing table a system's directory dispatches
-// through.
-func compilerOf(cf *CompiledFusion, sys *mcheck.System) *compiler {
-	return sys.Components[cf.mergedIdx].(*CompiledDir).grow
-}
-
-// TestCompiledSystemInterpretsForeignPrograms pins the seeded table's
+// TestCompiledSystemInterpretsForeignPrograms pins the seeded search's
 // miss path: driving a finished table — compiled here or loaded from its
 // artifact — with programs it was not compiled for interprets the unseen
 // pairs and reports exactly what the interpreted composite does, while the
@@ -297,9 +294,10 @@ func TestCompiledSystemInterpretsForeignPrograms(t *testing.T) {
 	}{{"compiled", cf}, {"loaded", lcf}} {
 		sys := tc.cf.System()
 		sys.SetPrograms(foreign)
-		res := mcheck.Explore(sys, opts)
+		var added atomic.Int64
+		res := mcheck.Explore(sys, newEntries(opts, &added))
 		sameSearch(t, tc.name, res, want)
-		if n := compilerOf(tc.cf, sys).interpreted; n == 0 {
+		if added.Load() == 0 {
 			t.Errorf("%s: foreign programs never missed the seeded table", tc.name)
 		}
 		requireSameTable(t, tc.name+" after the search", ref, tc.cf)
@@ -310,9 +308,9 @@ func TestCompiledSystemInterpretsForeignPrograms(t *testing.T) {
 }
 
 // TestCompiledSystemConcurrentMisses runs two searches of one
-// cf.System() at once, each on 2 workers, both growing its table on
-// misses. Under -race this pins the table's locking and lock-free
-// publication.
+// cf.System() at once, each on 2 workers, both seeded from the one table
+// and missing it. Under -race this pins that a seed only reads the table,
+// so concurrent searches may share it.
 func TestCompiledSystemConcurrentMisses(t *testing.T) {
 	f, cf, foreign := foreignTable(t, []int{2, 1})
 	opts := mcheck.Options{Workers: 2}
@@ -320,19 +318,68 @@ func TestCompiledSystemConcurrentMisses(t *testing.T) {
 	sys := cf.System()
 	sys.SetPrograms(foreign)
 	var results [2]*mcheck.Result
+	var added [2]atomic.Int64
 	var wg sync.WaitGroup
 	for i := range results {
 		wg.Add(1)
 		go func(i int, sys *mcheck.System) {
 			defer wg.Done()
-			results[i] = mcheck.Explore(sys, opts)
+			results[i] = mcheck.Explore(sys, newEntries(opts, &added[i]))
 		}(i, sys.Clone())
 	}
 	wg.Wait()
 	for i, res := range results {
 		sameSearch(t, fmt.Sprintf("search %d", i), res, want)
+		if added[i].Load() == 0 {
+			t.Errorf("search %d: foreign programs never missed the seeded table", i)
+		}
 	}
-	if compilerOf(cf, sys).interpreted == 0 {
-		t.Error("foreign programs never missed the seeded table")
+}
+
+// TestStalledSendRefused pins that a table refuses a stalled delivery
+// that sends — the checker discards a stalled successor, so the send
+// could never be replayed — on both ways a table grows: the extraction's
+// memo seam (adopt, the hook CompileCtx installs) and a load's replay
+// through the interpreter.
+func TestStalledSendRefused(t *testing.T) {
+	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
+	cfg := TableIICompileConfig(true, 1)
+	base, err := Compile(f, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cf := newCompiledFusion(f, cfg)
+	t.Run("extraction", func(t *testing.T) {
+		tb := cf.initial()
+		m := base.recs[base.spans[0][0]].msg
+		tb.adopt(mcheck.MemoEntry{PreState: *tb.states[0], Next: mcheck.Stall, Msg: m, Sends: []spec.Msg{m}})
+		if tb.err == nil || !strings.Contains(tb.err.Error(), "stalled delivery") {
+			t.Fatalf("adopting a stall that sends left err %v", tb.err)
+		}
+	})
+	t.Run("load", func(t *testing.T) {
+		// A request the initial state answers by starting a bridge, taken
+		// in before the bridge has run: the same request again stalls on
+		// the bridge in flight, and the delivery's closing advance runs
+		// the bridge, which sends.
+		c := newCompiler(cf)
+		var m spec.Msg
+		for _, ri := range base.spans[0] {
+			m = base.recs[ri].msg
+			c.load(c.states[0].Img, c.states[0].Mem)
+			if c.scratch.intake(&c.capture, c.scratch.clusterOfDir(m.Dst), m); len(c.scratch.bridges) > 0 {
+				break
+			}
+		}
+		if len(c.scratch.bridges) == 0 {
+			t.Fatal("no request of the initial state starts a bridge")
+		}
+		if pre := c.intern(c.scratch); pre != 1 {
+			t.Fatalf("the bridging state interned as %d, want 1", pre)
+		}
+		err := replay(c, &artifactParts{msgs: []spec.Msg{m}, lists: [][]uint32{nil, {0}}})
+		if !errors.Is(err, ErrArtifactMismatch) || !strings.Contains(err.Error(), "stalled delivery") {
+			t.Fatalf("replaying a stall that sends: %v", err)
+		}
+	})
 }

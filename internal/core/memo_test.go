@@ -69,12 +69,12 @@ func TestExtractionDeterminism(t *testing.T) {
 }
 
 // TestExtractionDeliverySplit pins the MESI&RCC-O full extraction's
-// delivery counts, the ones hgbench's expected.json holds: every delivery
-// the search's memo serves is handed to the compiled directory as a memo
-// hit, so the split into interpreted and memoized deliveries is the one
-// the table would count if it saw every delivery itself. It runs at two
-// workers, so a spawned worker's hits are counted too;
-// TestExtractionDeterminism holds the split equal across worker counts.
+// delivery counts, the ones hgbench's expected.json holds: one
+// interpreted delivery per outcome the directory memo records, and one
+// memo hit per delivery it serves, a miss whose record another worker made
+// first included. It runs at two workers, so a spawned worker's hits are
+// counted too; TestExtractionDeterminism holds the split equal across
+// worker counts.
 func TestExtractionDeliverySplit(t *testing.T) {
 	f := fusePair(t, protocols.NameMESI, protocols.NameRCCO)
 	cf, err := Compile(f, TableIICompileConfig(false, 2))
@@ -88,12 +88,12 @@ func TestExtractionDeliverySplit(t *testing.T) {
 	}
 }
 
-// TestCompiledDirPanicReachesCaller: a panic in the compiled directory's
-// miss path unwinds to the search's caller at one worker and at two, and
-// leaves the table's lock free, instead of hanging the search on that
-// lock. The search runs a finished table's System(), so its early
-// deliveries replay; the last state's records are dropped and its image
-// corrupted, so its first delivery reinterprets and panics.
+// TestCompiledDirPanicReachesCaller: a panic in a seeded search's miss
+// path unwinds to the search's caller at one worker and at two instead of
+// hanging the search. The search runs a finished table's System(), so its
+// early deliveries are seeded; the last state's records are dropped and
+// its image corrupted, so the first delivery there misses, decodes the
+// corrupted image and panics.
 func TestCompiledDirPanicReachesCaller(t *testing.T) {
 	f := fusePair(t, protocols.NameMSI, protocols.NameRCC)
 	cfg := TableIICompileConfig(true, 1)
@@ -103,39 +103,34 @@ func TestCompiledDirPanicReachesCaller(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys := cf.System()
-			c := compilerOf(cf, sys)
+			last := len(cf.states) - 1
+			cf.spans[last] = nil
+			cf.states[last].Img = []byte{0xff}
 			opts := mcheck.Options{Evictions: cfg.Evictions, Workers: workers, POR: mcheck.POROff}
-			last := len(c.states) - 1
-			c.spans[last] = nil
-			c.states[last].img = []byte{0xff}
 			got := make(chan any, 1)
 			go func() {
 				defer func() { got <- recover() }()
-				mcheck.Explore(sys, opts)
+				mcheck.Explore(cf.System(), opts)
 			}()
 			select {
 			case p := <-got:
-				if msg, _ := p.(string); !strings.Contains(msg, "undecodable") {
-					t.Fatalf("recovered %v, want the interpreter's undecodable-image panic", p)
+				if msg, _ := p.(string); !strings.Contains(msg, "does not decode") {
+					t.Fatalf("recovered %v, want the miss path's undecodable-image panic", p)
 				}
 			case <-time.After(time.Minute):
-				t.Fatal("search hung after the compiled directory panicked")
+				t.Fatal("search hung after its miss path panicked")
 			}
-			if !c.mu.TryLock() {
-				t.Fatal("the panic left the table's lock held")
-			}
-			c.mu.Unlock()
 		})
 	}
 }
 
 // TestExtractionSearchMatchesTable pins that a finished table reproduces
-// exactly the graph that extracted it: a search of cf.System() under the
-// extraction's own options (evictions as compiled, POR off, one worker)
-// visits the same number of states the extraction did, runs to
-// exhaustion, and — every Table II fusion being deadlock-free under its
-// driver — finds no deadlock.
+// exactly the graph that extracted it: a seeded search of cf.System()
+// under the extraction's own options (evictions as compiled, POR off, one
+// worker) visits the same number of states the extraction did, runs to
+// exhaustion, records no directory outcome its seed does not hold, and —
+// every Table II fusion being deadlock-free under its driver — finds no
+// deadlock.
 func TestExtractionSearchMatchesTable(t *testing.T) {
 	type tcase struct {
 		pair [2]string
@@ -154,7 +149,13 @@ func TestExtractionSearchMatchesTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name(), err)
 		}
-		res := mcheck.Explore(cf.System(), mcheck.Options{Evictions: tc.cfg.Evictions, Workers: 1, POR: mcheck.POROff})
+		added := 0
+		res := mcheck.Explore(cf.System(), mcheck.Options{Evictions: tc.cfg.Evictions, Workers: 1, POR: mcheck.POROff,
+			OnMemo: func(mcheck.MemoEntry) { added++ }})
+		if added != 0 {
+			t.Errorf("%s (evictions=%v): seeded search of the table's own config recorded %d new directory outcomes",
+				f.Name(), tc.cfg.Evictions, added)
+		}
 		if res.States != cf.Explored() {
 			t.Errorf("%s (evictions=%v): table search visits %d states, extraction %d",
 				f.Name(), tc.cfg.Evictions, res.States, cf.Explored())

@@ -22,8 +22,8 @@ const DefaultCheckMaxStates = 8 << 20
 //   - Protocol: a homogeneous system of Caches caches.
 //   - Pair: a fused heterogeneous system, Caches caches per cluster,
 //     searched as the interpreted composite (core.BuildSystem); with
-//     Table, a serialized artifact digest-checked against the request is
-//     searched instead.
+//     Table, a serialized artifact of the same fusion over the same caches
+//     seeds the search (core.CompiledFusion.Seeds).
 //   - Table alone: a standalone artifact check under the table's own
 //     baked configuration.
 type CheckRequest struct {
@@ -41,8 +41,8 @@ type CheckRequest struct {
 	// lie in [0, spec.MaxDecodeAddr).
 	Addrs int `json:"addrs,omitempty"`
 	// Table is a compiled-table .hgcf artifact path: alone it supplies
-	// the whole configuration, with Pair it is digest-checked against
-	// the request.
+	// the whole configuration, with Pair it seeds the request's search,
+	// and must then hold the same fusion over the same caches.
 	Table string `json:"table,omitempty"`
 	// Search carries the shared search knobs.
 	Search SearchOptions `json:"search,omitempty"`
@@ -139,7 +139,7 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 		if cf, err = core.LoadArtifactFile(req.Table); err != nil {
 			return nil, err
 		}
-		name = cf.Fusion().Name()
+		sys, name = cf.System(), cf.Fusion().Name()
 		evictions = cf.Config().Evictions
 	case req.Protocol != "":
 		if req.Table != "" {
@@ -169,19 +169,21 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 			return nil, err
 		}
 		name = f.Name()
-		progs := CheckDriver(2*caches, addrs, false)
 		if req.Table == "" {
 			sys, _ = core.BuildSystem(f, []int{caches, caches})
-			sys.SetPrograms(progs)
-			break
+		} else {
+			// A directory outcome does not depend on the cores' programs:
+			// any table of this fusion over these caches seeds the
+			// driver's search, whatever driver it was compiled with.
+			if cf, err = core.LoadArtifactFile(req.Table); err != nil {
+				return nil, err
+			}
+			if err := cf.Seeds(f, []int{caches, caches}); err != nil {
+				return nil, fmt.Errorf("%s: %w", req.Table, err)
+			}
+			sys = cf.System()
 		}
-		// Artifact against explicit request: the stored digest must
-		// match the requested (pair, config) or the load fails up front.
-		if cf, err = core.LoadArtifactFileFor(req.Table, f, core.CompileConfig{
-			CachesPerCluster: []int{caches, caches}, Programs: progs, Evictions: true,
-		}); err != nil {
-			return nil, err
-		}
+		sys.SetPrograms(CheckDriver(2*caches, addrs, false))
 	default:
 		return nil, fmt.Errorf("check request selects nothing: set protocol, pair or table")
 	}
@@ -190,7 +192,7 @@ func Check(ctx context.Context, req CheckRequest, hooks Hooks) (*CheckResult, er
 	if cf != nil {
 		stats := cf.Stats()
 		hooks.compiled(name, stats)
-		sys, compileStats = cf.System(), &stats
+		compileStats = &stats
 	}
 	res := mcheck.ExploreCtx(ctx, sys, req.Search.mcheckOptions(hooks, evictions))
 	return &CheckResult{Name: name, Result: *res, Compile: compileStats}, nil

@@ -2,11 +2,15 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"heterogen/internal/core"
 	"heterogen/internal/mcheck"
+	"heterogen/internal/protocols"
 	"heterogen/internal/spec"
 )
 
@@ -66,5 +70,71 @@ func TestNoPutAckDeadlocksUnderBothDrivers(t *testing.T) {
 		if res.Deadlocks == 0 {
 			t.Errorf("sameValue=%v: no deadlock: %s", sameValue, res)
 		}
+	}
+}
+
+// TestCheckTableSeedsPair pins a pair check seeded from an artifact: any
+// table of the same fusion over the same caches seeds the check driver's
+// search, whatever driver it was compiled with — here the Table II one —
+// and the seeded search reports exactly the interpreted check's counts
+// under the compiled-table label. A table of another pair, of other
+// fusion options or over other caches is refused, naming which.
+func TestCheckTableSeedsPair(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, opts core.Options, a, b string) string {
+		f, err := core.Fuse(opts, protocols.MustByName(a), protocols.MustByName(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := core.Compile(f, core.TableIICompileConfig(true, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := cf.WriteArtifact(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	table := write("msi-rcc.hgcf", core.Options{}, protocols.NameMSI, protocols.NameRCC)
+	search := SearchOptions{Workers: 1}
+	want, err := Check(context.Background(), CheckRequest{Pair: []string{"MSI", "RCC"}, Caches: 1, Addrs: 1, Search: search}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.States != 2028 || want.Transitions != 4139 || len(want.Outcomes) != 3 {
+		t.Fatalf("interpreted check: %d states, %d transitions, %d outcomes; want 2028, 4139, 3", want.States, want.Transitions, len(want.Outcomes))
+	}
+	got, err := Check(context.Background(), CheckRequest{Pair: []string{"MSI", "RCC"}, Caches: 1, Addrs: 1, Table: table, Search: search}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.States != want.States || got.Transitions != want.Transitions || got.Deadlocks != want.Deadlocks ||
+		got.PORReduced != want.PORReduced || len(got.Outcomes) != len(want.Outcomes) {
+		t.Errorf("seeded check %d states, %d transitions, %d deadlocks, %d ample, %d outcomes; interpreted %d, %d, %d, %d, %d",
+			got.States, got.Transitions, got.Deadlocks, got.PORReduced, len(got.Outcomes),
+			want.States, want.Transitions, want.Deadlocks, want.PORReduced, len(want.Outcomes))
+	}
+	if got.Engine != core.EngineCompiled || got.Compile == nil || got.Compile.Source != core.SourceArtifact {
+		t.Errorf("seeded check labeled %q with compile stats %+v", got.Engine, got.Compile)
+	}
+
+	for _, tc := range []struct {
+		name, what string
+		req        CheckRequest
+	}{
+		{"mismatched pair", "protocols", CheckRequest{Pair: []string{"MSI", "MSI"}, Caches: 1, Addrs: 1, Table: table}},
+		{"mismatched cache count", "caches per cluster", CheckRequest{Pair: []string{"MSI", "RCC"}, Caches: 2, Addrs: 1, Table: table}},
+		{"mismatched fusion options", "fusion options", CheckRequest{Pair: []string{"MSI", "RCC"}, Caches: 1, Addrs: 1,
+			Table: write("msi-rcc-hs.hgcf", core.Options{Handshake: core.HSAll}, protocols.NameMSI, protocols.NameRCC)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.req.Search = search
+			_, err := Check(context.Background(), tc.req, Hooks{})
+			var mis *core.SeedMismatchError
+			if !errors.As(err, &mis) || mis.What != tc.what || !errors.Is(err, core.ErrArtifactMismatch) {
+				t.Fatalf("got %v, want a seed mismatch in its %s", err, tc.what)
+			}
+		})
 	}
 }

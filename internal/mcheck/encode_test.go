@@ -90,8 +90,9 @@ func fusedMESIRCCO(t *testing.T) *core.Fusion {
 }
 
 // compileFused compiles f for progs on one cache per cluster, with
-// evictions: its System() is a CompiledDir over a finished table that
-// holds every (state, message) pair a search of progs meets.
+// evictions: its System() is the interpreted composite seeded with a
+// finished table that holds every (state, message) pair a search of progs
+// meets.
 func compileFused(t *testing.T, f *core.Fusion, progs [][]spec.CoreReq) *core.CompiledFusion {
 	t.Helper()
 	cf, err := core.Compile(f, core.CompileConfig{CachesPerCluster: []int{1, 1}, Programs: progs, Evictions: true})
@@ -102,8 +103,8 @@ func compileFused(t *testing.T, f *core.Fusion, progs [][]spec.CoreReq) *core.Co
 }
 
 // TestEncodeBinaryMatchesSnapshotFused checks the interpreted merged
-// directory and the compiled one, whose register key must stand in
-// bijection with the snapshot within its one table.
+// directory, as BuildSystem builds it and as a compiled table's System()
+// clones it from the table's template.
 func TestEncodeBinaryMatchesSnapshotFused(t *testing.T) {
 	f := fusedMESIRCCO(t)
 	progs := [][]spec.CoreReq{
@@ -121,11 +122,13 @@ func TestEncodeBinaryMatchesSnapshotFused(t *testing.T) {
 }
 
 // TestSpillCodecRoundTrip round-trips every walked state of a homogeneous,
-// an interpreted fused and a compiled fused system through its numbered
+// an interpreted fused and a seeded fused system through its numbered
 // vector, the form a search keys and queues it in: numbering the state
 // and materializing the vector into a clone of the initial system must
-// re-encode to identical bytes and render an identical snapshot. (The
-// name predates the deletion of frontier spilling.)
+// re-encode to identical bytes and render an identical snapshot. In the
+// seeded tables the directory's states are the seed's, so its images
+// must materialize exactly too. (The name predates the deletion of
+// frontier spilling.)
 func TestSpillCodecRoundTrip(t *testing.T) {
 	progs := [][]spec.CoreReq{
 		{{Op: spec.OpStore, Addr: 0, Value: 1}, {Op: spec.OpLoad, Addr: 1}, {Op: spec.OpRelease}},
@@ -145,7 +148,7 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 		{"compiled", compileFused(t, f, progs).System()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			template := tc.sys.Clone()
+			roundTrip := mcheck.RoundTripper(tc.sys.Clone())
 			states := 0
 			// Bounded walk with evictions: checks the image on live
 			// protocol states (in-flight messages, pending requests, sync
@@ -153,7 +156,7 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 			walkStates(t, tc.sys, 3000, func(cur *mcheck.System) {
 				states++
 				enc := cur.EncodeBinary(nil)
-				clone := mcheck.RoundTrip(template, cur)
+				clone := roundTrip(cur)
 				if re := clone.EncodeBinary(nil); !bytes.Equal(enc, re) {
 					t.Fatalf("re-encode differs from encode\nstate: %s", cur.Snapshot())
 				}

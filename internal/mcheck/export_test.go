@@ -9,14 +9,17 @@ import (
 // Seams for the external test package (mcheck_test), whose tests build
 // fused systems through core, which imports this package.
 
-// RoundTrip numbers s in tables built for template (a clone of the
-// system s was reached from) and materializes the vector into a fresh
-// clone of template.
-func RoundTrip(template, s *System) *System {
-	num := newNumbering(template, 1, nil)
-	out := template.Clone()
-	num.materialize(out, num.number(s))
-	return out
+// RoundTripper builds one search's tables for template, its seed
+// entered, and returns a round trip through them: it numbers a system
+// reached from template (or a clone of it) and materializes the vector
+// into a fresh clone of template.
+func RoundTripper(template *System) func(s *System) *System {
+	num := newNumbering(template, 1, nil, nil)
+	return func(s *System) *System {
+		out := template.Clone()
+		num.materialize(out, num.number(s))
+		return out
+	}
 }
 
 // ExploreProbed is Explore with probe called on every move the search

@@ -233,9 +233,7 @@ func TestWorkerPanicFailsSearch(t *testing.T) {
 	sys := NewHomogeneous(protocols.MustByName(protocols.NameMSI), 4)
 	sys.SetPrograms(progs)
 	dir := len(sys.Components) - 1
-	if err := sys.SwapComponent(dir, panicDir{sys.Components[dir].(*spec.DirInst)}); err != nil {
-		t.Fatal(err)
-	}
+	sys.Components[dir] = panicDir{sys.Components[dir].(*spec.DirInst)}
 	base := runtime.NumGoroutine()
 	func() {
 		defer func() {
@@ -246,4 +244,64 @@ func TestWorkerPanicFailsSearch(t *testing.T) {
 		Explore(sys, Options{Workers: 4, POR: POROff, LoadKeys: keys})
 	}()
 	waitGoroutines(t, base)
+}
+
+// stallSendDir is a directory that refuses every request from cache 0,
+// sending a message as it refuses: an effect the checker discards, which
+// the memo seam must still report.
+type stallSendDir struct{ *spec.DirInst }
+
+func (d stallSendDir) Deliver(env spec.Env, m spec.Msg) bool {
+	if m.Src == 0 && m.VNet == spec.VReq {
+		env.Send(spec.Msg{Type: m.Type, Addr: m.Addr, Src: m.Dst, Dst: m.Src, Req: spec.NoNode, VNet: spec.VResp})
+		return false
+	}
+	return d.DirInst.Deliver(env, m)
+}
+
+func (d stallSendDir) Clone() spec.Component {
+	return stallSendDir{d.DirInst.Clone().(*spec.DirInst)}
+}
+
+func (d stallSendDir) CloneWithMemory(mem *spec.Memory) spec.Component {
+	return stallSendDir{d.DirInst.CloneWithMemory(mem).(*spec.DirInst)}
+}
+
+// TestOnMemoReportsOwnerOutcomes pins the memory owner's memo seam: every
+// (state, message) outcome is reported once, a refused delivery with the
+// messages it sent, and at one worker and at two the same outcomes are
+// reported and the same memo hits counted.
+func TestOnMemoReportsOwnerOutcomes(t *testing.T) {
+	progs, keys := reqsFor(iriw())
+	var want [2]int
+	for _, workers := range []int{1, 2} {
+		sys := NewHomogeneous(protocols.MustByName(protocols.NameMSI), 4)
+		sys.SetPrograms(progs)
+		dir := len(sys.Components) - 1
+		sys.Components[dir] = stallSendDir{sys.Components[dir].(*spec.DirInst)}
+		seen := map[string]bool{}
+		stalledSends := 0
+		res := Explore(sys, Options{Workers: workers, POR: POROff, LoadKeys: keys, OnMemo: func(e MemoEntry) {
+			key := fmt.Sprint(e.Pre, e.Msg)
+			if seen[key] {
+				t.Errorf("workers=%d: outcome %s reported twice", workers, key)
+			}
+			seen[key] = true
+			switch {
+			case e.Next == Stall && len(e.Sends) > 0:
+				stalledSends++
+			case e.Next != Stall && len(e.NextState.Img) == 0:
+				t.Errorf("workers=%d: outcome %s reported without its next state's image", workers, key)
+			}
+		}})
+		if stalledSends == 0 {
+			t.Fatalf("workers=%d: no refused delivery reported its sends", workers)
+		}
+		got := [2]int{len(seen), int(res.MemoHits)}
+		if workers == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("workers=%d: %d outcomes, %d memo hits; one worker %d, %d", workers, got[0], got[1], want[0], want[1])
+		}
+	}
 }

@@ -25,9 +25,10 @@ import (
 //     the component, runs its Deliver/Issue/Evict and interns the result;
 //   - the component that holds the shared memory (a directory) is
 //     numbered by its (image, memory) pair, so the memory is no position
-//     of its own. That holds for core.CompiledDir too: its image is its
-//     state register, and its compiled table is consulted only on a
-//     memo miss, through the worker's instance's Deliver;
+//     of its own. Its memo is the search's seam for a compiled table
+//     (core.CompiledFusion): Options.OnMemo sees each delivery outcome it
+//     records, once, and a Seed attached to the System enters a finished
+//     table's states and outcomes before the search starts;
 //   - a FIFO number stands for a channel's message sequence, with its
 //     pop and push memos and the set of nodes its messages name;
 //   - a message number stands for one spec.Msg and its channel.
@@ -38,24 +39,44 @@ import (
 // see a System, materialized from the vector.
 //
 // Every new entry — component state, memo record, message, FIFO content
-// and FIFO push — is charged to the search's memory budget through the
-// visited set (visitedSet.hold), outside the set's own TableBytes. The
-// entry is made whether or not the charge is granted: a denied charge
-// marks the set Full, and the search truncates with BudgetFull at its
-// next check. The charges are estimates of what an entry adds to its
-// tables.
+// and FIFO push, seeded ones included — is charged to the search's memory
+// budget through the visited set (visitedSet.hold), outside the set's own
+// TableBytes. The entry is made whether or not the charge is granted: a
+// denied charge marks the set Full, and the search truncates with
+// BudgetFull at its next check. The charges are estimates of what an
+// entry adds to its tables.
 
-// Replayer is implemented by a component that counts its own deliveries
-// (core.CompiledDir). A memo hit serves a delivery without running the
-// component, so each worker tallies the hits at such a position, and the
-// totals are handed over once the search ends without a panic.
-type Replayer interface {
-	// Replayed adds n deliveries served without running the component.
-	Replayed(n int64)
+// MemoState is one state of the position holding the shared memory: the
+// component's image, the memory's image and the component's RefNodes.
+// The images a search hands out are its own, read-only.
+type MemoState struct {
+	Img, Mem []byte
+	Refs     spec.NodeSet
 }
 
-// stall is the next number of a refused move.
-const stall = ^uint32(0)
+// MemoEntry is one delivery outcome the memo of the position holding the
+// shared memory records (Options.OnMemo): the pre state, the message, the
+// next state — Next is Stall when the delivery was refused — and the
+// messages the delivery sent, a refused one's included. Pre and Next are
+// the position's state numbers in this search.
+type MemoEntry struct {
+	Pre, Next           uint32
+	PreState, NextState MemoState // NextState is zero on a stall
+	Msg                 spec.Msg
+	Sends               []spec.Msg // borrowed: valid only during the call
+}
+
+// A Seed enters a finished memo at the position holding the shared memory
+// of the System it is attached to (System.SetSeed), before the search
+// starts. It calls state once per state, numbering the states from 0 in
+// call order, and then record once per delivery outcome between those
+// numbers, next Stall for a refused delivery. Every state is interned by
+// its images, as a miss interns its successor; a move the seed does not
+// hold is an ordinary miss.
+type Seed func(state func(MemoState), record func(pre uint32, m spec.Msg, next uint32, sends []spec.Msg))
+
+// Stall is the next number of a refused move.
+const Stall = ^uint32(0)
 
 // Memo input kinds, in bits 30–31 of a memo key's low word.
 const (
@@ -168,6 +189,9 @@ type compTable struct {
 	index   map[string]uint32
 	memo    map[uint64]memoOut
 	budget  *visitedSet // charged for every new entry and record (nil: none)
+	// report, when set, sees every new record with the messages its move
+	// sent, under the table's lock (Options.OnMemo).
+	report func(key uint64, out memoOut, sent []spec.Msg)
 }
 
 func (t *compTable) at(n uint32) *compEntry { return *t.entries.at(n) }
@@ -180,17 +204,21 @@ func (t *compTable) lookup(key uint64) (memoOut, bool) {
 	return out, ok
 }
 
-// record memoizes out under key and returns the outcome the memo keeps
-// (another worker's, when it recorded the same move first).
-func (t *compTable) record(key uint64, out memoOut) memoOut {
+// record memoizes out, whose move sent sent, under key. It returns the
+// outcome the memo keeps and false when another worker recorded the same
+// move first.
+func (t *compTable) record(key uint64, out memoOut, sent []spec.Msg) (memoOut, bool) {
 	t.lock()
 	defer t.unlock()
 	if prev, ok := t.memo[key]; ok {
-		return prev
+		return prev, false
 	}
 	t.memo[key] = out
 	t.budget.hold(memoBytes + 4*int64(len(out.sends)))
-	return out
+	if t.report != nil {
+		t.report(key, out, sent)
+	}
+	return out, true
 }
 
 // intern returns the number of c's state (with mem's, for the memory
@@ -223,10 +251,21 @@ func (t *compTable) intern(c spec.Component, mem *spec.Memory, buf *[]byte) uint
 			}
 		}
 	}
+	return t.add(e)
+}
+
+// add numbers the new entry e; the caller holds the lock.
+func (t *compTable) add(e *compEntry) uint32 {
 	n := t.entries.add(e)
 	t.index[string(e.img)] = n
 	t.budget.hold(compEntryBytes(e))
 	return n
+}
+
+// state is entry n as the seam hands it out.
+func (t *compTable) state(n uint32) MemoState {
+	e := t.at(n)
+	return MemoState{Img: e.img[:e.split:e.split], Mem: e.img[e.split:], Refs: e.refs}
 }
 
 // msgEntry is one numbered message and the channel it travels on.
@@ -247,11 +286,10 @@ type fifoEntry struct {
 type numbering struct {
 	budget *visitedSet // charged for every new entry (nil: none)
 
-	route  []int // NodeID → component position (System.route)
-	nodes  int   // len(route): channel numbers are (src·nodes + dst)·NumVNets + vnet
-	pos    []*compTable
-	replay []Replayer // position i's component as a Replayer, or nil
-	owner  int        // the position holding the shared memory, -1 if none
+	route []int // NodeID → component position (System.route)
+	nodes int   // len(route): channel numbers are (src·nodes + dst)·NumVNets + vnet
+	pos   []*compTable
+	owner int // the position holding the shared memory, -1 if none
 
 	// The cores' inline block: core i's words start at coreOff[i] — its
 	// PC<<1|issued, then one zigzag value per load of its program, the
@@ -276,12 +314,14 @@ type numbering struct {
 }
 
 // newNumbering builds the tables for searches from s over workers
-// workers, charging their entries to budget's (nil: to none).
-func newNumbering(s *System, workers int, budget *visitedSet) *numbering {
+// workers, charging their entries to budget's (nil: to none), with s's
+// seed entered and onMemo (nil: none) reporting the memory owner's new
+// records.
+func newNumbering(s *System, workers int, budget *visitedSet, onMemo func(MemoEntry)) *numbering {
 	shared := workers > 1
 	n := &numbering{
 		budget: budget, route: s.route, nodes: len(s.route),
-		pos: make([]*compTable, len(s.Components)), replay: make([]Replayer, len(s.Components)),
+		pos:      make([]*compTable, len(s.Components)),
 		owner:    -1,
 		reqIndex: map[spec.CoreReq]uint32{},
 		msgIndex: map[spec.Msg]uint32{}, fifoIndex: map[string]uint32{}, fifoPush: map[uint64]uint32{},
@@ -296,7 +336,6 @@ func newNumbering(s *System, workers int, budget *visitedSet) *numbering {
 			}
 			n.owner = i
 		}
-		n.replay[i], _ = c.(Replayer)
 		n.pos[i] = &compTable{gate: gate{shared: shared}, index: map[string]uint32{}, memo: map[uint64]memoOut{}, budget: budget}
 	}
 	for _, core := range s.Cores {
@@ -327,7 +366,57 @@ func newNumbering(s *System, workers int, budget *visitedSet) *numbering {
 		n.loadsAt = append(n.loadsAt, loads)
 		n.coreWords += 1 + loads[len(core.Prog)]
 	}
+	if n.owner >= 0 {
+		if s.seed != nil {
+			n.seed(s.seed)
+		}
+		if onMemo != nil {
+			n.pos[n.owner].report = n.reporter(onMemo)
+		}
+	}
 	return n
+}
+
+// seed enters s at the memory owner's position. A state's images are
+// copied into its entry, as intern copies them.
+func (n *numbering) seed(s Seed) {
+	t := n.pos[n.owner]
+	var nums []uint32
+	s(func(st MemoState) {
+		img := append(append(make([]byte, 0, len(st.Img)+len(st.Mem)), st.Img...), st.Mem...)
+		num, ok := t.index[string(img)]
+		if !ok {
+			num = t.add(&compEntry{img: img, split: len(st.Img), refs: st.Refs})
+		}
+		nums = append(nums, num)
+	}, func(pre uint32, m spec.Msg, next uint32, sends []spec.Msg) {
+		out := memoOut{next: Stall}
+		if next != Stall {
+			out.next = nums[next]
+			out.sends = make([]uint32, len(sends))
+			for i, sm := range sends {
+				out.sends[i] = n.msgNum(sm)
+			}
+		}
+		t.record(memoKey(nums[pre], inDeliver, n.msgNum(m)), out, nil)
+	})
+}
+
+// reporter returns the memory owner's report hook: each new delivery
+// record goes to onMemo as a MemoEntry.
+func (n *numbering) reporter(onMemo func(MemoEntry)) func(uint64, memoOut, []spec.Msg) {
+	t := n.pos[n.owner]
+	return func(key uint64, out memoOut, sent []spec.Msg) {
+		if uint32(key)>>inputBits != inDeliver {
+			return
+		}
+		e := MemoEntry{Pre: uint32(key >> 32), Next: out.next, Msg: n.msg(uint32(key) &^ (3 << inputBits)).m, Sends: sent}
+		e.PreState = t.state(e.Pre)
+		if e.Next != Stall {
+			e.NextState = t.state(e.Next)
+		}
+		onMemo(e)
+	}
 }
 
 // position returns the component position serving id; a message to an

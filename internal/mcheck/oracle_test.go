@@ -296,7 +296,23 @@ func TestNumberedSearchMatchesOracle(t *testing.T) {
 		}, true, 1000, false, "br{")
 	})
 	t.Run("compiled-growing", func(t *testing.T) {
-		cf := compileFused(t, f, fusedProgs)
+		// A table compiled without evictions seeds a search with them: the
+		// memo holds the table's outcomes from the start and grows past
+		// them on every eviction the table never met.
+		cf, err := core.Compile(f, core.CompileConfig{CachesPerCluster: []int{1, 1}, Programs: fusedProgs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded := func(sys *mcheck.System) int {
+			n := 0
+			mcheck.Explore(sys, mcheck.Options{Evictions: true, Workers: 1, OnMemo: func(mcheck.MemoEntry) { n++ }})
+			return n
+		}
+		unseeded, _ := core.BuildSystem(f, []int{1, 1})
+		unseeded.SetPrograms(fusedProgs)
+		if grown, all := recorded(cf.System()), recorded(unseeded); grown == 0 || grown+cf.Transitions() != all {
+			t.Fatalf("seeded search recorded %d directory outcomes beside the table's %d, unseeded %d", grown, cf.Transitions(), all)
+		}
 		checkAgainstOracle(t, cf.System, true, 1000, false, "")
 	})
 	t.Run("msi-no-putack-deadlock", func(t *testing.T) {

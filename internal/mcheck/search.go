@@ -83,6 +83,11 @@ type Options struct {
 	// budget. A denied charge truncates with BudgetFull, exactly like a
 	// private cap.
 	MemPool *MemPool
+	// OnMemo, when set, receives each delivery outcome the memo of the
+	// position holding the shared memory records, once, under that memo's
+	// lock: calls are serialized, and a call blocks the workers that reach
+	// the same memo. A seeded outcome (System.SetSeed) is not reported.
+	OnMemo func(MemoEntry)
 }
 
 // Progress is one periodic report of a running search (Options.OnProgress).
@@ -121,6 +126,10 @@ type Result struct {
 	MaxStates   int                 // the state budget that was in effect
 	PORReduced  int                 // states expanded through an ample subset only (0 = POR off or never hit)
 	Engine      string              // System.Engine() label of the searched system ("" = unlabeled)
+	// MemoHits counts the moves of the position holding the shared memory
+	// that its memo served, a miss whose record another worker made first
+	// included (core.CompileStats.MemoHits). Not part of a rendered result.
+	MemoHits int64 `json:"-"`
 
 	// State-storage accounting (see storage.go).
 	BudgetFull     bool    // truncation came from the storage MemBudget, not MaxStates
@@ -212,7 +221,7 @@ type searchCtx struct {
 func newSearchCtx(initial *System, opts Options, maxStates, workers int, visited *visitedSet) *searchCtx {
 	ctx := &searchCtx{
 		opts: opts, maxStates: maxStates, initial: initial,
-		num: newNumbering(initial, workers, visited),
+		num: newNumbering(initial, workers, visited, opts.OnMemo),
 	}
 	if opts.POR != POROff && len(opts.Invariants) == 0 && initial.OnDeliver == nil {
 		// Invariants and delivery observers inspect intermediate states,
@@ -445,15 +454,10 @@ func explore(ctx *searchCtx, workers int, visited *visitedSet, f *frontier) *Res
 		panic(p)
 	default:
 	}
-	// Hand the memo hits over only once every worker has ended normally:
-	// a panicking search counts nothing, and a component whose Replayed
-	// takes a lock its panicking Deliver held is never called mid-unwind.
-	for _, w := range ws {
-		w.flushReplayed()
-	}
 
 	merged := &Result{Outcomes: memmodel.OutcomeSet{}, MaxStates: ctx.maxStates}
-	for _, res := range results {
+	for i, res := range results {
+		merged.MemoHits += ws[i].hits
 		merged.States += res.States
 		merged.Transitions += res.Transitions
 		merged.Deadlocks += res.Deadlocks
@@ -538,8 +542,8 @@ func (p *pending) published() {
 
 // worker is one search worker's scratch: the expanded state, the
 // successor being built and its key, the move lists, a System to
-// materialize states into and run memo misses on, and its memo hits per
-// position.
+// materialize states into and run memo misses on, and its memo hits at
+// the memory owner's position.
 type worker struct {
 	ctx   *searchCtx
 	num   *numbering
@@ -553,7 +557,7 @@ type worker struct {
 	img   []byte      // intern scratch
 	dec   spec.Dec    // miss-path decode cursor
 	sys   *System     // materialization target and miss-path instances
-	hits  []int64     // memo hits by position, for Replayer positions
+	hits  int64       // Result.MemoHits
 }
 
 // sendCapture is the spec.Env a worker runs components against.
@@ -573,18 +577,7 @@ type vmove struct {
 }
 
 func newWorker(ctx *searchCtx) *worker {
-	return &worker{ctx: ctx, num: ctx.num, sys: ctx.initial.Clone(), hits: make([]int64, len(ctx.num.pos))}
-}
-
-// flushReplayed hands each Replayer position the memo hits the worker
-// served there.
-func (w *worker) flushReplayed() {
-	for p, r := range w.num.replay {
-		if r != nil && w.hits[p] > 0 {
-			r.Replayed(w.hits[p])
-			w.hits[p] = 0
-		}
-	}
+	return &worker{ctx: ctx, num: ctx.num, sys: ctx.initial.Clone()}
 }
 
 // expand processes the taken state w.cur: invariants, successor
@@ -742,7 +735,7 @@ func (w *worker) apply(m vmove) bool {
 		me := num.msg(f.msgs[0])
 		p := num.position(me.m.Dst)
 		out := w.step(p, cur.comps[p], memoKey(cur.comps[p], inDeliver, f.msgs[0]))
-		if out.next == stall {
+		if out.next == Stall {
 			return false
 		}
 		next.copyFrom(cur)
@@ -760,7 +753,7 @@ func (w *worker) apply(m vmove) bool {
 		p, off := num.corePos[m.i], num.coreOff[m.i]
 		rq := num.progReq[m.i][cur.cores[off]>>1]
 		out := w.step(p, cur.comps[p], memoKey(cur.comps[p], inIssue, rq))
-		if out.next == stall {
+		if out.next == Stall {
 			return false
 		}
 		next.copyFrom(cur)
@@ -773,7 +766,7 @@ func (w *worker) apply(m vmove) bool {
 			panic(fmt.Sprintf("mcheck: eviction of negative address %d", m.addr))
 		}
 		out := w.step(p, cur.comps[p], memoKey(cur.comps[p], inEvict, uint32(m.addr)))
-		if out.next == stall {
+		if out.next == Stall {
 			return false
 		}
 		next.copyFrom(cur)
@@ -791,7 +784,7 @@ func (w *worker) apply(m vmove) bool {
 func (w *worker) step(p int, n uint32, key uint64) memoOut {
 	t := w.num.pos[p]
 	if out, ok := t.lookup(key); ok {
-		w.hits[p]++
+		w.hit(p)
 		return out
 	}
 	e, c := t.at(n), w.sys.Components[p]
@@ -811,7 +804,7 @@ func (w *worker) step(p int, n uint32, key uint64) memoOut {
 	case inEvict:
 		ok = c.(*spec.CacheInst).Evict(&w.sends, spec.Addr(in))
 	}
-	out := memoOut{next: stall}
+	out := memoOut{next: Stall}
 	if ok {
 		out.sends = make([]uint32, len(w.sends.msgs))
 		for i, s := range w.sends.msgs {
@@ -819,7 +812,18 @@ func (w *worker) step(p int, n uint32, key uint64) memoOut {
 		}
 		out.next = t.intern(c, mem, &w.img)
 	}
-	return t.record(key, out)
+	out, won := t.record(key, out, w.sends.msgs)
+	if !won {
+		w.hit(p)
+	}
+	return out
+}
+
+// hit counts a move position p's memo served.
+func (w *worker) hit(p int) {
+	if p == w.num.owner {
+		w.hits++
+	}
 }
 
 // push appends the sent messages to their channels in w.next.

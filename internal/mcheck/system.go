@@ -78,6 +78,8 @@ type System struct {
 	// ("interpreted composite", "compiled table"); Result and the CLIs
 	// surface it so runs are unambiguous. Empty for plain systems.
 	engine string
+	// seed, when set, is entered into every search's memo (SetSeed).
+	seed Seed
 }
 
 // SetEngine labels the system's directory-evaluation engine; Engine reads
@@ -87,25 +89,11 @@ func (s *System) SetEngine(name string) { s.engine = name }
 // Engine returns the engine label set with SetEngine.
 func (s *System) Engine() string { return s.engine }
 
-// SwapComponent replaces component i with c, which must own exactly the
-// same node ids (so the shared route table stays valid).
-func (s *System) SwapComponent(i int, c spec.Component) error {
-	if i < 0 || i >= len(s.Components) {
-		return fmt.Errorf("mcheck: SwapComponent index %d out of range", i)
-	}
-	old := s.Components[i].OwnedIDs()
-	nu := c.OwnedIDs()
-	if len(old) != len(nu) {
-		return fmt.Errorf("mcheck: SwapComponent id mismatch: %v vs %v", old, nu)
-	}
-	for j := range old {
-		if old[j] != nu[j] {
-			return fmt.Errorf("mcheck: SwapComponent id mismatch: %v vs %v", old, nu)
-		}
-	}
-	s.Components[i] = c
-	return nil
-}
+// SetSeed attaches a finished memo that every search of the system, or
+// of a clone, enters at the position holding the shared memory before it
+// starts (Seed). It changes no state, transition or outcome a search
+// reports, only which moves run their component.
+func (s *System) SetSeed(seed Seed) { s.seed = seed }
 
 // NewSystem assembles a system from components, cores and the shared
 // memory the directories were built over.
@@ -243,7 +231,7 @@ func (s *System) Clone() *System {
 		cores[i] = &coreArr[i]
 	}
 	cp := &System{Components: comps, Cores: cores, Mem: mem,
-		OnDeliver: s.OnDeliver, route: s.route, engine: s.engine}
+		OnDeliver: s.OnDeliver, route: s.route, engine: s.engine, seed: s.seed}
 	if len(s.chans) > 0 {
 		total := 0
 		for i := range s.chans {

@@ -138,7 +138,6 @@ func (d *Dec) String() string {
 // DecodeState applied to its output on a structurally-identical receiver
 // (same ids, same protocol, same topology — e.g. a Clone of the initial
 // system's component) must reproduce the source state field for field.
-// core.CompiledDir's image is its state register.
 type StateCodec interface {
 	BinaryAppender
 	DecodeState(d *Dec) error
